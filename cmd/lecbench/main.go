@@ -17,12 +17,15 @@
 //	lecbench -workers=8 -qps=500     # paced offered load
 //	lecbench -workload -json         # engine-in-the-loop workload mode
 //	lecbench -workload -requests=200 # quick smoke of the same
+//	lecbench -workers=8 -cache -cpuprofile=cpu.prof   # any mode, CPU-profiled
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"lecopt/internal/experiments"
@@ -54,6 +57,8 @@ func main() {
 
 		emitJSON = flag.Bool("json", true, "write the mode's JSON artifact")
 		outPath  = flag.String("out", "", "artifact path (default BENCH_batch.json / BENCH_workload.json by mode)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
 	)
 	flag.Parse()
 	artifact := func(def string) string {
@@ -65,58 +70,74 @@ func main() {
 		}
 		return def
 	}
-	switch {
-	case *fleetM:
-		if *runSpec != "" || *list || *workloadM {
-			fmt.Fprintln(os.Stderr, "lecbench: -fleet cannot be combined with -run/-list/-workload")
-			os.Exit(1)
-		}
-		cfg := fleetModeConfig{
-			Tenants: *tenants, Requests: *requests, Seed: *seed,
-			Workers: *workers, CacheSize: *cacheSize, DriftBand: *driftBand,
-		}
-		if _, err := runFleetMode(cfg, artifact("BENCH_fleet.json"), os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "lecbench:", err)
-			os.Exit(1)
-		}
-	case *workloadM:
-		if *runSpec != "" || *list {
-			fmt.Fprintln(os.Stderr, "lecbench: -run/-list select experiments and cannot be combined with -workload")
-			os.Exit(1)
-		}
-		if *workers < 0 {
-			fmt.Fprintln(os.Stderr, "lecbench: -workers must be >= 0 (0 = GOMAXPROCS)")
-			os.Exit(1)
-		}
-		cfg := workloadModeConfig{
-			Requests: *requests, Queries: *queries, Zipf: *zipf,
-			Seed: *seed, Workers: *workers, CacheSize: *cacheSize,
-			DriftBand: *driftBand, NoBands: *noBands, NoIndex: *noIndex,
-		}
-		if _, err := runWorkloadMode(cfg, artifact("BENCH_workload.json"), os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "lecbench:", err)
-			os.Exit(1)
-		}
-	case *workers > 0:
-		if *runSpec != "" || *list {
-			fmt.Fprintln(os.Stderr, "lecbench: -run/-list select experiments and cannot be combined with -workers (throughput mode)")
-			os.Exit(1)
-		}
-		cfg := throughputConfig{
-			Workers: *workers, Requests: *requests, Distinct: *distinct,
-			Cache: *useCache, CacheSize: *cacheSize, QPS: *qps, Seed: *seed, Alg: *alg,
-			MaxAllocs: *maxAllocs,
-		}
-		if _, err := runThroughput(cfg, artifact("BENCH_batch.json"), os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "lecbench:", err)
-			os.Exit(1)
-		}
-	default:
-		if err := run(*runSpec, *list); err != nil {
-			fmt.Fprintln(os.Stderr, "lecbench:", err)
-			os.Exit(1)
+	mode := func() error {
+		switch {
+		case *fleetM:
+			if *runSpec != "" || *list || *workloadM {
+				return errors.New("-fleet cannot be combined with -run/-list/-workload")
+			}
+			cfg := fleetModeConfig{
+				Tenants: *tenants, Requests: *requests, Seed: *seed,
+				Workers: *workers, CacheSize: *cacheSize, DriftBand: *driftBand,
+			}
+			_, err := runFleetMode(cfg, artifact("BENCH_fleet.json"), os.Stdout)
+			return err
+		case *workloadM:
+			if *runSpec != "" || *list {
+				return errors.New("-run/-list select experiments and cannot be combined with -workload")
+			}
+			if *workers < 0 {
+				return errors.New("-workers must be >= 0 (0 = GOMAXPROCS)")
+			}
+			cfg := workloadModeConfig{
+				Requests: *requests, Queries: *queries, Zipf: *zipf,
+				Seed: *seed, Workers: *workers, CacheSize: *cacheSize,
+				DriftBand: *driftBand, NoBands: *noBands, NoIndex: *noIndex,
+			}
+			_, err := runWorkloadMode(cfg, artifact("BENCH_workload.json"), os.Stdout)
+			return err
+		case *workers > 0:
+			if *runSpec != "" || *list {
+				return errors.New("-run/-list select experiments and cannot be combined with -workers (throughput mode)")
+			}
+			cfg := throughputConfig{
+				Workers: *workers, Requests: *requests, Distinct: *distinct,
+				Cache: *useCache, CacheSize: *cacheSize, QPS: *qps, Seed: *seed, Alg: *alg,
+				MaxAllocs: *maxAllocs,
+			}
+			_, err := runThroughput(cfg, artifact("BENCH_batch.json"), os.Stdout)
+			return err
+		default:
+			return run(*runSpec, *list)
 		}
 	}
+	if err := profiled(*cpuProfile, mode); err != nil {
+		fmt.Fprintln(os.Stderr, "lecbench:", err)
+		os.Exit(1)
+	}
+}
+
+// profiled runs fn, under a CPU profile written to path when path is set.
+// The profile is flushed whether or not fn fails: a failing run is often
+// the one worth profiling.
+func profiled(path string, fn func() error) error {
+	if path == "" {
+		return fn()
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	err = fn()
+	pprof.StopCPUProfile()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func run(runSpec string, list bool) error {

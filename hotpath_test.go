@@ -12,7 +12,9 @@ import (
 	"sync"
 	"testing"
 
+	"lecopt/internal/core"
 	"lecopt/internal/feedback"
+	"lecopt/internal/plancache"
 	"lecopt/internal/workload"
 )
 
@@ -187,6 +189,54 @@ func BenchmarkOptimizeHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := opt.Optimize(reqs[i%len(reqs)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCacheKey measures the plan-cache key build alone — the layer a
+// warm hit spends most of its time in — across the environment shapes that
+// set the preimage size (point law, 4-bucket law, 4-state Markov chain),
+// with and without executed-size hints. Headlines: 0 allocs/op and the
+// preimage-B metric, which the SHA-256 share of ns/op is linear in.
+func BenchmarkCacheKey(b *testing.B) {
+	envs, err := workload.StandardEnvs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	byName := make(map[string]workload.NamedEnv, len(envs))
+	for _, e := range envs {
+		byName[e.Name] = e
+	}
+	gen, err := workload.Generate(workload.DefaultSpec(4, workload.Chain), rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	hints := map[string]float64{
+		feedback.SetKey(gen.Block.Tables[0], gen.Block.Tables[1]): 120,
+		feedback.SetKey(gen.Block.Tables[1], gen.Block.Tables[2]): 3400,
+	}
+	for _, env := range []struct{ label, name string }{
+		{"point", "point-1000"}, {"4-bucket", "zipf-levels"}, {"markov", "markov-sticky"},
+	} {
+		for _, hinted := range []bool{false, true} {
+			sc := &Scenario{Cat: gen.Cat, Query: gen.Block, Env: byName[env.name].Env}
+			label := env.label
+			if hinted {
+				sc.Opts.SizeHints = hints
+				label += "+hints"
+			}
+			b.Run(label, func(b *testing.B) {
+				key := make([]byte, 0, plancache.KeyLen)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if key, err = sc.AppendCacheKey(key[:0], AlgC, core.DefaultDriftBand, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(plancache.PreimageLen(sc.Cat, sc.Query, sc.Env, nil, nil,
+					sc.Opts, 0, uint8(AlgC), core.DefaultDriftBand, 0)), "preimage-B")
+			})
 		}
 	}
 }

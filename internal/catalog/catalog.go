@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Errors returned by catalog operations.
@@ -87,12 +88,13 @@ type Catalog struct {
 	indexes map[string]*Index
 	byTable map[string][]*Index
 
-	// fp memoizes Fingerprint between mutations (guarded by fpMu, since
-	// concurrent optimizations share read-only catalogs); bandedFP
-	// memoizes BandedFingerprint per band base.
-	fpMu     sync.Mutex
-	fp       string
-	bandedFP map[bandKey]string
+	// fpMemo memoizes the fingerprint digests between mutations as an
+	// immutable snapshot: concurrent optimizations sharing a read-only
+	// catalog find their digest with one atomic load. fpMu serializes the
+	// writers only — a first computation, which publishes an extended
+	// copy, and invalidation, which publishes nil.
+	fpMu   sync.Mutex
+	fpMemo atomic.Pointer[[]fpDigest]
 }
 
 // New returns an empty catalog.
@@ -172,7 +174,7 @@ func (c *Catalog) AddTable(t *Table) error {
 		return fmt.Errorf("%w: %s", ErrDupTable, t.Name)
 	}
 	c.tables[t.Name] = t
-	c.invalidateFingerprint()
+	c.InvalidateFingerprint()
 	return nil
 }
 
@@ -222,7 +224,7 @@ func (c *Catalog) AddIndex(ix Index) error {
 	stored := ix
 	c.indexes[ix.Name] = &stored
 	c.byTable[ix.Table] = append(c.byTable[ix.Table], &stored)
-	c.invalidateFingerprint()
+	c.InvalidateFingerprint()
 	return nil
 }
 

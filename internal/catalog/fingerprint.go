@@ -20,17 +20,11 @@ import (
 //
 // The digest is computed once and memoized until the next AddTable/AddIndex;
 // serving workloads therefore pay the hash per catalog version, not per
-// query. Callers that revise a registered *Table's statistics in place must
-// call InvalidateFingerprint afterwards, or stale plan-cache keys will keep
-// serving plans optimized for the old statistics.
-func (c *Catalog) Fingerprint() string {
-	c.fpMu.Lock()
-	defer c.fpMu.Unlock()
-	if c.fp == "" {
-		c.fp = c.fingerprint()
-	}
-	return c.fp
-}
+// query — a memoized read is one atomic load, with no lock shared between
+// the catalog's readers. Callers that revise a registered *Table's
+// statistics in place must call InvalidateFingerprint afterwards, or stale
+// plan-cache keys will keep serving plans optimized for the old statistics.
+func (c *Catalog) Fingerprint() string { return c.digest(0, 0).hex }
 
 // BandedFingerprint is Fingerprint with every column's distinct count
 // quantized into a geometric band of the given base before hashing: the
@@ -44,7 +38,7 @@ func (c *Catalog) Fingerprint() string {
 // base must exceed 1; any other value falls back to the exact Fingerprint.
 // Digests are memoized per base until the next mutation.
 func (c *Catalog) BandedFingerprint(base float64) string {
-	return c.BandedFingerprintMargin(base, 0)
+	return c.digest(base, 0).hex
 }
 
 // BandedFingerprintMargin is BandedFingerprint with every band index
@@ -54,29 +48,67 @@ func (c *Catalog) BandedFingerprint(base float64) string {
 // identically to a neighbor on the boundary's other side: a small drift
 // step that happens to cross a floor(log_base) boundary can therefore be
 // recognized as the in-band neighbor it really is, instead of splitting
-// the plan cache. Margin 0 is the plain banded digest. Digests are
-// memoized per (base, margin) until the next mutation.
+// the plan cache. Margin 0 is the plain banded digest, and a non-finite
+// margin counts as 0. Digests are memoized per (base, margin) until the
+// next mutation.
 func (c *Catalog) BandedFingerprintMargin(base, margin float64) string {
-	if !(base > 1) {
-		return c.Fingerprint()
-	}
-	key := bandKey{base: base, margin: margin}
-	c.fpMu.Lock()
-	defer c.fpMu.Unlock()
-	if fp, ok := c.bandedFP[key]; ok {
-		return fp
-	}
-	fp := c.fingerprintBanded(base, margin)
-	if c.bandedFP == nil {
-		c.bandedFP = make(map[bandKey]string)
-	}
-	c.bandedFP[key] = fp
-	return fp
+	return c.digest(base, margin).hex
 }
 
-// bandKey memoizes banded digests per (base, margin).
-type bandKey struct {
+// AppendFingerprint appends the raw sha256.Size digest bytes that
+// BandedFingerprintMargin(base, margin) renders in hex — the fixed-width
+// form plan-cache keys embed.
+func (c *Catalog) AppendFingerprint(dst []byte, base, margin float64) []byte {
+	return append(dst, c.digest(base, margin).sum[:]...)
+}
+
+// fpDigest is one memoized digest: the exact fingerprint (base 0) or the
+// banded one for (base, margin).
+type fpDigest struct {
 	base, margin float64
+	sum          [sha256.Size]byte
+	hex          string
+}
+
+// digest returns the memoized digest for (base, margin), computing and
+// publishing it on first use. Snapshots are immutable, so the returned
+// pointer stays valid across later publications and invalidations.
+func (c *Catalog) digest(base, margin float64) *fpDigest {
+	if !(base > 1) {
+		base, margin = 0, 0
+	} else if math.IsNaN(margin) || math.IsInf(margin, 0) {
+		margin = 0 // NaN never equals its own memo entry; ±Inf has no band
+	}
+	if d := findDigest(c.fpMemo.Load(), base, margin); d != nil {
+		return d
+	}
+	c.fpMu.Lock()
+	defer c.fpMu.Unlock()
+	old := c.fpMemo.Load()
+	if d := findDigest(old, base, margin); d != nil {
+		return d // a concurrent first computation published it
+	}
+	var next []fpDigest
+	if old != nil {
+		next = append(next, *old...)
+	}
+	next = append(next, c.computeDigest(base, margin))
+	c.fpMemo.Store(&next)
+	return &next[len(next)-1]
+}
+
+// findDigest scans a snapshot; a handful of (base, margin) pairs is all a
+// catalog ever sees, so a linear scan beats hashing float keys.
+func findDigest(memo *[]fpDigest, base, margin float64) *fpDigest {
+	if memo == nil {
+		return nil
+	}
+	for i := range *memo {
+		if d := &(*memo)[i]; d.base == base && d.margin == margin {
+			return d
+		}
+	}
+	return nil
 }
 
 // distinctBand quantizes a distinct count: the effective value is clamped
@@ -95,25 +127,21 @@ func distinctBand(distinct, rows, base, margin float64) int {
 	return int(math.Floor(math.Log(eff)/math.Log(base) + margin))
 }
 
-// InvalidateFingerprint drops the memoized digest. AddTable/AddIndex call it
-// automatically; it is exported for callers that mutate registered table
+// InvalidateFingerprint drops the memoized digests. AddTable/AddIndex call
+// it automatically; it is exported for callers that mutate registered table
 // statistics in place, which the memo cannot observe.
-func (c *Catalog) InvalidateFingerprint() { c.invalidateFingerprint() }
-
-// invalidateFingerprint drops the memoized digests after a mutation.
-func (c *Catalog) invalidateFingerprint() {
+func (c *Catalog) InvalidateFingerprint() {
+	// Under fpMu so the nil lands after any in-flight first computation has
+	// published, never before it.
 	c.fpMu.Lock()
-	c.fp = ""
-	c.bandedFP = nil
+	c.fpMemo.Store(nil)
 	c.fpMu.Unlock()
 }
 
-func (c *Catalog) fingerprint() string { return c.fingerprintBanded(0, 0) }
-
-// fingerprintBanded hashes the catalog with distinct counts either exact
-// (base <= 1) or quantized into geometric bands of the given base, offset
-// by margin band units (hysteresis probes).
-func (c *Catalog) fingerprintBanded(base, margin float64) string {
+// computeDigest hashes the catalog with distinct counts either exact
+// (base 0) or quantized into geometric bands of the given base, offset by
+// margin band units (hysteresis probes).
+func (c *Catalog) computeDigest(base, margin float64) fpDigest {
 	h := sha256.New()
 	for _, name := range c.TableNames() { // sorted
 		t := c.tables[name]
@@ -143,7 +171,10 @@ func (c *Catalog) fingerprintBanded(base, margin float64) string {
 		fmt.Fprintf(h, "index %s on=%s.%s clustered=%v height=%v\n",
 			ix.Name, ix.Table, ix.Column, ix.Clustered, ix.Height)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	d := fpDigest{base: base, margin: margin}
+	h.Sum(d.sum[:0])
+	d.hex = hex.EncodeToString(d.sum[:])
+	return d
 }
 
 // fingerprint writes the histogram's buckets into a digest stream.

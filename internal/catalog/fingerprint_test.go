@@ -1,0 +1,106 @@
+package catalog
+
+import (
+	"encoding/hex"
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+)
+
+func fingerprintCatalog(t *testing.T) *Catalog {
+	t.Helper()
+	c := New()
+	if err := c.AddTable(MustTable("t", 100, 10_000, col("k", 600, 0, 1e6))); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestBandedFingerprintNonFiniteMargin: NaN never equals itself, so a NaN
+// margin used to miss its own memo entry — every call recomputed the digest
+// and left another entry behind. A non-finite margin is margin 0.
+func TestBandedFingerprintNonFiniteMargin(t *testing.T) {
+	c := fingerprintCatalog(t)
+	want := c.BandedFingerprint(2)
+	for _, margin := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i := 0; i < 100; i++ {
+			if got := c.BandedFingerprintMargin(2, margin); got != want {
+				t.Fatalf("margin %v: digest %s, want the margin-0 digest %s", margin, got, want)
+			}
+		}
+	}
+	if n := len(*c.fpMemo.Load()); n != 1 {
+		t.Fatalf("300 non-finite-margin calls left %d memo entries, want 1", n)
+	}
+}
+
+// TestAppendFingerprintIsTheRawDigest ties the binary form plan-cache keys
+// embed to the hex form every other caller sees.
+func TestAppendFingerprintIsTheRawDigest(t *testing.T) {
+	c := fingerprintCatalog(t)
+	for _, tc := range []struct {
+		base, margin float64
+		want         string
+	}{
+		{0, 0, c.Fingerprint()},
+		{1, 0.25, c.Fingerprint()}, // base <= 1 is exact, margin ignored
+		{2, 0, c.BandedFingerprint(2)},
+		{2, -0.25, c.BandedFingerprintMargin(2, -0.25)},
+	} {
+		raw := c.AppendFingerprint([]byte("x"), tc.base, tc.margin)
+		if got := hex.EncodeToString(raw[1:]); raw[0] != 'x' || got != tc.want {
+			t.Fatalf("AppendFingerprint(%v, %v) = %q, want x + %s", tc.base, tc.margin, raw, tc.want)
+		}
+	}
+}
+
+// TestFingerprintMemoConcurrent hammers the memo from readers that race
+// each other and InvalidateFingerprint while a writer keeps registering
+// tables. Catalog mutation is the caller's to serialize against reads (the
+// tables map is unsynchronized), so AddTable takes the test's write lock;
+// the memo itself gets no such help. Every digest served must equal a
+// fresh computation over the tables registered at that moment.
+func TestFingerprintMemoConcurrent(t *testing.T) {
+	c := fingerprintCatalog(t)
+	var tables sync.RWMutex
+	var wg sync.WaitGroup
+	const readers, rounds, added = 8, 300, 20
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			margins := []float64{0, -0.25, 0.25}
+			for i := 0; i < rounds; i++ {
+				margin := margins[(g+i)%len(margins)]
+				tables.RLock()
+				got := c.BandedFingerprintMargin(2, margin)
+				want := c.computeDigest(2, margin).hex
+				exact, wantExact := c.Fingerprint(), c.computeDigest(0, 0).hex
+				tables.RUnlock()
+				if got != want || exact != wantExact {
+					t.Errorf("reader %d round %d: memo served a digest that a fresh computation does not reproduce", g, i)
+					return
+				}
+				if i%7 == g%7 {
+					c.InvalidateFingerprint()
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < added; i++ {
+			tab := MustTable(fmt.Sprintf("u%d", i), 10, 100, col("k", 5, 0, 5))
+			tables.Lock()
+			err := c.AddTable(tab)
+			tables.Unlock()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}

@@ -28,49 +28,27 @@ type BatchOptions struct {
 	// batches — share one cache for a serving workload). Keys cover the
 	// catalog fingerprint, canonical query shape, environment-law digest,
 	// plan-space options and algorithm, so a statistics or law change
-	// misses cleanly; see Scenario.CacheKey. Two identical jobs racing on
+	// misses cleanly; see Scenario.AppendCacheKey. Two identical jobs racing on
 	// a cold key may both compute (last write wins) — wasteful but
 	// harmless, since equal keys imply equal reports.
 	Cache *plancache.Cache[PlanReport]
 }
 
-// CacheKey returns the exact-fingerprint plan-cache signature of optimizing
-// this scenario with alg. Scenarios whose keys are equal are optimized
-// identically, so their PlanReports may be shared; any change to the catalog
-// statistics, query, environment laws or options yields a new key (stale
-// entries age out of the LRU — there is no explicit invalidation).
-func (s *Scenario) CacheKey(alg Algorithm) (string, error) {
-	return s.CacheKeyBanded(alg, 0)
-}
-
-// CacheKeyBanded is CacheKey with a drift-banded catalog fingerprint:
-// distinct counts are bucketed into geometric bands of base driftBand
-// before hashing (catalog.BandedFingerprint), so statistics drift *within*
-// a band maps to the same key and a drifting tenant keeps hitting the
-// cached plan. driftBand <= 1 is the exact key.
-func (s *Scenario) CacheKeyBanded(alg Algorithm, driftBand float64) (string, error) {
-	return s.CacheKeyBandedMargin(alg, driftBand, 0)
-}
-
-// CacheKeyBandedMargin is CacheKeyBanded with the distinct-count bands
-// offset by margin band units (plancache.SignatureMargin) — the band-edge
-// hysteresis probe key: statistics within |margin| of a band boundary key,
-// under the matching-signed margin, exactly as their across-the-boundary
-// neighbor does under margin 0.
-func (s *Scenario) CacheKeyBandedMargin(alg Algorithm, driftBand, margin float64) (string, error) {
-	var key [plancache.KeyLen]byte
-	b, err := s.AppendCacheKey(key[:0], alg, driftBand, margin)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// AppendCacheKey appends the CacheKeyBandedMargin key's plancache.KeyLen
-// bytes to dst — the allocation-free form for hot paths that keep a
-// reusable buffer and look plans up with Cache.GetBytes/ProbeBytes. Both
-// forms build byte-identical keys, so string and byte lookups interleave
-// freely on one cache.
+// AppendCacheKey appends to dst the plancache.KeyLen-byte plan-cache key of
+// optimizing this scenario with alg — an opaque binary digest, built
+// without allocating for hot paths that keep a reusable buffer and look
+// plans up with Cache.GetBytes/ProbeBytes. With driftBand <= 1 the key is
+// statistics-exact: scenarios whose keys are equal are optimized
+// identically, so their PlanReports may be shared, and any change to the
+// catalog statistics, query, environment laws or options yields a new key
+// (stale entries age out of the LRU — there is no explicit invalidation).
+// With driftBand > 1 distinct counts are bucketed into geometric bands of
+// that base before hashing (catalog.BandedFingerprint), so statistics drift
+// *within* a band maps to the same key and a drifting tenant keeps hitting
+// the cached plan. margin offsets those bands by that many band units — the
+// band-edge hysteresis probe key: statistics within |margin| of a band
+// boundary key, under the matching-signed margin, exactly as their
+// across-the-boundary neighbor does under margin 0.
 func (s *Scenario) AppendCacheKey(dst []byte, alg Algorithm, driftBand, margin float64) ([]byte, error) {
 	if err := s.check(); err != nil {
 		return dst, err
@@ -87,8 +65,8 @@ func (s *Scenario) AppendCacheKey(dst []byte, alg Algorithm, driftBand, margin f
 	if alg != AlgD {
 		selLaws, sizeLaws = nil, nil
 	}
-	return plancache.AppendKeyMargin(dst, s.Cat, s.Query, s.Env, selLaws, sizeLaws,
-		s.Opts, topC, alg.String(), driftBand, margin), nil
+	return plancache.AppendKey(dst, s.Cat, s.Query, s.Env, selLaws, sizeLaws,
+		s.Opts, topC, uint8(alg), driftBand, margin), nil
 }
 
 // OptimizeBatch optimizes every job, fanning across opts.Workers goroutines,

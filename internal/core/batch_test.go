@@ -134,8 +134,8 @@ func TestOptimizeBatchEmpty(t *testing.T) {
 
 func TestCacheKeyErrors(t *testing.T) {
 	sc := &Scenario{}
-	if _, err := sc.CacheKey(AlgC); !errors.Is(err, ErrNilScenario) {
-		t.Fatalf("CacheKey on empty scenario: %v", err)
+	if _, err := sc.AppendCacheKey(nil, AlgC, 0, 0); !errors.Is(err, ErrNilScenario) {
+		t.Fatalf("AppendCacheKey on empty scenario: %v", err)
 	}
 }
 
@@ -147,11 +147,11 @@ func TestCacheKeyIgnoresUnreadInputs(t *testing.T) {
 	key := func(mutate func(*Scenario), alg Algorithm) string {
 		sc := *base
 		mutate(&sc)
-		k, err := sc.CacheKey(alg)
+		k, err := sc.AppendCacheKey(nil, alg, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return k
+		return string(k)
 	}
 	plain := key(func(*Scenario) {}, AlgC)
 	if plain != key(func(sc *Scenario) { sc.TopC = 7 }, AlgC) {

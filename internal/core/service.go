@@ -286,15 +286,13 @@ func (o *Optimizer) fillScenario(sc *Scenario, req Request) error {
 	// observed, requests skip building the feedback query key entirely
 	// (an empty store can have no hints for any key).
 	if o.fb != nil && o.fb.Observations() > 0 {
+		// Hints returns a map this request owns, so explicit hints overlay
+		// it in place.
 		if hints := o.fb.Hints(o.queryKey(cat, blk)); len(hints) > 0 {
-			merged := make(map[string]float64, len(hints)+len(opts.SizeHints))
-			for k, v := range hints {
-				merged[k] = v
-			}
 			for k, v := range opts.SizeHints { // explicit hints win
-				merged[k] = v
+				hints[k] = v
 			}
-			opts.SizeHints = merged
+			opts.SizeHints = hints
 		}
 	}
 	*sc = Scenario{

@@ -9,6 +9,7 @@ import (
 	"lecopt/internal/dist"
 	"lecopt/internal/envsim"
 	"lecopt/internal/feedback"
+	"lecopt/internal/optimizer"
 	"lecopt/internal/workload"
 )
 
@@ -213,6 +214,61 @@ func TestObserveChangesCosting(t *testing.T) {
 	if root.OutPages != 12_000 {
 		t.Fatalf("observed size not folded into costing: root out=%v (before %v)",
 			root.OutPages, before.Plan.OutPages)
+	}
+}
+
+// TestExplicitHintsOverlayFeedback: a request's own SizeHints are laid over
+// the observed ones (explicit wins on a shared key, observed hints for
+// other keys still apply), and the overlay happens on the request's private
+// copy — neither the feedback store nor the caller's map changes.
+func TestExplicitHintsOverlayFeedback(t *testing.T) {
+	sc := serviceScenario(t, 7)
+	env := serviceEnv(t)
+	o := NewOptimizer(sc.Cat, Config{})
+	full := feedback.SetKey(sc.Block.Tables...)
+	first := sc.Block.Tables[0]
+	if err := o.Observe(Feedback{Query: sc.Block, Sizes: map[string]float64{full: 12_000, first: 30}}); err != nil {
+		t.Fatal(err)
+	}
+	rootOut := func(req Request) float64 {
+		t.Helper()
+		resp, err := o.Optimize(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := resp.Plan
+		if root.Kind.String() == "sort" {
+			root = root.Child
+		}
+		return root.OutPages
+	}
+	explicit := map[string]float64{full: 500}
+	opts := optimizer.Options{SizeHints: explicit}
+	if got := rootOut(Request{Query: sc.Block, Env: env, Alg: AlgC, Opts: &opts}); got != 500 {
+		t.Fatalf("explicit hint lost to the observed one: root out=%v, want 500", got)
+	}
+	if len(explicit) != 1 || explicit[full] != 500 {
+		t.Fatalf("caller's hint map was written to: %v", explicit)
+	}
+	if got := rootOut(Request{Query: sc.Block, Env: env, Alg: AlgC}); got != 12_000 {
+		t.Fatalf("explicit hint leaked into the feedback store: root out=%v, want 12000", got)
+	}
+	// The explicit request still costed with the observed single-table
+	// hint: its key differs from one carrying the explicit hint alone.
+	withObserved := Scenario{Cat: sc.Cat, Query: sc.Block, Env: env,
+		Opts: optimizer.Options{SizeHints: map[string]float64{full: 500, first: 30}}}
+	alone := Scenario{Cat: sc.Cat, Query: sc.Block, Env: env, Opts: opts}
+	hit := func(s *Scenario) bool {
+		t.Helper()
+		k, err := s.AppendCacheKey(nil, AlgC, o.DriftBand(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ok := o.cache.ProbeBytes(k)
+		return ok
+	}
+	if !hit(&withObserved) || hit(&alone) {
+		t.Fatal("explicit request was not keyed under explicit + observed hints")
 	}
 }
 

@@ -51,6 +51,7 @@ var fpEntries = []fpEntry{
 	{"internal/catalog", "Catalog", "Fingerprint"},
 	{"internal/catalog", "Catalog", "BandedFingerprint"},
 	{"internal/catalog", "Catalog", "BandedFingerprintMargin"},
+	{"internal/catalog", "Catalog", "AppendFingerprint"},
 	{"internal/query", "Block", "Canonical"},
 }
 

@@ -54,7 +54,7 @@ func TestSignatureMarginBridgesBandEdge(t *testing.T) {
 	blk := edgeBlock()
 	env := envsim.Env{Mem: dist.Point(100)}
 	sig := func(cat *catalog.Catalog, margin float64) string {
-		return SignatureMargin(cat, blk, env, nil, nil, optimizer.Options{}, 0, "algorithm-c", 2, margin)
+		return testKey(cat, blk, env, nil, nil, optimizer.Options{}, 0, algC, 2, margin)
 	}
 
 	base := sig(before, 0)
@@ -73,8 +73,8 @@ func TestSignatureMarginBridgesBandEdge(t *testing.T) {
 		t.Fatal("+margin probe signature must bridge the boundary downward")
 	}
 	// Exact keys ignore the margin entirely.
-	exact := SignatureMargin(after, blk, env, nil, nil, optimizer.Options{}, 0, "algorithm-c", 0, -0.25)
-	if exact != Signature(after, blk, env, nil, nil, optimizer.Options{}, 0, "algorithm-c", 0) {
+	exact := testKey(after, blk, env, nil, nil, optimizer.Options{}, 0, algC, 0, -0.25)
+	if exact != testKey(after, blk, env, nil, nil, optimizer.Options{}, 0, algC, 0, 0) {
 		t.Fatal("margin must be a no-op for exact keys")
 	}
 }

@@ -4,11 +4,13 @@
 // so a plan that took a full dynamic program to find should be found once.
 //
 // The cache is a sharded, mutex-protected LRU keyed by an opaque string; use
-// Signature to build keys that cover everything the optimizer's answer
-// depends on (catalog fingerprint, canonical query shape, environment-law
-// digest, plan-space options and algorithm). Because statistics are hashed
-// into the key, there is no explicit invalidation: updating the catalog
-// changes the key and stale entries simply age out of the LRU.
+// AppendKey to build keys that cover everything the optimizer's answer
+// depends on (catalog fingerprint, canonical query shape, environment laws,
+// plan-space options and algorithm). Those keys are KeyLen raw digest bytes
+// — binary, not text: compare and store them, never print or parse them.
+// Because statistics are hashed into the key, there is no explicit
+// invalidation: updating the catalog changes the key and stale entries
+// simply age out of the LRU.
 //
 // All methods are safe for concurrent use.
 package plancache
@@ -17,7 +19,6 @@ import (
 	"container/list"
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 )
 
 const shardCount = 16 // power of two; low-bits shard selection
@@ -25,18 +26,20 @@ const shardCount = 16 // power of two; low-bits shard selection
 // Cache is a sharded LRU mapping string keys to values of type V.
 // The zero value is not usable; construct with New.
 type Cache[V any] struct {
-	shards    [shardCount]shard[V]
-	seed      maphash.Seed
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
+	shards [shardCount]shard[V]
+	seed   maphash.Seed
 }
 
+// shard is one independently locked LRU. Its counters live beside the data
+// they count and are bumped under the mutex a lookup already holds, so a
+// hit writes no memory shared by every client of the cache.
 type shard[V any] struct {
 	mu    sync.Mutex
 	cap   int
 	items map[string]*list.Element
 	order *list.List // front = most recently used
+
+	hits, misses, evictions uint64
 }
 
 type lruEntry[V any] struct {
@@ -71,20 +74,32 @@ func (c *Cache[V]) shardOfBytes(key []byte) *shard[V] {
 	return &c.shards[maphash.Bytes(c.seed, key)&(shardCount-1)]
 }
 
+// served finishes a lookup whose map probe found (el, ok), under s.mu: a
+// found entry becomes most-recently-used, and a counted lookup lands in the
+// shard's hit or miss counter.
+func (s *shard[V]) served(el *list.Element, ok, counted bool) (V, bool) {
+	if !ok {
+		if counted {
+			s.misses++
+		}
+		var zero V
+		return zero, false
+	}
+	if counted {
+		s.hits++
+	}
+	s.order.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
+}
+
 // Get returns the cached value for key and whether it was present, marking
 // the entry most-recently-used on a hit.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.order.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*lruEntry[V]).val, true
-	}
-	c.misses.Add(1)
-	var zero V
-	return zero, false
+	el, ok := s.items[key]
+	return s.served(el, ok, true)
 }
 
 // Probe is Get without touching the hit/miss counters: the lookup used by
@@ -97,12 +112,8 @@ func (c *Cache[V]) Probe(key string) (V, bool) {
 	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.order.MoveToFront(el)
-		return el.Value.(*lruEntry[V]).val, true
-	}
-	var zero V
-	return zero, false
+	el, ok := s.items[key]
+	return s.served(el, ok, false)
 }
 
 // GetBytes is Get keyed by the raw bytes of a key, for callers that build
@@ -113,14 +124,8 @@ func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	s := c.shardOfBytes(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[string(key)]; ok {
-		s.order.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*lruEntry[V]).val, true
-	}
-	c.misses.Add(1)
-	var zero V
-	return zero, false
+	el, ok := s.items[string(key)]
+	return s.served(el, ok, true)
 }
 
 // ProbeBytes is Probe keyed by raw key bytes (see GetBytes).
@@ -128,12 +133,8 @@ func (c *Cache[V]) ProbeBytes(key []byte) (V, bool) {
 	s := c.shardOfBytes(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[string(key)]; ok {
-		s.order.MoveToFront(el)
-		return el.Value.(*lruEntry[V]).val, true
-	}
-	var zero V
-	return zero, false
+	el, ok := s.items[string(key)]
+	return s.served(el, ok, false)
 }
 
 // Put stores key→val, evicting the shard's least-recently-used entry when
@@ -152,7 +153,7 @@ func (c *Cache[V]) Put(key string, val V) {
 		if oldest != nil {
 			s.order.Remove(oldest)
 			delete(s.items, oldest.Value.(*lruEntry[V]).key)
-			c.evictions.Add(1)
+			s.evictions++
 		}
 	}
 	s.items[key] = s.order.PushFront(&lruEntry[V]{key: key, val: val})
@@ -194,18 +195,18 @@ func (st Stats) HitRate() float64 {
 	return float64(st.Hits) / float64(total)
 }
 
-// Stats returns a snapshot of the hit/miss/eviction counters, the current
-// size and the per-shard occupancy.
+// Stats returns a snapshot of the hit/miss/eviction counters summed over
+// the shards, the current size and the per-shard occupancy. Each shard is
+// read under its own mutex, so every counted lookup that has returned is in
+// the sums.
 func (c *Cache[V]) Stats() Stats {
-	st := Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
-		ShardSizes: make([]int, shardCount),
-	}
+	st := Stats{ShardSizes: make([]int, shardCount)}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
+		st.Hits += s.hits
+		st.Misses += s.misses
+		st.Evictions += s.evictions
 		st.ShardSizes[i] = s.order.Len()
 		s.mu.Unlock()
 		st.Size += st.ShardSizes[i]

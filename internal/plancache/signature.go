@@ -2,9 +2,9 @@ package plancache
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
-	"sort"
-	"strconv"
+	"encoding/binary"
+	"math"
+	"slices"
 	"sync"
 
 	"lecopt/internal/catalog"
@@ -14,14 +14,14 @@ import (
 	"lecopt/internal/query"
 )
 
-// KeyLen is the byte length of every cache key: a hex-encoded SHA-256
-// digest. Callers that look keys up with Cache.GetBytes/ProbeBytes can
-// keep a reusable [KeyLen]-capacity buffer and avoid allocating per
-// lookup (AppendKey / AppendKeyMargin).
-const KeyLen = 2 * sha256.Size
+// KeyLen is the byte length of every cache key: a raw SHA-256 digest.
+// Keys are opaque binary strings — not printable, not hex. Callers that
+// look keys up with Cache.GetBytes/ProbeBytes can keep a reusable
+// KeyLen-capacity buffer and avoid allocating per lookup.
+const KeyLen = sha256.Size
 
-// Signature builds a canonical cache key covering everything an
-// optimization's outcome depends on:
+// AppendKey appends to dst the KeyLen-byte cache key covering everything an
+// optimization's outcome depends on, and returns the extended slice:
 //
 //   - the catalog fingerprint — exact when driftBand <= 1, or the
 //     drift-banded fingerprint (distinct counts bucketed into geometric
@@ -29,191 +29,178 @@ const KeyLen = 2 * sha256.Size
 //     so statistics drifting within a band keep hitting the same entry,
 //   - the query's canonical shape (tables, predicates, ORDER BY — order
 //     insensitive),
-//   - a digest of the environment laws (memory distribution plus the full
-//     Markov transition matrix when dynamic),
+//   - the environment laws (memory distribution plus the full Markov
+//     transition matrix when dynamic),
 //   - the Algorithm D selectivity and size laws,
 //   - the plan-space options — including executed-size feedback hints,
-//     which change which plan is optimal — and algorithm name (and
-//     Algorithm B's top-c).
+//     which change which plan is optimal — the algorithm's code alg and
+//     Algorithm B's top-c.
 //
 // Options.Workers is deliberately excluded: the worker count changes how
 // fast an answer is found, never which answer. With an exact fingerprint,
-// two scenarios that hash equal are optimized identically, so memoized
+// two scenarios that key equal are optimized identically, so memoized
 // PlanReports can be shared; with a banded fingerprint they are optimized
 // *equivalently up to in-band drift* — the deliberate approximation that
 // lets drifting tenants share plans.
-func Signature(cat *catalog.Catalog, blk *query.Block, env envsim.Env,
-	selLaws, sizeLaws map[string]dist.Dist, opts optimizer.Options, topC int,
-	alg string, driftBand float64) string {
-	return SignatureMargin(cat, blk, env, selLaws, sizeLaws, opts, topC, alg, driftBand, 0)
-}
-
-// SignatureMargin is Signature with the catalog's distinct-count bands
-// offset by margin band units (catalog.BandedFingerprintMargin) — the
-// band-edge hysteresis probe key. Everything outside the catalog digest
-// hashes identically to Signature, so a statistics state sitting within
-// |margin| of a band boundary produces, under the matching-signed margin,
-// the very key its across-the-boundary neighbor was cached under. Margin
-// only applies to banded keys (driftBand > 1); with exact keys it is
-// ignored.
-func SignatureMargin(cat *catalog.Catalog, blk *query.Block, env envsim.Env,
-	selLaws, sizeLaws map[string]dist.Dist, opts optimizer.Options, topC int,
-	alg string, driftBand, margin float64) string {
-	var key [KeyLen]byte
-	return string(AppendKeyMargin(key[:0], cat, blk, env, selLaws, sizeLaws, opts, topC, alg, driftBand, margin))
-}
-
-// AppendKey appends the Signature key's KeyLen bytes to dst and returns
-// the extended slice — the allocation-free form of Signature. When dst
-// has KeyLen spare capacity and the scenario carries no Algorithm D laws
-// and no size hints (the serving hot path), the call performs zero heap
-// allocations: the digest preimage is built in a pooled buffer with
-// strconv appends, hashed with sha256.Sum256 on the stack, and
-// hex-encoded straight into dst.
+//
+// margin offsets the catalog's distinct-count bands by that many band units
+// (catalog.BandedFingerprintMargin) — the band-edge hysteresis probe key.
+// Everything outside the catalog digest hashes identically to margin 0, so
+// a statistics state sitting within |margin| of a band boundary produces,
+// under the matching-signed margin, the very key its across-the-boundary
+// neighbor was cached under. Margin only applies to banded keys
+// (driftBand > 1); with exact keys it is ignored.
+//
+// When dst has KeyLen spare capacity the call performs zero heap
+// allocations (up to 16 hints or Algorithm D laws per map): the binary
+// preimage is built in a pooled buffer, hashed with sha256.Sum256 on the
+// stack, and the digest appended to dst as is.
 func AppendKey(dst []byte, cat *catalog.Catalog, blk *query.Block, env envsim.Env,
 	selLaws, sizeLaws map[string]dist.Dist, opts optimizer.Options, topC int,
-	alg string, driftBand float64) []byte {
-	return AppendKeyMargin(dst, cat, blk, env, selLaws, sizeLaws, opts, topC, alg, driftBand, 0)
-}
-
-// AppendKeyMargin is AppendKey with the band-edge hysteresis margin of
-// SignatureMargin. AppendKeyMargin(nil, ...) == []byte(SignatureMargin(...))
-// for all inputs.
-func AppendKeyMargin(dst []byte, cat *catalog.Catalog, blk *query.Block, env envsim.Env,
-	selLaws, sizeLaws map[string]dist.Dist, opts optimizer.Options, topC int,
-	alg string, driftBand, margin float64) []byte {
+	alg uint8, driftBand, margin float64) []byte {
 	bp := preimagePool.Get().(*[]byte)
 	pre := appendPreimage((*bp)[:0], cat, blk, env, selLaws, sizeLaws, opts, topC, alg, driftBand, margin)
 	sum := sha256.Sum256(pre)
 	*bp = pre
 	preimagePool.Put(bp)
-	return hex.AppendEncode(dst, sum[:])
+	return append(dst, sum[:]...)
 }
 
-// preimagePool recycles the digest preimage buffers; 2 KB covers a
-// typical catalog-fingerprint + query + env description without growth.
+// PreimageLen returns how many bytes AppendKey hashes for these inputs —
+// the figure its SHA-256 cost is linear in, for benchmarks and diagnostics.
+func PreimageLen(cat *catalog.Catalog, blk *query.Block, env envsim.Env,
+	selLaws, sizeLaws map[string]dist.Dist, opts optimizer.Options, topC int,
+	alg uint8, driftBand, margin float64) int {
+	return len(appendPreimage(nil, cat, blk, env, selLaws, sizeLaws, opts, topC, alg, driftBand, margin))
+}
+
+// preimagePool recycles the digest preimage buffers; 1 KB covers a
+// typical query + env description without growth.
 var preimagePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 2048)
+	b := make([]byte, 0, 1024)
 	return &b
 }}
 
-// appendPreimage writes the canonical signature preimage. Every field is
-// appended with strconv (floats in the same shortest-'g' form fmt's %v
-// uses), so the preimage for a given scenario is byte-stable and building
-// it allocates only for the sorted-key passes over non-empty law/hint
-// maps. The memoized per-catalog fingerprint and per-block canonical
-// shape are the prefix digests: the two largest inputs are hashed once
+// appendPreimage writes the key's preimage: a self-delimiting binary
+// encoding with no text formatting on the path. Fields come in a fixed
+// order; floats are their 8 IEEE-754 bytes, counts and small codes are
+// uvarints, strings carry a length prefix, and every variable-length
+// sequence (law, chain, law map, hints, methods) opens with its element
+// count — so distinct scenarios never encode to the same bytes, whatever
+// their strings contain. The memoized per-catalog digest and per-block
+// canonical shape stand in for the two largest inputs: they are hashed once
 // per catalog version / per block, not per request.
 func appendPreimage(b []byte, cat *catalog.Catalog, blk *query.Block, env envsim.Env,
 	selLaws, sizeLaws map[string]dist.Dist, opts optimizer.Options, topC int,
-	alg string, driftBand, margin float64) []byte {
+	alg uint8, driftBand, margin float64) []byte {
 	opts = opts.Normalized() // zero-value and explicit defaults hash equal
-	b = append(b, "alg="...)
-	b = append(b, alg...)
-	b = append(b, " topc="...)
-	b = strconv.AppendInt(b, int64(topC), 10)
-	b = append(b, "\ncat="...)
-	if driftBand > 1 {
-		b = append(b, cat.BandedFingerprintMargin(driftBand, margin)...)
-		b = append(b, " band="...)
-		b = appendFloat(b, driftBand)
-	} else {
-		b = append(b, cat.Fingerprint()...)
+	if !(driftBand > 1) {
+		driftBand = 0 // every exact-key spelling hashes equal
 	}
-	b = append(b, "\nquery="...)
-	b = append(b, blk.Canonical()...)
-	b = append(b, "\nmem="...)
+	b = append(b, alg)
+	b = binary.AppendUvarint(b, uint64(topC))
+	b = cat.AppendFingerprint(b, driftBand, margin)
+	b = appendFloat(b, driftBand)
+	b = appendString(b, blk.Canonical())
 	b = appendDist(b, env.Mem)
-	if env.Chain != nil {
-		b = append(b, "chain states="...)
+	if env.Chain == nil {
+		b = append(b, 0)
+	} else {
 		n := env.Chain.Len()
+		b = binary.AppendUvarint(b, uint64(n))
 		for i := 0; i < n; i++ {
 			b = appendFloat(b, env.Chain.State(i))
-			b = append(b, ',')
 		}
-		b = append(b, " rows="...)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				b = appendFloat(b, env.Chain.Prob(i, j))
-				b = append(b, ',')
 			}
-			b = append(b, ';')
 		}
-		b = append(b, '\n')
 	}
-	b = appendLawMap(b, "sel", selLaws)
-	b = appendLawMap(b, "size", sizeLaws)
+	b = appendLawMap(b, selLaws)
+	b = appendLawMap(b, sizeLaws)
 	b = appendHints(b, opts.SizeHints)
-	b = append(b, "opts methods="...)
-	for i, m := range opts.Methods {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, m.String()...)
+	b = binary.AppendUvarint(b, uint64(len(opts.Methods)))
+	for _, m := range opts.Methods {
+		b = append(b, byte(m))
 	}
-	b = append(b, " noidx="...)
-	b = strconv.AppendBool(b, opts.DisableIndexes)
-	b = append(b, " minpages="...)
+	noIdx := byte(0)
+	if opts.DisableIndexes {
+		noIdx = 1
+	}
+	b = append(b, noIdx)
 	b = appendFloat(b, opts.MinPages)
-	b = append(b, " sizebuckets="...)
-	b = strconv.AppendInt(b, int64(opts.SizeBuckets), 10)
-	b = append(b, " costmodel="...)
-	b = append(b, opts.CostModel.String()...)
-	b = append(b, '\n')
+	b = binary.AppendUvarint(b, uint64(opts.SizeBuckets))
+	return append(b, byte(opts.CostModel))
+}
+
+// appendFloat appends v's IEEE-754 bits. Every NaN encodes alike, as every
+// NaN prints alike.
+func appendFloat(b []byte, v float64) []byte {
+	if math.IsNaN(v) {
+		v = math.NaN()
+	}
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// appendString appends s behind its length.
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// appendDist appends a distribution's bucket count, then each bucket's
+// support value and probability.
+func appendDist(b []byte, d dist.Dist) []byte {
+	n := d.Len()
+	b = binary.AppendUvarint(b, uint64(n))
+	for i := 0; i < n; i++ {
+		b = appendFloat(b, d.Value(i))
+		b = appendFloat(b, d.Prob(i))
+	}
 	return b
 }
 
-// appendFloat appends a float64 in fmt %v form (shortest 'g').
-func appendFloat(b []byte, v float64) []byte {
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
+// keyScratch is the stack room for a map's sorted keys; larger maps spill
+// to the heap.
+type keyScratch [16]string
+
+// sortedKeys returns m's keys in ascending order, in scratch's backing
+// array when they fit.
+func sortedKeys[V any](scratch *keyScratch, m map[string]V) []string {
+	keys := scratch[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
-// appendHints streams the executed-size feedback hints in sorted key order.
+// appendHints appends the executed-size feedback hints: their count, then
+// each (key, pages) entry in sorted key order.
 func appendHints(b []byte, hints map[string]float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(hints)))
 	if len(hints) == 0 {
 		return b
 	}
-	keys := make([]string, 0, len(hints))
-	for k := range hints {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b = append(b, "hint "...)
-		b = append(b, k...)
-		b = append(b, '=')
+	var scratch keyScratch
+	for _, k := range sortedKeys(&scratch, hints) {
+		b = appendString(b, k)
 		b = appendFloat(b, hints[k])
-		b = append(b, '\n')
 	}
 	return b
 }
 
-// appendDist streams a distribution's support and probabilities.
-func appendDist(b []byte, d dist.Dist) []byte {
-	for i := 0; i < d.Len(); i++ {
-		b = appendFloat(b, d.Value(i))
-		b = append(b, ':')
-		b = appendFloat(b, d.Prob(i))
-		b = append(b, ',')
-	}
-	return append(b, '\n')
-}
-
-// appendLawMap streams a law map in sorted key order.
-func appendLawMap(b []byte, label string, laws map[string]dist.Dist) []byte {
+// appendLawMap appends a law map: its count, then each (key, law) entry in
+// sorted key order.
+func appendLawMap(b []byte, laws map[string]dist.Dist) []byte {
+	b = binary.AppendUvarint(b, uint64(len(laws)))
 	if len(laws) == 0 {
 		return b
 	}
-	keys := make([]string, 0, len(laws))
-	for k := range laws {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b = append(b, label...)
-		b = append(b, ' ')
-		b = append(b, k...)
-		b = append(b, '=')
+	var scratch keyScratch
+	for _, k := range sortedKeys(&scratch, laws) {
+		b = appendString(b, k)
 		b = appendDist(b, laws[k])
 	}
 	return b
