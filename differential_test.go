@@ -8,7 +8,10 @@
 //     LSC baseline (the paper's core utility claim);
 //  3. the concurrent batch pipeline returns byte-identical PlanReports to
 //     the sequential path, with and without the plan cache (concurrency
-//     correctness is proven, not asserted).
+//     correctness is proven, not asserted);
+//  4. a request that arrives as SQL text — resolved through the handle's
+//     statement memo — answers byte-identically to the same request
+//     carrying the pre-built block.
 package lecopt
 
 import (
@@ -152,6 +155,42 @@ func TestDifferentialBatchMatchesSequential(t *testing.T) {
 	}
 	if hits != len(jobs) {
 		t.Errorf("warm pass: %d/%d cache hits", hits, len(jobs))
+	}
+}
+
+// TestDifferentialSQLMatchesQuery serves the corpus to two handles, one fed
+// pre-built blocks and one fed their SQL text, cold then warm, under banded
+// and exact cache keys: every response must agree on every report field,
+// the per-phase charges and whether it was a cache hit. The statement memo
+// may change what a SQL request costs, never what it answers.
+func TestDifferentialSQLMatchesQuery(t *testing.T) {
+	corpus := diffCorpus(t)
+	render := func(r Response) string {
+		return fmt.Sprintf("%s|%v|hit=%v", batchReportKey(r.PlanReport), r.PhaseEC, r.CacheHit)
+	}
+	for _, keys := range []struct {
+		name string
+		opts []Option
+	}{{"banded", nil}, {"exact", []Option{WithExactCacheKeys()}}} {
+		byQuery, bySQL := New(nil, keys.opts...), New(nil, keys.opts...)
+		for _, pass := range []string{"cold", "warm"} {
+			for i, sc := range corpus {
+				want, err := byQuery.Optimize(Request{Cat: sc.Cat, Query: sc.Query, Env: sc.Env, Alg: AlgC})
+				if err != nil {
+					t.Fatalf("%s/%s scenario %d: query form: %v", keys.name, pass, i, err)
+				}
+				got, err := bySQL.Optimize(Request{Cat: sc.Cat, SQL: sc.Query.String(), Env: sc.Env, Alg: AlgC})
+				if err != nil {
+					t.Fatalf("%s/%s scenario %d: SQL form: %v", keys.name, pass, i, err)
+				}
+				if g, w := render(got), render(want); g != w {
+					t.Errorf("%s/%s scenario %d:\n  sql %s\nquery %s", keys.name, pass, i, g, w)
+				}
+				if pass == "warm" && !got.CacheHit {
+					t.Errorf("%s/warm scenario %d: SQL form missed the plan cache", keys.name, i)
+				}
+			}
+		}
 	}
 }
 

@@ -73,6 +73,44 @@ func TestWarmHitZeroAllocs(t *testing.T) {
 	}
 }
 
+// sqlForm rewrites pre-parsed requests as the SQL text a server receives.
+func sqlForm(reqs []Request) []Request {
+	out := make([]Request, len(reqs))
+	for i, r := range reqs {
+		out[i] = r
+		out[i].Query, out[i].SQL = nil, r.Query.String()
+	}
+	return out
+}
+
+// TestWarmSQLZeroAllocs is TestWarmHitZeroAllocs for requests that arrive as
+// SQL text: the statement memo resolves a repeated text to its validated
+// block with one byte-keyed lookup on a pooled buffer, so the whole warm
+// request — text in, cached plan out — still allocates nothing.
+func TestWarmSQLZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	reqs := sqlForm(hotPathRequests(t, 64))
+	opt := New(nil)
+	for _, r := range reqs {
+		if _, err := opt.Optimize(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		resp, err := opt.Optimize(reqs[i%len(reqs)])
+		if err != nil || !resp.CacheHit {
+			t.Fatalf("warm SQL request: hit=%v err=%v", resp.CacheHit, err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm SQL-text hit allocates: %.2f allocs/op, want 0", allocs)
+	}
+}
+
 // TestMissPathAllocBudget bounds the full optimize path. Unlike the hit
 // gate this cannot be zero — the report and its plan tree are real
 // results — but the DP's working state (tables, join nodes, candidate
@@ -178,6 +216,25 @@ func TestCorpusWorkersByteIdentical(t *testing.T) {
 // -benchmem, the headline is 0 allocs/op.
 func BenchmarkOptimizeHit(b *testing.B) {
 	reqs := hotPathRequests(b, 64)
+	opt := New(nil)
+	for _, r := range reqs {
+		if _, err := opt.Optimize(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opt.Optimize(reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimizeHitSQL is BenchmarkOptimizeHit with the same requests as
+// SQL text; the difference between the two is the statement-memo lookup.
+func BenchmarkOptimizeHitSQL(b *testing.B) {
+	reqs := sqlForm(hotPathRequests(b, 64))
 	opt := New(nil)
 	for _, r := range reqs {
 		if _, err := opt.Optimize(r); err != nil {

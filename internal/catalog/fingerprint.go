@@ -62,8 +62,24 @@ func (c *Catalog) AppendFingerprint(dst []byte, base, margin float64) []byte {
 	return append(dst, c.digest(base, margin).sum[:]...)
 }
 
-// fpDigest is one memoized digest: the exact fingerprint (base 0) or the
-// banded one for (base, margin).
+// AppendSchemaDigest appends the sha256.Size raw bytes of the catalog's
+// schema digest: table names in sorted order, each with its column names
+// (sorted) and types — and no statistic. That is everything name resolution
+// reads, so a statement validated against one catalog is valid against
+// every catalog with the same schema digest, and statistics drift
+// (ScaleDistinct, a re-ANALYZE) leaves the digest alone. It is memoized and
+// invalidated with the fingerprints.
+func (c *Catalog) AppendSchemaDigest(dst []byte) []byte {
+	return append(dst, c.memoized(schemaBase, 0).sum[:]...)
+}
+
+// schemaBase is the fpDigest.base under which the schema digest is
+// memoized; digest normalizes every caller-supplied base to 0 or > 1, so
+// it cannot collide with a fingerprint.
+const schemaBase = -1
+
+// fpDigest is one memoized digest: the exact fingerprint (base 0), the
+// banded one for (base, margin), or the schema digest (schemaBase).
 type fpDigest struct {
 	base, margin float64
 	sum          [sha256.Size]byte
@@ -79,6 +95,12 @@ func (c *Catalog) digest(base, margin float64) *fpDigest {
 	} else if math.IsNaN(margin) || math.IsInf(margin, 0) {
 		margin = 0 // NaN never equals its own memo entry; ±Inf has no band
 	}
+	return c.memoized(base, margin)
+}
+
+// memoized is digest past argument normalization, shared with the schema
+// digest.
+func (c *Catalog) memoized(base, margin float64) *fpDigest {
 	if d := findDigest(c.fpMemo.Load(), base, margin); d != nil {
 		return d
 	}
@@ -138,11 +160,25 @@ func (c *Catalog) InvalidateFingerprint() {
 	c.fpMu.Unlock()
 }
 
-// computeDigest hashes the catalog with distinct counts either exact
-// (base 0) or quantized into geometric bands of the given base, offset by
-// margin band units (hysteresis probes).
+// computeDigest hashes the catalog for one memo entry: names and types only
+// for schemaBase, the full statistical content otherwise.
 func (c *Catalog) computeDigest(base, margin float64) fpDigest {
 	h := sha256.New()
+	if base == schemaBase {
+		c.hashSchema(h)
+	} else {
+		c.hashStats(h, base, margin)
+	}
+	d := fpDigest{base: base, margin: margin}
+	h.Sum(d.sum[:0])
+	d.hex = hex.EncodeToString(d.sum[:])
+	return d
+}
+
+// hashStats writes the fingerprint preimage, with distinct counts either
+// exact (base 0) or quantized into geometric bands of the given base,
+// offset by margin band units (hysteresis probes).
+func (c *Catalog) hashStats(h io.Writer, base, margin float64) {
 	for _, name := range c.TableNames() { // sorted
 		t := c.tables[name]
 		fmt.Fprintf(h, "table %s pages=%v rows=%v\n", t.Name, t.Pages, t.Rows)
@@ -171,10 +207,19 @@ func (c *Catalog) computeDigest(base, margin float64) fpDigest {
 		fmt.Fprintf(h, "index %s on=%s.%s clustered=%v height=%v\n",
 			ix.Name, ix.Table, ix.Column, ix.Clustered, ix.Height)
 	}
-	d := fpDigest{base: base, margin: margin}
-	h.Sum(d.sum[:0])
-	d.hex = hex.EncodeToString(d.sum[:])
-	return d
+}
+
+// hashSchema writes the schema digest's preimage. Names are quoted so no
+// choice of names can make two schemas render alike.
+func (c *Catalog) hashSchema(w io.Writer) {
+	for _, name := range c.TableNames() { // sorted
+		fmt.Fprintf(w, "table %q\n", name)
+		cols := append([]Column(nil), c.tables[name].columns...)
+		sort.Slice(cols, func(i, j int) bool { return cols[i].Name < cols[j].Name })
+		for _, col := range cols {
+			fmt.Fprintf(w, "col %q type=%d\n", col.Name, col.Type)
+		}
+	}
 }
 
 // fingerprint writes the histogram's buckets into a digest stream.

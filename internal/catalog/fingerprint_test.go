@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -55,6 +56,82 @@ func TestAppendFingerprintIsTheRawDigest(t *testing.T) {
 	}
 }
 
+// TestSchemaDigest: the schema digest covers table names, column names and
+// column types — what name resolution reads — and nothing else: statistics,
+// histograms, indexes and registration order leave it alone, so a statement
+// validated against one catalog is valid for every catalog that shares it.
+func TestSchemaDigest(t *testing.T) {
+	build := func(tabs ...*Table) *Catalog {
+		c := New()
+		for _, tab := range tabs {
+			if err := c.AddTable(tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	typed := func(name string, typ ColumnType) Column {
+		return Column{Name: name, Type: typ, Distinct: 5, Min: 0, Max: 5}
+	}
+	base := build(MustTable("a", 100, 10_000, col("k", 600, 0, 1e6), col("v", 50, 0, 99)), MustTable("b", 10, 100, col("k", 5, 0, 5)))
+	want := base.AppendSchemaDigest(nil)
+	if len(want) != 32 {
+		t.Fatalf("schema digest is %d bytes, want 32", len(want))
+	}
+
+	drifted, err := base.ScaleDistinct(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := build(MustTable("a", 100, 10_000, col("k", 600, 0, 1e6), col("v", 50, 0, 99)), MustTable("b", 10, 100, col("k", 5, 0, 5)))
+	if err := indexed.AddIndex(Index{Name: "ix", Table: "a", Column: "k", Height: 2}); err != nil {
+		t.Fatal(err)
+	}
+	same := map[string]*Catalog{
+		"ScaleDistinct copy": drifted,
+		"index added":        indexed,
+		"other statistics, columns and tables in another order": build(
+			MustTable("b", 77, 7_000, col("k", 9, -3, 3)), MustTable("a", 1, 10, col("v", 2, 0, 1), col("k", 3, 0, 2))),
+	}
+	for label, c := range same {
+		if got := c.AppendSchemaDigest(nil); !bytes.Equal(got, want) {
+			t.Errorf("%s: schema digest changed", label)
+		}
+		if c.Fingerprint() == base.Fingerprint() {
+			t.Errorf("%s: control — the statistics fingerprint should differ", label)
+		}
+	}
+
+	different := map[string]*Catalog{
+		"column renamed": build(MustTable("a", 100, 10_000, col("k", 600, 0, 1e6), col("w", 50, 0, 99)), MustTable("b", 10, 100, col("k", 5, 0, 5))),
+		"column dropped": build(MustTable("a", 100, 10_000, col("k", 600, 0, 1e6)), MustTable("b", 10, 100, col("k", 5, 0, 5))),
+		"column retyped": build(MustTable("a", 100, 10_000, col("k", 600, 0, 1e6), typed("v", TypeString)), MustTable("b", 10, 100, col("k", 5, 0, 5))),
+		"table renamed":  build(MustTable("a", 100, 10_000, col("k", 600, 0, 1e6), col("v", 50, 0, 99)), MustTable("c", 10, 100, col("k", 5, 0, 5))),
+		"table dropped":  build(MustTable("a", 100, 10_000, col("k", 600, 0, 1e6), col("v", 50, 0, 99))),
+		"column moved to the other table": build(
+			MustTable("a", 100, 10_000, col("k", 600, 0, 1e6)), MustTable("b", 10, 100, col("k", 5, 0, 5), col("v", 50, 0, 99))),
+		// One column whose name spells out base's two-column rendering.
+		"name that renders like two columns unquoted": build(
+			MustTable("a", 100, 10_000, col("k type=0\ncol v", 600, 0, 1e6)), MustTable("b", 10, 100, col("k", 5, 0, 5))),
+	}
+	seen := map[string]string{string(want): "base"}
+	for label, c := range different {
+		got := string(c.AppendSchemaDigest(nil))
+		if prev, dup := seen[got]; dup {
+			t.Errorf("%s: schema digest equals that of %s", label, prev)
+		}
+		seen[got] = label
+	}
+
+	// AddTable changes the schema and must drop the memoized digest.
+	if err := base.AddTable(MustTable("c", 10, 100, col("k", 5, 0, 5))); err != nil {
+		t.Fatal(err)
+	}
+	if got := base.AppendSchemaDigest([]byte("x")); got[0] != 'x' || bytes.Equal(got[1:], want) {
+		t.Error("AddTable left the old schema digest in place")
+	}
+}
+
 // TestFingerprintMemoConcurrent hammers the memo from readers that race
 // each other and InvalidateFingerprint while a writer keeps registering
 // tables. Catalog mutation is the caller's to serialize against reads (the
@@ -77,8 +154,9 @@ func TestFingerprintMemoConcurrent(t *testing.T) {
 				got := c.BandedFingerprintMargin(2, margin)
 				want := c.computeDigest(2, margin).hex
 				exact, wantExact := c.Fingerprint(), c.computeDigest(0, 0).hex
+				schema, wantSchema := c.AppendSchemaDigest(nil), c.computeDigest(schemaBase, 0).sum
 				tables.RUnlock()
-				if got != want || exact != wantExact {
+				if got != want || exact != wantExact || !bytes.Equal(schema, wantSchema[:]) {
 					t.Errorf("reader %d round %d: memo served a digest that a fresh computation does not reproduce", g, i)
 					return
 				}

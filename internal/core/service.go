@@ -102,6 +102,10 @@ type Optimizer struct {
 	band float64 // resolved drift band; 0 = exact keys
 
 	cache *plancache.Cache[PlanReport]
+	// stmts is the statement memo: schema digest + SQL text → the validated
+	// block, so a repeated text is a lookup, not a parse. Nil when the plan
+	// cache is disabled (see parse).
+	stmts *plancache.Cache[*query.Block]
 	fb    *feedback.Store
 
 	mu       sync.Mutex
@@ -113,15 +117,20 @@ type Optimizer struct {
 func NewOptimizer(cat *catalog.Catalog, cfg Config) *Optimizer {
 	o := &Optimizer{cat: cat, cfg: cfg, prepared: make(map[string]*Prepared)}
 	o.band = ResolveDriftBand(cfg.DriftBand)
+	size := cfg.CacheSize
+	if size <= 0 {
+		size = DefaultCacheSize
+	}
 	switch {
 	case cfg.Cache != nil:
 		o.cache = cfg.Cache
 	case cfg.CacheSize >= 0:
-		size := cfg.CacheSize
-		if size == 0 {
-			size = DefaultCacheSize
-		}
 		o.cache = plancache.New[PlanReport](size)
+	}
+	// A statement with no cached plan is not worth remembering: the memo
+	// exists only beside a plan cache and holds as many entries.
+	if o.cache != nil {
+		o.stmts = plancache.New[*query.Block](size)
 	}
 	if !cfg.DisableFeedback {
 		o.fb = feedback.NewStore(cfg.FeedbackAlpha)
@@ -134,8 +143,10 @@ func NewOptimizer(cat *catalog.Catalog, cfg Config) *Optimizer {
 // It unifies the legacy Scenario/BatchJob split: everything a Scenario
 // carried is either here or defaulted from the handle's Config.
 type Request struct {
-	// SQL is parsed and validated against the effective catalog on every
-	// call; use Prepare to pay parsing and validation once.
+	// SQL is resolved against the effective catalog. On a handle with a
+	// plan cache a text is parsed and validated the first time it is seen
+	// for a schema and served from the statement memo after that; a handle
+	// without one parses on every call (Prepare pays it once).
 	SQL string
 	// Query is a pre-built validated block (takes precedence over SQL).
 	Query *query.Block
@@ -209,7 +220,7 @@ func (o *Optimizer) resolveQuery(reqCat *catalog.Catalog, prep *Prepared, blk *q
 		if cat == nil {
 			return nil, nil, ErrNoCatalog
 		}
-		parsed, err := sqlmini.ParseAndValidate(sql, cat)
+		parsed, err := o.parse(cat, sql)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -219,6 +230,43 @@ func (o *Optimizer) resolveQuery(reqCat *catalog.Catalog, prep *Prepared, blk *q
 		return nil, nil, ErrNoCatalog
 	}
 	return cat, blk, nil
+}
+
+// maxMemoSQL is the longest statement text the memo will key on; with the
+// entry count it bounds the memo's memory. Longer texts are parsed on every
+// call.
+const maxMemoSQL = 4096
+
+// stmtKeyPool recycles statement-memo key buffers (schema digest + text).
+var stmtKeyPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, plancache.KeyLen+512)
+	return &b
+}}
+
+// parse resolves SQL text to a validated block through the statement memo.
+// The key is the catalog's schema digest followed by the text: Validate
+// reads table and column names only, so its verdict holds for every catalog
+// with that digest, and statistics drift neither misses nor evicts. A
+// memoized block is shared by every request with its text and already
+// carries its canonical form. Errors are never memoized.
+func (o *Optimizer) parse(cat *catalog.Catalog, sql string) (*query.Block, error) {
+	if o.stmts == nil || len(sql) > maxMemoSQL {
+		return sqlmini.ParseAndValidate(sql, cat)
+	}
+	kb := stmtKeyPool.Get().(*[]byte)
+	defer stmtKeyPool.Put(kb)
+	key := append(cat.AppendSchemaDigest((*kb)[:0]), sql...)
+	*kb = key
+	if blk, ok := o.stmts.GetBytes(key); ok {
+		return blk, nil
+	}
+	blk, err := sqlmini.ParseAndValidate(sql, cat)
+	if err != nil {
+		return nil, err
+	}
+	blk.Canonical() // memoized on the block before it is shared
+	o.stmts.Put(string(key), blk)
+	return blk, nil
 }
 
 // scenarioPool recycles the request-resolution Scenario structs of the
@@ -611,7 +659,8 @@ func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 // back to the handle: Sizes maps feedback.SetKey over joined table names
 // to observed pages — exactly the engine's ExecResult.JoinSizes. The
 // query is identified the same way a Request is (Prepared, Query or SQL,
-// with Cat overriding the handle catalog).
+// with Cat overriding the handle catalog; SQL text resolves through the
+// same statement memo as Request.SQL).
 type Feedback struct {
 	SQL      string
 	Query    *query.Block
@@ -700,11 +749,10 @@ func ResolveDriftBand(v float64) float64 {
 // plan per anticipated memory law, per anticipated drift factor — for
 // start-up-time plan selection without a plan-space search.
 type Prepared struct {
-	opt       *Optimizer
-	sql       string
-	block     *query.Block
-	canonical string
-	sets      []preparedSet
+	opt   *Optimizer
+	sql   string
+	block *query.Block
+	sets  []preparedSet
 }
 
 // preparedSet is the plan set precomputed for one drift factor.
@@ -728,11 +776,11 @@ func (o *Optimizer) Prepare(sql string) (*Prepared, error) {
 		return p, nil
 	}
 	o.mu.Unlock()
-	blk, err := sqlmini.ParseAndValidate(sql, o.cat)
+	blk, err := o.parse(o.cat, sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{opt: o, sql: sql, block: blk, canonical: blk.Canonical()}
+	p := &Prepared{opt: o, sql: sql, block: blk}
 	if len(o.cfg.AnticipatedLaws) > 0 {
 		factors := o.cfg.DriftFactors
 		if len(factors) == 0 {
@@ -767,7 +815,7 @@ func (p *Prepared) SQL() string { return p.sql }
 func (p *Prepared) Block() *query.Block { return p.block }
 
 // Canonical returns the canonical query shape.
-func (p *Prepared) Canonical() string { return p.canonical }
+func (p *Prepared) Canonical() string { return p.block.Canonical() }
 
 // PlanSets returns the number of precomputed drift-axis plan sets.
 func (p *Prepared) PlanSets() int { return len(p.sets) }

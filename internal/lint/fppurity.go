@@ -10,7 +10,8 @@ import (
 // FingerprintPurityAnalyzer protects the cache-key integrity claim: the
 // drift-banded plan cache, the batch dedup pass and the prepared-statement
 // reuse all key on catalog.Fingerprint / BandedFingerprint and
-// query Block.Canonical. Those digests must be pure functions of the
+// query Block.Canonical, and the statement memo keys on
+// catalog.AppendSchemaDigest. Those digests must be pure functions of the
 // catalog statistics and the query block — if any function reachable from
 // them reads package-level mutable state, consults the clock or the
 // global RNG, or emits map-iteration-order-dependent bytes, two identical
@@ -52,6 +53,7 @@ var fpEntries = []fpEntry{
 	{"internal/catalog", "Catalog", "BandedFingerprint"},
 	{"internal/catalog", "Catalog", "BandedFingerprintMargin"},
 	{"internal/catalog", "Catalog", "AppendFingerprint"},
+	{"internal/catalog", "Catalog", "AppendSchemaDigest"},
 	{"internal/query", "Block", "Canonical"},
 }
 

@@ -29,6 +29,18 @@ func (c *Catalog) BandedFingerprint(base float64) string {
 	return c.emitSorted()
 }
 
+// AppendSchemaDigest is the statement memo's entry point: a schema digest
+// that varies between processes would never alias, one that reads mutable
+// state could alias two schemas.
+func (c *Catalog) AppendSchemaDigest(dst []byte) []byte {
+	return append(dst, c.schemaNames()...)
+}
+
+// schemaNames is reachable only from AppendSchemaDigest.
+func (c *Catalog) schemaNames() string {
+	return salt + c.emitSorted() // want `package-level mutable state`
+}
+
 // hashTables reads package-level mutable state from inside the digest.
 func (c *Catalog) hashTables() string {
 	return salt // want `package-level mutable state`

@@ -92,6 +92,10 @@ func (f Filter) String() string {
 
 // Block is one SPJ query block. Blocks are treated as immutable once
 // handed to the optimizer: Canonical memoizes its signature on first use.
+// A block obtained from an optimizer handle (Prepared.Block, or the one a
+// SQL-text request resolves to) is shared: the handle's statement memo
+// serves the same *Block to every request with that text, concurrently, so
+// it must never be written to — Clone it to derive a variant.
 type Block struct {
 	Tables  []string
 	Joins   []Join
@@ -105,7 +109,9 @@ type Block struct {
 
 // Validate checks the block against a catalog: every table exists and is
 // unique, every referenced column exists, and join predicates span two
-// distinct FROM tables.
+// distinct FROM tables. It reads table and column names only, never a
+// statistic, so the verdict holds for every catalog with the same schema
+// (catalog.AppendSchemaDigest).
 func (b *Block) Validate(cat *catalog.Catalog) error {
 	if len(b.Tables) == 0 {
 		return ErrNoTables
@@ -113,51 +119,51 @@ func (b *Block) Validate(cat *catalog.Catalog) error {
 	if len(b.Tables) > MaxTables {
 		return fmt.Errorf("%w: %d > %d", ErrTooMany, len(b.Tables), MaxTables)
 	}
-	seen := make(map[string]bool, len(b.Tables))
-	for _, t := range b.Tables {
-		if seen[t] {
-			return fmt.Errorf("%w: %s", ErrDupTable, t)
+	// At most MaxTables names: a scan of the FROM list beats a map, and the
+	// resolved tables are kept so a column reference costs one lookup.
+	var resolved [MaxTables]*catalog.Table
+	for i, name := range b.Tables {
+		if b.TableIndex(name) < i {
+			return fmt.Errorf("%w: %s", ErrDupTable, name)
 		}
-		seen[t] = true
-		if _, err := cat.Table(t); err != nil {
-			return err
-		}
-	}
-	checkCol := func(c ColRef) error {
-		if !seen[c.Table] {
-			return fmt.Errorf("%w: %s", ErrUnknownTable, c.Table)
-		}
-		t, err := cat.Table(c.Table)
+		t, err := cat.Table(name)
 		if err != nil {
 			return err
 		}
-		if _, err := t.Column(c.Column); err != nil {
-			return err
-		}
-		return nil
+		resolved[i] = t
 	}
 	for _, j := range b.Joins {
 		if j.Left.Table == j.Right.Table {
 			return fmt.Errorf("%w: %s", ErrSelfJoin, j)
 		}
-		if err := checkCol(j.Left); err != nil {
+		if err := b.checkCol(&resolved, j.Left); err != nil {
 			return err
 		}
-		if err := checkCol(j.Right); err != nil {
+		if err := b.checkCol(&resolved, j.Right); err != nil {
 			return err
 		}
 	}
 	for _, f := range b.Filters {
-		if err := checkCol(f.Col); err != nil {
+		if err := b.checkCol(&resolved, f.Col); err != nil {
 			return err
 		}
 	}
 	if b.OrderBy != nil {
-		if err := checkCol(*b.OrderBy); err != nil {
+		if err := b.checkCol(&resolved, *b.OrderBy); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// checkCol resolves one column reference against the FROM list's tables.
+func (b *Block) checkCol(resolved *[MaxTables]*catalog.Table, c ColRef) error {
+	i := b.TableIndex(c.Table)
+	if i < 0 {
+		return fmt.Errorf("%w: %s", ErrUnknownTable, c.Table)
+	}
+	_, err := resolved[i].Column(c.Column)
+	return err
 }
 
 // TableIndex returns the position of a table in the FROM list, or -1.

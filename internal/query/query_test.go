@@ -84,6 +84,71 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateErrorOrder: when a block is wrong twice, the first problem in
+// FROM-then-joins-then-filters order is the one reported.
+func TestValidateErrorOrder(t *testing.T) {
+	cat := testCatalog(t)
+	cases := []struct {
+		name string
+		mut  func(*Block)
+		want error
+	}{
+		{"dup before a later missing table", func(b *Block) { b.Tables = []string{"a", "a", "zz"} }, ErrDupTable},
+		{"missing table before a later dup", func(b *Block) { b.Tables = []string{"zz", "a", "a"} }, catalog.ErrNoTable},
+		{"missing table before a bad join", func(b *Block) {
+			b.Tables[2] = "zz"
+			b.Joins[0].Left.Column = "nope"
+		}, catalog.ErrNoTable},
+		{"self join before its bad column", func(b *Block) {
+			b.Joins[0] = Join{Left: ColRef{"a", "nope"}, Right: ColRef{"a", "x"}}
+		}, ErrSelfJoin},
+		{"join left side before right side", func(b *Block) {
+			b.Joins[0] = Join{Left: ColRef{"a", "nope"}, Right: ColRef{"zz", "aid"}}
+		}, catalog.ErrNoColumn},
+		{"bad join before bad filter", func(b *Block) {
+			b.Joins[1].Right.Column = "nope"
+			b.Filters = []Filter{{Col: ColRef{"zz", "x"}, Op: catalog.OpEq, Value: 1}}
+		}, catalog.ErrNoColumn},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := chainABC()
+			tc.mut(b)
+			if err := b.Validate(cat); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestValidateAllocatesNothing: a valid block is checked with scans of its
+// own FROM list and one catalog lookup per reference — no scratch map, even
+// past the eight names a map can keep on the stack.
+func TestValidateAllocatesNothing(t *testing.T) {
+	cat := catalog.New()
+	b := &Block{}
+	for i := 0; i < 12; i++ {
+		name := "t" + string(rune('a'+i))
+		col := catalog.Column{Name: "k", Type: catalog.TypeInt, Distinct: 100, Min: 0, Max: 999}
+		if err := cat.AddTable(catalog.MustTable(name, 10, 100, col)); err != nil {
+			t.Fatal(err)
+		}
+		b.Tables = append(b.Tables, name)
+		if i > 0 {
+			b.Joins = append(b.Joins, Join{Left: ColRef{b.Tables[i-1], "k"}, Right: ColRef{name, "k"}})
+		}
+	}
+	b.Filters = []Filter{{Col: ColRef{"tc", "k"}, Op: catalog.OpLt, Value: 500}}
+	b.OrderBy = &ColRef{"tl", "k"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := b.Validate(cat); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestValidateTooMany(t *testing.T) {
 	cat := catalog.New()
 	b := &Block{}

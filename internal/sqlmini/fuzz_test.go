@@ -29,6 +29,14 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM a WHERE a.v < -1",
 		"",
 		";;;",
+		// Non-ASCII: multi-byte runes whose UTF-8 bytes are Latin-1 letters,
+		// spaces and digits, and bytes that are not UTF-8 at all.
+		"SELECT * FROM tàb",
+		"SELECT * FROM café",
+		"SELECT * FROM t WHERE t.x < ٣",
+		"SELECT * FROM t\u00a0WHERE t.x < 1",
+		"SELECT * FROM \xe9t",
+		"SELECT * FROM t\xa0, u",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // Lexing/parsing errors wrap ErrSyntax.
@@ -45,15 +45,28 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
+// The grammar is ASCII: bytes are classified one at a time with the tests
+// below, and anything at or above utf8.RuneSelf is rejected by lex.
+func isSpace(c byte) bool {
+	return c == ' ' || '\t' <= c && c <= '\r' // \t \n \v \f \r
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isIdentStart(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
+}
+
 // lex splits the input into tokens.
 func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
 	n := len(input)
-	for i < n {
-		c := rune(input[i])
+	// Statements average some four bytes per token; one allocation of that
+	// size replaces the append growth series.
+	toks := make([]token, 0, n/4+2)
+	for i := 0; i < n; {
+		c := input[i]
 		switch {
-		case unicode.IsSpace(c):
+		case isSpace(c):
 			i++
 		case c == ',':
 			toks = append(toks, token{tokComma, ",", i})
@@ -64,27 +77,22 @@ func lex(input string) ([]token, error) {
 		case c == '*':
 			toks = append(toks, token{tokStar, "*", i})
 			i++
-		case c == '=':
-			toks = append(toks, token{tokOp, "=", i})
-			i++
-		case c == '<' || c == '>':
-			op := string(c)
-			if i+1 < n && input[i+1] == '=' {
-				op += "="
-				i++
+		case c == '=' || c == '<' || c == '>':
+			j := i + 1
+			if c != '=' && j < n && input[j] == '=' {
+				j++
 			}
-			toks = append(toks, token{tokOp, op, i})
-			i++
-		case unicode.IsDigit(c):
+			toks = append(toks, token{tokOp, input[i:j], i})
+			i = j
+		case isDigit(c):
 			j := i
 			seenDot := false
 			for j < n {
-				cj := rune(input[j])
-				if unicode.IsDigit(cj) {
+				if isDigit(input[j]) {
 					j++
 					continue
 				}
-				if cj == '.' && !seenDot && j+1 < n && unicode.IsDigit(rune(input[j+1])) {
+				if input[j] == '.' && !seenDot && j+1 < n && isDigit(input[j+1]) {
 					seenDot = true
 					j++
 					continue
@@ -93,15 +101,21 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{tokNumber, input[i:j], i})
 			i = j
-		case unicode.IsLetter(c) || c == '_':
+		case isIdentStart(c):
 			j := i
-			for j < n && (unicode.IsLetter(rune(input[j])) || unicode.IsDigit(rune(input[j])) || input[j] == '_') {
+			for j < n && (isIdentStart(input[j]) || isDigit(input[j])) {
 				j++
 			}
 			toks = append(toks, token{tokIdent, input[i:j], i})
 			i = j
 		default:
-			return nil, fmt.Errorf("%w: unexpected character %q at offset %d", ErrSyntax, c, i)
+			// Decode so the error names the rune the caller typed, not its
+			// first byte read as Latin-1.
+			r, size := utf8.DecodeRuneInString(input[i:])
+			if r == utf8.RuneError && size == 1 {
+				return nil, fmt.Errorf("%w: invalid UTF-8 byte 0x%02x at offset %d", ErrSyntax, c, i)
+			}
+			return nil, fmt.Errorf("%w: unexpected character %q at offset %d", ErrSyntax, r, i)
 		}
 	}
 	toks = append(toks, token{tokEOF, "", n})

@@ -119,6 +119,31 @@ func TestLexUnexpectedRune(t *testing.T) {
 	}
 }
 
+// TestLexNonASCII pins the lexer's byte classification: a multi-byte rune
+// is one unexpected character named in full at its byte offset — never its
+// UTF-8 bytes read as Latin-1 letters, spaces or digits.
+func TestLexNonASCII(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"SELECT * FROM tàb", `unexpected character 'à' at offset 15`},  // C3 A0: A0 is Latin-1 NBSP
+		{"SELECT * FROM café", `unexpected character 'é' at offset 17`}, // C3 A9: A9 is Latin-1 ©
+		{"SELECT * FROM t WHERE t.x < ٣", `unexpected character '٣' at offset 28`},
+		{"SELECT * FROM t\u00a0WHERE t.x < 1", `unexpected character '\u00a0' at offset 15`},
+		{"SELECT * FROM t\u0085", `unexpected character '\u0085' at offset 15`},
+		{"SELECT * FROM \xe9t", `invalid UTF-8 byte 0xe9 at offset 14`},
+		{"SELECT * FROM t\xa0", `invalid UTF-8 byte 0xa0 at offset 15`},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if !errors.Is(err, ErrSyntax) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) err = %v, want ErrSyntax naming %s", c.src, err, c.want)
+		}
+	}
+	// Every ASCII space separates tokens.
+	if _, err := Parse("SELECT\t*\nFROM\va\f,\rb WHERE a.k=b.k"); err != nil {
+		t.Errorf("ASCII whitespace: %v", err)
+	}
+}
+
 func TestMustParsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
