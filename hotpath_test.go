@@ -18,14 +18,6 @@ import (
 	"lecopt/internal/workload"
 )
 
-// missPathAllocBudget bounds the allocations of one cache-miss Optimize
-// (request resolution + cache key + full DP + report). Measured at 264
-// allocs/op on the reference corpus (down from 1324 before the pooled
-// scratch arenas — a 5x cut); the budget leaves ~1.5x headroom so routine
-// churn does not trip it while an accidental return to per-node heap
-// allocation (which costs hundreds per query) still does.
-const missPathAllocBudget = 400
-
 // hotPathRequests builds the mixed 2-5 table request corpus the
 // allocation gates and benchmarks share.
 func hotPathRequests(t testing.TB, n int) []Request {
@@ -111,30 +103,65 @@ func TestWarmSQLZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMissPathAllocBudget bounds the full optimize path. Unlike the hit
-// gate this cannot be zero — the report and its plan tree are real
-// results — but the DP's working state (tables, join nodes, candidate
-// buffers) must stay pooled.
+// TestMissPathAllocBudget bounds the full optimize path — request
+// resolution, cache key, the whole dynamic program, the report — for every
+// algorithm. Unlike the hit gate this cannot be zero: the report and its
+// plan tree are real results. What it pins is that the DP's working state
+// stays pooled (LSC, C, C-dynamic: tables, join nodes, candidate buffers)
+// and that no score tie-break builds a signature string; B and D still
+// build their join nodes on the heap, which is what their larger budgets
+// price.
 func TestMissPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	reqs := hotPathRequests(t, 64)
-	opt := New(nil, WithoutPlanCache())
-	for _, r := range reqs[:8] { // warm the scratch pools
-		if _, err := opt.Optimize(r); err != nil {
-			t.Fatal(err)
+	envs, err := workload.StandardEnvs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var markov workload.NamedEnv
+	for _, e := range envs {
+		if e.Name == "markov-sticky" {
+			markov = e
 		}
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := opt.Optimize(reqs[i%len(reqs)]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs > missPathAllocBudget {
-		t.Fatalf("cache-miss Optimize allocates %.2f allocs/op, budget %d", allocs, missPathAllocBudget)
+	if markov.Env.Chain == nil {
+		t.Fatal("markov-sticky environment missing")
+	}
+	for _, tc := range []struct {
+		name   string
+		budget float64 // ≈ 1.25 × measured; measured (and the figure before ISSUE 20) alongside
+		shape  func(*Request)
+	}{
+		{"LSC", 85, func(r *Request) { r.Alg = AlgLSCMode }},                      // 66 (292)
+		{"A", 150, func(r *Request) { r.Alg = AlgA }},                             // 117 (992)
+		{"B", 3050, func(r *Request) { r.Alg = AlgB }},                            // 2 444 (61 841)
+		{"C", 70, func(r *Request) { r.Alg = AlgC; r.Env.Chain = nil }},           // 56 (247)
+		{"C-dynamic", 125, func(r *Request) { r.Alg = AlgC; r.Env = markov.Env }}, // 100 (257)
+		{"D", 1650, func(r *Request) { r.Alg = AlgD }},                            // 1 297 (2 445)
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reqs := hotPathRequests(t, 64)
+			for i := range reqs {
+				tc.shape(&reqs[i])
+			}
+			opt := New(nil, WithoutPlanCache())
+			for _, r := range reqs[:8] { // warm the scratch pools
+				if _, err := opt.Optimize(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(500, func() {
+				if _, err := opt.Optimize(reqs[i%len(reqs)]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs > tc.budget {
+				t.Fatalf("cache-miss Optimize (%s) allocates %.1f allocs/op, budget %.0f", tc.name, allocs, tc.budget)
+			}
+		})
 	}
 }
 

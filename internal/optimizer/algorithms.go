@@ -131,8 +131,7 @@ func AlgorithmA(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	}
 	best := -1
 	for i := range cands {
-		if best < 0 || better(cands[i].ec, cands[i].res.Plan.Signature(),
-			cands[best].ec, cands[best].res.Plan.Signature()) {
+		if best < 0 || better(cands[i].ec, cands[i].res.Plan, cands[best].ec, cands[best].res.Plan) {
 			best = i
 		}
 	}
@@ -203,8 +202,7 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	}
 	best := -1
 	for i := range cands {
-		if best < 0 || better(cands[i].ec, cands[i].e.node.Signature(),
-			cands[best].ec, cands[best].e.node.Signature()) {
+		if best < 0 || better(cands[i].ec, cands[i].e.node, cands[best].ec, cands[best].e.node) {
 			best = i
 		}
 	}
@@ -220,54 +218,55 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 // (enforcer applied) and the total pair probes.
 func (c *ctx) dpTopC(s scorer, topC int) ([]entry, int, error) {
 	full := fullMask(c.n)
-	dp := make([][2]*topList, full+1)
-	slot := func(mask uint64, sl int) *topList {
-		if dp[mask][sl] == nil {
-			dp[mask][sl] = newTopList(topC)
-		}
-		return dp[mask][sl]
-	}
+	dp := make([][2]topList, full+1)
 	for j := 0; j < c.n; j++ {
 		for _, e := range c.leafEntries(c.tables[j]) {
-			slot(1<<uint(j), c.slotOf(e.order)).add(e)
+			dp[1<<uint(j)][c.slotOf(e.order)].add(e, topC)
 		}
 	}
 	probes := 0
+	var cands []int
 	for size := 2; size <= c.n; size++ {
 		for mask := uint64(1); mask <= full; mask++ {
 			if bits.OnesCount64(mask) != size {
 				continue
 			}
 			phase := phaseOfMask(mask)
-			for _, j := range c.candidates(mask) {
+			cands = c.candidatesInto(mask, cands[:0])
+			for _, j := range cands {
 				bit := uint64(1) << uint(j)
 				rest := mask &^ bit
 				sigma := c.sigmaBetween(j, rest)
+				merges := c.mergeOrders(j, rest)
 				for ls := 0; ls < 2; ls++ {
-					left := dp[rest][ls]
-					if left == nil || len(left.entries) == 0 {
+					left := &dp[rest][ls]
+					if len(left.entries) == 0 {
 						continue
 					}
 					for rs := 0; rs < 2; rs++ {
-						right := dp[bit][rs]
-						if right == nil || len(right.entries) == 0 {
+						right := &dp[bit][rs]
+						if len(right.entries) == 0 {
 							continue
 						}
+						// All variants in a list share identical physical
+						// properties (same pages), so the output size and
+						// the frontier over score sums are the same for
+						// every method, and the join cost is a constant per
+						// method.
+						lp, rp := left.entries[0].pages, right.entries[0].pages
+						outPages := c.joinOutPages(mask, c.clampPages(lp*rp*sigma))
+						pairs, pr := TopCCombine(left.scores(), right.scores(), topC)
 						for _, m := range c.opts.Methods {
-							// All variants in a list share identical
-							// physical properties (same pages), so the
-							// join cost is a constant per method and the
-							// frontier applies to score sums.
-							jc := s.joinScore(m, left.entries[0].pages, right.entries[0].pages, phase)
-							pairs, pr := TopCCombine(left.scores(), right.scores(), topC)
+							jc := s.joinScore(m, lp, rp, phase)
 							probes += pr
 							for _, p := range pairs {
 								le, re := left.entries[p[0]], right.entries[p[1]]
-								outPages := c.joinOutPages(mask, c.clampPages(le.pages*re.pages*sigma))
-								order := c.joinOutputOrder(m, j, rest, le.order)
-								node := plan.NewJoin(m, le.node, re.node, outPages, order)
-								e := entry{node: node, score: le.score + re.score + jc, pages: outPages, order: order}
-								slot(mask, c.slotOf(order)).add(e)
+								score := le.score + re.score + jc
+								order, sl := c.joinOutput(m, merges, le.order, ls)
+								if l := &dp[mask][sl]; l.admits(score, topC) {
+									node := plan.NewJoin(m, le.node, re.node, outPages, order)
+									l.add(entry{node: node, score: score, pages: outPages, order: order}, topC)
+								}
 							}
 						}
 					}
@@ -278,16 +277,12 @@ func (c *ctx) dpTopC(s scorer, topC int) ([]entry, int, error) {
 	var out []entry
 	phase := lastPhase(c.n)
 	for sl := 0; sl < 2; sl++ {
-		l := dp[full][sl]
-		if l == nil {
-			continue
-		}
-		for _, e := range l.entries {
+		for _, e := range dp[full][sl].entries {
 			cand := e
 			if c.blk.OrderBy != nil && sl == 0 {
 				cand.score += enforcerScore(s, e, phase)
-				cand.node = plan.NewSort(e.node, c.requiredOrder())
-				cand.order = c.requiredOrder()
+				cand.node = plan.NewSort(e.node, c.required)
+				cand.order = c.required
 			}
 			out = append(out, cand)
 		}
@@ -296,7 +291,7 @@ func (c *ctx) dpTopC(s scorer, topC int) ([]entry, int, error) {
 		return nil, probes, ErrNoPlan
 	}
 	sort.Slice(out, func(a, b int) bool {
-		return better(out[a].score, out[a].node.Signature(), out[b].score, out[b].node.Signature())
+		return better(out[a].score, out[a].node, out[b].score, out[b].node)
 	})
 	if len(out) > topC {
 		out = out[:topC]
@@ -334,41 +329,50 @@ type distEntry struct {
 	law dist.Dist
 }
 
+// distSlot is one cell of Algorithm D's table: like dpSlot, the best entry
+// per order slot, held by value.
+type distSlot struct {
+	e  [2]distEntry
+	ok [2]bool
+}
+
 // dpDist is the Algorithm D dynamic program.
 func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 	full := fullMask(c.n)
-	dp := make([][2]*distEntry, full+1)
-	keep := func(mask uint64, e distEntry) {
-		sl := c.slotOf(e.order)
-		cur := dp[mask][sl]
-		if cur == nil || better(e.score, e.node.Signature(), cur.score, cur.node.Signature()) {
-			ec := e
-			dp[mask][sl] = &ec
-		}
-	}
+	dp := make([]distSlot, full+1)
 	for j := 0; j < c.n; j++ {
 		ti := c.tables[j]
+		cell := &dp[1<<uint(j)]
 		for _, e := range c.leafEntries(ti) {
-			keep(1<<uint(j), distEntry{entry: e, law: ti.sizeLaw})
+			sl := c.slotOf(e.order)
+			if !cell.ok[sl] || better(e.score, e.node, cell.e[sl].score, cell.e[sl].node) {
+				cell.e[sl], cell.ok[sl] = distEntry{entry: e, law: ti.sizeLaw}, true
+			}
 		}
 	}
+	var cands []int
 	for size := 2; size <= c.n; size++ {
 		for mask := uint64(1); mask <= full; mask++ {
 			if bits.OnesCount64(mask) != size {
 				continue
 			}
-			for _, j := range c.candidates(mask) {
+			cell := &dp[mask]
+			cands = c.candidatesInto(mask, cands[:0])
+			for _, j := range cands {
 				bit := uint64(1) << uint(j)
 				rest := mask &^ bit
 				sigmaLaw := c.sigmaLawBetween(j, rest)
-				for _, left := range dp[rest] {
-					if left == nil {
+				merges := c.mergeOrders(j, rest)
+				for ls := 0; ls < 2; ls++ {
+					if !dp[rest].ok[ls] {
 						continue
 					}
-					for _, right := range dp[bit] {
-						if right == nil {
+					left := &dp[rest].e[ls]
+					for rs := 0; rs < 2; rs++ {
+						if !dp[bit].ok[rs] {
 							continue
 						}
+						right := &dp[bit].e[rs]
 						outLaw, err := expcost.ResultSizeDist(left.law, right.law, sigmaLaw, c.opts.SizeBuckets)
 						if err != nil {
 							return Result{}, err
@@ -380,15 +384,22 @@ func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 							// size is a fact, not a distribution.
 							outLaw = dist.Point(v)
 						}
+						outPages := outLaw.Mean()
 						for _, m := range c.opts.Methods {
-							jc := expcost.JoinECModel(c.opts.CostModel, m, left.law, right.law, mem)
-							outPages := outLaw.Mean()
-							order := c.joinOutputOrder(m, j, rest, left.order)
+							score := left.score + right.score + expcost.JoinECModel(c.opts.CostModel, m, left.law, right.law, mem)
+							order, sl := c.joinOutput(m, merges, left.order, ls)
+							if cell.ok[sl] && score > cell.e[sl].score {
+								continue // strictly worse: skip building the node
+							}
 							node := plan.NewJoin(m, left.node, right.node, outPages, order)
-							keep(mask, distEntry{
-								entry: entry{node: node, score: left.score + right.score + jc, pages: outPages, order: order},
+							if cell.ok[sl] && !better(score, node, cell.e[sl].score, cell.e[sl].node) {
+								continue
+							}
+							cell.e[sl] = distEntry{
+								entry: entry{node: node, score: score, pages: outPages, order: order},
 								law:   outLaw,
-							})
+							}
+							cell.ok[sl] = true
 						}
 					}
 				}
@@ -396,28 +407,27 @@ func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 		}
 	}
 	// Root completion with an expected-cost enforcer over the size law.
-	var best *distEntry
-	bestSig := ""
-	for sl, e := range dp[full] {
-		if e == nil {
+	var best entry
+	have := false
+	for sl := 0; sl < 2; sl++ {
+		if !dp[full].ok[sl] {
 			continue
 		}
-		cand := *e
+		e := &dp[full].e[sl]
+		cand := e.entry
 		if c.blk.OrderBy != nil && sl == 0 {
 			cand.score += expcost.SortEC(e.law, mem)
 			if e.node.Kind == plan.KindScan && !e.node.Materialized() {
 				cand.score += e.node.AccessIO()
 			}
-			cand.node = plan.NewSort(e.node, c.requiredOrder())
-			cand.order = c.requiredOrder()
+			cand.node = plan.NewSort(e.node, c.required)
+			cand.order = c.required
 		}
-		sig := cand.node.Signature()
-		if best == nil || better(cand.score, sig, best.score, bestSig) {
-			cc := cand
-			best, bestSig = &cc, sig
+		if !have || better(cand.score, cand.node, best.score, best.node) {
+			best, have = cand, true
 		}
 	}
-	if best == nil {
+	if !have {
 		return Result{}, ErrNoPlan
 	}
 	if err := checkFinite(best.score); err != nil {

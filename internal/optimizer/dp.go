@@ -90,20 +90,6 @@ func (c *ctx) slotOf(o plan.Order) int {
 	return 0
 }
 
-// joinOutputOrder returns the order property of a join's output: sort-merge
-// imposes its join-column order; nested-loop variants stream the outer and
-// preserve its order; hash joins destroy order.
-func (c *ctx) joinOutputOrder(method cost.JoinMethod, j int, leftMask uint64, leftOrder plan.Order) plan.Order {
-	switch method {
-	case cost.SortMerge:
-		return c.joinOrder(method, j, leftMask)
-	case cost.PageNL, cost.BlockNL:
-		return leftOrder
-	default:
-		return plan.Order{}
-	}
-}
-
 // leafEntry builds the access-path entry for one access path of a table.
 // Materialized access paths (index scans, filtered heap scans) score their
 // access cost; an unfiltered heap scan scores 0 — its base read is part of
@@ -214,7 +200,10 @@ func (c *ctx) dpBestW(s scorer, workers int) (Result, error) {
 
 // expandMask computes dp[mask] from the finalized smaller-rank slots. It
 // writes only dp[mask], which is what makes rank-order parallel
-// enumeration race-free and byte-identical to the serial pass.
+// enumeration race-free and byte-identical to the serial pass. Everything
+// the join method cannot change — the selectivity product, whether a
+// sort-merge would satisfy the ORDER BY, the output size — is computed
+// outside the method loop.
 func (c *ctx) expandMask(dp []dpSlot, mask uint64, s scorer, w *dpWorker) {
 	phase := phaseOfMask(mask)
 	w.cands = c.candidatesInto(mask, w.cands[:0])
@@ -223,6 +212,7 @@ func (c *ctx) expandMask(dp []dpSlot, mask uint64, s scorer, w *dpWorker) {
 		bit := uint64(1) << uint(j)
 		rest := mask &^ bit
 		sigma := c.sigmaBetween(j, rest)
+		merges := c.mergeOrders(j, rest)
 		for ls := 0; ls < 2; ls++ {
 			if !dp[rest].ok[ls] {
 				continue
@@ -233,17 +223,15 @@ func (c *ctx) expandMask(dp []dpSlot, mask uint64, s scorer, w *dpWorker) {
 					continue
 				}
 				right := &dp[bit].e[rs]
+				outPages := c.joinOutPages(mask, c.clampPages(left.pages*right.pages*sigma))
 				for _, m := range c.opts.Methods {
-					jc := s.joinScore(m, left.pages, right.pages, phase)
-					score := left.score + right.score + jc
-					outPages := c.joinOutPages(mask, c.clampPages(left.pages*right.pages*sigma))
-					order := c.joinOutputOrder(m, j, rest, left.order)
-					slot := c.slotOf(order)
+					score := left.score + right.score + s.joinScore(m, left.pages, right.pages, phase)
+					order, slot := c.joinOutput(m, merges, left.order, ls)
 					if sl.ok[slot] && score > sl.e[slot].score {
 						continue // strictly worse: skip building the node
 					}
 					node := w.arena.newJoin(m, left.node, right.node, outPages, order)
-					if sl.ok[slot] && !betterEntry(score, node, &sl.e[slot]) {
+					if sl.ok[slot] && !better(score, node, sl.e[slot].score, sl.e[slot].node) {
 						w.arena.undo()
 						continue
 					}
@@ -258,28 +246,17 @@ func (c *ctx) expandMask(dp []dpSlot, mask uint64, s scorer, w *dpWorker) {
 // keepSlot installs e into its order slot when it beats the incumbent.
 func (c *ctx) keepSlot(sl *dpSlot, e entry) {
 	slot := c.slotOf(e.order)
-	if sl.ok[slot] && !betterEntry(e.score, e.node, &sl.e[slot]) {
+	if sl.ok[slot] && !better(e.score, e.node, sl.e[slot].score, sl.e[slot].node) {
 		return
 	}
 	sl.e[slot] = e
 	sl.ok[slot] = true
 }
 
-// betterEntry ranks a challenger against the incumbent: lower score wins,
-// exact ties break on plan signature. Signatures are built only on exact
-// score ties — they allocate, and ties are rare.
-func betterEntry(score float64, node *plan.Node, cur *entry) bool {
-	if score != cur.score {
-		return score < cur.score
-	}
-	return node.Signature() < cur.node.Signature()
-}
-
 // finishRoot applies the ORDER BY enforcer where needed and returns the
 // cheapest completed plan.
 func (c *ctx) finishRoot(sl *dpSlot, s scorer) (Result, error) {
 	var best entry
-	bestSig := ""
 	have := false
 	phase := lastPhase(c.n)
 	for slot := 0; slot < 2; slot++ {
@@ -289,12 +266,11 @@ func (c *ctx) finishRoot(sl *dpSlot, s scorer) (Result, error) {
 		cand := sl.e[slot]
 		if c.blk.OrderBy != nil && slot == 0 {
 			cand.score += enforcerScore(s, sl.e[slot], phase)
-			cand.node = plan.NewSort(cand.node, c.requiredOrder())
-			cand.order = c.requiredOrder()
+			cand.node = plan.NewSort(cand.node, c.required)
+			cand.order = c.required
 		}
-		sig := cand.node.Signature()
-		if !have || better(cand.score, sig, best.score, bestSig) {
-			best, bestSig, have = cand, sig, true
+		if !have || better(cand.score, cand.node, best.score, best.node) {
+			best, have = cand, true
 		}
 	}
 	if !have {

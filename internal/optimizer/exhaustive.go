@@ -57,24 +57,21 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 		mask  uint64
 	}
 	var best *Result
-	bestSig := ""
 	candidates := 0
 	full := fullMask(c.n)
 
 	finish := func(p partial) error {
 		node := p.node
 		if c.blk.OrderBy != nil && !c.satisfiesOrderBy(p.order) {
-			node = plan.NewSort(node, c.requiredOrder())
+			node = plan.NewSort(node, c.required)
 		}
 		score, err := eval(node)
 		if err != nil {
 			return err
 		}
 		candidates++
-		sig := node.Signature()
-		if best == nil || better(score, sig, best.EC, bestSig) {
+		if best == nil || better(score, node, best.EC, best.Plan) {
 			best = &Result{Plan: node, EC: score}
-			bestSig = sig
 		}
 		return nil
 	}
@@ -96,10 +93,11 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 				continue
 			}
 			sigma := c.sigmaBetween(j, p.mask)
+			merges := c.mergeOrders(j, p.mask)
 			for _, leaf := range c.leafEntries(c.tables[j]) {
+				outPages := c.joinOutPages(p.mask|bit, c.clampPages(p.pages*leaf.pages*sigma))
 				for _, m := range c.opts.Methods {
-					outPages := c.joinOutPages(p.mask|bit, c.clampPages(p.pages*leaf.pages*sigma))
-					order := c.joinOutputOrder(m, j, p.mask, p.order)
+					order, _ := c.joinOutput(m, merges, p.order, 0)
 					node := plan.NewJoin(m, p.node, leaf.node, outPages, order)
 					if err := extend(partial{node: node, pages: outPages, order: order, mask: p.mask | bit}); err != nil {
 						return err

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"lecopt/internal/catalog"
@@ -190,9 +191,11 @@ type ctx struct {
 	n         int
 	tables    []*tableInfo
 	sigma     [][]float64         // pairwise page-selectivity product (1 if no edge)
-	edge      [][]bool            // join-graph adjacency
+	adj       []uint64            // join graph: adj[j] has bit i set iff tables i and j share an edge
+	ordMask   []uint64            // ordMask[j] has bit i set iff an i–j edge carries an ORDER BY-equivalent column
 	sigmaD    [][]dist.Dist       // per-pair selectivity laws (zero Dist ⇒ Point(sigma))
 	orderCols map[plan.Order]bool // orders that satisfy the query's ORDER BY
+	required  plan.Order          // the ORDER BY as a plan.Order (zero if none)
 	sizeHint  map[uint64]float64  // observed result pages by table-subset mask
 }
 
@@ -200,6 +203,11 @@ type ctx struct {
 // statistics shared by every algorithm.
 func prepare(cat *catalog.Catalog, blk *query.Block, opts Options) (*ctx, error) {
 	opts = opts.withDefaults()
+	for _, m := range opts.Methods {
+		if !slices.Contains(cost.Methods, m) {
+			return nil, fmt.Errorf("%w: unknown join method %v", ErrBadOpts, m)
+		}
+	}
 	if err := blk.Validate(cat); err != nil {
 		return nil, err
 	}
@@ -211,7 +219,8 @@ func prepare(cat *catalog.Catalog, blk *query.Block, opts Options) (*ctx, error)
 	}
 	c.orderCols = map[plan.Order]bool{}
 	if blk.OrderBy != nil {
-		c.orderCols[plan.Order{Table: blk.OrderBy.Table, Column: blk.OrderBy.Column}] = true
+		c.required = plan.Order{Table: blk.OrderBy.Table, Column: blk.OrderBy.Column}
+		c.orderCols[c.required] = true
 		// Any column equi-joined (transitively, through the final plan)
 		// to the ORDER BY column is equivalent for ordering purposes; we
 		// credit direct join partners, which covers the common case of
@@ -391,14 +400,17 @@ func compilePred(filters []query.Filter) *plan.ScanPred {
 	return p
 }
 
+// preparePairs builds the per-pair statistics and the join graph as
+// bitmasks over FROM positions, so the DP's connectivity and sort-merge
+// order questions are one AND each.
 func (c *ctx) preparePairs() error {
 	n := c.n
 	c.sigma = make([][]float64, n)
-	c.edge = make([][]bool, n)
+	c.adj = make([]uint64, n)
+	c.ordMask = make([]uint64, n)
 	c.sigmaD = make([][]dist.Dist, n)
 	for i := range c.sigma {
 		c.sigma[i] = make([]float64, n)
-		c.edge[i] = make([]bool, n)
 		c.sigmaD[i] = make([]dist.Dist, n)
 		for j := range c.sigma[i] {
 			c.sigma[i][j] = 1
@@ -413,8 +425,13 @@ func (c *ctx) preparePairs() error {
 		}
 		c.sigma[li][ri] *= s
 		c.sigma[ri][li] *= s
-		c.edge[li][ri] = true
-		c.edge[ri][li] = true
+		c.adj[li] |= 1 << uint(ri)
+		c.adj[ri] |= 1 << uint(li)
+		if c.orderCols[plan.Order{Table: j.Left.Table, Column: j.Left.Column}] ||
+			c.orderCols[plan.Order{Table: j.Right.Table, Column: j.Right.Column}] {
+			c.ordMask[li] |= 1 << uint(ri)
+			c.ordMask[ri] |= 1 << uint(li)
+		}
 	}
 	return nil
 }
@@ -493,26 +510,12 @@ func (c *ctx) sigmaLawBetween(j int, mask uint64) dist.Dist {
 }
 
 // connects reports whether table j has a join edge into mask.
-func (c *ctx) connects(j int, mask uint64) bool {
-	for i := 0; i < c.n; i++ {
-		if mask&(1<<uint(i)) != 0 && c.edge[i][j] {
-			return true
-		}
-	}
-	return false
-}
+func (c *ctx) connects(j int, mask uint64) bool { return c.adj[j]&mask != 0 }
 
-// candidates returns the tables j in mask eligible as the last join input
-// for mask: those connected to the rest, falling back to all members when
-// the remainder is unreachable (forced cross product, §2.2's "trivially
-// true predicate").
-func (c *ctx) candidates(mask uint64) []int {
-	return c.candidatesInto(mask, nil)
-}
-
-// candidatesInto is candidates appending into a caller-owned buffer (pass
-// buf[:0] to reuse it) — the allocation-free form used by the DP's
-// per-worker scratch. The returned order is identical to candidates'.
+// candidatesInto appends to buf (pass buf[:0] to reuse it) the tables j in
+// mask eligible as the last join input for mask: those connected to the
+// rest, falling back to all members when the remainder is unreachable
+// (forced cross product, §2.2's "trivially true predicate").
 func (c *ctx) candidatesInto(mask uint64, buf []int) []int {
 	for j := 0; j < c.n; j++ {
 		bit := uint64(1) << uint(j)
@@ -536,37 +539,47 @@ func (c *ctx) candidatesInto(mask uint64, buf []int) []int {
 }
 
 // isCandidate reports whether table j is an eligible last join input for
-// mask (j must be a member). Shared by the DP and the exhaustive oracle so
-// both search the identical plan space.
+// mask (j must be a member) — membership in candidatesInto(mask) as a bit
+// test. Shared by the DP and the exhaustive oracle so both search the
+// identical plan space.
 func (c *ctx) isCandidate(j int, mask uint64) bool {
-	for _, cand := range c.candidates(mask) {
-		if cand == j {
-			return true
+	rest := mask &^ (1 << uint(j))
+	if rest == 0 || c.connects(j, rest) {
+		return true
+	}
+	// j qualifies only through the cross-product fallback: no member of
+	// mask connects to its own remainder.
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if c.connects(i, mask&^(1<<uint(i))) {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
-// joinOrder returns the output order property of joining left (covering
-// leftMask) with table j via method, reduced to "satisfies ORDER BY or
-// not": sort-merge output is sorted on its join columns, so if any edge
-// column between j and leftMask matches an ORDER BY-equivalent column the
-// plan satisfies the requirement.
-func (c *ctx) joinOrder(method cost.JoinMethod, j int, leftMask uint64) plan.Order {
-	if !method.OrdersOutput() || c.blk.OrderBy == nil {
-		return plan.Order{}
+// mergeOrders reports whether a sort-merge join of table j onto a prefix
+// covering leftMask satisfies the ORDER BY: sort-merge output is sorted on
+// its join columns, so it does iff some edge between j and the prefix
+// carries an ORDER BY-equivalent column. It does not depend on the join
+// method, so the DPs ask once per (j, prefix).
+func (c *ctx) mergeOrders(j int, leftMask uint64) bool { return c.ordMask[j]&leftMask != 0 }
+
+// joinOutput returns the order property of a join's output and the DP slot
+// it lands in (see slotOf) without consulting orderCols: nested-loop
+// variants stream the outer, so they inherit the left entry's order and its
+// slot; an order-imposing method (sort-merge) yields the ORDER BY iff merges
+// (mergeOrders) and takes slot 1 exactly then; everything else — grace
+// hash, or a merge on columns the ORDER BY does not care about — lands
+// unordered in slot 0. prepare has rejected unknown methods.
+func (c *ctx) joinOutput(m cost.JoinMethod, merges bool, leftOrder plan.Order, leftSlot int) (plan.Order, int) {
+	switch {
+	case m == cost.PageNL || m == cost.BlockNL:
+		return leftOrder, leftSlot
+	case merges && m.OrdersOutput():
+		return c.required, 1
 	}
-	for _, e := range c.blk.JoinsBetween(c.blk.Tables[j], leftMask) {
-		side, _ := e.Side(c.blk.Tables[j])
-		other, _ := e.Other(c.blk.Tables[j])
-		for _, col := range []query.ColRef{side, other} {
-			o := plan.Order{Table: col.Table, Column: col.Column}
-			if c.orderCols[o] {
-				return plan.Order{Table: c.blk.OrderBy.Table, Column: c.blk.OrderBy.Column}
-			}
-		}
-	}
-	return plan.Order{}
+	return plan.Order{}, 0
 }
 
 // satisfiesOrderBy reports whether an order property meets the block's
@@ -579,14 +592,6 @@ func (c *ctx) satisfiesOrderBy(o plan.Order) bool {
 		return false
 	}
 	return c.orderCols[o]
-}
-
-// requiredOrder returns the ORDER BY as a plan.Order (zero if none).
-func (c *ctx) requiredOrder() plan.Order {
-	if c.blk.OrderBy == nil {
-		return plan.Order{}
-	}
-	return plan.Order{Table: c.blk.OrderBy.Table, Column: c.blk.OrderBy.Column}
 }
 
 // phaseOfMask returns the execution phase of the join that completes mask.
@@ -609,13 +614,16 @@ func lastPhase(n int) int {
 // fullMask returns the bitmask covering all n tables.
 func fullMask(n int) uint64 { return (1 << uint(n)) - 1 }
 
-// better reports strictly lower score with a deterministic tie-break on
-// plan signature so optimizer output is reproducible.
-func better(score float64, sig string, bestScore float64, bestSig string) bool {
+// better reports whether a plan at score beats the incumbent: strictly
+// lower score wins, exact ties break on signature order so optimizer output
+// is reproducible. Ties are common — whenever both inputs fit in memory
+// every join method costs outer+inner — so the order is decided
+// structurally (plan.CompareSignature), and only on a tie.
+func better(score float64, node *plan.Node, bestScore float64, best *plan.Node) bool {
 	if score != bestScore {
 		return score < bestScore
 	}
-	return sig < bestSig
+	return plan.CompareSignature(node, best) < 0
 }
 
 func checkFinite(v float64) error {

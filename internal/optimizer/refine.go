@@ -61,7 +61,7 @@ func AlgorithmCRefined(cat *catalog.Catalog, blk *query.Block, opts Options, mem
 		if nCuts >= len(cuts) && mem.Len() > 0 {
 			coarse = mem // all cuts used: go straight to full resolution
 		} else {
-			coarse, err = coarsenByCuts(mem, cuts[:minInt(nCuts, len(cuts))])
+			coarse, err = coarsenByCuts(mem, cuts[:min(nCuts, len(cuts))])
 			if err != nil {
 				return Result{}, stats, err
 			}
@@ -189,13 +189,6 @@ func coarsenByCuts(mem dist.Dist, cuts []float64) (dist.Dist, error) {
 	sorted := append([]float64(nil), cuts...)
 	sort.Float64s(sorted)
 	return bucketing.CoarsenByCuts(mem, sorted)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func relDiff(a, b float64) float64 {

@@ -120,8 +120,8 @@ func (a *nodeArena) alloc() *plan.Node {
 	return n
 }
 
-// undo gives back the most recently allocated node — the loser of a DP
-// comparison that was only built for its tie-break signature.
+// undo gives back the most recently allocated node — a challenger that
+// tied the incumbent's score and lost the signature tie-break.
 func (a *nodeArena) undo() {
 	if a.ni == 0 {
 		a.ci--

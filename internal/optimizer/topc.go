@@ -2,6 +2,8 @@ package optimizer
 
 import (
 	"sort"
+
+	"lecopt/internal/plan"
 )
 
 // TopCCombine implements the Proposition 3.1 frontier. Given two lists of
@@ -52,39 +54,51 @@ func TopCCombine(left, right []float64, c int) (pairs [][2]int, probes int) {
 	return pairs, probes
 }
 
-// topList is a bounded ascending list of entries used by the top-c DP.
-type topList struct {
-	cap     int
-	entries []entry
-}
-
-func newTopList(c int) *topList { return &topList{cap: c} }
+// topList is an ascending list of entries, bounded at the top-c DP's c.
+type topList struct{ entries []entry }
 
 // add inserts e keeping the list sorted ascending by score (signature
-// tie-break) and bounded at cap. Duplicate signatures keep the cheaper.
-func (l *topList) add(e entry) {
-	sig := e.node.Signature()
-	for i, cur := range l.entries {
-		if cur.node.Signature() == sig {
-			if better(e.score, sig, cur.score, sig) {
-				l.entries[i] = e
-				l.resort()
+// tie-break) and bounded at c. Duplicate signatures keep the cheaper.
+// With duplicates merged the order is a strict total order, so inserting
+// at the sorted position yields exactly the list a full re-sort would.
+func (l *topList) add(e entry, c int) {
+	if !l.admits(e.score, c) {
+		return
+	}
+	n := len(l.entries)
+	pos := n // first entry e sorts before
+	for i := range l.entries {
+		cur := &l.entries[i]
+		cmp := plan.CompareSignature(e.node, cur.node)
+		if cmp == 0 {
+			if e.score < cur.score {
+				// The cheaper duplicate takes over: cur leaves, e enters at
+				// pos (≤ i, since e already sorts before cur).
+				pos = min(pos, i)
+				copy(l.entries[pos+1:i+1], l.entries[pos:i])
+				l.entries[pos] = e
 			}
 			return
 		}
+		if pos == n && (e.score < cur.score || e.score == cur.score && cmp < 0) {
+			pos = i
+		}
 	}
-	l.entries = append(l.entries, e)
-	l.resort()
-	if len(l.entries) > l.cap {
-		l.entries = l.entries[:l.cap]
+	if n < c {
+		l.entries = append(l.entries, entry{})
+	} else if pos == n {
+		return
 	}
+	copy(l.entries[pos+1:], l.entries[pos:])
+	l.entries[pos] = e
 }
 
-func (l *topList) resort() {
-	sort.Slice(l.entries, func(a, b int) bool {
-		return better(l.entries[a].score, l.entries[a].node.Signature(),
-			l.entries[b].score, l.entries[b].node.Signature())
-	})
+// admits reports whether an entry at score could enter the list: a full
+// list turns away anything strictly worse than its last entry, duplicate
+// or not. dpTopC asks before it builds the entry's plan node.
+func (l *topList) admits(score float64, c int) bool {
+	n := len(l.entries)
+	return n < c || !(score > l.entries[n-1].score)
 }
 
 // scores returns the ascending score slice (for TopCCombine).

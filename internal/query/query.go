@@ -176,23 +176,6 @@ func (b *Block) TableIndex(name string) int {
 	return -1
 }
 
-// JoinsBetween returns the join predicates connecting table with any table
-// whose FROM index is set in mask.
-func (b *Block) JoinsBetween(table string, mask uint64) []Join {
-	var out []Join
-	for _, j := range b.Joins {
-		other, ok := j.Other(table)
-		if !ok {
-			continue
-		}
-		oi := b.TableIndex(other.Table)
-		if oi >= 0 && mask&(1<<uint(oi)) != 0 {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // FiltersOn returns the local predicates on one table.
 func (b *Block) FiltersOn(table string) []Filter {
 	var out []Filter

@@ -192,25 +192,11 @@ func TestJoinAccessors(t *testing.T) {
 	}
 }
 
-func TestJoinsBetweenAndFiltersOn(t *testing.T) {
+func TestFiltersOn(t *testing.T) {
 	b := chainABC()
 	b.Filters = []Filter{
 		{Col: ColRef{"a", "x"}, Op: catalog.OpLt, Value: 5},
 		{Col: ColRef{"b", "id"}, Op: catalog.OpGe, Value: 1},
-	}
-	// mask with only table a (index 0) set.
-	js := b.JoinsBetween("b", 1<<0)
-	if len(js) != 1 || js[0].Left.Table != "a" {
-		t.Fatalf("JoinsBetween(b, {a}) = %v", js)
-	}
-	// mask {a, c} for b → both joins.
-	js = b.JoinsBetween("b", 1<<0|1<<2)
-	if len(js) != 2 {
-		t.Fatalf("JoinsBetween(b, {a,c}) = %v", js)
-	}
-	// table c against {a} → none.
-	if js := b.JoinsBetween("c", 1<<0); len(js) != 0 {
-		t.Fatalf("JoinsBetween(c, {a}) = %v", js)
 	}
 	if fs := b.FiltersOn("a"); len(fs) != 1 || fs[0].Col.Column != "x" {
 		t.Fatalf("FiltersOn(a) = %v", fs)

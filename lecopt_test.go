@@ -1,8 +1,12 @@
 package lecopt
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"lecopt/internal/cost"
+	"lecopt/internal/optimizer"
 )
 
 // TestPublicAPIQuickstart exercises the documented public surface
@@ -109,5 +113,35 @@ func TestPublicRunWorkload(t *testing.T) {
 	}
 	if again.TotalLSCIO != rep.TotalLSCIO || again.TotalLECIO != rep.TotalLECIO {
 		t.Fatalf("same spec+seed must reproduce: %+v vs %+v", again, rep)
+	}
+}
+
+// TestUnknownJoinMethodIsATypedError: Options.Methods is caller input, and
+// a method the cost formulas do not define used to reach cost.JoinIO's
+// panic. The handle now answers every algorithm — one request or a batch —
+// with optimizer.ErrBadOpts, and caches nothing for it.
+func TestUnknownJoinMethodIsATypedError(t *testing.T) {
+	reqs := hotPathRequests(t, 6)
+	opt := New(nil, WithPlanSpace(Options{Methods: []cost.JoinMethod{cost.GraceHash, 99}}))
+	algs := Algorithms()
+	for i := range reqs {
+		reqs[i].Alg = algs[i%len(algs)]
+		if _, err := opt.Optimize(reqs[i]); !errors.Is(err, optimizer.ErrBadOpts) {
+			t.Fatalf("Optimize(%v): err = %v, want ErrBadOpts", reqs[i].Alg, err)
+		}
+	}
+	for i, resp := range opt.OptimizeBatch(reqs) {
+		if !errors.Is(resp.Err, optimizer.ErrBadOpts) || resp.Plan != nil {
+			t.Fatalf("OptimizeBatch[%d]: err = %v, plan = %v, want ErrBadOpts and no plan", i, resp.Err, resp.Plan)
+		}
+	}
+	if st := opt.CacheStats(); st.Size != 0 {
+		t.Fatalf("%d plans cached for requests that cannot be optimized", st.Size)
+	}
+	// A request that brings its own valid options is still served.
+	ok := reqs[0]
+	ok.Opts = &Options{}
+	if _, err := opt.Optimize(ok); err != nil {
+		t.Fatal(err)
 	}
 }
