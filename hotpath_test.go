@@ -13,8 +13,12 @@ import (
 	"testing"
 
 	"lecopt/internal/core"
+	"lecopt/internal/cost"
+	"lecopt/internal/engine"
 	"lecopt/internal/feedback"
+	"lecopt/internal/plan"
 	"lecopt/internal/plancache"
+	"lecopt/internal/storage"
 	"lecopt/internal/workload"
 )
 
@@ -160,6 +164,58 @@ func TestMissPathAllocBudget(t *testing.T) {
 			})
 			if allocs > tc.budget {
 				t.Fatalf("cache-miss Optimize (%s) allocates %.1f allocs/op, budget %.0f", tc.name, allocs, tc.budget)
+			}
+		})
+	}
+}
+
+// TestExecutePlanAllocBudget bounds what the page engine allocates to
+// execute one plan at the bench/ exec_loop scale (6-tuple pages, 1 200
+// keys, 64 ⋈ 96 ⋈ 128 pages, root sort), per join method. Rows, pages and
+// temp relations are real results, so the floor is not zero; what the
+// budget pins is that nothing is allocated per output row, per cached
+// page, per sort comparison or per partitioned tuple again.
+func TestExecutePlanAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(1))
+	store := storage.NewStore()
+	var scans []*plan.Node
+	for i, pages := range []int{64, 96, 128} {
+		name := fmt.Sprintf("t%d", i)
+		rel, err := storage.Generate(storage.GenSpec{Name: name, Pages: pages, TuplesPerPage: 6, KeyRange: 1200}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Add(rel); err != nil {
+			t.Fatal(err)
+		}
+		scans = append(scans, plan.NewScan(name, plan.AccessHeap, "", 1, float64(pages)))
+	}
+	eng := engine.New(store)
+	for _, tc := range []struct {
+		method cost.JoinMethod
+		budget float64 // ≈ 1.25 × measured; measured (and the figure before ISSUE 21) alongside
+	}{
+		{cost.SortMerge, 1215}, // 972 (5 598)
+		{cost.GraceHash, 1185}, // 946 (3 988)
+		{cost.PageNL, 975},     // 779 (20 581)
+		{cost.BlockNL, 690},    // 551 (3 455)
+	} {
+		t.Run(tc.method.String(), func(t *testing.T) {
+			p := plan.NewSort(
+				plan.NewJoin(tc.method, plan.NewJoin(tc.method, scans[0], scans[1], 30, plan.Order{}), scans[2], 30, plan.Order{}),
+				plan.Order{Table: "t0", Column: "k"})
+			allocs := testing.AllocsPerRun(10, func() {
+				res, err := eng.ExecutePlan(p, []float64{12, 24})
+				if err != nil {
+					t.Fatal(err)
+				}
+				store.Drop(res.Output.Name)
+			})
+			if allocs > tc.budget {
+				t.Fatalf("ExecutePlan (%v) allocates %.0f allocs/op, budget %.0f", tc.method, allocs, tc.budget)
 			}
 		})
 	}

@@ -5,7 +5,6 @@
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 
@@ -16,12 +15,6 @@ import (
 var (
 	ErrBadCapacity = errors.New("buffer: capacity must be positive")
 )
-
-// PageID identifies one page of one relation.
-type PageID struct {
-	Rel   string
-	Index int
-}
 
 // Stats aggregates physical I/O counters.
 type Stats struct {
@@ -38,18 +31,43 @@ func (s Stats) IO() int64 { return s.Reads + s.Writes }
 // reproducing the nested-loop formula's S+2 discontinuity; sequential
 // floods larger than the capacity evict themselves, reproducing the
 // multi-pass behaviour of external sort and hash partitioning.
+//
+// Frames live in one slice linked by index (head = most recent) and are
+// found through a per-relation page table — a slice of frame indices — so
+// a read is a slice lookup and caching or evicting a page is a slice store;
+// the only map is keyed by the relation's pointer and is consulted when the
+// relation changes from one call to the next. Pointer identity is unique
+// among live relations and a table keeps its relation reachable, so a page
+// can never be mistaken for another's. Everything grows on demand — an
+// "unbounded" budget is a capacity of MaxInt32 that must cost nothing
+// until pages arrive.
 type Pool struct {
 	store    *storage.Store
 	capacity int
-	frames   map[PageID]*list.Element
-	lru      *list.List // front = most recent
+	tables   map[*storage.Relation]*pageTable
+	last     *pageTable // table of the relation touched last
+	frames   []frame
+	head     int32 // most recently used, none when the pool is empty
+	tail     int32 // least recently used
+	free     int32 // invalidated frames, chained through next
+	resident int
 	stats    Stats
 }
 
-type frame struct {
-	id   PageID
-	page []storage.Tuple
+// pageTable maps one relation's page numbers to their frames.
+type pageTable struct {
+	rel   *storage.Relation
+	frame []int32 // frame per page, none when not resident
 }
+
+type frame struct {
+	tab        *pageTable
+	idx        int
+	page       []storage.Tuple
+	prev, next int32
+}
+
+const none int32 = -1
 
 // NewPool builds a pool with the given page capacity.
 func NewPool(store *storage.Store, capacity int) (*Pool, error) {
@@ -57,10 +75,9 @@ func NewPool(store *storage.Store, capacity int) (*Pool, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadCapacity, capacity)
 	}
 	return &Pool{
-		store:    store,
-		capacity: capacity,
-		frames:   make(map[PageID]*list.Element),
-		lru:      list.New(),
+		store: store, capacity: capacity,
+		tables: make(map[*storage.Relation]*pageTable),
+		head:   none, tail: none, free: none,
 	}, nil
 }
 
@@ -73,83 +90,191 @@ func (p *Pool) Stats() Stats { return p.stats }
 // ResetStats zeroes the counters (cache contents are kept).
 func (p *Pool) ResetStats() { p.stats = Stats{} }
 
-// Read fetches a page, counting a physical read on a miss.
+// Read fetches a page by relation name, counting a physical read on a
+// miss.
 func (p *Pool) Read(rel string, idx int) ([]storage.Tuple, error) {
-	id := PageID{Rel: rel, Index: idx}
-	if el, ok := p.frames[id]; ok {
-		p.lru.MoveToFront(el)
-		p.stats.Hits++
-		return el.Value.(*frame).page, nil
-	}
 	r, err := p.store.Get(rel)
 	if err != nil {
 		return nil, err
+	}
+	return p.ReadRel(r, idx)
+}
+
+// ReadRel is Read for a caller that already holds the relation — the
+// engine's loops, which would otherwise resolve the same name per page.
+func (p *Pool) ReadRel(r *storage.Relation, idx int) ([]storage.Tuple, error) {
+	t := p.table(r)
+	if f := t.lookup(idx); f != none {
+		p.touch(f)
+		p.stats.Hits++
+		return p.frames[f].page, nil
 	}
 	page, err := r.Page(idx)
 	if err != nil {
 		return nil, err
 	}
 	p.stats.Reads++
-	p.insert(id, page)
+	p.insert(t, idx, page)
 	return page, nil
 }
 
-// AppendPage writes a page to the tail of a relation (write-through: one
-// physical write), and caches it. The cached frame is a copy: callers
-// (pageWriter in particular) reuse the slice they pass in, and a frame
-// aliasing a reused buffer mutates in place — the corruption only
-// surfaces when the frame survives in the LRU until the page is re-read,
-// which is exactly what happens at low partition fan-outs.
+// AppendPage writes a page to the tail of the named relation
+// (write-through: one physical write), and caches it.
 func (p *Pool) AppendPage(rel string, page []storage.Tuple) error {
 	r, err := p.store.Get(rel)
 	if err != nil {
 		return err
 	}
+	return p.AppendRel(r, page)
+}
+
+// AppendRel is AppendPage for a caller that already holds the relation.
+// The cached frame is the relation's own stored copy of the page, never
+// the caller's slice: callers (pageWriter in particular) reuse the slice
+// they pass in, and a frame aliasing a reused buffer mutates in place — a
+// corruption that only surfaces when the frame survives in the LRU until
+// the page is re-read, which is exactly what happens at low partition
+// fan-outs. Stored pages are append-only, and Read aliases them already.
+func (p *Pool) AppendRel(r *storage.Relation, page []storage.Tuple) error {
 	if err := r.AppendPage(page); err != nil {
 		return err
 	}
 	p.stats.Writes++
-	p.insert(PageID{Rel: rel, Index: r.NumPages() - 1}, append([]storage.Tuple(nil), page...))
+	idx := r.NumPages() - 1
+	stored, err := r.Page(idx)
+	if err != nil {
+		return err
+	}
+	p.insert(p.table(r), idx, stored)
 	return nil
 }
 
-// Invalidate drops any cached pages of a relation (call when dropping
-// temporaries so stale frames cannot alias a reused name).
+// Invalidate drops any cached pages of a relation (call before dropping a
+// temporary, so its frames stop counting against the capacity and stop
+// holding its pages).
 func (p *Pool) Invalidate(rel string) {
-	for el := p.lru.Front(); el != nil; {
-		next := el.Next()
-		f := el.Value.(*frame)
-		if f.id.Rel == rel {
-			p.lru.Remove(el)
-			delete(p.frames, f.id)
+	var t *pageTable
+	if r, err := p.store.Get(rel); err == nil {
+		t = p.tables[r]
+	} else {
+		// Already dropped from the store: find it by name.
+		for _, c := range p.tables {
+			if c.rel.Name == rel {
+				t = c
+			}
 		}
-		el = next
+	}
+	if t == nil {
+		return
+	}
+	for _, f := range t.frame {
+		if f != none {
+			p.unlink(f)
+			p.frames[f] = frame{next: p.free}
+			p.free = f
+			p.resident--
+		}
+	}
+	delete(p.tables, t.rel)
+	if p.last == t {
+		p.last = nil
 	}
 }
 
-func (p *Pool) insert(id PageID, page []storage.Tuple) {
-	if el, ok := p.frames[id]; ok {
-		el.Value.(*frame).page = page
-		p.lru.MoveToFront(el)
+// table returns the relation's page table, creating it on first touch.
+func (p *Pool) table(r *storage.Relation) *pageTable {
+	if p.last != nil && p.last.rel == r {
+		return p.last
+	}
+	t := p.tables[r]
+	if t == nil {
+		t = &pageTable{rel: r}
+		p.tables[r] = t
+	}
+	p.last = t
+	return t
+}
+
+func (t *pageTable) lookup(idx int) int32 {
+	if uint(idx) < uint(len(t.frame)) {
+		return t.frame[idx]
+	}
+	return none
+}
+
+// insert caches a page as the most recent frame, evicting the least recent
+// one when the pool is full.
+func (p *Pool) insert(t *pageTable, idx int, page []storage.Tuple) {
+	if f := t.lookup(idx); f != none {
+		p.frames[f].page = page
+		p.touch(f)
 		return
 	}
-	for p.lru.Len() >= p.capacity {
-		oldest := p.lru.Back()
-		if oldest == nil {
-			break
-		}
-		f := oldest.Value.(*frame)
-		p.lru.Remove(oldest)
-		delete(p.frames, f.id)
+	var f int32
+	switch {
+	case p.resident >= p.capacity:
+		f = p.tail
+		p.unlink(f)
+		p.frames[f].tab.frame[p.frames[f].idx] = none
+	case p.free != none:
+		f = p.free
+		p.free = p.frames[f].next
+		p.resident++
+	default:
+		f = int32(len(p.frames))
+		p.frames = append(p.frames, frame{})
+		p.resident++
 	}
-	p.frames[id] = p.lru.PushFront(&frame{id: id, page: page})
+	p.frames[f] = frame{tab: t, idx: idx, page: page}
+	p.pushFront(f)
+	for len(t.frame) <= idx {
+		t.frame = append(t.frame, none)
+	}
+	t.frame[idx] = f
+}
+
+// touch moves a resident frame to the front of the LRU order.
+func (p *Pool) touch(f int32) {
+	if p.head != f {
+		p.unlink(f)
+		p.pushFront(f)
+	}
+}
+
+func (p *Pool) unlink(f int32) {
+	fr := &p.frames[f]
+	if fr.prev != none {
+		p.frames[fr.prev].next = fr.next
+	} else {
+		p.head = fr.next
+	}
+	if fr.next != none {
+		p.frames[fr.next].prev = fr.prev
+	} else {
+		p.tail = fr.prev
+	}
+}
+
+func (p *Pool) pushFront(f int32) {
+	fr := &p.frames[f]
+	fr.prev, fr.next = none, p.head
+	if p.head != none {
+		p.frames[p.head].prev = f
+	} else {
+		p.tail = f
+	}
+	p.head = f
 }
 
 // Cached reports whether a page is currently resident (testing hook).
 func (p *Pool) Cached(rel string, idx int) bool {
-	_, ok := p.frames[PageID{Rel: rel, Index: idx}]
-	return ok
+	r, err := p.store.Get(rel)
+	if err != nil {
+		return false
+	}
+	t := p.tables[r]
+	return t != nil && t.lookup(idx) != none
 }
 
 // Resident returns the number of cached pages.
-func (p *Pool) Resident() int { return p.lru.Len() }
+func (p *Pool) Resident() int { return p.resident }

@@ -1,7 +1,10 @@
 package buffer
 
 import (
+	"container/list"
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 
 	"lecopt/internal/storage"
@@ -191,5 +194,215 @@ func TestResetStats(t *testing.T) {
 	}
 	if st := p.Stats(); st.Hits != 1 {
 		t.Fatalf("cache should survive reset: %+v", st)
+	}
+}
+
+// refPool is the reference the pool is checked against: the textbook
+// container/list LRU keyed by (relation name, page).
+type refPool struct {
+	store    *storage.Store
+	capacity int
+	frames   map[refKey]*list.Element
+	lru      *list.List // front = most recent
+	stats    Stats
+}
+
+type refKey struct {
+	rel string
+	idx int
+}
+
+func (p *refPool) read(rel string, idx int) error {
+	if el, ok := p.frames[refKey{rel, idx}]; ok {
+		p.lru.MoveToFront(el)
+		p.stats.Hits++
+		return nil
+	}
+	r, err := p.store.Get(rel)
+	if err != nil {
+		return err
+	}
+	if _, err := r.Page(idx); err != nil {
+		return err
+	}
+	p.stats.Reads++
+	p.insert(refKey{rel, idx})
+	return nil
+}
+
+// appended books a page the pool under test has just written.
+func (p *refPool) appended(rel string, idx int) {
+	p.stats.Writes++
+	p.insert(refKey{rel, idx})
+}
+
+func (p *refPool) insert(k refKey) {
+	if el, ok := p.frames[k]; ok {
+		p.lru.MoveToFront(el)
+		return
+	}
+	if p.lru.Len() >= p.capacity {
+		delete(p.frames, p.lru.Remove(p.lru.Back()).(refKey))
+	}
+	p.frames[k] = p.lru.PushFront(k)
+}
+
+func (p *refPool) invalidate(rel string) {
+	for el := p.lru.Front(); el != nil; {
+		next := el.Next()
+		if k := el.Value.(refKey); k.rel == rel {
+			delete(p.frames, p.lru.Remove(el).(refKey))
+		}
+		el = next
+	}
+}
+
+// TestPoolMatchesListLRU drives the pool and the reference through the same
+// random Read/AppendPage/Invalidate sequence — several relations, some
+// growing, capacities from 1 up — and requires equal counters, equal
+// residency and equal page contents after every operation.
+func TestPoolMatchesListLRU(t *testing.T) {
+	for capacity := 1; capacity <= 9; capacity++ {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		s := storage.NewStore()
+		names := []string{"a", "b", "c", "d"}
+		for i, name := range names {
+			r, err := storage.NewRelation(name, []string{"k"}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 0; v < 2*(i+1)*3; v++ { // 3, 6, 9, 12 pages
+				if err := r.Append(storage.Tuple{int64(100*i + v)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := NewPool(s, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &refPool{store: s, capacity: capacity, frames: map[refKey]*list.Element{}, lru: list.New()}
+		for op := 0; op < 1500; op++ {
+			name := names[rng.Intn(len(names))]
+			rel, _ := s.Get(name)
+			switch x := rng.Intn(20); {
+			case x < 14: // read, occasionally out of range
+				idx := rng.Intn(rel.NumPages() + 1)
+				page, err := p.Read(name, idx)
+				if rerr := ref.read(name, idx); (err == nil) != (rerr == nil) {
+					t.Fatalf("cap %d op %d: Read(%s,%d) err %v, reference %v", capacity, op, name, idx, err, rerr)
+				}
+				if err == nil {
+					if want, _ := rel.Page(idx); len(page) != len(want) || &page[0] != &want[0] {
+						t.Fatalf("cap %d op %d: Read(%s,%d) is not the stored page", capacity, op, name, idx)
+					}
+				}
+			case x < 18:
+				if err := p.AppendPage(name, []storage.Tuple{{int64(op)}}); err != nil {
+					t.Fatal(err)
+				}
+				ref.appended(name, rel.NumPages()-1)
+			case x < 19:
+				p.Invalidate(name)
+				ref.invalidate(name)
+			default:
+				if err := p.AppendPage("absent", nil); err == nil {
+					t.Fatal("append to a missing relation succeeded")
+				}
+			}
+			if p.Stats() != ref.stats || p.Resident() != ref.lru.Len() {
+				t.Fatalf("cap %d op %d: stats %+v resident %d, reference %+v resident %d",
+					capacity, op, p.Stats(), p.Resident(), ref.stats, ref.lru.Len())
+			}
+			for _, n := range names {
+				r, _ := s.Get(n)
+				for idx := 0; idx < r.NumPages(); idx++ {
+					if _, want := ref.frames[refKey{n, idx}]; p.Cached(n, idx) != want {
+						t.Fatalf("cap %d op %d: Cached(%s,%d) = %v, reference %v", capacity, op, n, idx, !want, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAppendDoesNotAliasCallerBuffer: the PR 7 corruption. A writer appends
+// from a buffer it then reuses; the cached frame must keep the page as
+// written, not follow the buffer.
+func TestAppendDoesNotAliasCallerBuffer(t *testing.T) {
+	s, _ := setup(t, 1, 2)
+	tmp, err := s.NewTemp("t", []string{"k"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPool(s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []storage.Tuple{{1}, {2}}
+	if err := p.AppendRel(tmp, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0], buf[1] = storage.Tuple{7}, storage.Tuple{8}
+	if err := p.AppendRel(tmp, buf[:1]); err != nil {
+		t.Fatal(err)
+	}
+	page, err := p.ReadRel(tmp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Reads != 0 {
+		t.Fatalf("page 0 should still be cached: %+v", st)
+	}
+	if len(page) != 2 || page[0][0] != 1 || page[1][0] != 2 {
+		t.Fatalf("cached page followed the caller's buffer: %v", page)
+	}
+}
+
+// TestReadHitAllocatesNothing: a warm hit through the pointer path is pure
+// bookkeeping.
+func TestReadHitAllocatesNothing(t *testing.T) {
+	s, r := setup(t, 4, 2)
+	p, err := NewPool(s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := p.ReadRel(r, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := p.ReadRel(r, i%4); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("ReadRel hit allocates %v times", n)
+	}
+}
+
+// TestUnboundedCapacityCostsNothingUpFront: MaxInt32 is a legitimate
+// capacity (an infinite memory budget); frames must appear only as pages
+// arrive.
+func TestUnboundedCapacityCostsNothingUpFront(t *testing.T) {
+	s, r := setup(t, 3, 2)
+	p, err := NewPool(s, math.MaxInt32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < 3; i++ {
+			if _, err := p.ReadRel(r, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := p.Stats(); st.Reads != 3 || st.Hits != 3 || p.Resident() != 3 {
+		t.Fatalf("stats %+v resident %d", st, p.Resident())
 	}
 }

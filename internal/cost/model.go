@@ -81,7 +81,7 @@ func GraceFanOut(small, mem int) int {
 // a page.
 func GracePasses(s, m float64) (levels int, fallback bool) {
 	sp := pagesOf(s)
-	mem := memPages(m)
+	mem := MemPages(m)
 	for level := 0; ; level++ {
 		if level > graceLevelCap {
 			return levels, true
@@ -103,7 +103,7 @@ func JoinIOModel(model Model, method JoinMethod, outer, inner, mem float64) floa
 		if outer <= 0 || inner <= 0 {
 			return 0
 		}
-		return engineGraceIO(pagesOf(outer), pagesOf(inner), memPages(mem), 0)
+		return engineGraceIO(pagesOf(outer), pagesOf(inner), MemPages(mem), 0)
 	}
 	return JoinIO(method, outer, inner, mem)
 }
@@ -159,9 +159,12 @@ func pagesOf(v float64) int {
 	return int(math.Ceil(v))
 }
 
-// memPages converts a memory value to the engine's buffer-pool capacity:
-// whole frames only, floored at the 3-page minimum the executor enforces.
-func memPages(m float64) int {
+// MemPages converts a memory value to the engine's buffer-pool capacity:
+// whole frames only, floored at the 3-page minimum every operator needs,
+// with +Inf and anything past MaxInt32 meaning "unbounded" (MaxInt32). The
+// executor sizes its pools with this same function, so the model and the
+// engine cannot disagree about what a memory value buys.
+func MemPages(m float64) int {
 	if math.IsInf(m, 1) || m >= math.MaxInt32 {
 		return math.MaxInt32
 	}

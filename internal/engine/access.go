@@ -64,13 +64,15 @@ func (e *Engine) HeapScanFiltered(table string, pred *plan.ScanPred) (*storage.R
 		return nil, buffer.Stats{}, err
 	}
 	for p := 0; p < rel.NumPages(); p++ {
-		page, err := pool.Read(rel.Name, p)
+		page, err := pool.ReadRel(rel, p)
 		if err != nil {
+			e.store.Drop(out.Name)
 			return nil, pool.Stats(), err
 		}
 		for _, t := range page {
 			if match(t) {
 				if err := out.Append(t); err != nil {
+					e.store.Drop(out.Name)
 					return nil, pool.Stats(), err
 				}
 			}
@@ -118,7 +120,7 @@ func (e *Engine) IndexScan(name string, pred *plan.ScanPred) (*storage.Relation,
 		return nil, buffer.Stats{}, err
 	}
 	err = ix.WalkRange(pool.Read, lo, hi, func(_ int64, page, slot int) error {
-		data, err := pool.Read(rel.Name, page)
+		data, err := pool.ReadRel(rel, page)
 		if err != nil {
 			return err
 		}
@@ -129,6 +131,7 @@ func (e *Engine) IndexScan(name string, pred *plan.ScanPred) (*storage.Relation,
 		return nil
 	})
 	if err != nil {
+		e.store.Drop(out.Name)
 		return nil, pool.Stats(), err
 	}
 	return out, pool.Stats(), nil

@@ -13,9 +13,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lecopt/internal/buffer"
 	"lecopt/internal/cost"
@@ -78,6 +79,9 @@ func (e *Engine) JoinDetailed(spec JoinSpec, mem int) (*storage.Relation, buffer
 	if mem < 3 {
 		return nil, buffer.Stats{}, det, fmt.Errorf("%w: %d pages", ErrBadMemory, mem)
 	}
+	if !slices.Contains(cost.Methods, spec.Method) {
+		return nil, buffer.Stats{}, det, fmt.Errorf("%w: method %v", ErrBadSpec, spec.Method)
+	}
 	outer, err := e.store.Get(spec.Outer)
 	if err != nil {
 		return nil, buffer.Stats{}, det, err
@@ -111,10 +115,9 @@ func (e *Engine) JoinDetailed(spec JoinSpec, mem int) (*storage.Relation, buffer
 		err = e.pageNLJoin(pool, outer, inner, oc, ic, result)
 	case cost.BlockNL:
 		err = e.blockNLJoin(pool, outer, inner, oc, ic, result)
-	default:
-		err = fmt.Errorf("%w: method %v", ErrBadSpec, spec.Method)
 	}
 	if err != nil {
+		e.store.Drop(result.Name)
 		return nil, pool.Stats(), det, err
 	}
 	return result, pool.Stats(), det, nil
@@ -137,12 +140,10 @@ func (e *Engine) newResultRel(outer, inner *storage.Relation) (*storage.Relation
 	return e.store.NewTemp("join", cols, tpp)
 }
 
+// emit appends the output row o ++ i. Results bypass the pool: pipelined to
+// the consumer, uncharged.
 func emit(result *storage.Relation, o, i storage.Tuple) error {
-	t := make(storage.Tuple, 0, len(o)+len(i))
-	t = append(t, o...)
-	t = append(t, i...)
-	// Results bypass the pool: pipelined to the consumer, uncharged.
-	return result.Append(t)
+	return result.AppendConcat(o, i)
 }
 
 // --- nested loops ---------------------------------------------------------
@@ -153,76 +154,68 @@ func emit(result *storage.Relation, o, i storage.Tuple) error {
 //
 // The formula's cheap case keys on S = min(|A|,|B|): it assumes the
 // *smaller* side can be made resident. An outer smaller than the inner
-// with M ∈ [outer+2, inner+2) therefore takes the pinned path below — the
-// residency fix for the historical miscalibration where that window paid
-// a rescan product the model never charged (observed up to 9.35x
-// measured/model on the serving agreement corpus; size feedback cannot
-// help because both inputs are base tables with exact sizes). When
-// nothing fits, the plan's outer drives, so the expensive case realizes
-// the formula's |A| + |A|·|B| exactly. Output rows are in the outer's
-// order and keep (outer, inner) column orientation on both paths.
+// with M ∈ [outer+2, inner+2) therefore joins as one block — the outer is
+// read once (it fits the pool), the inner streams once, |A|+|B| physical
+// reads — the residency fix for the historical miscalibration where that
+// window paid a rescan product the model never charged (observed up to
+// 9.35x measured/model on the serving agreement corpus; size feedback
+// cannot help because both inputs are base tables with exact sizes). When
+// nothing fits, the plan's outer drives one page at a time, so the
+// expensive case realizes the formula's |A| + |A|·|B| exactly.
 func (e *Engine) pageNLJoin(pool *buffer.Pool, outer, inner *storage.Relation, oc, ic int, result *storage.Relation) error {
+	blockPages := 1
 	if outer.NumPages() < inner.NumPages() && outer.NumPages()+2 <= pool.Capacity() {
-		return e.pageNLJoinPinned(pool, outer, inner, oc, ic, result)
+		blockPages = outer.NumPages()
 	}
-	for op := 0; op < outer.NumPages(); op++ {
-		opage, err := pool.Read(outer.Name, op)
-		if err != nil {
+	return e.nlJoinBlocks(pool, outer, inner, oc, ic, result, blockPages)
+}
+
+// blockNLJoin reads blocks of M-2 outer pages, then scans the inner once
+// per block: |A| + ⌈|A|/(M-2)⌉·|B| by construction.
+func (e *Engine) blockNLJoin(pool *buffer.Pool, outer, inner *storage.Relation, oc, ic int, result *storage.Relation) error {
+	return e.nlJoinBlocks(pool, outer, inner, oc, ic, result, max(1, pool.Capacity()-2))
+}
+
+// nlJoinBlocks is the one nested-loop join: the outer is cut into blocks of
+// blockPages pages and the inner streams past each block once. Output rows
+// are in the outer's order and keep (outer, inner) column orientation. The
+// order matters for correctness, not just accounting: the optimizer's order
+// propagation says nested loops preserve the outer's order (dp.go
+// joinOutputOrder), and an index-ordered outer may be satisfying the
+// query's ORDER BY with no sort enforcer above.
+func (e *Engine) nlJoinBlocks(pool *buffer.Pool, outer, inner *storage.Relation, oc, ic int, result *storage.Relation, blockPages int) error {
+	for start := 0; start < outer.NumPages(); start += blockPages {
+		end := min(start+blockPages, outer.NumPages())
+		if err := e.nlJoinBlock(pool, outer, start, end, inner, oc, ic, result); err != nil {
 			return err
-		}
-		for ip := 0; ip < inner.NumPages(); ip++ {
-			ipage, err := pool.Read(inner.Name, ip)
-			if err != nil {
-				return err
-			}
-			for _, ot := range opage {
-				for _, it := range ipage {
-					if ot[oc] == it[ic] {
-						if err := emit(result, ot, it); err != nil {
-							return err
-						}
-					}
-				}
-			}
 		}
 	}
 	return nil
 }
 
-// pageNLJoinPinned realizes the cheap case with a small resident outer:
-// the outer is read once (it fits the pool by the caller's check), the
-// inner streams once — |A|+|B| physical reads — and matches are buffered
-// per outer tuple so the output keeps the *outer's* row order. The order
-// matters for correctness, not just accounting: the optimizer's order
-// propagation says nested loops preserve the outer's order (dp.go
-// joinOutputOrder), and an index-ordered outer may be satisfying the
-// query's ORDER BY with no sort enforcer above.
-func (e *Engine) pageNLJoinPinned(pool *buffer.Pool, outer, inner *storage.Relation, oc, ic int, result *storage.Relation) error {
-	var outerTuples []storage.Tuple
-	byKey := make(map[int64][]int)
-	for op := 0; op < outer.NumPages(); op++ {
-		opage, err := pool.Read(outer.Name, op)
-		if err != nil {
-			return err
-		}
-		for _, ot := range opage {
-			byKey[ot[oc]] = append(byKey[ot[oc]], len(outerTuples))
-			outerTuples = append(outerTuples, ot)
-		}
+// nlJoinBlock joins outer pages [start, end) with the whole inner: hash the
+// block, stream the inner once, and emit with matches buffered per outer
+// tuple — emitting per inner page would interleave the block's tuples and
+// lose the outer's row order.
+func (e *Engine) nlJoinBlock(pool *buffer.Pool, outer *storage.Relation, start, end int, inner *storage.Relation, oc, ic int, result *storage.Relation) error {
+	blockTuples, err := readTuples(pool, outer, start, end, nil)
+	if err != nil {
+		return err
 	}
-	matches := make([][]storage.Tuple, len(outerTuples))
+	byKey := indexByKey(blockTuples, oc)
+	matches := make([][]storage.Tuple, len(blockTuples))
 	for ip := 0; ip < inner.NumPages(); ip++ {
-		ipage, err := pool.Read(inner.Name, ip)
+		ipage, err := pool.ReadRel(inner, ip)
 		if err != nil {
 			return err
 		}
 		for _, it := range ipage {
-			for _, pos := range byKey[it[ic]] {
-				matches[pos] = append(matches[pos], it)
+			for p := byKey.first[it[ic]]; p != 0; p = byKey.next[p-1] {
+				matches[p-1] = append(matches[p-1], it)
 			}
 		}
 	}
-	for pos, ot := range outerTuples {
+	for pos, ot := range blockTuples {
 		for _, it := range matches[pos] {
 			if err := emit(result, ot, it); err != nil {
 				return err
@@ -232,101 +225,116 @@ func (e *Engine) pageNLJoinPinned(pool *buffer.Pool, outer, inner *storage.Relat
 	return nil
 }
 
-// blockNLJoin reads blocks of M-2 outer pages, then scans the inner once
-// per block: |A| + ⌈|A|/(M-2)⌉·|B| by construction. Matches are buffered
-// per outer tuple within each block so the output keeps the outer's row
-// order — the property the optimizer's order propagation assigns to
-// nested loops (dp.go joinOutputOrder), which an index-ordered outer may
-// be relying on to satisfy the query's ORDER BY without a sort.
-func (e *Engine) blockNLJoin(pool *buffer.Pool, outer, inner *storage.Relation, oc, ic int, result *storage.Relation) error {
-	blockPages := pool.Capacity() - 2
-	if blockPages < 1 {
-		blockPages = 1
+// readTuples reads pages [start, end) of rel through the pool and appends
+// their tuples, in storage order, to buf.
+func readTuples(pool *buffer.Pool, rel *storage.Relation, start, end int, buf []storage.Tuple) ([]storage.Tuple, error) {
+	buf = slices.Grow(buf, (end-start)*rel.TuplesPerPage)
+	for p := start; p < end; p++ {
+		page, err := pool.ReadRel(rel, p)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, page...)
 	}
-	for start := 0; start < outer.NumPages(); start += blockPages {
-		end := start + blockPages
-		if end > outer.NumPages() {
-			end = outer.NumPages()
-		}
-		// Build an in-memory hash table over the block, keeping the
-		// block's tuples in arrival order.
-		var blockTuples []storage.Tuple
-		byKey := make(map[int64][]int)
-		for op := start; op < end; op++ {
-			opage, err := pool.Read(outer.Name, op)
-			if err != nil {
-				return err
-			}
-			for _, ot := range opage {
-				byKey[ot[oc]] = append(byKey[ot[oc]], len(blockTuples))
-				blockTuples = append(blockTuples, ot)
-			}
-		}
-		matches := make([][]storage.Tuple, len(blockTuples))
-		for ip := 0; ip < inner.NumPages(); ip++ {
-			ipage, err := pool.Read(inner.Name, ip)
-			if err != nil {
-				return err
-			}
-			for _, it := range ipage {
-				for _, pos := range byKey[it[ic]] {
-					matches[pos] = append(matches[pos], it)
-				}
-			}
-		}
-		for pos, ot := range blockTuples {
-			for _, it := range matches[pos] {
-				if err := emit(result, ot, it); err != nil {
-					return err
-				}
-			}
-		}
+	return buf, nil
+}
+
+// keyIndex is an in-memory hash table over a slice of tuples: the positions
+// holding one key are chained in ascending order. Positions are stored
+// plus one, so a missing key reads as the end of a chain:
+//
+//	for p := ix.first[k]; p != 0; p = ix.next[p-1] { t := tuples[p-1] … }
+type keyIndex struct {
+	first map[int64]int32
+	next  []int32
+}
+
+func indexByKey(tuples []storage.Tuple, col int) keyIndex {
+	ix := keyIndex{first: make(map[int64]int32, len(tuples)), next: make([]int32, len(tuples))}
+	for i := len(tuples) - 1; i >= 0; i-- {
+		k := tuples[i][col]
+		ix.next[i] = ix.first[k]
+		ix.first[k] = int32(i + 1)
 	}
-	return nil
+	return ix
 }
 
 // --- external sort --------------------------------------------------------
 
 // makeRuns splits rel into sorted runs of up to mem pages, written through
-// the pool (charged). Returns the run relations.
+// the pool (charged). Returns the run relations — on error too, for the
+// caller's cleanup. One tuple buffer and one sorter serve every run.
 func (e *Engine) makeRuns(pool *buffer.Pool, rel *storage.Relation, col int) ([]*storage.Relation, error) {
 	var runs []*storage.Relation
+	var buf []storage.Tuple
+	var sorter runSorter
 	capPages := pool.Capacity()
 	for start := 0; start < rel.NumPages(); start += capPages {
-		end := start + capPages
-		if end > rel.NumPages() {
-			end = rel.NumPages()
+		var err error
+		if buf, err = readTuples(pool, rel, start, min(start+capPages, rel.NumPages()), buf[:0]); err != nil {
+			return runs, err
 		}
-		var buf []storage.Tuple
-		for p := start; p < end; p++ {
-			page, err := pool.Read(rel.Name, p)
-			if err != nil {
-				return nil, err
-			}
-			buf = append(buf, page...)
-		}
-		sort.SliceStable(buf, func(i, j int) bool { return buf[i][col] < buf[j][col] })
 		run, err := e.store.NewTemp("run", rel.Cols, rel.TuplesPerPage)
 		if err != nil {
-			return nil, err
-		}
-		if err := writePages(pool, run, buf); err != nil {
-			return nil, err
+			return runs, err
 		}
 		runs = append(runs, run)
+		if err := writePages(pool, run, sorter.sort(buf, col)); err != nil {
+			return runs, err
+		}
 	}
 	return runs, nil
+}
+
+// dropRuns discards spill relations (sorted runs, hash partitions) and
+// their cached frames.
+func (e *Engine) dropRuns(pool *buffer.Pool, runs []*storage.Relation) {
+	for _, r := range runs {
+		pool.Invalidate(r.Name)
+		e.store.Drop(r.Name)
+	}
+}
+
+// runSorter orders batches of tuples on one column, reusing its buffers
+// from batch to batch. It sorts (key, position) pairs and gathers: the
+// pairs are distinct, so any correct sort of them yields exactly the stable
+// order of the batch — without reflection and without moving tuple headers
+// during the sort.
+type runSorter struct {
+	keys []sortKey
+	out  []storage.Tuple
+}
+
+type sortKey struct {
+	key int64
+	pos int32
+}
+
+// sort returns the tuples of batch in stable order on col. The result
+// aliases the sorter's buffer and is valid until the next call.
+func (s *runSorter) sort(batch []storage.Tuple, col int) []storage.Tuple {
+	s.keys = slices.Grow(s.keys[:0], len(batch))
+	for i, t := range batch {
+		s.keys = append(s.keys, sortKey{key: t[col], pos: int32(i)})
+	}
+	slices.SortFunc(s.keys, func(a, b sortKey) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	s.out = slices.Grow(s.out[:0], len(batch))
+	for _, k := range s.keys {
+		s.out = append(s.out, batch[k.pos])
+	}
+	return s.out
 }
 
 // writePages flushes tuples into rel as full pages through the pool.
 func writePages(pool *buffer.Pool, rel *storage.Relation, tuples []storage.Tuple) error {
 	tpp := rel.TuplesPerPage
 	for start := 0; start < len(tuples); start += tpp {
-		end := start + tpp
-		if end > len(tuples) {
-			end = len(tuples)
-		}
-		if err := pool.AppendPage(rel.Name, tuples[start:end]); err != nil {
+		if err := pool.AppendRel(rel, tuples[start:min(start+tpp, len(tuples))]); err != nil {
 			return err
 		}
 	}
@@ -342,8 +350,13 @@ type runCursor struct {
 	cur  []storage.Tuple
 }
 
-func newRunCursor(pool *buffer.Pool, rel *storage.Relation) *runCursor {
-	return &runCursor{pool: pool, rel: rel}
+// newRunCursors opens one cursor per run.
+func newRunCursors(pool *buffer.Pool, runs []*storage.Relation) []runCursor {
+	cursors := make([]runCursor, len(runs))
+	for i, r := range runs {
+		cursors[i] = runCursor{pool: pool, rel: r}
+	}
+	return cursors
 }
 
 // peek returns the current tuple without advancing, or nil at EOF.
@@ -352,7 +365,7 @@ func (c *runCursor) peek() (storage.Tuple, error) {
 		if c.page >= c.rel.NumPages() {
 			return nil, nil
 		}
-		page, err := c.pool.Read(c.rel.Name, c.page)
+		page, err := c.pool.ReadRel(c.rel, c.page)
 		if err != nil {
 			return nil, err
 		}
@@ -377,37 +390,29 @@ func (c *runCursor) next() (storage.Tuple, error) {
 // gap (merging k runs reduces the count by k-1), so memory increases can
 // never increase total merge I/O. Intermediate merged runs are written
 // through the pool (charged). The shortest runs merge first, the classic
-// polyphase-style policy that minimizes pages rewritten.
+// polyphase-style policy that minimizes pages rewritten. The returned runs
+// are every spill relation still alive, on error too, so the caller's
+// cleanup covers them.
 func (e *Engine) mergeRuns(pool *buffer.Pool, runs []*storage.Relation, col int, maxRuns int) ([]*storage.Relation, error) {
-	fanIn := pool.Capacity() - 1
-	if fanIn < 2 {
-		fanIn = 2
-	}
-	if maxRuns < 1 {
-		maxRuns = 1
-	}
+	fanIn := max(2, pool.Capacity()-1)
+	maxRuns = max(1, maxRuns)
 	for len(runs) > maxRuns {
-		k := len(runs) - maxRuns + 1
-		if k > fanIn {
-			k = fanIn
-		}
+		k := min(len(runs)-maxRuns+1, fanIn)
 		sortRunsByPages(runs)
 		group := runs[:k]
 		merged, err := e.store.NewTemp("merge", group[0].Cols, group[0].TuplesPerPage)
 		if err != nil {
-			return nil, err
+			return runs, err
 		}
 		w := &pageWriter{pool: pool, rel: merged}
-		if err := e.mergeInto(pool, group, col, w.add); err != nil {
-			return nil, err
+		err = e.mergeInto(pool, group, col, w.add)
+		if err == nil {
+			err = w.flush()
 		}
-		if err := w.flush(); err != nil {
-			return nil, err
+		if err != nil {
+			return append(runs, merged), err
 		}
-		for _, g := range group {
-			pool.Invalidate(g.Name)
-			e.store.Drop(g.Name)
-		}
+		e.dropRuns(pool, group)
 		runs = append(runs[k:], merged)
 	}
 	return runs, nil
@@ -443,22 +448,19 @@ func (w *pageWriter) flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	err := w.pool.AppendPage(w.rel.Name, w.buf)
+	err := w.pool.AppendRel(w.rel, w.buf)
 	w.buf = w.buf[:0]
 	return err
 }
 
 // mergeInto k-way merges the runs on col, invoking out per tuple in order.
 func (e *Engine) mergeInto(pool *buffer.Pool, runs []*storage.Relation, col int, out func(storage.Tuple) error) error {
-	cursors := make([]*runCursor, len(runs))
-	for i, r := range runs {
-		cursors[i] = newRunCursor(pool, r)
-	}
+	cursors := newRunCursors(pool, runs)
 	for {
 		bestIdx := -1
 		var bestTuple storage.Tuple
-		for i, c := range cursors {
-			t, err := c.peek()
+		for i := range cursors {
+			t, err := cursors[i].peek()
 			if err != nil {
 				return err
 			}
@@ -504,30 +506,29 @@ func (e *Engine) SortRelation(name, col string, mem int) (*storage.Relation, buf
 	if err != nil {
 		return nil, buffer.Stats{}, err
 	}
-	runs, err := e.makeRuns(pool, rel, ci)
-	if err != nil {
+	if err := e.sortInto(pool, rel, ci, out); err != nil {
+		e.store.Drop(out.Name)
 		return nil, pool.Stats(), err
-	}
-	fanIn := mem - 1
-	if fanIn < 2 {
-		fanIn = 2
-	}
-	runs, err = e.mergeRuns(pool, runs, ci, fanIn)
-	if err != nil {
-		return nil, pool.Stats(), err
-	}
-	// Final merge pipelines into the materialized output (uncharged).
-	err = e.mergeInto(pool, runs, ci, func(t storage.Tuple) error {
-		return out.Append(t)
-	})
-	if err != nil {
-		return nil, pool.Stats(), err
-	}
-	for _, r := range runs {
-		pool.Invalidate(r.Name)
-		e.store.Drop(r.Name)
 	}
 	return out, pool.Stats(), nil
+}
+
+// sortInto runs the external sort of rel on column ci into out, dropping
+// every run it spilled whether or not it succeeds.
+func (e *Engine) sortInto(pool *buffer.Pool, rel *storage.Relation, ci int, out *storage.Relation) error {
+	var runs []*storage.Relation
+	defer func() { e.dropRuns(pool, runs) }()
+	var err error
+	if runs, err = e.makeRuns(pool, rel, ci); err != nil {
+		return err
+	}
+	if runs, err = e.mergeRuns(pool, runs, ci, max(2, pool.Capacity()-1)); err != nil {
+		return err
+	}
+	// Final merge pipelines into the materialized output (uncharged).
+	return e.mergeInto(pool, runs, ci, func(t storage.Tuple) error {
+		return out.Append(t)
+	})
 }
 
 // Scan reads a relation fully through a fresh pool, returning the tuple
@@ -543,7 +544,7 @@ func (e *Engine) Scan(name string, mem int) (int, buffer.Stats, error) {
 	}
 	n := 0
 	for p := 0; p < rel.NumPages(); p++ {
-		page, err := pool.Read(name, p)
+		page, err := pool.ReadRel(rel, p)
 		if err != nil {
 			return 0, pool.Stats(), err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lecopt/internal/cost"
+	"lecopt/internal/plan"
 	"lecopt/internal/storage"
 )
 
@@ -426,4 +427,62 @@ func TestGraceHashRecursiveSplit(t *testing.T) {
 		t.Fatalf("recursive grace hash I/O %d is %.1fx the analytic %g: bucket splitting is broken again",
 			st.IO(), ratio, model)
 	}
+}
+
+// TestErrorPathsLeaveNoTemps: a typed error must not leave the result
+// relation, sorted runs or hash partitions behind in the store. The
+// mid-operator failures are provoked by widening B's schema after load, so
+// the first page of B's tuples written to a spill relation (or the first
+// joined row) fails its width check — after the other input's runs or
+// partitions already exist.
+func TestErrorPathsLeaveNoTemps(t *testing.T) {
+	e := loadPair(t, 31, 12, 9, 6, 20)
+	names := func() int { return len(e.Store().Names()) }
+	base := names()
+	spec := JoinSpec{Method: cost.JoinMethod(99), Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}
+	if _, _, _, err := e.JoinDetailed(spec, 8); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("unknown method: err = %v, want ErrBadSpec", err)
+	}
+	if names() != base {
+		t.Fatalf("unknown method leaked: %v", e.Store().Names())
+	}
+	b, err := e.Store().Get("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Cols = append(b.Cols, "ghost")
+	for _, m := range cost.Methods {
+		for _, orient := range [][2]string{{"A", "B"}, {"B", "A"}} {
+			for _, mem := range []int{3, 5, 40} {
+				spec := JoinSpec{Method: m, Outer: orient[0], Inner: orient[1], OuterCol: "k", InnerCol: "k"}
+				if _, _, _, err := e.JoinDetailed(spec, mem); !errors.Is(err, storage.ErrBadSchema) {
+					t.Fatalf("%v %s⋈%s mem %d: err = %v, want ErrBadSchema", m, orient[0], orient[1], mem, err)
+				}
+				if names() != base {
+					t.Fatalf("%v %s⋈%s mem %d leaked: %v", m, orient[0], orient[1], mem, e.Store().Names())
+				}
+			}
+		}
+	}
+	for _, mem := range []int{3, 5} {
+		if _, _, err := e.SortRelation("B", "k", mem); !errors.Is(err, storage.ErrBadSchema) {
+			t.Fatalf("sort mem %d: err = %v, want ErrBadSchema", mem, err)
+		}
+		if names() != base {
+			t.Fatalf("sort mem %d leaked: %v", mem, e.Store().Names())
+		}
+	}
+	if _, err := e.ExecutePlan(sortedPairPlan(cost.SortMerge), []float64{4}); !errors.Is(err, storage.ErrBadSchema) {
+		t.Fatalf("plan: err = %v, want ErrBadSchema", err)
+	}
+	if names() != base {
+		t.Fatalf("plan leaked: %v", e.Store().Names())
+	}
+}
+
+// sortedPairPlan is the two-table plan sort(A ⋈ B).
+func sortedPairPlan(m cost.JoinMethod) *plan.Node {
+	a := plan.NewScan("A", plan.AccessHeap, "", 1, 12)
+	b := plan.NewScan("B", plan.AccessHeap, "", 1, 9)
+	return plan.NewSort(plan.NewJoin(m, a, b, 10, plan.Order{}), plan.Order{Table: "A", Column: "k"})
 }

@@ -3,7 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"lecopt/internal/buffer"
 	"lecopt/internal/cost"
@@ -27,8 +27,9 @@ type ExecResult struct {
 	PhaseIO []int64
 	// PhaseMem records the effective memory budget each phase ran with —
 	// the sampled memSeq value exactly as the executor consumed it
-	// (truncated to whole pages and floored at the 3-page operator
-	// minimum), one entry per phase, parallel to PhaseIO. Feeding
+	// (cost.MemPages: truncated to whole pages, floored at the 3-page
+	// operator minimum, unbounded = MaxInt32), one entry per phase,
+	// parallel to PhaseIO. Feeding
 	// PhaseMem[i] into plan.CostPhases / optimizer.Result.PhaseECAt
 	// conditions the analytic model on the memory trajectory this
 	// execution actually saw, isolating formula error from law error.
@@ -87,21 +88,24 @@ func (e *Engine) executePlan(p *plan.Node, memSeq []float64, joinCol string) (Ex
 	if len(memSeq) < phases {
 		return ExecResult{}, fmt.Errorf("%w: %d < %d", ErrShortMems, len(memSeq), phases)
 	}
+	// One conversion for every operator of the plan, done before any temp
+	// exists: a NaN budget is the caller's bug, not a 3-page run.
+	mem := make([]int, phases)
+	phaseMem := make([]float64, phases)
+	for i, m := range memSeq[:phases] {
+		if math.IsNaN(m) {
+			return ExecResult{}, fmt.Errorf("%w: phase %d is NaN", ErrBadMemory, i)
+		}
+		mem[i] = cost.MemPages(m)
+		phaseMem[i] = float64(mem[i])
+	}
 	ex := &executor{
-		eng: e, memSeq: memSeq, joinCol: joinCol,
+		eng: e, mem: mem, joinCol: joinCol,
 		phaseIO: make([]int64, phases), joinSizes: make(map[string]float64),
 	}
 	rel, err := ex.run(p)
 	if err != nil {
 		return ExecResult{}, err
-	}
-	phaseMem := make([]float64, phases)
-	for i := range phaseMem {
-		m := int(memSeq[i])
-		if m < 3 {
-			m = 3
-		}
-		phaseMem[i] = float64(m)
 	}
 	return ExecResult{
 		Output: rel, Stats: ex.total, PhaseIO: ex.phaseIO, PhaseMem: phaseMem,
@@ -113,7 +117,7 @@ func (e *Engine) executePlan(p *plan.Node, memSeq []float64, joinCol string) (Ex
 
 type executor struct {
 	eng       *Engine
-	memSeq    []float64
+	mem       []int // pool capacity per phase
 	joinCol   string
 	total     buffer.Stats
 	phaseIO   []int64
@@ -188,10 +192,7 @@ func (ex *executor) eval(n *plan.Node) (*storage.Relation, []string, error) {
 		if k := len(tables); k >= 2 {
 			phase = k - 2
 		}
-		mem := int(ex.memSeq[phase])
-		if mem < 3 {
-			mem = 3
-		}
+		mem := ex.mem[phase]
 		// In-memory sorts are free in the model; still read the input if
 		// it's an unmaterialized base table (materialized inputs — join
 		// outputs and filtered/index scan temps — were already charged).
@@ -220,11 +221,7 @@ func (ex *executor) eval(n *plan.Node) (*storage.Relation, []string, error) {
 		}
 		tables := append(append([]string(nil), lt...), rt...)
 		phase := len(tables) - 2
-		mem := int(ex.memSeq[phase])
-		if mem < 3 {
-			mem = 3
-		}
-		out, st, err := ex.joinRels(n.Method, left, right, mem)
+		out, st, err := ex.joinRels(n.Method, left, right, ex.mem[phase])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -316,16 +313,13 @@ func (ex *executor) materializeSorted(rel *storage.Relation) (*storage.Relation,
 		return nil, err
 	}
 	ex.temps = append(ex.temps, out.Name)
-	all := rel.AllTuples()
 	ci, err := rel.ColIndex(ex.colFor(rel))
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i][ci] < all[j][ci] })
-	for _, t := range all {
-		if err := out.Append(t); err != nil {
-			return nil, err
-		}
+	var sorter runSorter
+	if err := out.Append(sorter.sort(rel.AllTuples(), ci)...); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -242,5 +243,61 @@ func TestExecutePlanJoinSizes(t *testing.T) {
 	defer e.Store().Drop(res2.Output.Name)
 	if got := res2.JoinSizes[feedback.SetKey("A", "B", "C")]; got != abc {
 		t.Fatalf("join order changed the observed size: %v vs %v", got, abc)
+	}
+}
+
+// TestExecutePlanUnboundedMemory: an infinite (or absurdly large) budget is
+// the model's MaxInt32 pages, not int(+Inf) wrapped negative and floored to
+// the 3-page minimum — engine and cost.MemPages must agree on what a memory
+// value buys, and PhaseMem must report what the operators actually got.
+func TestExecutePlanUnboundedMemory(t *testing.T) {
+	p := triplePlan(cost.SortMerge, cost.GraceHash, true)
+	run := func(mem float64) ExecResult {
+		t.Helper()
+		e := loadTriple(t, 21, 12, 8, 6, 25)
+		res, err := e.ExecutePlan(p, []float64{mem, mem})
+		if err != nil {
+			t.Fatalf("mem %v: %v", mem, err)
+		}
+		return res
+	}
+	ample, floor := run(1e6), run(3)
+	if ample.Stats.IO() >= floor.Stats.IO() {
+		t.Fatalf("test needs memory to matter: %d vs %d I/Os", ample.Stats.IO(), floor.Stats.IO())
+	}
+	for _, mem := range []float64{math.Inf(1), 1e30, math.MaxInt32, math.MaxInt32 + 1} {
+		res := run(mem)
+		if res.Stats != ample.Stats {
+			t.Errorf("mem %v: %+v, an ample budget pays %+v (the 3-page floor pays %+v)", mem, res.Stats, ample.Stats, floor.Stats)
+		}
+		if cost.MemPages(mem) != math.MaxInt32 {
+			t.Errorf("mem %v: the model converts it to %d pages", mem, cost.MemPages(mem))
+		}
+		for i, m := range res.PhaseMem {
+			if m != math.MaxInt32 {
+				t.Errorf("mem %v: PhaseMem[%d] = %v, want MaxInt32", mem, i, m)
+			}
+		}
+	}
+	if got := run(2.5).PhaseMem[0]; got != 3 {
+		t.Errorf("PhaseMem below the floor = %v, want 3", got)
+	}
+	if got := run(7.9).PhaseMem[1]; got != 7 {
+		t.Errorf("PhaseMem truncates to whole pages: %v, want 7", got)
+	}
+}
+
+// TestExecutePlanNaNMemory: NaN is rejected with a typed error before any
+// temporary exists, in any phase.
+func TestExecutePlanNaNMemory(t *testing.T) {
+	e := loadTriple(t, 22, 12, 8, 6, 25)
+	before := e.Store().Names()
+	for _, mem := range [][]float64{{math.NaN(), 10}, {10, math.NaN()}} {
+		if _, err := e.ExecutePlan(triplePlan(cost.SortMerge, cost.PageNL, true), mem); !errors.Is(err, ErrBadMemory) {
+			t.Fatalf("mem %v: err = %v, want ErrBadMemory", mem, err)
+		}
+		if after := e.Store().Names(); len(after) != len(before) {
+			t.Fatalf("mem %v: temps created before the check: %v", mem, after)
+		}
 	}
 }

@@ -203,7 +203,7 @@ func TestGraceFanOutSharedWithEngine(t *testing.T) {
 				continue
 			}
 			f := cost.GraceFanOut(s, m)
-			if f < 2 || f > maxInt(2, m-1) {
+			if f < 2 || f > max(2, m-1) {
 				t.Fatalf("GraceFanOut(%d, %d) = %d outside [2, max(2, m-1)]", s, m, f)
 			}
 			next := (s + f - 1) / f

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"hash/fnv"
-
 	"lecopt/internal/buffer"
 	"lecopt/internal/cost"
 	"lecopt/internal/storage"
@@ -14,39 +12,33 @@ import (
 // fits; otherwise pre-merge the larger side first. Equal-key groups are
 // buffered in memory to produce the full many-to-many cross product.
 func (e *Engine) sortMergeJoin(pool *buffer.Pool, outer, inner *storage.Relation, oc, ic int, result *storage.Relation) error {
-	oRuns, err := e.makeRuns(pool, outer, oc)
-	if err != nil {
+	var oRuns, iRuns []*storage.Relation
+	defer func() {
+		e.dropRuns(pool, oRuns)
+		e.dropRuns(pool, iRuns)
+	}()
+	var err error
+	if oRuns, err = e.makeRuns(pool, outer, oc); err != nil {
 		return err
 	}
-	iRuns, err := e.makeRuns(pool, inner, ic)
-	if err != nil {
+	if iRuns, err = e.makeRuns(pool, inner, ic); err != nil {
 		return err
 	}
 	// Pre-merge until both run sets fit the merge fan-in together.
-	fanIn := pool.Capacity() - 1
-	if fanIn < 2 {
-		fanIn = 2
-	}
+	fanIn := max(2, pool.Capacity()-1)
 	for len(oRuns)+len(iRuns) > fanIn {
 		// Merge the side with more runs down to whatever share of the
 		// fan-in the other side leaves free (at least one run), so each
 		// pass strictly reduces the total until it fits.
 		if len(oRuns) >= len(iRuns) {
-			oRuns, err = e.mergeRuns(pool, oRuns, oc, maxInt(1, fanIn-len(iRuns)))
+			oRuns, err = e.mergeRuns(pool, oRuns, oc, max(1, fanIn-len(iRuns)))
 		} else {
-			iRuns, err = e.mergeRuns(pool, iRuns, ic, maxInt(1, fanIn-len(oRuns)))
+			iRuns, err = e.mergeRuns(pool, iRuns, ic, max(1, fanIn-len(oRuns)))
 		}
 		if err != nil {
 			return err
 		}
 	}
-	defer func() {
-		for _, r := range append(oRuns, iRuns...) {
-			pool.Invalidate(r.Name)
-			e.store.Drop(r.Name)
-		}
-	}()
-
 	og := newGroupCursor(pool, oRuns, oc)
 	ig := newGroupCursor(pool, iRuns, ic)
 	oKey, oGroup, err := og.nextGroup()
@@ -87,25 +79,23 @@ func (e *Engine) sortMergeJoin(pool *buffer.Pool, outer, inner *storage.Relation
 // groupCursor yields runs of equal keys from a k-way merge over sorted
 // runs.
 type groupCursor struct {
-	cursors []*runCursor
+	cursors []runCursor
 	col     int
+	group   []storage.Tuple // reused from one nextGroup call to the next
 }
 
 func newGroupCursor(pool *buffer.Pool, runs []*storage.Relation, col int) *groupCursor {
-	g := &groupCursor{col: col}
-	for _, r := range runs {
-		g.cursors = append(g.cursors, newRunCursor(pool, r))
-	}
-	return g
+	return &groupCursor{cursors: newRunCursors(pool, runs), col: col}
 }
 
 // nextGroup returns the smallest remaining key and every tuple carrying
-// it, or (0, nil) at EOF.
+// it, or (0, nil) at EOF. The group aliases the cursor's buffer and is
+// valid until this cursor's next call.
 func (g *groupCursor) nextGroup() (int64, []storage.Tuple, error) {
 	minSet := false
 	var minKey int64
-	for _, c := range g.cursors {
-		t, err := c.peek()
+	for i := range g.cursors {
+		t, err := g.cursors[i].peek()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -119,8 +109,9 @@ func (g *groupCursor) nextGroup() (int64, []storage.Tuple, error) {
 	if !minSet {
 		return 0, nil, nil
 	}
-	var group []storage.Tuple
-	for _, c := range g.cursors {
+	g.group = g.group[:0]
+	for i := range g.cursors {
+		c := &g.cursors[i]
 		for {
 			t, err := c.peek()
 			if err != nil {
@@ -132,10 +123,10 @@ func (g *groupCursor) nextGroup() (int64, []storage.Tuple, error) {
 			if _, err := c.next(); err != nil {
 				return 0, nil, err
 			}
-			group = append(group, t)
+			g.group = append(g.group, t)
 		}
 	}
-	return minKey, group, nil
+	return minKey, g.group, nil
 }
 
 // graceHashJoin partitions both inputs by a level-salted hash of the join
@@ -173,20 +164,18 @@ func (e *Engine) graceHashJoin(pool *buffer.Pool, outer, inner *storage.Relation
 	if level+1 > det.GraceLevels {
 		det.GraceLevels = level + 1
 	}
-	oParts, err := e.partition(pool, outer, oc, fanOut, level)
-	if err != nil {
-		return err
-	}
-	iParts, err := e.partition(pool, inner, ic, fanOut, level)
-	if err != nil {
-		return err
-	}
+	var oParts, iParts []*storage.Relation
 	defer func() {
-		for _, p := range append(oParts, iParts...) {
-			pool.Invalidate(p.Name)
-			e.store.Drop(p.Name)
-		}
+		e.dropRuns(pool, oParts)
+		e.dropRuns(pool, iParts)
 	}()
+	var err error
+	if oParts, err = e.partition(pool, outer, oc, fanOut, level); err != nil {
+		return err
+	}
+	if iParts, err = e.partition(pool, inner, ic, fanOut, level); err != nil {
+		return err
+	}
 	for i := range oParts {
 		if oParts[i].NumPages() == 0 || iParts[i].NumPages() == 0 {
 			continue
@@ -208,23 +197,19 @@ func (e *Engine) inMemHashJoin(pool *buffer.Pool, outer, inner *storage.Relation
 		build, probe = inner, outer
 		bc, pc = ic, oc
 	}
-	table := make(map[int64][]storage.Tuple)
-	for p := 0; p < build.NumPages(); p++ {
-		page, err := pool.Read(build.Name, p)
-		if err != nil {
-			return err
-		}
-		for _, t := range page {
-			table[t[bc]] = append(table[t[bc]], t)
-		}
+	buildTuples, err := readTuples(pool, build, 0, build.NumPages(), nil)
+	if err != nil {
+		return err
 	}
+	table := indexByKey(buildTuples, bc)
 	for p := 0; p < probe.NumPages(); p++ {
-		page, err := pool.Read(probe.Name, p)
+		page, err := pool.ReadRel(probe, p)
 		if err != nil {
 			return err
 		}
 		for _, pt := range page {
-			for _, bt := range table[pt[pc]] {
+			for b := table.first[pt[pc]]; b != 0; b = table.next[b-1] {
+				bt := buildTuples[b-1]
 				var err error
 				if buildOuter {
 					err = emit(result, bt, pt)
@@ -242,32 +227,36 @@ func (e *Engine) inMemHashJoin(pool *buffer.Pool, outer, inner *storage.Relation
 
 // partition hashes rel into fanOut temp partitions (salted by level so
 // recursive levels re-split), writing partition pages through the pool.
+// The partitions created so far are returned on error too, for the
+// caller's cleanup.
 func (e *Engine) partition(pool *buffer.Pool, rel *storage.Relation, col, fanOut, level int) ([]*storage.Relation, error) {
-	parts := make([]*storage.Relation, fanOut)
-	writers := make([]*pageWriter, fanOut)
-	for i := range parts {
-		p, err := e.store.NewTemp("part", rel.Cols, rel.TuplesPerPage)
+	parts := make([]*storage.Relation, 0, fanOut)
+	writers := make([]pageWriter, fanOut)
+	tpp := rel.TuplesPerPage
+	bufs := make([]storage.Tuple, fanOut*tpp) // one page buffer per writer
+	for i := range writers {
+		p, err := e.store.NewTemp("part", rel.Cols, tpp)
 		if err != nil {
-			return nil, err
+			return parts, err
 		}
-		parts[i] = p
-		writers[i] = &pageWriter{pool: pool, rel: p}
+		parts = append(parts, p)
+		writers[i] = pageWriter{pool: pool, rel: p, buf: bufs[i*tpp : i*tpp : (i+1)*tpp]}
 	}
 	for pg := 0; pg < rel.NumPages(); pg++ {
-		page, err := pool.Read(rel.Name, pg)
+		page, err := pool.ReadRel(rel, pg)
 		if err != nil {
-			return nil, err
+			return parts, err
 		}
 		for _, t := range page {
 			idx := hashKey(t[col], level) % uint64(fanOut)
 			if err := writers[idx].add(t); err != nil {
-				return nil, err
+				return parts, err
 			}
 		}
 	}
-	for _, w := range writers {
-		if err := w.flush(); err != nil {
-			return nil, err
+	for i := range writers {
+		if err := writers[i].flush(); err != nil {
+			return parts, err
 		}
 	}
 	return parts, nil
@@ -282,28 +271,24 @@ func (e *Engine) partition(pool *buffer.Pool, rel *storage.Relation, col, fanOut
 // fallback ran at 3-page memory. The murmur3 finalizer avalanches the
 // salt through all 64 bits so each level's bucket assignment is
 // independent of the previous level's.
+//
+// The FNV-1a sum is computed inline (salt byte, then the key's eight bytes
+// low-first) rather than through hash/fnv, which would allocate a hasher
+// per partitioned tuple.
 func hashKey(k int64, level int) uint64 {
-	h := fnv.New64a()
-	var b [9]byte
-	b[0] = byte(level)
-	v := uint64(k)
-	for i := 0; i < 8; i++ {
-		b[i+1] = byte(v >> (8 * i))
+	const (
+		fnvOffset = 14695981039346656037
+		fnvPrime  = 1099511628211
+	)
+	x := (uint64(fnvOffset) ^ uint64(byte(level))) * fnvPrime
+	for v, i := uint64(k), 0; i < 8; i++ {
+		x = (x ^ (v & 0xff)) * fnvPrime
+		v >>= 8
 	}
-	//leclint:allow errdrop -- hash.Hash.Write never returns an error per its contract
-	_, _ = h.Write(b[:])
-	x := h.Sum64()
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -35,6 +35,11 @@ type Relation struct {
 	Cols          []string
 	TuplesPerPage int
 	pages         [][]Tuple
+	// slab backs the rows AppendConcat builds: one allocation per page of
+	// rows. It is only ever extended or replaced, never rewritten, so rows
+	// already handed out stay valid for as long as anything references
+	// them.
+	slab []int64
 }
 
 // NewRelation builds an empty relation.
@@ -89,13 +94,37 @@ func (r *Relation) Append(tuples ...Tuple) error {
 		if len(t) != len(r.Cols) {
 			return fmt.Errorf("%w: tuple width %d vs %d columns", ErrBadSchema, len(t), len(r.Cols))
 		}
-		if n := len(r.pages); n == 0 || len(r.pages[n-1]) >= r.TuplesPerPage {
-			r.pages = append(r.pages, make([]Tuple, 0, r.TuplesPerPage))
-		}
-		last := len(r.pages) - 1
-		r.pages[last] = append(r.pages[last], t)
+		r.appendRow(t)
 	}
 	return nil
+}
+
+// AppendConcat appends the row o ++ i — a join's output row — building it
+// in the relation's slab instead of a fresh allocation per row. Each row is
+// a full-slice expression of the slab, so appending to one can never write
+// into its neighbour.
+func (r *Relation) AppendConcat(o, i Tuple) error {
+	w := len(o) + len(i)
+	if w != len(r.Cols) {
+		return fmt.Errorf("%w: tuple width %d vs %d columns", ErrBadSchema, w, len(r.Cols))
+	}
+	if len(r.slab)+w > cap(r.slab) {
+		r.slab = make([]int64, 0, w*r.TuplesPerPage)
+	}
+	n := len(r.slab)
+	r.slab = append(append(r.slab, o...), i...)
+	r.appendRow(r.slab[n : n+w : n+w])
+	return nil
+}
+
+// appendRow adds one width-checked row, opening a new page when the last is
+// full.
+func (r *Relation) appendRow(t Tuple) {
+	if n := len(r.pages); n == 0 || len(r.pages[n-1]) >= r.TuplesPerPage {
+		r.pages = append(r.pages, make([]Tuple, 0, r.TuplesPerPage))
+	}
+	last := len(r.pages) - 1
+	r.pages[last] = append(r.pages[last], t)
 }
 
 // AppendPage adds a pre-built page verbatim (used when spilling runs).

@@ -178,3 +178,32 @@ func TestGenerateSorted(t *testing.T) {
 		t.Fatal("tuple count changed")
 	}
 }
+
+// TestAppendConcat: slab-built rows page exactly as Append's do, reject a
+// wrong width, and cannot grow into their neighbour.
+func TestAppendConcat(t *testing.T) {
+	slab, _ := NewRelation("slab", []string{"a", "b", "c"}, 2)
+	plain, _ := NewRelation("plain", []string{"a", "b", "c"}, 2)
+	for i := int64(0); i < 5; i++ {
+		o, in := Tuple{i, 10 + i}, Tuple{20 + i}
+		if err := slab.AppendConcat(o, in); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Append(Tuple{i, 10 + i, 20 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := slab.AppendConcat(Tuple{1}, Tuple{2}); !errors.Is(err, ErrBadSchema) {
+		t.Fatalf("width 2 into 3 columns: err = %v", err)
+	}
+	if slab.NumPages() != plain.NumPages() {
+		t.Fatalf("pages %d vs %d", slab.NumPages(), plain.NumPages())
+	}
+	got, want := slab.AllTuples(), plain.AllTuples()
+	_ = append(got[0], 99) // must reallocate, not write into row 1
+	for i := range want {
+		if len(got[i]) != 3 || got[i][0] != want[i][0] || got[i][1] != want[i][1] || got[i][2] != want[i][2] {
+			t.Fatalf("row %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
