@@ -114,7 +114,8 @@ func TestWarmSQLZeroAllocs(t *testing.T) {
 // stays pooled (LSC, C, C-dynamic: tables, join nodes, candidate buffers)
 // and that no score tie-break builds a signature string; B and D still
 // build their join nodes on the heap, which is what their larger budgets
-// price.
+// price — D's without a result-size law for any candidate the score check
+// discards.
 func TestMissPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -134,15 +135,15 @@ func TestMissPathAllocBudget(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		budget float64 // ≈ 1.25 × measured; measured (and the figure before ISSUE 20) alongside
+		budget float64 // ≈ 1.25 × measured; measured (and the figures before ISSUE 22 and before ISSUE 20) alongside
 		shape  func(*Request)
 	}{
-		{"LSC", 85, func(r *Request) { r.Alg = AlgLSCMode }},                      // 66 (292)
-		{"A", 150, func(r *Request) { r.Alg = AlgA }},                             // 117 (992)
-		{"B", 3050, func(r *Request) { r.Alg = AlgB }},                            // 2 444 (61 841)
-		{"C", 70, func(r *Request) { r.Alg = AlgC; r.Env.Chain = nil }},           // 56 (247)
-		{"C-dynamic", 125, func(r *Request) { r.Alg = AlgC; r.Env = markov.Env }}, // 100 (257)
-		{"D", 1650, func(r *Request) { r.Alg = AlgD }},                            // 1 297 (2 445)
+		{"LSC", 77, func(r *Request) { r.Alg = AlgLSCMode }},                      // 61 (66, 292)
+		{"A", 150, func(r *Request) { r.Alg = AlgA }},                             // 117 (117, 992)
+		{"B", 3045, func(r *Request) { r.Alg = AlgB }},                            // 2 436 (2 444, 61 841)
+		{"C", 64, func(r *Request) { r.Alg = AlgC; r.Env.Chain = nil }},           // 51 (56, 247)
+		{"C-dynamic", 119, func(r *Request) { r.Alg = AlgC; r.Env = markov.Env }}, // 95 (100, 257)
+		{"D", 805, func(r *Request) { r.Alg = AlgD }},                             // 643 (1 297, 2 445)
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reqs := hotPathRequests(t, 64)

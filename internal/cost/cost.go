@@ -106,11 +106,37 @@ func passMultiplier(r, mem float64) float64 {
 	switch {
 	case mem > math.Sqrt(r):
 		return 2
-	case mem > math.Cbrt(r):
+	case aboveCbrt(mem, r):
 		return 4
 	default:
 		return 6
 	}
+}
+
+// cbrtGuard is the relative half-width of the band around mem³ = r inside
+// which aboveCbrt asks math.Cbrt. The cube costs two roundings and the band
+// edge a third (≤ 1.2e-16 each) and math.Cbrt is good to under an ulp, so
+// outside the band the cube and the root cannot disagree — with four orders
+// of magnitude to spare.
+const cbrtGuard = 1e-12
+
+// aboveCbrt reports mem > math.Cbrt(r), bit for bit, without the root
+// wherever a multiply can decide it (math.Cbrt is a ~25 ns software
+// routine and this test runs once per law bucket per candidate join).
+// Sizes are in pages, so r ≥ 1 is every pivot the optimizer produces;
+// below that — where the cube could underflow into subnormals and lose
+// its relative accuracy — and for non-positive, NaN and in-band arguments
+// the root decides.
+func aboveCbrt(mem, r float64) bool {
+	if r >= 1 {
+		switch m3 := mem * mem * mem; {
+		case m3 > r*(1+cbrtGuard):
+			return true
+		case m3 < r*(1-cbrtGuard):
+			return false
+		}
+	}
+	return mem > math.Cbrt(r)
 }
 
 // SortIO returns the cost of sorting r pages with memory m: free when the

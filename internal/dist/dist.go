@@ -8,12 +8,12 @@
 // of representative values with probabilities. Dist is exactly that
 // object: an immutable law with ascending, deduplicated support and
 // normalized probabilities. Every optimizer layer consumes it: the
-// Algorithm C/D dynamic programs take expectations with ExpectF, the
-// linear-time evaluators of Section 3.6 sweep its sorted support with
-// CumTables, Section 3.6.3 result-size propagation rebuckets it with
-// Rebucket, the Section 3.7 bucketing experiments compare coarse and fine
-// laws with TotalVariation and Wasserstein1, and the Section 3.5 dynamic
-// -memory extension evolves it through a Chain.
+// Algorithm C/D dynamic programs take expectations over its buckets (At,
+// ExpectF), the linear-time evaluators of Section 3.6 sweep its sorted
+// support with running prefix sums, Section 3.6.3 result-size propagation
+// rebuckets it with Rebucket, the Section 3.7 bucketing experiments
+// compare coarse and fine laws with TotalVariation and Wasserstein1, and
+// the Section 3.5 dynamic-memory extension evolves it through a Chain.
 //
 // Dist values are immutable: every transformation (Map, Shift, Rebucket,
 // Combine2, ...) returns a fresh law. The zero Dist is a valid "no law"
@@ -116,7 +116,8 @@ func MustNew(vals, weights []float64) Dist {
 
 // Point is the degenerate one-value law.
 func Point(v float64) Dist {
-	return Dist{vals: []float64{v}, probs: []float64{1}}
+	a := [2]float64{v, 1} // one allocation backs both one-element slices
+	return Dist{vals: a[:1:1], probs: a[1:]}
 }
 
 // Bimodal returns the two-point law {lo: pLo, hi: 1-pLo} — the paper's
@@ -219,6 +220,13 @@ func (d Dist) Value(i int) float64 { return d.vals[i] }
 // Prob returns the probability of the i-th support value.
 func (d Dist) Prob(i int) float64 { return d.probs[i] }
 
+// At returns the i-th support value and its probability. Unlike the other
+// accessors it has a pointer receiver, for loops over a handful of buckets
+// (cost.ExpectJoinIO, the expcost sweeps): a Dist is two slice headers, too
+// large for the compiler to keep in registers, so Value(i) and Prob(i) copy
+// all 48 bytes on every call — most of such a loop's time.
+func (d *Dist) At(i int) (v, p float64) { return d.vals[i], d.probs[i] }
+
 // Support returns a copy of the ascending support.
 func (d Dist) Support() []float64 {
 	return append([]float64(nil), d.vals...)
@@ -316,23 +324,6 @@ func (d Dist) ExpectF(f func(float64) float64) float64 {
 		e += d.probs[i] * f(v)
 	}
 	return e
-}
-
-// CumTables returns prefix tables over the ascending support: cumP[i] =
-// Pr(X ≤ Value(i)) and cumPE[i] = E[X·1{X ≤ Value(i)}] (the partial
-// expectation). They are the O(b) precomputation behind the linear-time
-// expected-cost algorithms of Section 3.6.
-func (d Dist) CumTables() (cumP, cumPE []float64) {
-	cumP = make([]float64, len(d.vals))
-	cumPE = make([]float64, len(d.vals))
-	p, pe := 0.0, 0.0
-	for i, v := range d.vals {
-		p += d.probs[i]
-		pe += v * d.probs[i]
-		cumP[i] = p
-		cumPE[i] = pe
-	}
-	return cumP, cumPE
 }
 
 // Sample draws one value.

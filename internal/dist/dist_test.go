@@ -301,15 +301,6 @@ func TestExpectF(t *testing.T) {
 	approx(t, d.ExpectF(func(v float64) float64 { return v }), d.Mean(), 1e-12, "E[X] = Mean")
 }
 
-func TestCumTables(t *testing.T) {
-	d := MustNew([]float64{10, 20, 30}, []float64{1, 2, 1})
-	cumP, cumPE := d.CumTables()
-	approx(t, cumP[0], 0.25, 1e-12, "cumP[0]")
-	approx(t, cumP[2], 1, 1e-12, "cumP[last]")
-	approx(t, cumPE[1], 10*0.25+20*0.5, 1e-12, "partial expectation")
-	approx(t, cumPE[2], d.Mean(), 1e-12, "full partial expectation = mean")
-}
-
 func TestSampleMatchesLaw(t *testing.T) {
 	d := MustNew([]float64{700, 2000}, []float64{0.2, 0.8})
 	rng := rand.New(rand.NewSource(7))

@@ -115,14 +115,14 @@ func graceHashEC(a, b, mem dist.Dist) float64 {
 		cur := newSuffixCursor(b)
 		mq := newTailCursor(mem)
 		fc := newAtLeastCursor(mem)
-		for i := 0; i < a.Len(); i++ {
-			av := a.Value(i)
+		for i, n := 0, a.Len(); i < n; i++ {
+			av, pa := a.At(i)
 			pB, peB := cur.atLeast(av)
 			if pB == 0 {
 				continue
 			}
 			m := mq.multiplier(av) - fc.atLeast(av+2)
-			total += a.Prob(i) * m * (peB + av*pB)
+			total += pa * m * (peB + av*pB)
 		}
 	}
 	// In the half |A| > |B| the smaller relation is B: pivot on b, with a
@@ -131,14 +131,14 @@ func graceHashEC(a, b, mem dist.Dist) float64 {
 		cur := newSuffixCursor(a)
 		mq := newTailCursor(mem)
 		fc := newAtLeastCursor(mem)
-		for j := 0; j < b.Len(); j++ {
-			bv := b.Value(j)
+		for j, n := 0, b.Len(); j < n; j++ {
+			bv, pb := b.At(j)
 			pA, peA := cur.greater(bv)
 			if pA == 0 {
 				continue
 			}
 			m := mq.multiplier(bv) - fc.atLeast(bv+2)
-			total += b.Prob(j) * m * (peA + bv*pA)
+			total += pb * m * (peA + bv*pA)
 		}
 	}
 	return total
@@ -149,38 +149,49 @@ func graceHashEC(a, b, mem dist.Dist) float64 {
 // half {|A| > |B|} the pivot is |A| (strictly greater).
 func pivotSweep(a, b, mem dist.Dist) float64 {
 	total := 0.0
+	na, nb := a.Len(), b.Len()
 	{
-		cumP, cumPE := a.CumTables()
+		// pA, peA are Pr(|A| ≤ bv) and E[|A|·1{|A| ≤ bv}]: the prefix sums
+		// of Dist.CumTables, accumulated as the cursor advances.
+		pA, peA := 0.0, 0.0
 		mq := newTailCursor(mem)
-		ai := -1
-		for j := 0; j < b.Len(); j++ {
-			bv := b.Value(j)
-			for ai+1 < a.Len() && a.Value(ai+1) <= bv {
-				ai++
+		ai := 0
+		for j := 0; j < nb; j++ {
+			bv, pb := b.At(j)
+			for ; ai < na; ai++ {
+				av, pa := a.At(ai)
+				if !(av <= bv) {
+					break
+				}
+				pA += pa
+				peA += av * pa
 			}
-			if ai < 0 {
+			if ai == 0 {
 				continue
 			}
-			pA, peA := cumP[ai], cumPE[ai]
 			m := mq.multiplier(bv)
-			total += b.Prob(j) * m * (peA + bv*pA)
+			total += pb * m * (peA + bv*pA)
 		}
 	}
 	{
-		cumP, cumPE := b.CumTables()
+		pB, peB := 0.0, 0.0
 		mq := newTailCursor(mem)
-		bi := -1
-		for i := 0; i < a.Len(); i++ {
-			av := a.Value(i)
-			for bi+1 < b.Len() && b.Value(bi+1) < av {
-				bi++
+		bi := 0
+		for i := 0; i < na; i++ {
+			av, pa := a.At(i)
+			for ; bi < nb; bi++ {
+				bv, pb := b.At(bi)
+				if !(bv < av) {
+					break
+				}
+				pB += pb
+				peB += bv * pb
 			}
-			if bi < 0 {
+			if bi == 0 {
 				continue
 			}
-			pB, peB := cumP[bi], cumPE[bi]
 			m := mq.multiplier(av)
-			total += a.Prob(i) * m * (peB + av*pB)
+			total += pa * m * (peB + av*pB)
 		}
 	}
 	return total
@@ -211,13 +222,19 @@ func (c *tailCursor) multiplier(r float64) float64 {
 	}
 	c.lastPivot, c.everCalled = r, true
 	sq, cb := math.Sqrt(r), math.Cbrt(r)
-	for c.iSqrt < c.m.Len() && c.m.Value(c.iSqrt) <= sq {
-		c.cumAtSqrt += c.m.Prob(c.iSqrt)
-		c.iSqrt++
+	for n := c.m.Len(); c.iSqrt < n; c.iSqrt++ {
+		v, p := c.m.At(c.iSqrt)
+		if !(v <= sq) {
+			break
+		}
+		c.cumAtSqrt += p
 	}
-	for c.iCbrt < c.m.Len() && c.m.Value(c.iCbrt) <= cb {
-		c.cumAtCbrt += c.m.Prob(c.iCbrt)
-		c.iCbrt++
+	for n := c.m.Len(); c.iCbrt < n; c.iCbrt++ {
+		v, p := c.m.At(c.iCbrt)
+		if !(v <= cb) {
+			break
+		}
+		c.cumAtCbrt += p
 	}
 	pHigh := 1 - c.cumAtSqrt          // Pr(M > √r)
 	pMid := c.cumAtSqrt - c.cumAtCbrt // Pr(∛r < M ≤ √r)
@@ -239,29 +256,36 @@ type suffixCursor struct {
 
 func newSuffixCursor(d dist.Dist) *suffixCursor {
 	tp, tpe := 0.0, 0.0
-	for i := 0; i < d.Len(); i++ {
-		tp += d.Prob(i)
-		tpe += d.Value(i) * d.Prob(i)
+	for i, n := 0, d.Len(); i < n; i++ {
+		v, p := d.At(i)
+		tp += p
+		tpe += v * p
 	}
 	return &suffixCursor{d: d, totalP: tp, totalPE: tpe}
 }
 
 // atLeast returns (Pr[X ≥ t], E[X·1{X ≥ t}]).
 func (c *suffixCursor) atLeast(t float64) (p, pe float64) {
-	for c.i < c.d.Len() && c.d.Value(c.i) < t {
-		c.exclP += c.d.Prob(c.i)
-		c.exclPE += c.d.Value(c.i) * c.d.Prob(c.i)
-		c.i++
+	for n := c.d.Len(); c.i < n; c.i++ {
+		v, p := c.d.At(c.i)
+		if !(v < t) {
+			break
+		}
+		c.exclP += p
+		c.exclPE += v * p
 	}
 	return c.totalP - c.exclP, c.totalPE - c.exclPE
 }
 
 // greater returns (Pr[X > t], E[X·1{X > t}]).
 func (c *suffixCursor) greater(t float64) (p, pe float64) {
-	for c.i < c.d.Len() && c.d.Value(c.i) <= t {
-		c.exclP += c.d.Prob(c.i)
-		c.exclPE += c.d.Value(c.i) * c.d.Prob(c.i)
-		c.i++
+	for n := c.d.Len(); c.i < n; c.i++ {
+		v, p := c.d.At(c.i)
+		if !(v <= t) {
+			break
+		}
+		c.exclP += p
+		c.exclPE += v * p
 	}
 	return c.totalP - c.exclP, c.totalPE - c.exclPE
 }
@@ -283,8 +307,8 @@ func nestedLoopEC(a, b, mem dist.Dist) float64 {
 	{
 		cur := newSuffixCursor(b)
 		mc := newAtLeastCursor(mem)
-		for i := 0; i < a.Len(); i++ {
-			av := a.Value(i)
+		for i, n := 0, a.Len(); i < n; i++ {
+			av, pa := a.At(i)
 			pB, peB := cur.atLeast(av)
 			if pB == 0 {
 				continue
@@ -292,14 +316,14 @@ func nestedLoopEC(a, b, mem dist.Dist) float64 {
 			pFit := mc.atLeast(av + 2)
 			fit := av*pB + peB
 			thrash := av*pB + av*peB
-			total += a.Prob(i) * (pFit*fit + (1-pFit)*thrash)
+			total += pa * (pFit*fit + (1-pFit)*thrash)
 		}
 	}
 	{
 		cur := newSuffixCursor(a)
 		mc := newAtLeastCursor(mem)
-		for j := 0; j < b.Len(); j++ {
-			bv := b.Value(j)
+		for j, n := 0, b.Len(); j < n; j++ {
+			bv, pb := b.At(j)
 			pA, peA := cur.greater(bv)
 			if pA == 0 {
 				continue
@@ -307,7 +331,7 @@ func nestedLoopEC(a, b, mem dist.Dist) float64 {
 			pFit := mc.atLeast(bv + 2)
 			fit := peA + bv*pA
 			thrash := peA * (1 + bv)
-			total += b.Prob(j) * (pFit*fit + (1-pFit)*thrash)
+			total += pb * (pFit*fit + (1-pFit)*thrash)
 		}
 	}
 	return total
@@ -323,9 +347,12 @@ type atLeastCursor struct {
 func newAtLeastCursor(d dist.Dist) *atLeastCursor { return &atLeastCursor{d: d} }
 
 func (c *atLeastCursor) atLeast(t float64) float64 {
-	for c.i < c.d.Len() && c.d.Value(c.i) < t {
-		c.excl += c.d.Prob(c.i)
-		c.i++
+	for n := c.d.Len(); c.i < n; c.i++ {
+		v, p := c.d.At(c.i)
+		if !(v < t) {
+			break
+		}
+		c.excl += p
 	}
 	return 1 - c.excl
 }

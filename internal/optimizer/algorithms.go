@@ -22,11 +22,12 @@ func LSC(cat *catalog.Catalog, blk *query.Block, opts Options, mem float64) (Res
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := c.dpBest(pointScorer{mem, c.opts.CostModel})
+	s := pointScorer(mem, c.opts.CostModel)
+	res, err := c.dpBest(s)
 	if err != nil {
 		return Result{}, err
 	}
-	return withPhaseEC(res, c.opts.CostModel, []dist.Dist{dist.Point(mem)})
+	return withPhaseEC(res, c.opts.CostModel, s.laws)
 }
 
 // AlgorithmC computes the LEC left-deep plan for a static memory law
@@ -37,7 +38,7 @@ func AlgorithmC(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 		return Result{}, err
 	}
 	laws := staticLaws(mem, c.n)
-	res, err := c.dpBest(lawScorer{laws, c.opts.CostModel})
+	res, err := c.dpBest(scorer{laws, c.opts.CostModel})
 	if err != nil {
 		return Result{}, err
 	}
@@ -56,7 +57,7 @@ func AlgorithmCDynamic(cat *catalog.Catalog, blk *query.Block, opts Options, ini
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := c.dpBest(lawScorer{laws, c.opts.CostModel})
+	res, err := c.dpBest(scorer{laws, c.opts.CostModel})
 	if err != nil {
 		return Result{}, err
 	}
@@ -105,7 +106,7 @@ func AlgorithmA(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 		inner = 1
 	}
 	err = pool.Run(len(points), outer, func(i int) error {
-		r, err := c.dpBestW(pointScorer{points[i], c.opts.CostModel}, inner)
+		r, err := c.dpBestW(pointScorer(points[i], c.opts.CostModel), inner)
 		if err != nil {
 			return err
 		}
@@ -168,7 +169,7 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	points := bucketPoints(mem)
 	runs := make([]bucketRun, len(points))
 	err = pool.Run(len(points), cx.opts.workers(len(points)), func(i int) error {
-		tops, pr, err := cx.dpTopC(pointScorer{points[i], cx.opts.CostModel}, c)
+		tops, pr, err := cx.dpTopC(pointScorer(points[i], cx.opts.CostModel), c)
 		if err != nil {
 			return err
 		}
@@ -361,7 +362,7 @@ func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 			for _, j := range cands {
 				bit := uint64(1) << uint(j)
 				rest := mask &^ bit
-				sigmaLaw := c.sigmaLawBetween(j, rest)
+				var sigmaLaw dist.Dist // joinSizeLaw's cache for (mask, j)
 				merges := c.mergeOrders(j, rest)
 				for ls := 0; ls < 2; ls++ {
 					if !dp[rest].ok[ls] {
@@ -373,23 +374,24 @@ func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 							continue
 						}
 						right := &dp[bit].e[rs]
-						outLaw, err := expcost.ResultSizeDist(left.law, right.law, sigmaLaw, c.opts.SizeBuckets)
-						if err != nil {
-							return Result{}, err
-						}
-						outLaw = outLaw.Map(c.clampPages)
-						if v, ok := c.sizeHint[mask]; ok {
-							// An executed-size observation collapses the
-							// propagated result-size law: the realized
-							// size is a fact, not a distribution.
-							outLaw = dist.Point(v)
-						}
-						outPages := outLaw.Mean()
+						// The candidate's size law (a σ-law product, three
+						// rebucketings and a triple product) is built by the
+						// first method that survives the score check: a pair
+						// whose every method loses costs no law at all.
+						var outLaw dist.Dist
+						var outPages float64
 						for _, m := range c.opts.Methods {
 							score := left.score + right.score + expcost.JoinECModel(c.opts.CostModel, m, left.law, right.law, mem)
 							order, sl := c.joinOutput(m, merges, left.order, ls)
 							if cell.ok[sl] && score > cell.e[sl].score {
-								continue // strictly worse: skip building the node
+								continue // strictly worse: skip building the law and the node
+							}
+							if outLaw.IsZero() {
+								var err error
+								if outLaw, err = c.joinSizeLaw(mask, j, left.law, right.law, &sigmaLaw); err != nil {
+									return Result{}, err
+								}
+								outPages = outLaw.Mean()
 							}
 							node := plan.NewJoin(m, left.node, right.node, outPages, order)
 							if cell.ok[sl] && !better(score, node, cell.e[sl].score, cell.e[sl].node) {
@@ -434,6 +436,26 @@ func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 		return Result{}, err
 	}
 	return Result{Plan: best.node, EC: best.score, Candidates: 1}, nil
+}
+
+// joinSizeLaw returns the result-size law of the join that completes mask by
+// adding table j: the propagated |left|·|right|·σ law with Section 3.6.3
+// rebucketing — or, where executed-size feedback has an observation for
+// mask, that size as a point: a realized size is a fact, not a distribution.
+// sigmaLaw caches the σ-law of (mask, j) across the order slots of one
+// candidate; the zero Dist means not built yet.
+func (c *ctx) joinSizeLaw(mask uint64, j int, left, right dist.Dist, sigmaLaw *dist.Dist) (dist.Dist, error) {
+	if v, ok := c.sizeHint[mask]; ok {
+		return dist.Point(v), nil
+	}
+	if sigmaLaw.IsZero() {
+		*sigmaLaw = c.sigmaLawBetween(j, mask&^(1<<uint(j)))
+	}
+	law, err := expcost.ResultSizeDist(left, right, *sigmaLaw, c.opts.SizeBuckets)
+	if err != nil {
+		return dist.Dist{}, err
+	}
+	return law.Map(c.clampPages), nil
 }
 
 // withPhaseEC annotates a finished result with its per-phase analytic
@@ -481,7 +503,8 @@ func ExpectedCostPhases(p *plan.Node, laws []dist.Dist) ([]float64, error) {
 }
 
 // ExpectedCostPhasesModel is ExpectedCostPhases under the selected cost
-// model (joins charged with cost.JoinIOModel).
+// model (joins charged with cost.ExpectJoinIO, the bucket-order-preserving
+// expectation of cost.JoinIOModel).
 func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) ([]float64, error) {
 	if len(laws) == 0 {
 		return nil, ErrLawsShort
@@ -489,11 +512,11 @@ func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) (
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	lawAt := func(phase int) dist.Dist {
+	lawAt := func(phase int) *dist.Dist {
 		if phase >= len(laws) {
 			phase = len(laws) - 1
 		}
-		return laws[phase]
+		return &laws[phase]
 	}
 	out := make([]float64, p.Phases())
 	var rec func(n *plan.Node) (int, error)
@@ -517,9 +540,7 @@ func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) (
 				// The sort itself reads the unmaterialized base table.
 				out[phase] += n.Child.AccessIO()
 			}
-			out[phase] += lawAt(phase).ExpectF(func(m float64) float64 {
-				return cost.SortIO(n.Child.OutPages, m)
-			})
+			out[phase] += cost.ExpectSortIO(n.Child.OutPages, lawAt(phase))
 			return k, nil
 		default: // join
 			kl, err := rec(n.Left)
@@ -531,9 +552,7 @@ func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) (
 				return 0, err
 			}
 			k := kl + kr
-			out[k-2] += lawAt(k - 2).ExpectF(func(m float64) float64 {
-				return cost.JoinIOModel(model, n.Method, n.Left.OutPages, n.Right.OutPages, m)
-			})
+			out[k-2] += cost.ExpectJoinIO(model, n.Method, n.Left.OutPages, n.Right.OutPages, lawAt(k-2))
 			return k, nil
 		}
 	}

@@ -9,55 +9,37 @@ import (
 	"lecopt/internal/pool"
 )
 
-// scorer abstracts how a join or sort is costed in one execution phase —
-// the only difference between the LSC dynamic program (point costs,
-// Theorem 2.1) and Algorithm C (expected costs, Theorem 3.3/3.4).
-type scorer interface {
-	joinScore(method cost.JoinMethod, outer, inner float64, phase int) float64
-	sortScore(pages float64, phase int) float64
-}
-
-// pointScorer costs at one fixed memory value: the classical optimizer.
-type pointScorer struct {
-	mem   float64
-	model cost.Model
-}
-
-func (s pointScorer) joinScore(m cost.JoinMethod, outer, inner float64, _ int) float64 {
-	return cost.JoinIOModel(s.model, m, outer, inner, s.mem)
-}
-
-func (s pointScorer) sortScore(pages float64, _ int) float64 {
-	return cost.SortIO(pages, s.mem)
-}
-
-// lawScorer costs in expectation under a per-phase memory law. With a
-// single repeated law it is Algorithm C's static case; with Markov
-// phase laws it is the Section 3.5 dynamic case. Expectation distributes
-// over the plan's phase-cost sum, which is exactly why the DP argument of
-// Theorem 3.3 carries over (Theorem 3.4).
-type lawScorer struct {
+// scorer costs a join or sort in one execution phase: in expectation under
+// that phase's memory law. With a single repeated law it is Algorithm C's
+// static case; with Markov phase laws it is the Section 3.5 dynamic case.
+// Expectation distributes over the plan's phase-cost sum, which is exactly
+// why the DP argument of Theorem 3.3 carries over (Theorem 3.4). The
+// classical optimizer (LSC, Theorem 2.1) is the same scorer over a point
+// law — 0 + 1·cost is cost, bit for bit (pointScorer) — so the dynamic
+// programs call one concrete type.
+type scorer struct {
 	laws  []dist.Dist
 	model cost.Model
 }
 
-func (s lawScorer) law(phase int) dist.Dist {
+// pointScorer costs at one fixed memory value.
+func pointScorer(mem float64, model cost.Model) scorer {
+	return scorer{[]dist.Dist{dist.Point(mem)}, model}
+}
+
+func (s scorer) law(phase int) *dist.Dist {
 	if phase >= len(s.laws) {
 		phase = len(s.laws) - 1
 	}
-	return s.laws[phase]
+	return &s.laws[phase]
 }
 
-func (s lawScorer) joinScore(m cost.JoinMethod, outer, inner float64, phase int) float64 {
-	return s.law(phase).ExpectF(func(mem float64) float64 {
-		return cost.JoinIOModel(s.model, m, outer, inner, mem)
-	})
+func (s scorer) joinScore(m cost.JoinMethod, outer, inner float64, phase int) float64 {
+	return cost.ExpectJoinIO(s.model, m, outer, inner, s.law(phase))
 }
 
-func (s lawScorer) sortScore(pages float64, phase int) float64 {
-	return s.law(phase).ExpectF(func(mem float64) float64 {
-		return cost.SortIO(pages, mem)
-	})
+func (s scorer) sortScore(pages float64, phase int) float64 {
+	return cost.ExpectSortIO(pages, s.law(phase))
 }
 
 // staticLaws replicates one law across all phases of an n-relation plan.
@@ -127,8 +109,8 @@ func enforcerScore(s scorer, e entry, phase int) float64 {
 }
 
 // dpBest is the System R bottom-up dynamic program, keeping the best entry
-// per (subset, order-slot). With a pointScorer it computes the LSC
-// left-deep plan (Theorem 2.1); with a lawScorer it is Algorithm C and
+// per (subset, order-slot). Over a point law it computes the LSC
+// left-deep plan (Theorem 2.1); over memory laws it is Algorithm C and
 // computes the LEC left-deep plan (Theorems 3.3/3.4).
 func (c *ctx) dpBest(s scorer) (Result, error) {
 	return c.dpBestW(s, c.opts.Workers)

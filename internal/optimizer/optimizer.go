@@ -480,31 +480,44 @@ func (c *ctx) clampPages(p float64) float64 {
 }
 
 // sigmaBetween returns the point page-selectivity product joining table j
-// against every table in mask.
+// against every table in mask. Only j's neighbours are visited: a pair
+// without an edge has selectivity exactly 1, so the product over mask∩adj[j]
+// in ascending order is the product over mask, bit for bit.
 func (c *ctx) sigmaBetween(j int, mask uint64) float64 {
 	s := 1.0
-	for i := 0; i < c.n; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			s *= c.sigma[i][j]
-		}
+	for m := mask & c.adj[j]; m != 0; m &= m - 1 {
+		s *= c.sigma[bits.TrailingZeros64(m)][j]
 	}
 	return s
 }
 
 // sigmaLawBetween returns the selectivity law joining table j against
-// mask: the product of per-pair laws, using point laws where no
-// distribution was installed.
+// mask: the product of per-pair laws over mask's members in ascending
+// order, using point laws where no distribution was installed. Until the
+// first installed law the product is a point and is folded as a scalar —
+// Combine2 of two points is the point of their product exactly. From there
+// on every member is combined, installed law or not: dist.New renormalises
+// by a mass sum that need not be exactly 1, so even a Point(1) factor can
+// move the last bit of a real law's probabilities.
 func (c *ctx) sigmaLawBetween(j int, mask uint64) dist.Dist {
-	law := dist.Point(1)
-	for i := 0; i < c.n; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
+	s := 1.0
+	var law dist.Dist
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		pair := c.sigmaD[i][j]
-		if pair.IsZero() {
+		switch {
+		case law.IsZero() && pair.IsZero():
+			s *= c.sigma[i][j]
+			continue
+		case law.IsZero():
+			law = dist.Point(s)
+		case pair.IsZero():
 			pair = dist.Point(c.sigma[i][j])
 		}
 		law = dist.Combine2(law, pair, func(x, y float64) float64 { return x * y })
+	}
+	if law.IsZero() {
+		return dist.Point(s)
 	}
 	return law
 }
@@ -517,23 +530,17 @@ func (c *ctx) connects(j int, mask uint64) bool { return c.adj[j]&mask != 0 }
 // rest, falling back to all members when the remainder is unreachable
 // (forced cross product, §2.2's "trivially true predicate").
 func (c *ctx) candidatesInto(mask uint64, buf []int) []int {
-	for j := 0; j < c.n; j++ {
-		bit := uint64(1) << uint(j)
-		if mask&bit == 0 {
-			continue
-		}
-		rest := mask &^ bit
-		if rest == 0 || c.connects(j, rest) {
+	for m := mask; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		if rest := mask &^ (1 << uint(j)); rest == 0 || c.connects(j, rest) {
 			buf = append(buf, j)
 		}
 	}
 	if len(buf) > 0 {
 		return buf
 	}
-	for j := 0; j < c.n; j++ {
-		if mask&(1<<uint(j)) != 0 {
-			buf = append(buf, j)
-		}
+	for m := mask; m != 0; m &= m - 1 {
+		buf = append(buf, bits.TrailingZeros64(m))
 	}
 	return buf
 }

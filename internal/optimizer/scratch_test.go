@@ -91,22 +91,22 @@ func TestRankParallelDPMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, scorer := range []scorer{
-			pointScorer{mem.Mean(), c.opts.CostModel},
-			lawScorer{staticLaws(mem, c.n), c.opts.CostModel},
+		for si, s := range []scorer{
+			pointScorer(mem.Mean(), c.opts.CostModel),
+			{staticLaws(mem, c.n), c.opts.CostModel},
 		} {
-			serial, err := c.dpBestW(scorer, 1)
+			serial, err := c.dpBestW(s, 1)
 			if err != nil {
 				t.Fatalf("case %d: serial: %v", i, err)
 			}
 			for _, workers := range []int{4, 8} {
-				par, err := c.dpBestW(scorer, workers)
+				par, err := c.dpBestW(s, workers)
 				if err != nil {
 					t.Fatalf("case %d: workers=%d: %v", i, workers, err)
 				}
 				if resultKey(serial) != resultKey(par) {
-					t.Fatalf("case %d (%T): workers=%d diverged:\n serial   %s\n parallel %s",
-						i, scorer, workers, resultKey(serial), resultKey(par))
+					t.Fatalf("case %d (scorer %d): workers=%d diverged:\n serial   %s\n parallel %s",
+						i, si, workers, resultKey(serial), resultKey(par))
 				}
 			}
 		}
@@ -179,7 +179,7 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.dpBestW(lawScorer{staticLaws(mem, c.n), c.opts.CostModel}, 1)
+	res, err := c.dpBestW(scorer{staticLaws(mem, c.n), c.opts.CostModel}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

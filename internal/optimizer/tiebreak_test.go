@@ -167,8 +167,8 @@ func (l *refList) scores() []float64 {
 }
 
 // refTopC is the string-tie-break top-c System R pass. With topC = 1 it is
-// the single-plan DP (LSC under a pointScorer, Algorithm C under a
-// lawScorer); with topC > 1 it is Algorithm B's inner pass.
+// the single-plan DP (LSC over a point law, Algorithm C over memory
+// laws); with topC > 1 it is Algorithm B's inner pass.
 func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 	full := fullMask(c.n)
 	dp := make([][2]refList, full+1)
@@ -305,10 +305,10 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 	mem := dist.MustNew([]float64{1e6, 4e6}, []float64{1, 3})
 	opts := Options{Methods: cost.Methods}
 	// The premise: with both inputs resident, three of the four methods tie.
-	for _, s := range []scorer{pointScorer{mem.Mean(), cost.ModelPaper}, lawScorer{[]dist.Dist{mem}, cost.ModelPaper}} {
+	for si, s := range []scorer{pointScorer(mem.Mean(), cost.ModelPaper), {[]dist.Dist{mem}, cost.ModelPaper}} {
 		for _, m := range []cost.JoinMethod{cost.GraceHash, cost.PageNL, cost.BlockNL} {
 			if got := s.joinScore(m, 1000, 1000, 0); got != 2000 {
-				t.Fatalf("%T: %v costs %v on 1000+1000 pages, want outer+inner", s, m, got)
+				t.Fatalf("scorer %d: %v costs %v on 1000+1000 pages, want outer+inner", si, m, got)
 			}
 		}
 	}
@@ -328,8 +328,8 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 					}
 				}
 
-				point := pointScorer{mem.Mean(), c.opts.CostModel}
-				law := lawScorer{staticLaws(mem, c.n), c.opts.CostModel}
+				point := pointScorer(mem.Mean(), c.opts.CostModel)
+				law := scorer{staticLaws(mem, c.n), c.opts.CostModel}
 				wantLSC, _ := refTopC(c, point, 1)
 				wantC, _ := refTopC(c, law, 1)
 				for _, workers := range []int{1, 4, 8} {

@@ -113,11 +113,23 @@ func (w *sigWalk) atSubtree() *Node {
 // by token, and stops at the first differing byte. It allocates nothing.
 // Whenever both walks stand at the start of the same *Node the subtree is
 // skipped on both sides — two join candidates over one shared left input
-// differ only from the method on. Like Signature it requires well-formed
-// trees (no nil children).
+// differ only from the method on — and two joins over the same two inputs
+// are decided by their method names before any walk starts. Like Signature
+// it requires well-formed trees (no nil children).
 func CompareSignature(a, b *Node) int {
 	if a == b {
 		return 0
+	}
+	if a.Kind == KindJoin && b.Kind == KindJoin && a.Left == b.Left && a.Right == b.Right {
+		// The commonest tie: one pair of inputs joined by two methods that
+		// cost the same (everything fits in memory). The signatures are
+		// "(" L " " method " " R ")" and no method name is a prefix of
+		// another, so the methods decide — before either walk's stack is
+		// even zeroed.
+		if a.Method == b.Method {
+			return 0
+		}
+		return strings.Compare(a.Method.String(), b.Method.String())
 	}
 	var wa, wb sigWalk
 	wa.push(a)

@@ -70,6 +70,30 @@ func genSigTree(p picker, depth int, pool *[]*Node) *Node {
 	return n
 }
 
+// sigMethods are the four join methods plus three out-of-range ones whose
+// names ("JoinMethod(10)", "JoinMethod(100)") nearly prefix one another.
+var sigMethods = append(append([]cost.JoinMethod(nil), cost.Methods...), 1+cost.BlockNL, 10, 100)
+
+// joinPair builds two joins with random methods that share both children
+// (CompareSignature's fast path: only the methods can differ), the left
+// child only (the DP's other case), the right child only, or neither —
+// all of which must fall through the fast path to the walk.
+func joinPair(p picker, pool *[]*Node) (a, b *Node) {
+	l, r := genSigTree(p, 2, pool), genSigTree(p, 2, pool)
+	bl, br := l, r
+	switch p.pick(4) {
+	case 1:
+		br = genSigTree(p, 1, pool)
+	case 2:
+		bl = genSigTree(p, 1, pool)
+	case 3:
+		bl, br = genSigTree(p, 1, pool), genSigTree(p, 1, pool)
+	}
+	a = NewJoin(sigMethods[p.pick(len(sigMethods))], l, r, 1, Order{})
+	b = NewJoin(sigMethods[p.pick(len(sigMethods))], bl, br, 1, Order{})
+	return a, b
+}
+
 func sign(c int) int {
 	switch {
 	case c < 0:
@@ -105,11 +129,11 @@ func TestCompareSignatureOracle(t *testing.T) {
 		a := genSigTree(rng, 1+rng.pick(5), &pool)
 		b := genSigTree(rng, 1+rng.pick(5), &pool)
 		if rng.pick(4) == 0 {
-			// The DP's case: two joins over one shared left input.
-			b = NewJoin(cost.Methods[rng.pick(len(cost.Methods))], a, genSigTree(rng, 1, &pool), 1, Order{})
-			a = NewJoin(cost.Methods[rng.pick(len(cost.Methods))], a, genSigTree(rng, 1, &pool), 1, Order{})
+			// The DP's cases: two joins sharing both inputs, one, or none.
+			a, b = joinPair(rng, &pool)
 		}
 		checkCompare(t, a, b)
+		checkCompare(t, b, a)
 		if a.Signature() == b.Signature() {
 			equal++
 		}
@@ -221,6 +245,9 @@ func FuzzCompareSignature(f *testing.F) {
 		var pool []*Node
 		a := genSigTree(p, 6, &pool)
 		b := genSigTree(p, 6, &pool)
+		if p.pick(3) == 2 {
+			a, b = joinPair(p, &pool)
+		}
 		checkCompare(t, a, b)
 		checkCompare(t, b, a)
 	})
