@@ -4,9 +4,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// to reproduce the full evaluation. Additional micro-benchmarks cover the
-// primitives whose asymptotics the paper analyses (Prop 3.1 frontier,
-// §3.6 linear expected costs, rebucketing) at several input sizes.
+// to reproduce the full evaluation. Two micro-benchmarks cover primitives
+// the repo benchmark (go run ./bench) has no probe for: the naive §3.6.1
+// evaluator and the Prop 3.1 frontier.
 package lecopt
 
 import (
@@ -20,7 +20,6 @@ import (
 	"lecopt/internal/expcost"
 	"lecopt/internal/experiments"
 	"lecopt/internal/optimizer"
-	"lecopt/internal/workload"
 )
 
 // benchExperiment runs one experiment table per iteration and fails the
@@ -76,8 +75,8 @@ func randLaw(rng *rand.Rand, n int, lo, hi float64) dist.Dist {
 	return dist.MustNew(vals, probs)
 }
 
-// BenchmarkJoinECNaive/Linear measure the §3.6.1 complexity claim
-// directly: the naive evaluator is cubic in b, the linear one linear.
+// BenchmarkJoinECNaive measures the cubic side of the §3.6.1 complexity
+// claim; the linear evaluator is bench/'s expcost.join_ec_linear_ns probe.
 func BenchmarkJoinECNaive(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("b=%d", n), func(b *testing.B) {
@@ -89,22 +88,6 @@ func BenchmarkJoinECNaive(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				expcost.JoinECNaive(cost.SortMerge, a, bb, m)
-			}
-		})
-	}
-}
-
-func BenchmarkJoinECLinear(b *testing.B) {
-	for _, n := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("b=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			a := randLaw(rng, n, 1, 1e6)
-			bb := randLaw(rng, n, 1, 1e6)
-			m := randLaw(rng, n, 2, 5000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				expcost.JoinECLinear(cost.SortMerge, a, bb, m)
 			}
 		})
 	}
@@ -127,99 +110,6 @@ func BenchmarkTopCCombine(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				optimizer.TopCCombine(left, right, c)
-			}
-		})
-	}
-}
-
-// BenchmarkAlgorithmC measures one full LEC optimization across query
-// sizes — the headline "b times a standard optimization" cost.
-func BenchmarkAlgorithmC(b *testing.B) {
-	for _, n := range []int{4, 6, 8} {
-		b.Run(fmt.Sprintf("tables=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			sc, err := workload.Generate(workload.DefaultSpec(n, workload.Chain), rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mem := dist.MustNew([]float64{64, 256, 1024, 4096}, []float64{1, 1, 1, 1})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := optimizer.AlgorithmC(sc.Cat, sc.Block, optimizer.Options{}, mem); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkLSC is the classical baseline for comparison with AlgorithmC.
-func BenchmarkLSC(b *testing.B) {
-	for _, n := range []int{4, 6, 8} {
-		b.Run(fmt.Sprintf("tables=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			sc, err := workload.Generate(workload.DefaultSpec(n, workload.Chain), rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := optimizer.LSC(sc.Cat, sc.Block, optimizer.Options{}, 1024); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkOptimizeBatch measures the concurrent batch pipeline on a slice
-// of the differential corpus: the throughput trajectory that
-// BENCH_batch.json captures from lecbench, reproducible under go test.
-func BenchmarkOptimizeBatch(b *testing.B) {
-	corpus := diffCorpus(b)[:40]
-	jobs := make([]BatchJob, len(corpus))
-	for i, sc := range corpus {
-		jobs[i] = BatchJob{Scenario: sc, Alg: AlgC}
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, r := range OptimizeBatch(jobs, BatchOptions{Workers: workers}) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-		})
-	}
-	b.Run("workers=4/cache", func(b *testing.B) {
-		cache := NewPlanCache(1024)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, r := range OptimizeBatch(jobs, BatchOptions{Workers: 4, Cache: cache}) {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkRebucket measures §3.6.3 rebucketing.
-func BenchmarkRebucket(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("from=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(4))
-			law := randLaw(rng, n, 1, 1e6)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := law.Rebucket(27); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -6,6 +6,7 @@
 package lecopt
 
 import (
+	"encoding/hex"
 	"sort"
 	"strconv"
 	"testing"
@@ -55,7 +56,7 @@ func textPreimage(s *Scenario, alg Algorithm, driftBand, margin float64) string 
 	opts := s.Opts.Normalized()
 	b := []byte("alg=" + alg.String() + " topc=" + strconv.Itoa(topC) + "\ncat=")
 	if driftBand > 1 {
-		b = append(b, s.Cat.BandedFingerprintMargin(driftBand, margin)+" band="...)
+		b = append(b, hex.EncodeToString(s.Cat.AppendFingerprint(nil, driftBand, margin))+" band="...)
 		b = f(b, driftBand)
 	} else {
 		b = append(b, s.Cat.Fingerprint()...)

@@ -1,23 +1,22 @@
 // Command lecbench regenerates the paper-reproduction tables (experiments
 // E1-E20 of DESIGN.md) and prints them. EXPERIMENTS.md records one such
-// run annotated against the paper's claims. With -workers it instead
-// drives a randomized batch-optimization workload through the concurrent
-// pipeline and reports throughput (plans/sec, allocs/op, cache hit rate),
-// writing the BENCH_batch.json regression artifact. With -workload it runs
+// run annotated against the paper's claims. With -workload it instead runs
 // the engine-in-the-loop serving simulator — LSC and LEC plans optimized
 // per request and *executed* on the page-level engine under sampled memory
-// trajectories — writing the BENCH_workload.json realized-I/O artifact.
+// trajectories — writing the BENCH_workload.json realized-I/O artifact;
+// with -fleet, the tenant-fleet simulator behind the resilience layer,
+// writing BENCH_fleet.json. Throughput, latency and allocation figures are
+// the repo benchmark's (go run ./bench), not this command's.
 //
 // Usage:
 //
 //	lecbench                         # run every experiment
 //	lecbench -run E1,E5              # selected experiments
 //	lecbench -list                   # list experiment IDs and titles
-//	lecbench -workers=8 -cache       # batch throughput mode
-//	lecbench -workers=8 -qps=500     # paced offered load
 //	lecbench -workload -json         # engine-in-the-loop workload mode
 //	lecbench -workload -requests=200 # quick smoke of the same
-//	lecbench -workers=8 -cache -cpuprofile=cpu.prof   # any mode, CPU-profiled
+//	lecbench -fleet -tenants=256     # fleet mode
+//	lecbench -workload -cpuprofile=cpu.prof   # any mode, CPU-profiled
 package main
 
 import (
@@ -32,35 +31,58 @@ import (
 )
 
 func main() {
+	if err := lecbench(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "lecbench:", err)
+		os.Exit(1)
+	}
+}
+
+// simFlags are the flags only the -workload and -fleet modes read.
+var simFlags = map[string]bool{
+	"workers": true, "requests": true, "seed": true, "cachesize": true,
+	"tenants": true, "queries": true, "zipf": true, "driftband": true,
+	"nobands": true, "noindex": true, "out": true,
+}
+
+func lecbench(args []string) error {
+	fs := flag.NewFlagSet("lecbench", flag.ExitOnError)
 	var (
-		runSpec = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		list    = flag.Bool("list", false, "list experiments and exit")
+		runSpec = fs.String("run", "", "comma-separated experiment IDs (default: all)")
+		list    = fs.Bool("list", false, "list experiments and exit")
 
-		workers   = flag.Int("workers", 0, "throughput mode: worker count (0 with -workload: GOMAXPROCS)")
-		requests  = flag.Int("requests", 2000, "throughput/workload mode: total requests")
-		distinct  = flag.Int("distinct", 64, "throughput mode: distinct scenarios in the pool")
-		useCache  = flag.Bool("cache", false, "throughput mode: memoize plans in an LRU cache")
-		cacheSize = flag.Int("cachesize", 4096, "throughput/workload mode: plan-cache capacity")
-		qps       = flag.Float64("qps", 0, "throughput mode: offered load limit in plans/sec (0 = unlimited)")
-		maxAllocs = flag.Float64("maxallocs", 0, "throughput mode: fail when allocs/op exceeds this (0 = no gate) — the CI allocation regression gate")
-		seed      = flag.Int64("seed", 1, "throughput/workload mode: workload seed")
-		alg       = flag.String("alg", "algorithm-c", "throughput mode: optimization algorithm")
+		workloadM = fs.Bool("workload", false, "workload mode: engine-in-the-loop LSC-vs-LEC serving simulation")
+		fleetM    = fs.Bool("fleet", false, "fleet mode: Zipf tenant fleet through the resilience layer at each offered load level")
+		workers   = fs.Int("workers", 0, "workload/fleet mode: worker count (0 = GOMAXPROCS)")
+		requests  = fs.Int("requests", 2000, "workload/fleet mode: total requests")
+		cacheSize = fs.Int("cachesize", 4096, "workload/fleet mode: plan-cache capacity")
+		seed      = fs.Int64("seed", 1, "workload/fleet mode: workload seed")
+		driftBand = fs.Float64("driftband", 0, "workload/fleet mode: plan-cache drift band base (0 = service default, <=1 = exact keys)")
+		tenants   = fs.Int("tenants", 0, "fleet mode: tenant count (0 = spec default)")
+		queries   = fs.Int("queries", 0, "workload mode: distinct queries in the mix (0 = spec default)")
+		zipf      = fs.Float64("zipf", 0, "workload mode: popularity skew (0 = spec default)")
+		noBands   = fs.Bool("nobands", false, "workload mode: skip the model-agreement feedback band sweeps")
+		noIndex   = fs.Bool("noindex", false, "workload mode: heap-only mix (no physical indexes, no index plans) — reproduces the pre-access-path artifact")
 
-		workloadM = flag.Bool("workload", false, "workload mode: engine-in-the-loop LSC-vs-LEC serving simulation")
-		fleetM    = flag.Bool("fleet", false, "fleet mode: Zipf tenant fleet through the resilience layer at each offered load level")
-		tenants   = flag.Int("tenants", 0, "fleet mode: tenant count (0 = spec default)")
-		queries   = flag.Int("queries", 0, "workload mode: distinct queries in the mix (0 = spec default)")
-		zipf      = flag.Float64("zipf", 0, "workload mode: popularity skew (0 = spec default)")
-		driftBand = flag.Float64("driftband", 0, "workload mode: plan-cache drift band base (0 = service default, <=1 = exact keys)")
-		noBands   = flag.Bool("nobands", false, "workload mode: skip the model-agreement feedback band sweeps")
-		noIndex   = flag.Bool("noindex", false, "workload mode: heap-only mix (no physical indexes, no index plans) — reproduces the pre-access-path artifact")
+		emitJSON = fs.Bool("json", true, "write the mode's JSON artifact")
+		outPath  = fs.String("out", "", "artifact path (default BENCH_workload.json / BENCH_fleet.json by mode)")
 
-		emitJSON = flag.Bool("json", true, "write the mode's JSON artifact")
-		outPath  = flag.String("out", "", "artifact path (default BENCH_batch.json / BENCH_workload.json by mode)")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	if !*workloadM && !*fleetM {
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			if simFlags[f.Name] {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return fmt.Errorf("%s given without -workload or -fleet", strings.Join(stray, ", "))
+		}
+	}
+	if *workers < 0 {
+		return errors.New("-workers must be >= 0 (0 = GOMAXPROCS)")
+	}
 	artifact := func(def string) string {
 		if !*emitJSON {
 			return ""
@@ -70,7 +92,7 @@ func main() {
 		}
 		return def
 	}
-	mode := func() error {
+	return profiled(*cpuProfile, func() error {
 		switch {
 		case *fleetM:
 			if *runSpec != "" || *list || *workloadM {
@@ -86,9 +108,6 @@ func main() {
 			if *runSpec != "" || *list {
 				return errors.New("-run/-list select experiments and cannot be combined with -workload")
 			}
-			if *workers < 0 {
-				return errors.New("-workers must be >= 0 (0 = GOMAXPROCS)")
-			}
 			cfg := workloadModeConfig{
 				Requests: *requests, Queries: *queries, Zipf: *zipf,
 				Seed: *seed, Workers: *workers, CacheSize: *cacheSize,
@@ -96,25 +115,10 @@ func main() {
 			}
 			_, err := runWorkloadMode(cfg, artifact("BENCH_workload.json"), os.Stdout)
 			return err
-		case *workers > 0:
-			if *runSpec != "" || *list {
-				return errors.New("-run/-list select experiments and cannot be combined with -workers (throughput mode)")
-			}
-			cfg := throughputConfig{
-				Workers: *workers, Requests: *requests, Distinct: *distinct,
-				Cache: *useCache, CacheSize: *cacheSize, QPS: *qps, Seed: *seed, Alg: *alg,
-				MaxAllocs: *maxAllocs,
-			}
-			_, err := runThroughput(cfg, artifact("BENCH_batch.json"), os.Stdout)
-			return err
 		default:
 			return run(*runSpec, *list)
 		}
-	}
-	if err := profiled(*cpuProfile, mode); err != nil {
-		fmt.Fprintln(os.Stderr, "lecbench:", err)
-		os.Exit(1)
-	}
+	})
 }
 
 // profiled runs fn, under a CPU profile written to path when path is set.

@@ -117,35 +117,37 @@ func batchReportKey(r PlanReport) string {
 }
 
 // TestDifferentialBatchMatchesSequential runs the whole corpus through
-// OptimizeBatch with 8 workers — cold, cache-cold, and cache-warm — and
+// OptimizeBatch with 8 workers on handles with exact keys and no feedback —
+// without a plan cache, then cache-cold and cache-warm on one handle — and
 // requires byte-identical reports to the sequential path each time.
 func TestDifferentialBatchMatchesSequential(t *testing.T) {
 	corpus := diffCorpus(t)
-	jobs := make([]BatchJob, len(corpus))
+	reqs := make([]Request, len(corpus))
 	want := make([]string, len(corpus))
 	for i, sc := range corpus {
-		jobs[i] = BatchJob{Scenario: sc, Alg: AlgC}
+		reqs[i] = corpusRequest(sc, AlgC)
 		rep, err := sc.Optimize(AlgC)
 		if err != nil {
 			t.Fatalf("scenario %d: sequential: %v", i, err)
 		}
 		want[i] = batchReportKey(rep)
 	}
-	check := func(label string, results []BatchResult) {
+	check := func(label string, results []Response) {
 		t.Helper()
 		for i, r := range results {
 			if r.Err != nil {
 				t.Fatalf("%s: scenario %d: %v", label, i, r.Err)
 			}
-			if got := batchReportKey(r.Report); got != want[i] {
+			if got := batchReportKey(r.PlanReport); got != want[i] {
 				t.Errorf("%s: scenario %d:\n got %s\nwant %s", label, i, got, want[i])
 			}
 		}
 	}
-	check("no-cache", OptimizeBatch(jobs, BatchOptions{Workers: 8}))
-	cache := NewPlanCache(1024)
-	check("cache-cold", OptimizeBatch(jobs, BatchOptions{Workers: 8, Cache: cache}))
-	warm := OptimizeBatch(jobs, BatchOptions{Workers: 8, Cache: cache})
+	exact := []Option{WithWorkers(8), WithExactCacheKeys(), WithoutFeedback()}
+	check("no-cache", New(nil, append(exact, WithoutPlanCache())...).OptimizeBatch(reqs))
+	opt := New(nil, append(exact, WithPlanCache(1024))...)
+	check("cache-cold", opt.OptimizeBatch(reqs))
+	warm := opt.OptimizeBatch(reqs)
 	check("cache-warm", warm)
 	hits := 0
 	for _, r := range warm {
@@ -153,8 +155,8 @@ func TestDifferentialBatchMatchesSequential(t *testing.T) {
 			hits++
 		}
 	}
-	if hits != len(jobs) {
-		t.Errorf("warm pass: %d/%d cache hits", hits, len(jobs))
+	if hits != len(reqs) {
+		t.Errorf("warm pass: %d/%d cache hits", hits, len(reqs))
 	}
 }
 

@@ -337,8 +337,7 @@ func BenchmarkOptimizeHitSQL(b *testing.B) {
 // BenchmarkCacheKey measures the plan-cache key build alone — the layer a
 // warm hit spends most of its time in — across the environment shapes that
 // set the preimage size (point law, 4-bucket law, 4-state Markov chain),
-// with and without executed-size hints. Headlines: 0 allocs/op and the
-// preimage-B metric, which the SHA-256 share of ns/op is linear in.
+// with and without executed-size hints. Headline: 0 allocs/op.
 func BenchmarkCacheKey(b *testing.B) {
 	envs, err := workload.StandardEnvs()
 	if err != nil {
@@ -375,8 +374,6 @@ func BenchmarkCacheKey(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(plancache.PreimageLen(sc.Cat, sc.Query, sc.Env, nil, nil,
-					sc.Opts, 0, uint8(AlgC), core.DefaultDriftBand, 0)), "preimage-B")
 			})
 		}
 	}

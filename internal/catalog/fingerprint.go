@@ -41,23 +41,18 @@ func (c *Catalog) BandedFingerprint(base float64) string {
 	return c.digest(base, 0).hex
 }
 
-// BandedFingerprintMargin is BandedFingerprint with every band index
-// offset by margin (in band units) before flooring — the probe digest of
-// band-edge hysteresis. A catalog whose distinct counts sit within
-// |margin| of a band boundary hashes, under the matching-signed margin,
-// identically to a neighbor on the boundary's other side: a small drift
-// step that happens to cross a floor(log_base) boundary can therefore be
-// recognized as the in-band neighbor it really is, instead of splitting
-// the plan cache. Margin 0 is the plain banded digest, and a non-finite
-// margin counts as 0. Digests are memoized per (base, margin) until the
+// AppendFingerprint appends the raw sha256.Size digest bytes — the
+// fixed-width form plan-cache keys embed — of the banded fingerprint with
+// every band index offset by margin (in band units) before flooring: the
+// probe digest of band-edge hysteresis. A catalog whose distinct counts sit
+// within |margin| of a band boundary hashes, under the matching-signed
+// margin, identically to a neighbor on the boundary's other side: a small
+// drift step that happens to cross a floor(log_base) boundary can therefore
+// be recognized as the in-band neighbor it really is, instead of splitting
+// the plan cache. Margin 0 is the plain BandedFingerprint digest, a
+// non-finite margin counts as 0, and base <= 1 is the exact Fingerprint
+// whatever the margin. Digests are memoized per (base, margin) until the
 // next mutation.
-func (c *Catalog) BandedFingerprintMargin(base, margin float64) string {
-	return c.digest(base, margin).hex
-}
-
-// AppendFingerprint appends the raw sha256.Size digest bytes that
-// BandedFingerprintMargin(base, margin) renders in hex — the fixed-width
-// form plan-cache keys embed.
 func (c *Catalog) AppendFingerprint(dst []byte, base, margin float64) []byte {
 	return append(dst, c.digest(base, margin).sum[:]...)
 }

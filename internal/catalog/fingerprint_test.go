@@ -26,7 +26,7 @@ func TestBandedFingerprintNonFiniteMargin(t *testing.T) {
 	want := c.BandedFingerprint(2)
 	for _, margin := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for i := 0; i < 100; i++ {
-			if got := c.BandedFingerprintMargin(2, margin); got != want {
+			if got := hex.EncodeToString(c.AppendFingerprint(nil, 2, margin)); got != want {
 				t.Fatalf("margin %v: digest %s, want the margin-0 digest %s", margin, got, want)
 			}
 		}
@@ -47,7 +47,7 @@ func TestAppendFingerprintIsTheRawDigest(t *testing.T) {
 		{0, 0, c.Fingerprint()},
 		{1, 0.25, c.Fingerprint()}, // base <= 1 is exact, margin ignored
 		{2, 0, c.BandedFingerprint(2)},
-		{2, -0.25, c.BandedFingerprintMargin(2, -0.25)},
+		{2, -0.25, c.digest(2, -0.25).hex},
 	} {
 		raw := c.AppendFingerprint([]byte("x"), tc.base, tc.margin)
 		if got := hex.EncodeToString(raw[1:]); raw[0] != 'x' || got != tc.want {
@@ -151,7 +151,7 @@ func TestFingerprintMemoConcurrent(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				margin := margins[(g+i)%len(margins)]
 				tables.RLock()
-				got := c.BandedFingerprintMargin(2, margin)
+				got := c.digest(2, margin).hex
 				want := c.computeDigest(2, margin).hex
 				exact, wantExact := c.Fingerprint(), c.computeDigest(0, 0).hex
 				schema, wantSchema := c.AppendSchemaDigest(nil), c.computeDigest(schemaBase, 0).sum

@@ -107,9 +107,6 @@ func (h *Histogram) Buckets() int { return len(h.counts) }
 // Rows returns the total row count.
 func (h *Histogram) Rows() float64 { return h.total }
 
-// Bounds returns a copy of the bucket boundaries.
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // Counts returns a copy of the bucket row counts.
 func (h *Histogram) Counts() []float64 { return append([]float64(nil), h.counts...) }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"lecopt/internal/dist"
-	"lecopt/internal/plancache"
 	"lecopt/internal/workload"
 )
 
@@ -38,31 +37,41 @@ func reportKey(r PlanReport) string {
 		r.Algorithm, r.Plan.Signature(), r.Score, r.EC, r.Candidates, r.Probes)
 }
 
+// exactHandle is the batch tests' handle: exact cache keys and no feedback,
+// so a batch is memoization only and must equal sequential optimization.
+// cacheSize < 0 disables the plan cache.
+func exactHandle(workers, cacheSize int) *Optimizer {
+	return NewOptimizer(nil, Config{
+		Workers: workers, CacheSize: cacheSize, DriftBand: -1, DisableFeedback: true,
+	})
+}
+
+func scenarioRequest(sc *Scenario, alg Algorithm) Request {
+	return Request{Query: sc.Query, Cat: sc.Cat, Env: sc.Env, Alg: alg}
+}
+
 func TestOptimizeBatchMatchesSequential(t *testing.T) {
 	scs := batchScenarios(t, 24)
 	algs := []Algorithm{AlgLSCMean, AlgLSCMode, AlgA, AlgB, AlgC}
-	var jobs []BatchJob
+	var reqs []Request
+	var want []string
 	for _, sc := range scs {
 		for _, alg := range algs {
-			jobs = append(jobs, BatchJob{Scenario: sc, Alg: alg})
+			rep, err := sc.Optimize(alg)
+			if err != nil {
+				t.Fatalf("sequential request %d: %v", len(reqs), err)
+			}
+			reqs = append(reqs, scenarioRequest(sc, alg))
+			want = append(want, reportKey(rep))
 		}
-	}
-	want := make([]string, len(jobs))
-	for i, j := range jobs {
-		rep, err := j.Scenario.Optimize(j.Alg)
-		if err != nil {
-			t.Fatalf("sequential job %d: %v", i, err)
-		}
-		want[i] = reportKey(rep)
 	}
 	for _, workers := range []int{1, 8} {
-		results := OptimizeBatch(jobs, BatchOptions{Workers: workers})
-		for i, r := range results {
+		for i, r := range exactHandle(workers, -1).OptimizeBatch(reqs) {
 			if r.Err != nil {
-				t.Fatalf("workers=%d job %d: %v", workers, i, r.Err)
+				t.Fatalf("workers=%d request %d: %v", workers, i, r.Err)
 			}
-			if got := reportKey(r.Report); got != want[i] {
-				t.Fatalf("workers=%d job %d:\n got %s\nwant %s", workers, i, got, want[i])
+			if got := reportKey(r.PlanReport); got != want[i] {
+				t.Fatalf("workers=%d request %d:\n got %s\nwant %s", workers, i, got, want[i])
 			}
 		}
 	}
@@ -70,35 +79,34 @@ func TestOptimizeBatchMatchesSequential(t *testing.T) {
 
 func TestOptimizeBatchCache(t *testing.T) {
 	scs := batchScenarios(t, 8)
-	var jobs []BatchJob
+	var reqs []Request
 	for round := 0; round < 3; round++ {
 		for _, sc := range scs {
-			jobs = append(jobs, BatchJob{Scenario: sc, Alg: AlgC})
+			reqs = append(reqs, scenarioRequest(sc, AlgC))
 		}
 	}
-	cache := plancache.New[PlanReport](256)
-	// Warm sequentially so hit accounting is deterministic, then re-run hot.
-	cold := OptimizeBatch(jobs[:len(scs)], BatchOptions{Workers: 1, Cache: cache})
+	o := exactHandle(4, 256)
+	cold := o.OptimizeBatch(reqs[:len(scs)])
 	for i, r := range cold {
 		if r.Err != nil || r.CacheHit {
-			t.Fatalf("cold job %d: err=%v hit=%v", i, r.Err, r.CacheHit)
+			t.Fatalf("cold request %d: err=%v hit=%v", i, r.Err, r.CacheHit)
 		}
 	}
-	hot := OptimizeBatch(jobs, BatchOptions{Workers: 4, Cache: cache})
+	hot := o.OptimizeBatch(reqs)
 	for i, r := range hot {
 		if r.Err != nil {
-			t.Fatalf("hot job %d: %v", i, r.Err)
+			t.Fatalf("hot request %d: %v", i, r.Err)
 		}
 		if !r.CacheHit {
-			t.Fatalf("hot job %d missed a warmed cache", i)
+			t.Fatalf("hot request %d missed a warmed cache", i)
 		}
-		if got, want := reportKey(r.Report), reportKey(cold[i%len(scs)].Report); got != want {
-			t.Fatalf("hot job %d:\n got %s\nwant %s", i, got, want)
+		if got, want := reportKey(r.PlanReport), reportKey(cold[i%len(scs)].PlanReport); got != want {
+			t.Fatalf("hot request %d:\n got %s\nwant %s", i, got, want)
 		}
 	}
-	st := cache.Stats()
-	if st.Hits == 0 || st.HitRate() == 0 {
-		t.Fatalf("cache never hit: %+v", st)
+	st := o.CacheStats()
+	if st.Hits != uint64(len(reqs)) || st.Misses != uint64(len(scs)) {
+		t.Fatalf("cache counted %d hits, %d misses; want %d, %d", st.Hits, st.Misses, len(reqs), len(scs))
 	}
 	if st.Size != len(scs) {
 		t.Fatalf("cache size = %d, want %d", st.Size, len(scs))
@@ -107,27 +115,32 @@ func TestOptimizeBatchCache(t *testing.T) {
 
 func TestOptimizeBatchPerJobErrors(t *testing.T) {
 	scs := batchScenarios(t, 2)
-	jobs := []BatchJob{
-		{Scenario: scs[0], Alg: AlgC},
-		{Scenario: nil, Alg: AlgC},
-		{Scenario: &Scenario{}, Alg: AlgC},
-		{Scenario: scs[1], Alg: Algorithm(99)},
-		{Scenario: scs[1], Alg: AlgC},
+	reqs := []Request{
+		scenarioRequest(scs[0], AlgC),
+		{},
+		{Query: scs[0].Query, Env: scs[0].Env, Alg: AlgC},
+		scenarioRequest(scs[1], Algorithm(99)),
+		scenarioRequest(scs[1], AlgC),
 	}
-	results := OptimizeBatch(jobs, BatchOptions{Workers: 3})
-	if results[0].Err != nil || results[4].Err != nil {
-		t.Fatalf("good jobs failed: %v, %v", results[0].Err, results[4].Err)
-	}
-	if !errors.Is(results[1].Err, ErrNilScenario) || !errors.Is(results[2].Err, ErrNilScenario) {
-		t.Fatalf("nil/empty scenario errors: %v, %v", results[1].Err, results[2].Err)
-	}
-	if !errors.Is(results[3].Err, ErrUnknownAlg) {
-		t.Fatalf("unknown alg error: %v", results[3].Err)
+	for _, cacheSize := range []int{-1, 64} {
+		results := exactHandle(3, cacheSize).OptimizeBatch(reqs)
+		if results[0].Err != nil || results[4].Err != nil {
+			t.Fatalf("good requests failed: %v, %v", results[0].Err, results[4].Err)
+		}
+		if !errors.Is(results[1].Err, ErrBadRequest) {
+			t.Fatalf("empty request error: %v", results[1].Err)
+		}
+		if !errors.Is(results[2].Err, ErrNoCatalog) {
+			t.Fatalf("catalog-less request error: %v", results[2].Err)
+		}
+		if !errors.Is(results[3].Err, ErrUnknownAlg) {
+			t.Fatalf("unknown alg error: %v", results[3].Err)
+		}
 	}
 }
 
 func TestOptimizeBatchEmpty(t *testing.T) {
-	if got := OptimizeBatch(nil, BatchOptions{}); len(got) != 0 {
+	if got := exactHandle(0, 0).OptimizeBatch(nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"sync"
-	"time"
 
 	"lecopt/internal/catalog"
 	"lecopt/internal/dist"
@@ -57,9 +57,6 @@ type Config struct {
 	// CacheSize is the plan-cache capacity: 0 means DefaultCacheSize, a
 	// negative value disables the plan cache.
 	CacheSize int
-	// Cache, when non-nil, is used instead of a freshly built cache —
-	// share one across handles for a fleet-wide plan cache.
-	Cache *plancache.Cache[PlanReport]
 	// DriftBand is the geometric band base for drift-banded cache keys:
 	// 0 means DefaultDriftBand; any value <= 1 selects exact-fingerprint
 	// keys (the pre-handle behavior).
@@ -118,18 +115,13 @@ func NewOptimizer(cat *catalog.Catalog, cfg Config) *Optimizer {
 	o := &Optimizer{cat: cat, cfg: cfg, prepared: make(map[string]*Prepared)}
 	o.band = ResolveDriftBand(cfg.DriftBand)
 	size := cfg.CacheSize
-	if size <= 0 {
+	if size == 0 {
 		size = DefaultCacheSize
-	}
-	switch {
-	case cfg.Cache != nil:
-		o.cache = cfg.Cache
-	case cfg.CacheSize >= 0:
-		o.cache = plancache.New[PlanReport](size)
 	}
 	// A statement with no cached plan is not worth remembering: the memo
 	// exists only beside a plan cache and holds as many entries.
-	if o.cache != nil {
+	if size > 0 {
+		o.cache = plancache.New[PlanReport](size)
 		o.stmts = plancache.New[*query.Block](size)
 	}
 	if !cfg.DisableFeedback {
@@ -140,8 +132,8 @@ func NewOptimizer(cat *catalog.Catalog, cfg Config) *Optimizer {
 
 // Request is one optimization request against the handle: the query (one
 // of SQL, Query or Prepared), the uncertainty model, and the algorithm.
-// It unifies the legacy Scenario/BatchJob split: everything a Scenario
-// carried is either here or defaulted from the handle's Config.
+// Everything a Scenario carries is either here or defaulted from the
+// handle's Config.
 type Request struct {
 	// SQL is resolved against the effective catalog. On a handle with a
 	// plan cache a text is parsed and validated the first time it is seen
@@ -167,10 +159,6 @@ type Request struct {
 	SizeLaws map[string]dist.Dist
 	// Opts overrides the handle's plan-space options for this request.
 	Opts *optimizer.Options
-
-	// scenario short-circuits request resolution; set only by the legacy
-	// wrappers so the deprecated surface delegates through the handle.
-	scenario *Scenario
 }
 
 // Response is the outcome of one request. PlanReport is embedded, so the
@@ -182,12 +170,6 @@ type Response struct {
 	// Parametric reports the plan came from a prepared statement's
 	// precomputed plan set rather than a full optimization.
 	Parametric bool
-	// Elapsed is the wall-clock time this request spent inside the handle
-	// (cache lookup plus, on a miss, the optimization) — the per-request
-	// latency the BENCH_batch.json histograms aggregate. It is measurement
-	// metadata: deterministic outputs (reports, artifacts that must be
-	// byte-identical) never serialize it.
-	Elapsed time.Duration
 	// Err is the per-request failure in batch responses (nil on success).
 	Err error
 }
@@ -271,8 +253,7 @@ func (o *Optimizer) parse(cat *catalog.Catalog, sql string) (*query.Block, error
 
 // scenarioPool recycles the request-resolution Scenario structs of the
 // serving hot path: a warm Optimize resolves, serves from the cache and
-// releases without ever touching the heap. Legacy pre-built scenarios
-// (Request.scenario) are caller-owned and never pooled.
+// releases without ever touching the heap.
 var scenarioPool = sync.Pool{New: func() any { return new(Scenario) }}
 
 // keyBufPool recycles plancache.KeyLen-capacity cache-key buffers for the
@@ -287,40 +268,13 @@ func releaseScenario(sc *Scenario) {
 	scenarioPool.Put(sc)
 }
 
-// scenario resolves a request into the internal Scenario form, folding in
-// handle defaults and feedback hints. The returned scenario is heap-owned
-// by the caller (Simulate, Tournament — paths that hold it past a single
-// optimization); the hot paths use scenarioFor instead.
-func (o *Optimizer) scenario(req Request) (*Scenario, error) {
-	if req.scenario != nil {
-		return req.scenario, nil
-	}
-	sc := new(Scenario)
-	if err := o.fillScenario(sc, req); err != nil {
-		return nil, err
-	}
-	return sc, nil
-}
-
-// scenarioFor is scenario backed by scenarioPool: pooled reports whether
-// the caller must releaseScenario once the report is extracted (false for
-// the legacy caller-owned short circuit).
-func (o *Optimizer) scenarioFor(req Request) (sc *Scenario, pooled bool, err error) {
-	if req.scenario != nil {
-		return req.scenario, false, nil
-	}
-	sc = scenarioPool.Get().(*Scenario)
-	if err := o.fillScenario(sc, req); err != nil {
-		releaseScenario(sc)
-		return nil, false, err
-	}
-	return sc, true, nil
-}
-
-func (o *Optimizer) fillScenario(sc *Scenario, req Request) error {
+// scenarioFor resolves a request into the internal Scenario form, folding
+// in handle defaults and feedback hints. The scenario comes from
+// scenarioPool: the caller must releaseScenario once it has its answer.
+func (o *Optimizer) scenarioFor(req Request) (*Scenario, error) {
 	cat, blk, err := o.resolveQuery(req.Cat, req.Prepared, req.Query, req.SQL)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	opts := o.cfg.PlanSpace
 	if req.Opts != nil {
@@ -343,29 +297,27 @@ func (o *Optimizer) fillScenario(sc *Scenario, req Request) error {
 			opts.SizeHints = hints
 		}
 	}
+	sc := scenarioPool.Get().(*Scenario)
 	*sc = Scenario{
 		Cat: cat, Query: blk, Env: req.Env,
 		SelLaws: req.SelLaws, SizeLaws: req.SizeLaws,
 		Opts: opts, TopC: topC,
 	}
-	return nil
+	return sc, nil
 }
 
 // Optimize runs one request through the cache-then-optimize path.
 func (o *Optimizer) Optimize(req Request) (Response, error) {
-	start := time.Now()
-	sc, pooled, err := o.scenarioFor(req)
+	sc, err := o.scenarioFor(req)
 	if err != nil {
 		return Response{Err: err}, err
 	}
 	rep, hit, err := o.runOne(sc, req.Alg)
-	if pooled {
-		releaseScenario(sc) // reports never reference the scenario
-	}
+	releaseScenario(sc) // reports never reference the scenario
 	if err != nil {
 		return Response{Err: err}, err
 	}
-	return Response{PlanReport: rep, CacheHit: hit, Elapsed: time.Since(start)}, nil
+	return Response{PlanReport: rep, CacheHit: hit}, nil
 }
 
 // Cached serves a request from the plan cache alone: no optimization is
@@ -377,20 +329,18 @@ func (o *Optimizer) Optimize(req Request) (Response, error) {
 // *nearest* cached plan for a tenant whose statistics have walked away.
 // With no margins given, the band-edge hysteresis margin is probed, which
 // makes a Cached hit equivalent to "Optimize would have hit". All probes
-// are uncounted (plancache.Probe): a denied request must not distort the
-// hit-rate trajectory the cache stats track. Nothing is re-cached — a
+// are uncounted (plancache.ProbeBytes): a denied request must not distort
+// the hit-rate trajectory the cache stats track. Nothing is re-cached — a
 // far-band plan served under pressure must not poison the primary band.
 func (o *Optimizer) Cached(req Request, margins ...float64) (Response, bool) {
 	if o.cache == nil {
 		return Response{}, false
 	}
-	sc, pooled, err := o.scenarioFor(req)
+	sc, err := o.scenarioFor(req)
 	if err != nil {
 		return Response{Err: err}, false
 	}
-	if pooled {
-		defer releaseScenario(sc)
-	}
+	defer releaseScenario(sc)
 	kb := keyBufPool.Get().(*[]byte)
 	defer keyBufPool.Put(kb)
 	key, err := sc.AppendCacheKey((*kb)[:0], req.Alg, o.band, 0)
@@ -401,21 +351,11 @@ func (o *Optimizer) Cached(req Request, margins ...float64) (Response, bool) {
 	if rep, ok := o.cache.ProbeBytes(key); ok {
 		return Response{PlanReport: rep, CacheHit: true}, true
 	}
-	if o.band <= 1 {
-		return Response{}, false
-	}
 	if len(margins) == 0 {
 		margins = []float64{BandMargin}
 	}
-	pb := keyBufPool.Get().(*[]byte)
-	defer keyBufPool.Put(pb)
 	for _, m := range margins {
-		for _, margin := range [2]float64{-m, m} {
-			probe, err := sc.AppendCacheKey((*pb)[:0], req.Alg, o.band, margin)
-			*pb = probe
-			if err != nil || bytes.Equal(probe, key) {
-				continue
-			}
+		for probe := range o.probeKeys(sc, req.Alg, key, m) {
 			if rep, ok := o.cache.ProbeBytes(probe); ok {
 				return Response{PlanReport: rep, CacheHit: true}, true
 			}
@@ -424,10 +364,37 @@ func (o *Optimizer) Cached(req Request, margins ...float64) (Response, bool) {
 	return Response{}, false
 }
 
+// probeKeys yields the scenario's band-edge hysteresis probe keys at
+// margin m, −m before +m: a drift step that just crossed a floor(log_base)
+// band boundary keys, under the matching-signed margin, exactly as its
+// neighbor did under margin 0. A probe key equal to the primary (no
+// statistic within m of a band edge on that side) is skipped, and exact
+// keys (band <= 1) have no neighbors at all. The yielded slice is reused
+// by the next iteration.
+func (o *Optimizer) probeKeys(sc *Scenario, alg Algorithm, primary []byte, m float64) iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		if o.band <= 1 {
+			return
+		}
+		pb := keyBufPool.Get().(*[]byte)
+		defer keyBufPool.Put(pb)
+		for _, margin := range [2]float64{-m, m} {
+			probe, err := sc.AppendCacheKey((*pb)[:0], alg, o.band, margin)
+			*pb = probe
+			if err == nil && !bytes.Equal(probe, primary) && !yield(probe) {
+				return
+			}
+		}
+	}
+}
+
 // runOne serves one scenario from the plan cache or optimizes and caches.
 // The cache key lives in a pooled buffer and the lookup is byte-keyed, so
 // a warm hit — the dominant serving outcome — allocates nothing; the key
-// string materializes only on the miss path's Put.
+// string materializes only on the miss path's Put. After a counted miss on
+// a banded primary key the ±BandMargin neighbors are probed, and a found
+// report is re-cached under the primary key so the new band serves itself
+// from then on.
 func (o *Optimizer) runOne(sc *Scenario, alg Algorithm) (PlanReport, bool, error) {
 	if o.cache == nil {
 		rep, err := sc.Optimize(alg)
@@ -443,8 +410,11 @@ func (o *Optimizer) runOne(sc *Scenario, alg Algorithm) (PlanReport, bool, error
 	if rep, ok := o.cache.GetBytes(key); ok {
 		return rep, true, nil
 	}
-	if rep, ok := o.probeAdjacent(sc, alg, key); ok {
-		return rep, true, nil
+	for probe := range o.probeKeys(sc, alg, key, BandMargin) {
+		if rep, ok := o.cache.ProbeBytes(probe); ok {
+			o.cache.Put(string(key), rep)
+			return rep, true, nil
+		}
 	}
 	rep, err := sc.Optimize(alg)
 	if err != nil {
@@ -454,30 +424,20 @@ func (o *Optimizer) runOne(sc *Scenario, alg Algorithm) (PlanReport, bool, error
 	return rep, false, nil
 }
 
-// probeAdjacent is the band-edge hysteresis: after a counted miss on a
-// banded primary key, try the two ±BandMargin probe keys — a drift step
-// that just crossed a floor(log_base) band boundary keys, under the
-// matching-signed margin, exactly as its neighbor did under margin 0. A
-// found report is re-cached under the primary key so the new band serves
-// itself from then on.
-func (o *Optimizer) probeAdjacent(sc *Scenario, alg Algorithm, primary []byte) (PlanReport, bool) {
-	if o.band <= 1 {
-		return PlanReport{}, false
-	}
-	pb := keyBufPool.Get().(*[]byte)
-	defer keyBufPool.Put(pb)
-	for _, margin := range [2]float64{-BandMargin, BandMargin} {
-		probe, err := sc.AppendCacheKey((*pb)[:0], alg, o.band, margin)
-		*pb = probe
-		if err != nil || bytes.Equal(probe, primary) {
-			continue
-		}
-		if rep, ok := o.cache.ProbeBytes(probe); ok {
-			o.cache.Put(string(primary), rep)
-			return rep, true
-		}
-	}
-	return PlanReport{}, false
+// batchGroup is the unit of batch work: one representative request that is
+// looked up or optimized once, and the later requests served its answer.
+type batchGroup struct {
+	rep  int
+	key  string // plan-cache key; "" on a handle without a plan cache
+	dups []batchDup
+}
+
+// batchDup is a request riding along with a group: key is its own
+// plan-cache key when it joined across a band edge, "" when it shares the
+// group's.
+type batchDup struct {
+	req int
+	key string
 }
 
 // OptimizeBatch optimizes every request across the handle's worker pool
@@ -492,111 +452,64 @@ func (o *Optimizer) probeAdjacent(sc *Scenario, alg Algorithm, primary []byte) (
 // request of a band computes the shared plan no longer depends on worker
 // scheduling. Results are byte-identical to sequential Optimize calls
 // under exact keys, and independent of Workers under either key scheme.
+// A handle without a plan cache has no keys: every request is its own
+// group.
 func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 	out := make([]Response, len(reqs))
 	if len(reqs) == 0 {
 		return out
 	}
 	scs := make([]*Scenario, len(reqs))
-	pooled := make([]bool, len(reqs))
-	for i := range reqs {
-		sc, p, err := o.scenarioFor(reqs[i])
-		if err != nil {
-			out[i] = Response{Err: err}
-			continue
-		}
-		scs[i], pooled[i] = sc, p
-	}
 	defer func() {
-		for i, sc := range scs {
-			if pooled[i] && sc != nil {
+		for _, sc := range scs {
+			if sc != nil {
 				releaseScenario(sc)
 			}
 		}
 	}()
-	workers := pool.Workers(o.cfg.Workers, len(reqs))
-	damp := func(sc *Scenario) *Scenario {
-		if workers > 1 && sc.Opts.Workers == 0 {
-			// The batch pool already saturates the machine; letting A/B's
-			// per-bucket fan-out also default to GOMAXPROCS would stack
-			// P×P CPU-bound goroutines for no added parallelism. Shallow-
-			// copy rather than mutate — scenarios may be shared.
-			cp := *sc
-			cp.Opts.Workers = 1
-			return &cp
-		}
-		return sc
-	}
-	if o.cache == nil {
-		pool.Run(len(reqs), workers, func(i int) error {
-			if scs[i] == nil {
-				return nil
-			}
-			start := time.Now()
-			rep, err := damp(scs[i]).Optimize(reqs[i].Alg)
-			if err != nil {
-				out[i] = Response{Err: err}
-			} else {
-				out[i] = Response{PlanReport: rep, Elapsed: time.Since(start)}
-			}
-			return nil
-		})
-		return out
-	}
 	// Group requests by cache key in first-appearance order. Band-edge
 	// hysteresis runs here, in this sequential pass — never in the
 	// workers — so which group a near-boundary request joins (and thus the
 	// whole batch outcome) is independent of worker scheduling.
-	type group struct {
-		rep     int
-		dups    []int
-		dupKeys []string // parallel to dups; non-empty = cross-band alias
-	}
-	var keys []string
-	groups := make(map[string]*group)
+	var groups []batchGroup
+	byKey := make(map[string]int) // key → index into groups
 	kb := keyBufPool.Get().(*[]byte)
-	pb := keyBufPool.Get().(*[]byte)
+	defer keyBufPool.Put(kb)
+requests:
 	for i := range reqs {
-		if scs[i] == nil {
+		sc, err := o.scenarioFor(reqs[i])
+		if err != nil {
+			out[i] = Response{Err: err}
 			continue
 		}
-		k, err := scs[i].AppendCacheKey((*kb)[:0], reqs[i].Alg, o.band, 0)
+		scs[i] = sc
+		if o.cache == nil {
+			groups = append(groups, batchGroup{rep: i})
+			continue
+		}
+		k, err := sc.AppendCacheKey((*kb)[:0], reqs[i].Alg, o.band, 0)
 		*kb = k
 		if err != nil {
 			out[i] = Response{Err: err}
-			if pooled[i] {
-				releaseScenario(scs[i])
-				pooled[i] = false
-			}
-			scs[i] = nil
 			continue
 		}
-		if g, ok := groups[string(k)]; ok {
-			g.dups = append(g.dups, i)
-			g.dupKeys = append(g.dupKeys, "")
+		if gi, ok := byKey[string(k)]; ok {
+			groups[gi].dups = append(groups[gi].dups, batchDup{req: i})
 			continue
 		}
-		joined := false
 		// Hysteresis only applies on a primary-key miss — a request whose
 		// own band is already cached must get *that* plan (exactly what a
 		// sequential Optimize would return), never a neighbor's. The gate
-		// is an uncounted Probe; the group's worker does the counted Get.
+		// is an uncounted probe; the group's worker does the counted Get.
 		if o.band > 1 {
 			if _, cached := o.cache.ProbeBytes(k); !cached {
-				for _, margin := range [2]float64{-BandMargin, BandMargin} {
-					probe, err := scs[i].AppendCacheKey((*pb)[:0], reqs[i].Alg, o.band, margin)
-					*pb = probe
-					if err != nil || bytes.Equal(probe, k) {
-						continue
-					}
-					// A same-batch group across the boundary: ride along
-					// as a cross-band dup (the answer is written through
-					// under this request's own key below).
-					if g, ok := groups[string(probe)]; ok {
-						g.dups = append(g.dups, i)
-						g.dupKeys = append(g.dupKeys, string(k))
-						joined = true
-						break
+				for probe := range o.probeKeys(sc, reqs[i].Alg, k, BandMargin) {
+					// A same-batch group across the boundary: ride along as
+					// a cross-band dup (the answer is written through under
+					// this request's own key by the group's worker).
+					if gi, ok := byKey[string(probe)]; ok {
+						groups[gi].dups = append(groups[gi].dups, batchDup{req: i, key: string(k)})
+						continue requests
 					}
 					// A prior-batch entry across the boundary: alias it to
 					// the primary key so this group's worker (and every
@@ -608,51 +521,57 @@ func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 				}
 			}
 		}
-		if joined {
-			continue
-		}
-		key := string(k)
-		groups[key] = &group{rep: i}
-		keys = append(keys, key)
+		byKey[string(k)] = len(groups)
+		groups = append(groups, batchGroup{rep: i, key: string(k)})
 	}
-	keyBufPool.Put(kb)
-	keyBufPool.Put(pb)
-	pool.Run(len(keys), pool.Workers(workers, len(keys)), func(gi int) error {
-		key := keys[gi]
-		g := groups[key]
-		i := g.rep
-		start := time.Now()
-		if rep, ok := o.cache.Get(key); ok {
-			out[i] = Response{PlanReport: rep, CacheHit: true, Elapsed: time.Since(start)}
-		} else {
-			rep, err := damp(scs[i]).Optimize(reqs[i].Alg)
-			if err != nil {
-				out[i] = Response{Err: err}
-			} else {
-				o.cache.Put(key, rep)
-				out[i] = Response{PlanReport: rep, Elapsed: time.Since(start)}
-			}
+	workers := pool.Workers(o.cfg.Workers, len(reqs))
+	pool.Run(len(groups), pool.Workers(workers, len(groups)), func(gi int) error {
+		g := &groups[gi]
+		sc := scs[g.rep]
+		if workers > 1 && sc.Opts.Workers == 0 {
+			// The batch pool already saturates the machine; letting A/B's
+			// per-bucket fan-out also default to GOMAXPROCS would stack
+			// P×P CPU-bound goroutines for no added parallelism.
+			sc.Opts.Workers = 1
 		}
-		for di, d := range g.dups {
-			if out[i].Err != nil {
-				out[d] = out[i]
+		out[g.rep] = o.serveGroup(sc, reqs[g.rep].Alg, g.key)
+		for _, d := range g.dups {
+			out[d.req] = out[g.rep]
+			if out[g.rep].Err != nil {
 				continue
 			}
-			dupStart := time.Now()
-			if rep, ok := o.cache.Get(key); ok { // counts the duplicate's lookup
-				out[d] = Response{PlanReport: rep, CacheHit: true, Elapsed: time.Since(dupStart)}
-			} else { // evicted under pressure mid-batch: reuse the answer
-				out[d] = out[i]
+			// Count the duplicate's lookup; if the entry was evicted under
+			// pressure mid-batch the representative's answer is reused.
+			if rep, ok := o.cache.GetBytes([]byte(g.key)); ok {
+				out[d.req] = Response{PlanReport: rep, CacheHit: true}
 			}
 			// Cross-band alias: write the shared answer through under the
 			// dup's own key so its band serves itself from now on.
-			if g.dupKeys[di] != "" {
-				o.cache.Put(g.dupKeys[di], out[d].PlanReport)
+			if d.key != "" {
+				o.cache.Put(d.key, out[d.req].PlanReport)
 			}
 		}
 		return nil
 	})
 	return out
+}
+
+// serveGroup answers a batch group's representative: a counted lookup
+// under the group's key, else an optimization that is cached under it.
+func (o *Optimizer) serveGroup(sc *Scenario, alg Algorithm, key string) Response {
+	if o.cache != nil {
+		if rep, ok := o.cache.GetBytes([]byte(key)); ok {
+			return Response{PlanReport: rep, CacheHit: true}
+		}
+	}
+	rep, err := sc.Optimize(alg)
+	if err != nil {
+		return Response{Err: err}
+	}
+	if o.cache != nil {
+		o.cache.Put(key, rep)
+	}
+	return Response{PlanReport: rep}
 }
 
 // Feedback carries one execution's observed intermediate-result sizes
@@ -692,20 +611,22 @@ func (o *Optimizer) Observe(fb Feedback) error {
 // Simulate Monte-Carlo-executes a plan's cost model under the request's
 // environment (the request only needs a query and an environment).
 func (o *Optimizer) Simulate(req Request, p *plan.Node, runs int, seed int64) (envsim.RunStats, error) {
-	sc, err := o.scenario(req)
+	sc, err := o.scenarioFor(req)
 	if err != nil {
 		return envsim.RunStats{}, err
 	}
+	defer releaseScenario(sc)
 	return sc.Simulate(p, runs, seed)
 }
 
 // Tournament runs a common-random-numbers realized-cost comparison of the
 // given reports' plans under the request's environment.
 func (o *Optimizer) Tournament(req Request, reports []PlanReport, runs int, seed int64) (envsim.TournamentResult, error) {
-	sc, err := o.scenario(req)
+	sc, err := o.scenarioFor(req)
 	if err != nil {
 		return envsim.TournamentResult{}, err
 	}
+	defer releaseScenario(sc)
 	return sc.Tournament(reports, runs, seed)
 }
 

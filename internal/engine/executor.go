@@ -30,7 +30,7 @@ type ExecResult struct {
 	// (cost.MemPages: truncated to whole pages, floored at the 3-page
 	// operator minimum, unbounded = MaxInt32), one entry per phase,
 	// parallel to PhaseIO. Feeding
-	// PhaseMem[i] into plan.CostPhases / optimizer.Result.PhaseECAt
+	// PhaseMem[i] into plan.CostPhasesModel
 	// conditions the analytic model on the memory trajectory this
 	// execution actually saw, isolating formula error from law error.
 	PhaseMem []float64
@@ -68,16 +68,6 @@ type ExecResult struct {
 // node must carry left/right tables joined on a column named "k", the
 // convention of the storage generators; richer schemas use ExecuteSpec.
 func (e *Engine) ExecutePlan(p *plan.Node, memSeq []float64) (ExecResult, error) {
-	return e.executePlan(p, memSeq, "k")
-}
-
-// ExecutePlanOn is ExecutePlan with an explicit join column name shared by
-// all relations.
-func (e *Engine) ExecutePlanOn(p *plan.Node, memSeq []float64, joinCol string) (ExecResult, error) {
-	return e.executePlan(p, memSeq, joinCol)
-}
-
-func (e *Engine) executePlan(p *plan.Node, memSeq []float64, joinCol string) (ExecResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExecResult{}, err
 	}
@@ -100,7 +90,7 @@ func (e *Engine) executePlan(p *plan.Node, memSeq []float64, joinCol string) (Ex
 		phaseMem[i] = float64(mem[i])
 	}
 	ex := &executor{
-		eng: e, mem: mem, joinCol: joinCol,
+		eng: e, mem: mem,
 		phaseIO: make([]int64, phases), joinSizes: make(map[string]float64),
 	}
 	rel, err := ex.run(p)
@@ -115,10 +105,13 @@ func (e *Engine) executePlan(p *plan.Node, memSeq []float64, joinCol string) (Ex
 	}, nil
 }
 
+// joinCol is the join column every relation of an executed plan shares (the
+// storage generators' convention; richer schemas use ExecuteSpec).
+const joinCol = "k"
+
 type executor struct {
 	eng       *Engine
 	mem       []int // pool capacity per phase
-	joinCol   string
 	total     buffer.Stats
 	phaseIO   []int64
 	joinSizes map[string]float64
@@ -260,18 +253,18 @@ func (ex *executor) charge(phase int, st buffer.Stats) {
 // first, prefixed "o.".
 func (ex *executor) colFor(rel *storage.Relation) string {
 	for _, c := range rel.Cols {
-		if c == ex.joinCol {
+		if c == joinCol {
 			return c
 		}
 	}
 	// Join outputs qualify columns; prefer the outer-side key.
 	for _, c := range rel.Cols {
-		if c == "o."+ex.joinCol || c == "i."+ex.joinCol {
+		if c == "o."+joinCol || c == "i."+joinCol {
 			return c
 		}
 	}
 	// Fall back to the shortest qualified key ("o.o.k", ...).
-	suffix := "." + ex.joinCol
+	suffix := "." + joinCol
 	best := ""
 	for _, c := range rel.Cols {
 		if len(c) > len(suffix) && c[len(c)-len(suffix):] == suffix {

@@ -46,37 +46,28 @@ func JoinECLinear(method cost.JoinMethod, a, b, mem dist.Dist) (ec float64, ok b
 	}
 }
 
-// JoinEC returns the expected join cost, preferring the linear path.
-func JoinEC(method cost.JoinMethod, a, b, mem dist.Dist) float64 {
-	if ec, ok := JoinECLinear(method, a, b, mem); ok {
-		return ec
-	}
-	return JoinECNaive(method, a, b, mem)
-}
-
-// JoinECModel is JoinEC under the selected cost model. The linear-time
-// sweeps hard-code the paper's three-case pass structure, so the one
-// model/method pair whose formula differs — ModelEngine grace hash, whose
-// recursion charge is not a flat multiplier of |A|+|B| — falls back to
-// full joint enumeration over cost.JoinIOModel; every other pair keeps
-// the paper path.
+// JoinECModel returns the expected join cost under the selected cost
+// model, preferring the linear path and falling back to full joint
+// enumeration for a method without one. The linear-time sweeps hard-code
+// the paper's three-case pass structure, so the one model/method pair whose
+// formula differs — ModelEngine grace hash, whose recursion charge is not a
+// flat multiplier of |A|+|B| — also enumerates, over cost.JoinIOModel;
+// every other pair keeps the paper path.
 func JoinECModel(model cost.Model, method cost.JoinMethod, a, b, mem dist.Dist) float64 {
 	if model == cost.ModelEngine && method == cost.GraceHash {
 		return dist.Expect3(a, b, mem, func(av, bv, mv float64) float64 {
 			return cost.JoinIOModel(model, method, av, bv, mv)
 		})
 	}
-	return JoinEC(method, a, b, mem)
+	if ec, ok := JoinECLinear(method, a, b, mem); ok {
+		return ec
+	}
+	return JoinECNaive(method, a, b, mem)
 }
 
 // SortEC returns E[SortIO(R, M)] for independent size and memory laws.
 func SortEC(r, mem dist.Dist) float64 {
 	return dist.Expect2(r, mem, cost.SortIO)
-}
-
-// ScanEC returns E[ScanIO(R)] for a size law.
-func ScanEC(r dist.Dist) float64 {
-	return r.ExpectF(cost.ScanIO)
 }
 
 // --- Section 3.6.1: sort-merge -----------------------------------------

@@ -83,14 +83,14 @@ func TestJoinECDispatch(t *testing.T) {
 	m := dist.Point(10)
 	// Fast path methods agree with direct formula under point laws.
 	for _, method := range cost.PaperMethods {
-		approx(t, JoinEC(method, a, b, m), cost.JoinIO(method, 100, 50, 10), 1e-9,
+		approx(t, JoinECModel(cost.ModelPaper, method, a, b, m), cost.JoinIO(method, 100, 50, 10), 1e-9,
 			method.String())
 	}
 	// BlockNL has no fast path; dispatch must fall back to naive.
 	if _, ok := JoinECLinear(cost.BlockNL, a, b, m); ok {
 		t.Fatal("BlockNL should have no linear path")
 	}
-	approx(t, JoinEC(cost.BlockNL, a, b, m), cost.JoinIO(cost.BlockNL, 100, 50, 10), 1e-9, "blocknl naive")
+	approx(t, JoinECModel(cost.ModelPaper, cost.BlockNL, a, b, m), cost.JoinIO(cost.BlockNL, 100, 50, 10), 1e-9, "blocknl naive")
 }
 
 // TestExample11ExpectedCosts wires the linear evaluators to the paper's
@@ -116,7 +116,6 @@ func TestSortAndScanEC(t *testing.T) {
 	// 100 pages: √100=10 < 50 → wait, 100 > 50 so external: mult 2 → 200.
 	// 10000: √10000=100 ≥ 50 → ∛10000≈21.5 < 50 → mult 4 → 40000.
 	approx(t, SortEC(r, m), 0.5*200+0.5*40000, 1e-9, "SortEC")
-	approx(t, ScanEC(r), 0.5*100+0.5*10000, 1e-9, "ScanEC")
 	// Fits in memory: free.
 	approx(t, SortEC(dist.Point(10), dist.Point(50)), 0, 0, "in-memory sort free")
 }

@@ -140,24 +140,6 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("%w: %s", ErrUnknownExperiment, id)
 }
 
-// RunAll executes every experiment, rendering to w as it goes.
-func RunAll(w io.Writer) ([]Table, error) {
-	var out []Table
-	for _, e := range All() {
-		t, err := e.Run()
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		if w != nil {
-			if err := t.Render(w); err != nil {
-				return out, err
-			}
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // fmtF renders a float compactly.
 func fmtF(v float64) string {
 	switch {

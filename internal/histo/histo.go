@@ -1,18 +1,16 @@
-// Package histo is the shared per-request latency histogram of the
-// benchmark artifacts: BENCH_batch.json records wall-clock optimize
-// latency through it, BENCH_fleet.json records virtual (modeled) optimize
-// latency through the very same type, so the two artifacts' tail-latency
-// surfaces stay comparable across PRs. Values are exact (every observation
-// is kept), quantiles are nearest-rank, and the bucketed view is
-// power-of-two, so a Summary is a pure function of the observed multiset —
-// byte-identical across runs of a deterministic workload.
+// Package histo is the per-request latency histogram of the fleet
+// artifact: BENCH_fleet.json records virtual (modeled) optimize latency
+// through it. Values are exact (every observation is kept), quantiles are
+// nearest-rank, and the bucketed view is power-of-two, so a Summary is a
+// pure function of the observed multiset — byte-identical across runs of a
+// deterministic workload.
 package histo
 
 import "sort"
 
 // Histogram accumulates observations. The zero value is ready to use. It
-// is not concurrency-safe: callers observe from one goroutine (both
-// benchmark modes fold results after their pipelines complete).
+// is not concurrency-safe: callers observe from one goroutine (the fleet
+// run folds results after its pipeline completes).
 type Histogram struct {
 	vals []float64
 }

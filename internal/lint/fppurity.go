@@ -51,7 +51,6 @@ type fpEntry struct {
 var fpEntries = []fpEntry{
 	{"internal/catalog", "Catalog", "Fingerprint"},
 	{"internal/catalog", "Catalog", "BandedFingerprint"},
-	{"internal/catalog", "Catalog", "BandedFingerprintMargin"},
 	{"internal/catalog", "Catalog", "AppendFingerprint"},
 	{"internal/catalog", "Catalog", "AppendSchemaDigest"},
 	{"internal/query", "Block", "Canonical"},

@@ -466,7 +466,6 @@ func withPhaseEC(r Result, model cost.Model, laws []dist.Dist) (Result, error) {
 		return Result{}, err
 	}
 	r.PhaseEC = ph
-	r.Model = model
 	return r, nil
 }
 
@@ -491,20 +490,15 @@ func ExpectedCostModel(model cost.Model, p *plan.Node, laws []dist.Dist) (float6
 	return total, nil
 }
 
-// ExpectedCostPhases breaks EC(P) down by execution phase: element i is
-// E[cost_phase_i(M_i)], with len equal to p.Phases(). Attribution follows
-// plan.CostPhases (and therefore the engine's physical conventions):
-// materialized access paths land in phase 0, unfiltered heap scans are
-// paid by their consumer, joins and sorts in the phase of the subtree
-// they complete. Conditioning the same breakdown on a realized memory
-// trajectory instead of the laws is plan.CostPhases itself.
-func ExpectedCostPhases(p *plan.Node, laws []dist.Dist) ([]float64, error) {
-	return ExpectedCostPhasesModel(cost.ModelPaper, p, laws)
-}
-
-// ExpectedCostPhasesModel is ExpectedCostPhases under the selected cost
-// model (joins charged with cost.ExpectJoinIO, the bucket-order-preserving
-// expectation of cost.JoinIOModel).
+// ExpectedCostPhasesModel breaks EC(P) down by execution phase under the
+// selected cost model: element i is E[cost_phase_i(M_i)], with len equal to
+// p.Phases(). Attribution follows plan.CostPhasesModel (and therefore the
+// engine's physical conventions): materialized access paths land in phase
+// 0, unfiltered heap scans are paid by their consumer, joins and sorts in
+// the phase of the subtree they complete. Joins are charged with
+// cost.ExpectJoinIO, the bucket-order-preserving expectation of
+// cost.JoinIOModel. Conditioning the same breakdown on a realized memory
+// trajectory instead of the laws is plan.CostPhasesModel itself.
 func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) ([]float64, error) {
 	if len(laws) == 0 {
 		return nil, ErrLawsShort

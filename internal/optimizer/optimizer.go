@@ -120,7 +120,7 @@ type Result struct {
 	// for LSC, the expected cost for the LEC algorithms.
 	EC float64
 	// PhaseEC breaks the plan's score down by execution phase under the
-	// memory laws the algorithm optimized with (ExpectedCostPhases):
+	// memory laws the algorithm optimized with (ExpectedCostPhasesModel):
 	// element i is the analytic charge attributed to phase i, len equal
 	// to Plan.Phases(). For the memory-only algorithms (LSC, A, B, C,
 	// C-dynamic) the slice sums to EC; for Algorithm D it is evaluated at
@@ -133,28 +133,6 @@ type Result struct {
 	// Probes counts candidate-pair combinations examined by the
 	// Proposition 3.1 frontier (Algorithm B only).
 	Probes int
-	// Model is the cost model the plan was selected and scored under
-	// (Options.CostModel); PhaseECAt conditions on it so per-phase
-	// comparisons against the engine use the same formulas the optimizer
-	// believed.
-	Model cost.Model
-}
-
-// PhaseECAt returns the plan's analytic charge for one phase conditioned
-// on a realized memory value — the cost the model would have predicted
-// for that phase had it known the memory the executor actually saw
-// there. Comparing it against engine.ExecResult.PhaseIO[phase] isolates
-// formula error from memory-law error. Returns NaN for an out-of-range
-// phase or an invalid plan.
-func (r Result) PhaseECAt(phase int, mem float64) float64 {
-	if r.Plan == nil {
-		return math.NaN()
-	}
-	ph, err := r.Plan.CostPhasesModel(r.Model, plan.ConstMem(mem))
-	if err != nil || phase < 0 || phase >= len(ph) {
-		return math.NaN()
-	}
-	return ph[phase]
 }
 
 // EdgeKey canonically names a join edge for selectivity-law maps:

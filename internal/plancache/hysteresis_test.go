@@ -79,15 +79,15 @@ func TestSignatureMarginBridgesBandEdge(t *testing.T) {
 	}
 }
 
-// TestProbeDoesNotCountStats: Probe finds entries and refreshes recency
+// TestProbeDoesNotCountStats: ProbeBytes finds entries and refreshes recency
 // without moving the hit/miss counters.
 func TestProbeDoesNotCountStats(t *testing.T) {
 	c := New[int](64)
 	c.Put("x", 1)
-	if _, ok := c.Probe("x"); !ok {
+	if _, ok := c.ProbeBytes([]byte("x")); !ok {
 		t.Fatal("probe missed a present key")
 	}
-	if _, ok := c.Probe("y"); ok {
+	if _, ok := c.ProbeBytes([]byte("y")); ok {
 		t.Fatal("probe found a missing key")
 	}
 	st := c.Stats()

@@ -63,13 +63,9 @@ func New[V any](capacity int) *Cache[V] {
 	return c
 }
 
-func (c *Cache[V]) shardOf(key string) *shard[V] {
-	return &c.shards[maphash.String(c.seed, key)&(shardCount-1)]
-}
-
-// shardOfBytes must agree with shardOf for equal key contents so string
-// and byte lookups interleave freely; maphash guarantees Bytes(seed, b)
-// == String(seed, string(b)).
+// shardOfBytes picks a key's shard. maphash guarantees Bytes(seed, b) ==
+// String(seed, string(b)), so Put — which is handed the key as the string
+// it stores — lands in the shard the byte-keyed lookups search.
 func (c *Cache[V]) shardOfBytes(key []byte) *shard[V] {
 	return &c.shards[maphash.Bytes(c.seed, key)&(shardCount-1)]
 }
@@ -92,34 +88,11 @@ func (s *shard[V]) served(el *list.Element, ok, counted bool) (V, bool) {
 	return el.Value.(*lruEntry[V]).val, true
 }
 
-// Get returns the cached value for key and whether it was present, marking
-// the entry most-recently-used on a hit.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	return s.served(el, ok, true)
-}
-
-// Probe is Get without touching the hit/miss counters: the lookup used by
-// band-edge hysteresis, which speculatively tries adjacent-band keys after
-// a counted miss. Counting those speculative lookups would dilute the hit
-// rate the cache reports for its *primary* keys. A found entry is still
-// marked most-recently-used — serving a plan keeps it warm however it was
-// found.
-func (c *Cache[V]) Probe(key string) (V, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	return s.served(el, ok, false)
-}
-
-// GetBytes is Get keyed by the raw bytes of a key, for callers that build
-// keys in a reusable buffer (AppendKey): the map lookup's string
-// conversion stays on the stack, so a hit performs zero heap allocations.
-// The key bytes are not retained.
+// GetBytes returns the cached value for key and whether it was present,
+// marking the entry most-recently-used on a hit. It is keyed by the raw
+// bytes of a key, for callers that build keys in a reusable buffer
+// (AppendKey): the map lookup's string conversion stays on the stack, so a
+// hit performs zero heap allocations. The key bytes are not retained.
 func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	s := c.shardOfBytes(key)
 	s.mu.Lock()
@@ -128,7 +101,12 @@ func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	return s.served(el, ok, true)
 }
 
-// ProbeBytes is Probe keyed by raw key bytes (see GetBytes).
+// ProbeBytes is GetBytes without touching the hit/miss counters: the lookup
+// used by band-edge hysteresis, which speculatively tries adjacent-band
+// keys after a counted miss. Counting those speculative lookups would
+// dilute the hit rate the cache reports for its *primary* keys. A found
+// entry is still marked most-recently-used — serving a plan keeps it warm
+// however it was found.
 func (c *Cache[V]) ProbeBytes(key []byte) (V, bool) {
 	s := c.shardOfBytes(key)
 	s.mu.Lock()
@@ -140,7 +118,7 @@ func (c *Cache[V]) ProbeBytes(key []byte) (V, bool) {
 // Put stores key→val, evicting the shard's least-recently-used entry when
 // the shard is full. Storing an existing key refreshes its value and recency.
 func (c *Cache[V]) Put(key string, val V) {
-	s := c.shardOf(key)
+	s := &c.shards[maphash.String(c.seed, key)&(shardCount-1)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {

@@ -17,17 +17,17 @@ import (
 
 func TestGetPutRoundTrip(t *testing.T) {
 	c := New[int](64)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.GetBytes([]byte("a")); ok {
 		t.Fatal("empty cache reported a hit")
 	}
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %d, %v", v, ok)
+	if v, ok := c.GetBytes([]byte("a")); !ok || v != 1 {
+		t.Fatalf("GetBytes(a) = %d, %v", v, ok)
 	}
 	c.Put("a", 10) // refresh
-	if v, _ := c.Get("a"); v != 10 {
-		t.Fatalf("refreshed Get(a) = %d", v)
+	if v, _ := c.GetBytes([]byte("a")); v != 10 {
+		t.Fatalf("refreshed GetBytes(a) = %d", v)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
@@ -44,11 +44,11 @@ func TestGetPutRoundTrip(t *testing.T) {
 // sameShardKeys returns n distinct keys that hash to the same shard.
 func sameShardKeys(t *testing.T, c *Cache[int], n int) []string {
 	t.Helper()
-	target := c.shardOf("k0")
+	target := c.shardOfBytes([]byte("k0"))
 	keys := []string{"k0"}
 	for i := 1; len(keys) < n; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if c.shardOf(k) == target {
+		if c.shardOfBytes([]byte(k)) == target {
 			keys = append(keys, k)
 		}
 	}
@@ -60,10 +60,10 @@ func TestLRUEvictionWithinShard(t *testing.T) {
 	keys := sameShardKeys(t, c, 3)
 	c.Put(keys[0], 0)
 	c.Put(keys[1], 1) // evicts keys[0]
-	if _, ok := c.Get(keys[0]); ok {
+	if _, ok := c.GetBytes([]byte(keys[0])); ok {
 		t.Fatal("oldest entry not evicted")
 	}
-	if v, ok := c.Get(keys[1]); !ok || v != 1 {
+	if v, ok := c.GetBytes([]byte(keys[1])); !ok || v != 1 {
 		t.Fatal("newest entry missing")
 	}
 }
@@ -73,12 +73,12 @@ func TestLRURecencyOnGet(t *testing.T) {
 	keys := sameShardKeys(t, c, 3)
 	c.Put(keys[0], 0)
 	c.Put(keys[1], 1)
-	c.Get(keys[0])    // make keys[0] most recent
-	c.Put(keys[2], 2) // should evict keys[1]
-	if _, ok := c.Get(keys[0]); !ok {
+	c.GetBytes([]byte(keys[0])) // make keys[0] most recent
+	c.Put(keys[2], 2)           // should evict keys[1]
+	if _, ok := c.GetBytes([]byte(keys[0])); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, ok := c.Get(keys[1]); ok {
+	if _, ok := c.GetBytes([]byte(keys[1])); ok {
 		t.Fatal("least recently used entry survived")
 	}
 }
@@ -86,7 +86,7 @@ func TestLRURecencyOnGet(t *testing.T) {
 func TestTinyCapacityStillCaches(t *testing.T) {
 	c := New[int](1)
 	c.Put("x", 7)
-	if v, ok := c.Get("x"); !ok || v != 7 {
+	if v, ok := c.GetBytes([]byte("x")); !ok || v != 7 {
 		t.Fatal("capacity-1 cache dropped its only entry")
 	}
 }
@@ -101,7 +101,7 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("key-%d", i%64)
 				c.Put(k, i)
-				c.Get(k)
+				c.GetBytes([]byte(k))
 			}
 		}(g)
 	}
@@ -302,7 +302,7 @@ func TestKeyFraming(t *testing.T) {
 
 // TestCountersReconcile: the hit/miss/eviction counters live in the shards,
 // so Stats must still add up exactly — every counted lookup lands in
-// exactly one of Hits or Misses, Probe lookups in neither — and evictions
+// exactly one of Hits or Misses, ProbeBytes lookups in neither — and evictions
 // must match what the same Put sequence does on one goroutine.
 func TestCountersReconcile(t *testing.T) {
 	const goroutines, perG, probes = 8, 3000, 1000

@@ -44,7 +44,7 @@ const KeyLen = sha256.Size
 // lets drifting tenants share plans.
 //
 // margin offsets the catalog's distinct-count bands by that many band units
-// (catalog.BandedFingerprintMargin) — the band-edge hysteresis probe key.
+// (catalog.AppendFingerprint) — the band-edge hysteresis probe key.
 // Everything outside the catalog digest hashes identically to margin 0, so
 // a statistics state sitting within |margin| of a band boundary produces,
 // under the matching-signed margin, the very key its across-the-boundary
@@ -64,14 +64,6 @@ func AppendKey(dst []byte, cat *catalog.Catalog, blk *query.Block, env envsim.En
 	*bp = pre
 	preimagePool.Put(bp)
 	return append(dst, sum[:]...)
-}
-
-// PreimageLen returns how many bytes AppendKey hashes for these inputs —
-// the figure its SHA-256 cost is linear in, for benchmarks and diagnostics.
-func PreimageLen(cat *catalog.Catalog, blk *query.Block, env envsim.Env,
-	selLaws, sizeLaws map[string]dist.Dist, opts optimizer.Options, topC int,
-	alg uint8, driftBand, margin float64) int {
-	return len(appendPreimage(nil, cat, blk, env, selLaws, sizeLaws, opts, topC, alg, driftBand, margin))
 }
 
 // preimagePool recycles the digest preimage buffers; 1 KB covers a

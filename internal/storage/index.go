@@ -219,9 +219,6 @@ func (ix *Index) Height() int { return ix.height }
 // LeafPages returns the leaf level's page count.
 func (ix *Index) LeafPages() int { return ix.leaves.NumPages() }
 
-// KeyCol returns the indexed column's position in the data relation.
-func (ix *Index) KeyCol() int { return ix.col }
-
 // PageReader fetches one page of a named relation — the hook through which
 // index walks charge their I/O (the engine passes buffer.Pool.Read; tests
 // may pass Store-direct reads for uncharged inspection).
@@ -306,14 +303,4 @@ func (s *Store) Index(name string) (*Index, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoIndex, name)
 	}
 	return ix, nil
-}
-
-// IndexNames returns all registered index names, sorted (diagnostics).
-func (s *Store) IndexNames() []string {
-	out := make([]string, 0, len(s.indexes))
-	for n := range s.indexes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -101,12 +101,6 @@
 // feedback off and on); see the README's "Empirical validation" section
 // for how to read it.
 //
-// # Migrating from the free functions
-//
-// The pre-handle surface (Scenario.Optimize, OptimizeBatch, NewPlanCache)
-// still works and now delegates to the service; see the README's
-// "Migrating from the free functions" table for the old-to-new mapping.
-//
 // See the examples/ directory for runnable programs, DESIGN.md for the
 // architecture and plan-space conventions, and EXPERIMENTS.md for the
 // E1-E20 reproduction methodology.
@@ -158,21 +152,7 @@ type (
 	Plan = plan.Node
 	// Options tunes the optimizer's plan space.
 	Options = optimizer.Options
-	// BatchJob is one unit of work for OptimizeBatch.
-	//
-	// Deprecated: build Requests for an Optimizer handle instead.
-	BatchJob = core.BatchJob
-	// BatchResult is the outcome of one BatchJob.
-	//
-	// Deprecated: the handle's OptimizeBatch returns Responses.
-	BatchResult = core.BatchResult
-	// BatchOptions tunes OptimizeBatch (worker count, plan cache).
-	//
-	// Deprecated: configure the handle with WithWorkers / WithPlanCache.
-	BatchOptions = core.BatchOptions
-	// PlanCache memoizes PlanReports across repeated queries.
-	PlanCache = plancache.Cache[core.PlanReport]
-	// CacheStats snapshots a PlanCache's hit/miss counters.
+	// CacheStats snapshots a handle's plan-cache hit/miss counters.
 	CacheStats = plancache.Stats
 	// WorkloadSpec configures serving-mix generation for RunWorkload.
 	WorkloadSpec = serving.MixSpec
@@ -245,24 +225,6 @@ func ExpectedCost(p *Plan, laws []Dist) (float64, error) {
 
 // EdgeKey canonically names a join edge for Scenario.SelLaws.
 func EdgeKey(j query.Join) string { return optimizer.EdgeKey(j) }
-
-// OptimizeBatch optimizes every job across a worker pool and returns the
-// results in job order; see the "Batch & concurrent use" package section.
-//
-// Deprecated: OptimizeBatch delegates to an ephemeral Optimizer handle
-// with exact cache keys on every call. Hold a long-lived handle instead —
-// New(...).OptimizeBatch — which adds drift-banded caching, prepared
-// statements and executed-size feedback.
-func OptimizeBatch(jobs []BatchJob, opts BatchOptions) []BatchResult {
-	return core.OptimizeBatch(jobs, opts)
-}
-
-// NewPlanCache returns a concurrency-safe LRU plan cache holding at most
-// capacity memoized PlanReports, for use with BatchOptions.Cache or
-// WithSharedCache (sharing one cache across handles).
-func NewPlanCache(capacity int) *PlanCache {
-	return plancache.New[core.PlanReport](capacity)
-}
 
 // DefaultWorkloadSpec returns the canonical Zipf+Markov serving mix: 12
 // distinct queries with skew 1.1, four tenant memory regimes (batch,

@@ -54,18 +54,12 @@ func WithWorkers(n int) Option {
 // WithPlanCache sets the handle's plan-cache capacity (the default is
 // core.DefaultCacheSize entries).
 func WithPlanCache(capacity int) Option {
-	return func(c *core.Config) { c.CacheSize = capacity; c.Cache = nil }
-}
-
-// WithSharedCache makes the handle use an existing cache — share one
-// across handles for a fleet-wide plan cache.
-func WithSharedCache(cache *PlanCache) Option {
-	return func(c *core.Config) { c.Cache = cache }
+	return func(c *core.Config) { c.CacheSize = capacity }
 }
 
 // WithoutPlanCache disables plan caching entirely.
 func WithoutPlanCache() Option {
-	return func(c *core.Config) { c.CacheSize = -1; c.Cache = nil }
+	return func(c *core.Config) { c.CacheSize = -1 }
 }
 
 // WithDriftBand sets the geometric band base for drift-banded plan-cache
