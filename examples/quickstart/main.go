@@ -69,16 +69,26 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// C(P, m), the cost at one memory value, is the expected cost under
+	// that value's point law.
+	costAt := func(p *lecopt.Plan, m float64) float64 {
+		c, err := lecopt.ExpectedCost(p, []lecopt.Dist{lecopt.PointDist(m)})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return c
+	}
+
 	fmt.Println("classical (LSC at modal memory 2000):")
 	fmt.Println(classical.Plan)
-	fmt.Printf("  cost at 2000 pages: %.4g\n", classical.Plan.CostAt(2000))
-	fmt.Printf("  cost at  700 pages: %.4g\n", classical.Plan.CostAt(700))
+	fmt.Printf("  cost at 2000 pages: %.4g\n", costAt(classical.Plan, 2000))
+	fmt.Printf("  cost at  700 pages: %.4g\n", costAt(classical.Plan, 700))
 	fmt.Printf("  expected cost:      %.4g\n\n", classical.EC)
 
 	fmt.Println("least expected cost (Algorithm C):")
 	fmt.Println(lec.Plan)
-	fmt.Printf("  cost at 2000 pages: %.4g\n", lec.Plan.CostAt(2000))
-	fmt.Printf("  cost at  700 pages: %.4g\n", lec.Plan.CostAt(700))
+	fmt.Printf("  cost at 2000 pages: %.4g\n", costAt(lec.Plan, 2000))
+	fmt.Printf("  cost at  700 pages: %.4g\n", costAt(lec.Plan, 700))
 	fmt.Printf("  expected cost:      %.4g\n\n", lec.EC)
 
 	fmt.Printf("LEC saves %.1f%% expected I/O over the classical plan\n",

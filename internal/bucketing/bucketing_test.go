@@ -70,7 +70,7 @@ func TestCoarsenPreservesMassAndMean(t *testing.T) {
 func TestLevelSetExactWithFewBuckets(t *testing.T) {
 	const a, b = 1_000_000.0, 400_000.0
 	law := fineLaw(400, 2, 5000, 11)
-	f := func(m float64) float64 { return cost.JoinIO(cost.SortMerge, a, b, m) }
+	f := func(m float64) float64 { return cost.JoinIOModel(cost.ModelPaper, cost.SortMerge, a, b, m) }
 	exact := law.ExpectF(f)
 
 	bounds := Boundaries([]cost.JoinMethod{cost.SortMerge}, [][2]float64{{a, b}}, nil)
@@ -94,7 +94,7 @@ func TestLevelSetExactWithFewBuckets(t *testing.T) {
 func TestUniformConvergesWithBuckets(t *testing.T) {
 	const a, b = 1_000_000.0, 400_000.0
 	law := fineLaw(512, 2, 5000, 13)
-	f := func(m float64) float64 { return cost.JoinIO(cost.SortMerge, a, b, m) }
+	f := func(m float64) float64 { return cost.JoinIOModel(cost.ModelPaper, cost.SortMerge, a, b, m) }
 	exact := law.ExpectF(f)
 	errAt := func(buckets int) float64 {
 		c, err := Coarsen(law, buckets, Uniform, nil)

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"lecopt/internal/catalog"
+	"lecopt/internal/cost"
 	"lecopt/internal/dist"
 	"lecopt/internal/envsim"
 	"lecopt/internal/optimizer"
@@ -162,7 +163,11 @@ func (s *Scenario) Optimize(alg Algorithm) (PlanReport, error) {
 	if err != nil {
 		return PlanReport{}, err
 	}
-	ec, err := s.ExpectedCost(res.Plan)
+	laws, err := s.phaseLaws()
+	if err != nil {
+		return PlanReport{}, err
+	}
+	ec, err := optimizer.ExpectedCostModel(s.Opts.CostModel, res.Plan, laws)
 	if err != nil {
 		return PlanReport{}, err
 	}
@@ -226,18 +231,10 @@ func (s *Scenario) Compare(algs ...Algorithm) ([]PlanReport, error) {
 	return out, nil
 }
 
-// ExpectedCost evaluates any plan under the scenario's per-phase memory
-// laws and its Opts.CostModel — the uniform yardstick used to compare
-// algorithms' plans.
-func (s *Scenario) ExpectedCost(p *plan.Node) (float64, error) {
-	if err := s.check(); err != nil {
-		return 0, err
-	}
-	laws, err := s.phaseLaws()
-	if err != nil {
-		return 0, err
-	}
-	return optimizer.ExpectedCostModel(s.Opts.CostModel, p, laws)
+// paperCost is the evaluator under the paper's cost model: Simulate and
+// Tournament price each sampled trajectory with it.
+func paperCost(p *plan.Node, laws []dist.Dist) (float64, error) {
+	return optimizer.ExpectedCostModel(cost.ModelPaper, p, laws)
 }
 
 // Simulate Monte-Carlo-executes a plan's cost model under the environment.
@@ -245,7 +242,7 @@ func (s *Scenario) Simulate(p *plan.Node, runs int, seed int64) (envsim.RunStats
 	if err := s.check(); err != nil {
 		return envsim.RunStats{}, err
 	}
-	return envsim.Simulate(p, s.Env, runs, rand.New(rand.NewSource(seed)))
+	return envsim.Simulate(p, s.Env, runs, rand.New(rand.NewSource(seed)), paperCost)
 }
 
 // Tournament runs a common-random-numbers realized-cost comparison of the
@@ -259,5 +256,5 @@ func (s *Scenario) Tournament(reports []PlanReport, runs int, seed int64) (envsi
 		t.Names = append(t.Names, r.Algorithm.String())
 		t.Plans = append(t.Plans, r.Plan)
 	}
-	return t.Run(s.Env, runs, rand.New(rand.NewSource(seed)))
+	return t.Run(s.Env, runs, rand.New(rand.NewSource(seed)), paperCost)
 }

@@ -66,39 +66,6 @@ func (m JoinMethod) String() string {
 // column (only sort-merge).
 func (m JoinMethod) OrdersOutput() bool { return m == SortMerge }
 
-// JoinIO returns C(method, v) for joining outer |A| pages with inner |B|
-// pages under memory m. Sizes must be positive; non-positive sizes cost 0
-// (empty input short-circuit).
-func JoinIO(method JoinMethod, outer, inner, mem float64) float64 {
-	if outer <= 0 || inner <= 0 {
-		return 0
-	}
-	switch method {
-	case SortMerge:
-		return passMultiplier(math.Max(outer, inner), mem) * (outer + inner)
-	case GraceHash:
-		// Build side fits (S pages + 2 streaming frames): one-pass
-		// in-memory hash join, each side read exactly once. Without this
-		// case the model charges 2(|A|+|B|) in a regime where the engine
-		// pays |A|+|B| — a memory-dependent 2× error that inverts the
-		// grace-hash/page-nl ranking at high memory.
-		if mem >= math.Min(outer, inner)+2 {
-			return outer + inner
-		}
-		return passMultiplier(math.Min(outer, inner), mem) * (outer + inner)
-	case PageNL:
-		if mem >= math.Min(outer, inner)+2 {
-			return outer + inner
-		}
-		return outer + outer*inner
-	case BlockNL:
-		blocks := math.Ceil(outer / math.Max(1, mem-2))
-		return outer + blocks*inner
-	default:
-		panic(fmt.Sprintf("cost: unknown join method %v", method))
-	}
-}
-
 // passMultiplier encodes the paper's three-case pass structure keyed to a
 // pivot relation size R: 2 passes over the data when M > √R, 4 when
 // ∛R < M ≤ √R, 6 when M ≤ ∛R.
@@ -174,12 +141,12 @@ func IndexScanIO(height, sel, pages, rows float64, clustered bool) float64 {
 	return height + math.Ceil(sel*rows)
 }
 
-// JoinBreakpoints returns the memory values at which JoinIO(method, a, b, ·)
-// changes value — the boundaries of the cost function's level sets in the
-// memory dimension (Section 3.7). The returned values are ascending and
-// are the *lowest memory in each new regime* (i.e. cost is constant on
-// [v_i, v_{i+1})). maxBreaks caps the output for methods with many level
-// sets (BlockNL).
+// JoinBreakpoints returns the memory values at which the paper's charge
+// JoinIOModel(ModelPaper, method, a, b, ·) changes value — the boundaries
+// of the cost function's level sets in the memory dimension (Section 3.7).
+// The returned values are ascending and are the *lowest memory in each new
+// regime* (i.e. cost is constant on [v_i, v_{i+1})). maxBreaks caps the
+// output for methods with many level sets (BlockNL).
 func JoinBreakpoints(method JoinMethod, outer, inner float64, maxBreaks int) []float64 {
 	if outer <= 0 || inner <= 0 {
 		return nil

@@ -18,19 +18,19 @@ func approx(t *testing.T, got, want, tol float64, msg string) {
 func TestExample11Formulas(t *testing.T) {
 	const a, b = 1_000_000, 400_000
 	// Sort-merge keyed to the LARGER relation: √L = 1000.
-	approx(t, JoinIO(SortMerge, a, b, 2000), 2*(a+b), 0, "SM two passes at 2000")
-	approx(t, JoinIO(SortMerge, a, b, 1001), 2*(a+b), 0, "SM two passes just above 1000")
-	approx(t, JoinIO(SortMerge, a, b, 1000), 4*(a+b), 0, "SM extra pass at exactly 1000 (strict >)")
-	approx(t, JoinIO(SortMerge, a, b, 700), 4*(a+b), 0, "SM extra pass at 700")
-	approx(t, JoinIO(SortMerge, a, b, 100), 6*(a+b), 0, "SM six at ∛L")
+	approx(t, JoinIOModel(ModelPaper, SortMerge, a, b, 2000), 2*(a+b), 0, "SM two passes at 2000")
+	approx(t, JoinIOModel(ModelPaper, SortMerge, a, b, 1001), 2*(a+b), 0, "SM two passes just above 1000")
+	approx(t, JoinIOModel(ModelPaper, SortMerge, a, b, 1000), 4*(a+b), 0, "SM extra pass at exactly 1000 (strict >)")
+	approx(t, JoinIOModel(ModelPaper, SortMerge, a, b, 700), 4*(a+b), 0, "SM extra pass at 700")
+	approx(t, JoinIOModel(ModelPaper, SortMerge, a, b, 100), 6*(a+b), 0, "SM six at ∛L")
 	// Grace hash keyed to the SMALLER relation: √S ≈ 632.46.
-	approx(t, JoinIO(GraceHash, a, b, 700), 2*(a+b), 0, "GH two passes at 700")
-	approx(t, JoinIO(GraceHash, a, b, 633), 2*(a+b), 0, "GH two passes at 633")
-	approx(t, JoinIO(GraceHash, a, b, 632), 4*(a+b), 0, "GH extra pass at 632")
-	approx(t, JoinIO(GraceHash, a, b, 73), 6*(a+b), 0, "GH six below ∛S≈73.7")
+	approx(t, JoinIOModel(ModelPaper, GraceHash, a, b, 700), 2*(a+b), 0, "GH two passes at 700")
+	approx(t, JoinIOModel(ModelPaper, GraceHash, a, b, 633), 2*(a+b), 0, "GH two passes at 633")
+	approx(t, JoinIOModel(ModelPaper, GraceHash, a, b, 632), 4*(a+b), 0, "GH extra pass at 632")
+	approx(t, JoinIOModel(ModelPaper, GraceHash, a, b, 73), 6*(a+b), 0, "GH six below ∛S≈73.7")
 	// One-pass in-memory case: the build side S = 400,000 fits at M ≥ S+2.
-	approx(t, JoinIO(GraceHash, a, b, 400_002), a+b, 0, "GH one pass when build fits")
-	approx(t, JoinIO(GraceHash, a, b, 400_001), 2*(a+b), 0, "GH two passes just below fit")
+	approx(t, JoinIOModel(ModelPaper, GraceHash, a, b, 400_002), a+b, 0, "GH one pass when build fits")
+	approx(t, JoinIOModel(ModelPaper, GraceHash, a, b, 400_001), 2*(a+b), 0, "GH two passes just below fit")
 	// Result sort: 3000 pages, memory 2000 → external, √3000≈54.8 < 2000.
 	approx(t, SortIO(3000, 2000), 2*3000, 0, "sort small result")
 	approx(t, SortIO(3000, 3000), 0, 0, "fits in memory: free")
@@ -44,8 +44,8 @@ func TestExample11Formulas(t *testing.T) {
 // Plan 2 (grace hash + sort) has lower expected cost.
 func TestExample11PlanComparison(t *testing.T) {
 	const a, b, res = 1_000_000, 400_000, 3000
-	plan1 := func(m float64) float64 { return JoinIO(SortMerge, a, b, m) }
-	plan2 := func(m float64) float64 { return JoinIO(GraceHash, a, b, m) + SortIO(res, m) }
+	plan1 := func(m float64) float64 { return JoinIOModel(ModelPaper, SortMerge, a, b, m) }
+	plan2 := func(m float64) float64 { return JoinIOModel(ModelPaper, GraceHash, a, b, m) + SortIO(res, m) }
 
 	for _, m := range []float64{2000, 1740} {
 		if !(plan1(m) < plan2(m)) {
@@ -64,25 +64,25 @@ func TestExample11PlanComparison(t *testing.T) {
 
 func TestPageNL(t *testing.T) {
 	// S = min = 40; fits when M ≥ 42.
-	approx(t, JoinIO(PageNL, 100, 40, 42), 140, 0, "NL fits")
-	approx(t, JoinIO(PageNL, 100, 40, 41), 100+100*40, 0, "NL thrashes")
+	approx(t, JoinIOModel(ModelPaper, PageNL, 100, 40, 42), 140, 0, "NL fits")
+	approx(t, JoinIOModel(ModelPaper, PageNL, 100, 40, 41), 100+100*40, 0, "NL thrashes")
 	// Outer is |A| in the formula even when it's the smaller one.
-	approx(t, JoinIO(PageNL, 40, 100, 41), 40+40*100, 0, "NL small outer thrashes")
-	approx(t, JoinIO(PageNL, 40, 100, 42), 140, 0, "NL small outer fits")
+	approx(t, JoinIOModel(ModelPaper, PageNL, 40, 100, 41), 40+40*100, 0, "NL small outer thrashes")
+	approx(t, JoinIOModel(ModelPaper, PageNL, 40, 100, 42), 140, 0, "NL small outer fits")
 }
 
 func TestBlockNL(t *testing.T) {
 	// outer=100, mem=12 → blocks = ceil(100/10) = 10 → 100 + 10·50.
-	approx(t, JoinIO(BlockNL, 100, 50, 12), 600, 0, "10 blocks")
+	approx(t, JoinIOModel(ModelPaper, BlockNL, 100, 50, 12), 600, 0, "10 blocks")
 	// mem=102 → one block.
-	approx(t, JoinIO(BlockNL, 100, 50, 102), 150, 0, "one block")
+	approx(t, JoinIOModel(ModelPaper, BlockNL, 100, 50, 102), 150, 0, "one block")
 	// mem ≤ 3 → denominator clamps to 1 → outer + outer·inner.
-	approx(t, JoinIO(BlockNL, 100, 50, 1), 100+100*50, 0, "degenerate memory")
+	approx(t, JoinIOModel(ModelPaper, BlockNL, 100, 50, 1), 100+100*50, 0, "degenerate memory")
 }
 
 func TestJoinIOEdgeCases(t *testing.T) {
 	for _, m := range Methods {
-		if JoinIO(m, 0, 10, 100) != 0 || JoinIO(m, 10, 0, 100) != 0 {
+		if JoinIOModel(ModelPaper, m, 0, 10, 100) != 0 || JoinIOModel(ModelPaper, m, 10, 0, 100) != 0 {
 			t.Fatalf("%v: empty input should cost 0", m)
 		}
 	}
@@ -91,7 +91,7 @@ func TestJoinIOEdgeCases(t *testing.T) {
 			t.Fatal("unknown method should panic")
 		}
 	}()
-	JoinIO(JoinMethod(99), 1, 1, 1)
+	JoinIOModel(ModelPaper, JoinMethod(99), 1, 1, 1)
 }
 
 func TestScanAndIndexIO(t *testing.T) {
@@ -146,7 +146,7 @@ func TestBreakpointsPartitionLevelSets(t *testing.T) {
 		probes = append(probes, bps[len(bps)-1]*2)
 		prev := math.NaN()
 		for i, p := range probes {
-			c := JoinIO(m, a, b, p)
+			c := JoinIOModel(ModelPaper, m, a, b, p)
 			if i > 0 && c == prev {
 				t.Fatalf("%v: cost did not change across breakpoint %d (%v)", m, i-1, bps[i-1])
 			}
@@ -155,8 +155,8 @@ func TestBreakpointsPartitionLevelSets(t *testing.T) {
 		// Within a region the cost is flat.
 		lo, hi := bps[0], bps[1%len(bps)]
 		if len(bps) >= 2 {
-			c1 := JoinIO(m, a, b, lo+(hi-lo)*0.25)
-			c2 := JoinIO(m, a, b, lo+(hi-lo)*0.75)
+			c1 := JoinIOModel(ModelPaper, m, a, b, lo+(hi-lo)*0.25)
+			c2 := JoinIOModel(ModelPaper, m, a, b, lo+(hi-lo)*0.75)
 			if c1 != c2 {
 				t.Fatalf("%v: cost not constant within level set", m)
 			}
@@ -169,8 +169,8 @@ func TestBreakpointRepresentativesLandHigh(t *testing.T) {
 	// the higher (cheaper) regime.
 	const a, b = 1_000_000, 400_000
 	bps := JoinBreakpoints(SortMerge, a, b, 0)
-	approx(t, JoinIO(SortMerge, a, b, bps[1]), 2*(a+b), 0, "at √L breakpoint: cheap regime")
-	approx(t, JoinIO(SortMerge, a, b, bps[0]), 4*(a+b), 0, "at ∛L breakpoint: middle regime")
+	approx(t, JoinIOModel(ModelPaper, SortMerge, a, b, bps[1]), 2*(a+b), 0, "at √L breakpoint: cheap regime")
+	approx(t, JoinIOModel(ModelPaper, SortMerge, a, b, bps[0]), 4*(a+b), 0, "at ∛L breakpoint: middle regime")
 }
 
 func TestBlockNLBreakpoints(t *testing.T) {
@@ -211,7 +211,7 @@ func TestQuickMonotoneInMemory(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		for _, m := range Methods {
-			if JoinIO(m, a, b, hi) > JoinIO(m, a, b, lo) {
+			if JoinIOModel(ModelPaper, m, a, b, hi) > JoinIOModel(ModelPaper, m, a, b, lo) {
 				return false
 			}
 		}
@@ -229,16 +229,16 @@ func TestQuickAmpleMemory(t *testing.T) {
 	f := func(ai, bi uint16) bool {
 		a, b := float64(ai)+1, float64(bi)+1
 		m := a + b + 10
-		if JoinIO(PageNL, a, b, m) != a+b {
+		if JoinIOModel(ModelPaper, PageNL, a, b, m) != a+b {
 			return false
 		}
-		if JoinIO(BlockNL, a, b, m) != a+b {
+		if JoinIOModel(ModelPaper, BlockNL, a, b, m) != a+b {
 			return false
 		}
-		if JoinIO(SortMerge, a, b, m) != 2*(a+b) {
+		if JoinIOModel(ModelPaper, SortMerge, a, b, m) != 2*(a+b) {
 			return false
 		}
-		return JoinIO(GraceHash, a, b, m) == a+b
+		return JoinIOModel(ModelPaper, GraceHash, a, b, m) == a+b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestQuickAmpleMemory(t *testing.T) {
 func TestQuickGraceLEQSortMerge(t *testing.T) {
 	f := func(ai, bi, mi uint16) bool {
 		a, b, m := float64(ai)+1, float64(bi)+1, float64(mi)+1
-		return JoinIO(GraceHash, a, b, m) <= JoinIO(SortMerge, a, b, m)
+		return JoinIOModel(ModelPaper, GraceHash, a, b, m) <= JoinIOModel(ModelPaper, SortMerge, a, b, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -94,18 +94,43 @@ func GracePasses(s, m float64) (levels int, fallback bool) {
 	}
 }
 
-// JoinIOModel returns C(method, v) under the selected cost model.
-// ModelPaper delegates to JoinIO unchanged; ModelEngine differs only for
-// grace hash, where it charges the engine's exact recursion via
-// engineGraceIO. Sizes must be positive; non-positive sizes cost 0.
+// JoinIOModel returns C(method, v) under the selected cost model for
+// joining outer |A| pages with inner |B| pages under memory mem. Sizes must
+// be positive; non-positive sizes cost 0 (empty input short-circuit).
+// ModelPaper charges the three-case formulas documented on each JoinMethod;
+// ModelEngine differs only for grace hash, where it charges the engine's
+// exact recursion via engineGraceIO.
 func JoinIOModel(model Model, method JoinMethod, outer, inner, mem float64) float64 {
-	if model == ModelEngine && method == GraceHash {
-		if outer <= 0 || inner <= 0 {
-			return 0
-		}
-		return engineGraceIO(pagesOf(outer), pagesOf(inner), MemPages(mem), 0)
+	if outer <= 0 || inner <= 0 {
+		return 0
 	}
-	return JoinIO(method, outer, inner, mem)
+	switch method {
+	case SortMerge:
+		return passMultiplier(math.Max(outer, inner), mem) * (outer + inner)
+	case GraceHash:
+		if model == ModelEngine {
+			return engineGraceIO(pagesOf(outer), pagesOf(inner), MemPages(mem), 0)
+		}
+		// Build side fits (S pages + 2 streaming frames): one-pass
+		// in-memory hash join, each side read exactly once. Without this
+		// case the model charges 2(|A|+|B|) in a regime where the engine
+		// pays |A|+|B| — a memory-dependent 2× error that inverts the
+		// grace-hash/page-nl ranking at high memory.
+		if mem >= math.Min(outer, inner)+2 {
+			return outer + inner
+		}
+		return passMultiplier(math.Min(outer, inner), mem) * (outer + inner)
+	case PageNL:
+		if mem >= math.Min(outer, inner)+2 {
+			return outer + inner
+		}
+		return outer + outer*inner
+	case BlockNL:
+		blocks := math.Ceil(outer / math.Max(1, mem-2))
+		return outer + blocks*inner
+	default:
+		panic(fmt.Sprintf("cost: unknown join method %v", method))
+	}
 }
 
 // engineGraceIO charges grace hash the way engine.graceHashJoin executes

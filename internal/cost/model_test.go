@@ -5,8 +5,42 @@ import (
 	"testing"
 )
 
+// paperJoinIO writes the paper's footnote-2 formulas out directly: the
+// 2/4/6 pass multiplier from math.Sqrt and math.Cbrt, nothing hoisted.
+func paperJoinIO(method JoinMethod, a, b, m float64) float64 {
+	if a <= 0 || b <= 0 {
+		return 0
+	}
+	passes := func(r float64) float64 {
+		switch {
+		case m > math.Sqrt(r):
+			return 2
+		case m > math.Cbrt(r):
+			return 4
+		default:
+			return 6
+		}
+	}
+	switch method {
+	case SortMerge:
+		return passes(math.Max(a, b)) * (a + b)
+	case GraceHash:
+		if m >= math.Min(a, b)+2 {
+			return a + b
+		}
+		return passes(math.Min(a, b)) * (a + b)
+	case PageNL:
+		if m >= math.Min(a, b)+2 {
+			return a + b
+		}
+		return a + a*b
+	default: // BlockNL
+		return a + math.Ceil(a/math.Max(1, m-2))*b
+	}
+}
+
 // TestModelPaperIsJoinIO: ModelPaper must be the paper's formulas
-// byte-for-byte — JoinIOModel(ModelPaper, ...) is JoinIO with no
+// byte-for-byte — JoinIOModel(ModelPaper, ...) is paperJoinIO with no
 // exceptions, across every method and a dense size/memory grid. The
 // E1–E20 golden tables rest on this identity.
 func TestModelPaperIsJoinIO(t *testing.T) {
@@ -17,9 +51,9 @@ func TestModelPaperIsJoinIO(t *testing.T) {
 			for _, b := range sizes {
 				for _, m := range mems {
 					got := JoinIOModel(ModelPaper, method, a, b, m)
-					want := JoinIO(method, a, b, m)
+					want := paperJoinIO(method, a, b, m)
 					if got != want {
-						t.Fatalf("JoinIOModel(ModelPaper, %v, %v, %v, %v) = %v, JoinIO = %v",
+						t.Fatalf("JoinIOModel(ModelPaper, %v, %v, %v, %v) = %v, paper formula = %v",
 							method, a, b, m, got, want)
 					}
 				}
@@ -40,7 +74,7 @@ func TestModelEngineDivergesOnlyOnGraceHash(t *testing.T) {
 		for _, a := range []float64{1, 7, 40, 200} {
 			for _, m := range []float64{3, 6, 12, 50} {
 				got := JoinIOModel(ModelEngine, method, a, a+3, m)
-				want := JoinIO(method, a, a+3, m)
+				want := JoinIOModel(ModelPaper, method, a, a+3, m)
 				if got != want {
 					t.Fatalf("JoinIOModel(ModelEngine, %v, ...) = %v, want paper charge %v", method, got, want)
 				}
@@ -71,7 +105,7 @@ func TestModelEngineGraceClosedForms(t *testing.T) {
 		// Fractional sizes page-align before charging (⌈3.2⌉=4, ⌈5.9⌉=6)
 		// and memory truncates to whole frames.
 		{"fractional pages", 3.2, 5.9, 8.7, 10},
-		// Non-positive inputs short-circuit like JoinIO.
+		// Non-positive inputs short-circuit like every other charge.
 		{"empty outer", 0, 10, 9, 0},
 		{"empty inner", 10, -1, 9, 0},
 	}

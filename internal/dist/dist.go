@@ -120,6 +120,20 @@ func Point(v float64) Dist {
 	return Dist{vals: a[:1:1], probs: a[1:]}
 }
 
+// Points returns the point law of each value: a realized memory trajectory
+// as the per-phase laws an expected-cost evaluator takes, where EC is the
+// cost at the trajectory. One allocation backs the values and
+// probabilities of every law.
+func Points(vals []float64) []Dist {
+	a := make([]float64, 2*len(vals))
+	out := make([]Dist, len(vals))
+	for i, v := range vals {
+		a[2*i], a[2*i+1] = v, 1
+		out[i] = Dist{vals: a[2*i : 2*i+1 : 2*i+1], probs: a[2*i+1 : 2*i+2 : 2*i+2]}
+	}
+	return out
+}
+
 // Bimodal returns the two-point law {lo: pLo, hi: 1-pLo} — the paper's
 // Example 1.1 memory model (a contended and an uncontended state). With
 // pLo 0 or 1 the law degenerates to a point.

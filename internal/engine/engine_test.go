@@ -420,7 +420,7 @@ func TestGraceHashRecursiveSplit(t *testing.T) {
 		t.Fatalf("recursive grace hash: %d rows, want %d", len(got), len(want))
 	}
 	e.Store().Drop(res.Name)
-	model := cost.JoinIO(cost.GraceHash, 200, 20, 5)
+	model := cost.JoinIOModel(cost.ModelPaper, cost.GraceHash, 200, 20, 5)
 	ratio := float64(st.IO()) / model
 	t.Logf("engine=%d model=%.0f ratio=%.2f", st.IO(), model, ratio)
 	if ratio >= 4 {

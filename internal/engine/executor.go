@@ -29,8 +29,8 @@ type ExecResult struct {
 	// the sampled memSeq value exactly as the executor consumed it
 	// (cost.MemPages: truncated to whole pages, floored at the 3-page
 	// operator minimum, unbounded = MaxInt32), one entry per phase,
-	// parallel to PhaseIO. Feeding
-	// PhaseMem[i] into plan.CostPhasesModel
+	// parallel to PhaseIO. Pricing the plan under PhaseMem's point laws
+	// (optimizer.ExpectedCostPhasesModel over dist.Points(PhaseMem))
 	// conditions the analytic model on the memory trajectory this
 	// execution actually saw, isolating formula error from law error.
 	PhaseMem []float64

@@ -177,7 +177,7 @@ func TestGracePartitionTailPagesExact(t *testing.T) {
 	// never see the tail-page overcharge; assert the two models actually
 	// disagree here, so this test would catch ModelEngine regressing to
 	// the paper formula.
-	if paper := cost.JoinIO(cost.GraceHash, float64(S), float64(S), float64(mem)); paper == model {
+	if paper := cost.JoinIOModel(cost.ModelPaper, cost.GraceHash, float64(S), float64(S), float64(mem)); paper == model {
 		t.Fatalf("paper and engine models agree (%v) on a tail-page geometry built to split them", paper)
 	}
 }

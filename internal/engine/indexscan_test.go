@@ -185,7 +185,7 @@ func TestPageNLResidencyPinsSmallerSide(t *testing.T) {
 	if got, want := st.IO(), int64(6+20); got != want {
 		t.Fatalf("residency window: IO=%d want %d (formula cheap case)", got, want)
 	}
-	if model := cost.JoinIO(cost.PageNL, 6, 20, 10); model != 6+20 {
+	if model := cost.JoinIOModel(cost.ModelPaper, cost.PageNL, 6, 20, 10); model != 6+20 {
 		t.Fatalf("formula disagrees with itself: %v", model)
 	}
 

@@ -108,7 +108,11 @@ type RunStats struct {
 // environments and aggregates realized costs. This is the empirical
 // counterpart of EC(P): by the law of large numbers Simulate(...).Mean
 // converges to the analytic expected cost.
-func Simulate(p *plan.Node, env Env, runs int, rng *rand.Rand) (RunStats, error) {
+//
+// price is the plan evaluator (optimizer.ExpectedCostModel under a cost
+// model) applied to each sampled trajectory's point laws. It is an argument
+// because optimizer's tests reach envsim through package workload.
+func Simulate(p *plan.Node, env Env, runs int, rng *rand.Rand, price func(*plan.Node, []dist.Dist) (float64, error)) (RunStats, error) {
 	if p == nil || runs <= 0 {
 		return RunStats{}, ErrNoPlans
 	}
@@ -120,7 +124,7 @@ func Simulate(p *plan.Node, env Env, runs int, rng *rand.Rand) (RunStats, error)
 		if err != nil {
 			return RunStats{}, err
 		}
-		c, err := p.CostSeq(plan.SliceMem(seq))
+		c, err := price(p, dist.Points(seq))
 		if err != nil {
 			return RunStats{}, err
 		}
@@ -199,8 +203,10 @@ type TournamentResult struct {
 	Wins  []int
 }
 
-// Run executes the tournament for `runs` sampled environments.
-func (t *Tournament) Run(env Env, runs int, rng *rand.Rand) (TournamentResult, error) {
+// Run executes the tournament for `runs` sampled environments, pricing
+// each plan with price as Simulate does. Every plan sees the same
+// trajectory, as long as the deepest plan's phase count.
+func (t *Tournament) Run(env Env, runs int, rng *rand.Rand, price func(*plan.Node, []dist.Dist) (float64, error)) (TournamentResult, error) {
 	if len(t.Plans) == 0 || len(t.Plans) != len(t.Names) {
 		return TournamentResult{}, ErrNoPlans
 	}
@@ -221,10 +227,11 @@ func (t *Tournament) Run(env Env, runs int, rng *rand.Rand) (TournamentResult, e
 		if err != nil {
 			return TournamentResult{}, err
 		}
+		laws := dist.Points(seq)
 		bestIdx, bestCost := -1, math.Inf(1)
 		strict := true
 		for i, p := range t.Plans {
-			c, err := p.CostSeq(plan.SliceMem(seq))
+			c, err := price(p, laws)
 			if err != nil {
 				return TournamentResult{}, err
 			}

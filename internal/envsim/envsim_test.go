@@ -2,12 +2,17 @@ package envsim
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"lecopt/internal/cost"
 	"lecopt/internal/dist"
+	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
 )
 
@@ -16,6 +21,11 @@ func approx(t *testing.T, got, want, tol float64, msg string) {
 	if math.Abs(got-want) > tol {
 		t.Fatalf("%s: got %v, want %v", msg, got, want)
 	}
+}
+
+// paperCost is the evaluator under the paper's cost model.
+func paperCost(p *plan.Node, laws []dist.Dist) (float64, error) {
+	return optimizer.ExpectedCostModel(cost.ModelPaper, p, laws)
 }
 
 // twoJoinPlan builds ((a ⋈SM b) ⋈GH c) with fixed page sizes.
@@ -101,9 +111,12 @@ func TestSimulateConvergesToExpectedCost(t *testing.T) {
 	mem := dist.MustNew([]float64{5, 12, 50}, []float64{0.3, 0.4, 0.3})
 
 	// Static analytic EC.
-	analytic := mem.ExpectF(func(m float64) float64 { return p.CostAt(m) })
+	analytic, err := paperCost(p, []dist.Dist{mem})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(17))
-	st, err := Simulate(p, Env{Mem: mem}, 60000, rng)
+	st, err := Simulate(p, Env{Mem: mem}, 60000, rng, paperCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +147,14 @@ func TestSimulateConvergesToExpectedCost(t *testing.T) {
 	}
 	dynAnalytic := 0.0
 	for i, seq := range seqs {
-		c, err := p.CostSeq(plan.SliceMem(seq))
+		c, err := paperCost(p, dist.Points(seq))
 		if err != nil {
 			t.Fatal(err)
 		}
 		dynAnalytic += probs[i] * c
 	}
 	_ = laws
-	st2, err := Simulate(p, env, 60000, rng)
+	st2, err := Simulate(p, env, 60000, rng, paperCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +164,14 @@ func TestSimulateConvergesToExpectedCost(t *testing.T) {
 }
 
 func TestSimulateErrors(t *testing.T) {
-	if _, err := Simulate(nil, Env{Mem: dist.Point(1)}, 10, rand.New(rand.NewSource(1))); !errors.Is(err, ErrNoPlans) {
+	if _, err := Simulate(nil, Env{Mem: dist.Point(1)}, 10, rand.New(rand.NewSource(1)), paperCost); !errors.Is(err, ErrNoPlans) {
 		t.Fatal("nil plan")
 	}
 	p := twoJoinPlan()
-	if _, err := Simulate(p, Env{Mem: dist.Point(1)}, 0, rand.New(rand.NewSource(1))); !errors.Is(err, ErrNoPlans) {
+	if _, err := Simulate(p, Env{Mem: dist.Point(1)}, 0, rand.New(rand.NewSource(1)), paperCost); !errors.Is(err, ErrNoPlans) {
 		t.Fatal("zero runs")
 	}
-	if _, err := Simulate(p, Env{}, 5, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Simulate(p, Env{}, 5, rand.New(rand.NewSource(1)), paperCost); err == nil {
 		t.Fatal("invalid env")
 	}
 }
@@ -175,7 +188,7 @@ func TestTournamentExample11(t *testing.T) {
 
 	mem := dist.MustNew([]float64{700, 2000}, []float64{0.2, 0.8})
 	tour := &Tournament{Names: []string{"plan1-sm", "plan2-gh+sort"}, Plans: []*plan.Node{plan1, plan2}}
-	res, err := tour.Run(Env{Mem: mem}, 20000, rand.New(rand.NewSource(23)))
+	res, err := tour.Run(Env{Mem: mem}, 20000, rand.New(rand.NewSource(23)), paperCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +207,7 @@ func TestTournamentExample11(t *testing.T) {
 
 func TestTournamentValidation(t *testing.T) {
 	tr := &Tournament{Names: []string{"x"}, Plans: nil}
-	if _, err := tr.Run(Env{Mem: dist.Point(5)}, 5, rand.New(rand.NewSource(1))); !errors.Is(err, ErrNoPlans) {
+	if _, err := tr.Run(Env{Mem: dist.Point(5)}, 5, rand.New(rand.NewSource(1)), paperCost); !errors.Is(err, ErrNoPlans) {
 		t.Fatal("mismatched tournament")
 	}
 }
@@ -210,3 +223,67 @@ func TestQuantileEdge(t *testing.T) {
 		t.Fatalf("q1 = %v", q)
 	}
 }
+
+// runDigest folds every bit of a RunStats into h.
+func runDigest(h io.Writer, st RunStats) {
+	fmt.Fprintf(h, "%d", st.Runs)
+	for _, v := range []float64{st.Mean, st.Std, st.Min, st.Max, st.P95, st.Total, st.Median} {
+		fmt.Fprintf(h, "|%016x", math.Float64bits(v))
+	}
+	fmt.Fprint(h, "\n")
+}
+
+// TestSimulateTournamentPinned pins every bit of one Simulate and one
+// Tournament run over a Markov environment: plans of one, two and three
+// phases (a filtered scan, an index scan, a root sort) priced on shared
+// trajectories. The digests were recorded with the plan package's own
+// fixed-memory cost walk, before the evaluator over point laws replaced it.
+func TestSimulateTournamentPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the digests record amd64 float bits")
+	}
+	states := []float64{4, 9, 30, 120, 700, 2000}
+	chain, err := dist.RandomWalk(states, 0.3, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := Env{Mem: dist.MustNew(states, []float64{1, 2, 3, 3, 2, 1}), Chain: chain}
+
+	a := plan.NewScan("A", plan.AccessHeap, "", 1, 1_000_000)
+	b := plan.NewScan("B", plan.AccessHeap, "", 1, 400_000)
+	sorted := plan.NewSort(plan.NewJoin(cost.GraceHash, a, b, 3000, plan.Order{}), plan.Order{Table: "A", Column: "k"})
+	f := plan.NewScan("f", plan.AccessHeap, "", 0.25, 60)
+	f.Pred = &plan.ScanPred{Column: "x", Hi: 10, HasHi: true}
+	ix := plan.NewScan("ix", plan.AccessIndex, "ix_k", 0.1, 8)
+	ix.IO = 11
+	deep := plan.NewJoin(cost.PageNL, plan.NewJoin(cost.BlockNL, twoJoinPlan(), f, 40, plan.Order{}), ix, 12, plan.Order{})
+
+	h := fnv.New64a()
+	st, err := Simulate(deep, env, 3000, rand.New(rand.NewSource(31)), paperCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDigest(h, st)
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != simulatePin {
+		t.Errorf("Simulate digest %s, pinned %s", got, simulatePin)
+	}
+
+	h = fnv.New64a()
+	tour := &Tournament{Names: []string{"sorted", "two", "deep"}, Plans: []*plan.Node{sorted, twoJoinPlan(), deep}}
+	res, err := tour.Run(env, 3000, rand.New(rand.NewSource(37)), paperCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Stats {
+		runDigest(h, res.Stats[i])
+		fmt.Fprintf(h, "wins %d\n", res.Wins[i])
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != tournamentPin {
+		t.Errorf("Tournament digest %s, pinned %s", got, tournamentPin)
+	}
+}
+
+const (
+	simulatePin   = "63cbb7c0f744dedd"
+	tournamentPin = "33e9811b6b284c88"
+)

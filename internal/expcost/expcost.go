@@ -26,7 +26,7 @@ import (
 // O(b_M · b_A · b_B) cost-formula evaluations.
 func JoinECNaive(method cost.JoinMethod, a, b, mem dist.Dist) float64 {
 	return dist.Expect3(a, b, mem, func(av, bv, mv float64) float64 {
-		return cost.JoinIO(method, av, bv, mv)
+		return cost.JoinIOModel(cost.ModelPaper, method, av, bv, mv)
 	})
 }
 

@@ -83,14 +83,14 @@ func TestJoinECDispatch(t *testing.T) {
 	m := dist.Point(10)
 	// Fast path methods agree with direct formula under point laws.
 	for _, method := range cost.PaperMethods {
-		approx(t, JoinECModel(cost.ModelPaper, method, a, b, m), cost.JoinIO(method, 100, 50, 10), 1e-9,
+		approx(t, JoinECModel(cost.ModelPaper, method, a, b, m), cost.JoinIOModel(cost.ModelPaper, method, 100, 50, 10), 1e-9,
 			method.String())
 	}
 	// BlockNL has no fast path; dispatch must fall back to naive.
 	if _, ok := JoinECLinear(cost.BlockNL, a, b, m); ok {
 		t.Fatal("BlockNL should have no linear path")
 	}
-	approx(t, JoinECModel(cost.ModelPaper, cost.BlockNL, a, b, m), cost.JoinIO(cost.BlockNL, 100, 50, 10), 1e-9, "blocknl naive")
+	approx(t, JoinECModel(cost.ModelPaper, cost.BlockNL, a, b, m), cost.JoinIOModel(cost.ModelPaper, cost.BlockNL, 100, 50, 10), 1e-9, "blocknl naive")
 }
 
 // TestExample11ExpectedCosts wires the linear evaluators to the paper's

@@ -47,7 +47,15 @@ func E1MotivatingExample() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		ec, err := optimizer.ExpectedCost(res.Plan, laws)
+		ec, err := paperCost(res.Plan, laws)
+		if err != nil {
+			return Table{}, err
+		}
+		hi, err := costAt(res.Plan, 2000)
+		if err != nil {
+			return Table{}, err
+		}
+		lo, err := costAt(res.Plan, 700)
 		if err != nil {
 			return Table{}, err
 		}
@@ -62,7 +70,7 @@ func E1MotivatingExample() (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			e.name, planName,
-			fmtF(res.Plan.CostAt(2000)), fmtF(res.Plan.CostAt(700)), fmtF(ec),
+			fmtF(hi), fmtF(lo), fmtF(ec),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -107,7 +115,7 @@ func E2VarianceSweep() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		lscEC, err := optimizer.ExpectedCost(lsc.Plan, laws)
+		lscEC, err := paperCost(lsc.Plan, laws)
 		if err != nil {
 			return Table{}, err
 		}
@@ -212,7 +220,7 @@ func E4AlgorithmA() (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			lscEC, err := optimizer.ExpectedCost(lsc.Plan, laws)
+			lscEC, err := paperCost(lsc.Plan, laws)
 			if err != nil {
 				return Table{}, err
 			}
@@ -405,7 +413,7 @@ func E7AlgorithmC() (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			lscEC, err := optimizer.ExpectedCost(lsc.Plan, laws)
+			lscEC, err := paperCost(lsc.Plan, laws)
 			if err != nil {
 				return Table{}, err
 			}

@@ -67,7 +67,7 @@ func E9DynamicMemory() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		staticEC, err := optimizer.ExpectedCost(static.Plan, laws)
+		staticEC, err := paperCost(static.Plan, laws)
 		if err != nil {
 			return Table{}, err
 		}
@@ -75,7 +75,7 @@ func E9DynamicMemory() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		lscEC, err := optimizer.ExpectedCost(lsc.Plan, laws)
+		lscEC, err := paperCost(lsc.Plan, laws)
 		if err != nil {
 			return Table{}, err
 		}
@@ -334,7 +334,7 @@ func E14Bucketing() (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			trueEC, err := optimizer.ExpectedCost(res.Plan, fineLaws)
+			trueEC, err := paperCost(res.Plan, fineLaws)
 			if err != nil {
 				return Table{}, err
 			}
@@ -382,8 +382,8 @@ func maxEstimateError(cat *catalog.Catalog, blk *query.Block, opts optimizer.Opt
 	}
 	worst := 0.0
 	for _, p := range plans {
-		ecFine, err1 := optimizer.ExpectedCost(p, []dist.Dist{fine})
-		ecCoarse, err2 := optimizer.ExpectedCost(p, []dist.Dist{coarse})
+		ecFine, err1 := paperCost(p, []dist.Dist{fine})
+		ecCoarse, err2 := paperCost(p, []dist.Dist{coarse})
 		if err1 != nil || err2 != nil {
 			return math.NaN()
 		}
@@ -439,7 +439,7 @@ func E15EngineValidation() (Table, error) {
 				return Table{}, err
 			}
 			measured[m] = st.IO()
-			model[m] = cost.JoinIO(m, 64, 9, float64(mem))
+			model[m] = cost.JoinIOModel(cost.ModelPaper, m, 64, 9, float64(mem))
 			// Near-monotone: allow ≤ max(2 pages, 1%) wiggle — higher hash
 			// fan-out leaves more partially-filled partition tail pages.
 			if p, ok := prev[m]; ok {
@@ -525,7 +525,7 @@ func E16Fleet() (Table, error) {
 				lecPlan = r.Plan
 			}
 			tour := &envsim.Tournament{Names: []string{"lsc", "lec"}, Plans: []*plan.Node{lscPlan, lecPlan}}
-			res, err := tour.Run(ne.Env, 3000, rand.New(rand.NewSource(int64(1600+qi))))
+			res, err := tour.Run(ne.Env, 3000, rand.New(rand.NewSource(int64(1600+qi))), paperCost)
 			if err != nil {
 				return Table{}, err
 			}

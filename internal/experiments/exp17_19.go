@@ -9,7 +9,6 @@ import (
 	"lecopt/internal/cost"
 	"lecopt/internal/dist"
 	"lecopt/internal/engine"
-	"lecopt/internal/expcost"
 	"lecopt/internal/optimizer"
 	"lecopt/internal/parametric"
 	"lecopt/internal/plan"
@@ -116,7 +115,10 @@ func E17EndToEnd() (Table, error) {
 				return Table{}, err
 			}
 			store.Drop(res.Output.Name)
-			model := p.CostAt(m)
+			model, err := costAt(p, m)
+			if err != nil {
+				return Table{}, err
+			}
 			ratio := float64(res.Stats.IO()) / model
 			if ratio < 0.3 || ratio > 3.5 {
 				pass = false
@@ -231,7 +233,7 @@ func E19LevelSetEC() (Table, error) {
 	j2 := plan.NewJoin(cost.GraceHash, j1, c, 300, plan.Order{})
 	root := plan.NewSort(j2, plan.Order{Table: "a", Column: "k"})
 
-	breaks, err := expcost.PlanBreakpoints(root, 8)
+	breaks, err := planBreakpoints(root, 8)
 	if err != nil {
 		return Table{}, err
 	}
@@ -250,8 +252,11 @@ func E19LevelSetEC() (Table, error) {
 			probs[i] = rng.Float64() + 0.01
 		}
 		mem := dist.MustNew(vals, probs)
-		want := mem.ExpectF(root.CostAt)
-		got, evals, err := expcost.PlanECLevelSets(root, mem, 8)
+		want, err := paperCost(root, []dist.Dist{mem})
+		if err != nil {
+			return Table{}, err
+		}
+		got, evals, err := planECLevelSets(root, mem, 8)
 		if err != nil {
 			return Table{}, err
 		}

@@ -14,6 +14,11 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"lecopt/internal/cost"
+	"lecopt/internal/dist"
+	"lecopt/internal/optimizer"
+	"lecopt/internal/plan"
 )
 
 // Errors.
@@ -138,6 +143,18 @@ func ByID(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("%w: %s", ErrUnknownExperiment, id)
+}
+
+// paperCost is the evaluator under the paper's cost model, the one every
+// experiment prices plans with.
+func paperCost(p *plan.Node, laws []dist.Dist) (float64, error) {
+	return optimizer.ExpectedCostModel(cost.ModelPaper, p, laws)
+}
+
+// costAt returns C(P, m), the cost of a plan at one static memory value:
+// the evaluator under m's point law.
+func costAt(p *plan.Node, m float64) (float64, error) {
+	return paperCost(p, []dist.Dist{dist.Point(m)})
 }
 
 // fmtF renders a float compactly.

@@ -133,7 +133,7 @@ func TestJointEvalMatchesAnalytic(t *testing.T) {
 		mem:      mem,
 	}
 	got := je.EC(res.Plan)
-	want, err := optimizer.ExpectedCost(res.Plan, []dist.Dist{mem})
+	want, err := paperCost(res.Plan, []dist.Dist{mem})
 	if err != nil {
 		t.Fatal(err)
 	}

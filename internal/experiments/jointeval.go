@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"lecopt/internal/cost"
+	"math"
+
 	"lecopt/internal/dist"
 	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
@@ -87,64 +88,33 @@ func leafPages(p *plan.Node, table string) float64 {
 // estimate suffices for the remainder.
 func sigmaOf(_ *jointEval, _ query.Join) float64 { return 1 }
 
-// costUnder computes E_M[C(P, sizes, sels, M)] for one realization: walk
-// the tree computing realized intermediate sizes, then expectation over
-// memory of the sum of phase costs.
+// costUnder computes E_M[C(P, sizes, sels, M)] for one realization: the
+// evaluator under the memory law, over a copy of the plan whose output
+// sizes are the realized ones, derived bottom-up. Scans keep the access
+// charge of the plan as annotated.
 func (je *jointEval) costUnder(p *plan.Node, sizes map[string]float64, sels map[string]float64) float64 {
-	type nodeCost struct {
-		pages float64
-		// perMem accumulates the join/sort cost as a function of memory;
-		// scans contribute constants.
-		constPart float64
-		memParts  []func(m float64) float64
-	}
-	var rec func(n *plan.Node) nodeCost
-	rec = func(n *plan.Node) nodeCost {
+	var realize func(n *plan.Node)
+	realize = func(n *plan.Node) {
 		switch n.Kind {
 		case plan.KindScan:
-			// Only materialized access paths charge here; an unfiltered
-			// heap scan's base read is part of the consuming operator's
-			// formula (mirrors plan.CostPhases / the DP leaf scores).
-			io := 0.0
-			if n.Materialized() {
-				io = n.AccessIO()
-			}
-			return nodeCost{pages: sizes[n.Table], constPart: io}
+			n.IO = n.AccessIO()
+			n.OutPages = sizes[n.Table]
 		case plan.KindSort:
-			child := rec(n.Child)
-			if n.Child.Kind == plan.KindScan && !n.Child.Materialized() {
-				child.constPart += n.Child.AccessIO()
-			}
-			pages := child.pages
-			child.memParts = append(child.memParts, func(m float64) float64 {
-				return cost.SortIO(pages, m)
-			})
-			return child
+			realize(n.Child)
+			n.OutPages = n.Child.OutPages
 		default: // join
-			l := rec(n.Left)
-			r := rec(n.Right)
-			sigma := je.sigmaBetween(n, sels)
-			out := l.pages * r.pages * sigma
-			if out < 1 {
-				out = 1
-			}
-			lp, rp := l.pages, r.pages
-			method := n.Method
-			parts := append(l.memParts, r.memParts...)
-			parts = append(parts, func(m float64) float64 {
-				return cost.JoinIO(method, lp, rp, m)
-			})
-			return nodeCost{pages: out, constPart: l.constPart + r.constPart, memParts: parts}
+			realize(n.Left)
+			realize(n.Right)
+			n.OutPages = math.Max(1, n.Left.OutPages*n.Right.OutPages*je.sigmaBetween(n, sels))
 		}
 	}
-	nc := rec(p)
-	return nc.constPart + je.mem.ExpectF(func(m float64) float64 {
-		s := 0.0
-		for _, f := range nc.memParts {
-			s += f(m)
-		}
-		return s
-	})
+	q := p.Clone()
+	realize(q)
+	ec, err := paperCost(q, []dist.Dist{je.mem})
+	if err != nil {
+		return math.NaN()
+	}
+	return ec
 }
 
 // sigmaBetween multiplies the realized selectivities of every edge between

@@ -1,4 +1,4 @@
-package expcost
+package experiments
 
 import (
 	"errors"
@@ -9,8 +9,30 @@ import (
 
 	"lecopt/internal/cost"
 	"lecopt/internal/dist"
+	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
 )
+
+// pointCost is costAt, failing the test on error.
+func pointCost(t testing.TB, p *plan.Node, m float64) float64 {
+	t.Helper()
+	c, err := costAt(p, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// lawEC is the evaluator's dense EC under a static law: one expectation
+// per operator over every bucket.
+func lawEC(t testing.TB, p *plan.Node, mem dist.Dist) float64 {
+	t.Helper()
+	c, err := optimizer.ExpectedCostModel(cost.ModelPaper, p, []dist.Dist{mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // lsPlan builds sort(SM(a,b) GH c) with chosen page sizes.
 func lsPlan() *plan.Node {
@@ -24,7 +46,7 @@ func lsPlan() *plan.Node {
 
 func TestPlanBreakpoints(t *testing.T) {
 	p := lsPlan()
-	breaks, err := PlanBreakpoints(p, 8)
+	breaks, err := planBreakpoints(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +66,14 @@ func TestPlanBreakpoints(t *testing.T) {
 		if hi-lo < 2 {
 			continue
 		}
-		c1 := p.CostAt(lo + (hi-lo)*0.25)
-		c2 := p.CostAt(lo + (hi-lo)*0.75)
+		c1 := pointCost(t, p, lo+(hi-lo)*0.25)
+		c2 := pointCost(t, p, lo+(hi-lo)*0.75)
 		if c1 != c2 {
 			t.Fatalf("cost not constant within region %d [%v,%v): %v vs %v", i, lo, hi, c1, c2)
 		}
 		if i > 0 {
 			prevLo, prevHi := regionBounds(breaks, i-1)
-			if prevHi-prevLo >= 2 && p.CostAt(prevLo+(prevHi-prevLo)*0.5) != c1 {
+			if prevHi-prevLo >= 2 && pointCost(t, p, prevLo+(prevHi-prevLo)*0.5) != c1 {
 				changed = true
 			}
 		}
@@ -59,10 +81,10 @@ func TestPlanBreakpoints(t *testing.T) {
 	if !changed {
 		t.Fatal("no region transition changed the cost")
 	}
-	if _, err := PlanBreakpoints(nil, 4); !errors.Is(err, ErrNilPlan) {
+	if _, err := planBreakpoints(nil, 4); !errors.Is(err, plan.ErrNilNode) {
 		t.Fatal("nil plan")
 	}
-	if _, err := PlanBreakpoints(&plan.Node{Kind: plan.KindJoin}, 4); err == nil {
+	if _, err := planBreakpoints(&plan.Node{Kind: plan.KindJoin}, 4); err == nil {
 		t.Fatal("invalid plan")
 	}
 }
@@ -83,7 +105,7 @@ func regionBounds(breaks []float64, i int) (lo, hi float64) {
 // function at most once per level set.
 func TestPlanECLevelSetsExact(t *testing.T) {
 	p := lsPlan()
-	breaks, err := PlanBreakpoints(p, 8)
+	breaks, err := planBreakpoints(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +118,8 @@ func TestPlanECLevelSetsExact(t *testing.T) {
 			probs[i] = rng.Float64() + 0.01
 		}
 		mem := dist.MustNew(vals, probs)
-		want := mem.ExpectF(p.CostAt)
-		got, evals, err := PlanECLevelSets(p, mem, 8)
+		want := lawEC(t, p, mem)
+		got, evals, err := planECLevelSets(p, mem, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,15 +138,15 @@ func TestPlanECLevelSetsExact(t *testing.T) {
 // TestPlanECLevelSetsPointLaw: degenerate law → one evaluation.
 func TestPlanECLevelSetsPointLaw(t *testing.T) {
 	p := lsPlan()
-	ec, evals, err := PlanECLevelSets(p, dist.Point(1500), 8)
+	ec, evals, err := planECLevelSets(p, dist.Point(1500), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if evals != 1 {
 		t.Fatalf("evals = %d", evals)
 	}
-	if ec != p.CostAt(1500) {
-		t.Fatalf("ec %v vs direct %v", ec, p.CostAt(1500))
+	if ec != pointCost(t, p, 1500) {
+		t.Fatalf("ec %v vs direct %v", ec, pointCost(t, p, 1500))
 	}
 }
 
@@ -150,8 +172,8 @@ func TestQuickLevelSetsEqualDense(t *testing.T) {
 			probs[i] = rng.Float64() + 0.01
 		}
 		mem := dist.MustNew(vals, probs)
-		want := mem.ExpectF(root.CostAt)
-		got, _, err := PlanECLevelSets(root, mem, 8)
+		want := lawEC(t, root, mem)
+		got, _, err := planECLevelSets(root, mem, 8)
 		if err != nil {
 			return false
 		}
@@ -169,8 +191,8 @@ func TestLevelSetsWithBlockNL(t *testing.T) {
 	j := plan.NewJoin(cost.BlockNL, a, b, 10, plan.Order{})
 	// Law confined to memory ≥ 2 + 50/8: block counts k ≤ 8 within cap 8.
 	mem := dist.MustNew([]float64{9, 12, 20, 60}, []float64{1, 1, 1, 1})
-	want := mem.ExpectF(j.CostAt)
-	got, _, err := PlanECLevelSets(j, mem, 8)
+	want := lawEC(t, j, mem)
+	got, _, err := planECLevelSets(j, mem, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

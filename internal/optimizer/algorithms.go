@@ -469,15 +469,9 @@ func withPhaseEC(r Result, model cost.Model, laws []dist.Dist) (Result, error) {
 	return r, nil
 }
 
-// ExpectedCost evaluates EC(P) = Σ_phase E[cost_phase(M_phase)] for an
-// annotated plan under per-phase memory laws (laws[i] is the marginal law
-// of memory in phase i; pass a single-element slice for a static law —
-// it is repeated for later phases). Scan costs are memory-independent.
-func ExpectedCost(p *plan.Node, laws []dist.Dist) (float64, error) {
-	return ExpectedCostModel(cost.ModelPaper, p, laws)
-}
-
-// ExpectedCostModel is ExpectedCost under the selected cost model.
+// ExpectedCostModel evaluates EC(P) = Σ_phase E[cost_phase(M_phase)] for
+// an annotated plan under the selected cost model: the sum of
+// ExpectedCostPhasesModel's breakdown.
 func ExpectedCostModel(model cost.Model, p *plan.Node, laws []dist.Dist) (float64, error) {
 	phases, err := ExpectedCostPhasesModel(model, p, laws)
 	if err != nil {
@@ -490,15 +484,28 @@ func ExpectedCostModel(model cost.Model, p *plan.Node, laws []dist.Dist) (float6
 	return total, nil
 }
 
-// ExpectedCostPhasesModel breaks EC(P) down by execution phase under the
-// selected cost model: element i is E[cost_phase_i(M_i)], with len equal to
-// p.Phases(). Attribution follows plan.CostPhasesModel (and therefore the
-// engine's physical conventions): materialized access paths land in phase
-// 0, unfiltered heap scans are paid by their consumer, joins and sorts in
-// the phase of the subtree they complete. Joins are charged with
-// cost.ExpectJoinIO, the bucket-order-preserving expectation of
-// cost.JoinIOModel. Conditioning the same breakdown on a realized memory
-// trajectory instead of the laws is plan.CostPhasesModel itself.
+// ExpectedCostPhasesModel is the plan evaluator: it breaks EC(P) down by
+// execution phase under the selected cost model, element i being
+// E[cost_phase_i(M_i)], with len equal to p.Phases(). laws[i] is the
+// marginal law of memory in phase i: pass one law for a static environment
+// (it is repeated for every phase) or at least p.Phases() laws; any other
+// count is ErrLawsShort. C(P, v) at a fixed or realized memory trajectory v
+// is this call over dist.Points(v) — under a point law each expectation is
+// 0 + 1·cost, the cost itself, bit for bit.
+//
+// Attribution mirrors the engine's physical conventions, so the breakdown
+// is comparable entry by entry with ExecResult.PhaseIO:
+//
+//   - a join over k relations is charged in phase k-2, a sort enforcer in
+//     the phase of the subtree it completes;
+//   - materialized access paths (index scans, filtered heap scans) are
+//     charged in phase 0, where the engine books them;
+//   - an unfiltered heap scan is free — the consuming join's formula
+//     already counts reading both inputs — except when a sort consumes it
+//     directly, in which case the sort pays the base read in its phase.
+//
+// Joins are charged with cost.ExpectJoinIO, the bucket-order-preserving
+// expectation of cost.JoinIOModel; sorts with cost.ExpectSortIO.
 func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) ([]float64, error) {
 	if len(laws) == 0 {
 		return nil, ErrLawsShort
@@ -506,26 +513,27 @@ func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) (
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	phases := p.Phases()
+	if len(laws) > 1 && len(laws) < phases {
+		return nil, fmt.Errorf("%w: %d laws for %d phases", ErrLawsShort, len(laws), phases)
+	}
 	lawAt := func(phase int) *dist.Dist {
-		if phase >= len(laws) {
-			phase = len(laws) - 1
+		if len(laws) == 1 {
+			phase = 0
 		}
 		return &laws[phase]
 	}
-	out := make([]float64, p.Phases())
-	var rec func(n *plan.Node) (int, error)
-	rec = func(n *plan.Node) (int, error) {
+	out := make([]float64, phases)
+	var rec func(n *plan.Node) int
+	rec = func(n *plan.Node) int {
 		switch n.Kind {
 		case plan.KindScan:
 			if n.Materialized() {
 				out[0] += n.AccessIO()
 			}
-			return 1, nil
+			return 1
 		case plan.KindSort:
-			k, err := rec(n.Child)
-			if err != nil {
-				return 0, err
-			}
+			k := rec(n.Child)
 			phase := 0
 			if k >= 2 {
 				phase = k - 2
@@ -535,24 +543,14 @@ func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) (
 				out[phase] += n.Child.AccessIO()
 			}
 			out[phase] += cost.ExpectSortIO(n.Child.OutPages, lawAt(phase))
-			return k, nil
+			return k
 		default: // join
-			kl, err := rec(n.Left)
-			if err != nil {
-				return 0, err
-			}
-			kr, err := rec(n.Right)
-			if err != nil {
-				return 0, err
-			}
-			k := kl + kr
+			k := rec(n.Left) + rec(n.Right)
 			out[k-2] += cost.ExpectJoinIO(model, n.Method, n.Left.OutPages, n.Right.OutPages, lawAt(k-2))
-			return k, nil
+			return k
 		}
 	}
-	if _, err := rec(p); err != nil {
-		return nil, err
-	}
+	rec(p)
 	return out, nil
 }
 

@@ -232,7 +232,7 @@ func TestAlgorithmDJointEnumeration(t *testing.T) {
 	// formula reads both inputs), join cost enumerates (|A|, M).
 	exact := func(method cost.JoinMethod) float64 {
 		return dist.Expect2(sizeA, mem, func(av, mv float64) float64 {
-			return cost.JoinIO(method, av, 10_000, mv)
+			return cost.JoinIOModel(cost.ModelPaper, method, av, 10_000, mv)
 		})
 	}
 	best := math.Inf(1)
@@ -276,7 +276,7 @@ func TestAlgorithmDBeatsLSCUnderJointUncertainty(t *testing.T) {
 	exactEC := func(method cost.JoinMethod, sorted bool) float64 {
 		scan := 50_000.0
 		join := mem.ExpectF(func(mv float64) float64 {
-			return cost.JoinIO(method, 40_000, 10_000, mv)
+			return cost.JoinIOModel(cost.ModelPaper, method, 40_000, 10_000, mv)
 		})
 		// No ORDER BY in this block, so no enforcer; sorted unused.
 		_ = sorted
@@ -370,7 +370,7 @@ func TestAlgorithmAIncludesMeanBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lscEC, err := ExpectedCost(lsc.Plan, []dist.Dist{mem})
+	lscEC, err := ExpectedCostModel(cost.ModelPaper, lsc.Plan, []dist.Dist{mem})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // ExhaustiveLEC enumerates every left-deep plan (all join orders, all join
 // methods, all access paths, enforcer added when needed) and returns the
 // one of least expected cost under the per-phase memory laws. It scores
-// plans with ExpectedCost — an evaluation path independent of the DP's
+// plans with ExpectedCostModel — an evaluation path independent of the DP's
 // incremental scoring — so it serves as the correctness oracle for
 // Theorems 3.3 and 3.4 on small queries. Exponential: use only for n ≤ 6.
 func ExhaustiveLEC(cat *catalog.Catalog, blk *query.Block, opts Options, laws []dist.Dist) (Result, error) {
@@ -32,19 +32,20 @@ func ExhaustiveLEC(cat *catalog.Catalog, blk *query.Block, opts Options, laws []
 
 // ExhaustiveLSC is the point-cost oracle for Theorem 2.1: the true best
 // left-deep plan at one memory value, found by brute force and scored with
-// plan.CostAt.
+// the evaluator under that value's point law.
 func ExhaustiveLSC(cat *catalog.Catalog, blk *query.Block, opts Options, mem float64) (Result, error) {
 	c, err := prepare(cat, blk, opts)
 	if err != nil {
 		return Result{}, err
 	}
+	laws := []dist.Dist{dist.Point(mem)}
 	res, err := c.exhaustive(func(p *plan.Node) (float64, error) {
-		return p.CostAtModel(c.opts.CostModel, mem), nil
+		return ExpectedCostModel(c.opts.CostModel, p, laws)
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	return withPhaseEC(res, c.opts.CostModel, []dist.Dist{dist.Point(mem)})
+	return withPhaseEC(res, c.opts.CostModel, laws)
 }
 
 // exhaustive enumerates all left-deep plans and keeps the minimum under

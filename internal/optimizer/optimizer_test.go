@@ -103,7 +103,7 @@ func TestExample11LECPicksPlan2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lscEC, err := ExpectedCost(lsc.Plan, []dist.Dist{mem})
+	lscEC, err := ExpectedCostModel(cost.ModelPaper, lsc.Plan, []dist.Dist{mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,9 +233,12 @@ func TestTheorem21(t *testing.T) {
 				trial, mem, got.EC, want.EC, got.Plan, want.Plan)
 		}
 		// The DP's incremental score must equal the independent evaluator.
-		ev := got.Plan.CostAt(mem)
+		ev, err := ExpectedCostModel(cost.ModelPaper, got.Plan, []dist.Dist{dist.Point(mem)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !relClose(got.EC, ev) {
-			t.Fatalf("trial %d: DP score %v vs CostAt %v", trial, got.EC, ev)
+			t.Fatalf("trial %d: DP score %v vs evaluator %v", trial, got.EC, ev)
 		}
 	}
 }
@@ -264,7 +267,7 @@ func TestTheorem33(t *testing.T) {
 				trial, resC.EC, oracle.EC, resC.Plan, oracle.Plan)
 		}
 		// DP score equals independent expected-cost evaluation.
-		ev, err := ExpectedCost(resC.Plan, laws)
+		ev, err := ExpectedCostModel(cost.ModelPaper, resC.Plan, laws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +287,7 @@ func TestTheorem33(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lscEC, err := ExpectedCost(lsc.Plan, laws)
+		lscEC, err := ExpectedCostModel(cost.ModelPaper, lsc.Plan, laws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +338,7 @@ func TestTheorem34(t *testing.T) {
 		}
 		seqEC := 0.0
 		for i, seq := range seqs {
-			cst, err := resDyn.Plan.CostSeq(plan.SliceMem(seq))
+			cst, err := ExpectedCostModel(cost.ModelPaper, resDyn.Plan, dist.Points(seq))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,7 +369,7 @@ func TestLECNeverWorseThanLSC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lscEC, err := ExpectedCost(lsc.Plan, []dist.Dist{mem})
+			lscEC, err := ExpectedCostModel(cost.ModelPaper, lsc.Plan, []dist.Dist{mem})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -501,21 +504,21 @@ func TestValidationErrorsPropagate(t *testing.T) {
 }
 
 func TestExpectedCostErrors(t *testing.T) {
-	if _, err := ExpectedCost(&plan.Node{Kind: plan.KindJoin}, []dist.Dist{dist.Point(1)}); err == nil {
+	if _, err := ExpectedCostModel(cost.ModelPaper, &plan.Node{Kind: plan.KindJoin}, []dist.Dist{dist.Point(1)}); err == nil {
 		t.Fatal("invalid plan should fail")
 	}
 	s := plan.NewScan("t", plan.AccessHeap, "", 1, 10)
-	if _, err := ExpectedCost(s, nil); err == nil {
+	if _, err := ExpectedCostModel(cost.ModelPaper, s, nil); err == nil {
 		t.Fatal("no laws should fail")
 	}
 	// An unfiltered heap handoff is charged by its consumer: EC 0.
-	got, err := ExpectedCost(s, []dist.Dist{dist.Point(1)})
+	got, err := ExpectedCostModel(cost.ModelPaper, s, []dist.Dist{dist.Point(1)})
 	if err != nil || got != 0 {
 		t.Fatalf("handoff scan EC = %v, %v", got, err)
 	}
 	ix := plan.NewScan("t", plan.AccessIndex, "ix_t", 1, 10)
 	ix.IO = 7
-	got, err = ExpectedCost(ix, []dist.Dist{dist.Point(1)})
+	got, err = ExpectedCostModel(cost.ModelPaper, ix, []dist.Dist{dist.Point(1)})
 	if err != nil || got != 7 {
 		t.Fatalf("index scan EC = %v, %v", got, err)
 	}

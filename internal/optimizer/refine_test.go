@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lecopt/internal/cost"
 	"lecopt/internal/dist"
 )
 
@@ -112,7 +113,7 @@ func TestRefinedStatsShape(t *testing.T) {
 			t.Fatal("bucket counts must not shrink")
 		}
 	}
-	ev, err := ExpectedCost(res.Plan, staticLaws(mem, len(sc.blk.Tables)))
+	ev, err := ExpectedCostModel(cost.ModelPaper, res.Plan, staticLaws(mem, len(sc.blk.Tables)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -399,7 +399,7 @@ func TestIsCandidateMatchesCandidates(t *testing.T) {
 }
 
 // TestUnknownJoinMethodRejected: a join method outside the cost formulas
-// used to reach cost.JoinIO's panic; prepare now turns it away with a typed
+// used to reach cost.JoinIOModel's panic; prepare now turns it away with a typed
 // error on every entry point, before any DP runs.
 func TestUnknownJoinMethodRejected(t *testing.T) {
 	cat, blk := tieScenario(t, 3, false, true)

@@ -1,9 +1,9 @@
 // Package plan defines physical query evaluation plans: left-deep trees of
 // scans, binary joins and sorts, annotated with estimated output sizes and
-// order properties. It also implements C(P, v) — the cost of a plan under
-// a concrete parameter setting — including the per-phase memory sequences
-// of Section 3.5 (a left-deep plan over n relations executes in n-1 join
-// phases; memory may change between phases but not within one).
+// order properties, and the phase structure of Section 3.5 (a left-deep
+// plan over n relations executes in n-1 join phases; memory may change
+// between phases but not within one). Plans are priced by the optimizer's
+// evaluator; the only cost a plan knows itself is its scans' access I/O.
 package plan
 
 import (
@@ -152,12 +152,11 @@ type Node struct {
 	IO       float64 // this node's own estimated I/O at annotation time
 }
 
-// Errors from plan validation and costing.
+// Errors from plan validation.
 var (
 	ErrNilNode   = errors.New("plan: nil node")
 	ErrShape     = errors.New("plan: malformed tree")
 	ErrNotLeft   = errors.New("plan: not left-deep")
-	ErrPhaseMem  = errors.New("plan: memory sequence shorter than phase count")
 	ErrWrongKind = errors.New("plan: operation on wrong node kind")
 )
 
@@ -292,147 +291,6 @@ func (n *Node) Phases() int {
 		return 1
 	}
 	return j
-}
-
-// phaseOf returns the phase index of a join over k relations in a
-// left-deep plan: joins execute bottom-up, so the join whose subtree
-// spans k relations runs in phase k-2.
-func phaseOf(relations int) int { return relations - 2 }
-
-// CostAt returns C(P, v) for a constant memory value v — the classical
-// single-point cost. Equivalent to CostSeq with a constant sequence.
-func (n *Node) CostAt(mem float64) float64 {
-	return n.CostAtModel(cost.ModelPaper, mem)
-}
-
-// CostAtModel is CostAt under the selected cost model.
-func (n *Node) CostAtModel(model cost.Model, mem float64) float64 {
-	c, err := n.CostSeqModel(model, constSeq{mem})
-	if err != nil {
-		// constSeq never runs short; structural errors surface as NaN.
-		return math.NaN()
-	}
-	return c
-}
-
-// MemSeq supplies the memory available in each execution phase.
-type MemSeq interface {
-	MemAt(phase int) (float64, error)
-}
-
-type constSeq struct{ m float64 }
-
-func (c constSeq) MemAt(int) (float64, error) { return c.m, nil }
-
-// ConstMem returns a MemSeq with the same memory in every phase.
-func ConstMem(m float64) MemSeq { return constSeq{m} }
-
-// SliceMem adapts a concrete per-phase memory slice.
-type SliceMem []float64
-
-// MemAt returns the memory for the given phase.
-func (s SliceMem) MemAt(phase int) (float64, error) {
-	if phase < 0 || phase >= len(s) {
-		return 0, fmt.Errorf("%w: phase %d of %d", ErrPhaseMem, phase, len(s))
-	}
-	return s[phase], nil
-}
-
-// CostSeq returns C(P, v) where v is a per-phase memory sequence
-// (Section 3.5): the sum of the CostPhases breakdown.
-func (n *Node) CostSeq(mem MemSeq) (float64, error) {
-	return n.CostSeqModel(cost.ModelPaper, mem)
-}
-
-// CostSeqModel is CostSeq under the selected cost model.
-func (n *Node) CostSeqModel(model cost.Model, mem MemSeq) (float64, error) {
-	phases, err := n.CostPhasesModel(model, mem)
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, c := range phases {
-		total += c
-	}
-	return total, nil
-}
-
-// CostPhases returns the per-phase breakdown of C(P, v): element i is the
-// I/O the model attributes to execution phase i, with len equal to
-// Phases(). Attribution mirrors the engine's physical conventions so the
-// slice is comparable entry-by-entry against ExecResult.PhaseIO:
-//
-//   - a join over k relations is charged in phase k-2, a sort enforcer in
-//     the phase of the subtree it completes;
-//   - materialized access paths (index scans, filtered heap scans) are
-//     charged in phase 0, where the engine books them;
-//   - an unfiltered heap scan is free — the consuming join's formula
-//     already counts reading both inputs — except when a sort consumes it
-//     directly, in which case the sort pays the base read in its phase.
-func (n *Node) CostPhases(mem MemSeq) ([]float64, error) {
-	return n.CostPhasesModel(cost.ModelPaper, mem)
-}
-
-// CostPhasesModel is CostPhases under the selected cost model: joins are
-// charged with cost.JoinIOModel, so ModelEngine replaces the paper's
-// three-case grace-hash multiplier with the engine's exact recursion.
-// Sort and scan charges are identical under both models.
-func (n *Node) CostPhasesModel(model cost.Model, mem MemSeq) ([]float64, error) {
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n.Phases())
-	var rec func(m *Node) (relCount int, err error)
-	rec = func(m *Node) (int, error) {
-		switch m.Kind {
-		case KindScan:
-			if m.Materialized() {
-				out[0] += m.AccessIO()
-			}
-			return 1, nil
-		case KindSort:
-			k, err := rec(m.Child)
-			if err != nil {
-				return 0, err
-			}
-			phase := 0
-			if k >= 2 {
-				phase = phaseOf(k)
-			}
-			mv, err := mem.MemAt(phase)
-			if err != nil {
-				return 0, err
-			}
-			if m.Child.Kind == KindScan && !m.Child.Materialized() {
-				// The sort itself reads the unmaterialized base table.
-				out[phase] += m.Child.AccessIO()
-			}
-			out[phase] += cost.SortIO(m.Child.OutPages, mv)
-			return k, nil
-		case KindJoin:
-			kl, err := rec(m.Left)
-			if err != nil {
-				return 0, err
-			}
-			kr, err := rec(m.Right)
-			if err != nil {
-				return 0, err
-			}
-			k := kl + kr
-			mv, err := mem.MemAt(phaseOf(k))
-			if err != nil {
-				return 0, err
-			}
-			out[phaseOf(k)] += cost.JoinIOModel(model, m.Method, m.Left.OutPages, m.Right.OutPages, mv)
-			return k, nil
-		default:
-			return 0, fmt.Errorf("%w: kind %d", ErrShape, m.Kind)
-		}
-	}
-	if _, err := rec(n); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Materialized reports whether a scan produces a new temporary relation

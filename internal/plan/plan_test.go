@@ -2,19 +2,11 @@ package plan
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
 	"lecopt/internal/cost"
 )
-
-func approx(t *testing.T, got, want, tol float64, msg string) {
-	t.Helper()
-	if math.Abs(got-want) > tol {
-		t.Fatalf("%s: got %v, want %v", msg, got, want)
-	}
-}
 
 // twoWay builds Join(method, Scan(a), Scan(b)) with given page sizes.
 func twoWay(method cost.JoinMethod, aPages, bPages, outPages float64) *Node {
@@ -97,113 +89,6 @@ func TestRelationsJoinsPhases(t *testing.T) {
 	}
 }
 
-func TestCostAtTwoWay(t *testing.T) {
-	// Unfiltered heap scans are free — the sort-merge join's 2(|A|+|B|)
-	// already reads both inputs (the paper's Example 1.1 convention).
-	p := twoWay(cost.SortMerge, 100, 40, 10)
-	m := 50.0 // > √100 → 2 passes
-	want := 2 * (100 + 40)
-	approx(t, p.CostAt(m), float64(want), 1e-9, "two-way cost")
-}
-
-func TestCostAtRespectsFilterSelectivity(t *testing.T) {
-	// Unfiltered heap handoff: no separate charge (consumer pays).
-	s := NewScan("a", AccessHeap, "", 0.1, 10)
-	approx(t, s.BasePages(), 100, 1e-9, "base pages")
-	if s.Materialized() {
-		t.Fatal("heap scan without compiled predicate is a handoff")
-	}
-	approx(t, s.CostAt(1000), 0, 1e-9, "handoff scan is charged by its consumer")
-	// A compiled predicate materializes the filtered pages: every base
-	// page is read during the scan.
-	f := NewScan("a", AccessHeap, "", 0.1, 10)
-	f.Pred = &ScanPred{Column: "k", Hi: 3, HasHi: true}
-	if !f.Materialized() {
-		t.Fatal("filtered heap scan materializes")
-	}
-	approx(t, f.CostAt(1000), 100, 1e-9, "filtered scan reads base pages")
-	// Index scan with explicit IO annotation uses it.
-	ix := NewScan("a", AccessIndex, "ix_a", 0.1, 10)
-	ix.IO = 12
-	if !ix.Materialized() {
-		t.Fatal("index scan materializes")
-	}
-	approx(t, ix.CostAt(1000), 12, 1e-9, "index scan uses annotated IO")
-}
-
-func TestCostSeqPhases(t *testing.T) {
-	// ((a ⋈SM b) ⋈GH c): phase 0 = SM join + scans a,b; phase 1 = GH join + scan c.
-	j2 := twoWay(cost.SortMerge, 100, 40, 20)
-	c := NewScan("c", AccessHeap, "", 1, 30)
-	j3 := NewJoin(cost.GraceHash, j2, c, 5, Order{})
-
-	// Memory 50 in phase 0 (SM: √100=10 < 50 → 2(140)=280)
-	// memory 3 in phase 1 (GH: min(20,30)=20, ∛20≈2.71 < 3 ≤ √20≈4.47 → 4·50=200).
-	// Heap scans are handoffs: the joins pay all input reads.
-	got, err := j3.CostSeq(SliceMem{50, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 280.0 + 200
-	approx(t, got, want, 1e-9, "per-phase costing")
-
-	// The breakdown attributes each join to its own phase.
-	ph, err := j3.CostPhases(SliceMem{50, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ph) != 2 {
-		t.Fatalf("CostPhases len = %d, want 2", len(ph))
-	}
-	approx(t, ph[0], 280, 1e-9, "phase 0 = SM join")
-	approx(t, ph[1], 200, 1e-9, "phase 1 = GH join")
-
-	// Same per-phase memories but swapped: the cost must differ because
-	// phases see different formulas.
-	got2, err := j3.CostSeq(SliceMem{3, 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 == got {
-		t.Fatal("phase assignment must matter")
-	}
-	// SM at 3 (∛100≈4.64 ≥ 3 → 6·140=840), GH at 50 (≥ 20+2 → one pass, 50).
-	approx(t, got2, 840+50, 1e-9, "swapped phases")
-
-	// Short memory sequence errors out.
-	if _, err := j3.CostSeq(SliceMem{50}); !errors.Is(err, ErrPhaseMem) {
-		t.Fatal("short sequence should fail")
-	}
-}
-
-func TestCostSeqSortEnforcer(t *testing.T) {
-	j2 := twoWay(cost.GraceHash, 100, 40, 30)
-	root := NewSort(j2, Order{"a", "k"})
-	// Phase 0 memory 20: GH (√40≈6.3 < 20 → 2·140=280), sort 30 pages
-	// (30 > 20, √30≈5.5 < 20 → 2·30=60). Scans are join-paid handoffs.
-	got, err := root.CostSeq(SliceMem{20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, got, 280+60, 1e-9, "enforcer sort costed in its phase")
-	// Sort over a bare scan uses phase 0, and pays the base read itself:
-	// no join ever consumes the handoff.
-	s := NewSort(NewScan("a", AccessHeap, "", 1, 100), Order{"a", "k"})
-	got, err = s.CostSeq(SliceMem{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// scan 100 (read by the sort) + sort 100 at mem 8 (∛100≈4.6 < 8 ≤ 10 → 4·100).
-	approx(t, got, 100+400, 1e-9, "sort over scan")
-}
-
-func TestCostAtInvalidPlanIsNaN(t *testing.T) {
-	bad := &Node{Kind: KindJoin}
-	if !math.IsNaN(bad.CostAt(10)) {
-		t.Fatal("invalid plan should cost NaN")
-	}
-}
-
 func TestSignatureAndString(t *testing.T) {
 	j2 := twoWay(cost.SortMerge, 100, 40, 10)
 	sig := j2.Signature()
@@ -260,13 +145,5 @@ func TestKindAndAccessStrings(t *testing.T) {
 	}
 	if AccessHeap.String() != "heap" || AccessIndex.String() != "index" {
 		t.Fatal("access strings")
-	}
-}
-
-func TestConstMem(t *testing.T) {
-	m := ConstMem(42)
-	v, err := m.MemAt(17)
-	if err != nil || v != 42 {
-		t.Fatal("ConstMem wrong")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"lecopt/internal/cost"
 	"lecopt/internal/dist"
 	"lecopt/internal/envsim"
+	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
 )
 
@@ -174,7 +175,7 @@ func (m *Mix) MeasureModelAgreement(cfg AgreementConfig) (*AgreementReport, erro
 				}
 			}
 		}
-		model, err := cur.CostSeqModel(servingCostModel, plan.SliceMem(memSeq))
+		model, err := optimizer.ExpectedCostModel(servingCostModel, cur, dist.Points(memSeq))
 		if err != nil {
 			return nil, fmt.Errorf("serving: agreement trial %d: %w", trial, err)
 		}

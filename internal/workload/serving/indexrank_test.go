@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"lecopt/internal/catalog"
+	"lecopt/internal/cost"
+	"lecopt/internal/dist"
 	"lecopt/internal/engine"
 	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
@@ -109,8 +111,14 @@ func TestIndexPlanRankAgreement(t *testing.T) {
 	}
 	ranksChecked := 0
 	for _, mem := range []float64{4, 7, 12, 20, 40} {
-		modelIx := withIx.Plan.CostAt(mem)
-		modelHeap := heapOnly.Plan.CostAt(mem)
+		modelIx, err := optimizer.ExpectedCostModel(cost.ModelPaper, withIx.Plan, []dist.Dist{dist.Point(mem)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		modelHeap, err := optimizer.ExpectedCostModel(cost.ModelPaper, heapOnly.Plan, []dist.Dist{dist.Point(mem)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		measIx := execIO(withIx.Plan, mem)
 		measHeap := execIO(heapOnly.Plan, mem)
 		t.Logf("mem=%v: index plan model=%.0f measured=%d | heap plan model=%.0f measured=%d",

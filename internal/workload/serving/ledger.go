@@ -12,7 +12,7 @@ import (
 // request contributes, for each execution phase of each policy's plan, a
 // (tenant, policy, phase, operator, memory-band) cell joining the
 // analytic per-phase charge — conditioned on the memory the executor
-// actually saw in that phase (plan.CostPhases over ExecResult.PhaseMem)
+// actually saw in that phase (the evaluator over ExecResult.PhaseMem's point laws)
 // — with the realized physical I/O the engine booked there
 // (ExecResult.PhaseIO). Aggregated deltas localize model-vs-engine
 // disagreement to a specific operator in a specific memory regime, which

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lecopt/internal/cost"
+	"lecopt/internal/dist"
 	"lecopt/internal/feedback"
 	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
@@ -114,7 +115,7 @@ func TestEngineModelAgreement(t *testing.T) {
 		for i := range memSeq {
 			memSeq[i] = levels[rng.Intn(len(levels))]
 		}
-		model, err := res.Plan.CostSeq(plan.SliceMem(memSeq))
+		model, err := optimizer.ExpectedCostModel(cost.ModelPaper, res.Plan, dist.Points(memSeq))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -239,7 +240,7 @@ func TestEngineModelAgreementFeedback(t *testing.T) {
 }
 
 // Conditional per-phase agreement bands: realized PhaseIO[i] over the
-// analytic charge CostPhasesModel(servingCostModel, PhaseMem)[i] — the
+// analytic charge ExpectedCostPhasesModel(servingCostModel, Points(PhaseMem))[i] — the
 // serving-path model conditioned on the memory the executor actually saw,
 // phase by phase. Conditioning removes the law/trajectory error that the
 // unconditional bands absorb, so these are strictly tighter than the 4x
@@ -316,7 +317,7 @@ func TestEngineModelConditionalAgreement(t *testing.T) {
 		// The size-estimation axis is measured separately, by the
 		// unconditional bands above and the feedback sweep.
 		cond := sizeConditioned(res.Plan, exec.JoinSizes)
-		condEC, err := cond.CostPhasesModel(servingCostModel, plan.SliceMem(exec.PhaseMem))
+		condEC, err := optimizer.ExpectedCostPhasesModel(servingCostModel, cond, dist.Points(exec.PhaseMem))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -8,7 +8,9 @@ import (
 
 	"lecopt/internal/catalog"
 	"lecopt/internal/core"
+	"lecopt/internal/dist"
 	"lecopt/internal/envsim"
+	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
 	"lecopt/internal/plancache"
 )
@@ -266,16 +268,16 @@ func (m *Mix) catalogAt(memo map[driftCatKey]*catalog.Catalog, q int, factor flo
 // returns its realized I/O. The output relation is dropped so repeated
 // executions do not accumulate state. Alongside the engine's measured
 // per-phase I/O it records the model's conditional per-phase charge at
-// the memory the executor actually consumed (plan.CostPhasesModel under
-// the serving cost model, over ExecResult.PhaseMem) — the analytic half
-// of the phase ledger.
+// the memory the executor actually consumed (the evaluator under the
+// serving cost model, over ExecResult.PhaseMem's point laws) — the
+// analytic half of the phase ledger.
 func executeOnce(q *ServingQuery, p *plan.Node, memSeq []float64) (execOutcome, error) {
 	res, err := q.Eng.ExecutePlan(p, memSeq)
 	if err != nil {
 		return execOutcome{}, err
 	}
 	q.Store.Drop(res.Output.Name)
-	condEC, err := p.CostPhasesModel(servingCostModel, plan.SliceMem(res.PhaseMem))
+	condEC, err := optimizer.ExpectedCostPhasesModel(servingCostModel, p, dist.Points(res.PhaseMem))
 	if err != nil {
 		return execOutcome{}, err
 	}

@@ -111,6 +111,7 @@ import (
 
 	"lecopt/internal/catalog"
 	"lecopt/internal/core"
+	"lecopt/internal/cost"
 	"lecopt/internal/dist"
 	"lecopt/internal/envsim"
 	"lecopt/internal/optimizer"
@@ -218,9 +219,12 @@ func StickyChain(levels []float64, stay float64) (*Chain, error) {
 	return dist.Sticky(levels, stay)
 }
 
-// ExpectedCost evaluates a plan under per-phase memory laws.
+// ExpectedCost evaluates a plan under per-phase memory laws and the
+// paper's cost model: pass one law for a static environment, or one per
+// phase (at least p.Phases()); any other count is an error. The cost at a
+// fixed memory value m is ExpectedCost(p, []Dist{PointDist(m)}).
 func ExpectedCost(p *Plan, laws []Dist) (float64, error) {
-	return optimizer.ExpectedCost(p, laws)
+	return optimizer.ExpectedCostModel(cost.ModelPaper, p, laws)
 }
 
 // EdgeKey canonically names a join edge for Scenario.SelLaws.

@@ -2,11 +2,13 @@ package lecopt
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"lecopt/internal/cost"
 	"lecopt/internal/optimizer"
+	"lecopt/internal/plan"
 )
 
 // TestPublicAPIQuickstart exercises the documented public surface
@@ -66,6 +68,33 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// TestExpectedCostRejectsShortLaws: the public evaluator takes one law
+// (static, repeated for every phase) or one per phase. A chain's two-step
+// marginals priced on a four-phase plan are an error, not a number that
+// silently repeats the last law for the phases it lacks.
+func TestExpectedCostRejectsShortLaws(t *testing.T) {
+	p := plan.NewScan("t0", plan.AccessHeap, "", 1, 900)
+	for i, pages := range []float64{400, 300, 200, 100} {
+		p = plan.NewJoin(cost.GraceHash, p, plan.NewScan(fmt.Sprintf("t%d", i+1), plan.AccessHeap, "", 1, pages), 50, plan.Order{})
+	}
+	ch, err := StickyChain([]float64{10, 2000}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	laws, err := ch.PhaseLaws(PointDist(10), p.Phases())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExpectedCost(p, laws[:2]); !errors.Is(err, optimizer.ErrLawsShort) {
+		t.Fatalf("2 laws for %d phases: err = %v, want ErrLawsShort", p.Phases(), err)
+	}
+	for _, n := range []int{1, len(laws)} {
+		if _, err := ExpectedCost(p, laws[:n]); err != nil {
+			t.Fatalf("%d laws for %d phases: %v", n, p.Phases(), err)
+		}
+	}
+}
+
 func TestPublicDistHelpers(t *testing.T) {
 	p := PointDist(42)
 	if p.Mean() != 42 {
@@ -117,9 +146,9 @@ func TestPublicRunWorkload(t *testing.T) {
 }
 
 // TestUnknownJoinMethodIsATypedError: Options.Methods is caller input, and
-// a method the cost formulas do not define used to reach cost.JoinIO's
-// panic. The handle now answers every algorithm — one request or a batch —
-// with optimizer.ErrBadOpts, and caches nothing for it.
+// a method the cost formulas do not define used to reach
+// cost.JoinIOModel's panic. The handle now answers every algorithm — one
+// request or a batch — with optimizer.ErrBadOpts, and caches nothing for it.
 func TestUnknownJoinMethodIsATypedError(t *testing.T) {
 	reqs := hotPathRequests(t, 6)
 	opt := New(nil, WithPlanSpace(Options{Methods: []cost.JoinMethod{cost.GraceHash, 99}}))
