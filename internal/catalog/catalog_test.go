@@ -306,7 +306,7 @@ func TestSelectivityDist(t *testing.T) {
 	}
 	approx(t, d.Value(0), 0.0025, 1e-12, "low")
 	approx(t, d.Value(2), 0.04, 1e-12, "high")
-	approx(t, d.PrBetween(0.005, 0.02), 0.5, 1e-12, "center mass")
+	approx(t, d.Prob(1), 0.5, 1e-12, "center mass")
 
 	// Truncation at 1.
 	d, err = SelectivityDist(0.5, 4, 0.6)

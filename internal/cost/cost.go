@@ -73,7 +73,7 @@ func passMultiplier(r, mem float64) float64 {
 	switch {
 	case mem > math.Sqrt(r):
 		return 2
-	case aboveCbrt(mem, r):
+	case AboveCbrt(mem, r):
 		return 4
 	default:
 		return 6
@@ -81,20 +81,20 @@ func passMultiplier(r, mem float64) float64 {
 }
 
 // cbrtGuard is the relative half-width of the band around mem³ = r inside
-// which aboveCbrt asks math.Cbrt. The cube costs two roundings and the band
+// which AboveCbrt asks math.Cbrt. The cube costs two roundings and the band
 // edge a third (≤ 1.2e-16 each) and math.Cbrt is good to under an ulp, so
 // outside the band the cube and the root cannot disagree — with four orders
 // of magnitude to spare.
 const cbrtGuard = 1e-12
 
-// aboveCbrt reports mem > math.Cbrt(r), bit for bit, without the root
+// AboveCbrt reports mem > math.Cbrt(r), bit for bit, without the root
 // wherever a multiply can decide it (math.Cbrt is a ~25 ns software
-// routine and this test runs once per law bucket per candidate join).
-// Sizes are in pages, so r ≥ 1 is every pivot the optimizer produces;
+// routine and this test runs once per law bucket per candidate join, here
+// and in expcost's pass-multiplier cursor). Sizes are in pages, so r ≥ 1 is every pivot the optimizer produces;
 // below that — where the cube could underflow into subnormals and lose
 // its relative accuracy — and for non-positive, NaN and in-band arguments
 // the root decides.
-func aboveCbrt(mem, r float64) bool {
+func AboveCbrt(mem, r float64) bool {
 	if r >= 1 {
 		switch m3 := mem * mem * mem; {
 		case m3 > r*(1+cbrtGuard):

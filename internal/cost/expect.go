@@ -16,7 +16,7 @@ import (
 // comparator decides) stays where it was. What moves out of the bucket loop
 // is everything that does not depend on memory: the pivot, |A|+|B|, the S+2
 // fit threshold and √R are computed once per join, and a bucket then picks
-// its 1/2/4/6-pass multiple by comparisons alone (aboveCbrt). Under a Point
+// its 1/2/4/6-pass multiple by comparisons alone (AboveCbrt). Under a Point
 // law the result is 0 + 1·cost = cost exactly, so the classical optimizer
 // is this function too.
 //
@@ -76,7 +76,7 @@ func expectPasses(mem *dist.Dist, r, pages, fit, fitIO float64) float64 {
 			io = fitIO
 		case m > sqrtR:
 			io = 2 * pages
-		case aboveCbrt(m, r):
+		case AboveCbrt(m, r):
 			io = 4 * pages
 		default:
 			io = 6 * pages

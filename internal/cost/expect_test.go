@@ -36,8 +36,8 @@ func ulps(v float64, n int) float64 {
 
 func checkAboveCbrt(t testing.TB, mem, r float64) {
 	t.Helper()
-	if got, want := aboveCbrt(mem, r), refAboveCbrt(mem, r); got != want {
-		t.Fatalf("aboveCbrt(%v [%016x], %v [%016x]) = %v, mem > math.Cbrt(r) = %v",
+	if got, want := AboveCbrt(mem, r), refAboveCbrt(mem, r); got != want {
+		t.Fatalf("AboveCbrt(%v [%016x], %v [%016x]) = %v, mem > math.Cbrt(r) = %v",
 			mem, math.Float64bits(mem), r, math.Float64bits(r), got, want)
 	}
 	if got, want := passMultiplier(r, mem), refPassMultiplier(r, mem); got != want {

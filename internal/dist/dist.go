@@ -15,7 +15,7 @@
 // compare coarse and fine laws with TotalVariation and Wasserstein1, and
 // the Section 3.5 dynamic-memory extension evolves it through a Chain.
 //
-// Dist values are immutable: every transformation (Map, Shift, Rebucket,
+// Dist values are immutable: every transformation (Map, Rebucket,
 // Combine2, ...) returns a fresh law. The zero Dist is a valid "no law"
 // sentinel, distinguishable with IsZero.
 package dist
@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -53,8 +54,17 @@ type Dist struct {
 // (their weights add), zero-weight values are dropped, and weights are
 // normalized to probabilities.
 func New(vals, weights []float64) (Dist, error) {
-	if len(vals) == 0 || len(vals) != len(weights) {
-		return Dist{}, fmt.Errorf("%w: %d values, %d weights", ErrBadDist, len(vals), len(weights))
+	return newInto(vals, weights, make([]int, len(vals)), make([]float64, 2*len(vals)))
+}
+
+// newInto is New building the law in given storage — fresh for New, a
+// Slab's for the slab methods: idx (at least len(vals) ints) is sort
+// scratch, and out (at least 2·len(vals) floats) backs the law's values
+// and probabilities.
+func newInto(vals, weights []float64, idx []int, out []float64) (Dist, error) {
+	n := len(vals)
+	if n == 0 || n != len(weights) {
+		return Dist{}, fmt.Errorf("%w: %d values, %d weights", ErrBadDist, n, len(weights))
 	}
 	total := 0.0
 	for i, v := range vals {
@@ -73,22 +83,32 @@ func New(vals, weights []float64) (Dist, error) {
 	if total <= 0 || math.IsInf(total, 0) {
 		return Dist{}, fmt.Errorf("%w: total weight %v", ErrBadDist, total)
 	}
-	idx := make([]int, len(vals))
+	idx = idx[:n]
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
-	d := Dist{
-		vals:  make([]float64, 0, len(vals)),
-		probs: make([]float64, 0, len(vals)),
-	}
+	// The order of equal values decides the order in which their
+	// probabilities are summed below. slices.SortFunc runs the same
+	// pattern-defeating quicksort as sort.Slice — both are generated from
+	// one template — so the permutation, and every merged bit, is the one
+	// sort.Slice gives (TestSortFuncPermutationIsSortSlice).
+	slices.SortFunc(idx, func(a, b int) int {
+		switch {
+		case vals[a] < vals[b]:
+			return -1
+		case vals[b] < vals[a]:
+			return 1
+		}
+		return 0
+	})
+	d := Dist{vals: out[0:0:n], probs: out[n : n : 2*n]}
 	for _, i := range idx {
 		if weights[i] == 0 {
 			continue
 		}
 		p := weights[i] / total
-		if n := len(d.vals); n > 0 && d.vals[n-1] == vals[i] {
-			d.probs[n-1] += p
+		if k := len(d.vals); k > 0 && d.vals[k-1] == vals[i] {
+			d.probs[k-1] += p
 			continue
 		}
 		d.vals = append(d.vals, vals[i])
@@ -322,15 +342,6 @@ func (d Dist) PrAtMost(v float64) float64 {
 	return p
 }
 
-// PrBetween returns Pr(lo < X ≤ hi).
-func (d Dist) PrBetween(lo, hi float64) float64 {
-	p := d.PrAtMost(hi) - d.PrAtMost(lo)
-	if p < 0 {
-		return 0
-	}
-	return p
-}
-
 // ExpectF returns E[f(X)].
 func (d Dist) ExpectF(f func(float64) float64) float64 {
 	e := 0.0
@@ -362,11 +373,6 @@ func (d Dist) Map(f func(float64) float64) Dist {
 		vals[i] = f(v)
 	}
 	return MustNew(vals, d.probs)
-}
-
-// Shift translates the support by delta.
-func (d Dist) Shift(delta float64) Dist {
-	return d.Map(func(v float64) float64 { return v + delta })
 }
 
 // Rebucket coarsens the law to at most b equal-probability buckets

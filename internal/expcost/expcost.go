@@ -212,7 +212,7 @@ func (c *tailCursor) multiplier(r float64) float64 {
 		c.iSqrt, c.iCbrt, c.cumAtSqrt, c.cumAtCbrt = 0, 0, 0, 0
 	}
 	c.lastPivot, c.everCalled = r, true
-	sq, cb := math.Sqrt(r), math.Cbrt(r)
+	sq := math.Sqrt(r)
 	for n := c.m.Len(); c.iSqrt < n; c.iSqrt++ {
 		v, p := c.m.At(c.iSqrt)
 		if !(v <= sq) {
@@ -220,9 +220,11 @@ func (c *tailCursor) multiplier(r float64) float64 {
 		}
 		c.cumAtSqrt += p
 	}
+	// v > ∛r without the root: law values are finite, so !(v <= ∛r) is
+	// v > ∛r, which cost.AboveCbrt decides bit for bit by a multiply.
 	for n := c.m.Len(); c.iCbrt < n; c.iCbrt++ {
 		v, p := c.m.At(c.iCbrt)
-		if !(v <= cb) {
+		if cost.AboveCbrt(v, r) {
 			break
 		}
 		c.cumAtCbrt += p
@@ -378,6 +380,34 @@ func ResultSizeDist(a, b, sigma dist.Dist, target int) (dist.Dist, error) {
 	}
 	joint := dist.Combine3(ar, br, sr, func(x, y, z float64) float64 { return x * y * z })
 	return joint.Rebucket(target)
+}
+
+// ResultSizeDistIn is ResultSizeDist with the rebucketed inputs, their
+// product and the result built in s, bit for bit the same law: the
+// optimizer's Algorithm D builds one per surviving join candidate and
+// throws them away together. The result is valid until s is Reset.
+func ResultSizeDistIn(s *dist.Slab, a, b, sigma dist.Dist, target int) (dist.Dist, error) {
+	if target <= 0 {
+		return dist.Dist{}, dist.ErrBadTarget
+	}
+	k := max(int(math.Cbrt(float64(target))), 1)
+	ar, err := s.Rebucket(a, k)
+	if err != nil {
+		return dist.Dist{}, err
+	}
+	br, err := s.Rebucket(b, k)
+	if err != nil {
+		return dist.Dist{}, err
+	}
+	sr, err := s.Rebucket(sigma, k)
+	if err != nil {
+		return dist.Dist{}, err
+	}
+	joint, err := s.Combine3(ar, br, sr, func(x, y, z float64) float64 { return x * y * z })
+	if err != nil {
+		return dist.Dist{}, err
+	}
+	return s.Rebucket(joint, target)
 }
 
 // ResultSizeExact returns the un-rebucketed law of |A|·|B|·σ: the O(b³)

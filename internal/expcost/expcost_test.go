@@ -130,7 +130,7 @@ func TestResultSizeExact(t *testing.T) {
 		t.Fatalf("len = %d", d.Len())
 	}
 	approx(t, d.Mean(), 15*150*0.01, 1e-9, "mean multiplies")
-	approx(t, d.PrBetween(15, 25), 0.5, 1e-12, "merged middle")
+	approx(t, d.Prob(1), 0.5, 1e-12, "merged middle")
 }
 
 func TestResultSizeDistRebucketing(t *testing.T) {
@@ -205,11 +205,11 @@ func TestQuickECMonotoneInMemoryShift(t *testing.T) {
 		a := randDist(rng, 1+rng.Intn(6), 1, 1e5)
 		b := randDist(rng, 1+rng.Intn(6), 1, 1e5)
 		m := randDist(rng, 1+rng.Intn(6), 2, 2000)
-		m2 := m.Shift(float64(shift))
+		m2 := m.Map(func(v float64) float64 { return v + float64(shift) })
 		for _, method := range []cost.JoinMethod{cost.SortMerge, cost.GraceHash, cost.PageNL} {
 			lo, _ := JoinECLinear(method, a, b, m2)
 			hi, _ := JoinECLinear(method, a, b, m)
-			// Relative slack: Shift re-normalizes probabilities, so equal
+			// Relative slack: Map re-normalizes probabilities, so equal
 			// laws can differ by float rounding at 1e10 cost magnitudes.
 			if lo > hi*(1+1e-9)+1e-9 {
 				return false

@@ -1,0 +1,100 @@
+package expcost
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"lecopt/internal/dist"
+)
+
+// fuzzLaw draws a law of n points. Values come from a small grid when
+// collide is set, so products and maps merge equal values — the case where
+// the order of a sort's equal keys decides the bits of a probability — and
+// weights cycle 1:4:1 so normalisation leaves an ulp to lose.
+func fuzzLaw(rng *rand.Rand, n int, collide bool) dist.Dist {
+	vals, weights := make([]float64, n), make([]float64, n)
+	for i := range vals {
+		if collide {
+			vals[i] = float64(1 + rng.Intn(4))
+		} else {
+			vals[i] = math.Exp(rng.Float64()*20 - 8)
+		}
+		weights[i] = []float64{1, 4, 1}[i%3] * (0.5 + rng.Float64())
+	}
+	return dist.MustNew(vals, weights)
+}
+
+// checkLaw fails unless got is want value for value and probability for
+// probability, bit for bit.
+func checkLaw(t *testing.T, op string, got dist.Dist, err error, want dist.Dist) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", op, err)
+	}
+	same := got.Len() == want.Len()
+	for i := 0; same && i < got.Len(); i++ {
+		gv, gp := got.At(i)
+		wv, wp := want.At(i)
+		same = math.Float64bits(gv) == math.Float64bits(wv) && math.Float64bits(gp) == math.Float64bits(wp)
+	}
+	if !same {
+		t.Fatalf("%s: slab %v, heap %v", op, got, want)
+	}
+}
+
+// FuzzLawKernel holds the optimizer's slab-built size laws to the heap
+// functions they replace: dist.Slab's Rebucket, Combine3, Combine2 (the
+// σ-chain's pairwise products), Map (the page clamp) and the whole
+// ResultSizeDistIn must come out with the same Float64bits as
+// Dist.Rebucket, dist.Combine3, dist.Combine2, Dist.Map and
+// ResultSizeDist. One slab serves every round, Reset between the second
+// and third, so a buffer that leaks one law's data into the next — or
+// storage a Reset hands out again — shows up too.
+func FuzzLawKernel(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(3), uint8(3), uint8(8), false)
+	f.Add(int64(2), uint8(12), uint8(1), uint8(6), uint8(27), true)
+	f.Add(int64(3), uint8(40), uint8(17), uint8(2), uint8(1), true)
+	f.Add(int64(4), uint8(1), uint8(1), uint8(1), uint8(64), false)
+	f.Fuzz(func(t *testing.T, seed int64, na, nb, nc, target uint8, collide bool) {
+		rng := rand.New(rand.NewSource(seed))
+		size := func(n uint8) int { return 1 + int(n)%48 }
+		b := 1 + int(target)%64
+		mul2 := func(x, y float64) float64 { return x * y }
+		mul3 := func(x, y, z float64) float64 { return x * y * z }
+		clamp := func(v float64) float64 { return math.Min(math.Max(math.Round(v), 1), 1e6) }
+		var sl dist.Slab
+		for round := 0; round < 3; round++ {
+			if round == 2 {
+				sl.Reset()
+			}
+			a, bb, c := fuzzLaw(rng, size(na), collide), fuzzLaw(rng, size(nb), collide), fuzzLaw(rng, size(nc), collide)
+
+			want, _ := a.Rebucket(b)
+			got, err := sl.Rebucket(a, b)
+			checkLaw(t, "Rebucket", got, err, want)
+
+			got, err = sl.Combine3(a, bb, c, mul3)
+			checkLaw(t, "Combine3", got, err, dist.Combine3(a, bb, c, mul3))
+
+			chain := sl.Point(c.Value(0))
+			checkLaw(t, "Point", chain, nil, dist.Point(c.Value(0)))
+			heap := dist.Point(c.Value(0))
+			for _, d := range []dist.Dist{a, bb, c} {
+				chain, err = sl.Combine2(chain, d, mul2)
+				heap = dist.Combine2(heap, d, mul2)
+				checkLaw(t, "σ-chain Combine2", chain, err, heap)
+			}
+
+			got, err = sl.Map(chain, clamp)
+			checkLaw(t, "Map", got, err, heap.Map(clamp))
+
+			want, err = ResultSizeDist(a, bb, c, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = ResultSizeDistIn(&sl, a, bb, c, b)
+			checkLaw(t, "ResultSizeDistIn", got, err, want)
+		}
+	})
+}

@@ -8,14 +8,16 @@ import (
 
 // ArenaEscapeAnalyzer guards the pooled-DP-scratch contract introduced by
 // the zero-alloc hot path: the optimizer's dynamic program builds its join
-// nodes in per-worker arenas that are zeroed and recycled when the scratch
+// nodes in per-worker arenas that are rewound and reused when the scratch
 // returns to its sync.Pool, so a plan assigned into a Result must be
 // deep-copied first — a raw arena pointer in a Result is a use-after-reset
 // that manifests as a silently mutated plan on some later optimization.
+// Every subset DP — single-plan, top-c and distributional — runs on that
+// scratch, Algorithm B's top-c lists and Algorithm D's size laws included.
 // The check is deliberately narrow: only functions that touch the scratch
-// machinery (dpScratch, dpWorker, nodeArena, dpSlot, getScratch) are held
-// to it, so the heap-allocating passes (top-c, distributional, exhaustive)
-// stay free to share their nodes.
+// machinery (dpScratch, dpWorker, nodeArena, topList, lawSlab, getScratch)
+// are held to it, so the heap-allocating passes (exhaustive
+// enumeration) stay free to share their nodes.
 var ArenaEscapeAnalyzer = &Analyzer{
 	Name: "arenaescape",
 	Doc:  "plans leaving DP-scratch-touching optimizer functions via Result must be Clone()d; arena nodes are recycled on release",
@@ -28,7 +30,8 @@ var scratchTypeNames = map[string]bool{
 	"dpScratch": true,
 	"dpWorker":  true,
 	"nodeArena": true,
-	"dpSlot":    true,
+	"topList":   true,
+	"lawSlab":   true,
 }
 
 func runArenaEscape(pass *Pass) {

@@ -20,6 +20,7 @@ import (
 // fill a fresh, unshared value before it escapes:
 //
 //	dist.New        — builds the merged, normalized law
+//	dist.newInto    — New's body, over fresh storage or a dist.Slab's
 //	dist.Sticky     — fills the fresh chain's rows
 //	dist.RandomWalk — fills the fresh chain's rows
 //
@@ -34,7 +35,7 @@ var DistImmutAnalyzer = &Analyzer{
 // distConstructors may fill the fields of a law they are constructing.
 // Only free functions declared in internal/dist itself qualify.
 var distConstructors = map[string]bool{
-	"New": true, "Sticky": true, "RandomWalk": true,
+	"New": true, "newInto": true, "Sticky": true, "RandomWalk": true,
 }
 
 func runDistImmut(pass *Pass) {

@@ -1,10 +1,12 @@
 package optimizer
 
 // Arena-escape fixture: minimal shadows of the pooled DP scratch types.
-// finishGood deep-copies the winner; finishBad and drainBad leak raw arena
-// pointers into Results and are the seeded violations. finishHeap shares a
-// node without Clone but never touches the scratch machinery, so it must
-// stay silent — the heap-allocating passes own their nodes.
+// finishGood, topGood and lawGood deep-copy the winner; finishBad,
+// drainBad, topBad and lawBad leak raw scratch pointers into Results and
+// are the seeded violations — the last two from a top-c list and from a
+// pass that builds its size laws in the law slab. finishHeap shares a node
+// without Clone but never touches the scratch machinery, so it must stay
+// silent — the heap-allocating passes own their nodes.
 
 // Node stands in for plan.Node.
 type Node struct {
@@ -33,10 +35,10 @@ type entry struct {
 	score float64
 }
 
-type dpSlot struct {
-	e  [2]entry
-	ok [2]bool
-}
+// Dist stands in for dist.Dist: a law whose storage may be a slab's.
+type Dist struct{ vals []float64 }
+
+func (d Dist) Mean() float64 { return d.vals[0] }
 
 type nodeArena struct {
 	chunks [][]Node
@@ -49,26 +51,38 @@ func (a *nodeArena) alloc() *Node {
 	return &a.chunks[0][0]
 }
 
+type lawSlab struct {
+	keep []float64
+}
+
+func (s *lawSlab) point(v float64) Dist {
+	s.keep = append(s.keep[:0], v)
+	return Dist{s.keep[:1]}
+}
+
+type topList struct{ entries []entry }
+
 type dpWorker struct {
 	arena nodeArena
+	slab  lawSlab
 }
 
 type dpScratch struct {
-	slots   []dpSlot
+	ents    []entry
 	workers []dpWorker
 }
 
 func getScratch() *dpScratch { return new(dpScratch) }
 
 // finishGood returns the winner the only safe way.
-func finishGood(sl *dpSlot) Result {
-	best := sl.e[0]
+func finishGood(sc *dpScratch) Result {
+	best := sc.ents[0]
 	return Result{Plan: best.node.Clone(), EC: best.score}
 }
 
 // finishBad leaks an arena node straight into the Result.
-func finishBad(sl *dpSlot) Result {
-	best := sl.e[0]
+func finishBad(sc *dpScratch) Result {
+	best := sc.ents[0]
 	return Result{Plan: best.node, EC: best.score} // want `must never escape into a Result`
 }
 
@@ -76,6 +90,26 @@ func finishBad(sl *dpSlot) Result {
 func drainBad(w *dpWorker) Result {
 	n := w.arena.alloc()
 	return Result{Plan: n} // want `must never escape into a Result`
+}
+
+// topGood copies the head of a top-c list held in the scratch.
+func topGood(l topList) Result {
+	return Result{Plan: l.entries[0].node.Clone(), EC: l.entries[0].score}
+}
+
+// topBad hands the head of a top-c list held in the scratch to a Result.
+func topBad(l topList) Result {
+	return Result{Plan: l.entries[0].node, EC: l.entries[0].score} // want `must never escape into a Result`
+}
+
+// lawGood prices an entry with a slab-built law and copies its plan.
+func lawGood(sl *lawSlab, e entry) Result {
+	return Result{Plan: e.node.Clone(), EC: e.score + sl.point(1).Mean()}
+}
+
+// lawBad prices an entry with a slab-built law and returns its plan raw.
+func lawBad(sl *lawSlab, e entry) Result {
+	return Result{Plan: e.node, EC: e.score + sl.point(1).Mean()} // want `must never escape into a Result`
 }
 
 // errResult returns an empty Result from a scratch-touching function;

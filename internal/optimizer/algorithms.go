@@ -2,8 +2,7 @@ package optimizer
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
+	"slices"
 
 	"lecopt/internal/catalog"
 	"lecopt/internal/cost"
@@ -23,7 +22,7 @@ func LSC(cat *catalog.Catalog, blk *query.Block, opts Options, mem float64) (Res
 		return Result{}, err
 	}
 	s := pointScorer(mem, c.opts.CostModel)
-	res, err := c.dpBest(s)
+	res, err := c.dpBest(s, keepBest, c.opts.Workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -38,7 +37,7 @@ func AlgorithmC(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 		return Result{}, err
 	}
 	laws := staticLaws(mem, c.n)
-	res, err := c.dpBest(scorer{laws, c.opts.CostModel})
+	res, err := c.dpBest(scorer{laws, c.opts.CostModel}, keepBest, c.opts.Workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -57,7 +56,7 @@ func AlgorithmCDynamic(cat *catalog.Catalog, blk *query.Block, opts Options, ini
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := c.dpBest(scorer{laws, c.opts.CostModel})
+	res, err := c.dpBest(scorer{laws, c.opts.CostModel}, keepBest, c.opts.Workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -92,54 +91,57 @@ func AlgorithmA(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	// read-only prepared context, so they fan out across Options.Workers
 	// goroutines; merging in bucket order afterwards keeps the outcome
 	// identical to a serial run.
-	type cand struct {
-		res Result
-		ec  float64
-	}
 	points := bucketPoints(mem)
-	runs := make([]cand, len(points))
-	outer := c.opts.workers(len(points))
-	inner := c.opts.Workers
-	if outer > 1 {
-		// The bucket fan-out already saturates the requested concurrency;
-		// nested rank-parallel DPs would only fight it for cores.
-		inner = 1
-	}
+	runs := make([]planEC, len(points))
+	outer, inner := c.fanOut(len(points))
 	err = pool.Run(len(points), outer, func(i int) error {
-		r, err := c.dpBestW(pointScorer(points[i], c.opts.CostModel), inner)
+		r, err := c.dpBest(pointScorer(points[i], c.opts.CostModel), keepBest, inner)
 		if err != nil {
 			return err
 		}
 		ec, err := ExpectedCostModel(c.opts.CostModel, r.Plan, laws)
-		if err != nil {
-			return err
-		}
-		runs[i] = cand{r, ec}
-		return nil
+		runs[i] = planEC{r.Plan, ec}
+		return err
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	seen := map[string]bool{}
-	var cands []cand
-	for _, r := range runs {
-		sig := r.res.Plan.Signature()
-		if seen[sig] {
+	best, distinct := leastExpected(runs)
+	return withPhaseEC(Result{Plan: best.plan, EC: best.ec, Candidates: distinct}, c.opts.CostModel, laws)
+}
+
+// fanOut splits Options.Workers between n independent per-bucket passes
+// (outer) and each pass's rank-parallel enumeration (inner): once the
+// buckets saturate the requested concurrency, nested rank-parallel passes
+// would only fight them for cores.
+func (c *ctx) fanOut(n int) (outer, inner int) {
+	outer, inner = c.opts.workers(n), c.opts.Workers
+	if outer > 1 {
+		inner = 1
+	}
+	return outer, inner
+}
+
+// planEC is a candidate plan and its expected cost under the full law.
+type planEC struct {
+	plan *plan.Node
+	ec   float64
+}
+
+// leastExpected returns the least-expected-cost candidate and the number
+// of distinct plans among cands, the first of equal signatures standing
+// for the rest.
+func leastExpected(cands []planEC) (best planEC, distinct int) {
+	for i, cd := range cands {
+		if slices.ContainsFunc(cands[:i], func(o planEC) bool { return plan.CompareSignature(o.plan, cd.plan) == 0 }) {
 			continue
 		}
-		seen[sig] = true
-		cands = append(cands, r)
-	}
-	best := -1
-	for i := range cands {
-		if best < 0 || better(cands[i].ec, cands[i].res.Plan, cands[best].ec, cands[best].res.Plan) {
-			best = i
+		distinct++
+		if best.plan == nil || better(cd.ec, cd.plan, best.ec, best.plan) {
+			best = cd
 		}
 	}
-	if best < 0 {
-		return Result{}, ErrNoPlan
-	}
-	return withPhaseEC(Result{Plan: cands[best].res.Plan, EC: cands[best].ec, Candidates: len(cands)}, c.opts.CostModel, laws)
+	return best, distinct
 }
 
 // AlgorithmB generalizes Algorithm A by generating the top-c plans per
@@ -155,149 +157,53 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 		return Result{}, err
 	}
 	laws := staticLaws(mem, cx.n)
-	type cand struct {
-		e  entry
-		ec float64
-	}
 	// Like Algorithm A, the per-bucket top-c passes are independent and
 	// fan out across Options.Workers goroutines; the bucket-order merge
-	// below keeps candidate selection deterministic.
-	type bucketRun struct {
-		cands  []cand
-		probes int
-	}
+	// below keeps candidate selection deterministic. Each pass's scratch
+	// is held until the winner is copied out of it.
 	points := bucketPoints(mem)
-	runs := make([]bucketRun, len(points))
-	err = pool.Run(len(points), cx.opts.workers(len(points)), func(i int) error {
-		tops, pr, err := cx.dpTopC(pointScorer(points[i], cx.opts.CostModel), c)
+	scs := make([]*dpScratch, len(points))
+	defer func() {
+		for _, sc := range scs {
+			if sc != nil {
+				sc.release()
+			}
+		}
+	}()
+	cands := make([]planEC, len(points)*c)
+	held := make([]int, len(points))
+	outer, inner := cx.fanOut(len(points))
+	err = pool.Run(len(points), outer, func(i int) error {
+		s := pointScorer(points[i], cx.opts.CostModel)
+		sc, err := cx.run(s, keepTopC, c, inner)
+		scs[i] = sc
 		if err != nil {
 			return err
 		}
-		run := bucketRun{probes: pr}
-		for _, e := range tops {
+		tops := cx.topRoots(sc, s, c)
+		if len(tops) == 0 {
+			return ErrNoPlan
+		}
+		for k, e := range tops {
 			ec, err := ExpectedCostModel(cx.opts.CostModel, e.node, laws)
 			if err != nil {
 				return err
 			}
-			run.cands = append(run.cands, cand{e, ec})
+			cands[i*c+k] = planEC{e.node, ec}
 		}
-		runs[i] = run
+		held[i] = len(tops)
 		return nil
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	seen := map[string]bool{}
-	var cands []cand
-	probes := 0
-	for _, run := range runs {
-		probes += run.probes
-		for _, cd := range run.cands {
-			sig := cd.e.node.Signature()
-			if seen[sig] {
-				continue
-			}
-			seen[sig] = true
-			cands = append(cands, cd)
-		}
+	probes, n := 0, 0
+	for i, sc := range scs {
+		probes += sc.probes()
+		n += copy(cands[n:], cands[i*c:i*c+held[i]])
 	}
-	best := -1
-	for i := range cands {
-		if best < 0 || better(cands[i].ec, cands[i].e.node, cands[best].ec, cands[best].e.node) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Result{}, ErrNoPlan
-	}
-	return withPhaseEC(Result{Plan: cands[best].e.node, EC: cands[best].ec, Candidates: len(cands), Probes: probes}, cx.opts.CostModel, laws)
-}
-
-// dpTopC is the Algorithm B inner pass: System R keeping the top-c entries
-// per (subset, order-slot) at a fixed parameter point, combining lists via
-// the Proposition 3.1 frontier. Returns the completed root candidates
-// (enforcer applied) and the total pair probes.
-func (c *ctx) dpTopC(s scorer, topC int) ([]entry, int, error) {
-	full := fullMask(c.n)
-	dp := make([][2]topList, full+1)
-	for j := 0; j < c.n; j++ {
-		for _, e := range c.leafEntries(c.tables[j]) {
-			dp[1<<uint(j)][c.slotOf(e.order)].add(e, topC)
-		}
-	}
-	probes := 0
-	var cands []int
-	for size := 2; size <= c.n; size++ {
-		for mask := uint64(1); mask <= full; mask++ {
-			if bits.OnesCount64(mask) != size {
-				continue
-			}
-			phase := phaseOfMask(mask)
-			cands = c.candidatesInto(mask, cands[:0])
-			for _, j := range cands {
-				bit := uint64(1) << uint(j)
-				rest := mask &^ bit
-				sigma := c.sigmaBetween(j, rest)
-				merges := c.mergeOrders(j, rest)
-				for ls := 0; ls < 2; ls++ {
-					left := &dp[rest][ls]
-					if len(left.entries) == 0 {
-						continue
-					}
-					for rs := 0; rs < 2; rs++ {
-						right := &dp[bit][rs]
-						if len(right.entries) == 0 {
-							continue
-						}
-						// All variants in a list share identical physical
-						// properties (same pages), so the output size and
-						// the frontier over score sums are the same for
-						// every method, and the join cost is a constant per
-						// method.
-						lp, rp := left.entries[0].pages, right.entries[0].pages
-						outPages := c.joinOutPages(mask, c.clampPages(lp*rp*sigma))
-						pairs, pr := TopCCombine(left.scores(), right.scores(), topC)
-						for _, m := range c.opts.Methods {
-							jc := s.joinScore(m, lp, rp, phase)
-							probes += pr
-							for _, p := range pairs {
-								le, re := left.entries[p[0]], right.entries[p[1]]
-								score := le.score + re.score + jc
-								order, sl := c.joinOutput(m, merges, le.order, ls)
-								if l := &dp[mask][sl]; l.admits(score, topC) {
-									node := plan.NewJoin(m, le.node, re.node, outPages, order)
-									l.add(entry{node: node, score: score, pages: outPages, order: order}, topC)
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	var out []entry
-	phase := lastPhase(c.n)
-	for sl := 0; sl < 2; sl++ {
-		for _, e := range dp[full][sl].entries {
-			cand := e
-			if c.blk.OrderBy != nil && sl == 0 {
-				cand.score += enforcerScore(s, e, phase)
-				cand.node = plan.NewSort(e.node, c.required)
-				cand.order = c.required
-			}
-			out = append(out, cand)
-		}
-	}
-	if len(out) == 0 {
-		return nil, probes, ErrNoPlan
-	}
-	sort.Slice(out, func(a, b int) bool {
-		return better(out[a].score, out[a].node, out[b].score, out[b].node)
-	})
-	if len(out) > topC {
-		out = out[:topC]
-	}
-	return out, probes, nil
+	best, distinct := leastExpected(cands[:n])
+	return withPhaseEC(Result{Plan: best.plan.Clone(), EC: best.ec, Candidates: distinct, Probes: probes}, cx.opts.CostModel, laws)
 }
 
 // AlgorithmD computes the LEC plan under joint uncertainty in memory,
@@ -315,7 +221,7 @@ func AlgorithmD(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	}
 	c.setSelLaws(selLaws)
 	c.setSizeLaws(sizeLaws)
-	res, err := c.dpDist(mem)
+	res, err := c.dpBest(scorer{[]dist.Dist{mem}, c.opts.CostModel}, keepLaw, c.opts.Workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -324,138 +230,29 @@ func AlgorithmD(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	return withPhaseEC(res, c.opts.CostModel, staticLaws(mem, c.n))
 }
 
-// distEntry extends entry with the node's size law.
-type distEntry struct {
-	entry
-	law dist.Dist
-}
-
-// distSlot is one cell of Algorithm D's table: like dpSlot, the best entry
-// per order slot, held by value.
-type distSlot struct {
-	e  [2]distEntry
-	ok [2]bool
-}
-
-// dpDist is the Algorithm D dynamic program.
-func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
-	full := fullMask(c.n)
-	dp := make([]distSlot, full+1)
-	for j := 0; j < c.n; j++ {
-		ti := c.tables[j]
-		cell := &dp[1<<uint(j)]
-		for _, e := range c.leafEntries(ti) {
-			sl := c.slotOf(e.order)
-			if !cell.ok[sl] || better(e.score, e.node, cell.e[sl].score, cell.e[sl].node) {
-				cell.e[sl], cell.ok[sl] = distEntry{entry: e, law: ti.sizeLaw}, true
-			}
-		}
-	}
-	var cands []int
-	for size := 2; size <= c.n; size++ {
-		for mask := uint64(1); mask <= full; mask++ {
-			if bits.OnesCount64(mask) != size {
-				continue
-			}
-			cell := &dp[mask]
-			cands = c.candidatesInto(mask, cands[:0])
-			for _, j := range cands {
-				bit := uint64(1) << uint(j)
-				rest := mask &^ bit
-				var sigmaLaw dist.Dist // joinSizeLaw's cache for (mask, j)
-				merges := c.mergeOrders(j, rest)
-				for ls := 0; ls < 2; ls++ {
-					if !dp[rest].ok[ls] {
-						continue
-					}
-					left := &dp[rest].e[ls]
-					for rs := 0; rs < 2; rs++ {
-						if !dp[bit].ok[rs] {
-							continue
-						}
-						right := &dp[bit].e[rs]
-						// The candidate's size law (a σ-law product, three
-						// rebucketings and a triple product) is built by the
-						// first method that survives the score check: a pair
-						// whose every method loses costs no law at all.
-						var outLaw dist.Dist
-						var outPages float64
-						for _, m := range c.opts.Methods {
-							score := left.score + right.score + expcost.JoinECModel(c.opts.CostModel, m, left.law, right.law, mem)
-							order, sl := c.joinOutput(m, merges, left.order, ls)
-							if cell.ok[sl] && score > cell.e[sl].score {
-								continue // strictly worse: skip building the law and the node
-							}
-							if outLaw.IsZero() {
-								var err error
-								if outLaw, err = c.joinSizeLaw(mask, j, left.law, right.law, &sigmaLaw); err != nil {
-									return Result{}, err
-								}
-								outPages = outLaw.Mean()
-							}
-							node := plan.NewJoin(m, left.node, right.node, outPages, order)
-							if cell.ok[sl] && !better(score, node, cell.e[sl].score, cell.e[sl].node) {
-								continue
-							}
-							cell.e[sl] = distEntry{
-								entry: entry{node: node, score: score, pages: outPages, order: order},
-								law:   outLaw,
-							}
-							cell.ok[sl] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	// Root completion with an expected-cost enforcer over the size law.
-	var best entry
-	have := false
-	for sl := 0; sl < 2; sl++ {
-		if !dp[full].ok[sl] {
-			continue
-		}
-		e := &dp[full].e[sl]
-		cand := e.entry
-		if c.blk.OrderBy != nil && sl == 0 {
-			cand.score += expcost.SortEC(e.law, mem)
-			if e.node.Kind == plan.KindScan && !e.node.Materialized() {
-				cand.score += e.node.AccessIO()
-			}
-			cand.node = plan.NewSort(e.node, c.required)
-			cand.order = c.required
-		}
-		if !have || better(cand.score, cand.node, best.score, best.node) {
-			best, have = cand, true
-		}
-	}
-	if !have {
-		return Result{}, ErrNoPlan
-	}
-	if err := checkFinite(best.score); err != nil {
-		return Result{}, err
-	}
-	return Result{Plan: best.node, EC: best.score, Candidates: 1}, nil
-}
-
 // joinSizeLaw returns the result-size law of the join that completes mask by
 // adding table j: the propagated |left|·|right|·σ law with Section 3.6.3
 // rebucketing — or, where executed-size feedback has an observation for
 // mask, that size as a point: a realized size is a fact, not a distribution.
-// sigmaLaw caches the σ-law of (mask, j) across the order slots of one
-// candidate; the zero Dist means not built yet.
-func (c *ctx) joinSizeLaw(mask uint64, j int, left, right dist.Dist, sigmaLaw *dist.Dist) (dist.Dist, error) {
+// sigmaLaw caches the σ-law of (mask, j) across the candidate's left slots;
+// the zero Dist means not built yet. The law lives in sl until the scratch
+// is released.
+func (c *ctx) joinSizeLaw(sl *lawSlab, mask uint64, j int, left, right dist.Dist, sigmaLaw *dist.Dist) (dist.Dist, error) {
 	if v, ok := c.sizeHint[mask]; ok {
-		return dist.Point(v), nil
+		return sl.keep.Point(v), nil
 	}
 	if sigmaLaw.IsZero() {
-		*sigmaLaw = c.sigmaLawBetween(j, mask&^(1<<uint(j)))
+		var err error
+		if *sigmaLaw, err = c.sigmaLawBetween(&sl.sig, j, mask&^(1<<uint(j))); err != nil {
+			return dist.Dist{}, err
+		}
 	}
-	law, err := expcost.ResultSizeDist(left, right, *sigmaLaw, c.opts.SizeBuckets)
+	sl.tmp.Reset()
+	law, err := expcost.ResultSizeDistIn(&sl.tmp, left, right, *sigmaLaw, c.opts.SizeBuckets)
 	if err != nil {
 		return dist.Dist{}, err
 	}
-	return law.Map(c.clampPages), nil
+	return sl.keep.Map(law, c.clampPages)
 }
 
 // withPhaseEC annotates a finished result with its per-phase analytic

@@ -2,9 +2,11 @@ package optimizer
 
 import (
 	"math/bits"
+	"slices"
 
 	"lecopt/internal/cost"
 	"lecopt/internal/dist"
+	"lecopt/internal/expcost"
 	"lecopt/internal/plan"
 	"lecopt/internal/pool"
 )
@@ -38,10 +40,6 @@ func (s scorer) joinScore(m cost.JoinMethod, outer, inner float64, phase int) fl
 	return cost.ExpectJoinIO(s.model, m, outer, inner, s.law(phase))
 }
 
-func (s scorer) sortScore(pages float64, phase int) float64 {
-	return cost.ExpectSortIO(pages, s.law(phase))
-}
-
 // staticLaws replicates one law across all phases of an n-relation plan.
 func staticLaws(law dist.Dist, n int) []dist.Dist {
 	k := lastPhase(n) + 1
@@ -52,12 +50,13 @@ func staticLaws(law dist.Dist, n int) []dist.Dist {
 	return laws
 }
 
-// entry is one retained subplan at a DP node.
+// entry is one retained subplan at a DP node. Its order property is
+// node.OutOrder: the access path's order at a leaf, the join's output order
+// above it, the required order on a root sort.
 type entry struct {
 	node  *plan.Node
 	score float64
 	pages float64
-	order plan.Order
 }
 
 // slotOf maps an order property to a DP slot: 1 when it satisfies the
@@ -75,25 +74,15 @@ func (c *ctx) slotOf(o plan.Order) int {
 // leafEntry builds the access-path entry for one access path of a table.
 // Materialized access paths (index scans, filtered heap scans) score their
 // access cost; an unfiltered heap scan scores 0 — its base read is part of
-// the consuming join's formula (see plan.Node.Materialized).
+// the consuming join's formula (see plan.Node.Materialized). Every access
+// path of a table has the table's pages (and, under Algorithm D, its size
+// law), which is what lets the kernel price a join once per left input.
 func leafEntry(ti *tableInfo, ac accessCand) entry {
 	score := ac.io
 	if !ac.node.Materialized() {
 		score = 0
 	}
-	return entry{node: ac.node, score: score, pages: ti.pages, order: ac.order}
-}
-
-// leafEntries builds all access-path entries for one table — the
-// slice-returning form used by the top-c, distributional and exhaustive
-// passes; the single-plan DP iterates leafEntry directly to stay
-// allocation-free.
-func (c *ctx) leafEntries(ti *tableInfo) []entry {
-	out := make([]entry, 0, len(ti.accesses))
-	for _, ac := range ti.accesses {
-		out = append(out, leafEntry(ti, ac))
-	}
-	return out
+	return entry{node: ac.node, score: score, pages: ti.pages}
 }
 
 // enforcerScore is the cost of the root ORDER BY enforcer over an entry:
@@ -101,161 +90,36 @@ func (c *ctx) leafEntries(ti *tableInfo) []entry {
 // unmaterialized heap scan directly (single-table plans — no join ever
 // paid for it).
 func enforcerScore(s scorer, e entry, phase int) float64 {
-	sc := s.sortScore(e.pages, phase)
+	sc := cost.ExpectSortIO(e.pages, s.law(phase))
 	if e.node.Kind == plan.KindScan && !e.node.Materialized() {
 		sc += e.node.AccessIO()
 	}
 	return sc
 }
 
-// dpBest is the System R bottom-up dynamic program, keeping the best entry
-// per (subset, order-slot). Over a point law it computes the LSC
-// left-deep plan (Theorem 2.1); over memory laws it is Algorithm C and
-// computes the LEC left-deep plan (Theorems 3.3/3.4).
-func (c *ctx) dpBest(s scorer) (Result, error) {
-	return c.dpBestW(s, c.opts.Workers)
-}
-
-// dpBestW is dpBest with an explicit worker count for the subset
-// enumeration (Algorithms A and B pass 1 when their per-bucket fan-out
-// already saturates the requested concurrency). All DP state lives in a
-// pooled scratch: the table holds entries by value, join nodes come from
-// per-worker arenas, and finishRoot deep-copies the winner so nothing in
-// the Result outlives the scratch's release.
-//
-// Parallelism is by rank: every mask of popcount k depends only on masks
-// of strictly smaller popcount, so the masks of one rank can be expanded
-// concurrently — each expandMask call writes dp[mask] alone and reads only
-// finalized smaller ranks. Workers take statically assigned contiguous
-// chunks, so the result is byte-identical to the serial pass for every
-// worker count.
-func (c *ctx) dpBestW(s scorer, workers int) (Result, error) {
-	full := fullMask(c.n)
-	sc := getScratch()
+// dpBest runs the kernel keeping one entry per (subset, order slot) and
+// returns the cheapest complete plan. Under keepBest it is the System R
+// dynamic program: over a point law it computes the LSC left-deep plan
+// (Theorem 2.1), over memory laws it is Algorithm C and computes the LEC
+// left-deep plan (Theorems 3.3/3.4). Under keepLaw it is Algorithm D's,
+// each entry carrying its result-size law and joins priced in expectation
+// over the input size laws and s's one memory law. workers bounds the
+// rank-parallel enumeration (Algorithm A passes 1 when its per-bucket
+// fan-out already saturates the requested concurrency).
+func (c *ctx) dpBest(s scorer, pol policy, workers int) (Result, error) {
+	sc, err := c.run(s, pol, 1, workers)
 	defer sc.release()
-	dp := sc.table(int(full) + 1)
-
-	for j := 0; j < c.n; j++ {
-		ti := c.tables[j]
-		for _, ac := range ti.accesses {
-			c.keepSlot(&dp[1<<uint(j)], leafEntry(ti, ac))
+	if err != nil {
+		return Result{}, err
+	}
+	c.complete(sc, s)
+	var best *entry
+	for i := range sc.root {
+		if e := &sc.root[i]; best == nil || better(e.score, e.node, best.score, best.node) {
+			best = e
 		}
 	}
-
-	for size := 2; size <= c.n; size++ {
-		ms := sc.masks[:0]
-		for mask := uint64(1); mask <= full; mask++ {
-			if bits.OnesCount64(mask) == size {
-				ms = append(ms, mask)
-			}
-		}
-		sc.masks = ms
-		w := pool.Workers(workers, len(ms))
-		if w > 1 && len(ms) >= dpParallelMinMasks {
-			chunk := (len(ms) + w - 1) / w
-			nchunks := (len(ms) + chunk - 1) / chunk
-			sc.ensureWorkers(nchunks)
-			err := pool.Run(nchunks, nchunks, func(ci int) error {
-				lo, hi := ci*chunk, (ci+1)*chunk
-				if hi > len(ms) {
-					hi = len(ms)
-				}
-				wk := &sc.workers[ci]
-				for _, mask := range ms[lo:hi] {
-					c.expandMask(dp, mask, s, wk)
-				}
-				return nil
-			})
-			if err != nil {
-				return Result{}, err
-			}
-		} else {
-			sc.ensureWorkers(1)
-			wk := &sc.workers[0]
-			for _, mask := range ms {
-				c.expandMask(dp, mask, s, wk)
-			}
-		}
-	}
-	return c.finishRoot(&dp[full], s)
-}
-
-// expandMask computes dp[mask] from the finalized smaller-rank slots. It
-// writes only dp[mask], which is what makes rank-order parallel
-// enumeration race-free and byte-identical to the serial pass. Everything
-// the join method cannot change — the selectivity product, whether a
-// sort-merge would satisfy the ORDER BY, the output size — is computed
-// outside the method loop.
-func (c *ctx) expandMask(dp []dpSlot, mask uint64, s scorer, w *dpWorker) {
-	phase := phaseOfMask(mask)
-	w.cands = c.candidatesInto(mask, w.cands[:0])
-	sl := &dp[mask]
-	for _, j := range w.cands {
-		bit := uint64(1) << uint(j)
-		rest := mask &^ bit
-		sigma := c.sigmaBetween(j, rest)
-		merges := c.mergeOrders(j, rest)
-		for ls := 0; ls < 2; ls++ {
-			if !dp[rest].ok[ls] {
-				continue
-			}
-			left := &dp[rest].e[ls]
-			for rs := 0; rs < 2; rs++ {
-				if !dp[bit].ok[rs] {
-					continue
-				}
-				right := &dp[bit].e[rs]
-				outPages := c.joinOutPages(mask, c.clampPages(left.pages*right.pages*sigma))
-				for _, m := range c.opts.Methods {
-					score := left.score + right.score + s.joinScore(m, left.pages, right.pages, phase)
-					order, slot := c.joinOutput(m, merges, left.order, ls)
-					if sl.ok[slot] && score > sl.e[slot].score {
-						continue // strictly worse: skip building the node
-					}
-					node := w.arena.newJoin(m, left.node, right.node, outPages, order)
-					if sl.ok[slot] && !better(score, node, sl.e[slot].score, sl.e[slot].node) {
-						w.arena.undo()
-						continue
-					}
-					sl.e[slot] = entry{node: node, score: score, pages: outPages, order: order}
-					sl.ok[slot] = true
-				}
-			}
-		}
-	}
-}
-
-// keepSlot installs e into its order slot when it beats the incumbent.
-func (c *ctx) keepSlot(sl *dpSlot, e entry) {
-	slot := c.slotOf(e.order)
-	if sl.ok[slot] && !better(e.score, e.node, sl.e[slot].score, sl.e[slot].node) {
-		return
-	}
-	sl.e[slot] = e
-	sl.ok[slot] = true
-}
-
-// finishRoot applies the ORDER BY enforcer where needed and returns the
-// cheapest completed plan.
-func (c *ctx) finishRoot(sl *dpSlot, s scorer) (Result, error) {
-	var best entry
-	have := false
-	phase := lastPhase(c.n)
-	for slot := 0; slot < 2; slot++ {
-		if !sl.ok[slot] {
-			continue
-		}
-		cand := sl.e[slot]
-		if c.blk.OrderBy != nil && slot == 0 {
-			cand.score += enforcerScore(s, sl.e[slot], phase)
-			cand.node = plan.NewSort(cand.node, c.required)
-			cand.order = c.required
-		}
-		if !have || better(cand.score, cand.node, best.score, best.node) {
-			best, have = cand, true
-		}
-	}
-	if !have {
+	if best == nil {
 		return Result{}, ErrNoPlan
 	}
 	if err := checkFinite(best.score); err != nil {
@@ -264,4 +128,234 @@ func (c *ctx) finishRoot(sl *dpSlot, s scorer) (Result, error) {
 	// The winning tree references arena-owned join nodes that are recycled
 	// when the scratch is released; deep-copy it so the Result owns its plan.
 	return Result{Plan: best.node.Clone(), EC: best.score, Candidates: 1}, nil
+}
+
+// run is the subset DP of every algorithm: System R's bottom-up pass over
+// the table subsets in rank (popcount) order, keeping per (subset, order
+// slot) what pol asks for — the best entry, the top depth entries, or the
+// best entry with its size law. All state lives in the returned pooled
+// scratch, which the caller releases once nothing it needs points into
+// it: the table holds entries by value, join nodes come from per-worker
+// arenas and size laws from per-worker slabs.
+//
+// Parallelism is by rank: every mask of popcount k depends only on masks
+// of strictly smaller popcount, so the masks of one rank can be expanded
+// concurrently — each expand call writes its own mask's cells alone and
+// reads only finalized smaller ranks. Workers take statically assigned
+// contiguous chunks, so the table is byte-identical to the serial pass for
+// every worker count.
+func (c *ctx) run(s scorer, pol policy, depth, workers int) (*dpScratch, error) {
+	full := fullMask(c.n)
+	sc := getScratch(pol, depth, int(full)+1)
+	sc.ensureWorkers(1)
+	for j, ti := range c.tables {
+		for _, ac := range ti.accesses {
+			e := leafEntry(ti, ac)
+			k := cell(1<<uint(j), c.slotOf(ac.node.OutOrder))
+			if sc.admits(k, e.score) && sc.keep(k, e) && pol == keepLaw {
+				sc.laws[k] = ti.sizeLaw
+			}
+		}
+	}
+	for size := 2; size <= c.n; size++ {
+		// Gosper's hack: the masks of popcount size in ascending order.
+		ms := sc.masks[:0]
+		for m := uint64(1)<<uint(size) - 1; m <= full; {
+			ms = append(ms, m)
+			r := m + m&-m
+			m = r | (m^r)>>2>>uint(bits.TrailingZeros64(m))
+		}
+		sc.masks = ms
+		w := pool.Workers(workers, len(ms))
+		if w > 1 && len(ms) >= dpParallelMinMasks {
+			chunk := (len(ms) + w - 1) / w
+			nchunks := (len(ms) + chunk - 1) / chunk
+			sc.ensureWorkers(nchunks)
+			err := pool.Run(nchunks, nchunks, func(ci int) error {
+				wk := &sc.workers[ci]
+				for _, mask := range ms[ci*chunk : min((ci+1)*chunk, len(ms))] {
+					if err := c.expand(sc, mask, s, wk); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return sc, err
+			}
+			continue
+		}
+		for _, mask := range ms {
+			if err := c.expand(sc, mask, s, &sc.workers[0]); err != nil {
+				return sc, err
+			}
+		}
+	}
+	return sc, nil
+}
+
+// unpriced marks a join price not computed yet. No price is negative — a
+// join reads and writes page counts of at least Options.MinPages > 0 — so
+// neither is the marker a price, nor can a price lift a score that a cell
+// turns away at price zero back into it. (ModelEngine's grace hash counts
+// pages in int, which wraps for inputs past 2⁶³ pages: such a price is
+// already meaningless, and the pinned corpus's cross products that reach
+// it keep their bits.)
+const unpriced = -1.0
+
+// singlePair is the frontier of two single-entry cells.
+var singlePair = []topPair{{}}
+
+// expand fills mask's cells from the finalized smaller ranks, writing
+// nothing else. Each thing is priced once: what the join method cannot
+// change (selectivity, sort-merge order, output size) once per (mask, j);
+// the join price once per method and distinct left input, since a leaf's
+// access paths share one size and the left input's second slot often has
+// the first's — bit for bit, so the shared price is the price it would
+// have computed; a candidate's size law (keepLaw) only once some method's
+// score survives the check against the incumbent. A score is always
+// (left.score + right.score) + price.
+func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) error {
+	phase := phaseOfMask(mask)
+	methods := c.opts.Methods
+	nm := len(methods)
+	w.jc = grow(w.jc, 2*nm)
+	w.cands = c.candidatesInto(mask, w.cands[:0])
+	hint, hinted := c.sizeHint[mask]
+	kb := cell(mask, 0)
+	for _, j := range w.cands {
+		ti := c.tables[j]
+		bit := uint64(1) << uint(j)
+		rest := mask &^ bit
+		merges := c.mergeOrders(j, rest)
+		var sigma float64
+		if sc.pol == keepLaw {
+			w.sigmaLaw, w.out = dist.Dist{}, [2]dist.Dist{}
+		} else {
+			sigma = c.sigmaBetween(j, rest)
+		}
+		for ls := 0; ls < 2; ls++ {
+			lk := cell(rest, ls)
+			left := sc.list(lk)
+			if len(left) == 0 {
+				continue
+			}
+			jc, out := w.jc[ls*nm:(ls+1)*nm], &w.out[ls]
+			if ls == 1 && sc.held[lk-1] > 0 && sc.sameInput(lk-1, lk) {
+				jc, out = w.jc[:nm], &w.out[0]
+			} else {
+				for mi := range jc {
+					jc[mi] = unpriced
+				}
+			}
+			// Both leaf slots have ti.pages, so the size is one per left
+			// slot: under keepLaw its law's mean, zero until built.
+			var outPages float64
+			switch {
+			case sc.pol == keepLaw:
+				outPages = out.Mean()
+			case hinted:
+				outPages = hint
+			default:
+				outPages = c.clampPages(left[0].pages * ti.pages * sigma)
+			}
+			for rs := 0; rs < 2; rs++ {
+				right := sc.list(cell(bit, rs))
+				if len(right) == 0 {
+					continue
+				}
+				// Within one mask every (left entry, right entry, method)
+				// is a distinct plan, so the order in which a top-c cell
+				// is offered them cannot change what it ends up holding.
+				pairs := singlePair
+				if sc.pol == keepTopC {
+					var probes int
+					w.pairs, probes = frontier(w.pairs[:0], left, right, sc.depth)
+					pairs, w.probes = w.pairs, w.probes+probes*nm
+				}
+				for _, p := range pairs {
+					le, re := &left[p.i], &right[p.k]
+					base := le.score + re.score
+					for mi, m := range methods {
+						k := kb | joinSlot(m, merges, ls)
+						if !sc.admits(k, base) {
+							continue // turned away even at price zero
+						}
+						if jc[mi] == unpriced {
+							if sc.pol == keepLaw {
+								jc[mi] = expcost.JoinECModel(s.model, m, sc.laws[lk], ti.sizeLaw, s.laws[0])
+							} else {
+								jc[mi] = s.joinScore(m, left[0].pages, ti.pages, phase)
+							}
+						}
+						score := base + jc[mi]
+						if !sc.admits(k, score) {
+							continue // strictly worse: skip building the law and the node
+						}
+						if sc.pol == keepLaw && out.IsZero() {
+							law, err := c.joinSizeLaw(&w.slab, mask, j, sc.laws[lk], ti.sizeLaw, &w.sigmaLaw)
+							if err != nil {
+								return err
+							}
+							*out, outPages = law, law.Mean()
+						}
+						node := w.arena.newJoin(m, le.node, re.node, outPages, c.joinOrder(m, merges, le.node))
+						if !sc.keep(k, entry{node: node, score: score, pages: outPages}) {
+							w.arena.undo()
+							continue
+						}
+						if sc.pol == keepLaw {
+							sc.laws[k] = *out
+						}
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// complete lists the plans for the whole query in sc.root: every entry of
+// the full subset, each under a root sort where it misses the ORDER BY.
+// Algorithm D prices the sort in expectation over the entry's size law.
+func (c *ctx) complete(sc *dpScratch, s scorer) {
+	phase := lastPhase(c.n)
+	arena := &sc.workers[0].arena
+	full := fullMask(c.n)
+	for slot := 0; slot < 2; slot++ {
+		k := cell(full, slot)
+		for _, e := range sc.list(k) {
+			if c.blk.OrderBy != nil && slot == 0 {
+				if sc.pol == keepLaw {
+					e.score += expcost.SortEC(sc.laws[k], s.laws[0])
+					if e.node.Kind == plan.KindScan && !e.node.Materialized() {
+						e.score += e.node.AccessIO()
+					}
+				} else {
+					e.score += enforcerScore(s, e, phase)
+				}
+				e.node = arena.newSort(e.node, c.required)
+			}
+			sc.root = append(sc.root, e)
+		}
+	}
+}
+
+// topRoots completes a top-c pass (Algorithm B's inner pass) and returns
+// its best topC plans, ascending. They live in the scratch.
+func (c *ctx) topRoots(sc *dpScratch, s scorer, topC int) []entry {
+	c.complete(sc, s)
+	// better is a strict total order on completed plans (a list holds no
+	// two equal signatures, and a root sort sets the slots apart), so any
+	// sort leaves the same list.
+	slices.SortFunc(sc.root, func(a, b entry) int {
+		switch {
+		case better(a.score, a.node, b.score, b.node):
+			return -1
+		case better(b.score, b.node, a.score, a.node):
+			return 1
+		}
+		return 0
+	})
+	return sc.root[:min(len(sc.root), topC)]
 }

@@ -54,7 +54,6 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 	type partial struct {
 		node  *plan.Node
 		pages float64
-		order plan.Order
 		mask  uint64
 	}
 	var best *Result
@@ -63,7 +62,7 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 
 	finish := func(p partial) error {
 		node := p.node
-		if c.blk.OrderBy != nil && !c.satisfiesOrderBy(p.order) {
+		if c.blk.OrderBy != nil && !c.satisfiesOrderBy(p.node.OutOrder) {
 			node = plan.NewSort(node, c.required)
 		}
 		score, err := eval(node)
@@ -95,12 +94,12 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 			}
 			sigma := c.sigmaBetween(j, p.mask)
 			merges := c.mergeOrders(j, p.mask)
-			for _, leaf := range c.leafEntries(c.tables[j]) {
-				outPages := c.joinOutPages(p.mask|bit, c.clampPages(p.pages*leaf.pages*sigma))
+			outPages := c.joinOutPages(p.mask|bit, c.clampPages(p.pages*c.tables[j].pages*sigma))
+			for _, ac := range c.tables[j].accesses {
 				for _, m := range c.opts.Methods {
-					order, _ := c.joinOutput(m, merges, p.order, 0)
-					node := plan.NewJoin(m, p.node, leaf.node, outPages, order)
-					if err := extend(partial{node: node, pages: outPages, order: order, mask: p.mask | bit}); err != nil {
+					order := c.joinOrder(m, merges, p.node)
+					node := plan.NewJoin(m, p.node, ac.node, outPages, order)
+					if err := extend(partial{node: node, pages: outPages, mask: p.mask | bit}); err != nil {
 						return err
 					}
 				}
@@ -110,8 +109,8 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 	}
 
 	for j := 0; j < c.n; j++ {
-		for _, leaf := range c.leafEntries(c.tables[j]) {
-			p := partial{node: leaf.node, pages: leaf.pages, order: leaf.order, mask: 1 << uint(j)}
+		for _, ac := range c.tables[j].accesses {
+			p := partial{node: ac.node, pages: c.tables[j].pages, mask: 1 << uint(j)}
 			if c.n == 1 {
 				if err := finish(p); err != nil {
 					return Result{}, err

@@ -1,0 +1,96 @@
+package optimizer
+
+import (
+	"math/bits"
+	"testing"
+
+	"lecopt/internal/cost"
+	"lecopt/internal/dist"
+)
+
+// fastPathHits counts, over one finished kernel table, the cases the
+// kernel's price-once shortcuts serve.
+type fastPathHits struct {
+	leafBoth   int // a leaf with both order slots held: one size, one price
+	restShared int // a multi-table rest with both slots held and one input (sameInput)
+	topFull    int // a top-c cell that filled to c (the bar turns candidates away)
+}
+
+func (h *fastPathHits) add(c *ctx, sc *dpScratch) {
+	full := fullMask(c.n)
+	for mask := uint64(1); mask < full; mask++ {
+		lo, hi := cell(mask, 0), cell(mask, 1)
+		both := sc.held[lo] > 0 && sc.held[hi] > 0
+		switch {
+		case !both:
+		case bits.OnesCount64(mask) == 1:
+			h.leafBoth++
+		case sc.sameInput(lo, hi):
+			h.restShared++
+		}
+	}
+	if sc.pol == keepTopC {
+		for mask := uint64(1); mask <= full; mask++ {
+			for slot := 0; slot < 2; slot++ {
+				if sc.held[cell(mask, slot)] == sc.depth {
+					h.topFull++
+				}
+			}
+		}
+	}
+}
+
+// TestPinnedCorpusExercisesFastPaths guards the bit pin's reach: the
+// kernel shares a join price between a leaf's two slots and between a
+// rest's two slots when they are one input, and a full top-c cell turns
+// candidates away before their nodes are built. The pinned corpus must
+// take each of these paths under every algorithm that can — otherwise
+// algorithm_bits.golden would not notice a shortcut that changed a bit.
+func TestPinnedCorpusExercisesFastPaths(t *testing.T) {
+	envs, sticky := pinSticky(t)
+	hits := map[string]*fastPathHits{}
+	for _, alg := range pinAlgs {
+		hits[alg] = &fastPathHits{}
+	}
+	for i, sc := range pinScenarios(t) {
+		mem, selLaws, sizeLaws, hint := pinInputs(t, i, sc, envs)
+		for _, model := range []cost.Model{cost.ModelPaper, cost.ModelEngine} {
+			for _, hints := range []map[string]float64{nil, hint} {
+				c, err := prepare(sc.Cat, sc.Block, Options{CostModel: model, SizeHints: hints, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pass := func(alg string, s scorer, pol policy, depth int) {
+					t.Helper()
+					scr, err := c.run(s, pol, depth, 1)
+					defer scr.release()
+					if err != nil {
+						t.Fatalf("scenario %d %s: %v", i, alg, err)
+					}
+					hits[alg].add(c, scr)
+				}
+				pass("LSC", pointScorer(mem.Mean(), model), keepBest, 1)
+				for _, p := range bucketPoints(mem) {
+					pass("A", pointScorer(p, model), keepBest, 1)
+					pass("B", pointScorer(p, model), keepTopC, 3)
+				}
+				pass("C", scorer{staticLaws(mem, c.n), model}, keepBest, 1)
+				laws, err := sticky.Env.Chain.PhaseLaws(sticky.Env.Mem, lastPhase(c.n)+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pass("C-dynamic", scorer{laws, model}, keepBest, 1)
+				c.setSelLaws(selLaws)
+				c.setSizeLaws(sizeLaws)
+				pass("D", scorer{[]dist.Dist{mem}, model}, keepLaw, 1)
+			}
+		}
+	}
+	for _, alg := range pinAlgs {
+		h := hits[alg]
+		t.Logf("%-9s leaf both slots %5d, rest shared input %5d, top-c full %5d", alg, h.leafBoth, h.restShared, h.topFull)
+		if h.leafBoth == 0 || h.restShared == 0 || (alg == "B" && h.topFull == 0) {
+			t.Errorf("%s: the pinned corpus misses a fast path: %+v", alg, *h)
+		}
+	}
+}

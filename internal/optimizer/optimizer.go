@@ -147,10 +147,10 @@ func EdgeKey(j query.Join) string {
 
 // --- prepared optimization context --------------------------------------
 
+// accessCand is one access path of a table; its order is node.OutOrder.
 type accessCand struct {
-	node  *plan.Node
-	io    float64
-	order plan.Order
+	node *plan.Node
+	io   float64
 }
 
 type tableInfo struct {
@@ -330,7 +330,7 @@ func (c *ctx) prepareTable(name string, idx int) (*tableInfo, error) {
 		node.IO = io
 		node.Pred = pred
 		node.OutOrder = ord
-		ti.accesses = append(ti.accesses, accessCand{node: node, io: io, order: ord})
+		ti.accesses = append(ti.accesses, accessCand{node: node, io: io})
 	}
 	return ti, nil
 }
@@ -476,10 +476,13 @@ func (c *ctx) sigmaBetween(j int, mask uint64) float64 {
 // Combine2 of two points is the point of their product exactly. From there
 // on every member is combined, installed law or not: dist.New renormalises
 // by a mass sum that need not be exactly 1, so even a Point(1) factor can
-// move the last bit of a real law's probabilities.
-func (c *ctx) sigmaLawBetween(j int, mask uint64) dist.Dist {
+// move the last bit of a real law's probabilities. The chain is built in
+// sl, which the call resets first.
+func (c *ctx) sigmaLawBetween(sl *dist.Slab, j int, mask uint64) (dist.Dist, error) {
+	sl.Reset()
 	s := 1.0
 	var law dist.Dist
+	var err error
 	for m := mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		pair := c.sigmaD[i][j]
@@ -488,16 +491,18 @@ func (c *ctx) sigmaLawBetween(j int, mask uint64) dist.Dist {
 			s *= c.sigma[i][j]
 			continue
 		case law.IsZero():
-			law = dist.Point(s)
+			law = sl.Point(s)
 		case pair.IsZero():
-			pair = dist.Point(c.sigma[i][j])
+			pair = sl.Point(c.sigma[i][j])
 		}
-		law = dist.Combine2(law, pair, func(x, y float64) float64 { return x * y })
+		if law, err = sl.Combine2(law, pair, func(x, y float64) float64 { return x * y }); err != nil {
+			return dist.Dist{}, err
+		}
 	}
 	if law.IsZero() {
-		return dist.Point(s)
+		return sl.Point(s), nil
 	}
-	return law
+	return law, nil
 }
 
 // connects reports whether table j has a join edge into mask.
@@ -550,21 +555,35 @@ func (c *ctx) isCandidate(j int, mask uint64) bool {
 // method, so the DPs ask once per (j, prefix).
 func (c *ctx) mergeOrders(j int, leftMask uint64) bool { return c.ordMask[j]&leftMask != 0 }
 
-// joinOutput returns the order property of a join's output and the DP slot
-// it lands in (see slotOf) without consulting orderCols: nested-loop
-// variants stream the outer, so they inherit the left entry's order and its
-// slot; an order-imposing method (sort-merge) yields the ORDER BY iff merges
-// (mergeOrders) and takes slot 1 exactly then; everything else — grace
-// hash, or a merge on columns the ORDER BY does not care about — lands
-// unordered in slot 0. prepare has rejected unknown methods.
-func (c *ctx) joinOutput(m cost.JoinMethod, merges bool, leftOrder plan.Order, leftSlot int) (plan.Order, int) {
+// joinSlot returns the DP slot a join's output lands in (see slotOf)
+// without consulting orderCols: nested-loop variants stream the outer, so
+// they inherit the left input's slot; an order-imposing method
+// (sort-merge) yields the ORDER BY iff merges (mergeOrders) and takes slot
+// 1 exactly then; everything else — grace hash, or a merge on columns the
+// ORDER BY does not care about — lands unordered in slot 0. prepare has
+// rejected unknown methods.
+func joinSlot(m cost.JoinMethod, merges bool, leftSlot int) int {
 	switch {
 	case m == cost.PageNL || m == cost.BlockNL:
-		return leftOrder, leftSlot
+		return leftSlot
 	case merges && m.OrdersOutput():
-		return c.required, 1
+		return 1
 	}
-	return plan.Order{}, 0
+	return 0
+}
+
+// joinOrder returns the order property of that output: the left input's
+// order, the ORDER BY, or none, by joinSlot's cases. Only nested-loop
+// variants read the left node, which the DP defers until a candidate
+// survives its score check.
+func (c *ctx) joinOrder(m cost.JoinMethod, merges bool, left *plan.Node) plan.Order {
+	switch {
+	case m == cost.PageNL || m == cost.BlockNL:
+		return left.OutOrder
+	case merges && m.OrdersOutput():
+		return c.required
+	}
+	return plan.Order{}
 }
 
 // satisfiesOrderBy reports whether an order property meets the block's

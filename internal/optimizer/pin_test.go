@@ -60,55 +60,66 @@ func pinDigest(h io.Writer, r Result) {
 	fmt.Fprint(h, "\n")
 }
 
+// pinInputs returns scenario i's memory law and Algorithm D's extra laws:
+// a three-point law around the catalog's point selectivity on the first two
+// edges, and on odd scenarios a size law on the first table. Weights 1:4:1
+// normalise to probabilities that sum to 1 − 1 ulp, so every
+// renormalisation on the way to a result-size law leaves a mark. hint is a
+// size hint on the first join.
+func pinInputs(t *testing.T, i int, sc workload.Scenario, envs []workload.NamedEnv) (mem dist.Dist, selLaws, sizeLaws map[string]dist.Dist, hint map[string]float64) {
+	t.Helper()
+	mem = envs[i%len(envs)].Env.Mem
+	selLaws = map[string]dist.Dist{}
+	for k, j := range sc.Block.Joins {
+		if k == 2 {
+			break
+		}
+		s, err := sc.Cat.JoinPageSelectivity(j.Left.Table, j.Left.Column, j.Right.Table, j.Right.Column)
+		if err != nil {
+			t.Fatal(err)
+		}
+		selLaws[EdgeKey(j)] = dist.MustNew([]float64{s / 3, s, 3 * s}, []float64{1, 4, 1})
+	}
+	if i%2 == 1 {
+		tab, err := sc.Cat.Table(sc.Block.Tables[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizeLaws = map[string]dist.Dist{tab.Name: dist.MustNew([]float64{tab.Pages / 2, tab.Pages, 2 * tab.Pages}, []float64{1, 4, 1})}
+	}
+	j0 := sc.Block.Joins[0]
+	hint = map[string]float64{j0.Left.Table + "+" + j0.Right.Table: float64(1 + (i*37)%2000)}
+	return mem, selLaws, sizeLaws, hint
+}
+
+// pinSticky returns the standard environments and the markov-sticky one
+// that C-dynamic is pinned under.
+func pinSticky(t *testing.T) ([]workload.NamedEnv, workload.NamedEnv) {
+	t.Helper()
+	envs, err := workload.StandardEnvs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range envs {
+		if e.Name == "markov-sticky" {
+			return envs, e
+		}
+	}
+	t.Fatal("markov-sticky environment missing")
+	return nil, workload.NamedEnv{}
+}
+
 func TestAlgorithmBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Ports with fused multiply-add (arm64, ppc64, s390x, riscv64) round
 		// x*y+z once, not twice: same plans, other last bits.
 		t.Skip("the golden records amd64 float bits")
 	}
-	envs, err := workload.StandardEnvs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sticky workload.NamedEnv
-	for _, e := range envs {
-		if e.Name == "markov-sticky" {
-			sticky = e
-		}
-	}
-	if sticky.Env.Chain == nil {
-		t.Fatal("markov-sticky environment missing")
-	}
+	envs, sticky := pinSticky(t)
 
 	var lines []string
 	for i, sc := range pinScenarios(t) {
-		mem := envs[i%len(envs)].Env.Mem
-		// Algorithm D's extra laws: a three-point law around the catalog's
-		// point selectivity on the first two edges, and on odd scenarios a
-		// size law on the first table. Weights 1:4:1 normalise to
-		// probabilities that sum to 1 − 1 ulp, so every renormalisation on
-		// the way to a result-size law leaves a mark.
-		selLaws := map[string]dist.Dist{}
-		for k, j := range sc.Block.Joins {
-			if k == 2 {
-				break
-			}
-			s, err := sc.Cat.JoinPageSelectivity(j.Left.Table, j.Left.Column, j.Right.Table, j.Right.Column)
-			if err != nil {
-				t.Fatal(err)
-			}
-			selLaws[EdgeKey(j)] = dist.MustNew([]float64{s / 3, s, 3 * s}, []float64{1, 4, 1})
-		}
-		var sizeLaws map[string]dist.Dist
-		if i%2 == 1 {
-			tab, err := sc.Cat.Table(sc.Block.Tables[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			sizeLaws = map[string]dist.Dist{tab.Name: dist.MustNew([]float64{tab.Pages / 2, tab.Pages, 2 * tab.Pages}, []float64{1, 4, 1})}
-		}
-		j0 := sc.Block.Joins[0]
-		hint := map[string]float64{j0.Left.Table + "+" + j0.Right.Table: float64(1 + (i*37)%2000)}
+		mem, selLaws, sizeLaws, hint := pinInputs(t, i, sc, envs)
 
 		sums := make([]string, len(pinAlgs))
 		for ai, alg := range pinAlgs {

@@ -1,30 +1,33 @@
 package optimizer
 
 import (
+	"math"
 	"sync"
 
 	"lecopt/internal/cost"
+	"lecopt/internal/dist"
 	"lecopt/internal/plan"
 )
 
-// The join-subset DP's scratch memory — the table, the per-worker
-// candidate buffers and the per-worker plan-node arenas — is reset, not
-// freed, between optimizations: dpBest borrows a dpScratch from a
-// sync.Pool and releases it before returning, so a steady stream of cache
-// misses stops churning the allocator. Nothing allocated from a scratch
-// may outlive the release: finishRoot deep-copies the winning plan, which
-// is the only part of the DP state that escapes into a Result.
+// The subset DP's scratch memory — the table, the per-worker candidate
+// buffers, plan-node arenas and law slabs — is reset, not freed, between
+// optimizations: every pass borrows a dpScratch from a sync.Pool and
+// releases it when its result no longer points into it, so a steady
+// stream of cache misses stops churning the allocator. Nothing allocated
+// from a scratch may outlive the release: a finished pass deep-copies the
+// winning plan, which is the only part of the DP state that escapes into a
+// Result.
 
 const (
 	// arenaChunkSize is the node count of one arena chunk. Chunks are
-	// never reallocated — growth appends a new chunk — so node pointers
-	// handed out by alloc stay valid for the whole optimization.
+	// never reallocated — growth appends a new chunk — so pointers into
+	// them stay valid for the whole optimization.
 	arenaChunkSize = 256
 	// maxPooledChunks and maxPooledSlots bound what a released scratch
 	// keeps warm in the pool; an occasional very wide query (the DP table
-	// is 2^n slots) must not pin its peak footprint forever.
+	// is 2^n cells) must not pin its peak footprint forever.
 	maxPooledChunks = 64
-	maxPooledSlots  = 1 << 16
+	maxPooledSlots  = 1 << 17
 )
 
 // dpParallelMinMasks gates rank-parallel enumeration: a rank is split
@@ -33,45 +36,129 @@ const (
 // const, so tests can force the parallel path on small corpora.
 var dpParallelMinMasks = 64
 
-// dpSlot is one DP-table cell: the best retained entry per order slot
-// (see slotOf), held by value — entry pointers would pin the scratch's
-// previous contents and cost an allocation per keep.
-type dpSlot struct {
-	e  [2]entry
-	ok [2]bool
-}
+// policy is what the kernel keeps per (subset, order slot).
+type policy uint8
 
-// dpWorker is one enumeration worker's private scratch: a node arena and
-// a candidate buffer. Each parallel chunk owns exactly one worker, so
-// arenas are never shared across goroutines.
+const (
+	keepBest policy = iota // the best entry: LSC, A, C and C-dynamic
+	keepTopC               // the top-c entries (Proposition 3.1): Algorithm B
+	keepLaw                // the best entry and its size law: Algorithm D
+)
+
+// dpWorker is one enumeration worker's private scratch. Each parallel
+// chunk owns exactly one worker, so nothing in it is shared across
+// goroutines.
 type dpWorker struct {
-	arena nodeArena
-	cands []int
+	arena  nodeArena
+	slab   lawSlab   // keepLaw: the size laws this worker builds
+	cands  []int     // candidatesInto buffer
+	jc     []float64 // join prices: one row of len(Methods) per left slot
+	pairs  []topPair // keepTopC: the frontier of one (left, right) list pair
+	probes int       // keepTopC: frontier pairs probed
+
+	// keepLaw, per (mask, j): the σ-law and each left slot's candidate
+	// size law, zero until first needed.
+	sigmaLaw dist.Dist
+	out      [2]dist.Dist
 }
 
-// dpScratch is the pooled scratch of one dpBest call.
+// dpScratch is the pooled state of one kernel pass. The table is flat:
+// cell k = mask·2 + slot holds held[k] entries at ents[k·depth:], bar[k]
+// is the score an entry must not exceed to enter it (+Inf until it is
+// full: its last entry's score from then on), and under keepLaw the size
+// law of its entry is at laws[k].
 type dpScratch struct {
-	slots   []dpSlot
+	pol     policy
+	depth   int
+	ents    []entry
+	held    []int
+	bar     []float64
+	laws    []dist.Dist
+	root    []entry // the completed plans (complete)
 	masks   []uint64
 	workers []dpWorker
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
 
-func getScratch() *dpScratch { return scratchPool.Get().(*dpScratch) }
+// getScratch borrows a scratch set up for a table of 2·cells cells under
+// pol, each holding up to depth entries.
+func getScratch(pol policy, depth, cells int) *dpScratch {
+	s := scratchPool.Get().(*dpScratch)
+	s.pol, s.depth = pol, depth
+	s.ents = grow(s.ents, 2*cells*depth)
+	s.held = grow(s.held, 2*cells)
+	clear(s.held)
+	s.bar = grow(s.bar, 2*cells)
+	for i := range s.bar {
+		s.bar[i] = math.Inf(1)
+	}
+	if pol == keepLaw {
+		s.laws = grow(s.laws, 2*cells)
+	}
+	return s
+}
 
-// table returns a zeroed DP table of n slots, reusing the previous
-// allocation when it is large enough.
-func (s *dpScratch) table(n int) []dpSlot {
-	if cap(s.slots) < n {
-		s.slots = make([]dpSlot, n)
-		return s.slots
+// grow returns buf resliced to n, reallocated only when too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	s.slots = s.slots[:n]
-	for i := range s.slots {
-		s.slots[i] = dpSlot{}
+	return buf[:n]
+}
+
+// cell returns the table index of (mask, slot).
+func cell(mask uint64, slot int) int { return int(mask)<<1 | slot }
+
+// list returns the entries held at cell k.
+func (s *dpScratch) list(k int) []entry {
+	return s.ents[k*s.depth : k*s.depth+s.held[k]]
+}
+
+// admits reports whether an entry at score could enter cell k — the
+// check that runs before a candidate's node (and law) is built.
+func (s *dpScratch) admits(k int, score float64) bool {
+	return !(score > s.bar[k])
+}
+
+// keep offers e, which cell k admits, to the cell and reports whether it
+// entered: a single-entry cell takes it when it beats the incumbent — only
+// a tie can still keep the incumbent — and a top-c cell as topList.add
+// does. For one entry the two rules agree, duplicates included.
+func (s *dpScratch) keep(k int, e entry) bool {
+	if s.depth == 1 {
+		if s.held[k] != 0 && !better(e.score, e.node, s.ents[k].score, s.ents[k].node) {
+			return false
+		}
+		s.ents[k], s.held[k], s.bar[k] = e, 1, e.score
+		return true
 	}
-	return s.slots
+	l := topList{s.ents[k*s.depth : k*s.depth+s.held[k] : (k+1)*s.depth]}
+	in := l.add(e, s.depth)
+	if s.held[k] = len(l.entries); s.held[k] == s.depth {
+		s.bar[k] = l.entries[s.depth-1].score
+	}
+	return in
+}
+
+// sameInput reports whether cells a and b, both held, are the same join
+// input to every price the kernel computes: equal pages, or under keepLaw
+// equal size laws. Sizes are finite and at least Options.MinPages > 0 and
+// probabilities positive, so equal is bit-equal.
+func (s *dpScratch) sameInput(a, b int) bool {
+	if s.pol == keepLaw {
+		return s.laws[a].ApproxEqual(s.laws[b], 0)
+	}
+	return s.ents[a*s.depth].pages == s.ents[b*s.depth].pages
+}
+
+// probes totals the frontier pairs the workers probed (keepTopC).
+func (s *dpScratch) probes() int {
+	n := 0
+	for i := range s.workers {
+		n += s.workers[i].probes
+	}
+	return n
 }
 
 // ensureWorkers grows the worker set to n before a parallel section —
@@ -82,31 +169,42 @@ func (s *dpScratch) ensureWorkers(n int) {
 	}
 }
 
-// release zeroes everything that could pin plan nodes, trims outsized
-// buffers, and returns the scratch to the pool.
+// release zeroes the table's links to plan nodes and laws, rewinds the
+// arenas and slabs, trims outsized buffers, and returns the scratch to the
+// pool.
 func (s *dpScratch) release() {
-	for i := range s.slots {
-		s.slots[i] = dpSlot{}
-	}
-	if cap(s.slots) > maxPooledSlots {
-		s.slots = nil
+	clear(s.ents)
+	clear(s.laws)
+	clear(s.root)
+	s.root = s.root[:0]
+	if cap(s.ents) > maxPooledSlots {
+		s.ents, s.held, s.bar, s.laws = nil, nil, nil, nil
 	}
 	for i := range s.workers {
-		s.workers[i].arena.reset()
+		w := &s.workers[i]
+		w.arena.reset()
+		w.slab.reset()
+		w.probes = 0
+		w.sigmaLaw, w.out = dist.Dist{}, [2]dist.Dist{}
 	}
 	scratchPool.Put(s)
 }
 
-// nodeArena hands out plan.Node storage in fixed-size chunks. Reset
-// zeroes only the used prefix, so the cost of recycling is proportional
-// to what the last optimization actually touched.
+// nodeArena hands out plan.Node storage in fixed-size chunks. newJoin and
+// newSort store every field of the node they hand out, so recycling is a
+// cursor rewind: nothing is zeroed. They store field by field — a
+// composite literal would be built aside and block-copied in — and
+// TestNodeArena dirties every field of plan.Node by reflection, so a field
+// added there and missed here fails it. The links a rewound arena still
+// holds keep at most its high-water mark of old nodes reachable, and only
+// while the pool keeps the scratch (a sync.Pool drops idle entries across
+// GCs).
 type nodeArena struct {
 	chunks [][]plan.Node
 	ci, ni int // cursor: next node is chunks[ci][ni]
 }
 
-// alloc returns a zeroed node. Slots at or past the cursor are always
-// zero (fresh chunks are zero; reset and undo re-zero recycled slots).
+// alloc returns the next slot; it holds whatever it last held.
 func (a *nodeArena) alloc() *plan.Node {
 	if a.ci == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]plan.Node, arenaChunkSize))
@@ -121,57 +219,53 @@ func (a *nodeArena) alloc() *plan.Node {
 }
 
 // undo gives back the most recently allocated node — a challenger that
-// tied the incumbent's score and lost the signature tie-break.
+// lost to the incumbent.
 func (a *nodeArena) undo() {
 	if a.ni == 0 {
 		a.ci--
 		a.ni = arenaChunkSize
 	}
 	a.ni--
-	a.chunks[a.ci][a.ni] = plan.Node{}
 }
 
 // newJoin is plan.NewJoin allocated from the arena.
 func (a *nodeArena) newJoin(method cost.JoinMethod, left, right *plan.Node, outPages float64, order plan.Order) *plan.Node {
 	n := a.alloc()
-	n.Kind = plan.KindJoin
-	n.Method = method
-	n.Left = left
-	n.Right = right
-	n.OutPages = outPages
-	n.OutOrder = order
+	n.Kind, n.Method, n.Left, n.Right, n.Child = plan.KindJoin, method, left, right, nil
+	n.Table, n.Access, n.Index, n.Sel, n.Pred = "", 0, "", 0, nil
+	n.OutPages, n.OutOrder, n.IO = outPages, order, 0
 	return n
 }
 
-// reset zeroes the used prefix (dropping the node links that would
-// otherwise keep the last query's plans reachable from the pool) and
-// rewinds the cursor.
+// newSort is plan.NewSort allocated from the arena.
+func (a *nodeArena) newSort(child *plan.Node, order plan.Order) *plan.Node {
+	n := a.alloc()
+	n.Kind, n.Method, n.Left, n.Right, n.Child = plan.KindSort, 0, nil, nil, child
+	n.Table, n.Access, n.Index, n.Sel, n.Pred = "", 0, "", 0, nil
+	n.OutPages, n.OutOrder, n.IO = child.OutPages, order, 0
+	return n
+}
+
+// reset rewinds the cursor and trims the chunks kept for the next pass.
 func (a *nodeArena) reset() {
-	for i := 0; i <= a.ci && i < len(a.chunks); i++ {
-		n := arenaChunkSize
-		if i == a.ci {
-			n = a.ni
-		}
-		c := a.chunks[i]
-		for j := 0; j < n; j++ {
-			c[j] = plan.Node{}
-		}
-	}
 	a.ci, a.ni = 0, 0
 	if len(a.chunks) > maxPooledChunks {
 		a.chunks = a.chunks[:maxPooledChunks]
 	}
 }
 
-// owns reports whether p points into the arena — the test hook behind the
-// guarantee that no arena pointer escapes into a Result.
-func (a *nodeArena) owns(p *plan.Node) bool {
-	for _, c := range a.chunks {
-		for i := range c {
-			if p == &c[i] {
-				return true
-			}
-		}
-	}
-	return false
+// lawSlab holds Algorithm D's size laws — the σ-law chains, Section
+// 3.6.3's rebucketings and triple products, the clamp — in pooled storage
+// instead of on the heap, one dist.Slab per lifetime. dist.Slab's methods
+// are bit for bit their heap counterparts (FuzzLawKernel).
+type lawSlab struct {
+	keep dist.Slab // laws the table holds: live until release
+	sig  dist.Slab // one σ-law chain: rewound per (mask, j)
+	tmp  dist.Slab // one result-size law's intermediates: rewound per law
+}
+
+func (s *lawSlab) reset() {
+	s.keep.Reset()
+	s.sig.Reset()
+	s.tmp.Reset()
 }

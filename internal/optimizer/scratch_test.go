@@ -3,22 +3,64 @@ package optimizer
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"lecopt/internal/cost"
 	"lecopt/internal/dist"
 	"lecopt/internal/plan"
 	"lecopt/internal/workload"
 )
 
+// owns reports whether p points into the arena — the check behind the
+// guarantee that no arena pointer escapes into a Result.
+func (a *nodeArena) owns(p *plan.Node) bool {
+	for _, c := range a.chunks {
+		for i := range c {
+			if p == &c[i] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// dirty sets every field of v, recursively, to a non-zero value.
+func dirty(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+		v.SetUint(7)
+	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int:
+		v.SetInt(7)
+	case reflect.Float64:
+		v.SetFloat(7)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			dirty(t, v.Field(i))
+		}
+	default:
+		t.Fatalf("dirty: no rule for %v", v.Type())
+	}
+}
+
 // TestNodeArena exercises the arena mechanics directly: stable distinct
-// pointers across chunk boundaries, undo, ownership, and a reset that
-// really zeroes the used prefix.
+// pointers across chunk boundaries, undo, ownership, and recycled slots —
+// every field of plan.Node dirtied — that newJoin and newSort hand out
+// equal to plan.NewJoin's and plan.NewSort's nodes.
 func TestNodeArena(t *testing.T) {
 	var a nodeArena
 	n := arenaChunkSize*2 + 7 // force two chunk-boundary crossings
 	nodes := make([]*plan.Node, n)
 	for i := range nodes {
 		nodes[i] = a.alloc()
+		dirty(t, reflect.ValueOf(nodes[i]).Elem())
 		nodes[i].OutPages = float64(i + 1) // tag to detect aliasing
 	}
 	seen := make(map[*plan.Node]bool, n)
@@ -39,21 +81,22 @@ func TestNodeArena(t *testing.T) {
 	}
 
 	a.undo()
-	redo := a.alloc()
-	if redo != nodes[n-1] {
+	if redo := a.alloc(); redo != nodes[n-1] {
 		t.Fatal("alloc after undo did not reuse the undone slot")
 	}
-	if redo.OutPages != 0 {
-		t.Fatalf("undone slot not zeroed: OutPages=%v", redo.OutPages)
-	}
-
 	a.reset()
 	if a.ci != 0 || a.ni != 0 {
 		t.Fatalf("reset left cursor at (%d,%d)", a.ci, a.ni)
 	}
+	leaf := plan.NewScan("s", plan.AccessHeap, "", 1, 3)
+	order := plan.Order{Table: "s", Column: "k"}
 	for i := 0; i < n; i++ {
-		if p := a.alloc(); p.OutPages != 0 {
-			t.Fatalf("post-reset alloc %d not zeroed: OutPages=%v", i, p.OutPages)
+		got, want := a.newJoin(cost.GraceHash, leaf, leaf, 7, order), plan.NewJoin(cost.GraceHash, leaf, leaf, 7, order)
+		if i%2 == 1 {
+			got, want = a.newSort(leaf, order), plan.NewSort(leaf, order)
+		}
+		if *got != *want {
+			t.Fatalf("recycled slot %d: got %+v, want %+v", i, *got, *want)
 		}
 	}
 }
@@ -95,12 +138,12 @@ func TestRankParallelDPMatchesSerial(t *testing.T) {
 			pointScorer(mem.Mean(), c.opts.CostModel),
 			{staticLaws(mem, c.n), c.opts.CostModel},
 		} {
-			serial, err := c.dpBestW(s, 1)
+			serial, err := c.dpBest(s, keepBest, 1)
 			if err != nil {
 				t.Fatalf("case %d: serial: %v", i, err)
 			}
 			for _, workers := range []int{4, 8} {
-				par, err := c.dpBestW(s, workers)
+				par, err := c.dpBest(s, keepBest, workers)
 				if err != nil {
 					t.Fatalf("case %d: workers=%d: %v", i, workers, err)
 				}
@@ -179,13 +222,13 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.dpBestW(scorer{staticLaws(mem, c.n), c.opts.CostModel}, 1)
+	res, err := c.dpBest(scorer{staticLaws(mem, c.n), c.opts.CostModel}, keepBest, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Single-goroutine sync.Pool gives back the scratch dpBestW just
+	// Single-goroutine sync.Pool gives back the scratch dpBest just
 	// released; the chunk check keeps the test honest if it ever does not.
-	used := getScratch()
+	used := getScratch(keepBest, 1, 1)
 	defer used.release()
 	if len(used.workers) == 0 || len(used.workers[0].arena.chunks) == 0 {
 		t.Skip("pool returned a scratch that ran no DP; ownership not checkable")
@@ -197,4 +240,39 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDistAllocsNearBest holds Algorithm D to the pooled kernel: once the
+// scratch is warm, an 8-table keepLaw pass — size laws, σ-chains and all —
+// may allocate at most twice what the keepBest pass does on the same query. Laws built on the heap again would put it orders of magnitude
+// over.
+func TestDistAllocsNearBest(t *testing.T) {
+	mem := dist.MustNew([]float64{64, 512, 4096}, []float64{1, 2, 1})
+	sc := wideScenario(t, 8, workload.Random, 4001)
+	c, err := prepare(sc.Cat, sc.Block, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := map[string]dist.Dist{}
+	for _, j := range sc.Block.Joins[:2] {
+		sel[EdgeKey(j)] = dist.MustNew([]float64{0.001, 0.01, 0.1}, []float64{1, 4, 1})
+	}
+	c.setSelLaws(sel)
+	s := scorer{staticLaws(mem, c.n), c.opts.CostModel}
+	measure := func(run func() (Result, error)) float64 {
+		if _, err := run(); err != nil { // warm the scratch pool
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	best := measure(func() (Result, error) { return c.dpBest(s, keepBest, 1) })
+	law := measure(func() (Result, error) { return c.dpBest(scorer{[]dist.Dist{mem}, c.opts.CostModel}, keepLaw, 1) })
+	t.Logf("warm 8-table pass: keepBest %.0f allocs, keepLaw %.0f", best, law)
+	if law > 2*best {
+		t.Fatalf("the keepLaw pass allocates %.0f, over twice keepBest's %.0f", law, best)
+	}
 }

@@ -82,6 +82,7 @@ func TestSigmaProductsMatchFullLoop(t *testing.T) {
 				}
 				c.setSelLaws(laws)
 			}
+			var sl dist.Slab
 			for j := 0; j < n; j++ {
 				for mask := uint64(0); mask <= fullMask(n); mask++ {
 					if mask&(1<<uint(j)) != 0 {
@@ -90,7 +91,11 @@ func TestSigmaProductsMatchFullLoop(t *testing.T) {
 					if got, want := c.sigmaBetween(j, mask), refSigmaBetween(c, j, mask); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s laws=%v: sigmaBetween(%d, %06b) = %v, full loop %v", tc.name, withLaws, j, mask, got, want)
 					}
-					if got, want := c.sigmaLawBetween(j, mask), refSigmaLawBetween(c, j, mask); !got.ApproxEqual(want, 0) {
+					got, err := c.sigmaLawBetween(&sl, j, mask)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := refSigmaLawBetween(c, j, mask); !got.ApproxEqual(want, 0) {
 						t.Fatalf("%s laws=%v: sigmaLawBetween(%d, %06b) = %v, full loop %v", tc.name, withLaws, j, mask, got, want)
 					}
 				}

@@ -173,8 +173,8 @@ func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 	full := fullMask(c.n)
 	dp := make([][2]refList, full+1)
 	for j := 0; j < c.n; j++ {
-		for _, e := range c.leafEntries(c.tables[j]) {
-			dp[1<<uint(j)][c.slotOf(e.order)].add(e, topC)
+		for _, e := range refLeaves(c, j) {
+			dp[1<<uint(j)][c.slotOf(e.node.OutOrder)].add(e, topC)
 		}
 	}
 	probes := 0
@@ -201,9 +201,9 @@ func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 						for _, p := range pairs {
 							le, re := left.entries[p[0]], right.entries[p[1]]
 							outPages := c.joinOutPages(mask, c.clampPages(le.pages*re.pages*sigma))
-							order := refJoinOrder(c, m, j, rest, le.order)
+							order := refJoinOrder(c, m, j, rest, le.node.OutOrder)
 							node := plan.NewJoin(m, le.node, re.node, outPages, order)
-							dp[mask][c.slotOf(order)].add(entry{node: node, score: le.score + re.score + jc, pages: outPages, order: order}, topC)
+							dp[mask][c.slotOf(order)].add(entry{node: node, score: le.score + re.score + jc, pages: outPages}, topC)
 						}
 					}
 				}
@@ -230,20 +230,36 @@ func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 	return out, probes
 }
 
-// refDist is Algorithm D's dynamic program with string tie-breaks.
+// refLeaves lists a table's access-path entries.
+func refLeaves(c *ctx, j int) []entry {
+	var out []entry
+	for _, ac := range c.tables[j].accesses {
+		out = append(out, leafEntry(c.tables[j], ac))
+	}
+	return out
+}
+
+// distEntry is an entry with its size law.
+type distEntry struct {
+	entry
+	law dist.Dist
+}
+
+// refDist is Algorithm D's dynamic program with string tie-breaks, every
+// law built on the heap.
 func refDist(t *testing.T, c *ctx, mem dist.Dist) entry {
 	t.Helper()
 	full := fullMask(c.n)
 	dp := make([][2]*distEntry, full+1)
 	keep := func(mask uint64, e distEntry) {
-		sl := c.slotOf(e.order)
+		sl := c.slotOf(e.node.OutOrder)
 		cur := dp[mask][sl]
 		if cur == nil || refBetter(e.score, e.node.Signature(), cur.score, cur.node.Signature()) {
 			dp[mask][sl] = &e
 		}
 	}
 	for j := 0; j < c.n; j++ {
-		for _, e := range c.leafEntries(c.tables[j]) {
+		for _, e := range refLeaves(c, j) {
 			keep(1<<uint(j), distEntry{entry: e, law: c.tables[j].sizeLaw})
 		}
 	}
@@ -254,7 +270,7 @@ func refDist(t *testing.T, c *ctx, mem dist.Dist) entry {
 		for _, j := range refCandidates(c, mask) {
 			bit := uint64(1) << uint(j)
 			rest := mask &^ bit
-			sigmaLaw := c.sigmaLawBetween(j, rest)
+			sigmaLaw := refSigmaLawBetween(c, j, rest)
 			for _, left := range dp[rest] {
 				for _, right := range dp[bit] {
 					if left == nil || right == nil {
@@ -267,10 +283,10 @@ func refDist(t *testing.T, c *ctx, mem dist.Dist) entry {
 					outLaw = outLaw.Map(c.clampPages)
 					for _, m := range c.opts.Methods {
 						jc := expcost.JoinECModel(c.opts.CostModel, m, left.law, right.law, mem)
-						order := refJoinOrder(c, m, j, rest, left.order)
+						order := refJoinOrder(c, m, j, rest, left.node.OutOrder)
 						node := plan.NewJoin(m, left.node, right.node, outLaw.Mean(), order)
 						keep(mask, distEntry{
-							entry: entry{node: node, score: left.score + right.score + jc, pages: outLaw.Mean(), order: order},
+							entry: entry{node: node, score: left.score + right.score + jc, pages: outLaw.Mean()},
 							law:   outLaw,
 						})
 					}
@@ -321,10 +337,10 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				same := func(alg string, got Result, want entry) {
+				same := func(alg string, got, want entry) {
 					t.Helper()
-					if got.Plan.Signature() != want.node.Signature() || got.EC != want.score {
-						t.Fatalf("%s %s:\n got  %v %s\n want %v %s", name, alg, got.EC, got.Plan.Signature(), want.score, want.node.Signature())
+					if got.node.Signature() != want.node.Signature() || got.score != want.score {
+						t.Fatalf("%s %s:\n got  %v %s\n want %v %s", name, alg, got.score, got.node.Signature(), want.score, want.node.Signature())
 					}
 				}
 
@@ -339,34 +355,36 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					same(fmt.Sprintf("LSC workers=%d", workers), lsc, wantLSC[0])
+					same(fmt.Sprintf("LSC workers=%d", workers), entry{node: lsc.Plan, score: lsc.EC}, wantLSC[0])
 					ac, err := AlgorithmC(cat, blk, o, mem)
 					if err != nil {
 						t.Fatal(err)
 					}
-					same(fmt.Sprintf("C workers=%d", workers), ac, wantC[0])
+					same(fmt.Sprintf("C workers=%d", workers), entry{node: ac.Plan, score: ac.EC}, wantC[0])
 				}
 
 				if n > 6 {
 					continue // B's and D's references re-sort strings per add; keep them small
 				}
 				const topC = 3
-				gotB, gotProbes, err := c.dpTopC(point, topC)
+				scB, err := c.run(point, keepTopC, topC, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
+				gotB, gotProbes := c.topRoots(scB, point, topC), scB.probes()
 				wantB, wantProbes := refTopC(c, point, topC)
 				if len(gotB) != len(wantB) || gotProbes != wantProbes {
 					t.Fatalf("%s B: %d entries / %d probes, want %d / %d", name, len(gotB), gotProbes, len(wantB), wantProbes)
 				}
 				for i := range gotB {
-					same(fmt.Sprintf("B[%d]", i), Result{Plan: gotB[i].node, EC: gotB[i].score}, wantB[i])
+					same(fmt.Sprintf("B[%d]", i), gotB[i], wantB[i])
 				}
-				gotD, err := c.dpDist(mem)
+				scB.release()
+				gotD, err := c.dpBest(scorer{[]dist.Dist{mem}, c.opts.CostModel}, keepLaw, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				same("D", gotD, refDist(t, c, mem))
+				same("D", entry{node: gotD.Plan, score: gotD.EC}, refDist(t, c, mem))
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package optimizer
 
 import (
-	"sort"
+	"slices"
 
 	"lecopt/internal/plan"
 )
@@ -16,69 +16,83 @@ import (
 // Returns the top-c pairs as index tuples ordered by combined score (ties
 // by (k, i) for determinism), and the number of pairs probed.
 func TopCCombine(left, right []float64, c int) (pairs [][2]int, probes int) {
-	if c <= 0 || len(left) == 0 || len(right) == 0 {
-		return nil, 0
+	l, r := make([]entry, len(left)), make([]entry, len(right))
+	for i, s := range left {
+		l[i].score = s
 	}
-	type cand struct {
-		score float64
-		i, k  int
+	for k, s := range right {
+		r[k].score = s
 	}
-	var cands []cand
-	for k := 0; k < len(right) && k < c; k++ {
-		// 1-based ranks: probe i while (i+1)(k+1) ≤ c.
-		iMax := c/(k+1) - 1
-		if iMax >= len(left) {
-			iMax = len(left) - 1
-		}
-		for i := 0; i <= iMax; i++ {
-			cands = append(cands, cand{left[i] + right[k], i, k})
-			probes++
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].score != cands[b].score {
-			return cands[a].score < cands[b].score
-		}
-		if cands[a].k != cands[b].k {
-			return cands[a].k < cands[b].k
-		}
-		return cands[a].i < cands[b].i
-	})
-	if len(cands) > c {
-		cands = cands[:c]
-	}
-	pairs = make([][2]int, len(cands))
-	for idx, cd := range cands {
-		pairs[idx] = [2]int{cd.i, cd.k}
+	top, probes := frontier(nil, l, r, c)
+	for _, p := range top {
+		pairs = append(pairs, [2]int{p.i, p.k})
 	}
 	return pairs, probes
 }
 
-// topList is an ascending list of entries, bounded at the top-c DP's c.
+// topPair is one probed combination of the frontier.
+type topPair struct {
+	score float64
+	i, k  int
+}
+
+// frontier is TopCCombine over two entry lists, reusing buf (pass buf[:0])
+// for the probed pairs: the top-c pairs come back as buf's prefix.
+func frontier(buf []topPair, left, right []entry, c int) ([]topPair, int) {
+	if c <= 0 || len(left) == 0 || len(right) == 0 {
+		return buf, 0
+	}
+	probes := 0
+	for k := 0; k < len(right) && k < c; k++ {
+		// 1-based ranks: probe i while (i+1)(k+1) ≤ c.
+		iMax := min(c/(k+1)-1, len(left)-1)
+		for i := 0; i <= iMax; i++ {
+			buf = append(buf, topPair{left[i].score + right[k].score, i, k})
+			probes++
+		}
+	}
+	// (score, k, i) is a strict order, so any sort leaves the same list.
+	slices.SortFunc(buf, func(a, b topPair) int {
+		switch {
+		case a.score != b.score:
+			if a.score < b.score {
+				return -1
+			}
+			return 1
+		case a.k != b.k:
+			return a.k - b.k
+		}
+		return a.i - b.i
+	})
+	return buf[:min(len(buf), c)], probes
+}
+
+// topList is an ascending list of entries, bounded at the top-c DP's c. In
+// the kernel it is a view of one table cell, with capacity c.
 type topList struct{ entries []entry }
 
 // add inserts e keeping the list sorted ascending by score (signature
-// tie-break) and bounded at c. Duplicate signatures keep the cheaper.
-// With duplicates merged the order is a strict total order, so inserting
-// at the sorted position yields exactly the list a full re-sort would.
-func (l *topList) add(e entry, c int) {
-	if !l.admits(e.score, c) {
-		return
-	}
+// tie-break) and bounded at c, and reports whether e entered. Duplicate
+// signatures keep the cheaper; a full list turns away anything strictly
+// worse than its last entry, duplicate or not. With duplicates merged the order is a
+// strict total order, so inserting at the sorted position yields exactly
+// the list a full re-sort would.
+func (l *topList) add(e entry, c int) bool {
 	n := len(l.entries)
 	pos := n // first entry e sorts before
 	for i := range l.entries {
 		cur := &l.entries[i]
 		cmp := plan.CompareSignature(e.node, cur.node)
 		if cmp == 0 {
-			if e.score < cur.score {
-				// The cheaper duplicate takes over: cur leaves, e enters at
-				// pos (≤ i, since e already sorts before cur).
-				pos = min(pos, i)
-				copy(l.entries[pos+1:i+1], l.entries[pos:i])
-				l.entries[pos] = e
+			if !(e.score < cur.score) {
+				return false
 			}
-			return
+			// The cheaper duplicate takes over: cur leaves, e enters at
+			// pos (≤ i, since e already sorts before cur).
+			pos = min(pos, i)
+			copy(l.entries[pos+1:i+1], l.entries[pos:i])
+			l.entries[pos] = e
+			return true
 		}
 		if pos == n && (e.score < cur.score || e.score == cur.score && cmp < 0) {
 			pos = i
@@ -87,25 +101,9 @@ func (l *topList) add(e entry, c int) {
 	if n < c {
 		l.entries = append(l.entries, entry{})
 	} else if pos == n {
-		return
+		return false
 	}
 	copy(l.entries[pos+1:], l.entries[pos:])
 	l.entries[pos] = e
-}
-
-// admits reports whether an entry at score could enter the list: a full
-// list turns away anything strictly worse than its last entry, duplicate
-// or not. dpTopC asks before it builds the entry's plan node.
-func (l *topList) admits(score float64, c int) bool {
-	n := len(l.entries)
-	return n < c || !(score > l.entries[n-1].score)
-}
-
-// scores returns the ascending score slice (for TopCCombine).
-func (l *topList) scores() []float64 {
-	out := make([]float64, len(l.entries))
-	for i, e := range l.entries {
-		out[i] = e.score
-	}
-	return out
+	return true
 }

@@ -109,27 +109,17 @@ func (w *sigWalk) atSubtree() *Node {
 }
 
 // CompareSignature returns strings.Compare(a.Signature(), b.Signature())
-// without building either string: it walks both trees in lock-step, token
-// by token, and stops at the first differing byte. It allocates nothing.
-// Whenever both walks stand at the start of the same *Node the subtree is
-// skipped on both sides — two join candidates over one shared left input
-// differ only from the method on — and two joins over the same two inputs
-// are decided by their method names before any walk starts. Like Signature
-// it requires well-formed trees (no nil children).
+// without building either string. It allocates nothing. It first compares
+// the trees structurally (cmpTree), which settles every pair whose
+// signatures first differ inside a name both trees render at the same
+// place — the optimizer's ties between left-deep candidates of one subset
+// are such pairs. A shared *Node is skipped on both sides. Whatever that
+// cannot settle is walked token by token in lock-step to the first
+// differing byte. Like Signature it requires well-formed trees (no nil
+// children).
 func CompareSignature(a, b *Node) int {
-	if a == b {
-		return 0
-	}
-	if a.Kind == KindJoin && b.Kind == KindJoin && a.Left == b.Left && a.Right == b.Right {
-		// The commonest tie: one pair of inputs joined by two methods that
-		// cost the same (everything fits in memory). The signatures are
-		// "(" L " " method " " R ")" and no method name is a prefix of
-		// another, so the methods decide — before either walk's stack is
-		// even zeroed.
-		if a.Method == b.Method {
-			return 0
-		}
-		return strings.Compare(a.Method.String(), b.Method.String())
+	if c, ok := cmpTree(a, b, endOfSig); ok {
+		return c
 	}
 	var wa, wb sigWalk
 	wa.push(a)
@@ -168,4 +158,106 @@ func CompareSignature(a, b *Node) int {
 		}
 		ta, tb = ta[k:], tb[k:]
 	}
+}
+
+// endOfSig is cmpTree's next byte for a whole signature: nothing follows.
+const endOfSig = -1
+
+// cmpTree compares the signatures of a and b in their place inside two
+// larger signatures that go on with the same byte next (endOfSig at the
+// top). It reports the comparison and true when the first differing byte
+// lies inside both renderings, or where one rendering ends and the other
+// goes on, since next is then the byte it is compared with; the renderings
+// are equal when it returns 0 and true. It reports false — leaving the
+// pair to the walk — when the two trees differ in kind, or when a
+// rendering that ends early is followed by the very byte the other goes on
+// with, so that the difference lies past it. Nodes of one kind render as
+// the same delimiters around their names and children, so comparing them
+// part by part, children in place, compares the strings.
+func cmpTree(a, b *Node, next int) (int, bool) {
+	if a == b {
+		return 0, true
+	}
+	if a.Kind != b.Kind {
+		return 0, false
+	}
+	switch a.Kind {
+	case KindScan:
+		return cmpParts(scanParts(a), scanParts(b), next)
+	case KindJoin:
+		// "(" L " " method " " R ")"
+		if c, ok := cmpTree(a.Left, b.Left, ' '); !ok || c != 0 {
+			return c, ok
+		}
+		if a.Method != b.Method {
+			// No method name is a prefix of another (a fallback name ends
+			// in its only ")"), so two names differ inside both.
+			return strings.Compare(a.Method.String(), b.Method.String()), true
+		}
+		return cmpTree(a.Right, b.Right, ')')
+	case KindSort:
+		// "sort<" order ">(" child ")"
+		if c, ok := cmpParts(orderParts(a.OutOrder), orderParts(b.OutOrder), '>'); !ok || c != 0 {
+			return c, ok
+		}
+		return cmpTree(a.Child, b.Child, ')')
+	}
+	return 0, false
+}
+
+// scanParts is a scan's rendering as Signature writes it, in pieces.
+func scanParts(n *Node) [4]string {
+	if n.Access == AccessIndex {
+		return [4]string{n.Table, "[ix:", n.Index, "]"}
+	}
+	return [4]string{n.Table}
+}
+
+// orderParts is an order property's rendering inside a sort's signature.
+func orderParts(o Order) [4]string {
+	if o.IsNone() {
+		return [4]string{"none"}
+	}
+	return [4]string{o.Table, ".", o.Column}
+}
+
+// cmpParts compares the concatenations of pa and pb, each followed by the
+// byte next, as cmpTree reports.
+func cmpParts(pa, pb [4]string, next int) (int, bool) {
+	var sa, sb string
+	i, j := 0, 0
+	for {
+		for sa == "" && i < len(pa) {
+			sa, i = pa[i], i+1
+		}
+		for sb == "" && j < len(pb) {
+			sb, j = pb[j], j+1
+		}
+		switch {
+		case sa == "" && sb == "":
+			return 0, true
+		case sa == "":
+			return cmpNext(next, sb[0])
+		case sb == "":
+			c, ok := cmpNext(next, sa[0])
+			return -c, ok
+		}
+		k := min(len(sa), len(sb))
+		if c := strings.Compare(sa[:k], sb[:k]); c != 0 {
+			return c, true
+		}
+		sa, sb = sa[k:], sb[k:]
+	}
+}
+
+// cmpNext compares the byte next, which follows a rendering that has
+// ended, with the byte x the other rendering goes on with.
+func cmpNext(next int, x byte) (int, bool) {
+	switch {
+	case next == endOfSig || next < int(x):
+		return -1, true
+	case next > int(x):
+		return 1, true
+	}
+	return 0, false
 }
