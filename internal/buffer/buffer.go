@@ -149,18 +149,8 @@ func (p *Pool) AppendRel(r *storage.Relation, page []storage.Tuple) error {
 // Invalidate drops any cached pages of a relation (call before dropping a
 // temporary, so its frames stop counting against the capacity and stop
 // holding its pages).
-func (p *Pool) Invalidate(rel string) {
-	var t *pageTable
-	if r, err := p.store.Get(rel); err == nil {
-		t = p.tables[r]
-	} else {
-		// Already dropped from the store: find it by name.
-		for _, c := range p.tables {
-			if c.rel.Name == rel {
-				t = c
-			}
-		}
-	}
+func (p *Pool) Invalidate(r *storage.Relation) {
+	t := p.tables[r]
 	if t == nil {
 		return
 	}

@@ -145,7 +145,7 @@ func TestAppendPageCountsWrite(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	s, _ := setup(t, 3, 2)
+	s, r := setup(t, 3, 2)
 	p, err := NewPool(s, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestInvalidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Invalidate("r")
+	p.Invalidate(r)
 	if p.resident != 0 {
 		t.Fatal("invalidate should drop all frames")
 	}
@@ -306,7 +306,7 @@ func TestPoolMatchesListLRU(t *testing.T) {
 				}
 				ref.appended(name, rel.NumPages()-1)
 			case x < 19:
-				p.Invalidate(name)
+				p.Invalidate(rel)
 				ref.invalidate(name)
 			default:
 				if err := p.AppendPage("absent", nil); err == nil {

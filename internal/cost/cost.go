@@ -107,10 +107,11 @@ func AboveCbrt(mem, r float64) bool {
 }
 
 // SortIO returns the cost of sorting r pages with memory m: free when the
-// input fits in memory (the sort happens during the consuming read), and
-// otherwise the same three-case external-merge structure as sort-merge.
+// input fits in memory (the sort happens during the consuming read) or is
+// empty (r not positive, NaN included), and otherwise the same three-case
+// external-merge structure as sort-merge.
 func SortIO(r, mem float64) float64 {
-	if r <= 0 || r <= mem {
+	if !(r > 0) || r <= mem {
 		return 0
 	}
 	return passMultiplier(r, mem) * r

@@ -28,7 +28,7 @@ import (
 // set per block count, not four, and ModelEngine grace hash is
 // engineGraceIO's integer recursion, which has no roots to hoist.
 func ExpectJoinIO(model Model, method JoinMethod, outer, inner float64, mem *dist.Dist) float64 {
-	if outer <= 0 || inner <= 0 {
+	if !(outer > 0 && inner > 0) {
 		return 0
 	}
 	small, sum := min(outer, inner), outer+inner
@@ -56,7 +56,7 @@ func ExpectJoinIO(model Model, method JoinMethod, outer, inner float64, mem *dis
 // ExpectSortIO returns E[SortIO(r, M)] for M distributed as mem, bit for
 // bit mem.ExpectF of the formula (see ExpectJoinIO).
 func ExpectSortIO(r float64, mem *dist.Dist) float64 {
-	if r <= 0 {
+	if !(r > 0) {
 		return 0
 	}
 	return expectPasses(mem, r, r, r, 0)

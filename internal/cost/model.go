@@ -97,13 +97,14 @@ func GracePasses(s, m float64) (levels int, fallback bool) {
 }
 
 // JoinIOModel returns C(method, v) under the selected cost model for
-// joining outer |A| pages with inner |B| pages under memory mem. Sizes must
-// be positive; non-positive sizes cost 0 (empty input short-circuit).
+// joining outer |A| pages with inner |B| pages under memory mem. A size that
+// is not positive — zero, negative or NaN — is an empty input and costs 0;
+// every other price is ≥ 0 and not NaN.
 // ModelPaper charges the three-case formulas documented on each JoinMethod;
 // ModelEngine differs only for grace hash, where it charges the engine's
 // exact recursion via engineGraceIO.
 func JoinIOModel(model Model, method JoinMethod, outer, inner, mem float64) float64 {
-	if outer <= 0 || inner <= 0 {
+	if !(outer > 0 && inner > 0) {
 		return 0
 	}
 	switch method {
@@ -129,6 +130,11 @@ func JoinIOModel(model Model, method JoinMethod, outer, inner, mem float64) floa
 		return outer + outer*inner
 	case BlockNL:
 		blocks := math.Ceil(outer / math.Max(1, mem-2))
+		if blocks == 0 {
+			// An outer too small to fill a block of unbounded memory: no
+			// rescan term, and no 0·Inf.
+			return outer
+		}
 		return outer + blocks*inner
 	default:
 		panic(fmt.Sprintf("cost: unknown join method %v", method))
@@ -144,7 +150,8 @@ func JoinIOModel(model Model, method JoinMethod, outer, inner, mem float64) floa
 // multiplies by the fan-out. The recursion terminates at the in-memory
 // boundary (build side + 2 streaming frames fit) or at the level cap,
 // where the engine degenerates to block nested loop over the stuck
-// partition pair.
+// partition pair. Counts are at most maxPages, so every int sum here is
+// far inside int64; the one product of two counts is formed in float64.
 func engineGraceIO(a, b, m, level int) float64 {
 	if a <= 0 || b <= 0 {
 		// The engine skips empty partition pairs without touching a page.
@@ -157,7 +164,7 @@ func engineGraceIO(a, b, m, level int) float64 {
 		if blockPages < 1 {
 			blockPages = 1
 		}
-		return float64(a + ceilDiv(a, blockPages)*b)
+		return float64(a) + float64(ceilDiv(a, blockPages))*float64(b)
 	}
 	small := a
 	if b < a {
@@ -177,11 +184,23 @@ func engineGraceIO(a, b, m, level int) float64 {
 	return io + float64(f)*engineGraceIO(ap, bp, m, level+1)
 }
 
+// maxPages is the one cap on the page counts the grace model carries in
+// int: 2⁵² pages (4.5e15 — no catalog comes near it). Below it a count is
+// exact and every sum engineGraceIO forms stays inside int64 with room to
+// spare; a larger size, +Inf included, is charged as maxPages pages.
+// Uncapped, int(math.Ceil(v)) of a size past 2⁶³ reads as MinInt64 on amd64
+// — an empty, free join — and sums past 2⁶³ wrap negative.
+const maxPages = 1 << 52
+
 // pagesOf converts an estimated size to a whole page count (a fraction
-// of a page still occupies one page).
+// of a page still occupies one page), 0 for a size that is not positive
+// and at most maxPages.
 func pagesOf(v float64) int {
-	if v <= 0 {
+	switch {
+	case !(v > 0):
 		return 0
+	case v >= maxPages:
+		return maxPages
 	}
 	return int(math.Ceil(v))
 }

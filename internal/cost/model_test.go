@@ -241,3 +241,69 @@ func TestModelPaperIsZeroValue(t *testing.T) {
 		t.Fatalf("zero Model = %v, want ModelPaper", m)
 	}
 }
+
+// FuzzJoinPrice: a price is never negative and never NaN. Every join
+// formula of both models and the sort formula are priced at any sizes —
+// zero, 1e300, past it, NaN, ±Inf — and any memory from 0 to +Inf. Where a
+// formula is monotone in its sizes, growing one size must not lower the
+// price: the three paper-case formulas, block nested loop and sort are, from
+// one page up (below a page, page nested loop's |A|·|B| can undercut
+// |A|+|B|). The engine's grace recursion is not: its demand-driven fan-out
+// can finish a larger input a level sooner (outer 2 016, inner 2 000 → 2 016
+// at 69 pages prices 12 138 → 12 096). It is held instead to reading both
+// inputs at least once (up to the maxPages cap), which a page count that
+// wrapped breaks.
+func FuzzJoinPrice(f *testing.F) {
+	f.Add(0.0, 0.0, 0.0, 0.0)
+	f.Add(100.0, 200.0, 12.0, 1.0)
+	f.Add(2016.0, 2000.0, 69.0, 16.0)
+	f.Add(1e15, 1e15, 4.0, 1.0)   // the level-cap fallback's int product wrapped negative
+	f.Add(1e19, 1e19, 100.0, 1.0) // int page counts past 2⁶³ read as empty
+	f.Add(1e300, 1e300, math.Inf(1), 1e300)
+	f.Add(math.NaN(), 5.0, 10.0, 1.0)
+	f.Add(math.Inf(1), math.Inf(-1), 3.0, 2.0)
+	f.Add(7.0, math.Inf(1), math.Inf(1), 0.5)
+	f.Fuzz(func(t *testing.T, outer, inner, mem, grow float64) {
+		mem = math.Abs(mem)
+		if math.IsNaN(mem) {
+			return // memory is a budget, 0 to +Inf; the executor rejects NaN
+		}
+		price := func(name string, v float64) float64 {
+			t.Helper()
+			if !(v >= 0) {
+				t.Fatalf("%s(%v, %v, mem %v) = %v", name, outer, inner, mem, v)
+			}
+			return v
+		}
+		pages := outer >= 1 && inner >= 1
+		grow = math.Abs(grow)
+		monotone := pages && grow > 0 && !math.IsNaN(grow)
+		for _, model := range []Model{ModelPaper, ModelEngine} {
+			for _, method := range Methods {
+				name := model.String() + "/" + method.String()
+				p := price(name, JoinIOModel(model, method, outer, inner, mem))
+				if model == ModelEngine && method == GraceHash {
+					if read := math.Min(math.Ceil(outer), maxPages) + math.Min(math.Ceil(inner), maxPages); pages && p < read {
+						t.Fatalf("%s(%v, %v, mem %v) = %v reads less than both inputs (%v)", name, outer, inner, mem, p, read)
+					}
+					continue
+				}
+				if !monotone {
+					continue
+				}
+				if q := price(name, JoinIOModel(model, method, outer+grow, inner, mem)); q < p {
+					t.Fatalf("%s: outer %v → %v lowers the price %v → %v (inner %v, mem %v)", name, outer, outer+grow, p, q, inner, mem)
+				}
+				if q := price(name, JoinIOModel(model, method, outer, inner+grow, mem)); q < p {
+					t.Fatalf("%s: inner %v → %v lowers the price %v → %v (outer %v, mem %v)", name, inner, inner+grow, p, q, outer, mem)
+				}
+			}
+		}
+		p := price("sort", SortIO(outer, mem))
+		if monotone {
+			if q := price("sort", SortIO(outer+grow, mem)); q < p {
+				t.Fatalf("sort: %v → %v pages lowers the price %v → %v (mem %v)", outer, outer+grow, p, q, mem)
+			}
+		}
+	})
+}

@@ -35,7 +35,7 @@ import (
 
 // Access-path errors.
 var (
-	ErrStaleIndex = errors.New("engine: index is stale for its relation")
+	errStaleIndex = errors.New("engine: index is stale for its relation")
 	ErrPredColumn = errors.New("engine: predicate column not in relation")
 )
 
@@ -101,7 +101,7 @@ func (e *Engine) IndexScan(name string, pred *plan.ScanPred) (*storage.Relation,
 		return nil, buffer.Stats{}, err
 	}
 	if !ix.Fresh(e.store) {
-		return nil, buffer.Stats{}, fmt.Errorf("%w: %s over %s", ErrStaleIndex, name, ix.Table)
+		return nil, buffer.Stats{}, fmt.Errorf("%w: %s over %s", errStaleIndex, name, ix.Table)
 	}
 	match, err := matcher(rel, pred)
 	if err != nil {

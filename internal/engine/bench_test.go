@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,8 +11,11 @@ import (
 )
 
 // BenchmarkOperators times each operator at the bench/ exec_loop scale
-// (6-tuple pages, 1 200 keys, 96 ⋈ 160 pages) across its tenant memory
-// levels, reporting ns per page of physical I/O — the engine's own unit.
+// (6-tuple pages, 1 200 keys, 96 ⋈ 160 pages) at each of its tenant memory
+// levels (sort-merge/m6 … sort-merge/m288), reporting ns per page of
+// physical I/O — the engine's own unit — so a change shows which regime it
+// moves: at 6 pages a sort spills many short runs and merges in passes, at
+// 288 it forms one run per input.
 func BenchmarkOperators(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s := storage.NewStore()
@@ -41,18 +45,20 @@ func BenchmarkOperators(b *testing.B) {
 	}
 	ops = append(ops, op{"sort", func(mem int) (*storage.Relation, buffer.Stats, error) { return e.SortRelation("B", "k", mem) }})
 	for _, o := range ops {
-		b.Run(o.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var pages int64
-			for i := 0; i < b.N; i++ {
-				out, st, err := o.run(mems[i%len(mems)])
-				if err != nil {
-					b.Fatal(err)
+		for _, mem := range mems {
+			b.Run(fmt.Sprintf("%s/m%d", o.name, mem), func(b *testing.B) {
+				b.ReportAllocs()
+				var pages int64
+				for i := 0; i < b.N; i++ {
+					out, st, err := o.run(mem)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pages += st.IO()
+					s.Drop(out.Name)
 				}
-				pages += st.IO()
-				s.Drop(out.Name)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
+			})
+		}
 	}
 }

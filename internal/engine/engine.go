@@ -13,7 +13,6 @@
 package engine
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -29,9 +28,12 @@ var (
 	ErrBadSpec   = errors.New("engine: invalid spec")
 )
 
-// Engine executes operators against one store.
+// Engine executes operators against one store. Like its store, it serves
+// one goroutine at a time: every sort reuses its run-formation scratch.
 type Engine struct {
-	store *storage.Store
+	store  *storage.Store
+	batch  []storage.Tuple // the tuples of the run being formed
+	sorter runSorter
 }
 
 // New builds an engine over a store.
@@ -260,15 +262,14 @@ func indexByKey(tuples []storage.Tuple, col int) keyIndex {
 
 // makeRuns splits rel into sorted runs of up to mem pages, written through
 // the pool (charged). Returns the run relations — on error too, for the
-// caller's cleanup. One tuple buffer and one sorter serve every run.
+// caller's cleanup. The engine's batch buffer and sorter serve every run.
 func (e *Engine) makeRuns(pool *buffer.Pool, rel *storage.Relation, col int) ([]*storage.Relation, error) {
+	defer e.release()
 	var runs []*storage.Relation
-	var buf []storage.Tuple
-	var sorter runSorter
 	capPages := pool.Capacity()
 	for start := 0; start < rel.NumPages(); start += capPages {
 		var err error
-		if buf, err = readTuples(pool, rel, start, min(start+capPages, rel.NumPages()), buf[:0]); err != nil {
+		if e.batch, err = readTuples(pool, rel, start, min(start+capPages, rel.NumPages()), e.batch[:0]); err != nil {
 			return runs, err
 		}
 		run, err := e.store.NewTemp("run", rel.Cols, rel.TuplesPerPage)
@@ -276,7 +277,8 @@ func (e *Engine) makeRuns(pool *buffer.Pool, rel *storage.Relation, col int) ([]
 			return runs, err
 		}
 		runs = append(runs, run)
-		if err := writePages(pool, run, sorter.sort(buf, col)); err != nil {
+		storage.Reserve(len(e.batch), run)
+		if err := writePages(pool, run, e.sorter.sort(e.batch, col)); err != nil {
 			return runs, err
 		}
 	}
@@ -287,41 +289,78 @@ func (e *Engine) makeRuns(pool *buffer.Pool, rel *storage.Relation, col int) ([]
 // their cached frames.
 func (e *Engine) dropRuns(pool *buffer.Pool, runs []*storage.Relation) {
 	for _, r := range runs {
-		pool.Invalidate(r.Name)
+		pool.Invalidate(r)
 		e.store.Drop(r.Name)
 	}
 }
 
-// runSorter orders batches of tuples on one column, reusing its buffers
-// from batch to batch. It sorts (key, position) pairs and gathers: the
-// pairs are distinct, so any correct sort of them yields exactly the stable
-// order of the batch — without reflection and without moving tuple headers
-// during the sort.
-type runSorter struct {
-	keys []sortKey
-	out  []storage.Tuple
+// release clears the engine's buffers of tuple headers once a sort has
+// written its pages, so an engine that outlives the sort does not keep
+// the sorted relation's rows reachable. The sorter's key buffers hold no
+// pointers and stay.
+func (e *Engine) release() {
+	clear(e.batch[:cap(e.batch)])
+	clear(e.sorter.out[:cap(e.sorter.out)])
 }
 
+// runSorter orders batches of tuples on one column, reusing its buffers
+// from batch to batch. It sorts (key, position) pairs and gathers, so no
+// tuple header moves during the sort.
+type runSorter struct {
+	keys, tmp []sortKey
+	out       []storage.Tuple
+}
+
+// sortKey is a tuple's sort key with its sign bit flipped — unsigned order
+// on key is signed order on the column — and its position in the batch.
 type sortKey struct {
-	key int64
+	key uint64
 	pos int32
 }
 
 // sort returns the tuples of batch in stable order on col. The result
-// aliases the sorter's buffer and is valid until the next call.
+// aliases the sorter's buffer and is valid until the next call or the
+// engine's release.
+//
+// The pairs start in position order and an LSD radix pass scatters each
+// byte bucket in input order, so the sort is stable on the key alone and
+// equal keys keep their batch order by construction. Passes run only over
+// the bytes in which some two keys differ: a batch whose keys span a few
+// thousand values takes two, and one whose keys are all equal takes none.
 func (s *runSorter) sort(batch []storage.Tuple, col int) []storage.Tuple {
-	s.keys = slices.Grow(s.keys[:0], len(batch))
+	n := len(batch)
+	keys := slices.Grow(s.keys[:0], n)[:n]
+	tmp := slices.Grow(s.tmp[:0], n)[:n]
+	var or, and uint64 = 0, ^uint64(0)
 	for i, t := range batch {
-		s.keys = append(s.keys, sortKey{key: t[col], pos: int32(i)})
+		k := uint64(t[col]) ^ 1<<63
+		keys[i] = sortKey{key: k, pos: int32(i)}
+		or |= k
+		and &= k
 	}
-	slices.SortFunc(s.keys, func(a, b sortKey) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+	for shift, differ := 0, or&^and; shift < 64; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	s.out = slices.Grow(s.out[:0], len(batch))
-	for _, k := range s.keys {
+		var start [256]int
+		for _, k := range keys {
+			start[byte(k.key>>shift)]++
+		}
+		sum := 0
+		for b, c := range start {
+			start[b] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			b := byte(k.key >> shift)
+			tmp[start[b]] = k
+			start[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	s.keys, s.tmp = keys, tmp
+	s.out = slices.Grow(s.out[:0], n)
+	for _, k := range keys {
 		s.out = append(s.out, batch[k.pos])
 	}
 	return s.out
@@ -347,16 +386,8 @@ type runCursor struct {
 	cur  []storage.Tuple
 }
 
-// newRunCursors opens one cursor per run.
-func newRunCursors(pool *buffer.Pool, runs []*storage.Relation) []runCursor {
-	cursors := make([]runCursor, len(runs))
-	for i, r := range runs {
-		cursors[i] = runCursor{pool: pool, rel: r}
-	}
-	return cursors
-}
-
-// peek returns the current tuple without advancing, or nil at EOF.
+// peek returns the current tuple without advancing, or nil at EOF. It
+// reads the run's next page when the current one is used up.
 func (c *runCursor) peek() (storage.Tuple, error) {
 	for c.cur == nil || c.pos >= len(c.cur) {
 		if c.page >= c.rel.NumPages() {
@@ -373,13 +404,89 @@ func (c *runCursor) peek() (storage.Tuple, error) {
 	return c.cur[c.pos], nil
 }
 
-func (c *runCursor) next() (storage.Tuple, error) {
-	t, err := c.peek()
-	if err != nil || t == nil {
-		return t, err
+// mergeHeap is the k-way merge over sorted runs: a min-heap of run cursors
+// keyed by (head key, run index), so equal keys leave in run order. It
+// reads exactly the pages a linear scan over the cursors reads, in the same
+// order: open loads each run's first page in run order, and a cursor reads
+// its next page only when the caller peeks it to re-key it.
+type mergeHeap struct {
+	col  int
+	runs []runCursor
+	heap []heapItem
+}
+
+type heapItem struct {
+	key int64
+	run int32
+}
+
+func (a heapItem) less(b heapItem) bool {
+	return a.key < b.key || a.key == b.key && a.run < b.run
+}
+
+func newMergeHeap(pool *buffer.Pool, runs []*storage.Relation, col int) mergeHeap {
+	cursors := make([]runCursor, len(runs))
+	for i, r := range runs {
+		cursors[i] = runCursor{pool: pool, rel: r}
 	}
-	c.pos++
-	return t, nil
+	return mergeHeap{col: col, runs: cursors}
+}
+
+// open peeks every run in run order and heapifies their heads.
+func (h *mergeHeap) open() error {
+	h.heap = make([]heapItem, 0, len(h.runs))
+	for i := range h.runs {
+		t, err := h.runs[i].peek()
+		if err != nil {
+			return err
+		}
+		if t != nil {
+			h.heap = append(h.heap, heapItem{key: t[h.col], run: int32(i)})
+		}
+	}
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return nil
+}
+
+// top returns the cursor holding the smallest head.
+func (h *mergeHeap) top() *runCursor { return &h.runs[h.heap[0].run] }
+
+// rekey gives the top cursor its new head t, or drops it at EOF (t nil).
+// The caller peeks t after consuming the old head, so the cursor reads its
+// next page exactly where a linear scan over the cursors read it.
+func (h *mergeHeap) rekey(t storage.Tuple) {
+	if t == nil {
+		last := len(h.heap) - 1
+		h.heap[0] = h.heap[last]
+		h.heap = h.heap[:last]
+		if last == 0 {
+			return
+		}
+	} else {
+		h.heap[0].key = t[h.col]
+	}
+	h.down(0)
+}
+
+func (h *mergeHeap) down(i int) {
+	item, n := h.heap[i], len(h.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h.heap[r].less(h.heap[c]) {
+			c = r
+		}
+		if !h.heap[c].less(item) {
+			break
+		}
+		h.heap[i] = h.heap[c]
+		i = c
+	}
+	h.heap[i] = item
 }
 
 // mergeRuns merges sorted runs until at most maxRuns remain, with merge
@@ -401,7 +508,12 @@ func (e *Engine) mergeRuns(pool *buffer.Pool, runs []*storage.Relation, col int,
 		if err != nil {
 			return runs, err
 		}
-		w := &pageWriter{pool: pool, rel: merged}
+		tuples := 0
+		for _, r := range group {
+			tuples += r.NumTuples()
+		}
+		storage.Reserve(tuples, merged)
+		w := &pageWriter{pool: pool, rel: merged, buf: make([]storage.Tuple, 0, merged.TuplesPerPage)}
 		err = e.mergeInto(pool, group, col, w.add)
 		if err == nil {
 			err = w.flush()
@@ -450,34 +562,27 @@ func (w *pageWriter) flush() error {
 	return err
 }
 
-// mergeInto k-way merges the runs on col, invoking out per tuple in order.
+// mergeInto k-way merges the runs on col, invoking out per tuple in order:
+// each tuple is consumed and handed to out before its run reads on.
 func (e *Engine) mergeInto(pool *buffer.Pool, runs []*storage.Relation, col int, out func(storage.Tuple) error) error {
-	cursors := newRunCursors(pool, runs)
-	for {
-		bestIdx := -1
-		var bestTuple storage.Tuple
-		for i := range cursors {
-			t, err := cursors[i].peek()
-			if err != nil {
-				return err
-			}
-			if t == nil {
-				continue
-			}
-			if bestIdx < 0 || t[col] < bestTuple[col] {
-				bestIdx, bestTuple = i, t
-			}
-		}
-		if bestIdx < 0 {
-			return nil
-		}
-		if _, err := cursors[bestIdx].next(); err != nil {
-			return err
-		}
-		if err := out(bestTuple); err != nil {
-			return err
-		}
+	h := newMergeHeap(pool, runs, col)
+	if err := h.open(); err != nil {
+		return err
 	}
+	for len(h.heap) > 0 {
+		c := h.top()
+		t := c.cur[c.pos]
+		c.pos++
+		if err := out(t); err != nil {
+			return err
+		}
+		next, err := c.peek()
+		if err != nil {
+			return err
+		}
+		h.rekey(next)
+	}
+	return nil
 }
 
 // SortRelation externally sorts a stored relation on col with a fresh pool
@@ -515,6 +620,7 @@ func (e *Engine) SortRelation(name, col string, mem int) (*storage.Relation, buf
 func (e *Engine) sortInto(pool *buffer.Pool, rel *storage.Relation, ci int, out *storage.Relation) error {
 	var runs []*storage.Relation
 	defer func() { e.dropRuns(pool, runs) }()
+	storage.Reserve(rel.NumTuples(), out)
 	var err error
 	if runs, err = e.makeRuns(pool, rel, ci); err != nil {
 		return err

@@ -242,8 +242,8 @@ func TestGraceHashIOKeyedToSmaller(t *testing.T) {
 	}
 }
 
-// TestSortRelationCorrectAndCharged: external sort is correct and its I/O
-// steps with memory.
+// TestSortRelationCorrectAndCharged: external sort is correct, its I/O
+// steps with memory, and the engine holds none of its tuples afterwards.
 func TestSortRelationCorrectAndCharged(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	s := storage.NewStore()
@@ -275,6 +275,13 @@ func TestSortRelationCorrectAndCharged(t *testing.T) {
 		}
 		prev = st.IO()
 		e.store.Drop(sorted.Name)
+		for _, buf := range [][]storage.Tuple{e.batch[:cap(e.batch)], e.sorter.out[:cap(e.sorter.out)]} {
+			for _, tup := range buf {
+				if tup != nil {
+					t.Fatalf("mem=%d: the engine still holds the sorted rows", mem)
+				}
+			}
+		}
 	}
 	if _, _, err := e.SortRelation("R", "k", 2); !errors.Is(err, ErrBadMemory) {
 		t.Fatal("tiny memory")

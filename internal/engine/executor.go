@@ -310,8 +310,11 @@ func (ex *executor) materializeSorted(rel *storage.Relation) (*storage.Relation,
 	if err != nil {
 		return nil, err
 	}
-	var sorter runSorter
-	if err := out.Append(sorter.sort(rel.AllTuples(), ci)...); err != nil {
+	all := rel.AllTuples()
+	storage.Reserve(len(all), out)
+	err = out.Append(ex.eng.sorter.sort(all, ci)...)
+	ex.eng.release()
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -77,56 +77,51 @@ func (e *Engine) sortMergeJoin(pool *buffer.Pool, outer, inner *storage.Relation
 }
 
 // groupCursor yields runs of equal keys from a k-way merge over sorted
-// runs.
+// runs. It opens on its first nextGroup, not when built, so the outer's
+// and the inner's first pages are read in the order the join asks for
+// their first groups.
 type groupCursor struct {
-	cursors []runCursor
-	col     int
-	group   []storage.Tuple // reused from one nextGroup call to the next
+	merge  mergeHeap
+	opened bool
+	group  []storage.Tuple // reused from one nextGroup call to the next
 }
 
 func newGroupCursor(pool *buffer.Pool, runs []*storage.Relation, col int) *groupCursor {
-	return &groupCursor{cursors: newRunCursors(pool, runs), col: col}
+	return &groupCursor{merge: newMergeHeap(pool, runs, col)}
 }
 
 // nextGroup returns the smallest remaining key and every tuple carrying
-// it, or (0, nil) at EOF. The group aliases the cursor's buffer and is
-// valid until this cursor's next call.
+// it, run by run in run order, or (0, nil) at EOF. The group aliases the
+// cursor's buffer and is valid until this cursor's next call.
 func (g *groupCursor) nextGroup() (int64, []storage.Tuple, error) {
-	minSet := false
-	var minKey int64
-	for i := range g.cursors {
-		t, err := g.cursors[i].peek()
-		if err != nil {
+	h := &g.merge
+	if !g.opened {
+		g.opened = true
+		if err := h.open(); err != nil {
 			return 0, nil, err
 		}
-		if t == nil {
-			continue
-		}
-		if !minSet || t[g.col] < minKey {
-			minSet, minKey = true, t[g.col]
-		}
 	}
-	if !minSet {
+	if len(h.heap) == 0 {
 		return 0, nil, nil
 	}
+	key := h.heap[0].key
 	g.group = g.group[:0]
-	for i := range g.cursors {
-		c := &g.cursors[i]
+	for len(h.heap) > 0 && h.heap[0].key == key {
+		c := h.top()
 		for {
 			t, err := c.peek()
 			if err != nil {
 				return 0, nil, err
 			}
-			if t == nil || t[g.col] != minKey {
+			if t == nil || t[h.col] != key {
+				h.rekey(t)
 				break
 			}
-			if _, err := c.next(); err != nil {
-				return 0, nil, err
-			}
+			c.pos++
 			g.group = append(g.group, t)
 		}
 	}
-	return minKey, g.group, nil
+	return key, g.group, nil
 }
 
 // graceHashJoin partitions both inputs by a level-salted hash of the join
@@ -242,6 +237,7 @@ func (e *Engine) partition(pool *buffer.Pool, rel *storage.Relation, col, fanOut
 		parts = append(parts, p)
 		writers[i] = pageWriter{pool: pool, rel: p, buf: bufs[i*tpp : i*tpp : (i+1)*tpp]}
 	}
+	storage.Reserve(rel.NumTuples(), parts...)
 	for pg := 0; pg < rel.NumPages(); pg++ {
 		page, err := pool.ReadRel(rel, pg)
 		if err != nil {

@@ -197,10 +197,8 @@ func (c *ctx) run(s scorer, pol policy, depth, workers int) (*dpScratch, error) 
 // unpriced marks a join price not computed yet. No price is negative — a
 // join reads and writes page counts of at least one page — so
 // neither is the marker a price, nor can a price lift a score that a cell
-// turns away at price zero back into it. (ModelEngine's grace hash counts
-// pages in int, which wraps for inputs past 2⁶³ pages: such a price is
-// already meaningless, and the pinned corpus's cross products that reach
-// it keep their bits.)
+// turns away at price zero back into it. (cost.FuzzJoinPrice holds every
+// formula to that, at sizes up to 1e300 and ±Inf and NaN.)
 const unpriced = -1.0
 
 // singlePair is the frontier of two single-entry cells.

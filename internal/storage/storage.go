@@ -9,7 +9,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // Errors.
@@ -30,6 +32,8 @@ type Relation struct {
 	Cols          []string
 	TuplesPerPage int
 	pages         [][]Tuple
+	// store, when Reserve set one, backs the pages (see Reserve).
+	store *pageStore
 	// slab backs the rows AppendConcat builds: one allocation per page of
 	// rows. It is only ever extended or replaced, never rewritten, so rows
 	// already handed out stay valid for as long as anything references
@@ -42,12 +46,10 @@ func NewRelation(name string, cols []string, tuplesPerPage int) (*Relation, erro
 	if name == "" || len(cols) == 0 || tuplesPerPage <= 0 {
 		return nil, ErrBadSchema
 	}
-	seen := map[string]bool{}
-	for _, c := range cols {
-		if c == "" || seen[c] {
+	for i, c := range cols {
+		if c == "" || slices.Contains(cols[:i], c) {
 			return nil, fmt.Errorf("%w: bad column %q", ErrBadSchema, c)
 		}
-		seen[c] = true
 	}
 	return &Relation{Name: name, Cols: append([]string(nil), cols...), TuplesPerPage: tuplesPerPage}, nil
 }
@@ -116,13 +118,47 @@ func (r *Relation) AppendConcat(o, i Tuple) error {
 // full.
 func (r *Relation) appendRow(t Tuple) {
 	if n := len(r.pages); n == 0 || len(r.pages[n-1]) >= r.TuplesPerPage {
-		r.pages = append(r.pages, make([]Tuple, 0, r.TuplesPerPage))
+		r.pages = append(r.pages, r.take(r.TuplesPerPage))
 	}
 	last := len(r.pages) - 1
 	r.pages[last] = append(r.pages[last], t)
 }
 
-// AppendPage adds a pre-built page verbatim (used when spilling runs).
+// pageStore is page storage one or more relations cut their pages from.
+type pageStore struct{ free []Tuple }
+
+// Reserve gives rels one shared page storage of exactly tuples slots, in
+// one allocation, and sizes each relation's page list for an even share.
+// It is for writers that know how many tuples they will write in all: a
+// sorted run (its batch), a merged run (the sum of its inputs), the hash
+// partitions of one input (that input). Pages are cut from the storage as
+// they are appended, each a full-slice expression, so appending to a page
+// can never write into another, and the storage is only ever cut, never
+// rewritten. A relation that outgrows its reservation, or never had one,
+// allocates page by page.
+func Reserve(tuples int, rels ...*Relation) {
+	store := &pageStore{free: make([]Tuple, tuples)}
+	for _, r := range rels {
+		r.store = store
+		r.pages = slices.Grow(r.pages, (tuples/len(rels)+r.TuplesPerPage-1)/r.TuplesPerPage)
+	}
+}
+
+// take returns an empty page of capacity n, cut from the reserved storage
+// while it lasts. Fewer than n slots left make the tail page: it gets them
+// all, and an append past them reallocates.
+func (r *Relation) take(n int) []Tuple {
+	if r.store == nil || len(r.store.free) == 0 {
+		return make([]Tuple, 0, n)
+	}
+	n = min(n, len(r.store.free))
+	page := r.store.free[:0:n]
+	r.store.free = r.store.free[n:]
+	return page
+}
+
+// AppendPage adds a copy of a pre-built page (used when spilling runs), in
+// the relation's own page storage: the caller may reuse its slice.
 func (r *Relation) AppendPage(page []Tuple) error {
 	if len(page) > r.TuplesPerPage {
 		return fmt.Errorf("%w: page of %d tuples exceeds capacity %d", ErrBadSchema, len(page), r.TuplesPerPage)
@@ -132,7 +168,7 @@ func (r *Relation) AppendPage(page []Tuple) error {
 			return fmt.Errorf("%w: tuple width %d vs %d columns", ErrBadSchema, len(t), len(r.Cols))
 		}
 	}
-	r.pages = append(r.pages, append([]Tuple(nil), page...))
+	r.pages = append(r.pages, append(r.take(len(page)), page...))
 	return nil
 }
 
@@ -185,7 +221,7 @@ func (s *Store) Drop(name string) {
 // partitions, intermediate results).
 func (s *Store) NewTemp(prefix string, cols []string, tuplesPerPage int) (*Relation, error) {
 	s.tempSeq++
-	name := fmt.Sprintf("%s#%d", prefix, s.tempSeq)
+	name := prefix + "#" + strconv.Itoa(s.tempSeq)
 	r, err := NewRelation(name, cols, tuplesPerPage)
 	if err != nil {
 		return nil, err

@@ -75,6 +75,54 @@ func TestAppendPage(t *testing.T) {
 	}
 }
 
+// TestReserve: relations sharing one reservation cut their pages from it
+// until it is used up — copies of the caller's pages, each capped at its
+// own length, so neither the caller's buffer nor a neighbour's append can
+// reach them; a row-by-row writer's tail page takes the slots that are
+// left — and then allocate page by page.
+func TestReserve(t *testing.T) {
+	a, _ := NewRelation("a", []string{"k"}, 2)
+	b, _ := NewRelation("b", []string{"k"}, 2)
+	Reserve(6, a, b)
+	buf := []Tuple{{1}, {2}}
+	if err := a.AppendPage(buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0], buf[1] = Tuple{3}, Tuple{4}
+	if err := b.AppendPage(buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AppendPage(buf[:1]); err != nil {
+		t.Fatal(err)
+	}
+	a0, _ := a.Page(0)
+	b0, _ := b.Page(0)
+	a1, _ := a.Page(1)
+	if a0[0][0] != 1 || a0[1][0] != 2 || b0[0][0] != 3 || a1[0][0] != 3 {
+		t.Fatalf("pages %v %v %v do not hold what was appended", a0, b0, a1)
+	}
+	if a.store != b.store || len(a.store.free) != 1 || cap(a0) != 2 || cap(b0) != 2 || cap(a1) != 1 {
+		t.Fatal("reserved pages are not cut back to back from one storage")
+	}
+	if grown := append(a0, Tuple{9}); &grown[0] == &a0[0] || b0[0][0] != 3 {
+		t.Fatal("appending to a page wrote into its neighbour")
+	}
+	if err := b.Append(Tuple{5}); err != nil { // 1 slot left: the tail page
+		t.Fatal(err)
+	}
+	if b1, _ := b.Page(1); len(b1) != 1 || cap(b1) != 1 || len(a.store.free) != 0 {
+		t.Fatalf("tail page %v (cap %d) not cut from the last slot", b1, cap(b1))
+	}
+	if err := b.Append(Tuple{6}, Tuple{7}); err != nil { // past the reservation
+		t.Fatal(err)
+	}
+	b1, _ := b.Page(1)
+	b2, _ := b.Page(2)
+	if len(b1) != 2 || b1[0][0] != 5 || b1[1][0] != 6 || len(b2) != 1 || cap(b2) != 2 || b2[0][0] != 7 {
+		t.Fatalf("pages %v %v past the reservation", b1, b2)
+	}
+}
+
 func TestStore(t *testing.T) {
 	s := NewStore()
 	r, _ := NewRelation("r", []string{"k"}, 2)
