@@ -17,9 +17,11 @@ package lecopt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
+	"lecopt/internal/cost"
 	"lecopt/internal/optimizer"
 	"lecopt/internal/workload"
 )
@@ -64,46 +66,177 @@ func relClose(a, b, tol float64) bool {
 	return d/scale <= tol
 }
 
+// hintPatterns are the size-hint inputs every oracle check runs under: none;
+// one two-table hint on a random join edge; the executed-prefix chain of the
+// LSC plan, which is what feedback records after serving it; and random
+// table subsets. Serving always carries hints, and a hint covers a subset
+// that many plans share, so the dynamic programs are exact only if every
+// search sizes a subset the same way whatever order reached it.
+var hintPatterns = []string{"none", "edge", "prefix", "random"}
+
+// hintedRun is one corpus scenario under one cost model and hint pattern.
+type hintedRun struct {
+	name string
+	sc   *Scenario
+}
+
+// hintedCorpus crosses the corpus with both cost models and every hint
+// pattern. Hinted sizes are log-uniform over 1–5 000 pages, drawn from a
+// generator seeded by the scenario, so every run is reproducible.
+func hintedCorpus(t testing.TB) []hintedRun {
+	t.Helper()
+	var out []hintedRun
+	for i, base := range diffCorpus(t) {
+		for _, model := range []cost.Model{cost.ModelPaper, cost.ModelEngine} {
+			rng := rand.New(rand.NewSource(int64(9100 + i)))
+			for _, pat := range hintPatterns {
+				sc := *base
+				sc.Opts.CostModel = model
+				sc.Opts.SizeHints = patternHints(t, pat, &sc, rng)
+				out = append(out, hintedRun{fmt.Sprintf("scenario %d %v hints=%s", i, model, pat), &sc})
+			}
+		}
+	}
+	return out
+}
+
+// patternHints draws one hint pattern's size hints for sc.
+func patternHints(t testing.TB, pattern string, sc *Scenario, rng *rand.Rand) map[string]float64 {
+	t.Helper()
+	pages := func() float64 { return math.Exp(rng.Float64() * math.Log(5000)) }
+	tables := sc.Query.Tables
+	hints := map[string]float64{}
+	switch pattern {
+	case "none":
+		return nil
+	case "edge":
+		j := sc.Query.Joins[rng.Intn(len(sc.Query.Joins))]
+		hints[SizeKey(j.Left.Table, j.Right.Table)] = pages()
+	case "prefix":
+		lsc, err := sc.Optimize(AlgLSCMean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels := lsc.Plan.Relations()
+		for k := 2; k <= len(rels); k++ {
+			hints[SizeKey(rels[:k]...)] = pages()
+		}
+	case "random":
+		for mask := 1; mask < 1<<len(tables); mask++ {
+			if bits.OnesCount(uint(mask)) < 2 || rng.Intn(2) == 0 {
+				continue
+			}
+			var set []string
+			for i, name := range tables {
+				if mask&(1<<i) != 0 {
+					set = append(set, name)
+				}
+			}
+			hints[SizeKey(set...)] = pages()
+		}
+	}
+	return hints
+}
+
+// phaseLaws returns the per-phase memory laws of sc's environment, one per
+// join phase of its query.
+func phaseLaws(t testing.TB, sc *Scenario) []Dist {
+	t.Helper()
+	laws, err := sc.Env.PhaseLaws(len(sc.Query.Tables) - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return laws
+}
+
+// checkAlgCExhaustive checks Algorithm C (C-dynamic under a chain) against
+// the brute-force oracle on one run.
+func checkAlgCExhaustive(t *testing.T, name string, sc *Scenario) {
+	t.Helper()
+	lec, err := sc.Optimize(AlgC)
+	if err != nil {
+		t.Fatalf("%s: AlgC: %v", name, err)
+	}
+	oracle, err := optimizer.ExhaustiveLEC(sc.Cat, sc.Query, sc.Opts, phaseLaws(t, sc))
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	if !relClose(lec.EC, oracle.EC, 1e-9) {
+		t.Errorf("%s: AlgC EC %v != exhaustive EC %v\nAlgC plan: %s\noracle:    %s",
+			name, lec.EC, oracle.EC, lec.Plan.Signature(), oracle.Plan.Signature())
+	}
+}
+
 // TestDifferentialAlgCMatchesExhaustive checks Algorithm C against the
-// brute-force oracle on every corpus scenario.
+// brute-force oracle on every corpus scenario, under both cost models and
+// every hint pattern (Theorems 3.3 and 3.4).
 func TestDifferentialAlgCMatchesExhaustive(t *testing.T) {
-	for i, sc := range diffCorpus(t) {
-		lec, err := sc.Optimize(AlgC)
+	for _, r := range hintedCorpus(t) {
+		checkAlgCExhaustive(t, r.name, r.sc)
+	}
+}
+
+// TestDifferentialHintOnUnjoinedPair is the smallest hinted failure of the
+// order-sized kernel: a three-table chain t0–t1–t2 with one hint on the pair
+// the chain does not join. The kernel sized {t0,t1,t2} by whichever prefix
+// reached it — the hinted cross product or the unhinted t1–t2 join — so it
+// priced one subset at two sizes, and Algorithm C returned a plan 0.2 %
+// above the exhaustive optimum and above the LSC plan's expected cost.
+func TestDifferentialHintOnUnjoinedPair(t *testing.T) {
+	sc := *diffCorpus(t)[100]
+	sc.Opts.SizeHints = map[string]float64{SizeKey("t0", "t2"): 348}
+	checkAlgCExhaustive(t, "t0+t2 hinted", &sc)
+	lec, err := sc.Optimize(AlgC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsc, err := sc.Optimize(AlgLSCMean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lec.EC > lsc.EC {
+		t.Errorf("LEC EC %v > LSC EC %v", lec.EC, lsc.EC)
+	}
+}
+
+// TestDifferentialLSCMatchesExhaustive checks the System R pass at the mean
+// memory against the brute-force point oracle on every run of the hinted
+// corpus (Theorem 2.1).
+func TestDifferentialLSCMatchesExhaustive(t *testing.T) {
+	for _, r := range hintedCorpus(t) {
+		mean := r.sc.Env.Mem.Mean()
+		lsc, err := optimizer.LSC(r.sc.Cat, r.sc.Query, r.sc.Opts, mean)
 		if err != nil {
-			t.Fatalf("scenario %d: AlgC: %v", i, err)
+			t.Fatalf("%s: LSC: %v", r.name, err)
 		}
-		laws, err := optimizer.PhaseLawsFor(len(sc.Query.Tables), sc.Env.Mem, sc.Env.Chain)
+		oracle, err := optimizer.ExhaustiveLSC(r.sc.Cat, r.sc.Query, r.sc.Opts, mean)
 		if err != nil {
-			t.Fatalf("scenario %d: laws: %v", i, err)
+			t.Fatalf("%s: oracle: %v", r.name, err)
 		}
-		oracle, err := optimizer.ExhaustiveLEC(sc.Cat, sc.Query, sc.Opts, laws)
-		if err != nil {
-			t.Fatalf("scenario %d: oracle: %v", i, err)
-		}
-		if !relClose(lec.EC, oracle.EC, 1e-9) {
-			t.Errorf("scenario %d: AlgC EC %v != exhaustive EC %v\nAlgC plan: %s\noracle:    %s",
-				i, lec.EC, oracle.EC, lec.Plan.Signature(), oracle.Plan.Signature())
+		if !relClose(lsc.EC, oracle.EC, 1e-9) {
+			t.Errorf("%s: LSC cost %v != exhaustive cost %v\nLSC plan: %s\noracle:   %s",
+				r.name, lsc.EC, oracle.EC, lsc.Plan.Signature(), oracle.Plan.Signature())
 		}
 	}
 }
 
 // TestDifferentialLECNeverWorseThanLSC checks the paper's utility claim on
-// every corpus scenario: under the common expected-cost yardstick the LEC
-// plan beats or ties both classical baselines.
+// every run of the hinted corpus: under the common expected-cost yardstick
+// the LEC plan beats or ties both classical baselines.
 func TestDifferentialLECNeverWorseThanLSC(t *testing.T) {
 	const slack = 1e-9 // float-summation noise only; LEC optimality is exact
-	for i, sc := range diffCorpus(t) {
-		lec, err := sc.Optimize(AlgC)
+	for _, r := range hintedCorpus(t) {
+		lec, err := r.sc.Optimize(AlgC)
 		if err != nil {
-			t.Fatalf("scenario %d: AlgC: %v", i, err)
+			t.Fatalf("%s: AlgC: %v", r.name, err)
 		}
 		for _, baseline := range []Algorithm{AlgLSCMean, AlgLSCMode} {
-			lsc, err := sc.Optimize(baseline)
+			lsc, err := r.sc.Optimize(baseline)
 			if err != nil {
-				t.Fatalf("scenario %d: %s: %v", i, baseline, err)
+				t.Fatalf("%s: %s: %v", r.name, baseline, err)
 			}
 			if lec.EC > lsc.EC*(1+slack)+slack {
-				t.Errorf("scenario %d: LEC EC %v > %s EC %v", i, lec.EC, baseline, lsc.EC)
+				t.Errorf("%s: LEC EC %v > %s EC %v", r.name, lec.EC, baseline, lsc.EC)
 			}
 		}
 	}

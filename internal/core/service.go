@@ -758,7 +758,7 @@ func (p *Prepared) Select(mem dist.Dist) (Response, error) {
 	// Parametric selection skips the optimizer, so derive the per-phase
 	// breakdown here: the selected plan charged under the static memory
 	// law at every phase, matching what AlgorithmC would report.
-	if laws, lerr := optimizer.PhaseLawsFor(len(p.block.Tables), mem, nil); lerr == nil {
+	if laws, lerr := (envsim.Env{Mem: mem}).PhaseLaws(len(p.block.Tables) - 1); lerr == nil {
 		if ph, perr := optimizer.ExpectedCostPhasesModel(p.plans.Model(), pl, laws); perr == nil {
 			rep.PhaseEC = ph
 		}

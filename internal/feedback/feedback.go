@@ -10,7 +10,8 @@
 // are exact — the engine materializes every intermediate — and they are
 // order-independent (joining {a,b,c} yields the same logical result pages
 // in any join order), so one observation corrects every plan prefix that
-// covers the same table set.
+// covers the same table set, and the optimizer scales the estimate of
+// every superset by it too (optimizer.Options.SizeHints).
 //
 // Observations are folded with an exponential moving average and exported
 // rounded to two significant figures: rounding makes a converged hint a

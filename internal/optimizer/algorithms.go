@@ -234,25 +234,24 @@ func AlgorithmD(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	return withPhaseEC(res, c.opts.CostModel, staticLaws(mem, c.n))
 }
 
-// joinSizeLaw returns the result-size law of the join that completes mask by
-// adding table j: the propagated |left|·|right|·σ law with Section 3.6.3
-// rebucketing — or, where executed-size feedback has an observation for
-// mask, that size as a point: a realized size is a fact, not a distribution.
-// sigmaLaw caches the σ-law of (mask, j) across the candidate's left slots;
-// the zero Dist means not built yet. The law lives in sl until the scratch
-// is released.
-func (c *ctx) joinSizeLaw(sl *lawSlab, mask uint64, j int, left, right dist.Dist, sigmaLaw *dist.Dist) (dist.Dist, error) {
-	if v, ok := c.sizeHint[mask]; ok {
-		return sl.keep.Point(v), nil
+// sizeLaw is Algorithm D's size table, one law per mask by the rule of
+// ctx.size (peel): where executed-size feedback observed mask, the hint as a
+// point — a realized size is a fact, not a distribution — and otherwise the
+// |rest|·|j|·σ(j, rest) law of the peeled table j joined onto the rest, with
+// Section 3.6.3 rebucketing. laws holds the finished laws of mask's subsets;
+// the new law lives in sl until the scratch is released.
+func (c *ctx) sizeLaw(sl *lawSlab, laws []dist.Dist, mask uint64) (dist.Dist, error) {
+	j, h := c.peel(mask)
+	if h >= 0 {
+		return sl.keep.Point(c.hints[h].pages), nil
 	}
-	if sigmaLaw.IsZero() {
-		var err error
-		if *sigmaLaw, err = c.sigmaLawBetween(&sl.sig, j, mask&^(1<<uint(j))); err != nil {
-			return dist.Dist{}, err
-		}
+	bit := uint64(1) << uint(j)
+	sigma, err := c.sigmaLawBetween(&sl.sig, j, mask&^bit)
+	if err != nil {
+		return dist.Dist{}, err
 	}
 	sl.tmp.Reset()
-	law, err := expcost.ResultSizeDistIn(&sl.tmp, left, right, *sigmaLaw, c.opts.SizeBuckets)
+	law, err := expcost.ResultSizeDistIn(&sl.tmp, laws[mask&^bit], laws[bit], sigma, c.opts.SizeBuckets)
 	if err != nil {
 		return dist.Dist{}, err
 	}
@@ -353,14 +352,4 @@ func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) (
 	}
 	rec(p)
 	return out, nil
-}
-
-// PhaseLawsFor builds the per-phase laws for an n-relation query: the
-// static law repeated, or the chain's i-step marginals when dynamic.
-func PhaseLawsFor(n int, static dist.Dist, chain *dist.Chain) ([]dist.Dist, error) {
-	k := lastPhase(n) + 1
-	if chain == nil {
-		return staticLaws(static, n), nil
-	}
-	return chain.PhaseLaws(static, k)
 }

@@ -11,6 +11,7 @@ import (
 	"lecopt/internal/catalog"
 	"lecopt/internal/cost"
 	"lecopt/internal/dist"
+	"lecopt/internal/envsim"
 	"lecopt/internal/query"
 )
 
@@ -333,26 +334,44 @@ func TestAlgorithmDSizePropagation(t *testing.T) {
 	}
 }
 
-// TestPhaseLawsFor covers the helper used by callers to build laws.
+// TestPhaseLawsFor: callers build the per-phase laws they hand the
+// evaluator and ExhaustiveLEC with envsim.Env.PhaseLaws, one law per join
+// phase. Those must be the laws Algorithm C and C-dynamic optimize under —
+// the static law repeated, or the chain's i-step marginals.
 func TestPhaseLawsFor(t *testing.T) {
-	static := dist.Point(100)
-	laws, err := PhaseLawsFor(4, static, nil)
-	if err != nil || len(laws) != 3 {
-		t.Fatalf("static laws: %v %v", laws, err)
-	}
 	chain, err := dist.Sticky([]float64{50, 100}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	laws, err = PhaseLawsFor(3, dist.Point(100), chain)
-	if err != nil || len(laws) != 2 {
-		t.Fatalf("dynamic laws: %v %v", laws, err)
-	}
-	if !laws[0].ApproxEqual(dist.Point(100), 0) {
-		t.Fatal("phase 0 must be the initial law")
-	}
-	if laws[1].Len() != 2 {
-		t.Fatal("phase 1 must have spread")
+	for n := 1; n <= 5; n++ {
+		static, err := envsim.Env{Mem: dist.Point(100)}.PhaseLaws(n - 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dynamic, err := envsim.Env{Mem: dist.Point(100), Chain: chain}.PhaseLaws(n - 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := chain.PhaseLaws(dist.Point(100), lastPhase(n)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name      string
+			got, want []dist.Dist
+		}{{"static", static, staticLaws(dist.Point(100), n)}, {"dynamic", dynamic, want}} {
+			if len(tc.got) != len(tc.want) {
+				t.Fatalf("%d tables, %s: %d laws, want %d", n, tc.name, len(tc.got), len(tc.want))
+			}
+			for i := range tc.got {
+				if !tc.got[i].ApproxEqual(tc.want[i], 0) {
+					t.Fatalf("%d tables, %s: phase %d law %v, want %v", n, tc.name, i, tc.got[i], tc.want[i])
+				}
+			}
+		}
+		if n >= 3 && dynamic[1].Len() != 2 {
+			t.Fatalf("%d tables: phase 1 of the chain must have spread", n)
+		}
 	}
 }
 

@@ -56,7 +56,6 @@ func staticLaws(law dist.Dist, n int) []dist.Dist {
 type entry struct {
 	node  *plan.Node
 	score float64
-	pages float64
 }
 
 // slotOf maps an order property to a DP slot: 1 when it satisfies the
@@ -75,22 +74,22 @@ func (c *ctx) slotOf(o plan.Order) int {
 // Materialized access paths (index scans, filtered heap scans) score their
 // access cost; an unfiltered heap scan scores 0 — its base read is part of
 // the consuming join's formula (see plan.Node.Materialized). Every access
-// path of a table has the table's pages (and, under Algorithm D, its size
-// law), which is what lets the kernel price a join once per left input.
-func leafEntry(ti *tableInfo, ac accessCand) entry {
+// path of a table has the table's size, as every plan of a subset has the
+// subset's (ctx.size).
+func leafEntry(ac accessCand) entry {
 	score := ac.io
 	if !ac.node.Materialized() {
 		score = 0
 	}
-	return entry{node: ac.node, score: score, pages: ti.pages}
+	return entry{node: ac.node, score: score}
 }
 
-// enforcerScore is the cost of the root ORDER BY enforcer over an entry:
-// the sort itself, plus the base read when the sort consumes an
-// unmaterialized heap scan directly (single-table plans — no join ever
-// paid for it).
-func enforcerScore(s scorer, e entry, phase int) float64 {
-	sc := cost.ExpectSortIO(e.pages, s.law(phase))
+// enforcerScore is the cost of the root ORDER BY enforcer over a plan for
+// the whole query: the sort of the query's result size, plus the base read
+// when the sort consumes an unmaterialized heap scan directly (single-table
+// plans — no join ever paid for it).
+func (c *ctx) enforcerScore(s scorer, e entry) float64 {
+	sc := cost.ExpectSortIO(c.size[fullMask(c.n)], s.law(lastPhase(c.n)))
 	if e.node.Kind == plan.KindScan && !e.node.Materialized() {
 		sc += e.node.AccessIO()
 	}
@@ -102,7 +101,7 @@ func enforcerScore(s scorer, e entry, phase int) float64 {
 // dynamic program: over a point law it computes the LSC left-deep plan
 // (Theorem 2.1), over memory laws it is Algorithm C and computes the LEC
 // left-deep plan (Theorems 3.3/3.4). Under keepLaw it is Algorithm D's,
-// each entry carrying its result-size law and joins priced in expectation
+// each subset carrying its result-size law and joins priced in expectation
 // over the input size laws and s's one memory law. workers bounds the
 // rank-parallel enumeration (Algorithm A passes 1 when its per-bucket
 // fan-out already saturates the requested concurrency).
@@ -133,9 +132,9 @@ func (c *ctx) dpBest(s scorer, pol policy, workers int) (Result, error) {
 // run is the subset DP of every algorithm: System R's bottom-up pass over
 // the table subsets in rank (popcount) order, keeping per (subset, order
 // slot) what pol asks for — the best entry, the top depth entries, or the
-// best entry with its size law. All state lives in the returned pooled
-// scratch, which the caller releases once nothing it needs points into
-// it: the table holds entries by value, join nodes come from per-worker
+// best entry beside the subset's size law. All state lives in the returned
+// pooled scratch, which the caller releases once nothing it needs points
+// into it: the table holds entries by value, join nodes come from per-worker
 // arenas and size laws from per-worker slabs.
 //
 // Parallelism is by rank: every mask of popcount k depends only on masks
@@ -149,11 +148,14 @@ func (c *ctx) run(s scorer, pol policy, depth, workers int) (*dpScratch, error) 
 	sc := getScratch(pol, depth, int(full)+1)
 	sc.ensureWorkers(1)
 	for j, ti := range c.tables {
+		bit := uint64(1) << uint(j)
+		if pol == keepLaw {
+			sc.laws[bit] = ti.sizeLaw
+		}
 		for _, ac := range ti.accesses {
-			e := leafEntry(ti, ac)
-			k := cell(1<<uint(j), c.slotOf(ac.node.OutOrder))
-			if sc.admits(k, e.score) && sc.keep(k, e) && pol == keepLaw {
-				sc.laws[k] = ti.sizeLaw
+			e := leafEntry(ac)
+			if k := cell(bit, c.slotOf(ac.node.OutOrder)); sc.admits(k, e.score) {
+				sc.keep(k, e)
 			}
 		}
 	}
@@ -205,57 +207,37 @@ const unpriced = -1.0
 var singlePair = []topPair{{}}
 
 // expand fills mask's cells from the finalized smaller ranks, writing
-// nothing else. Each thing is priced once: what the join method cannot
-// change (selectivity, sort-merge order, output size) once per (mask, j);
-// the join price once per method and distinct left input, since a leaf's
-// access paths share one size and the left input's second slot often has
-// the first's — bit for bit, so the shared price is the price it would
-// have computed; a candidate's size law (keepLaw) only once some method's
-// score survives the check against the incumbent. A score is always
-// (left.score + right.score) + price.
+// nothing else. Sizes are the subset's, not the order's: the output is
+// ctx.size[mask] and the left input ctx.size[rest] — under keepLaw the laws
+// of those masks, mask's built here on entry — so every entry of both left
+// slots is one join input, and a join is priced once per (j, method), on
+// first need. What the method cannot change (sort-merge order) is asked
+// once per (mask, j). A score is always (left.score + right.score) + price.
 func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) error {
 	phase := phaseOfMask(mask)
 	methods := c.opts.Methods
-	nm := len(methods)
-	w.jc = grow(w.jc, 2*nm)
+	w.jc = grow(w.jc, len(methods))
 	w.cands = c.candidatesInto(mask, w.cands[:0])
-	hint, hinted := c.sizeHint[mask]
+	outPages := c.size[mask]
+	if sc.pol == keepLaw {
+		law, err := c.sizeLaw(&w.slab, sc.laws, mask)
+		if err != nil {
+			return err
+		}
+		sc.laws[mask], outPages = law, law.Mean()
+	}
 	kb := cell(mask, 0)
 	for _, j := range w.cands {
-		ti := c.tables[j]
 		bit := uint64(1) << uint(j)
 		rest := mask &^ bit
 		merges := c.mergeOrders(j, rest)
-		var sigma float64
-		if sc.pol == keepLaw {
-			w.sigmaLaw, w.out = dist.Dist{}, [2]dist.Dist{}
-		} else {
-			sigma = c.sigmaBetween(j, rest)
+		for mi := range w.jc {
+			w.jc[mi] = unpriced
 		}
 		for ls := 0; ls < 2; ls++ {
-			lk := cell(rest, ls)
-			left := sc.list(lk)
+			left := sc.list(cell(rest, ls))
 			if len(left) == 0 {
 				continue
-			}
-			jc, out := w.jc[ls*nm:(ls+1)*nm], &w.out[ls]
-			if ls == 1 && sc.held[lk-1] > 0 && sc.sameInput(lk-1, lk) {
-				jc, out = w.jc[:nm], &w.out[0]
-			} else {
-				for mi := range jc {
-					jc[mi] = unpriced
-				}
-			}
-			// Both leaf slots have ti.pages, so the size is one per left
-			// slot: under keepLaw its law's mean, zero until built.
-			var outPages float64
-			switch {
-			case sc.pol == keepLaw:
-				outPages = out.Mean()
-			case hinted:
-				outPages = hint
-			default:
-				outPages = clampPages(left[0].pages * ti.pages * sigma)
 			}
 			for rs := 0; rs < 2; rs++ {
 				right := sc.list(cell(bit, rs))
@@ -269,7 +251,7 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) error {
 				if sc.pol == keepTopC {
 					var probes int
 					w.pairs, probes = frontier(w.pairs[:0], left, right, sc.depth)
-					pairs, w.probes = w.pairs, w.probes+probes*nm
+					pairs, w.probes = w.pairs, w.probes+probes*len(methods)
 				}
 				for _, p := range pairs {
 					le, re := &left[p.i], &right[p.k]
@@ -279,31 +261,20 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) error {
 						if !sc.admits(k, base) {
 							continue // turned away even at price zero
 						}
-						if jc[mi] == unpriced {
+						if w.jc[mi] == unpriced {
 							if sc.pol == keepLaw {
-								jc[mi] = expcost.JoinECModel(s.model, m, sc.laws[lk], ti.sizeLaw, s.laws[0])
+								w.jc[mi] = expcost.JoinECModel(s.model, m, sc.laws[rest], sc.laws[bit], s.laws[0])
 							} else {
-								jc[mi] = s.joinScore(m, left[0].pages, ti.pages, phase)
+								w.jc[mi] = s.joinScore(m, c.size[rest], c.size[bit], phase)
 							}
 						}
-						score := base + jc[mi]
+						score := base + w.jc[mi]
 						if !sc.admits(k, score) {
-							continue // strictly worse: skip building the law and the node
-						}
-						if sc.pol == keepLaw && out.IsZero() {
-							law, err := c.joinSizeLaw(&w.slab, mask, j, sc.laws[lk], ti.sizeLaw, &w.sigmaLaw)
-							if err != nil {
-								return err
-							}
-							*out, outPages = law, law.Mean()
+							continue // strictly worse: skip building the node
 						}
 						node := w.arena.newJoin(m, le.node, re.node, outPages, c.joinOrder(m, merges, le.node))
-						if !sc.keep(k, entry{node: node, score: score, pages: outPages}) {
+						if !sc.keep(k, entry{node: node, score: score}) {
 							w.arena.undo()
-							continue
-						}
-						if sc.pol == keepLaw {
-							sc.laws[k] = *out
 						}
 					}
 				}
@@ -315,22 +286,20 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) error {
 
 // complete lists the plans for the whole query in sc.root: every entry of
 // the full subset, each under a root sort where it misses the ORDER BY.
-// Algorithm D prices the sort in expectation over the entry's size law.
+// Algorithm D prices the sort in expectation over the query's size law.
 func (c *ctx) complete(sc *dpScratch, s scorer) {
-	phase := lastPhase(c.n)
 	arena := &sc.workers[0].arena
 	full := fullMask(c.n)
 	for slot := 0; slot < 2; slot++ {
-		k := cell(full, slot)
-		for _, e := range sc.list(k) {
+		for _, e := range sc.list(cell(full, slot)) {
 			if c.blk.OrderBy != nil && slot == 0 {
 				if sc.pol == keepLaw {
-					e.score += expcost.SortEC(sc.laws[k], s.laws[0])
+					e.score += expcost.SortEC(sc.laws[full], s.laws[0])
 					if e.node.Kind == plan.KindScan && !e.node.Materialized() {
 						e.score += e.node.AccessIO()
 					}
 				} else {
-					e.score += enforcerScore(s, e, phase)
+					e.score += c.enforcerScore(s, e)
 				}
 				e.node = arena.newSort(e.node, c.required)
 			}

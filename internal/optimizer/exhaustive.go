@@ -12,7 +12,8 @@ import (
 // one of least expected cost under the per-phase memory laws. It scores
 // plans with ExpectedCostModel — an evaluation path independent of the DP's
 // incremental scoring — so it serves as the correctness oracle for
-// Theorems 3.3 and 3.4 on small queries. Exponential: use only for n ≤ 6.
+// Theorems 3.3 and 3.4 on small queries. Its plans are sized from the same
+// per-subset table (ctx.size) as the DP's. Exponential: use only for n ≤ 6.
 func ExhaustiveLEC(cat *catalog.Catalog, blk *query.Block, opts Options, laws []dist.Dist) (Result, error) {
 	if len(laws) == 0 {
 		return Result{}, ErrLawsShort
@@ -52,9 +53,8 @@ func ExhaustiveLSC(cat *catalog.Catalog, blk *query.Block, opts Options, mem flo
 // eval. Candidates counts complete plans evaluated.
 func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error) {
 	type partial struct {
-		node  *plan.Node
-		pages float64
-		mask  uint64
+		node *plan.Node
+		mask uint64
 	}
 	var best *Result
 	candidates := 0
@@ -92,14 +92,12 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 			if !c.isCandidate(j, p.mask|bit) {
 				continue
 			}
-			sigma := c.sigmaBetween(j, p.mask)
 			merges := c.mergeOrders(j, p.mask)
-			outPages := c.joinOutPages(p.mask|bit, clampPages(p.pages*c.tables[j].pages*sigma))
 			for _, ac := range c.tables[j].accesses {
 				for _, m := range c.opts.Methods {
 					order := c.joinOrder(m, merges, p.node)
-					node := plan.NewJoin(m, p.node, ac.node, outPages, order)
-					if err := extend(partial{node: node, pages: outPages, mask: p.mask | bit}); err != nil {
+					node := plan.NewJoin(m, p.node, ac.node, c.size[p.mask|bit], order)
+					if err := extend(partial{node: node, mask: p.mask | bit}); err != nil {
 						return err
 					}
 				}
@@ -110,7 +108,7 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 
 	for j := 0; j < c.n; j++ {
 		for _, ac := range c.tables[j].accesses {
-			p := partial{node: ac.node, pages: c.tables[j].pages, mask: 1 << uint(j)}
+			p := partial{node: ac.node, mask: 1 << uint(j)}
 			if c.n == 1 {
 				if err := finish(p); err != nil {
 					return Result{}, err

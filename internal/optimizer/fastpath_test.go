@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"errors"
-	"math/bits"
 	"testing"
 
 	"lecopt/internal/cost"
@@ -12,24 +11,17 @@ import (
 // fastPathHits counts, over one finished kernel table, the cases the
 // kernel's price-once shortcuts serve.
 type fastPathHits struct {
-	leafBoth   int // a leaf with both order slots held: one size, one price
-	restShared int // a multi-table rest with both slots held and one input (sameInput)
-	topFull    int // a top-c cell that filled to c (the bar turns candidates away)
+	leafBoth int // a leaf with both order slots held: one input, one price
+	topFull  int // a top-c cell that filled to c (the bar turns candidates away)
 }
 
 func (h *fastPathHits) add(c *ctx, sc *dpScratch) {
-	full := fullMask(c.n)
-	for mask := uint64(1); mask < full; mask++ {
-		lo, hi := cell(mask, 0), cell(mask, 1)
-		both := sc.held[lo] > 0 && sc.held[hi] > 0
-		switch {
-		case !both:
-		case bits.OnesCount64(mask) == 1:
+	for j := 0; j < c.n; j++ {
+		if bit := uint64(1) << uint(j); sc.held[cell(bit, 0)] > 0 && sc.held[cell(bit, 1)] > 0 {
 			h.leafBoth++
-		case sc.sameInput(lo, hi):
-			h.restShared++
 		}
 	}
+	full := fullMask(c.n)
 	if sc.pol == keepTopC {
 		for mask := uint64(1); mask <= full; mask++ {
 			for slot := 0; slot < 2; slot++ {
@@ -42,9 +34,9 @@ func (h *fastPathHits) add(c *ctx, sc *dpScratch) {
 }
 
 // TestPinnedCorpusExercisesFastPaths guards the bit pin's reach: the
-// kernel shares a join price between a leaf's two slots and between a
-// rest's two slots when they are one input, and a full top-c cell turns
-// candidates away before their nodes are built. The pinned corpus must
+// kernel shares a join price between a leaf's two slots (every left input
+// is one subset at one size), and a full top-c cell turns candidates away
+// before their nodes are built. The pinned corpus must
 // take each of these paths under every algorithm that can — otherwise
 // algorithm_bits.golden would not notice a shortcut that changed a bit.
 func TestPinnedCorpusExercisesFastPaths(t *testing.T) {
@@ -90,8 +82,8 @@ func TestPinnedCorpusExercisesFastPaths(t *testing.T) {
 	}
 	for _, alg := range pinAlgs {
 		h := hits[alg]
-		t.Logf("%-9s leaf both slots %5d, rest shared input %5d, top-c full %5d", alg, h.leafBoth, h.restShared, h.topFull)
-		if h.leafBoth == 0 || h.restShared == 0 || (alg == "B" && h.topFull == 0) {
+		t.Logf("%-9s leaf both slots %5d, top-c full %5d", alg, h.leafBoth, h.topFull)
+		if h.leafBoth == 0 || (alg == "B" && h.topFull == 0) {
 			t.Errorf("%s: the pinned corpus misses a fast path: %+v", alg, *h)
 		}
 	}

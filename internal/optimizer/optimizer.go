@@ -25,6 +25,7 @@
 package optimizer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -73,11 +74,15 @@ type Options struct {
 	// ones, keyed by feedback.SetKey over the joined tables' names; a
 	// single table name keys that table's filtered size. The hints come
 	// from executed-size feedback (engine.ExecResult.JoinSizes routed
-	// through a feedback.Store): where a hint exists, the dynamic programs
-	// cost with the observed size instead of the selectivity-product
-	// estimate, and Algorithm D's propagated result-size law collapses to
-	// the observed point (a realized size is a fact, not a distribution).
-	// Keys naming tables outside the query are ignored. At the leaves,
+	// through a feedback.Store). A hinted subset has its observed size, and
+	// the hint corrects every superset too: a subset's size is its largest
+	// hinted subset's hint times the selectivity product of the tables
+	// outside it (LEO's correction), the plain selectivity product with no
+	// hint below it. Every search reads one size per subset, so the dynamic
+	// programs stay exact under any hint set. Algorithm D's result-size law
+	// follows the same rule and collapses to a point on a hinted subset (a
+	// realized size is a fact, not a distribution). Keys naming tables
+	// outside the query are ignored. At the leaves,
 	// Algorithm D's explicit per-table size laws take precedence over
 	// single-table hints. Unlike Workers, hints change which plan is
 	// found, so they are hashed into plan-cache signatures.
@@ -169,7 +174,17 @@ type ctx struct {
 	sigmaD    [][]dist.Dist       // per-pair selectivity laws (zero Dist ⇒ Point(sigma))
 	orderCols map[plan.Order]bool // orders that satisfy the query's ORDER BY
 	required  plan.Order          // the ORDER BY as a plan.Order (zero if none)
-	sizeHint  map[uint64]float64  // observed result pages by table-subset mask
+	hints     []sizeHint          // multi-table size hints, largest subset first, then lowest mask
+	// size[mask] is the result pages of joining mask's tables: one size per
+	// subset, whatever order reaches it (sizeTable). Algorithm D sizes by
+	// its per-mask laws instead (sizeLaw).
+	size []float64
+}
+
+// sizeHint is an observed result size for a subset of the query's tables.
+type sizeHint struct {
+	mask  uint64
+	pages float64
 }
 
 // prepare validates the block and precomputes per-table and per-pair
@@ -218,19 +233,16 @@ func prepare(cat *catalog.Catalog, blk *query.Block, opts Options) (*ctx, error)
 		return nil, err
 	}
 	c.applySizeHints()
+	c.sizeTable()
 	return c, nil
 }
 
 // applySizeHints resolves Options.SizeHints onto the query: single-table
-// keys override the leaf's filtered-size estimate; multi-table keys are
-// mapped to table-subset masks consulted by the dynamic programs for join
-// output sizes. Keys naming tables outside the query, and non-positive or
-// non-finite sizes, are ignored.
+// keys override the leaf's filtered-size estimate; multi-table keys become
+// c.hints, which the size rule (peel) reads. Keys naming tables outside the
+// query, and non-positive or non-finite sizes, are ignored; where two keys
+// name one subset, the smaller size wins.
 func (c *ctx) applySizeHints() {
-	if len(c.opts.SizeHints) == 0 {
-		return
-	}
-	c.sizeHint = make(map[uint64]float64, len(c.opts.SizeHints))
 	for key, pages := range c.opts.SizeHints {
 		if pages <= 0 || math.IsNaN(pages) || math.IsInf(pages, 0) {
 			continue
@@ -245,32 +257,74 @@ func (c *ctx) applySizeHints() {
 			}
 			mask |= 1 << uint(i)
 		}
-		if !resolved || mask == 0 {
-			continue
+		if resolved && mask != 0 {
+			c.hints = append(c.hints, sizeHint{mask, clampPages(pages)})
 		}
-		c.sizeHint[mask] = clampPages(pages)
 	}
-	for _, ti := range c.tables {
-		if v, ok := c.sizeHint[1<<uint(ti.idx)]; ok {
-			ti.pages = v
-			ti.sizeLaw = dist.Point(v)
-			for _, ac := range ti.accesses {
-				ac.node.OutPages = v
-			}
+	slices.SortFunc(c.hints, func(a, b sizeHint) int {
+		if d := bits.OnesCount64(b.mask) - bits.OnesCount64(a.mask); d != 0 {
+			return d
+		}
+		return cmp.Or(cmp.Compare(a.mask, b.mask), cmp.Compare(a.pages, b.pages))
+	})
+	c.hints = slices.CompactFunc(c.hints, func(a, b sizeHint) bool { return a.mask == b.mask })
+	for len(c.hints) > 0 && bits.OnesCount64(c.hints[len(c.hints)-1].mask) == 1 {
+		h := c.hints[len(c.hints)-1]
+		c.hints = c.hints[:len(c.hints)-1]
+		ti := c.tables[bits.TrailingZeros64(h.mask)]
+		ti.pages, ti.sizeLaw = h.pages, dist.Point(h.pages)
+		for _, ac := range ti.accesses {
+			ac.node.OutPages = h.pages
 		}
 	}
 }
 
-// joinOutPages returns the output size of the join completing mask: the
-// observed (hinted) size when executed-size feedback has one, the
-// selectivity-product estimate otherwise. Observed sizes are
-// join-order-independent, so one mask entry corrects every plan prefix
-// covering the same tables.
-func (c *ctx) joinOutPages(mask uint64, est float64) float64 {
-	if v, ok := c.sizeHint[mask]; ok {
-		return v
+// peel is the size rule's split of a mask. Where feedback observed the mask
+// itself, h indexes its hint in c.hints (j is then meaningless); otherwise h
+// is −1 and j is the table whose join onto mask minus j sizes mask: the
+// lowest-numbered table outside S, the mask's largest hinted proper subset
+// (ties to the lowest mask; S is empty without one). Peeling down to S, a
+// mask's size is then hint(S) times the selectivity product of the tables
+// outside it — LEO's correction est₀(mask)·hint(S)/est₀(S) (Stillger et al.,
+// VLDB 2001) in exact arithmetic, and the plain selectivity product without
+// hints. A leaf peels to itself.
+func (c *ctx) peel(mask uint64) (j, h int) {
+	var s uint64
+	for i, hn := range c.hints {
+		if hn.mask&^mask != 0 {
+			continue
+		}
+		if hn.mask == mask {
+			return 0, i
+		}
+		s = hn.mask
+		break
 	}
-	return est
+	return bits.TrailingZeros64(mask &^ s), -1
+}
+
+// sizeTable decides every subset's size once, by peel's rule: a leaf has its
+// filtered pages, a hinted mask its hint, any other mask the clamped
+// |mask − j|·|j|·σ(j, mask − j). Every search reads the table, so a subset
+// is one join input and one join output at one size in every plan that
+// covers it — which is what lets the dynamic programs prune by subset
+// (Theorems 2.1, 3.3 and 3.4) and agree with the exhaustive oracle.
+func (c *ctx) sizeTable() {
+	full := fullMask(c.n)
+	c.size = make([]float64, full+1)
+	for mask := uint64(1); mask <= full; mask++ {
+		j, h := c.peel(mask)
+		bit := uint64(1) << uint(j)
+		switch {
+		case h >= 0:
+			c.size[mask] = c.hints[h].pages
+		case mask == bit:
+			c.size[mask] = c.tables[j].pages
+		default:
+			rest := mask &^ bit
+			c.size[mask] = clampPages(c.size[rest] * c.size[bit] * c.sigmaBetween(j, rest))
+		}
+	}
 }
 
 func (c *ctx) prepareTable(name string, idx int) (*tableInfo, error) {

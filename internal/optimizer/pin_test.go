@@ -22,12 +22,12 @@ import (
 // PhaseEC element, Candidates, Probes — is digested over the differential
 // corpus's 200 generation specs plus eight wide queries, under both cost
 // models, with and without a two-table size hint, and compared with
-// testdata/algorithm_bits.golden. The golden was recorded on the commit
-// before the miss path's cost arithmetic was rearranged (ISSUE 22), so it is
-// the parent's output, not this tree's. Algorithm D has no exhaustive oracle
-// and bench/ leaves it unchecked: this file is what says D still returns the
-// same plan. `-update-pin` re-records it and is only legitimate for a change
-// that means to alter a plan or a cost.
+// testdata/algorithm_bits.golden. It was last re-recorded when every search
+// began sizing a subset by one table (ctx.size), which moved the hinted
+// plans and the last bits of some unhinted costs. The exhaustive oracles
+// (TestDOracle for Algorithm D) say a plan is optimal; this file says it is
+// the same plan, bit for bit. `-update-pin` re-records it and is only
+// legitimate for a change that means to alter a plan or a cost.
 
 var updatePin = flag.Bool("update-pin", false, "re-record testdata/algorithm_bits.golden")
 

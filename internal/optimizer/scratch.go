@@ -42,7 +42,7 @@ type policy uint8
 const (
 	keepBest policy = iota // the best entry: LSC, A, C and C-dynamic
 	keepTopC               // the top-c entries (Proposition 3.1): Algorithm B
-	keepLaw                // the best entry and its size law: Algorithm D
+	keepLaw                // the best entry and the subset's size law: Algorithm D
 )
 
 // dpWorker is one enumeration worker's private scratch. Each parallel
@@ -52,21 +52,16 @@ type dpWorker struct {
 	arena  nodeArena
 	slab   lawSlab   // keepLaw: the size laws this worker builds
 	cands  []int     // candidatesInto buffer
-	jc     []float64 // join prices: one row of len(Methods) per left slot
+	jc     []float64 // join prices of one (mask, j): one per method
 	pairs  []topPair // keepTopC: the frontier of one (left, right) list pair
 	probes int       // keepTopC: frontier pairs probed
-
-	// keepLaw, per (mask, j): the σ-law and each left slot's candidate
-	// size law, zero until first needed.
-	sigmaLaw dist.Dist
-	out      [2]dist.Dist
 }
 
 // dpScratch is the pooled state of one kernel pass. The table is flat:
 // cell k = mask·2 + slot holds held[k] entries at ents[k·depth:], bar[k]
 // is the score an entry must not exceed to enter it (+Inf until it is
 // full: its last entry's score from then on), and under keepLaw the size
-// law of its entry is at laws[k].
+// law of mask is at laws[mask].
 type dpScratch struct {
 	pol     policy
 	depth   int
@@ -81,20 +76,20 @@ type dpScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
 
-// getScratch borrows a scratch set up for a table of 2·cells cells under
-// pol, each holding up to depth entries.
-func getScratch(pol policy, depth, cells int) *dpScratch {
+// getScratch borrows a scratch set up for a table over masks subsets —
+// 2·masks cells under pol, each holding up to depth entries.
+func getScratch(pol policy, depth, masks int) *dpScratch {
 	s := scratchPool.Get().(*dpScratch)
 	s.pol, s.depth = pol, depth
-	s.ents = grow(s.ents, 2*cells*depth)
-	s.held = grow(s.held, 2*cells)
+	s.ents = grow(s.ents, 2*masks*depth)
+	s.held = grow(s.held, 2*masks)
 	clear(s.held)
-	s.bar = grow(s.bar, 2*cells)
+	s.bar = grow(s.bar, 2*masks)
 	for i := range s.bar {
 		s.bar[i] = math.Inf(1)
 	}
 	if pol == keepLaw {
-		s.laws = grow(s.laws, 2*cells)
+		s.laws = grow(s.laws, masks)
 	}
 	return s
 }
@@ -141,17 +136,6 @@ func (s *dpScratch) keep(k int, e entry) bool {
 	return in
 }
 
-// sameInput reports whether cells a and b, both held, are the same join
-// input to every price the kernel computes: equal pages, or under keepLaw
-// equal size laws. Sizes are finite and at least one page and
-// probabilities positive, so equal is bit-equal.
-func (s *dpScratch) sameInput(a, b int) bool {
-	if s.pol == keepLaw {
-		return s.laws[a].ApproxEqual(s.laws[b], 0)
-	}
-	return s.ents[a*s.depth].pages == s.ents[b*s.depth].pages
-}
-
 // probes totals the frontier pairs the workers probed (keepTopC).
 func (s *dpScratch) probes() int {
 	n := 0
@@ -185,7 +169,6 @@ func (s *dpScratch) release() {
 		w.arena.reset()
 		w.slab.reset()
 		w.probes = 0
-		w.sigmaLaw, w.out = dist.Dist{}, [2]dist.Dist{}
 	}
 	scratchPool.Put(s)
 }
@@ -260,7 +243,7 @@ func (a *nodeArena) reset() {
 // are bit for bit their heap counterparts (FuzzLawKernel).
 type lawSlab struct {
 	keep dist.Slab // laws the table holds: live until release
-	sig  dist.Slab // one σ-law chain: rewound per (mask, j)
+	sig  dist.Slab // one σ-law chain: rewound per mask
 	tmp  dist.Slab // one result-size law's intermediates: rewound per law
 }
 

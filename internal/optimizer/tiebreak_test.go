@@ -3,6 +3,7 @@ package optimizer
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -186,7 +187,6 @@ func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 		for _, j := range refCandidates(c, mask) {
 			bit := uint64(1) << uint(j)
 			rest := mask &^ bit
-			sigma := c.sigmaBetween(j, rest)
 			for ls := 0; ls < 2; ls++ {
 				left := &dp[rest][ls]
 				for rs := 0; rs < 2; rs++ {
@@ -195,15 +195,14 @@ func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 						continue
 					}
 					for _, m := range c.opts.Methods {
-						jc := s.joinScore(m, left.entries[0].pages, right.entries[0].pages, phase)
+						jc := s.joinScore(m, c.size[rest], c.size[bit], phase)
 						pairs, pr := TopCCombine(left.scores(), right.scores(), topC)
 						probes += pr
 						for _, p := range pairs {
 							le, re := left.entries[p[0]], right.entries[p[1]]
-							outPages := c.joinOutPages(mask, clampPages(le.pages*re.pages*sigma))
 							order := refJoinOrder(c, m, j, rest, le.node.OutOrder)
-							node := plan.NewJoin(m, le.node, re.node, outPages, order)
-							dp[mask][c.slotOf(order)].add(entry{node: node, score: le.score + re.score + jc, pages: outPages}, topC)
+							node := plan.NewJoin(m, le.node, re.node, c.size[mask], order)
+							dp[mask][c.slotOf(order)].add(entry{node: node, score: le.score + re.score + jc}, topC)
 						}
 					}
 				}
@@ -215,7 +214,7 @@ func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 		for _, e := range dp[full][sl].entries {
 			cand := e
 			if c.blk.OrderBy != nil && sl == 0 {
-				cand.score += enforcerScore(s, e, lastPhase(c.n))
+				cand.score += c.enforcerScore(s, e)
 				cand.node = plan.NewSort(e.node, c.required)
 			}
 			out = append(out, cand)
@@ -234,24 +233,65 @@ func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 func refLeaves(c *ctx, j int) []entry {
 	var out []entry
 	for _, ac := range c.tables[j].accesses {
-		out = append(out, leafEntry(c.tables[j], ac))
+		out = append(out, leafEntry(ac))
 	}
 	return out
 }
 
-// distEntry is an entry with its size law.
-type distEntry struct {
-	entry
-	law dist.Dist
+// refSizeLaws builds Algorithm D's per-mask size laws on the heap by the
+// size rule, its hinted subset found by brute force over every proper
+// subset: a hinted mask is its hint as a point; any other mask joins the
+// lowest-numbered table outside its largest hinted proper subset (ties to
+// the lowest mask) onto the rest.
+func refSizeLaws(t *testing.T, c *ctx) []dist.Dist {
+	t.Helper()
+	hint := map[uint64]float64{}
+	for _, h := range c.hints {
+		hint[h.mask] = h.pages
+	}
+	full := fullMask(c.n)
+	laws := make([]dist.Dist, full+1)
+	for mask := uint64(1); mask <= full; mask++ {
+		if v, ok := hint[mask]; ok {
+			laws[mask] = dist.Point(v)
+			continue
+		}
+		var s uint64
+		for sub := (mask - 1) & mask; sub != 0; sub = (sub - 1) & mask {
+			if _, ok := hint[sub]; ok && (bits.OnesCount64(sub) > bits.OnesCount64(s) ||
+				bits.OnesCount64(sub) == bits.OnesCount64(s) && sub < s) {
+				s = sub
+			}
+		}
+		j := bits.TrailingZeros64(mask &^ s)
+		bit := uint64(1) << uint(j)
+		if mask == bit {
+			laws[mask] = c.tables[j].sizeLaw
+			continue
+		}
+		sigma, err := refSigmaLawBetween(c, j, mask&^bit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		law, err := expcost.ResultSizeDist(laws[mask&^bit], laws[bit], sigma, c.opts.SizeBuckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if laws[mask], err = law.Map(clampPages); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return laws
 }
 
 // refDist is Algorithm D's dynamic program with string tie-breaks, every
 // law built on the heap.
 func refDist(t *testing.T, c *ctx, mem dist.Dist) entry {
 	t.Helper()
+	laws := refSizeLaws(t, c)
 	full := fullMask(c.n)
-	dp := make([][2]*distEntry, full+1)
-	keep := func(mask uint64, e distEntry) {
+	dp := make([][2]*entry, full+1)
+	keep := func(mask uint64, e entry) {
 		sl := c.slotOf(e.node.OutOrder)
 		cur := dp[mask][sl]
 		if cur == nil || refBetter(e.score, e.node.Signature(), cur.score, cur.node.Signature()) {
@@ -260,7 +300,7 @@ func refDist(t *testing.T, c *ctx, mem dist.Dist) entry {
 	}
 	for j := 0; j < c.n; j++ {
 		for _, e := range refLeaves(c, j) {
-			keep(1<<uint(j), distEntry{entry: e, law: c.tables[j].sizeLaw})
+			keep(1<<uint(j), e)
 		}
 	}
 	for mask := uint64(1); mask <= full; mask++ {
@@ -270,30 +310,16 @@ func refDist(t *testing.T, c *ctx, mem dist.Dist) entry {
 		for _, j := range refCandidates(c, mask) {
 			bit := uint64(1) << uint(j)
 			rest := mask &^ bit
-			sigmaLaw, err := refSigmaLawBetween(c, j, rest)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, left := range dp[rest] {
 				for _, right := range dp[bit] {
 					if left == nil || right == nil {
 						continue
 					}
-					outLaw, err := expcost.ResultSizeDist(left.law, right.law, sigmaLaw, c.opts.SizeBuckets)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if outLaw, err = outLaw.Map(clampPages); err != nil {
-						t.Fatal(err)
-					}
 					for _, m := range c.opts.Methods {
-						jc := expcost.JoinECModel(c.opts.CostModel, m, left.law, right.law, mem)
+						jc := expcost.JoinECModel(c.opts.CostModel, m, laws[rest], laws[bit], mem)
 						order := refJoinOrder(c, m, j, rest, left.node.OutOrder)
-						node := plan.NewJoin(m, left.node, right.node, outLaw.Mean(), order)
-						keep(mask, distEntry{
-							entry: entry{node: node, score: left.score + right.score + jc, pages: outLaw.Mean()},
-							law:   outLaw,
-						})
+						node := plan.NewJoin(m, left.node, right.node, laws[mask].Mean(), order)
+						keep(mask, entry{node: node, score: left.score + right.score + jc})
 					}
 				}
 			}
@@ -305,9 +331,9 @@ func refDist(t *testing.T, c *ctx, mem dist.Dist) entry {
 		if e == nil {
 			continue
 		}
-		cand := e.entry
+		cand := *e
 		if c.blk.OrderBy != nil && sl == 0 {
-			cand.score += expcost.SortEC(e.law, mem)
+			cand.score += expcost.SortEC(laws[full], mem)
 			cand.node = plan.NewSort(e.node, c.required)
 		}
 		if sig := cand.node.Signature(); best.node == nil || refBetter(cand.score, sig, best.score, bestSig) {

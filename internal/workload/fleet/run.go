@@ -258,7 +258,7 @@ func (f *Fleet) predictedEC(memo map[string]float64, qid, archetype int, p *plan
 		return v, nil
 	}
 	env := f.Spec.Archetypes[archetype].Env
-	laws, err := optimizer.PhaseLawsFor(len(f.Queries[qid].Block.Tables), env.Mem, env.Chain)
+	laws, err := env.PhaseLaws(len(f.Queries[qid].Block.Tables) - 1)
 	if err != nil {
 		return 0, err
 	}
