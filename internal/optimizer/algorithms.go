@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"lecopt/internal/catalog"
@@ -175,7 +176,7 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	outer, inner := cx.fanOut(len(points))
 	err = pool.Run(len(points), outer, func(i int) error {
 		s := pointScorer(points[i], cx.opts.CostModel)
-		sc, err := cx.run(s, keepTopC, c, inner)
+		sc, err := cx.run(s, keepTopC, c, inner, math.Inf(1))
 		scs[i] = sc
 		if err != nil {
 			return err

@@ -1,0 +1,277 @@
+package optimizer
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"lecopt/internal/cost"
+	"lecopt/internal/dist"
+	"lecopt/internal/envsim"
+	"lecopt/internal/plan"
+	"lecopt/internal/query"
+	"lecopt/internal/workload"
+)
+
+// namedScorer is one single-entry pass of an algorithm.
+type namedScorer struct {
+	alg string
+	s   scorer
+}
+
+// boundedScorers lists the passes the bound applies to: LSC at the law's
+// mean, Algorithm A's point passes, C under the static law and C-dynamic
+// under dyn's phase laws.
+func boundedScorers(t *testing.T, c *ctx, mem dist.Dist, dyn envsim.Env) []namedScorer {
+	t.Helper()
+	model := c.opts.CostModel
+	out := []namedScorer{{"LSC", pointScorer(mem.Mean(), model)}}
+	for _, p := range bucketPoints(mem) {
+		out = append(out, namedScorer{"A", pointScorer(p, model)})
+	}
+	laws, err := dyn.Chain.PhaseLaws(dyn.Mem, lastPhase(c.n)+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, namedScorer{"C", scorer{staticLaws(mem, c.n), model}}, namedScorer{"C-dynamic", scorer{laws, model}})
+}
+
+// kernelWinner runs one single-entry pass under bound and returns its
+// cheapest complete plan, nil when the table holds none.
+func kernelWinner(t *testing.T, c *ctx, s scorer, workers int, bound float64) (sig string, score float64, ok bool) {
+	t.Helper()
+	sc, err := c.run(s, keepBest, 1, workers, bound)
+	defer sc.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := c.bestRoot(sc, s)
+	if best == nil {
+		return "", 0, false
+	}
+	return best.node.Signature(), best.score, true
+}
+
+// greedyNode builds the plan greedy recorded, walking its steps back from
+// the slot it completes in.
+func greedyNode(c *ctx, g greedyPlan) *plan.Node {
+	slots := make([]int, c.n)
+	slots[c.n-1] = g.slot
+	for k := c.n - 1; k > 0; k-- {
+		slots[k-1] = g.steps[k].left[slots[k]]
+	}
+	st := g.steps[0]
+	node := c.tables[st.table].accesses[st.access[slots[0]]].node
+	prefix := uint64(1) << uint(st.table)
+	for k := 1; k < c.n; k++ {
+		st := g.steps[k]
+		m := st.method[slots[k]]
+		merges := c.mergeOrders(st.table, prefix)
+		prefix |= 1 << uint(st.table)
+		right := c.tables[st.table].accesses[st.access[0]].node
+		node = plan.NewJoin(m, node, right, c.size[prefix], c.joinOrder(m, merges, node))
+	}
+	if c.blk.OrderBy != nil && g.slot == 0 {
+		node = plan.NewSort(node, c.required)
+	}
+	return node
+}
+
+// checkBoundedKernel holds every bounded pass of one prepared query to its
+// unbounded twin: the same winner, to the signature and the last bit of its
+// score, at each worker count. The bound must be the score of the plan
+// greedy recorded — a plan in the searched space, so never below the
+// optimum — priced without allocating, and absent under boundMinTables
+// tables.
+func checkBoundedKernel(t *testing.T, c *ctx, scorers []namedScorer, workers []int) {
+	t.Helper()
+	for _, ns := range scorers {
+		g := c.greedy(ns.s)
+		bounded := !math.IsInf(g.score, 1)
+		if c.n < boundMinTables && bounded {
+			t.Fatalf("%s: %d tables bounded at %v", ns.alg, c.n, g.score)
+		}
+		if allocs := testing.AllocsPerRun(2, func() { c.greedy(ns.s) }); allocs != 0 {
+			t.Fatalf("%s: greedy allocates %.0f times", ns.alg, allocs)
+		}
+		if bounded {
+			node := greedyNode(c, g)
+			var prefix uint64
+			node.Walk(func(n *plan.Node) {
+				if n.Kind != plan.KindScan {
+					return
+				}
+				j := c.blk.TableIndex(n.Table)
+				if prefix != 0 && !c.isCandidate(j, prefix|1<<uint(j)) {
+					t.Fatalf("%s: greedy plan %s leaves the searched space", ns.alg, node.Signature())
+				}
+				prefix |= 1 << uint(j)
+			})
+			ec, err := ExpectedCostModel(c.opts.CostModel, node, ns.s.laws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relClose(ec, g.score) {
+				t.Fatalf("%s: bound %v, greedy plan %s prices at %v", ns.alg, g.score, node.Signature(), ec)
+			}
+		}
+		for _, w := range workers {
+			wantSig, want, ok := kernelWinner(t, c, ns.s, w, math.Inf(1))
+			if !ok {
+				t.Fatalf("%s: unbounded pass found no plan", ns.alg)
+			}
+			if want > g.score {
+				t.Fatalf("%s: bound %v below the optimum %v", ns.alg, g.score, want)
+			}
+			gotSig, got, ok := kernelWinner(t, c, ns.s, w, g.score)
+			if !ok || gotSig != wantSig || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s workers %d bound %v: bounded winner %s at %v, unbounded %s at %v",
+					ns.alg, w, g.score, gotSig, got, wantSig, want)
+			}
+		}
+	}
+}
+
+// edgeHint is a size hint on a random join edge of the block.
+func edgeHint(rng *rand.Rand, blk *query.Block) map[string]float64 {
+	j := blk.Joins[rng.Intn(len(blk.Joins))]
+	return map[string]float64{j.Left.Table + "+" + j.Right.Table: float64(1 + rng.Intn(5000))}
+}
+
+// TestBoundedKernelExact holds the bounded kernel to the unbounded one on
+// 5–10-table chains, stars, cliques and random graphs, with no hints, one
+// hinted edge and random hinted subsets, under both cost models, serially
+// and with every rank split across workers: LSC, Algorithm A's point
+// passes, C and C-dynamic must find the same plan at the same bits. Below
+// boundMinTables tables and on a disconnected join graph there is no bound.
+func TestBoundedKernelExact(t *testing.T) {
+	old := dpParallelMinMasks
+	dpParallelMinMasks = 2
+	defer func() { dpParallelMinMasks = old }()
+	envs, sticky := pinSticky(t)
+	shapes := []workload.Shape{workload.Chain, workload.Star, workload.Clique, workload.Random}
+	i := 0
+	for n := 2; n <= 10; n++ {
+		for _, shape := range shapes {
+			i++
+			sc := wideScenario(t, n, shape, int64(9700+i))
+			rng := rand.New(rand.NewSource(int64(9800 + i)))
+			mem := envs[i%len(envs)].Env.Mem
+			hintSets := []map[string]float64{nil}
+			if n >= boundMinTables {
+				hintSets = append(hintSets, edgeHint(rng, sc.Block), randomHints(rng, sc.Block.Tables))
+			}
+			for _, hints := range hintSets {
+				for _, model := range []cost.Model{cost.ModelPaper, cost.ModelEngine} {
+					c, err := prepare(sc.Cat, sc.Block, Options{CostModel: model, SizeHints: hints})
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkBoundedKernel(t, c, boundedScorers(t, c, mem, sticky.Env), []int{1, 4})
+				}
+			}
+		}
+	}
+
+	// Cutting every edge of the last table leaves a graph the greedy order
+	// cannot cover.
+	sc := wideScenario(t, 7, workload.Chain, 9790)
+	blk := sc.Block.Clone()
+	last := blk.Tables[len(blk.Tables)-1]
+	blk.Joins = nil
+	for _, j := range sc.Block.Joins {
+		if j.Left.Table != last && j.Right.Table != last {
+			blk.Joins = append(blk.Joins, j)
+		}
+	}
+	if blk.OrderBy != nil && blk.OrderBy.Table == last {
+		blk.OrderBy = nil
+	}
+	c, err := prepare(sc.Cat, blk, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scorers := boundedScorers(t, c, envs[1].Env.Mem, sticky.Env)
+	for _, ns := range scorers {
+		if g := c.greedy(ns.s); !math.IsInf(g.score, 1) {
+			t.Fatalf("%s: disconnected query bounded at %v", ns.alg, g.score)
+		}
+	}
+	checkBoundedKernel(t, c, scorers, []int{1})
+}
+
+// FuzzBoundedKernel compares bounded and unbounded passes on a 5–9-table
+// query of any shape, with no hints, a hinted edge or random hinted subsets,
+// under one of the standard memory laws and either cost model. It needs no
+// exhaustive oracle, so it reaches widths where the bound prunes.
+func FuzzBoundedKernel(f *testing.F) {
+	for i := 0; i < 8; i++ {
+		f.Add(uint8(i*29), int64(i), uint8(i), i%2 == 1)
+	}
+	envs, sticky := pinSticky(f)
+	shapes := []workload.Shape{workload.Chain, workload.Star, workload.Clique, workload.Random}
+	f.Fuzz(func(t *testing.T, scenario uint8, hintSeed int64, law uint8, engine bool) {
+		i := int(scenario)
+		sc := wideScenario(t, boundMinTables+i%5, shapes[i%len(shapes)], int64(9900+i))
+		rng := rand.New(rand.NewSource(hintSeed))
+		opts := Options{}
+		switch rng.Intn(3) {
+		case 1:
+			opts.SizeHints = edgeHint(rng, sc.Block)
+		case 2:
+			opts.SizeHints = randomHints(rng, sc.Block.Tables)
+		}
+		if engine {
+			opts.CostModel = cost.ModelEngine
+		}
+		c, err := prepare(sc.Cat, sc.Block, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBoundedKernel(t, c, boundedScorers(t, c, envs[int(law)%len(envs)].Env.Mem, sticky.Env), []int{1})
+	})
+}
+
+// BenchmarkKernel times LSC and Algorithm C on 6-, 8- and 10-table queries
+// of every shape, serially: the pass dpBest runs, greedy bound included, and
+// the same pass with every bar at +Inf (…/unbounded).
+func BenchmarkKernel(b *testing.B) {
+	mem := dist.MustNew([]float64{64, 256, 1024, 4096}, []float64{4, 3, 2, 1})
+	for _, n := range []int{6, 8, 10} {
+		for si, shape := range []workload.Shape{workload.Chain, workload.Star, workload.Clique, workload.Random} {
+			sc := wideScenario(b, n, shape, int64(9600+10*n+si))
+			c, err := prepare(sc.Cat, sc.Block, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, ns := range []namedScorer{
+				{"LSC", pointScorer(mem.Mean(), c.opts.CostModel)},
+				{"C", scorer{staticLaws(mem, c.n), c.opts.CostModel}},
+			} {
+				for _, bounded := range []bool{true, false} {
+					name := fmt.Sprintf("%s/t%d/%s", ns.alg, n, shape)
+					if !bounded {
+						name += "/unbounded"
+					}
+					b.Run(name, func(b *testing.B) {
+						for b.Loop() {
+							bound := math.Inf(1)
+							if bounded {
+								bound = c.greedy(ns.s).score
+							}
+							sc, err := c.run(ns.s, keepBest, 1, 1, bound)
+							if err != nil {
+								b.Fatal(err)
+							}
+							if c.bestRoot(sc, ns.s) == nil {
+								b.Fatal(ErrNoPlan)
+							}
+							sc.release()
+						}
+					})
+				}
+			}
+		}
+	}
+}

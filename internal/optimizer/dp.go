@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -100,24 +101,23 @@ func (c *ctx) enforcerScore(s scorer, e entry) float64 {
 // returns the cheapest complete plan. Under keepBest it is the System R
 // dynamic program: over a point law it computes the LSC left-deep plan
 // (Theorem 2.1), over memory laws it is Algorithm C and computes the LEC
-// left-deep plan (Theorems 3.3/3.4). Under keepLaw it is Algorithm D's,
-// each subset carrying its result-size law and joins priced in expectation
-// over the input size laws and s's one memory law. workers bounds the
-// rank-parallel enumeration (Algorithm A passes 1 when its per-bucket
-// fan-out already saturates the requested concurrency).
+// left-deep plan (Theorems 3.3/3.4), every cell barred above the greedy
+// plan's score (greedy). Under keepLaw it is Algorithm D's, each subset
+// carrying its result-size law and joins priced in expectation over the
+// input size laws and s's one memory law. workers bounds the rank-parallel
+// enumeration (Algorithm A passes 1 when its per-bucket fan-out already
+// saturates the requested concurrency).
 func (c *ctx) dpBest(s scorer, pol policy, workers int) (Result, error) {
-	sc, err := c.run(s, pol, 1, workers)
+	bound := math.Inf(1)
+	if pol == keepBest {
+		bound = c.greedy(s).score
+	}
+	sc, err := c.run(s, pol, 1, workers, bound)
 	defer sc.release()
 	if err != nil {
 		return Result{}, err
 	}
-	c.complete(sc, s)
-	var best *entry
-	for i := range sc.root {
-		if e := &sc.root[i]; best == nil || better(e.score, e.node, best.score, best.node) {
-			best = e
-		}
-	}
+	best := c.bestRoot(sc, s)
 	if best == nil {
 		return Result{}, ErrNoPlan
 	}
@@ -127,6 +127,19 @@ func (c *ctx) dpBest(s scorer, pol policy, workers int) (Result, error) {
 	// The winning tree references arena-owned join nodes that are recycled
 	// when the scratch is released; deep-copy it so the Result owns its plan.
 	return Result{Plan: best.node.Clone(), EC: best.score, Candidates: 1}, nil
+}
+
+// bestRoot completes a single-entry pass and returns its cheapest complete
+// plan, nil when the table holds none.
+func (c *ctx) bestRoot(sc *dpScratch, s scorer) *entry {
+	c.complete(sc, s)
+	var best *entry
+	for i := range sc.root {
+		if e := &sc.root[i]; best == nil || better(e.score, e.node, best.score, best.node) {
+			best = e
+		}
+	}
+	return best
 }
 
 // run is the subset DP of every algorithm: System R's bottom-up pass over
@@ -143,9 +156,15 @@ func (c *ctx) dpBest(s scorer, pol policy, workers int) (Result, error) {
 // reads only finalized smaller ranks. Workers take statically assigned
 // contiguous chunks, so the table is byte-identical to the serial pass for
 // every worker count.
-func (c *ctx) run(s scorer, pol policy, depth, workers int) (*dpScratch, error) {
+//
+// No cell admits an entry scoring above bound: a cell whose unbounded best
+// is within it holds what the unbounded pass holds there, every other cell
+// nothing. So a bound that is the score of a complete plan in the searched
+// space leaves the winner as it was (DESIGN.md, "Bounded kernel"); +Inf
+// bars nothing.
+func (c *ctx) run(s scorer, pol policy, depth, workers int, bound float64) (*dpScratch, error) {
 	full := fullMask(c.n)
-	sc := getScratch(pol, depth, int(full)+1)
+	sc := getScratch(pol, depth, int(full)+1, bound)
 	sc.ensureWorkers(1)
 	for j, ti := range c.tables {
 		bit := uint64(1) << uint(j)
@@ -196,11 +215,8 @@ func (c *ctx) run(s scorer, pol policy, depth, workers int) (*dpScratch, error) 
 	return sc, nil
 }
 
-// unpriced marks a join price not computed yet. No price is negative — a
-// join reads and writes page counts of at least one page — so
-// neither is the marker a price, nor can a price lift a score that a cell
-// turns away at price zero back into it. (cost.FuzzJoinPrice holds every
-// formula to that, at sizes up to 1e300 and ±Inf and NaN.)
+// unpriced marks a join price not computed yet: no price is negative
+// (DESIGN.md, "Bounded kernel").
 const unpriced = -1.0
 
 // singlePair is the frontier of two single-entry cells.

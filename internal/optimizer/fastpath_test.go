@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"lecopt/internal/cost"
@@ -55,7 +56,7 @@ func TestPinnedCorpusExercisesFastPaths(t *testing.T) {
 				}
 				pass := func(alg string, s scorer, pol policy, depth int) {
 					t.Helper()
-					scr, err := c.run(s, pol, depth, 1)
+					scr, err := c.run(s, pol, depth, 1, math.Inf(1))
 					defer scr.release()
 					if err != nil {
 						t.Fatalf("scenario %d %s: %v", i, alg, err)

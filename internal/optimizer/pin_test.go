@@ -94,7 +94,7 @@ func pinInputs(t *testing.T, i int, sc workload.Scenario, envs []workload.NamedE
 
 // pinSticky returns the standard environments and the markov-sticky one
 // that C-dynamic is pinned under.
-func pinSticky(t *testing.T) ([]workload.NamedEnv, workload.NamedEnv) {
+func pinSticky(t testing.TB) ([]workload.NamedEnv, workload.NamedEnv) {
 	t.Helper()
 	envs, err := workload.StandardEnvs()
 	if err != nil {

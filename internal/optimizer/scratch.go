@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"math"
 	"sync"
 
 	"lecopt/internal/cost"
@@ -59,9 +58,9 @@ type dpWorker struct {
 
 // dpScratch is the pooled state of one kernel pass. The table is flat:
 // cell k = mask·2 + slot holds held[k] entries at ents[k·depth:], bar[k]
-// is the score an entry must not exceed to enter it (+Inf until it is
-// full: its last entry's score from then on), and under keepLaw the size
-// law of mask is at laws[mask].
+// is the score an entry must not exceed to enter it (the pass's bound until
+// the cell is full: its last entry's score from then on), and under keepLaw
+// the size law of mask is at laws[mask].
 type dpScratch struct {
 	pol     policy
 	depth   int
@@ -77,8 +76,9 @@ type dpScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
 
 // getScratch borrows a scratch set up for a table over masks subsets —
-// 2·masks cells under pol, each holding up to depth entries.
-func getScratch(pol policy, depth, masks int) *dpScratch {
+// 2·masks cells under pol, each holding up to depth entries and admitting
+// none that scores above bound.
+func getScratch(pol policy, depth, masks int, bound float64) *dpScratch {
 	s := scratchPool.Get().(*dpScratch)
 	s.pol, s.depth = pol, depth
 	s.ents = grow(s.ents, 2*masks*depth)
@@ -86,7 +86,7 @@ func getScratch(pol policy, depth, masks int) *dpScratch {
 	clear(s.held)
 	s.bar = grow(s.bar, 2*masks)
 	for i := range s.bar {
-		s.bar[i] = math.Inf(1)
+		s.bar[i] = bound
 	}
 	if pol == keepLaw {
 		s.laws = grow(s.laws, masks)
@@ -163,6 +163,9 @@ func (s *dpScratch) release() {
 	s.root = s.root[:0]
 	if cap(s.ents) > maxPooledSlots {
 		s.ents, s.held, s.bar, s.laws = nil, nil, nil, nil
+	}
+	if cap(s.masks) > maxPooledSlots {
+		s.masks = nil
 	}
 	for i := range s.workers {
 		w := &s.workers[i]

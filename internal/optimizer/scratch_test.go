@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -103,7 +104,7 @@ func TestNodeArena(t *testing.T) {
 
 // wideScenario generates a deterministic n-table scenario whose DP ranks
 // are wide enough to exercise the parallel enumeration.
-func wideScenario(t *testing.T, n int, shape workload.Shape, seed int64) workload.Scenario {
+func wideScenario(t testing.TB, n int, shape workload.Shape, seed int64) workload.Scenario {
 	t.Helper()
 	sc, err := workload.Generate(workload.DefaultSpec(n, shape), rand.New(rand.NewSource(seed)))
 	if err != nil {
@@ -228,7 +229,7 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 	}
 	// Single-goroutine sync.Pool gives back the scratch dpBest just
 	// released; the chunk check keeps the test honest if it ever does not.
-	used := getScratch(keepBest, 1, 1)
+	used := getScratch(keepBest, 1, 1, math.Inf(1))
 	defer used.release()
 	if len(used.workers) == 0 || len(used.workers[0].arena.chunks) == 0 {
 		t.Skip("pool returned a scratch that ran no DP; ownership not checkable")
@@ -276,5 +277,30 @@ func TestDistAllocsNearBest(t *testing.T) {
 	t.Logf("warm 8-table pass: keepBest %.0f allocs, keepLaw %.0f", best, law)
 	if law > 2*best {
 		t.Fatalf("the keepLaw pass allocates %.0f, over twice keepBest's %.0f", law, best)
+	}
+}
+
+// TestReleaseTrimsWideMasks holds release to maxPooledSlots for every buffer
+// the table sizes: after a 20-table pass the widest rank's mask list holds
+// C(20,10) masks, and the pool must not keep it.
+func TestReleaseTrimsWideMasks(t *testing.T) {
+	sc := wideScenario(t, 20, workload.Chain, 4100)
+	c, err := prepare(sc.Cat, sc.Block, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pointScorer(1000, c.opts.CostModel)
+	scr, err := c.run(s, keepBest, 1, 1, c.greedy(s).score)
+	if err != nil {
+		scr.release()
+		t.Fatal(err)
+	}
+	if cap(scr.masks) <= maxPooledSlots {
+		scr.release()
+		t.Fatalf("a 20-table pass kept %d masks, not over maxPooledSlots", cap(scr.masks))
+	}
+	scr.release()
+	if scr.masks != nil || scr.ents != nil {
+		t.Fatalf("released scratch keeps %d masks and %d entries", cap(scr.masks), cap(scr.ents))
 	}
 }

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -398,7 +399,7 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 					continue // B's and D's references re-sort strings per add; keep them small
 				}
 				const topC = 3
-				scB, err := c.run(point, keepTopC, topC, 1)
+				scB, err := c.run(point, keepTopC, topC, 1, math.Inf(1))
 				if err != nil {
 					t.Fatal(err)
 				}
