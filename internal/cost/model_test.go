@@ -244,21 +244,26 @@ func TestModelPaperIsZeroValue(t *testing.T) {
 
 // FuzzJoinPrice: a price is never negative and never NaN. Every join
 // formula of both models and the sort formula are priced at any sizes —
-// zero, 1e300, past it, NaN, ±Inf — and any memory from 0 to +Inf. Where a
-// formula is monotone in its sizes, growing one size must not lower the
-// price: the three paper-case formulas, block nested loop and sort are, from
-// one page up (below a page, page nested loop's |A|·|B| can undercut
-// |A|+|B|). The engine's grace recursion is not: its demand-driven fan-out
-// can finish a larger input a level sooner (outer 2 016, inner 2 000 → 2 016
-// at 69 pages prices 12 138 → 12 096). It is held instead to reading both
-// inputs at least once (up to the maxPages cap), which a page count that
-// wrapped breaks.
+// zero, 1e300, past it, NaN, ±Inf — and any memory from 0 to +Inf. From one
+// page up every join price reads both its inputs at least once, up to the
+// maxPages cap: it is at least min(outer, maxPages) + min(inner, maxPages),
+// the floor the optimizer's bounded kernel bars subplans by. Memory laws
+// hold finite values only; at unbounded memory block nested loop charges
+// its outer alone. Where a formula is monotone in its sizes, growing one
+// size must not lower the price: the three paper-case formulas, block
+// nested loop and sort are, from one page up (below a page, page nested
+// loop's |A|·|B| can undercut |A|+|B|). The engine's grace recursion is
+// not: its demand-driven fan-out can finish a larger input a level sooner
+// (outer 2 016, inner 2 000 → 2 016 at 69 pages prices 12 138 → 12 096). It
+// is held instead to reading both inputs' whole pages, which a page count
+// that wrapped breaks.
 func FuzzJoinPrice(f *testing.F) {
 	f.Add(0.0, 0.0, 0.0, 0.0)
 	f.Add(100.0, 200.0, 12.0, 1.0)
 	f.Add(2016.0, 2000.0, 69.0, 16.0)
 	f.Add(1e15, 1e15, 4.0, 1.0)   // the level-cap fallback's int product wrapped negative
 	f.Add(1e19, 1e19, 100.0, 1.0) // int page counts past 2⁶³ read as empty
+	f.Add(1e17, 3.0, 50.0, 1.0)   // one input past maxPages: the floor counts it at the cap
 	f.Add(1e300, 1e300, math.Inf(1), 1e300)
 	f.Add(math.NaN(), 5.0, 10.0, 1.0)
 	f.Add(math.Inf(1), math.Inf(-1), 3.0, 2.0)
@@ -282,6 +287,9 @@ func FuzzJoinPrice(f *testing.F) {
 			for _, method := range Methods {
 				name := model.String() + "/" + method.String()
 				p := price(name, JoinIOModel(model, method, outer, inner, mem))
+				if floor := math.Min(outer, maxPages) + math.Min(inner, maxPages); pages && p < floor && !math.IsInf(mem, 1) {
+					t.Fatalf("%s(%v, %v, mem %v) = %v is under the floor %v", name, outer, inner, mem, p, floor)
+				}
 				if model == ModelEngine && method == GraceHash {
 					if read := math.Min(math.Ceil(outer), maxPages) + math.Min(math.Ceil(inner), maxPages); pages && p < read {
 						t.Fatalf("%s(%v, %v, mem %v) = %v reads less than both inputs (%v)", name, outer, inner, mem, p, read)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lecopt/internal/cost"
 	"lecopt/internal/dist"
 )
 
@@ -50,7 +51,8 @@ func checkLaw(t *testing.T, op string, got dist.Dist, err error, want dist.Dist)
 // Dist.Rebucket, dist.Combine3, dist.Combine2, Dist.Map and
 // ResultSizeDist. One slab serves every round, Reset between the second
 // and third, so a buffer that leaks one law's data into the next — or
-// storage a Reset hands out again — shows up too.
+// storage a Reset hands out again — shows up too. Each round also prices
+// joins and sorts over the laws (checkPrices).
 func FuzzLawKernel(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3), uint8(3), uint8(8), false)
 	f.Add(int64(2), uint8(12), uint8(1), uint8(6), uint8(27), true)
@@ -101,6 +103,58 @@ func FuzzLawKernel(f *testing.F) {
 			}
 			got, err = ResultSizeDistIn(&sl, a, bb, c, b)
 			checkLaw(t, "ResultSizeDistIn", got, err, want)
+
+			checkPrices(t, a, bb, c, round == 1)
 		}
 	})
+}
+
+// pageCap is cost's cap on the pages a price counts (2⁵²).
+const pageCap = 1 << 52
+
+// cappedMean is E[min(X, pageCap)], the least a join pays to read an input
+// of law d.
+func cappedMean(d dist.Dist) float64 {
+	e := 0.0
+	for i := 0; i < d.Len(); i++ {
+		e += d.Prob(i) * math.Min(d.Value(i), pageCap)
+	}
+	return e
+}
+
+// checkPrices holds the prices the optimizer's bounded kernel relies on:
+// over size laws clamped to one page or more — scaled past pageCap when
+// huge is set — and memory law mem, every join of both models prices ≥ 0,
+// never NaN, and at least (1 − 1e-12) of the capped floor
+// E[min(A, 2⁵²)] + E[min(B, 2⁵²)], in expectation over the laws
+// (JoinECModel) and at one size each (cost.ExpectJoinIO); a sort prices ≥ 0,
+// never NaN. The slack covers rounding and weights that sum to 1 − 1 ulp.
+func checkPrices(t *testing.T, a, b, mem dist.Dist, huge bool) {
+	t.Helper()
+	pages := func(v float64) float64 {
+		if huge {
+			v *= 1e13
+		}
+		return math.Max(v, 1)
+	}
+	a, errA := a.Map(pages)
+	b, errB := b.Map(pages)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	check := func(name string, v, floor float64) {
+		t.Helper()
+		if !(v >= 0) || v < (1-1e-12)*floor {
+			t.Fatalf("%s = %v, floor %v", name, v, floor)
+		}
+	}
+	outer, inner := a.Value(a.Len()-1), b.Value(0)
+	for _, model := range []cost.Model{cost.ModelPaper, cost.ModelEngine} {
+		for _, m := range cost.Methods {
+			name := model.String() + "/" + m.String()
+			check("JoinECModel "+name, JoinECModel(model, m, a, b, mem), cappedMean(a)+cappedMean(b))
+			check("ExpectJoinIO "+name, cost.ExpectJoinIO(model, m, outer, inner, &mem), math.Min(outer, pageCap)+math.Min(inner, pageCap))
+		}
+	}
+	check("SortEC", SortEC(a, mem), 0)
 }

@@ -23,7 +23,7 @@ func LSC(cat *catalog.Catalog, blk *query.Block, opts Options, mem float64) (Res
 		return Result{}, err
 	}
 	s := pointScorer(mem, c.opts.CostModel)
-	res, err := c.dpBest(s, keepBest, c.opts.Workers)
+	res, err := c.dpBest(s, c.opts.Workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -38,7 +38,7 @@ func AlgorithmC(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 		return Result{}, err
 	}
 	laws := staticLaws(mem, c.n)
-	res, err := c.dpBest(scorer{laws, c.opts.CostModel}, keepBest, c.opts.Workers)
+	res, err := c.dpBest(scorer{laws: laws, model: c.opts.CostModel}, c.opts.Workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -57,7 +57,7 @@ func AlgorithmCDynamic(cat *catalog.Catalog, blk *query.Block, opts Options, ini
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := c.dpBest(scorer{laws, c.opts.CostModel}, keepBest, c.opts.Workers)
+	res, err := c.dpBest(scorer{laws: laws, model: c.opts.CostModel}, c.opts.Workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -96,7 +96,7 @@ func AlgorithmA(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	runs := make([]planEC, len(points))
 	outer, inner := c.fanOut(len(points))
 	err = pool.Run(len(points), outer, func(i int) error {
-		r, err := c.dpBest(pointScorer(points[i], c.opts.CostModel), keepBest, inner)
+		r, err := c.dpBest(pointScorer(points[i], c.opts.CostModel), inner)
 		if err != nil {
 			return err
 		}
@@ -176,11 +176,9 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	outer, inner := cx.fanOut(len(points))
 	err = pool.Run(len(points), outer, func(i int) error {
 		s := pointScorer(points[i], cx.opts.CostModel)
-		sc, err := cx.run(s, keepTopC, c, inner, math.Inf(1))
+		sc := getScratch(keepTopC, c, cx.n)
 		scs[i] = sc
-		if err != nil {
-			return err
-		}
+		cx.run(sc, s, inner, math.Inf(1))
 		tops := cx.topRoots(sc, s, c)
 		if len(tops) == 0 {
 			return ErrNoPlan
@@ -211,7 +209,10 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 // base-relation sizes and join selectivities (Section 3.6). Each DP node
 // carries exactly the four distributions of Figure 1 — Pr(M) (global),
 // Pr(|Bj|) (propagated result sizes), Pr(|Aj|) (base sizes) and Pr(σ) —
-// and propagates the result-size law with Section 3.6.3 rebucketing.
+// and propagates the result-size law with Section 3.6.3 rebucketing. The
+// result-size laws of every subset are built before the dynamic program
+// runs, which is then the single-entry pass of the other algorithms,
+// priced over those laws and bounded like them.
 // selLaws maps EdgeKey(join) to a selectivity law; sizeLaws maps table
 // name to a filtered-size law. Missing entries use point estimates.
 func AlgorithmD(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.Dist,
@@ -226,13 +227,48 @@ func AlgorithmD(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	if err := c.setSizeLaws(sizeLaws); err != nil {
 		return Result{}, err
 	}
-	res, err := c.dpBest(scorer{[]dist.Dist{mem}, c.opts.CostModel}, keepLaw, c.opts.Workers)
+	res, err := c.dpLaws(mem, c.opts.Workers)
 	if err != nil {
 		return Result{}, err
 	}
 	// D's PhaseEC is evaluated at the plan's annotated point sizes: the
 	// joint size laws don't decompose per phase, the memory law does.
 	return withPhaseEC(res, c.opts.CostModel, staticLaws(mem, c.n))
+}
+
+// dpLaws is Algorithm D's dynamic program: a single-entry pass over the
+// size table (lawScorer), bounded like every other (best).
+func (c *ctx) dpLaws(mem dist.Dist, workers int) (Result, error) {
+	sc := getScratch(keepBest, 1, c.n)
+	defer sc.release()
+	s, err := c.lawScorer(sc, mem)
+	if err != nil {
+		return Result{}, err
+	}
+	return c.best(sc, s, workers)
+}
+
+// lawScorer builds Algorithm D's size table in sc — the size law of every
+// mask, in mask order, so that each mask's peel parent (numerically
+// smaller) is ready before it — and returns D's scorer over it and the
+// memory law mem.
+func (c *ctx) lawScorer(sc *dpScratch, mem dist.Dist) (scorer, error) {
+	full := fullMask(c.n)
+	sc.laws = grow(sc.laws, int(full)+1)
+	for j, ti := range c.tables {
+		sc.laws[1<<uint(j)] = ti.sizeLaw
+	}
+	for mask := uint64(3); mask <= full; mask++ {
+		if mask&(mask-1) == 0 {
+			continue
+		}
+		law, err := c.sizeLaw(&sc.slab, sc.laws, mask)
+		if err != nil {
+			return scorer{}, err
+		}
+		sc.laws[mask] = law
+	}
+	return scorer{laws: []dist.Dist{mem}, model: c.opts.CostModel, sizes: sc.laws}, nil
 }
 
 // sizeLaw is Algorithm D's size table, one law per mask by the rule of

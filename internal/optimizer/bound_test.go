@@ -3,7 +3,9 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lecopt/internal/cost"
@@ -34,18 +36,56 @@ func boundedScorers(t *testing.T, c *ctx, mem dist.Dist, dyn envsim.Env) []named
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(out, namedScorer{"C", scorer{staticLaws(mem, c.n), model}}, namedScorer{"C-dynamic", scorer{laws, model}})
+	return append(out, namedScorer{"C", scorer{laws: staticLaws(mem, c.n), model: model}}, namedScorer{"C-dynamic", scorer{laws: laws, model: model}})
+}
+
+// withDLaws installs Algorithm D's extra laws on c: a three-point law
+// around the catalog's point selectivity (weights 1:4:1, so probabilities
+// sum to 1 − 1 ulp) on each edge with odds one in two, and a size law on
+// one table.
+func withDLaws(t testing.TB, c *ctx, rng *rand.Rand) {
+	t.Helper()
+	sel := map[string]dist.Dist{}
+	for _, j := range c.blk.Joins {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		s, err := c.cat.JoinPageSelectivity(j.Left.Table, j.Left.Column, j.Right.Table, j.Right.Column)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel[EdgeKey(j)] = dist.MustNew([]float64{s / 3, s, 3 * s}, []float64{1, 4, 1})
+	}
+	ti := c.tables[rng.Intn(c.n)]
+	size := map[string]dist.Dist{ti.name: dist.MustNew([]float64{ti.pages / 2, ti.pages, 2 * ti.pages}, []float64{1, 4, 1})}
+	if err := c.setSelLaws(sel); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.setSizeLaws(size); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dScorer builds Algorithm D's size table for c in a scratch, which the
+// caller releases once done with the scorer.
+func dScorer(t testing.TB, c *ctx, mem dist.Dist) (namedScorer, *dpScratch) {
+	t.Helper()
+	sc := getScratch(keepBest, 1, c.n)
+	s, err := c.lawScorer(sc, mem)
+	if err != nil {
+		sc.release()
+		t.Fatal(err)
+	}
+	return namedScorer{"D", s}, sc
 }
 
 // kernelWinner runs one single-entry pass under bound and returns its
 // cheapest complete plan, nil when the table holds none.
 func kernelWinner(t *testing.T, c *ctx, s scorer, workers int, bound float64) (sig string, score float64, ok bool) {
 	t.Helper()
-	sc, err := c.run(s, keepBest, 1, workers, bound)
+	sc := getScratch(keepBest, 1, c.n)
 	defer sc.release()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.run(sc, s, workers, bound)
 	best := c.bestRoot(sc, s)
 	if best == nil {
 		return "", 0, false
@@ -82,8 +122,8 @@ func greedyNode(c *ctx, g greedyPlan) *plan.Node {
 // unbounded twin: the same winner, to the signature and the last bit of its
 // score, at each worker count. The bound must be the score of the plan
 // greedy recorded — a plan in the searched space, so never below the
-// optimum — priced without allocating, and absent under boundMinTables
-// tables.
+// optimum; Algorithm D's priced over its size laws (dScore) — priced
+// without allocating, and absent under boundMinTables tables.
 func checkBoundedKernel(t *testing.T, c *ctx, scorers []namedScorer, workers []int) {
 	t.Helper()
 	for _, ns := range scorers {
@@ -109,12 +149,18 @@ func checkBoundedKernel(t *testing.T, c *ctx, scorers []namedScorer, workers []i
 				prefix |= 1 << uint(j)
 			})
 			ec, err := ExpectedCostModel(c.opts.CostModel, node, ns.s.laws)
+			if ns.s.sizes != nil {
+				ec = dScore(c, ns.s.sizes, ns.s.laws[0], node)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !relClose(ec, g.score) {
 				t.Fatalf("%s: bound %v, greedy plan %s prices at %v", ns.alg, g.score, node.Signature(), ec)
 			}
+		}
+		if bounded {
+			checkSkippedMasks(t, c, ns, g.score)
 		}
 		for _, w := range workers {
 			wantSig, want, ok := kernelWinner(t, c, ns.s, w, math.Inf(1))
@@ -133,6 +179,38 @@ func checkBoundedKernel(t *testing.T, c *ctx, scorers []namedScorer, workers []i
 	}
 }
 
+// checkSkippedMasks holds setBars's −1 to what it claims: a mask it bars
+// there holds, in the unbounded pass, no entry its floored bar would admit.
+func checkSkippedMasks(t *testing.T, c *ctx, ns namedScorer, bound float64) {
+	t.Helper()
+	barred := getScratch(keepBest, 1, c.n)
+	defer barred.release()
+	c.setBars(barred, ns.s, bound)
+	open := getScratch(keepBest, 1, c.n)
+	defer open.release()
+	c.run(open, ns.s, 1, math.Inf(1))
+	full := fullMask(c.n)
+	for mask := uint64(3); mask < full; mask++ {
+		if mask&(mask-1) == 0 || barred.bar[cell(mask, 0)] != -1 {
+			continue
+		}
+		floor := barred.floor[mask]
+		for j := range c.n {
+			if mask&(1<<uint(j)) == 0 {
+				floor += barred.floor[1<<uint(j)]
+			}
+		}
+		bar := bound*(1+boundSlack) - floor
+		for slot := range 2 {
+			for _, e := range open.list(cell(mask, slot)) {
+				if !(e.score > bar) {
+					t.Fatalf("%s: mask %b skipped, but holds %s at %v within its bar %v", ns.alg, mask, e.node.Signature(), e.score, bar)
+				}
+			}
+		}
+	}
+}
+
 // edgeHint is a size hint on a random join edge of the block.
 func edgeHint(rng *rand.Rand, blk *query.Block) map[string]float64 {
 	j := blk.Joins[rng.Intn(len(blk.Joins))]
@@ -140,11 +218,13 @@ func edgeHint(rng *rand.Rand, blk *query.Block) map[string]float64 {
 }
 
 // TestBoundedKernelExact holds the bounded kernel to the unbounded one on
-// 5–10-table chains, stars, cliques and random graphs, with no hints, one
+// 2–10-table chains, stars, cliques and random graphs, with no hints, one
 // hinted edge and random hinted subsets, under both cost models, serially
 // and with every rank split across workers: LSC, Algorithm A's point
-// passes, C and C-dynamic must find the same plan at the same bits. Below
-// boundMinTables tables and on a disconnected join graph there is no bound.
+// passes, C and C-dynamic — and up to 9 tables Algorithm D, with
+// selectivity laws on edges and a table size law — must find the same plan
+// at the same bits. Below boundMinTables tables and on a disconnected join
+// graph there is no bound.
 func TestBoundedKernelExact(t *testing.T) {
 	old := dpParallelMinMasks
 	dpParallelMinMasks = 2
@@ -169,6 +249,13 @@ func TestBoundedKernelExact(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkBoundedKernel(t, c, boundedScorers(t, c, mem, sticky.Env), []int{1, 4})
+					if n > 9 {
+						continue
+					}
+					withDLaws(t, c, rng)
+					d, scr := dScorer(t, c, mem)
+					checkBoundedKernel(t, c, []namedScorer{d}, []int{1, 4})
+					scr.release()
 				}
 			}
 		}
@@ -192,7 +279,10 @@ func TestBoundedKernelExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scorers := boundedScorers(t, c, envs[1].Env.Mem, sticky.Env)
+	withDLaws(t, c, rand.New(rand.NewSource(9791)))
+	d, scr := dScorer(t, c, envs[1].Env.Mem)
+	defer scr.release()
+	scorers := append(boundedScorers(t, c, envs[1].Env.Mem, sticky.Env), d)
 	for _, ns := range scorers {
 		if g := c.greedy(ns.s); !math.IsInf(g.score, 1) {
 			t.Fatalf("%s: disconnected query bounded at %v", ns.alg, g.score)
@@ -201,9 +291,44 @@ func TestBoundedKernelExact(t *testing.T) {
 	checkBoundedKernel(t, c, scorers, []int{1})
 }
 
-// FuzzBoundedKernel compares bounded and unbounded passes on a 5–9-table
+// TestFloorPageCap holds the floor to the page cap on a 6-table chain whose
+// every multi-table subset is hinted past 1e17 pages, under ModelEngine:
+// its grace hash counts at most 2⁵² pages per input, so the cheapest plan
+// costs far less than an uncapped floor, which would bar every subplan. The
+// bounded passes must still find the unbounded winner, with grace hash
+// alone and with the paper's three methods.
+func TestFloorPageCap(t *testing.T) {
+	envs, sticky := pinSticky(t)
+	sc := wideScenario(t, 6, workload.Chain, 9795)
+	hints := map[string]float64{}
+	for mask := 1; mask < 1<<6; mask++ {
+		if bits.OnesCount(uint(mask)) < 2 {
+			continue
+		}
+		var set []string
+		for i, name := range sc.Block.Tables {
+			if mask&(1<<i) != 0 {
+				set = append(set, name)
+			}
+		}
+		hints[strings.Join(set, "+")] = 1e17 * (1 + float64(mask)/64)
+	}
+	for _, methods := range [][]cost.JoinMethod{{cost.GraceHash}, cost.PaperMethods} {
+		c, err := prepare(sc.Cat, sc.Block, Options{CostModel: cost.ModelEngine, Methods: methods, SizeHints: hints})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := envs[0].Env.Mem
+		d, scr := dScorer(t, c, mem)
+		checkBoundedKernel(t, c, append(boundedScorers(t, c, mem, sticky.Env), d), []int{1})
+		scr.release()
+	}
+}
+
+// FuzzBoundedKernel compares bounded and unbounded passes on a 4–9-table
 // query of any shape, with no hints, a hinted edge or random hinted subsets,
-// under one of the standard memory laws and either cost model. It needs no
+// under one of the standard memory laws and either cost model — Algorithm D
+// with selectivity laws on edges and a table size law. It needs no
 // exhaustive oracle, so it reaches widths where the bound prunes.
 func FuzzBoundedKernel(f *testing.F) {
 	for i := 0; i < 8; i++ {
@@ -213,7 +338,7 @@ func FuzzBoundedKernel(f *testing.F) {
 	shapes := []workload.Shape{workload.Chain, workload.Star, workload.Clique, workload.Random}
 	f.Fuzz(func(t *testing.T, scenario uint8, hintSeed int64, law uint8, engine bool) {
 		i := int(scenario)
-		sc := wideScenario(t, boundMinTables+i%5, shapes[i%len(shapes)], int64(9900+i))
+		sc := wideScenario(t, boundMinTables+i%6, shapes[i%len(shapes)], int64(9900+i))
 		rng := rand.New(rand.NewSource(hintSeed))
 		opts := Options{}
 		switch rng.Intn(3) {
@@ -229,45 +354,70 @@ func FuzzBoundedKernel(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkBoundedKernel(t, c, boundedScorers(t, c, envs[int(law)%len(envs)].Env.Mem, sticky.Env), []int{1})
+		mem := envs[int(law)%len(envs)].Env.Mem
+		checkBoundedKernel(t, c, boundedScorers(t, c, mem, sticky.Env), []int{1})
+		withDLaws(t, c, rng)
+		d, scr := dScorer(t, c, mem)
+		defer scr.release()
+		checkBoundedKernel(t, c, []namedScorer{d}, []int{1})
 	})
 }
 
-// BenchmarkKernel times LSC and Algorithm C on 6-, 8- and 10-table queries
-// of every shape, serially: the pass dpBest runs, greedy bound included, and
-// the same pass with every bar at +Inf (…/unbounded).
+// BenchmarkKernel times, serially, LSC and Algorithm C on 4-, 6-, 8- and
+// 10-table queries of every shape, and Algorithm D (selectivity laws on
+// edges, a table size law) on 6 and 8: the pass dpBest or dpLaws runs —
+// D's size table and the greedy bound included — and the same pass with
+// every bar at +Inf (…/unbounded).
 func BenchmarkKernel(b *testing.B) {
 	mem := dist.MustNew([]float64{64, 256, 1024, 4096}, []float64{4, 3, 2, 1})
-	for _, n := range []int{6, 8, 10} {
+	for _, n := range []int{4, 6, 8, 10} {
 		for si, shape := range []workload.Shape{workload.Chain, workload.Star, workload.Clique, workload.Random} {
 			sc := wideScenario(b, n, shape, int64(9600+10*n+si))
 			c, err := prepare(sc.Cat, sc.Block, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, ns := range []namedScorer{
-				{"LSC", pointScorer(mem.Mean(), c.opts.CostModel)},
-				{"C", scorer{staticLaws(mem, c.n), c.opts.CostModel}},
-			} {
+			type pass struct {
+				alg string
+				c   *ctx
+				s   scorer
+			}
+			passes := []pass{
+				{"LSC", c, pointScorer(mem.Mean(), c.opts.CostModel)},
+				{"C", c, scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}},
+			}
+			if n == 6 || n == 8 {
+				cd, err := prepare(sc.Cat, sc.Block, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				withDLaws(b, cd, rand.New(rand.NewSource(int64(9700+10*n+si))))
+				passes = append(passes, pass{"D", cd, scorer{}})
+			}
+			for _, p := range passes {
 				for _, bounded := range []bool{true, false} {
-					name := fmt.Sprintf("%s/t%d/%s", ns.alg, n, shape)
+					name := fmt.Sprintf("%s/t%d/%s", p.alg, n, shape)
 					if !bounded {
 						name += "/unbounded"
 					}
 					b.Run(name, func(b *testing.B) {
 						for b.Loop() {
+							c, s := p.c, p.s
+							scr := getScratch(keepBest, 1, c.n)
+							if p.alg == "D" {
+								if s, err = c.lawScorer(scr, mem); err != nil {
+									b.Fatal(err)
+								}
+							}
 							bound := math.Inf(1)
 							if bounded {
-								bound = c.greedy(ns.s).score
+								bound = c.greedy(s).score
 							}
-							sc, err := c.run(ns.s, keepBest, 1, 1, bound)
-							if err != nil {
-								b.Fatal(err)
-							}
-							if c.bestRoot(sc, ns.s) == nil {
+							c.run(scr, s, 1, bound)
+							if c.bestRoot(scr, s) == nil {
 								b.Fatal(ErrNoPlan)
 							}
-							sc.release()
+							scr.release()
 						}
 					})
 				}

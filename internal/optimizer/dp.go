@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 
@@ -19,15 +18,21 @@ import (
 // why the DP argument of Theorem 3.3 carries over (Theorem 3.4). The
 // classical optimizer (LSC, Theorem 2.1) is the same scorer over a point
 // law — 0 + 1·cost is cost, bit for bit (pointScorer) — so the dynamic
-// programs call one concrete type.
+// programs call one concrete type. Algorithm D's scorer (lawScorer) also
+// carries every subset's size law and prices by subset over those laws.
 type scorer struct {
 	laws  []dist.Dist
 	model cost.Model
+	// sizes, Algorithm D's alone, holds the result-size law of every mask:
+	// a subset's pages are its law's mean, and joins and the root sort are
+	// priced in expectation over the laws of their inputs. nil sizes every
+	// subset at ctx.size.
+	sizes []dist.Dist
 }
 
 // pointScorer costs at one fixed memory value.
 func pointScorer(mem float64, model cost.Model) scorer {
-	return scorer{[]dist.Dist{dist.Point(mem)}, model}
+	return scorer{laws: []dist.Dist{dist.Point(mem)}, model: model}
 }
 
 func (s scorer) law(phase int) *dist.Dist {
@@ -39,6 +44,33 @@ func (s scorer) law(phase int) *dist.Dist {
 
 func (s scorer) joinScore(m cost.JoinMethod, outer, inner float64, phase int) float64 {
 	return cost.ExpectJoinIO(s.model, m, outer, inner, s.law(phase))
+}
+
+// pages is the result size of mask's tables under s: ctx.size, or the mean
+// of Algorithm D's law.
+func (c *ctx) pages(s scorer, mask uint64) float64 {
+	if s.sizes != nil {
+		return s.sizes[mask].Mean()
+	}
+	return c.size[mask]
+}
+
+// joinPrice is the price of joining table bit, by m, onto a prefix covering
+// rest, in phase.
+func (c *ctx) joinPrice(s scorer, m cost.JoinMethod, rest, bit uint64, phase int) float64 {
+	if s.sizes != nil {
+		return expcost.JoinECModel(s.model, m, s.sizes[rest], s.sizes[bit], *s.law(phase))
+	}
+	return s.joinScore(m, c.size[rest], c.size[bit], phase)
+}
+
+// sortPrice is the price of the root ORDER BY sort of the query's result.
+func (c *ctx) sortPrice(s scorer) float64 {
+	full := fullMask(c.n)
+	if s.sizes != nil {
+		return expcost.SortEC(s.sizes[full], *s.law(lastPhase(c.n)))
+	}
+	return cost.ExpectSortIO(c.size[full], s.law(lastPhase(c.n)))
 }
 
 // staticLaws replicates one law across all phases of an n-relation plan.
@@ -90,7 +122,7 @@ func leafEntry(ac accessCand) entry {
 // when the sort consumes an unmaterialized heap scan directly (single-table
 // plans — no join ever paid for it).
 func (c *ctx) enforcerScore(s scorer, e entry) float64 {
-	sc := cost.ExpectSortIO(c.size[fullMask(c.n)], s.law(lastPhase(c.n)))
+	sc := c.sortPrice(s)
 	if e.node.Kind == plan.KindScan && !e.node.Materialized() {
 		sc += e.node.AccessIO()
 	}
@@ -98,25 +130,22 @@ func (c *ctx) enforcerScore(s scorer, e entry) float64 {
 }
 
 // dpBest runs the kernel keeping one entry per (subset, order slot) and
-// returns the cheapest complete plan. Under keepBest it is the System R
-// dynamic program: over a point law it computes the LSC left-deep plan
-// (Theorem 2.1), over memory laws it is Algorithm C and computes the LEC
-// left-deep plan (Theorems 3.3/3.4), every cell barred above the greedy
-// plan's score (greedy). Under keepLaw it is Algorithm D's, each subset
-// carrying its result-size law and joins priced in expectation over the
-// input size laws and s's one memory law. workers bounds the rank-parallel
-// enumeration (Algorithm A passes 1 when its per-bucket fan-out already
-// saturates the requested concurrency).
-func (c *ctx) dpBest(s scorer, pol policy, workers int) (Result, error) {
-	bound := math.Inf(1)
-	if pol == keepBest {
-		bound = c.greedy(s).score
-	}
-	sc, err := c.run(s, pol, 1, workers, bound)
+// returns the cheapest complete plan: over a point law the System R dynamic
+// program's LSC left-deep plan (Theorem 2.1), over memory laws Algorithm
+// C's LEC left-deep plan (Theorems 3.3/3.4). workers bounds the
+// rank-parallel enumeration (Algorithm A passes 1 when its per-bucket
+// fan-out already saturates the requested concurrency).
+func (c *ctx) dpBest(s scorer, workers int) (Result, error) {
+	sc := getScratch(keepBest, 1, c.n)
 	defer sc.release()
-	if err != nil {
-		return Result{}, err
-	}
+	return c.best(sc, s, workers)
+}
+
+// best runs a single-entry pass in sc, every cell barred by the score of
+// the greedy plan (greedy, setBars), and returns a deep copy of its
+// cheapest complete plan.
+func (c *ctx) best(sc *dpScratch, s scorer, workers int) (Result, error) {
+	c.run(sc, s, workers, c.greedy(s).score)
 	best := c.bestRoot(sc, s)
 	if best == nil {
 		return Result{}, ErrNoPlan
@@ -144,11 +173,10 @@ func (c *ctx) bestRoot(sc *dpScratch, s scorer) *entry {
 
 // run is the subset DP of every algorithm: System R's bottom-up pass over
 // the table subsets in rank (popcount) order, keeping per (subset, order
-// slot) what pol asks for — the best entry, the top depth entries, or the
-// best entry beside the subset's size law. All state lives in the returned
-// pooled scratch, which the caller releases once nothing it needs points
-// into it: the table holds entries by value, join nodes come from per-worker
-// arenas and size laws from per-worker slabs.
+// slot) what sc's policy asks for — the best entry or the top depth
+// entries. All state lives in sc, which the caller releases once nothing it
+// needs points into it: the table holds entries by value, join nodes come
+// from per-worker arenas.
 //
 // Parallelism is by rank: every mask of popcount k depends only on masks
 // of strictly smaller popcount, so the masks of one rank can be expanded
@@ -157,20 +185,16 @@ func (c *ctx) bestRoot(sc *dpScratch, s scorer) *entry {
 // contiguous chunks, so the table is byte-identical to the serial pass for
 // every worker count.
 //
-// No cell admits an entry scoring above bound: a cell whose unbounded best
-// is within it holds what the unbounded pass holds there, every other cell
-// nothing. So a bound that is the score of a complete plan in the searched
-// space leaves the winner as it was (DESIGN.md, "Bounded kernel"); +Inf
-// bars nothing.
-func (c *ctx) run(s scorer, pol policy, depth, workers int, bound float64) (*dpScratch, error) {
+// No cell admits an entry scoring above its bar, and setBars bars only
+// subplans that cannot lead to a plan within bound. So a bound that is the
+// score of a complete plan in the searched space leaves the winner as it
+// was (DESIGN.md, "Bounded kernel"); +Inf bars nothing.
+func (c *ctx) run(sc *dpScratch, s scorer, workers int, bound float64) {
 	full := fullMask(c.n)
-	sc := getScratch(pol, depth, int(full)+1, bound)
+	c.setBars(sc, s, bound)
 	sc.ensureWorkers(1)
 	for j, ti := range c.tables {
 		bit := uint64(1) << uint(j)
-		if pol == keepLaw {
-			sc.laws[bit] = ti.sizeLaw
-		}
 		for _, ac := range ti.accesses {
 			e := leafEntry(ac)
 			if k := cell(bit, c.slotOf(ac.node.OutOrder)); sc.admits(k, e.score) {
@@ -187,32 +211,33 @@ func (c *ctx) run(s scorer, pol policy, depth, workers int, bound float64) (*dpS
 			m = r | (m^r)>>2>>uint(bits.TrailingZeros64(m))
 		}
 		sc.masks = ms
+		// A mask whose cells admit nothing is not expanded, nor counted
+		// toward the parallel gate: no score is negative (setBars).
+		live := ms[:0]
+		for _, m := range ms {
+			if k := cell(m, 0); !(sc.bar[k] < 0 && sc.bar[k|1] < 0) {
+				live = append(live, m)
+			}
+		}
+		ms = live
 		w := pool.Workers(workers, len(ms))
 		if w > 1 && len(ms) >= dpParallelMinMasks {
 			chunk := (len(ms) + w - 1) / w
 			nchunks := (len(ms) + chunk - 1) / chunk
 			sc.ensureWorkers(nchunks)
-			err := pool.Run(nchunks, nchunks, func(ci int) error {
+			_ = pool.Run(nchunks, nchunks, func(ci int) error { // expand cannot fail
 				wk := &sc.workers[ci]
 				for _, mask := range ms[ci*chunk : min((ci+1)*chunk, len(ms))] {
-					if err := c.expand(sc, mask, s, wk); err != nil {
-						return err
-					}
+					c.expand(sc, mask, s, wk)
 				}
 				return nil
 			})
-			if err != nil {
-				return sc, err
-			}
 			continue
 		}
 		for _, mask := range ms {
-			if err := c.expand(sc, mask, s, &sc.workers[0]); err != nil {
-				return sc, err
-			}
+			c.expand(sc, mask, s, &sc.workers[0])
 		}
 	}
-	return sc, nil
 }
 
 // unpriced marks a join price not computed yet: no price is negative
@@ -224,29 +249,24 @@ var singlePair = []topPair{{}}
 
 // expand fills mask's cells from the finalized smaller ranks, writing
 // nothing else. Sizes are the subset's, not the order's: the output is
-// ctx.size[mask] and the left input ctx.size[rest] — under keepLaw the laws
-// of those masks, mask's built here on entry — so every entry of both left
+// pages(mask) and the left input is rest's, so every entry of both left
 // slots is one join input, and a join is priced once per (j, method), on
 // first need. What the method cannot change (sort-merge order) is asked
 // once per (mask, j). A score is always (left.score + right.score) + price.
-func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) error {
+func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) {
 	phase := phaseOfMask(mask)
 	methods := c.opts.Methods
 	w.jc = grow(w.jc, len(methods))
 	w.cands = c.candidatesInto(mask, w.cands[:0])
-	outPages := c.size[mask]
-	if sc.pol == keepLaw {
-		law, err := c.sizeLaw(&w.slab, sc.laws, mask)
-		if err != nil {
-			return err
-		}
-		sc.laws[mask], outPages = law, law.Mean()
-	}
+	outPages := c.pages(s, mask)
 	kb := cell(mask, 0)
 	for _, j := range w.cands {
 		bit := uint64(1) << uint(j)
 		rest := mask &^ bit
 		merges := c.mergeOrders(j, rest)
+		// No price is below reading both inputs (setBars), up to the
+		// rounding boundSlack covers.
+		least := (sc.floor[rest] + sc.floor[bit]) * (1 - boundSlack)
 		for mi := range w.jc {
 			w.jc[mi] = unpriced
 		}
@@ -274,15 +294,11 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) error {
 					base := le.score + re.score
 					for mi, m := range methods {
 						k := kb | joinSlot(m, merges, ls)
-						if !sc.admits(k, base) {
-							continue // turned away even at price zero
+						if !sc.admits(k, base+least) {
+							continue // turned away even at the least price
 						}
 						if w.jc[mi] == unpriced {
-							if sc.pol == keepLaw {
-								w.jc[mi] = expcost.JoinECModel(s.model, m, sc.laws[rest], sc.laws[bit], s.laws[0])
-							} else {
-								w.jc[mi] = s.joinScore(m, c.size[rest], c.size[bit], phase)
-							}
+							w.jc[mi] = c.joinPrice(s, m, rest, bit, phase)
 						}
 						score := base + w.jc[mi]
 						if !sc.admits(k, score) {
@@ -297,26 +313,17 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) error {
 			}
 		}
 	}
-	return nil
 }
 
 // complete lists the plans for the whole query in sc.root: every entry of
 // the full subset, each under a root sort where it misses the ORDER BY.
-// Algorithm D prices the sort in expectation over the query's size law.
 func (c *ctx) complete(sc *dpScratch, s scorer) {
 	arena := &sc.workers[0].arena
 	full := fullMask(c.n)
 	for slot := 0; slot < 2; slot++ {
 		for _, e := range sc.list(cell(full, slot)) {
 			if c.blk.OrderBy != nil && slot == 0 {
-				if sc.pol == keepLaw {
-					e.score += expcost.SortEC(sc.laws[full], s.laws[0])
-					if e.node.Kind == plan.KindScan && !e.node.Materialized() {
-						e.score += e.node.AccessIO()
-					}
-				} else {
-					e.score += c.enforcerScore(s, e)
-				}
+				e.score += c.enforcerScore(s, e)
 				e.node = arena.newSort(e.node, c.required)
 			}
 			sc.root = append(sc.root, e)

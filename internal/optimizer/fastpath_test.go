@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"lecopt/internal/cost"
-	"lecopt/internal/dist"
 )
 
 // fastPathHits counts, over one finished kernel table, the cases the
@@ -56,11 +55,15 @@ func TestPinnedCorpusExercisesFastPaths(t *testing.T) {
 				}
 				pass := func(alg string, s scorer, pol policy, depth int) {
 					t.Helper()
-					scr, err := c.run(s, pol, depth, 1, math.Inf(1))
+					scr := getScratch(pol, depth, c.n)
 					defer scr.release()
-					if err != nil {
-						t.Fatalf("scenario %d %s: %v", i, alg, err)
+					if alg == "D" {
+						var err error
+						if s, err = c.lawScorer(scr, mem); err != nil {
+							t.Fatalf("scenario %d %s: %v", i, alg, err)
+						}
 					}
+					c.run(scr, s, 1, math.Inf(1))
 					hits[alg].add(c, scr)
 				}
 				pass("LSC", pointScorer(mem.Mean(), model), keepBest, 1)
@@ -68,16 +71,16 @@ func TestPinnedCorpusExercisesFastPaths(t *testing.T) {
 					pass("A", pointScorer(p, model), keepBest, 1)
 					pass("B", pointScorer(p, model), keepTopC, 3)
 				}
-				pass("C", scorer{staticLaws(mem, c.n), model}, keepBest, 1)
+				pass("C", scorer{laws: staticLaws(mem, c.n), model: model}, keepBest, 1)
 				laws, err := sticky.Env.Chain.PhaseLaws(sticky.Env.Mem, lastPhase(c.n)+1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pass("C-dynamic", scorer{laws, model}, keepBest, 1)
+				pass("C-dynamic", scorer{laws: laws, model: model}, keepBest, 1)
 				if err := errors.Join(c.setSelLaws(selLaws), c.setSizeLaws(sizeLaws)); err != nil {
 					t.Fatal(err)
 				}
-				pass("D", scorer{[]dist.Dist{mem}, model}, keepLaw, 1)
+				pass("D", scorer{}, keepBest, 1)
 			}
 		}
 	}

@@ -170,10 +170,10 @@ type ctx struct {
 	opts      Options
 	n         int
 	tables    []*tableInfo
-	sigma     [][]float64         // pairwise page-selectivity product (1 if no edge)
+	sigma     []float64           // pairwise page-selectivity product at i·n+j (1 if no edge)
 	adj       []uint64            // join graph: adj[j] has bit i set iff tables i and j share an edge
 	ordMask   []uint64            // ordMask[j] has bit i set iff an i–j edge carries an ORDER BY-equivalent column
-	sigmaD    [][]dist.Dist       // per-pair selectivity laws (zero Dist ⇒ Point(sigma))
+	sigmaD    []dist.Dist         // per-pair selectivity laws at i·n+j, nil until one is installed (zero Dist ⇒ Point(sigma))
 	orderCols map[plan.Order]bool // orders that satisfy the query's ORDER BY
 	required  plan.Order          // the ORDER BY as a plan.Order (zero if none)
 	hints     []sizeHint          // multi-table size hints, largest subset first, then lowest mask
@@ -434,17 +434,12 @@ func compilePred(filters []query.Filter) *plan.ScanPred {
 // order questions are one AND each.
 func (c *ctx) preparePairs() error {
 	n := c.n
-	c.sigma = make([][]float64, n)
+	c.sigma = make([]float64, n*n)
+	for i := range c.sigma {
+		c.sigma[i] = 1
+	}
 	c.adj = make([]uint64, n)
 	c.ordMask = make([]uint64, n)
-	c.sigmaD = make([][]dist.Dist, n)
-	for i := range c.sigma {
-		c.sigma[i] = make([]float64, n)
-		c.sigmaD[i] = make([]dist.Dist, n)
-		for j := range c.sigma[i] {
-			c.sigma[i][j] = 1
-		}
-	}
 	for _, j := range c.blk.Joins {
 		li := c.blk.TableIndex(j.Left.Table)
 		ri := c.blk.TableIndex(j.Right.Table)
@@ -452,8 +447,8 @@ func (c *ctx) preparePairs() error {
 		if err != nil {
 			return err
 		}
-		c.sigma[li][ri] *= s
-		c.sigma[ri][li] *= s
+		c.sigma[li*n+ri] *= s
+		c.sigma[ri*n+li] *= s
 		c.adj[li] |= 1 << uint(ri)
 		c.adj[ri] |= 1 << uint(li)
 		if c.orderCols[plan.Order{Table: j.Left.Table, Column: j.Left.Column}] ||
@@ -465,9 +460,10 @@ func (c *ctx) preparePairs() error {
 	return nil
 }
 
-// setSelLaws installs per-edge selectivity laws (Algorithm D). Keys are
-// EdgeKey strings; missing edges keep their point estimates. Two edges on
-// one table pair multiply; a product past float range is an error.
+// setSelLaws installs per-edge selectivity laws (Algorithm D), allocating
+// the table on the first. Keys are EdgeKey strings; missing edges keep
+// their point estimates. Two edges on one table pair multiply; a product
+// past float range is an error.
 func (c *ctx) setSelLaws(laws map[string]dist.Dist) error {
 	if len(laws) == 0 {
 		return nil
@@ -477,16 +473,19 @@ func (c *ctx) setSelLaws(laws map[string]dist.Dist) error {
 		if !ok || law.IsZero() {
 			continue
 		}
+		if c.sigmaD == nil {
+			c.sigmaD = make([]dist.Dist, c.n*c.n)
+		}
 		li := c.blk.TableIndex(j.Left.Table)
 		ri := c.blk.TableIndex(j.Right.Table)
-		cur := c.sigmaD[li][ri]
+		cur := c.sigmaD[li*c.n+ri]
 		if !cur.IsZero() {
 			var err error
 			if law, err = dist.Combine2(cur, law, func(x, y float64) float64 { return x * y }); err != nil {
 				return fmt.Errorf("optimizer: selectivity laws on %s: %w", EdgeKey(j), err)
 			}
 		}
-		c.sigmaD[li][ri], c.sigmaD[ri][li] = law, law
+		c.sigmaD[li*c.n+ri], c.sigmaD[ri*c.n+li] = law, law
 	}
 	return nil
 }
@@ -526,14 +525,15 @@ func clampPages(p float64) float64 {
 func (c *ctx) sigmaBetween(j int, mask uint64) float64 {
 	s := 1.0
 	for m := mask & c.adj[j]; m != 0; m &= m - 1 {
-		s *= c.sigma[bits.TrailingZeros64(m)][j]
+		s *= c.sigma[bits.TrailingZeros64(m)*c.n+j]
 	}
 	return s
 }
 
 // sigmaLawBetween returns the selectivity law joining table j against
 // mask: the product of per-pair laws over mask's members in ascending
-// order, using point laws where no distribution was installed. Until the
+// order, using point laws where no distribution was installed (all of
+// them while the table is nil). Until the
 // first installed law the product is a point and is folded as a scalar —
 // Combine2 of two points is the point of their product exactly. From there
 // on every member is combined, installed law or not: dist.New renormalises
@@ -547,15 +547,18 @@ func (c *ctx) sigmaLawBetween(sl *dist.Slab, j int, mask uint64) (dist.Dist, err
 	var err error
 	for m := mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		pair := c.sigmaD[i][j]
+		var pair dist.Dist
+		if c.sigmaD != nil {
+			pair = c.sigmaD[i*c.n+j]
+		}
 		switch {
 		case law.IsZero() && pair.IsZero():
-			s *= c.sigma[i][j]
+			s *= c.sigma[i*c.n+j]
 			continue
 		case law.IsZero():
 			law = sl.Point(s)
 		case pair.IsZero():
-			pair = sl.Point(c.sigma[i][j])
+			pair = sl.Point(c.sigma[i*c.n+j])
 		}
 		if law, err = sl.Combine2(law, pair, func(x, y float64) float64 { return x * y }); err != nil {
 			return dist.Dist{}, err

@@ -8,10 +8,10 @@ import (
 	"lecopt/internal/plan"
 )
 
-// The subset DP's scratch memory — the table, the per-worker candidate
-// buffers, plan-node arenas and law slabs — is reset, not freed, between
-// optimizations: every pass borrows a dpScratch from a sync.Pool and
-// releases it when its result no longer points into it, so a steady
+// The subset DP's scratch memory — the table, Algorithm D's law slab, the
+// per-worker candidate buffers and plan-node arenas — is reset, not freed,
+// between optimizations: every pass borrows a dpScratch from a sync.Pool
+// and releases it when its result no longer points into it, so a steady
 // stream of cache misses stops churning the allocator. Nothing allocated
 // from a scratch may outlive the release: a finished pass deep-copies the
 // winning plan, which is the only part of the DP state that escapes into a
@@ -39,9 +39,8 @@ var dpParallelMinMasks = 64
 type policy uint8
 
 const (
-	keepBest policy = iota // the best entry: LSC, A, C and C-dynamic
+	keepBest policy = iota // the best entry: LSC, A, C, C-dynamic and D
 	keepTopC               // the top-c entries (Proposition 3.1): Algorithm B
-	keepLaw                // the best entry and the subset's size law: Algorithm D
 )
 
 // dpWorker is one enumeration worker's private scratch. Each parallel
@@ -49,7 +48,6 @@ const (
 // goroutines.
 type dpWorker struct {
 	arena  nodeArena
-	slab   lawSlab   // keepLaw: the size laws this worker builds
 	cands  []int     // candidatesInto buffer
 	jc     []float64 // join prices of one (mask, j): one per method
 	pairs  []topPair // keepTopC: the frontier of one (left, right) list pair
@@ -57,17 +55,20 @@ type dpWorker struct {
 }
 
 // dpScratch is the pooled state of one kernel pass. The table is flat:
-// cell k = mask·2 + slot holds held[k] entries at ents[k·depth:], bar[k]
-// is the score an entry must not exceed to enter it (the pass's bound until
-// the cell is full: its last entry's score from then on), and under keepLaw
-// the size law of mask is at laws[mask].
+// cell k = mask·2 + slot holds held[k] entries at ents[k·depth:], and bar[k]
+// is the score an entry must not exceed to enter it (setBars until the cell
+// is full: its last entry's score from then on). floor[mask] is the least a
+// join pays to read mask's result (floorPages). For Algorithm D, laws[mask]
+// is the size law of mask, built in slab before the pass (lawScorer).
 type dpScratch struct {
 	pol     policy
 	depth   int
 	ents    []entry
 	held    []int
 	bar     []float64
+	floor   []float64
 	laws    []dist.Dist
+	slab    lawSlab
 	root    []entry // the completed plans (complete)
 	masks   []uint64
 	workers []dpWorker
@@ -75,22 +76,17 @@ type dpScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
 
-// getScratch borrows a scratch set up for a table over masks subsets —
-// 2·masks cells under pol, each holding up to depth entries and admitting
-// none that scores above bound.
-func getScratch(pol policy, depth, masks int, bound float64) *dpScratch {
+// getScratch borrows a scratch set up for the table of an n-table query —
+// two cells per subset under pol, each holding up to depth entries. run
+// sets the bars.
+func getScratch(pol policy, depth, n int) *dpScratch {
+	masks := int(fullMask(n)) + 1
 	s := scratchPool.Get().(*dpScratch)
 	s.pol, s.depth = pol, depth
 	s.ents = grow(s.ents, 2*masks*depth)
 	s.held = grow(s.held, 2*masks)
 	clear(s.held)
 	s.bar = grow(s.bar, 2*masks)
-	for i := range s.bar {
-		s.bar[i] = bound
-	}
-	if pol == keepLaw {
-		s.laws = grow(s.laws, masks)
-	}
 	return s
 }
 
@@ -154,23 +150,23 @@ func (s *dpScratch) ensureWorkers(n int) {
 }
 
 // release zeroes the table's links to plan nodes and laws, rewinds the
-// arenas and slabs, trims outsized buffers, and returns the scratch to the
-// pool.
+// arenas and the slab, trims outsized buffers, and returns the scratch to
+// the pool.
 func (s *dpScratch) release() {
 	clear(s.ents)
 	clear(s.laws)
 	clear(s.root)
 	s.root = s.root[:0]
 	if cap(s.ents) > maxPooledSlots {
-		s.ents, s.held, s.bar, s.laws = nil, nil, nil, nil
+		s.ents, s.held, s.bar, s.floor, s.laws = nil, nil, nil, nil, nil
 	}
 	if cap(s.masks) > maxPooledSlots {
 		s.masks = nil
 	}
+	s.slab.reset()
 	for i := range s.workers {
 		w := &s.workers[i]
 		w.arena.reset()
-		w.slab.reset()
 		w.probes = 0
 	}
 	scratchPool.Put(s)
@@ -245,7 +241,7 @@ func (a *nodeArena) reset() {
 // instead of on the heap, one dist.Slab per lifetime. dist.Slab's methods
 // are bit for bit their heap counterparts (FuzzLawKernel).
 type lawSlab struct {
-	keep dist.Slab // laws the table holds: live until release
+	keep dist.Slab // laws the size table holds: live until release
 	sig  dist.Slab // one σ-law chain: rewound per mask
 	tmp  dist.Slab // one result-size law's intermediates: rewound per law
 }

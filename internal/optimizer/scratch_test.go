@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -120,7 +119,8 @@ func resultKey(r Result) string {
 // TestRankParallelDPMatchesSerial pins the tentpole determinism claim: the
 // rank-parallel subset enumeration is byte-identical to the serial pass at
 // every worker count, on queries wide enough (8-10 tables) for the widest
-// ranks to clear dpParallelMinMasks naturally.
+// ranks to clear dpParallelMinMasks naturally — LSC, C, and D with
+// selectivity laws on edges and a table size law.
 func TestRankParallelDPMatchesSerial(t *testing.T) {
 	mem := dist.MustNew([]float64{64, 512, 4096}, []float64{1, 2, 1})
 	for i, tc := range []struct {
@@ -135,16 +135,24 @@ func TestRankParallelDPMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for si, s := range []scorer{
-			pointScorer(mem.Mean(), c.opts.CostModel),
-			{staticLaws(mem, c.n), c.opts.CostModel},
+		dc, err := prepare(sc.Cat, sc.Block, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		withDLaws(t, dc, rand.New(rand.NewSource(int64(4100+i))))
+		for si, pass := range []func(workers int) (Result, error){
+			func(workers int) (Result, error) { return c.dpBest(pointScorer(mem.Mean(), c.opts.CostModel), workers) },
+			func(workers int) (Result, error) {
+				return c.dpBest(scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}, workers)
+			},
+			func(workers int) (Result, error) { return dc.dpLaws(mem, workers) },
 		} {
-			serial, err := c.dpBest(s, keepBest, 1)
+			serial, err := pass(1)
 			if err != nil {
 				t.Fatalf("case %d: serial: %v", i, err)
 			}
 			for _, workers := range []int{4, 8} {
-				par, err := c.dpBest(s, keepBest, workers)
+				par, err := pass(workers)
 				if err != nil {
 					t.Fatalf("case %d: workers=%d: %v", i, workers, err)
 				}
@@ -223,13 +231,13 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.dpBest(scorer{staticLaws(mem, c.n), c.opts.CostModel}, keepBest, 1)
+	res, err := c.dpBest(scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Single-goroutine sync.Pool gives back the scratch dpBest just
 	// released; the chunk check keeps the test honest if it ever does not.
-	used := getScratch(keepBest, 1, 1, math.Inf(1))
+	used := getScratch(keepBest, 1, 0)
 	defer used.release()
 	if len(used.workers) == 0 || len(used.workers[0].arena.chunks) == 0 {
 		t.Skip("pool returned a scratch that ran no DP; ownership not checkable")
@@ -244,9 +252,9 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 }
 
 // TestDistAllocsNearBest holds Algorithm D to the pooled kernel: once the
-// scratch is warm, an 8-table keepLaw pass — size laws, σ-chains and all —
-// may allocate at most twice what the keepBest pass does on the same query. Laws built on the heap again would put it orders of magnitude
-// over.
+// scratch is warm, an 8-table D pass — size laws, σ-chains and all — may
+// allocate at most twice what Algorithm C's pass does on the same query.
+// Laws built on the heap again would put it orders of magnitude over.
 func TestDistAllocsNearBest(t *testing.T) {
 	mem := dist.MustNew([]float64{64, 512, 4096}, []float64{1, 2, 1})
 	sc := wideScenario(t, 8, workload.Random, 4001)
@@ -261,7 +269,7 @@ func TestDistAllocsNearBest(t *testing.T) {
 	if err := c.setSelLaws(sel); err != nil {
 		t.Fatal(err)
 	}
-	s := scorer{staticLaws(mem, c.n), c.opts.CostModel}
+	s := scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}
 	measure := func(run func() (Result, error)) float64 {
 		if _, err := run(); err != nil { // warm the scratch pool
 			t.Fatal(err)
@@ -272,11 +280,11 @@ func TestDistAllocsNearBest(t *testing.T) {
 			}
 		})
 	}
-	best := measure(func() (Result, error) { return c.dpBest(s, keepBest, 1) })
-	law := measure(func() (Result, error) { return c.dpBest(scorer{[]dist.Dist{mem}, c.opts.CostModel}, keepLaw, 1) })
-	t.Logf("warm 8-table pass: keepBest %.0f allocs, keepLaw %.0f", best, law)
+	best := measure(func() (Result, error) { return c.dpBest(s, 1) })
+	law := measure(func() (Result, error) { return c.dpLaws(mem, 1) })
+	t.Logf("warm 8-table pass: C %.0f allocs, D %.0f", best, law)
 	if law > 2*best {
-		t.Fatalf("the keepLaw pass allocates %.0f, over twice keepBest's %.0f", law, best)
+		t.Fatalf("the D pass allocates %.0f, over twice C's %.0f", law, best)
 	}
 }
 
@@ -290,11 +298,8 @@ func TestReleaseTrimsWideMasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := pointScorer(1000, c.opts.CostModel)
-	scr, err := c.run(s, keepBest, 1, 1, c.greedy(s).score)
-	if err != nil {
-		scr.release()
-		t.Fatal(err)
-	}
+	scr := getScratch(keepBest, 1, c.n)
+	c.run(scr, s, 1, c.greedy(s).score)
 	if cap(scr.masks) <= maxPooledSlots {
 		scr.release()
 		t.Fatalf("a 20-table pass kept %d masks, not over maxPooledSlots", cap(scr.masks))

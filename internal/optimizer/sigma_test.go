@@ -16,7 +16,7 @@ func refSigmaBetween(c *ctx, j int, mask uint64) float64 {
 	s := 1.0
 	for i := 0; i < c.n; i++ {
 		if mask&(1<<uint(i)) != 0 {
-			s *= c.sigma[i][j]
+			s *= c.sigma[i*c.n+j]
 		}
 	}
 	return s
@@ -28,9 +28,12 @@ func refSigmaLawBetween(c *ctx, j int, mask uint64) (dist.Dist, error) {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		pair := c.sigmaD[i][j]
+		var pair dist.Dist
+		if c.sigmaD != nil {
+			pair = c.sigmaD[i*c.n+j]
+		}
 		if pair.IsZero() {
-			pair = dist.Point(c.sigma[i][j])
+			pair = dist.Point(c.sigma[i*c.n+j])
 		}
 		var err error
 		if law, err = dist.Combine2(law, pair, func(x, y float64) float64 { return x * y }); err != nil {
@@ -77,7 +80,7 @@ func TestSigmaProductsMatchFullLoop(t *testing.T) {
 				laws := map[string]dist.Dist{}
 				for _, e := range []query.Join{sc.Block.Joins[0], sc.Block.Joins[len(sc.Block.Joins)-1]} {
 					li, ri := sc.Block.TableIndex(e.Left.Table), sc.Block.TableIndex(e.Right.Table)
-					s := c.sigma[li][ri]
+					s := c.sigma[li*c.n+ri]
 					// Weights 1:4:1 normalise to probabilities that sum to
 					// 1 − 1 ulp, so a later Point(1) factor renormalises
 					// them: skipping it would show here.

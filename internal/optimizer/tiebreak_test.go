@@ -353,7 +353,7 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 	mem := dist.MustNew([]float64{1e6, 4e6}, []float64{1, 3})
 	opts := Options{Methods: cost.Methods}
 	// The premise: with both inputs resident, three of the four methods tie.
-	for si, s := range []scorer{pointScorer(mem.Mean(), cost.ModelPaper), {[]dist.Dist{mem}, cost.ModelPaper}} {
+	for si, s := range []scorer{pointScorer(mem.Mean(), cost.ModelPaper), {laws: []dist.Dist{mem}, model: cost.ModelPaper}} {
 		for _, m := range []cost.JoinMethod{cost.GraceHash, cost.PageNL, cost.BlockNL} {
 			if got := s.joinScore(m, 1000, 1000, 0); got != 2000 {
 				t.Fatalf("scorer %d: %v costs %v on 1000+1000 pages, want outer+inner", si, m, got)
@@ -377,7 +377,7 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 				}
 
 				point := pointScorer(mem.Mean(), c.opts.CostModel)
-				law := scorer{staticLaws(mem, c.n), c.opts.CostModel}
+				law := scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}
 				wantLSC, _ := refTopC(c, point, 1)
 				wantC, _ := refTopC(c, law, 1)
 				for _, workers := range []int{1, 4, 8} {
@@ -399,10 +399,8 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 					continue // B's and D's references re-sort strings per add; keep them small
 				}
 				const topC = 3
-				scB, err := c.run(point, keepTopC, topC, 1, math.Inf(1))
-				if err != nil {
-					t.Fatal(err)
-				}
+				scB := getScratch(keepTopC, topC, c.n)
+				c.run(scB, point, 1, math.Inf(1))
 				gotB, gotProbes := c.topRoots(scB, point, topC), scB.probes()
 				wantB, wantProbes := refTopC(c, point, topC)
 				if len(gotB) != len(wantB) || gotProbes != wantProbes {
@@ -412,7 +410,7 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 					same(fmt.Sprintf("B[%d]", i), gotB[i], wantB[i])
 				}
 				scB.release()
-				gotD, err := c.dpBest(scorer{[]dist.Dist{mem}, c.opts.CostModel}, keepLaw, 1)
+				gotD, err := c.dpLaws(mem, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
