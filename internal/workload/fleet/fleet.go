@@ -26,7 +26,6 @@ import (
 	"lecopt/internal/query"
 	"lecopt/internal/resilience"
 	"lecopt/internal/storage"
-	"lecopt/internal/workload"
 	"lecopt/internal/workload/serving"
 )
 
@@ -38,9 +37,9 @@ var ErrBadFleet = errors.New("fleet: invalid spec")
 const fleetCostModel = cost.ModelEngine
 
 // Spec controls fleet generation. The physical vocabulary (pages, tuples,
-// filters, indexes) matches serving.MixSpec — engine-scale, physically
-// materialized, actually executed — but tables live in *groups* shared
-// across tenants rather than per-query stores.
+// filters, indexes) is serving.MixSpec's generator — engine-scale,
+// physically materialized, actually executed — but tables live in
+// *groups* shared across tenants rather than per-query stores.
 type Spec struct {
 	// Tenants is the fleet size; traffic shares follow a Zipf law with
 	// skew TenantZipfS (tenant 0 is the heaviest).
@@ -57,19 +56,9 @@ type Spec struct {
 	TablesPerGroup  int
 	QueriesPerGroup int
 
-	MinTables, MaxTables int // tables per query (≥2, ≤ TablesPerGroup)
-	MinPages, MaxPages   int
-	TuplesPerPage        int
-	KeyRange             int64
-	OrderByProb          float64
-	Shapes               []workload.Shape
-
-	FilterProb                 float64
-	MinFilterSel, MaxFilterSel float64
-
-	DisableIndexes bool
-	ClusteredProb  float64
-	IndexFanout    int
+	// Gen draws the group tables and the queries over them, exactly as
+	// it draws the serving mix's (MaxTables ≤ TablesPerGroup).
+	serving.Gen
 
 	// Drift is the per-group statistics walk of the regular groups;
 	// ChurnDrift is the churn group's — typically band-crossing factors
@@ -103,35 +92,27 @@ type Spec struct {
 
 // DefaultSpec returns the canonical fleet: 512 tenants over 4 groups with
 // 4 engineered churn tenants, served at a comfortable and an overloaded
-// QPS level.
+// QPS level. Generation, drift and archetypes are the default serving
+// mix's, with at most 3 tables per query over tables of at most 48 pages.
 func DefaultSpec() (Spec, error) {
-	archetypes, err := serving.DefaultTenants()
+	mix, err := serving.DefaultMixSpec()
 	if err != nil {
 		return Spec{}, err
 	}
+	gen := mix.Gen
+	gen.MaxTables = 3
+	gen.MaxPages = 48
 	return Spec{
 		Tenants:         512,
 		TenantZipfS:     1.1,
 		Groups:          4,
 		TablesPerGroup:  5,
 		QueriesPerGroup: 6,
-		MinTables:       2,
-		MaxTables:       3,
-		MinPages:        8,
-		MaxPages:        48,
-		TuplesPerPage:   6,
-		KeyRange:        600,
-		OrderByProb:     0.4,
-		FilterProb:      0.5,
-		MinFilterSel:    0.05,
-		MaxFilterSel:    0.6,
-		ClusteredProb:   0.5,
-		IndexFanout:     16,
-		Shapes:          []workload.Shape{workload.Chain, workload.Star, workload.Random},
-		Drift:           serving.DriftSpec{Factors: []float64{0.5, 1, 2}, Stay: 0.85},
+		Gen:             gen,
+		Drift:           mix.Drift,
 		ChurnDrift:      serving.DriftSpec{Factors: []float64{0.25, 1, 4}, Stay: 0.35},
 		ChurnTenants:    4,
-		Archetypes:      archetypes,
+		Archetypes:      mix.Tenants,
 		LoadLevels:      []float64{250, 2500},
 		JitterSigma:     0.6,
 		Budget:          resilience.BudgetSpec{Capacity: 3000, RefillPerSec: 30_000},
@@ -144,55 +125,55 @@ func DefaultSpec() (Spec, error) {
 	}, nil
 }
 
-// Query is one distinct fleet query: a join block over a subset of its
-// group's shared tables.
-type Query struct {
+// fleetQuery is one distinct fleet query: a join block over a subset of
+// its group's shared tables.
+type fleetQuery struct {
 	ID     int // fleet-global query ID
 	Group  int
 	Block  *query.Block
 	Phases int
 }
 
-// Group is one shared-catalog group: the materialized tables, the engine
+// group is one shared-catalog group: the materialized tables, the engine
 // over them, the catalog statistics, and the queries that join them. One
 // drift walk per group scales the catalog's distinct counts for *every*
 // query and tenant of the group at once — correlated drift.
-type Group struct {
+type group struct {
 	ID      int
 	Cat     *catalog.Catalog
 	Store   *storage.Store
 	Eng     *engine.Engine
-	Queries []*Query
+	Queries []*fleetQuery
 	Churn   bool
 
 	driftChain *dist.Chain // nil: statistics never drift
 }
 
-// FleetTenant is one tenant: a stable name, a home group and a memory
+// tenant is one tenant: a stable name, a home group and a memory
 // archetype.
-type FleetTenant struct {
+type tenant struct {
 	Name      string
 	Group     int
 	Archetype int
 }
 
-// Fleet is a generated fleet workload, ready for Run.
-type Fleet struct {
+// fleet is a generated fleet workload, ready to run.
+type fleet struct {
 	Spec    Spec
-	Groups  []*Group
-	Tenants []FleetTenant
-	Queries []*Query // flattened, indexed by fleet-global query ID
+	Groups  []*group
+	Tenants []tenant
+	Queries []*fleetQuery // flattened, indexed by fleet-global query ID
 
 	traffic dist.Dist // Zipf law over tenant IDs
 }
 
-// New generates a fleet from the spec using rng for all randomness (same
-// seed ⇒ same fleet, including the physical tuples).
-func New(spec Spec, rng *rand.Rand) (*Fleet, error) {
+// newFleet generates a fleet from the spec using rng for all randomness
+// (same seed ⇒ same fleet, including the physical tuples).
+func newFleet(spec Spec, rng *rand.Rand) (*fleet, error) {
 	if err := validate(spec); err != nil {
 		return nil, err
 	}
-	f := &Fleet{Spec: spec}
+	f := &fleet{Spec: spec}
 	for g := 0; g < spec.Groups; g++ {
 		churn := spec.ChurnTenants > 0 && g == 0
 		grp, err := generateGroup(g, len(f.Queries), spec, churn, rng)
@@ -210,9 +191,9 @@ func New(spec Spec, rng *rand.Rand) (*Fleet, error) {
 			regular = append(regular, g)
 		}
 	}
-	f.Tenants = make([]FleetTenant, spec.Tenants)
+	f.Tenants = make([]tenant, spec.Tenants)
 	for i := range f.Tenants {
-		t := FleetTenant{
+		t := tenant{
 			Name:      fmt.Sprintf("tenant-%04d", i),
 			Archetype: rng.Intn(len(spec.Archetypes)),
 		}
@@ -252,29 +233,11 @@ func validate(spec Spec) error {
 	if spec.ChurnTenants > 0 && spec.Groups < 2 {
 		return fmt.Errorf("%w: churn tenants need a dedicated group (Groups >= 2)", ErrBadFleet)
 	}
-	if spec.MinTables < 2 || spec.MaxTables < spec.MinTables ||
-		spec.MaxTables > spec.TablesPerGroup || spec.MaxTables > query.MaxTables {
-		return fmt.Errorf("%w: tables range [%d, %d]", ErrBadFleet, spec.MinTables, spec.MaxTables)
+	if err := spec.Gen.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadFleet, err)
 	}
-	if spec.MinPages < 1 || spec.MaxPages < spec.MinPages || spec.TuplesPerPage < 1 || spec.KeyRange < 1 {
-		return fmt.Errorf("%w: physical sizing", ErrBadFleet)
-	}
-	if len(spec.Shapes) == 0 {
-		return fmt.Errorf("%w: no shapes", ErrBadFleet)
-	}
-	if spec.FilterProb < 0 || spec.FilterProb > 1 || math.IsNaN(spec.FilterProb) {
-		return fmt.Errorf("%w: filter prob %v", ErrBadFleet, spec.FilterProb)
-	}
-	if spec.FilterProb > 0 {
-		if !(spec.MinFilterSel > 0) || spec.MaxFilterSel < spec.MinFilterSel || spec.MaxFilterSel > 1 {
-			return fmt.Errorf("%w: filter selectivity range [%v, %v]", ErrBadFleet, spec.MinFilterSel, spec.MaxFilterSel)
-		}
-	}
-	if spec.ClusteredProb < 0 || spec.ClusteredProb > 1 || math.IsNaN(spec.ClusteredProb) {
-		return fmt.Errorf("%w: clustered prob %v", ErrBadFleet, spec.ClusteredProb)
-	}
-	if spec.IndexFanout < 0 || spec.IndexFanout == 1 {
-		return fmt.Errorf("%w: index fanout %d", ErrBadFleet, spec.IndexFanout)
+	if spec.MaxTables > spec.TablesPerGroup {
+		return fmt.Errorf("%w: %d tables per query over %d per group", ErrBadFleet, spec.MaxTables, spec.TablesPerGroup)
 	}
 	if len(spec.Archetypes) == 0 {
 		return fmt.Errorf("%w: no archetypes", ErrBadFleet)
@@ -298,165 +261,50 @@ func validate(spec Spec) error {
 	return nil
 }
 
-// driftChainFor builds a group's sticky walk, or nil when the drift spec
-// is empty. Factors must include the neutral 1, like serving.DriftSpec.
-func driftChainFor(d serving.DriftSpec) (*dist.Chain, error) {
-	if len(d.Factors) == 0 {
-		return nil, nil
-	}
-	hasNeutral := false
-	for _, f := range d.Factors {
-		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, fmt.Errorf("%w: drift factor %v", ErrBadFleet, f)
-		}
-		if f == 1 {
-			hasNeutral = true
-		}
-	}
-	if !hasNeutral {
-		return nil, fmt.Errorf("%w: drift factors must include the neutral 1", ErrBadFleet)
-	}
-	chain, err := dist.Sticky(d.Factors, d.Stay)
-	if err != nil {
-		return nil, fmt.Errorf("%w: drift chain: %v", ErrBadFleet, err)
-	}
-	return chain, nil
-}
-
-// generateGroup materializes one group's shared tables (with statistics
-// and indexes exactly as serving's generator records them) and its
-// queries, each joining a random subset of the pool.
-func generateGroup(id, nextQueryID int, spec Spec, churn bool, rng *rand.Rand) (*Group, error) {
-	g := &Group{ID: id, Churn: churn, Cat: catalog.New(), Store: storage.NewStore()}
+// generateGroup materializes one group's shared tables with the serving
+// generator, then draws its queries, each joining a random subset of the
+// pool — the sharing is the point: distinct queries join the same
+// physical tables, so one table's drift is visible to all of them.
+func generateGroup(id, nextQueryID int, spec Spec, churn bool, rng *rand.Rand) (*group, error) {
+	g := &group{ID: id, Churn: churn, Cat: catalog.New(), Store: storage.NewStore()}
 	drift := spec.Drift
 	if churn {
 		drift = spec.ChurnDrift
 	}
-	chain, err := driftChainFor(drift)
+	chain, err := drift.Chain()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadFleet, err)
 	}
 	g.driftChain = chain
-	fanout := spec.IndexFanout
-	if fanout == 0 {
-		fanout = 16
-	}
-	names := make([]string, spec.TablesPerGroup)
-	for i := range names {
-		names[i] = fmt.Sprintf("g%d_t%d", id, i)
-		pages := spec.MinPages + rng.Intn(spec.MaxPages-spec.MinPages+1)
-		gen := storage.GenSpec{
-			Name: names[i], Pages: pages, TuplesPerPage: spec.TuplesPerPage, KeyRange: spec.KeyRange,
-		}
-		clustered := !spec.DisableIndexes && rng.Float64() < spec.ClusteredProb
-		var rel *storage.Relation
-		var err error
-		if clustered {
-			rel, err = storage.GenerateSorted(gen, rng)
-		} else {
-			rel, err = storage.Generate(gen, rng)
-		}
-		if err != nil {
+	pool := make([]string, spec.TablesPerGroup)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("g%d_t%d", id, i)
+		if err := spec.Gen.Table(pool[i], g.Cat, g.Store, rng); err != nil {
 			return nil, err
-		}
-		if err := g.Store.Add(rel); err != nil {
-			return nil, err
-		}
-		tab, err := catalog.NewTable(names[i], float64(pages), float64(pages*spec.TuplesPerPage),
-			catalog.Column{Name: "k", Type: catalog.TypeInt, Distinct: float64(spec.KeyRange), Min: 0, Max: float64(spec.KeyRange)})
-		if err != nil {
-			return nil, err
-		}
-		if err := g.Cat.AddTable(tab); err != nil {
-			return nil, err
-		}
-		if !spec.DisableIndexes {
-			ixName := fmt.Sprintf("ix_%s_k", names[i])
-			ix, err := storage.BuildIndex(g.Store, ixName, names[i], "k", clustered, fanout)
-			if err != nil {
-				return nil, err
-			}
-			if err := g.Cat.AddIndex(catalog.Index{
-				Name: ixName, Table: names[i], Column: "k",
-				Clustered: clustered, Height: float64(ix.Height()),
-			}); err != nil {
-				return nil, err
-			}
 		}
 	}
 	g.Eng = engine.New(g.Store)
 	for q := 0; q < spec.QueriesPerGroup; q++ {
-		blk, err := generateBlock(names, spec, rng)
+		tables := spec.MinTables + rng.Intn(spec.MaxTables-spec.MinTables+1)
+		names := make([]string, tables)
+		for i, p := range rng.Perm(len(pool))[:tables] {
+			names[i] = pool[p]
+		}
+		shape := spec.Shapes[rng.Intn(len(spec.Shapes))]
+		blk, err := spec.Gen.Block(names, shape, g.Cat, rng)
 		if err != nil {
 			return nil, err
 		}
-		if err := blk.Validate(g.Cat); err != nil {
-			return nil, err
-		}
-		g.Queries = append(g.Queries, &Query{
-			ID: nextQueryID + q, Group: id, Block: blk, Phases: len(blk.Tables) - 1,
+		g.Queries = append(g.Queries, &fleetQuery{
+			ID: nextQueryID + q, Group: id, Block: blk, Phases: tables - 1,
 		})
 	}
 	return g, nil
 }
 
-// generateBlock builds one query over a random subset of the group's
-// shared tables — the sharing is the point: distinct queries join the
-// same physical tables, so one table's drift is visible to all of them.
-func generateBlock(pool []string, spec Spec, rng *rand.Rand) (*query.Block, error) {
-	tables := spec.MinTables + rng.Intn(spec.MaxTables-spec.MinTables+1)
-	perm := rng.Perm(len(pool))[:tables]
-	names := make([]string, tables)
-	for i, p := range perm {
-		names[i] = pool[p]
-	}
-	blk := &query.Block{Tables: names}
-	join := func(i, j int) {
-		blk.Joins = append(blk.Joins, query.Join{
-			Left:  query.ColRef{Table: names[i], Column: "k"},
-			Right: query.ColRef{Table: names[j], Column: "k"},
-		})
-	}
-	shape := spec.Shapes[rng.Intn(len(spec.Shapes))]
-	switch shape {
-	case workload.Chain:
-		for i := 1; i < tables; i++ {
-			join(i-1, i)
-		}
-	case workload.Star:
-		for i := 1; i < tables; i++ {
-			join(0, i)
-		}
-	case workload.Clique:
-		for i := 0; i < tables; i++ {
-			for j := i + 1; j < tables; j++ {
-				join(i, j)
-			}
-		}
-	case workload.Random:
-		for i := 1; i < tables; i++ {
-			join(rng.Intn(i), i)
-		}
-	default:
-		return nil, fmt.Errorf("%w: shape %d", ErrBadFleet, shape)
-	}
-	if rng.Float64() < spec.OrderByProb {
-		blk.OrderBy = &query.ColRef{Table: names[rng.Intn(tables)], Column: "k"}
-	}
-	if rng.Float64() < spec.FilterProb {
-		sel := spec.MinFilterSel + rng.Float64()*(spec.MaxFilterSel-spec.MinFilterSel)
-		blk.Filters = append(blk.Filters, query.Filter{
-			Col:   query.ColRef{Table: names[rng.Intn(tables)], Column: "k"},
-			Op:    catalog.OpLe,
-			Value: math.Round(sel * float64(spec.KeyRange)),
-		})
-	}
-	return blk, nil
-}
-
 // planOpts is the fleet's plan-space tuning: the spec's index switch and
 // the engine-exact serving cost model.
-func (f *Fleet) planOpts() *optimizer.Options {
+func (f *fleet) planOpts() *optimizer.Options {
 	return &optimizer.Options{
 		DisableIndexes: f.Spec.DisableIndexes,
 		CostModel:      fleetCostModel,
@@ -464,6 +312,6 @@ func (f *Fleet) planOpts() *optimizer.Options {
 }
 
 // archetypeEnv returns a tenant's memory environment.
-func (f *Fleet) archetypeEnv(t FleetTenant) envsim.Env {
+func (f *fleet) archetypeEnv(t tenant) envsim.Env {
 	return f.Spec.Archetypes[t.Archetype].Env
 }

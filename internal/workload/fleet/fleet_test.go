@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -25,11 +26,11 @@ func smallSpec(t *testing.T) Spec {
 	return spec
 }
 
-func newTestFleet(t *testing.T, spec Spec, seed int64) *Fleet {
+func newTestFleet(t *testing.T, spec Spec, seed int64) *fleet {
 	t.Helper()
-	f, err := New(spec, rand.New(rand.NewSource(seed)))
+	f, err := newFleet(spec, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("newFleet: %v", err)
 	}
 	return f
 }
@@ -88,12 +89,18 @@ func TestNewFleetValidates(t *testing.T) {
 		func(s *Spec) { s.LoadLevels = []float64{0} },
 		func(s *Spec) { s.Archetypes = nil },
 		func(s *Spec) { s.Drift.Factors = []float64{2, 4} }, // no neutral 1
+		func(s *Spec) { s.MaxPages = s.MinPages - 1 },
+		func(s *Spec) { s.Shapes = nil },
+		func(s *Spec) { s.MinFilterSel, s.MaxFilterSel = 0, 0.5 },
+		func(s *Spec) { s.MaxFilterSel = 1.5 },
+		func(s *Spec) { s.IndexFanout = 1 },
+		func(s *Spec) { s.ChurnDrift.Factors = []float64{0, 1, 4} },
 	}
 	for i, mutate := range bad {
 		spec := smallSpec(t)
 		mutate(&spec)
-		if _, err := New(spec, rand.New(rand.NewSource(1))); err == nil {
-			t.Errorf("case %d: bad spec accepted", i)
+		if _, err := newFleet(spec, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBadFleet) {
+			t.Errorf("case %d: want ErrBadFleet, got %v", i, err)
 		}
 	}
 }
@@ -105,7 +112,7 @@ func TestRunDeterminism(t *testing.T) {
 	spec := smallSpec(t)
 	run := func(workers int) []byte {
 		f := newTestFleet(t, spec, 42)
-		rep, err := f.Run(RunConfig{Requests: 300, Seed: 99, Workers: workers})
+		rep, err := f.run(RunConfig{Requests: 300, Seed: 99, Workers: workers})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -127,7 +134,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestRunReportShape(t *testing.T) {
 	spec := smallSpec(t)
 	f := newTestFleet(t, spec, 42)
-	rep, err := f.Run(RunConfig{Requests: 300, Seed: 99})
+	rep, err := f.run(RunConfig{Requests: 300, Seed: 99})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

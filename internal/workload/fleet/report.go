@@ -110,7 +110,7 @@ func round6(v float64) float64 {
 // finish folds the wrapper stats, cache stats and archetype aggregates
 // into the level report. Every slice it emits is deterministically
 // ordered: archetypes by spec order, churn tenants by (sorted) name.
-func (lvl *LevelReport) finish(f *Fleet, hist histo.Histogram, waitSum float64, busy resilience.Micros,
+func (lvl *LevelReport) finish(f *fleet, hist histo.Histogram, waitSum float64, busy resilience.Micros,
 	stats resilience.Stats, cache plancache.Stats, timelineLen int, arch []archAgg) {
 
 	served := lvl.Requests - lvl.Errors
@@ -193,7 +193,7 @@ func rankConsistent(predDelta, scale float64, ioDelta int64) bool {
 
 // churnTenantName reports whether name is one of the engineered
 // high-churn tenants (IDs 0..ChurnTenants-1).
-func (f *Fleet) churnTenantName(name string) bool {
+func (f *fleet) churnTenantName(name string) bool {
 	for i := 0; i < f.Spec.ChurnTenants && i < len(f.Tenants); i++ {
 		if f.Tenants[i].Name == name {
 			return true

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,10 +12,8 @@ import (
 	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
 	"lecopt/internal/resilience"
+	"lecopt/internal/workload/serving"
 )
-
-// ErrBadRun reports an invalid run config.
-var ErrBadRun = errors.New("fleet: invalid run config")
 
 // RunConfig tunes one fleet run: the same request stream is replayed at
 // every load level of the spec, so differences between levels are caused
@@ -89,17 +86,26 @@ type driftCatKey struct {
 	factor float64
 }
 
-// Run simulates the spec's load levels over one shared request stream:
-// tenants drawn by Zipf traffic share, queries uniform within the
-// tenant's group, group statistics drifting along presampled walks. Every
-// request is served by the resilience wrapper (LEC policy) against a
-// batched LSC baseline, then both plans are executed on the group's
-// engine under the request's memory trajectory and realized I/O is
-// aggregated per level and per archetype.
-func (f *Fleet) Run(cfg RunConfig) (*Report, error) {
+// Run generates a fleet from spec (generation and the request stream are
+// both seeded by cfg.Seed) and simulates the spec's load levels over one
+// shared request stream: tenants drawn by Zipf traffic share, queries
+// uniform within the tenant's group, group statistics drifting along
+// presampled walks. Every request is served by the resilience wrapper
+// (LEC policy) against a batched LSC baseline, then both plans are
+// executed on the group's engine under the request's memory trajectory
+// and realized I/O is aggregated per level and per archetype.
+func Run(spec Spec, cfg RunConfig) (*Report, error) {
+	f, err := newFleet(spec, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return nil, err
+	}
+	return f.run(cfg)
+}
+
+func (f *fleet) run(cfg RunConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Requests < 1 {
-		return nil, fmt.Errorf("%w: %d requests", ErrBadRun, cfg.Requests)
+		return nil, fmt.Errorf("%w: %d requests", serving.ErrBadRun, cfg.Requests)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -193,7 +199,7 @@ func (f *Fleet) Run(cfg RunConfig) (*Report, error) {
 }
 
 // jitter draws one lognormal latency multiplier.
-func (f *Fleet) jitter(rng *rand.Rand) float64 {
+func (f *fleet) jitter(rng *rand.Rand) float64 {
 	if f.Spec.JitterSigma == 0 {
 		return 1
 	}
@@ -202,7 +208,7 @@ func (f *Fleet) jitter(rng *rand.Rand) float64 {
 
 // catalogAt returns a group's catalog drifted by factor, memoized so all
 // requests optimized at one (group, factor) share a fingerprint.
-func (f *Fleet) catalogAt(memo map[driftCatKey]*catalog.Catalog, group int, factor float64) (*catalog.Catalog, error) {
+func (f *fleet) catalogAt(memo map[driftCatKey]*catalog.Catalog, group int, factor float64) (*catalog.Catalog, error) {
 	k := driftCatKey{group, factor}
 	if c, ok := memo[k]; ok {
 		return c, nil
@@ -218,7 +224,7 @@ func (f *Fleet) catalogAt(memo map[driftCatKey]*catalog.Catalog, group int, fact
 // baseline optimizes the LSC plan of every distinct problem through one
 // plain handle's batch pipeline — the deterministic dedup keeps the
 // result independent of cfg.Workers.
-func (f *Fleet) baseline(keys []optKey, driftCats map[driftCatKey]*catalog.Catalog, cfg RunConfig) ([]*plan.Node, error) {
+func (f *fleet) baseline(keys []optKey, driftCats map[driftCatKey]*catalog.Catalog, cfg RunConfig) ([]*plan.Node, error) {
 	opt := core.NewOptimizer(nil, core.Config{
 		Workers: cfg.Workers, CacheSize: cfg.CacheSize,
 		DriftBand: cfg.DriftBand, DisableFeedback: true,
@@ -252,7 +258,7 @@ func (f *Fleet) baseline(keys []optKey, driftCats map[driftCatKey]*catalog.Catal
 // *true* environment (memoized): the common yardstick for the served and
 // baseline plans even when the served plan was optimized under a
 // degraded point environment or a neighboring drift band.
-func (f *Fleet) predictedEC(memo map[string]float64, qid, archetype int, p *plan.Node) (float64, error) {
+func (f *fleet) predictedEC(memo map[string]float64, qid, archetype int, p *plan.Node) (float64, error) {
 	key := fmt.Sprintf("%d|%d|%s", qid, archetype, p.Signature())
 	if v, ok := memo[key]; ok {
 		return v, nil
@@ -273,7 +279,7 @@ func (f *Fleet) predictedEC(memo map[string]float64, qid, archetype int, p *plan
 // execute runs a plan on its group's engine under the trajectory,
 // memoized by (query, plan, trajectory) — plans and trajectories repeat
 // heavily under Zipf traffic and few memory levels.
-func (f *Fleet) execute(cache map[string]execResult, q *Query, p *plan.Node, memSeq []float64) (execResult, error) {
+func (f *fleet) execute(cache map[string]execResult, q *fleetQuery, p *plan.Node, memSeq []float64) (execResult, error) {
 	key := fmt.Sprintf("%d|%s|%v", q.ID, p.Signature(), memSeq)
 	if out, ok := cache[key]; ok {
 		return out, nil
@@ -294,7 +300,7 @@ func (f *Fleet) execute(cache map[string]execResult, q *Query, p *plan.Node, mem
 // single virtual queue over the wrapper's modeled latencies, and the
 // virtual clock is set to each request's start so budget refill, breaker
 // cooldowns and the timeline all run in offered-load time.
-func (f *Fleet) runLevel(qps float64, stream []fleetRequest, keyIdx map[optKey]int, basePlans []*plan.Node,
+func (f *fleet) runLevel(qps float64, stream []fleetRequest, keyIdx map[optKey]int, basePlans []*plan.Node,
 	driftCats map[driftCatKey]*catalog.Catalog, ecMemo map[string]float64, execCache map[string]execResult,
 	cfg RunConfig) (*LevelReport, error) {
 

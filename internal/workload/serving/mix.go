@@ -50,14 +50,12 @@ type DriftSpec struct {
 	Stay    float64
 }
 
-// MixSpec controls serving-mix generation. All sizes are engine-scale:
-// relations are physically materialized and every request's plans are
-// actually executed, so page counts here are 10²-10³, not the 10⁵ of the
-// analytic specs above.
-type MixSpec struct {
-	Queries int     // distinct queries in the mix
-	ZipfS   float64 // popularity skew: query i is requested ∝ 1/(i+1)^ZipfS
-
+// Gen is the engine-scale generator the serving mix and the fleet share:
+// the physical vocabulary of their tables and the shape of their queries.
+// All sizes are engine-scale: relations are physically materialized and
+// every request's plans are actually executed, so page counts here are
+// 10²-10³, not the 10⁵ of the analytic workload.Spec.
+type Gen struct {
 	MinTables, MaxTables int // tables per query (≥ 2: every plan joins)
 	MinPages, MaxPages   int // physical pages per base table
 	TuplesPerPage        int
@@ -73,8 +71,8 @@ type MixSpec struct {
 	FilterProb                 float64
 	MinFilterSel, MaxFilterSel float64
 
-	// DisableIndexes makes the mix heap-only: no physical indexes are
-	// built and the optimizer's plan space drops index access paths —
+	// DisableIndexes makes the workload heap-only: no physical indexes
+	// are built and the optimizer's plan space drops index access paths —
 	// the pre-access-path behavior (`lecbench -workload -noindex`). The
 	// default (false) builds an index on every table's join key (clustered
 	// on sorted tables, unclustered otherwise; see IndexFanout) and lets
@@ -86,6 +84,14 @@ type MixSpec struct {
 	ClusteredProb float64
 	// IndexFanout is the entry capacity of every index page (default 16).
 	IndexFanout int
+}
+
+// MixSpec controls serving-mix generation.
+type MixSpec struct {
+	Queries int     // distinct queries in the mix
+	ZipfS   float64 // popularity skew: query i is requested ∝ 1/(i+1)^ZipfS
+
+	Gen
 
 	Tenants []Tenant
 	Drift   DriftSpec
@@ -100,23 +106,25 @@ func DefaultMixSpec() (MixSpec, error) {
 		return MixSpec{}, err
 	}
 	return MixSpec{
-		Queries:       12,
-		ZipfS:         1.1,
-		MinTables:     2,
-		MaxTables:     4,
-		MinPages:      8,
-		MaxPages:      64,
-		TuplesPerPage: 6,
-		KeyRange:      600,
-		OrderByProb:   0.4,
-		FilterProb:    0.5,
-		MinFilterSel:  0.05,
-		MaxFilterSel:  0.6,
-		ClusteredProb: 0.5,
-		IndexFanout:   16,
-		Shapes:        []workload.Shape{workload.Chain, workload.Star, workload.Random},
-		Tenants:       tenants,
-		Drift:         DriftSpec{Factors: []float64{0.5, 1, 2}, Stay: 0.85},
+		Queries: 12,
+		ZipfS:   1.1,
+		Gen: Gen{
+			MinTables:     2,
+			MaxTables:     4,
+			MinPages:      8,
+			MaxPages:      64,
+			TuplesPerPage: 6,
+			KeyRange:      600,
+			OrderByProb:   0.4,
+			FilterProb:    0.5,
+			MinFilterSel:  0.05,
+			MaxFilterSel:  0.6,
+			ClusteredProb: 0.5,
+			IndexFanout:   16,
+			Shapes:        []workload.Shape{workload.Chain, workload.Star, workload.Random},
+		},
+		Tenants: tenants,
+		Drift:   DriftSpec{Factors: []float64{0.5, 1, 2}, Stay: 0.85},
 	}, nil
 }
 
@@ -173,7 +181,6 @@ type Mix struct {
 	Popularity dist.Dist // law over query IDs (as float64 values)
 
 	driftChain *dist.Chain // nil: no statistics drift
-	driftInit  dist.Dist
 }
 
 // NewMix generates a serving mix from the spec using rng for all
@@ -182,31 +189,11 @@ func NewMix(spec MixSpec, rng *rand.Rand) (*Mix, error) {
 	if spec.Queries < 1 {
 		return nil, fmt.Errorf("%w: %d queries", ErrBadMix, spec.Queries)
 	}
-	if spec.MinTables < 2 || spec.MaxTables < spec.MinTables || spec.MaxTables > query.MaxTables {
-		return nil, fmt.Errorf("%w: tables range [%d, %d]", ErrBadMix, spec.MinTables, spec.MaxTables)
-	}
-	if spec.MinPages < 1 || spec.MaxPages < spec.MinPages || spec.TuplesPerPage < 1 || spec.KeyRange < 1 {
-		return nil, fmt.Errorf("%w: physical sizing", ErrBadMix)
-	}
 	if math.IsNaN(spec.ZipfS) || spec.ZipfS < 0 {
 		return nil, fmt.Errorf("%w: Zipf skew %v", ErrBadMix, spec.ZipfS)
 	}
-	if len(spec.Shapes) == 0 {
-		return nil, fmt.Errorf("%w: no shapes", ErrBadMix)
-	}
-	if spec.FilterProb < 0 || spec.FilterProb > 1 || math.IsNaN(spec.FilterProb) {
-		return nil, fmt.Errorf("%w: filter prob %v", ErrBadMix, spec.FilterProb)
-	}
-	if spec.FilterProb > 0 {
-		if !(spec.MinFilterSel > 0) || spec.MaxFilterSel < spec.MinFilterSel || spec.MaxFilterSel > 1 {
-			return nil, fmt.Errorf("%w: filter selectivity range [%v, %v]", ErrBadMix, spec.MinFilterSel, spec.MaxFilterSel)
-		}
-	}
-	if spec.ClusteredProb < 0 || spec.ClusteredProb > 1 || math.IsNaN(spec.ClusteredProb) {
-		return nil, fmt.Errorf("%w: clustered prob %v", ErrBadMix, spec.ClusteredProb)
-	}
-	if spec.IndexFanout < 0 || spec.IndexFanout == 1 {
-		return nil, fmt.Errorf("%w: index fanout %d", ErrBadMix, spec.IndexFanout)
+	if err := spec.Gen.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadMix, err)
 	}
 	if len(spec.Tenants) == 0 {
 		return nil, fmt.Errorf("%w: no tenants", ErrBadMix)
@@ -216,27 +203,11 @@ func NewMix(spec MixSpec, rng *rand.Rand) (*Mix, error) {
 			return nil, fmt.Errorf("%w: tenant %q: %v", ErrBadMix, tn.Name, err)
 		}
 	}
-	m := &Mix{Spec: spec, Tenants: spec.Tenants}
-	if len(spec.Drift.Factors) > 0 {
-		hasNeutral := false
-		for _, f := range spec.Drift.Factors {
-			if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, fmt.Errorf("%w: drift factor %v", ErrBadMix, f)
-			}
-			if f == 1 {
-				hasNeutral = true
-			}
-		}
-		if !hasNeutral {
-			return nil, fmt.Errorf("%w: drift factors must include the neutral 1", ErrBadMix)
-		}
-		chain, err := dist.Sticky(spec.Drift.Factors, spec.Drift.Stay)
-		if err != nil {
-			return nil, fmt.Errorf("%w: drift chain: %v", ErrBadMix, err)
-		}
-		m.driftChain = chain
-		m.driftInit = dist.Point(1)
+	chain, err := spec.Drift.Chain()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadMix, err)
 	}
+	m := &Mix{Spec: spec, Tenants: spec.Tenants, driftChain: chain}
 	ids := make([]float64, spec.Queries)
 	for i := range ids {
 		ids[i] = float64(i)
@@ -247,7 +218,7 @@ func NewMix(spec MixSpec, rng *rand.Rand) (*Mix, error) {
 	}
 	m.Popularity = pop
 	for i := 0; i < spec.Queries; i++ {
-		q, err := generateServingQuery(i, spec, rng)
+		q, err := generateServingQuery(i, spec.Gen, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -259,106 +230,22 @@ func NewMix(spec MixSpec, rng *rand.Rand) (*Mix, error) {
 // generateServingQuery builds one query: a join block over freshly
 // materialized relations plus a catalog whose statistics agree with the
 // generator (matched statistics keep the engine-vs-model comparison about
-// plan choice rather than estimation error). Unless the spec disables
-// indexes, every table gets a physical B-tree index on its join key —
-// clustered over key-ordered storage with probability ClusteredProb,
-// unclustered otherwise — whose built height is what the catalog records,
-// so cost.IndexScanIO prices the very structure the engine walks. With
-// FilterProb a query carries one range filter "t.k <= v", the
-// index-vs-heap-scan choice point of the paper's headline examples.
-func generateServingQuery(id int, spec MixSpec, rng *rand.Rand) (*ServingQuery, error) {
-	tables := spec.MinTables + rng.Intn(spec.MaxTables-spec.MinTables+1)
-	shape := spec.Shapes[rng.Intn(len(spec.Shapes))]
-	fanout := spec.IndexFanout
-	if fanout == 0 {
-		fanout = 16
-	}
+// plan choice rather than estimation error). It draws the table count and
+// the shape before it materializes the tables.
+func generateServingQuery(id int, g Gen, rng *rand.Rand) (*ServingQuery, error) {
+	tables := g.MinTables + rng.Intn(g.MaxTables-g.MinTables+1)
+	shape := g.Shapes[rng.Intn(len(g.Shapes))]
 	cat := catalog.New()
 	store := storage.NewStore()
 	names := make([]string, tables)
 	for i := range names {
 		names[i] = fmt.Sprintf("t%d", i)
-		pages := spec.MinPages + rng.Intn(spec.MaxPages-spec.MinPages+1)
-		gen := storage.GenSpec{
-			Name: names[i], Pages: pages, TuplesPerPage: spec.TuplesPerPage, KeyRange: spec.KeyRange,
-		}
-		clustered := !spec.DisableIndexes && rng.Float64() < spec.ClusteredProb
-		var rel *storage.Relation
-		var err error
-		if clustered {
-			rel, err = storage.GenerateSorted(gen, rng)
-		} else {
-			rel, err = storage.Generate(gen, rng)
-		}
-		if err != nil {
+		if err := g.Table(names[i], cat, store, rng); err != nil {
 			return nil, err
 		}
-		if err := store.Add(rel); err != nil {
-			return nil, err
-		}
-		tab, err := catalog.NewTable(names[i], float64(pages), float64(pages*spec.TuplesPerPage),
-			catalog.Column{Name: "k", Type: catalog.TypeInt, Distinct: float64(spec.KeyRange), Min: 0, Max: float64(spec.KeyRange)})
-		if err != nil {
-			return nil, err
-		}
-		if err := cat.AddTable(tab); err != nil {
-			return nil, err
-		}
-		if !spec.DisableIndexes {
-			ixName := fmt.Sprintf("ix_%s_k", names[i])
-			ix, err := storage.BuildIndex(store, ixName, names[i], "k", clustered, fanout)
-			if err != nil {
-				return nil, err
-			}
-			if err := cat.AddIndex(catalog.Index{
-				Name: ixName, Table: names[i], Column: "k",
-				Clustered: clustered, Height: float64(ix.Height()),
-			}); err != nil {
-				return nil, err
-			}
-		}
 	}
-	blk := &query.Block{Tables: names}
-	join := func(i, j int) {
-		blk.Joins = append(blk.Joins, query.Join{
-			Left:  query.ColRef{Table: names[i], Column: "k"},
-			Right: query.ColRef{Table: names[j], Column: "k"},
-		})
-	}
-	switch shape {
-	case workload.Chain:
-		for i := 1; i < tables; i++ {
-			join(i-1, i)
-		}
-	case workload.Star:
-		for i := 1; i < tables; i++ {
-			join(0, i)
-		}
-	case workload.Clique:
-		for i := 0; i < tables; i++ {
-			for j := i + 1; j < tables; j++ {
-				join(i, j)
-			}
-		}
-	case workload.Random:
-		for i := 1; i < tables; i++ {
-			join(rng.Intn(i), i)
-		}
-	default:
-		return nil, fmt.Errorf("%w: shape %d", ErrBadMix, shape)
-	}
-	if rng.Float64() < spec.OrderByProb {
-		blk.OrderBy = &query.ColRef{Table: names[rng.Intn(tables)], Column: "k"}
-	}
-	if rng.Float64() < spec.FilterProb {
-		sel := spec.MinFilterSel + rng.Float64()*(spec.MaxFilterSel-spec.MinFilterSel)
-		blk.Filters = append(blk.Filters, query.Filter{
-			Col:   query.ColRef{Table: names[rng.Intn(tables)], Column: "k"},
-			Op:    catalog.OpLe,
-			Value: math.Round(sel * float64(spec.KeyRange)),
-		})
-	}
-	if err := blk.Validate(cat); err != nil {
+	blk, err := g.Block(names, shape, cat, rng)
+	if err != nil {
 		return nil, err
 	}
 	return &ServingQuery{
@@ -369,6 +256,139 @@ func generateServingQuery(id int, spec MixSpec, rng *rand.Rand) (*ServingQuery, 
 		Eng:    engine.New(store),
 		Phases: tables - 1,
 	}, nil
+}
+
+// Validate checks the generation fields. Its errors carry no sentinel:
+// each spec that embeds Gen wraps them in its own.
+func (g Gen) Validate() error {
+	if g.MinTables < 2 || g.MaxTables < g.MinTables || g.MaxTables > query.MaxTables {
+		return fmt.Errorf("tables range [%d, %d]", g.MinTables, g.MaxTables)
+	}
+	if g.MinPages < 1 || g.MaxPages < g.MinPages || g.TuplesPerPage < 1 || g.KeyRange < 1 {
+		return errors.New("physical sizing")
+	}
+	if len(g.Shapes) == 0 {
+		return errors.New("no shapes")
+	}
+	if g.FilterProb < 0 || g.FilterProb > 1 || math.IsNaN(g.FilterProb) {
+		return fmt.Errorf("filter prob %v", g.FilterProb)
+	}
+	if g.FilterProb > 0 {
+		if !(g.MinFilterSel > 0) || g.MaxFilterSel < g.MinFilterSel || g.MaxFilterSel > 1 {
+			return fmt.Errorf("filter selectivity range [%v, %v]", g.MinFilterSel, g.MaxFilterSel)
+		}
+	}
+	if g.ClusteredProb < 0 || g.ClusteredProb > 1 || math.IsNaN(g.ClusteredProb) {
+		return fmt.Errorf("clustered prob %v", g.ClusteredProb)
+	}
+	if g.IndexFanout < 0 || g.IndexFanout == 1 {
+		return fmt.Errorf("index fanout %d", g.IndexFanout)
+	}
+	return nil
+}
+
+// Table materializes one relation into store and records it in cat with
+// statistics that match the physical data exactly (pages, rows, key
+// range), so at drift factor 1 the optimizer's estimates are unbiased.
+// Unless DisableIndexes is set, the relation also gets a physical B-tree
+// index on its join key — clustered over key-ordered storage with
+// probability ClusteredProb, unclustered otherwise — whose built height is
+// what the catalog records, so cost.IndexScanIO prices the very structure
+// the engine walks.
+func (g Gen) Table(name string, cat *catalog.Catalog, store *storage.Store, rng *rand.Rand) error {
+	pages := g.MinPages + rng.Intn(g.MaxPages-g.MinPages+1)
+	spec := storage.GenSpec{Name: name, Pages: pages, TuplesPerPage: g.TuplesPerPage, KeyRange: g.KeyRange}
+	clustered := !g.DisableIndexes && rng.Float64() < g.ClusteredProb
+	var rel *storage.Relation
+	var err error
+	if clustered {
+		rel, err = storage.GenerateSorted(spec, rng)
+	} else {
+		rel, err = storage.Generate(spec, rng)
+	}
+	if err != nil {
+		return err
+	}
+	if err := store.Add(rel); err != nil {
+		return err
+	}
+	tab, err := catalog.NewTable(name, float64(pages), float64(pages*g.TuplesPerPage),
+		catalog.Column{Name: "k", Type: catalog.TypeInt, Distinct: float64(g.KeyRange), Min: 0, Max: float64(g.KeyRange)})
+	if err != nil {
+		return err
+	}
+	if err := cat.AddTable(tab); err != nil {
+		return err
+	}
+	if g.DisableIndexes {
+		return nil
+	}
+	fanout := g.IndexFanout
+	if fanout == 0 {
+		fanout = 16
+	}
+	ixName := "ix_" + name + "_k"
+	ix, err := storage.BuildIndex(store, ixName, name, "k", clustered, fanout)
+	if err != nil {
+		return err
+	}
+	return cat.AddIndex(catalog.Index{
+		Name: ixName, Table: name, Column: "k",
+		Clustered: clustered, Height: float64(ix.Height()),
+	})
+}
+
+// Block draws a query over the named tables of cat: the shape's joins, an
+// ORDER BY on a join key with probability OrderByProb, and with
+// probability FilterProb one range filter "t.k <= v" — the
+// index-vs-heap-scan choice point of the paper's headline examples.
+func (g Gen) Block(names []string, shape workload.Shape, cat *catalog.Catalog, rng *rand.Rand) (*query.Block, error) {
+	joins, err := shape.Joins(names, rng)
+	if err != nil {
+		return nil, err
+	}
+	blk := &query.Block{Tables: names, Joins: joins}
+	if rng.Float64() < g.OrderByProb {
+		blk.OrderBy = &query.ColRef{Table: names[rng.Intn(len(names))], Column: "k"}
+	}
+	if rng.Float64() < g.FilterProb {
+		sel := g.MinFilterSel + rng.Float64()*(g.MaxFilterSel-g.MinFilterSel)
+		blk.Filters = append(blk.Filters, query.Filter{
+			Col:   query.ColRef{Table: names[rng.Intn(len(names))], Column: "k"},
+			Op:    catalog.OpLe,
+			Value: math.Round(sel * float64(g.KeyRange)),
+		})
+	}
+	if err := blk.Validate(cat); err != nil {
+		return nil, err
+	}
+	return blk, nil
+}
+
+// Chain builds the drift walk, or nil when Factors is empty (no drift).
+// Its errors carry no sentinel: the spec that holds the DriftSpec wraps
+// them in its own.
+func (d DriftSpec) Chain() (*dist.Chain, error) {
+	if len(d.Factors) == 0 {
+		return nil, nil
+	}
+	hasNeutral := false
+	for _, f := range d.Factors {
+		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("drift factor %v", f)
+		}
+		if f == 1 {
+			hasNeutral = true
+		}
+	}
+	if !hasNeutral {
+		return nil, errors.New("drift factors must include the neutral 1")
+	}
+	chain, err := dist.Sticky(d.Factors, d.Stay)
+	if err != nil {
+		return nil, fmt.Errorf("drift chain: %v", err)
+	}
+	return chain, nil
 }
 
 // servingCostModel is the cost model every serving-path optimization and

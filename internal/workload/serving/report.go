@@ -54,16 +54,14 @@ type Report struct {
 	// Cache effectiveness: the plan cache memoizes optimizations across
 	// the stream's repeats (keyed drift-banded by DriftBand; 0 = exact
 	// keys); the exec cache memoizes deterministic (query, plan,
-	// trajectory) executions. Evictions and per-shard occupancy expose
-	// whether the working set actually fits — a hit rate can look healthy
-	// while entries cycle.
+	// trajectory) executions. Evictions expose whether the working set
+	// actually fits — a hit rate can look healthy while entries cycle.
 	DriftBand             float64 `json:"drift_band"`
 	DistinctOptimizations int     `json:"distinct_optimizations"`
 	PlanCacheHits         uint64  `json:"plan_cache_hits"`
 	PlanCacheMisses       uint64  `json:"plan_cache_misses"`
 	PlanCacheHitRate      float64 `json:"plan_cache_hit_rate"`
 	PlanCacheEvictions    uint64  `json:"plan_cache_evictions"`
-	PlanCacheShardSizes   []int   `json:"plan_cache_shard_occupancy"`
 	ExecCacheHits         int64   `json:"exec_cache_hits"`
 	ExecCacheMisses       int64   `json:"exec_cache_misses"`
 	ExecCacheHitRate      float64 `json:"exec_cache_hit_rate"`

@@ -116,7 +116,7 @@ func (m *Mix) Run(cfg RunConfig) (*Report, error) {
 	// queries (correlated drift).
 	factors := make([]float64, cfg.Requests)
 	if m.driftChain != nil {
-		seq, err := m.driftChain.SampleSeq(rng, m.driftInit, cfg.Requests)
+		seq, err := m.driftChain.SampleSeq(rng, dist.Point(1), cfg.Requests)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +183,6 @@ func (m *Mix) Run(cfg RunConfig) (*Report, error) {
 	rep.PlanCacheMisses = cacheStats.Misses
 	rep.PlanCacheHitRate = cacheStats.HitRate()
 	rep.PlanCacheEvictions = cacheStats.Evictions
-	rep.PlanCacheShardSizes = cacheStats.ShardSizes
 	rep.ExecCacheHits = execHits
 	rep.ExecCacheMisses = execMisses
 	if execHits+execMisses > 0 {

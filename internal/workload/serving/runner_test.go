@@ -1,6 +1,8 @@
 package serving
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"strings"
@@ -52,20 +54,23 @@ func TestRunLECBeatsLSC(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic: same mix seed + same run seed ⇒ identical reports,
-// regardless of worker count (optimization fan-out never changes results).
+// TestRunDeterministic: same mix seed + same run seed ⇒ byte-identical
+// reports, regardless of worker count (optimization fan-out never changes
+// results).
 func TestRunDeterministic(t *testing.T) {
-	a, err := defaultMix(t, 7).Run(RunConfig{Requests: 80, Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) []byte {
+		rep, err := defaultMix(t, 7).Run(RunConfig{Requests: 80, Seed: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
 	}
-	b, err := defaultMix(t, 7).Run(RunConfig{Requests: 80, Seed: 3, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalLSCIO != b.TotalLSCIO || a.TotalLECIO != b.TotalLECIO ||
-		a.Wins != b.Wins || a.Ties != b.Ties || a.Losses != b.Losses {
-		t.Fatalf("worker count changed realized outcome:\n%+v\nvs\n%+v", a, b)
+	if a, b := run(1), run(8); !bytes.Equal(a, b) {
+		t.Fatalf("worker count changed the report:\n%s\nvs\n%s", a, b)
 	}
 }
 

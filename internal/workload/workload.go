@@ -48,6 +48,43 @@ func (s Shape) String() string {
 	}
 }
 
+// Joins returns the shape's join graph over the named tables, every edge
+// an equi-join on column k. Only Random draws from rng: one parent per
+// table after the first, a random spanning tree.
+func (s Shape) Joins(names []string, rng *rand.Rand) ([]query.Join, error) {
+	var joins []query.Join
+	switch s {
+	case Chain:
+		for i := 1; i < len(names); i++ {
+			joins = append(joins, keyJoin(names[i-1], names[i]))
+		}
+	case Star:
+		for i := 1; i < len(names); i++ {
+			joins = append(joins, keyJoin(names[0], names[i]))
+		}
+	case Clique:
+		for i := range names {
+			for j := i + 1; j < len(names); j++ {
+				joins = append(joins, keyJoin(names[i], names[j]))
+			}
+		}
+	case Random:
+		for i := 1; i < len(names); i++ {
+			joins = append(joins, keyJoin(names[rng.Intn(i)], names[i]))
+		}
+	default:
+		return nil, fmt.Errorf("%w: shape %d", ErrBadSpec, s)
+	}
+	return joins, nil
+}
+
+func keyJoin(a, b string) query.Join {
+	return query.Join{
+		Left:  query.ColRef{Table: a, Column: "k"},
+		Right: query.ColRef{Table: b, Column: "k"},
+	}
+}
+
 // Spec controls random scenario generation.
 type Spec struct {
 	Tables        int
@@ -116,38 +153,14 @@ func Generate(spec Spec, rng *rand.Rand) (Scenario, error) {
 			}
 		}
 	}
-	blk := &query.Block{Tables: names}
-	join := func(i, j int) {
-		blk.Joins = append(blk.Joins, query.Join{
-			Left:  query.ColRef{Table: names[i], Column: "k"},
-			Right: query.ColRef{Table: names[j], Column: "k"},
-		})
+	joins, err := spec.Shape.Joins(names, rng)
+	if err != nil {
+		return Scenario{}, err
 	}
-	switch spec.Shape {
-	case Chain:
-		for i := 1; i < spec.Tables; i++ {
-			join(i-1, i)
-		}
-	case Star:
-		for i := 1; i < spec.Tables; i++ {
-			join(0, i)
-		}
-	case Clique:
-		for i := 0; i < spec.Tables; i++ {
-			for j := i + 1; j < spec.Tables; j++ {
-				join(i, j)
-			}
-		}
-	case Random:
-		for i := 1; i < spec.Tables; i++ {
-			join(rng.Intn(i), i)
-		}
-		if spec.Tables >= 3 && rng.Float64() < 0.4 {
-			join(0, spec.Tables-1)
-		}
-	default:
-		return Scenario{}, fmt.Errorf("%w: shape %d", ErrBadSpec, spec.Shape)
+	if spec.Shape == Random && spec.Tables >= 3 && rng.Float64() < 0.4 {
+		joins = append(joins, keyJoin(names[0], names[spec.Tables-1]))
 	}
+	blk := &query.Block{Tables: names, Joins: joins}
 	for i := 0; i < spec.Tables; i++ {
 		if rng.Float64() < spec.FilterProb {
 			blk.Filters = append(blk.Filters, query.Filter{

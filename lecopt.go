@@ -265,10 +265,4 @@ func DefaultFleetSpec() (FleetSpec, error) { return fleet.DefaultSpec() }
 // drift-churn circuit breakers, and a per-request timeline — all in
 // deterministic virtual time, so the report is byte-identical run to run
 // and across worker counts.
-func RunFleet(spec FleetSpec, cfg FleetRun) (*FleetReport, error) {
-	f, err := fleet.New(spec, rand.New(rand.NewSource(cfg.Seed)))
-	if err != nil {
-		return nil, err
-	}
-	return f.Run(cfg)
-}
+func RunFleet(spec FleetSpec, cfg FleetRun) (*FleetReport, error) { return fleet.Run(spec, cfg) }
