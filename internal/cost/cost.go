@@ -69,9 +69,13 @@ func (m JoinMethod) OrdersOutput() bool { return m == SortMerge }
 // passMultiplier encodes the paper's three-case pass structure keyed to a
 // pivot relation size R: 2 passes over the data when M > √R, 4 when
 // ∛R < M ≤ √R, 6 when M ≤ ∛R.
-func passMultiplier(r, mem float64) float64 {
+func passMultiplier(r, mem float64) float64 { return passes(mem, math.Sqrt(r), r) }
+
+// passes is passMultiplier(r, mem) with √r computed by the caller, once for
+// every memory value it classifies.
+func passes(mem, sqrtR, r float64) float64 {
 	switch {
-	case mem > math.Sqrt(r):
+	case mem > sqrtR:
 		return 2
 	case AboveCbrt(mem, r):
 		return 4

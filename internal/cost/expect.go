@@ -6,80 +6,98 @@ import (
 	"lecopt/internal/dist"
 )
 
-// ExpectJoinIO returns E[JoinIOModel(model, method, outer, inner, M)] for M
-// distributed as mem — bit for bit what
+// JoinCard prices one join for every method the caller searches: it sets
+// card[m], for each m in methods, to E[JoinIOModel(model, m, outer, inner, M)]
+// for M distributed as mem — bit for bit what
 //
-//	mem.ExpectF(func(m float64) float64 { return JoinIOModel(model, method, outer, inner, m) })
+//	mem.ExpectF(func(v float64) float64 { return JoinIOModel(model, m, outer, inner, v) })
 //
-// returns: the same buckets in the same order, e += Prob(i)·cost(i), so the
-// last ulp of every expected cost (and with it every exact tie the plan
-// comparator decides) stays where it was. What moves out of the bucket loop
-// is everything that does not depend on memory: the pivot, |A|+|B|, the S+2
-// fit threshold and √R are computed once per join, and a bucket then picks
-// its 1/2/4/6-pass multiple by comparisons alone (AboveCbrt). Under a Point
-// law the result is 0 + 1·cost = cost exactly, so the classical optimizer
-// is this function too.
+// returns — and every other entry to 0. Each method keeps its own
+// accumulator, e += Prob(i)·cost(i) over the same buckets in the same
+// order, so the last ulp of every expected cost (and with it every exact tie
+// the plan comparator decides) stays where it was. What moves out of the
+// bucket loop is everything that depends on the sizes alone: |A|+|B|, both
+// pivots and their square roots, the S+2 fit threshold and the page
+// nested-loop rescan are computed once per card, and one pass over the
+// buckets then classifies each bucket once per formula by comparisons alone
+// (AboveCbrt). Under a Point law each entry is 0 + 1·cost = cost exactly,
+// so the classical optimizer prices with this function too.
 //
-// The law is read-only and taken by pointer (and read through Dist.At): the
-// call sits in the dynamic programs' innermost loop, where copying the
-// 48-byte Dist per call and per accessor cost as much as the arithmetic.
+// The law is read-only and taken by pointer (and read through Dist.At), and
+// the card is filled in place: the call sits in the dynamic programs'
+// innermost loop, where copying the 48-byte Dist per call and per accessor
+// cost as much as the arithmetic, and copying a returned card stalls on
+// its four separate stores.
 //
-// Two formulas keep the per-bucket call: BlockNL's ⌈|A|/(M−2)⌉ has a level
-// set per block count, not four, and ModelEngine grace hash is
-// engineGraceIO's integer recursion, which has no roots to hoist.
-func ExpectJoinIO(model Model, method JoinMethod, outer, inner float64, mem *dist.Dist) float64 {
+// Two formulas keep their per-bucket call, each in a sweep of its own:
+// BlockNL's ⌈|A|/(M−2)⌉ has a level set per block count, not four, and
+// ModelEngine grace hash is engineGraceIO's integer recursion, which has no
+// roots to hoist.
+func JoinCard(card *[BlockNL + 1]float64, model Model, methods []JoinMethod, outer, inner float64, mem *dist.Dist) {
 	if !(outer > 0 && inner > 0) {
-		return 0
+		*card = [BlockNL + 1]float64{}
+		return
 	}
-	small, sum := min(outer, inner), outer+inner
-	switch {
-	case method == SortMerge:
-		return expectPasses(mem, max(outer, inner), sum, math.NaN(), 0)
-	case method == GraceHash && model == ModelPaper:
-		return expectPasses(mem, small, sum, small+2, sum)
-	case method == PageNL:
-		fit, thrash := small+2, outer+outer*inner
-		e := 0.0
-		for i, n := 0, mem.Len(); i < n; i++ {
-			m, p := mem.At(i)
+	var want uint
+	for _, m := range methods {
+		want |= 1 << m
+	}
+	sm, nl, bnl := want&(1<<SortMerge) != 0, want&(1<<PageNL) != 0, want&(1<<BlockNL) != 0
+	gh := want&(1<<GraceHash) != 0 && model == ModelPaper
+	ghEngine := want&(1<<GraceHash) != 0 && model == ModelEngine
+	small, big, sum := min(outer, inner), max(outer, inner), outer+inner
+	sqrtSmall, sqrtBig, fit, thrash := math.Sqrt(small), math.Sqrt(big), small+2, outer+outer*inner
+	var eSM, eGH, eNL, eBNL float64
+	n := mem.Len()
+	for i := 0; i < n; i++ {
+		m, p := mem.At(i)
+		if sm {
+			eSM += p * (passes(m, sqrtBig, big) * sum)
+		}
+		if gh {
+			io := sum
+			if !(m >= fit) {
+				io = passes(m, sqrtSmall, small) * sum
+			}
+			eGH += p * io
+		}
+		if nl {
 			io := thrash
 			if m >= fit {
 				io = sum
 			}
-			e += p * io
+			eNL += p * io
 		}
-		return e
 	}
-	return mem.ExpectF(func(m float64) float64 { return JoinIOModel(model, method, outer, inner, m) })
+	// The formulas that keep a per-bucket call sweep on their own: a call on
+	// every bucket of the sweep above would spill its accumulators around it.
+	if ghEngine {
+		for i := 0; i < n; i++ {
+			m, p := mem.At(i)
+			eGH += p * JoinIOModel(model, GraceHash, outer, inner, m)
+		}
+	}
+	if bnl {
+		for i := 0; i < n; i++ {
+			m, p := mem.At(i)
+			eBNL += p * JoinIOModel(model, BlockNL, outer, inner, m)
+		}
+	}
+	card[SortMerge], card[GraceHash], card[PageNL], card[BlockNL] = eSM, eGH, eNL, eBNL
 }
 
 // ExpectSortIO returns E[SortIO(r, M)] for M distributed as mem, bit for
-// bit mem.ExpectF of the formula (see ExpectJoinIO).
+// bit mem.ExpectF of the formula (see JoinCard).
 func ExpectSortIO(r float64, mem *dist.Dist) float64 {
 	if !(r > 0) {
 		return 0
 	}
-	return expectPasses(mem, r, r, r, 0)
-}
-
-// expectPasses is the shared bucket loop of the three-case formulas:
-// E[c(M)] with c = fitIO where M ≥ fit (a NaN fit never holds: sort-merge
-// has no such regime) and passMultiplier(r, M)·pages below it.
-func expectPasses(mem *dist.Dist, r, pages, fit, fitIO float64) float64 {
-	sqrtR := math.Sqrt(r)
-	e := 0.0
+	sqrtR, e := math.Sqrt(r), 0.0
 	for i, n := 0, mem.Len(); i < n; i++ {
 		m, p := mem.At(i)
-		var io float64
-		switch {
-		case m >= fit:
-			io = fitIO
-		case m > sqrtR:
-			io = 2 * pages
-		case AboveCbrt(m, r):
-			io = 4 * pages
-		default:
-			io = 6 * pages
+		io := 0.0
+		if !(m >= r) {
+			io = passes(m, sqrtR, r) * r
 		}
 		e += p * io
 	}

@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"lecopt/internal/dist"
@@ -146,28 +147,50 @@ func thresholdLaw(outer, inner float64) dist.Dist {
 	return dist.MustNew(vals, ws)
 }
 
+// checkCard holds every entry of a card for methods to the bits of the
+// closure the card replaced — ==, not within a tolerance — and every entry
+// for a method not asked for to 0.
+func checkCard(t testing.TB, model Model, methods []JoinMethod, outer, inner float64, law *dist.Dist) {
+	t.Helper()
+	card := [BlockNL + 1]float64{1, 2, 3, 4} // stale entries the card must clear
+	JoinCard(&card, model, methods, outer, inner, law)
+	for _, method := range Methods {
+		want := 0.0
+		if slices.Contains(methods, method) {
+			want = law.ExpectF(func(m float64) float64 { return JoinIOModel(model, method, outer, inner, m) })
+		}
+		if got := card[method]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("JoinCard(%v, %v, %v, %v)[%v] = %v [%016x], ExpectF = %v [%016x]",
+				model, methods, outer, inner, method, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 // TestExpectKernelsMatchExpectF: the kernels return the bits of the closure
-// they replaced — ==, not within a tolerance.
+// they replaced, for a card of all four methods, of the paper's three and
+// of each method alone, at sizes down to 0, NaN and ±Inf and past 2⁵².
 func TestExpectKernelsMatchExpectF(t *testing.T) {
-	sizes := []float64{-5, 0, 1, 64, 4096, 65536, 1000.5, 27, 1e6, math.Inf(1), math.NaN()}
+	sizes := []float64{-5, 0, 1, 64, 4096, 65536, 1000.5, 27, 1e6, 1 << 52, 1<<53 + 2, 3e17, 1e300,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	cards := [][]JoinMethod{Methods, PaperMethods, {BlockNL, SortMerge}}
+	for _, m := range Methods {
+		cards = append(cards, []JoinMethod{m})
+	}
 	for _, outer := range sizes {
 		for _, inner := range sizes {
 			laws := kernelLaws(t)
 			if outer > 0 && inner > 0 && !math.IsInf(outer+inner, 0) {
 				laws = append(laws, thresholdLaw(outer, inner))
 			}
-			for li, law := range laws {
+			for li := range laws {
+				law := &laws[li]
 				for _, model := range []Model{ModelPaper, ModelEngine} {
-					for _, method := range Methods {
-						want := law.ExpectF(func(m float64) float64 { return JoinIOModel(model, method, outer, inner, m) })
-						if got := ExpectJoinIO(model, method, outer, inner, &law); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("ExpectJoinIO(%v, %v, %v, %v, law %d) = %v [%016x], ExpectF = %v [%016x]",
-								model, method, outer, inner, li, got, math.Float64bits(got), want, math.Float64bits(want))
-						}
+					for _, methods := range cards {
+						checkCard(t, model, methods, outer, inner, law)
 					}
 				}
 				want := law.ExpectF(func(m float64) float64 { return SortIO(outer, m) })
-				if got := ExpectSortIO(outer, &law); math.Float64bits(got) != math.Float64bits(want) {
+				if got := ExpectSortIO(outer, law); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("ExpectSortIO(%v, law %d) = %v, ExpectF = %v", outer, li, got, want)
 				}
 			}
@@ -181,10 +204,11 @@ func TestExpectKernelsMatchExpectF(t *testing.T) {
 func TestExpectPointLawIsTheFormula(t *testing.T) {
 	for _, mem := range []float64{3, 10, 64, 100, 1000, 1e6, math.Inf(1)} {
 		point := dist.Point(mem)
-		for _, method := range Methods {
-			for _, model := range []Model{ModelPaper, ModelEngine} {
-				want := JoinIOModel(model, method, 5000, 300, mem)
-				if got := ExpectJoinIO(model, method, 5000, 300, &point); got != want {
+		for _, model := range []Model{ModelPaper, ModelEngine} {
+			var card [BlockNL + 1]float64
+			JoinCard(&card, model, Methods, 5000, 300, &point)
+			for _, method := range Methods {
+				if got, want := card[method], JoinIOModel(model, method, 5000, 300, mem); got != want {
 					t.Fatalf("%v %v at %v: kernel %v, formula %v", model, method, mem, got, want)
 				}
 			}
@@ -197,18 +221,30 @@ func TestExpectPointLawIsTheFormula(t *testing.T) {
 
 var sinkIO float64
 
-// BenchmarkExpectJoinIO times one expected join cost — the innermost call
-// of Algorithm C's dynamic program — under a 6- and a 27-bucket law.
+// BenchmarkExpectJoinIO times the innermost step of Algorithm C's dynamic
+// program — one join's expected price — under a 6- and a 27-bucket law: a
+// card of the paper's three methods (the optimizer's default search), and
+// a card of each method alone.
 func BenchmarkExpectJoinIO(b *testing.B) {
 	for _, buckets := range []int{6, 27} {
 		law, err := dist.EquiWidth(64, 4096, buckets, func(c float64) float64 { return 1 / c })
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, method := range Methods {
-			b.Run(fmt.Sprintf("b=%d/%v", buckets, method), func(b *testing.B) {
+		cards := [][]JoinMethod{PaperMethods}
+		for _, m := range Methods {
+			cards = append(cards, []JoinMethod{m})
+		}
+		for _, methods := range cards {
+			name := "card"
+			if len(methods) == 1 {
+				name = methods[0].String()
+			}
+			b.Run(fmt.Sprintf("b=%d/%s", buckets, name), func(b *testing.B) {
+				var card [BlockNL + 1]float64
 				for i := 0; i < b.N; i++ {
-					sinkIO += ExpectJoinIO(ModelPaper, method, 5e6+float64(i&7), 3e5, &law)
+					JoinCard(&card, ModelPaper, methods, 5e6+float64(i&7), 3e5, &law)
+					sinkIO += card[SortMerge] + card[GraceHash] + card[PageNL] + card[BlockNL]
 				}
 			})
 		}

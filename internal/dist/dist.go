@@ -255,7 +255,7 @@ func (d Dist) Prob(i int) float64 { return d.probs[i] }
 
 // At returns the i-th support value and its probability. Unlike the other
 // accessors it has a pointer receiver, for loops over a handful of buckets
-// (cost.ExpectJoinIO, the expcost sweeps): a Dist is two slice headers, too
+// (cost.JoinCard, the expcost sweeps): a Dist is two slice headers, too
 // large for the compiler to keep in registers, so Value(i) and Prob(i) copy
 // all 48 bytes on every call — most of such a loop's time.
 func (d *Dist) At(i int) (v, p float64) { return d.vals[i], d.probs[i] }

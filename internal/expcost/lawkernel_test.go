@@ -127,8 +127,10 @@ func cappedMean(d dist.Dist) float64 {
 // huge is set — and memory law mem, every join of both models prices ≥ 0,
 // never NaN, and at least (1 − 1e-12) of the capped floor
 // E[min(A, 2⁵²)] + E[min(B, 2⁵²)], in expectation over the laws
-// (JoinECModel) and at one size each (cost.ExpectJoinIO); a sort prices ≥ 0,
+// (JoinECModel) and at one size each (cost.JoinCard); a sort prices ≥ 0,
 // never NaN. The slack covers rounding and weights that sum to 1 − 1 ulp.
+// Every card entry is also the Float64bits of mem.ExpectF over the formula,
+// at those sizes and with either size 0, NaN, ±Inf or past 2⁵².
 func checkPrices(t *testing.T, a, b, mem dist.Dist, huge bool) {
 	t.Helper()
 	pages := func(v float64) float64 {
@@ -150,10 +152,23 @@ func checkPrices(t *testing.T, a, b, mem dist.Dist, huge bool) {
 	}
 	outer, inner := a.Value(a.Len()-1), b.Value(0)
 	for _, model := range []cost.Model{cost.ModelPaper, cost.ModelEngine} {
+		var card [cost.BlockNL + 1]float64
+		cost.JoinCard(&card, model, cost.Methods, outer, inner, &mem)
 		for _, m := range cost.Methods {
 			name := model.String() + "/" + m.String()
 			check("JoinECModel "+name, JoinECModel(model, m, a, b, mem), cappedMean(a)+cappedMean(b))
-			check("ExpectJoinIO "+name, cost.ExpectJoinIO(model, m, outer, inner, &mem), math.Min(outer, pageCap)+math.Min(inner, pageCap))
+			check("JoinCard "+name, card[m], math.Min(outer, pageCap)+math.Min(inner, pageCap))
+		}
+		for _, odd := range []float64{outer, 0, math.NaN(), math.Inf(1), math.Inf(-1), outer * (1 << 53)} {
+			for _, sizes := range [][2]float64{{odd, inner}, {outer, odd}} {
+				cost.JoinCard(&card, model, cost.Methods, sizes[0], sizes[1], &mem)
+				for _, m := range cost.Methods {
+					want := mem.ExpectF(func(v float64) float64 { return cost.JoinIOModel(model, m, sizes[0], sizes[1], v) })
+					if math.Float64bits(card[m]) != math.Float64bits(want) {
+						t.Fatalf("JoinCard(%v, %v, %v)[%v] = %v, ExpectF = %v", model, sizes[0], sizes[1], m, card[m], want)
+					}
+				}
+			}
 		}
 	}
 	check("SortEC", SortEC(a, mem), 0)

@@ -154,11 +154,18 @@ func (s *Store) Observations() uint64 {
 }
 
 // RoundSig rounds a positive value to two significant decimal figures
-// (1234 -> 1200, 0.037 -> 0.037); non-positive values pass through.
+// (1234 -> 1200, 0.037 -> 0.037); non-positive values pass through, and so
+// do values at the ends of the float range, where the rounding scale would
+// be subnormal (values below 1e-306) or the rounded value would overflow:
+// a positive finite size never rounds to 0 or +Inf.
 func RoundSig(v float64) float64 {
 	if v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 		return v
 	}
 	scale := math.Pow(10, math.Floor(math.Log10(v))-1)
-	return math.Round(v/scale) * scale
+	r := math.Round(v/scale) * scale
+	if scale < 0x1p-1022 || math.IsInf(r, 0) {
+		return v
+	}
+	return r
 }

@@ -88,6 +88,36 @@ func TestRoundSig(t *testing.T) {
 	}
 }
 
+// TestRoundSigFloatEdges: a positive finite size stays positive and finite.
+// Near the ends of the float range it passes through unchanged; inside it
+// it rounds as anywhere else, up to the ulps math.Pow's scale costs.
+func TestRoundSigFloatEdges(t *testing.T) {
+	const smallestNormal = 0x1p-1022
+	for _, tc := range []struct {
+		in, want float64
+		exact    bool
+	}{
+		{math.MaxFloat64, math.MaxFloat64, true},
+		{smallestNormal, smallestNormal, true},
+		{1e-308, 1e-308, true},
+		{1e-310, 1e-310, true},
+		{math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, true},
+		{1.234e300, 1.2e300, false},
+		{1e300, 1e300, false},
+		{1.234e-300, 1.2e-300, false},
+		{1e-300, 1e-300, false},
+	} {
+		got := RoundSig(tc.in)
+		ok := got == tc.want
+		if !tc.exact {
+			ok = math.Abs(got-tc.want) <= 1e-14*tc.want
+		}
+		if !ok || !(got > 0) || math.IsInf(got, 0) {
+			t.Errorf("RoundSig(%v) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestHintsPerQueryIsolation(t *testing.T) {
 	s := NewStore(0)
 	s.Observe("q1", map[string]float64{"a+b": 10})

@@ -91,8 +91,13 @@ func AlgorithmA(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	// The per-bucket LSC runs are independent System R passes over the
 	// read-only prepared context, so they fan out across Options.Workers
 	// goroutines; merging in bucket order afterwards keeps the outcome
-	// identical to a serial run.
+	// identical to a serial run. A mean that is a bucket (every Point law)
+	// would rerun that bucket's pass for the same plan, which Candidates
+	// counts once anyway.
 	points := bucketPoints(mem)
+	if last := len(points) - 1; slices.Contains(points[:last], points[last]) {
+		points = points[:last]
+	}
 	runs := make([]planEC, len(points))
 	outer, inner := c.fanOut(len(points))
 	err = pool.Run(len(points), outer, func(i int) error {
@@ -341,8 +346,9 @@ func ExpectedCostModel(model cost.Model, p *plan.Node, laws []dist.Dist) (float6
 //     already counts reading both inputs — except when a sort consumes it
 //     directly, in which case the sort pays the base read in its phase.
 //
-// Joins are charged with cost.ExpectJoinIO, the bucket-order-preserving
-// expectation of cost.JoinIOModel; sorts with cost.ExpectSortIO.
+// Joins are charged with their method's entry of cost.JoinCard, the
+// bucket-order-preserving expectation of cost.JoinIOModel; sorts with
+// cost.ExpectSortIO.
 func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) ([]float64, error) {
 	if len(laws) == 0 {
 		return nil, ErrLawsShort
@@ -383,7 +389,9 @@ func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) (
 			return k
 		default: // join
 			k := rec(n.Left) + rec(n.Right)
-			out[k-2] += cost.ExpectJoinIO(model, n.Method, n.Left.OutPages, n.Right.OutPages, lawAt(k-2))
+			var card [cost.BlockNL + 1]float64
+			cost.JoinCard(&card, model, []cost.JoinMethod{n.Method}, n.Left.OutPages, n.Right.OutPages, lawAt(k-2))
+			out[k-2] += card[n.Method]
 			return k
 		}
 	}

@@ -48,7 +48,7 @@ type greedyPlan struct {
 // least pages (ties to the lowest index) and repeatedly joins on the table,
 // adjacent to the prefix, whose join scores least over both order slots,
 // best method and left slot taken. Each join is priced as expand prices it,
-// (left + right) + joinPrice(m, prefix, j, phase), with the table's
+// (left + right) + card[m] from one priceCard per table, with the table's
 // cheapest access path on the right, and the root is completed as complete
 // completes it. It builds no node and allocates nothing. Queries
 // under boundMinTables tables, and join graphs the greedy order cannot
@@ -88,10 +88,11 @@ func (c *ctx) greedy(s scorer) greedyPlan {
 			merges, phase := c.mergeOrders(j, prefix), phaseOfMask(prefix|bit)
 			cand := greedyStep{table: j, access: [2]int{ra, ra}, left: [2]int{-1, -1}}
 			out := [2]float64{inf, inf}
+			var card [cost.BlockNL + 1]float64
+			c.priceCard(&card, &s, prefix, bit, phase)
 			for _, jm := range c.opts.Methods {
-				price := c.joinPrice(s, jm, prefix, bit, phase)
 				for ls := range cur {
-					score := (cur[ls] + right) + price
+					score := (cur[ls] + right) + card[jm]
 					if os := joinSlot(jm, merges, ls); score < out[os] {
 						out[os], cand.left[os], cand.method[os] = score, ls, jm
 					}

@@ -367,12 +367,41 @@ func FuzzBoundedKernel(f *testing.F) {
 // 10-table queries of every shape, and Algorithm D (selectivity laws on
 // edges, a table size law) on 6 and 8: the pass dpBest or dpLaws runs —
 // D's size table and the greedy bound included — and the same pass with
-// every bar at +Inf (…/unbounded).
+// every bar at +Inf (…/unbounded). Algorithms A and B are timed whole, at
+// one worker: A under the 4-bucket law and a 27-bucket one on 6 and 8
+// tables (…/b=4, …/b=27: a bounded point pass per bucket and the mean,
+// each winner priced under the law), B at c = 3 under the 4-bucket law on
+// 4, 6 and 8 tables (its unbounded top-c passes).
 func BenchmarkKernel(b *testing.B) {
 	mem := dist.MustNew([]float64{64, 256, 1024, 4096}, []float64{4, 3, 2, 1})
+	fine, err := dist.EquiWidth(64, 4096, 27, func(c float64) float64 { return 1 / c })
+	if err != nil {
+		b.Fatal(err)
+	}
+	serial := Options{Workers: 1}
 	for _, n := range []int{4, 6, 8, 10} {
 		for si, shape := range []workload.Shape{workload.Chain, workload.Star, workload.Clique, workload.Random} {
 			sc := wideScenario(b, n, shape, int64(9600+10*n+si))
+			if n == 6 || n == 8 {
+				for _, law := range []dist.Dist{mem, fine} {
+					b.Run(fmt.Sprintf("A/t%d/%s/b=%d", n, shape, law.Len()), func(b *testing.B) {
+						for b.Loop() {
+							if _, err := AlgorithmA(sc.Cat, sc.Block, serial, law); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
+			}
+			if n <= 8 {
+				b.Run(fmt.Sprintf("B/t%d/%s/c=3", n, shape), func(b *testing.B) {
+					for b.Loop() {
+						if _, err := AlgorithmB(sc.Cat, sc.Block, serial, mem, 3); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 			c, err := prepare(sc.Cat, sc.Block, Options{})
 			if err != nil {
 				b.Fatal(err)

@@ -35,15 +35,11 @@ func pointScorer(mem float64, model cost.Model) scorer {
 	return scorer{laws: []dist.Dist{dist.Point(mem)}, model: model}
 }
 
-func (s scorer) law(phase int) *dist.Dist {
+func (s *scorer) law(phase int) *dist.Dist {
 	if phase >= len(s.laws) {
 		phase = len(s.laws) - 1
 	}
 	return &s.laws[phase]
-}
-
-func (s scorer) joinScore(m cost.JoinMethod, outer, inner float64, phase int) float64 {
-	return cost.ExpectJoinIO(s.model, m, outer, inner, s.law(phase))
 }
 
 // pages is the result size of mask's tables under s: ctx.size, or the mean
@@ -55,13 +51,16 @@ func (c *ctx) pages(s scorer, mask uint64) float64 {
 	return c.size[mask]
 }
 
-// joinPrice is the price of joining table bit, by m, onto a prefix covering
-// rest, in phase.
-func (c *ctx) joinPrice(s scorer, m cost.JoinMethod, rest, bit uint64, phase int) float64 {
-	if s.sizes != nil {
-		return expcost.JoinECModel(s.model, m, s.sizes[rest], s.sizes[bit], *s.law(phase))
+// priceCard prices joining table bit onto a prefix covering rest, in phase,
+// by every method the pass searches: it sets card[m] to method m's price.
+func (c *ctx) priceCard(card *[cost.BlockNL + 1]float64, s *scorer, rest, bit uint64, phase int) {
+	if s.sizes == nil {
+		cost.JoinCard(card, s.model, c.opts.Methods, c.size[rest], c.size[bit], s.law(phase))
+		return
 	}
-	return s.joinScore(m, c.size[rest], c.size[bit], phase)
+	for _, m := range c.opts.Methods {
+		card[m] = expcost.JoinECModel(s.model, m, s.sizes[rest], s.sizes[bit], *s.law(phase))
+	}
 }
 
 // sortPrice is the price of the root ORDER BY sort of the query's result.
@@ -240,23 +239,18 @@ func (c *ctx) run(sc *dpScratch, s scorer, workers int, bound float64) {
 	}
 }
 
-// unpriced marks a join price not computed yet: no price is negative
-// (DESIGN.md, "Bounded kernel").
-const unpriced = -1.0
-
 // singlePair is the frontier of two single-entry cells.
 var singlePair = []topPair{{}}
 
 // expand fills mask's cells from the finalized smaller ranks, writing
 // nothing else. Sizes are the subset's, not the order's: the output is
 // pages(mask) and the left input is rest's, so every entry of both left
-// slots is one join input, and a join is priced once per (j, method), on
+// slots is one join input, and a join is priced by one card per j, on
 // first need. What the method cannot change (sort-merge order) is asked
 // once per (mask, j). A score is always (left.score + right.score) + price.
 func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) {
 	phase := phaseOfMask(mask)
 	methods := c.opts.Methods
-	w.jc = grow(w.jc, len(methods))
 	w.cands = c.candidatesInto(mask, w.cands[:0])
 	outPages := c.pages(s, mask)
 	kb := cell(mask, 0)
@@ -267,9 +261,8 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) {
 		// No price is below reading both inputs (setBars), up to the
 		// rounding boundSlack covers.
 		least := (sc.floor[rest] + sc.floor[bit]) * (1 - boundSlack)
-		for mi := range w.jc {
-			w.jc[mi] = unpriced
-		}
+		var card [cost.BlockNL + 1]float64
+		priced := false
 		for ls := 0; ls < 2; ls++ {
 			left := sc.list(cell(rest, ls))
 			if len(left) == 0 {
@@ -292,15 +285,16 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) {
 				for _, p := range pairs {
 					le, re := &left[p.i], &right[p.k]
 					base := le.score + re.score
-					for mi, m := range methods {
+					for _, m := range methods {
 						k := kb | joinSlot(m, merges, ls)
 						if !sc.admits(k, base+least) {
 							continue // turned away even at the least price
 						}
-						if w.jc[mi] == unpriced {
-							w.jc[mi] = c.joinPrice(s, m, rest, bit, phase)
+						if !priced {
+							c.priceCard(&card, &s, rest, bit, phase)
+							priced = true
 						}
-						score := base + w.jc[mi]
+						score := base + card[m]
 						if !sc.admits(k, score) {
 							continue // strictly worse: skip building the node
 						}

@@ -49,7 +49,6 @@ const (
 type dpWorker struct {
 	arena  nodeArena
 	cands  []int     // candidatesInto buffer
-	jc     []float64 // join prices of one (mask, j): one per method
 	pairs  []topPair // keepTopC: the frontier of one (left, right) list pair
 	probes int       // keepTopC: frontier pairs probed
 }

@@ -196,7 +196,7 @@ func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 						continue
 					}
 					for _, m := range c.opts.Methods {
-						jc := s.joinScore(m, c.size[rest], c.size[bit], phase)
+						jc := s.law(phase).ExpectF(func(v float64) float64 { return cost.JoinIOModel(s.model, m, c.size[rest], c.size[bit], v) })
 						pairs, pr := TopCCombine(left.scores(), right.scores(), topC)
 						probes += pr
 						for _, p := range pairs {
@@ -354,8 +354,10 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 	opts := Options{Methods: cost.Methods}
 	// The premise: with both inputs resident, three of the four methods tie.
 	for si, s := range []scorer{pointScorer(mem.Mean(), cost.ModelPaper), {laws: []dist.Dist{mem}, model: cost.ModelPaper}} {
+		var card [cost.BlockNL + 1]float64
+		cost.JoinCard(&card, s.model, cost.Methods, 1000, 1000, s.law(0))
 		for _, m := range []cost.JoinMethod{cost.GraceHash, cost.PageNL, cost.BlockNL} {
-			if got := s.joinScore(m, 1000, 1000, 0); got != 2000 {
+			if got := card[m]; got != 2000 {
 				t.Fatalf("scorer %d: %v costs %v on 1000+1000 pages, want outer+inner", si, m, got)
 			}
 		}
