@@ -22,9 +22,9 @@ type fleetModeConfig struct {
 // runFleetMode drives the fleet simulator — Zipf tenant traffic over
 // shared-catalog groups, replayed at each offered load level through the
 // resilience wrapper — prints a per-level summary and writes the
-// BENCH_fleet.json artifact. It gates on zero errors and on the fleet
-// keeping aggregate realized LEC <= LSC with tenant-aggregate rank
-// consistency.
+// BENCH_fleet.json artifact. It gates on zero errors, on every level's
+// decision counts summing to its requests, and on the fleet keeping
+// aggregate realized LEC <= LSC with tenant-aggregate rank consistency.
 func runFleetMode(cfg fleetModeConfig, jsonPath string, w io.Writer) (*lecopt.FleetReport, error) {
 	spec, err := lecopt.DefaultFleetSpec()
 	if err != nil {
@@ -56,8 +56,8 @@ func runFleetMode(cfg fleetModeConfig, jsonPath string, w io.Writer) (*lecopt.Fl
 		fmt.Fprintf(w, "    resilience: %d denials, %d hedges (%dw/%dl/%dc), %d trips, %d reopens, %d open-served, %d degraded\n",
 			lvl.BudgetDenials, lvl.HedgesFired, lvl.HedgeWins, lvl.HedgeLosses, lvl.HedgeCancels,
 			lvl.BreakerTrips, lvl.BreakerReopens, lvl.OpenServed, lvl.DegradedServed)
-		fmt.Fprintf(w, "    plan cache %.1f%%, timeline %d events (%d optimize, %d observe)\n",
-			100*lvl.PlanCacheHitRate, lvl.TimelineEvents, lvl.TimelineOptimize, lvl.TimelineObserve)
+		fmt.Fprintf(w, "    plan cache %.1f%% of fast-path misses, %d observe calls\n",
+			100*lvl.PlanCacheHitRate, lvl.ObserveCalls)
 		for _, ts := range lvl.ChurnTenantStats {
 			fmt.Fprintf(w, "    churn %-12s %4d req: %d denials, %d trips, %d open-served, %d degraded, churn %d\n",
 				ts.Tenant, ts.Requests, ts.Denials, ts.Trips, ts.OpenServed, ts.Degraded, ts.Churn)
@@ -80,25 +80,35 @@ func runFleetMode(cfg fleetModeConfig, jsonPath string, w io.Writer) (*lecopt.Fl
 
 	// CI gates. The artifact is written first so a failing run leaves
 	// its evidence behind.
-	claim := "HOLDS"
-	if rep.TotalLECIO > rep.TotalLSCIO {
-		claim = "VIOLATED"
+	reconciled := true
+	for _, lvl := range rep.Levels {
+		decided := 0
+		for _, dc := range lvl.Decisions {
+			decided += dc.Count
+		}
+		reconciled = reconciled && decided == lvl.Requests
 	}
-	fmt.Fprintf(w, "  claim (fleet aggregate realized LEC <= LSC): %s\n", claim)
-	rankClaim := "HOLDS"
-	if !rep.RankAgreement {
-		rankClaim = "VIOLATED"
-	}
-	fmt.Fprintf(w, "  claim (per-archetype analytic ranking matches realized ranking): %s\n", rankClaim)
-	if rep.Errors != 0 {
+	fmt.Fprintf(w, "  claim (fleet aggregate realized LEC <= LSC): %s\n", verdict(rep.TotalLECIO <= rep.TotalLSCIO))
+	fmt.Fprintf(w, "  claim (per-archetype analytic ranking matches realized ranking): %s\n", verdict(rep.RankAgreement))
+	fmt.Fprintf(w, "  claim (every level's decisions sum to its requests): %s\n", verdict(reconciled))
+	switch {
+	case rep.Errors != 0:
 		return rep, fmt.Errorf("fleet run had %d errors", rep.Errors)
-	}
-	if claim == "VIOLATED" {
+	case rep.TotalLECIO > rep.TotalLSCIO:
 		return rep, fmt.Errorf("fleet aggregate realized LEC exceeded LSC: %d > %d pages",
 			rep.TotalLECIO, rep.TotalLSCIO)
-	}
-	if rankClaim == "VIOLATED" {
+	case !rep.RankAgreement:
 		return rep, fmt.Errorf("fleet rank agreement violated; see %s archetype_stats", jsonPath)
+	case !reconciled:
+		return rep, fmt.Errorf("fleet decision counts do not sum to requests; see %s decisions", jsonPath)
 	}
 	return rep, nil
+}
+
+// verdict renders a claim's outcome for the summary line.
+func verdict(holds bool) string {
+	if holds {
+		return "HOLDS"
+	}
+	return "VIOLATED"
 }

@@ -111,6 +111,7 @@ func TestFleetModeAcceptance(t *testing.T) {
 		"fleet:", "resilience:", "churn tenant-",
 		"claim (fleet aggregate realized LEC <= LSC): HOLDS",
 		"claim (per-archetype analytic ranking matches realized ranking): HOLDS",
+		"claim (every level's decisions sum to its requests): HOLDS",
 		"wrote ",
 	} {
 		if !strings.Contains(out.String(), want) {

@@ -96,16 +96,8 @@ func runWorkloadMode(cfg workloadModeConfig, jsonPath string, w io.Writer) (*lec
 			ts.Name, ts.Requests, ts.Ratio, ts.PredictedRatio, ts.Wins, ts.Ties, ts.Losses, rank)
 	}
 	fmt.Fprintf(w, "  phase ledger: %d attribution cells\n", len(rep.PhaseLedger))
-	claim := "HOLDS"
-	if rep.TotalLECIO > rep.TotalLSCIO {
-		claim = "VIOLATED"
-	}
-	fmt.Fprintf(w, "  claim (aggregate realized LEC <= LSC): %s\n", claim)
-	rankClaim := "HOLDS"
-	if !rep.RankAgreement {
-		rankClaim = "VIOLATED"
-	}
-	fmt.Fprintf(w, "  claim (per-tenant analytic ranking matches realized ranking): %s\n", rankClaim)
+	fmt.Fprintf(w, "  claim (aggregate realized LEC <= LSC): %s\n", verdict(rep.TotalLECIO <= rep.TotalLSCIO))
+	fmt.Fprintf(w, "  claim (per-tenant analytic ranking matches realized ranking): %s\n", verdict(rep.RankAgreement))
 
 	artifact := workloadArtifact{WorkloadReport: *rep}
 	if !cfg.NoBands {

@@ -181,7 +181,6 @@ func TestModuleCoverage(t *testing.T) {
 		"lecopt/internal/optimizer",
 		"lecopt/internal/plancache",
 		"lecopt/internal/pool",
-		"lecopt/internal/histo",
 		"lecopt/internal/query",
 		"lecopt/internal/resilience",
 		"lecopt/internal/storage",

@@ -66,10 +66,10 @@ func (b *breaker) minSamples() int {
 }
 
 // phase resolves the effective state at virtual time now, promoting an
-// open breaker whose cooldown has elapsed to half-open. Clock regressions
-// (a fresh load level) are treated as an elapsed cooldown: the new
-// timeline should not inherit an unservable open window of unknowable
-// remaining length.
+// open breaker whose cooldown has elapsed to half-open. Time regressions
+// (a fresh load level) are treated as an elapsed cooldown: the new level
+// should not inherit an unservable open window of unknowable remaining
+// length.
 func (b *breaker) phase(now Micros) breakerState {
 	if !b.spec.enabled() {
 		return breakerClosed

@@ -23,12 +23,16 @@ func (s BudgetSpec) enabled() bool { return s.Capacity > 0 }
 type budget struct {
 	spec   BudgetSpec
 	tokens Micros
+	carry  Micros // accrued fraction of a token, in millionths
 	last   Micros // virtual time of the last refill
 	primed bool
 }
 
 // refill accrues tokens up to capacity. Called with the wrapper lock held
-// before every admission check and every charge.
+// before every admission check and every charge. Accrual is exact: the
+// sub-token remainder of one refill carries into the next, and a gap long
+// enough to fill the bucket fills it without multiplying, so no caller
+// timestamp can overflow the accrual.
 func (b *budget) refill(now Micros) {
 	if !b.spec.enabled() {
 		return
@@ -39,15 +43,21 @@ func (b *budget) refill(now Micros) {
 		b.tokens, b.last, b.primed = b.spec.Capacity, now, true
 		return
 	}
-	if now > b.last {
-		b.tokens += (now - b.last) * b.spec.RefillPerSec / 1e6
-		if b.tokens > b.spec.Capacity {
-			b.tokens = b.spec.Capacity
-		}
-	}
-	// now <= b.last: clock went backwards (new load level) — keep tokens,
+	// now <= b.last: time went backwards (new load level) — keep tokens,
 	// restart accrual from the new time.
+	gap := now - b.last
 	b.last = now
+	if gap <= 0 || b.spec.RefillPerSec <= 0 {
+		return
+	}
+	need := (b.spec.Capacity-b.tokens)*1e6 - b.carry
+	if gap > need/b.spec.RefillPerSec {
+		b.tokens, b.carry = b.spec.Capacity, 0
+		return
+	}
+	acc := gap*b.spec.RefillPerSec + b.carry
+	b.tokens += acc / 1e6
+	b.carry = acc % 1e6
 }
 
 // admit reports whether a cold optimization costing at least base may

@@ -1,47 +1,11 @@
 package resilience
 
-import "sync"
-
 // Micros is the resilience layer's time unit: virtual microseconds. Every
 // duration the layer decides with — budget refill, breaker cooldown, hedge
-// delay, served latency — is a Micros, and every timestamp comes from an
-// injected Clock, never from the wall clock. That is the whole determinism
-// story: with a VirtualClock driven by the workload, a same-seed fleet run
-// makes byte-identical decisions no matter how fast the hardware is.
+// delay, served latency — is a Micros, and every timestamp arrives on the
+// request (Request.At), never from the wall clock. That is the whole
+// determinism story: the wrapper's decisions are a function of the
+// requests it is handed and the times stamped on them, so a same-seed
+// fleet run makes byte-identical decisions no matter how fast the
+// hardware is.
 type Micros int64
-
-// Clock supplies the current virtual time. Decision logic reads time only
-// through this interface; time.Now never appears in this package (the
-// determinism lint fixture pins the violation shape).
-type Clock interface {
-	Now() Micros
-}
-
-// VirtualClock is a mutex-protected settable clock: the fleet runner sets
-// it to each request's start time (arrival or queue-drain, whichever is
-// later) before handing the request to the wrapper.
-type VirtualClock struct {
-	mu  sync.Mutex
-	now Micros
-}
-
-// NewVirtualClock returns a clock reading now.
-func NewVirtualClock(now Micros) *VirtualClock {
-	return &VirtualClock{now: now}
-}
-
-// Now returns the current virtual time.
-func (c *VirtualClock) Now() Micros {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Set moves the clock to t. Moving backwards is allowed (a fresh load
-// level restarts its timeline); state machines that difference timestamps
-// clamp negatives to zero.
-func (c *VirtualClock) Set(t Micros) {
-	c.mu.Lock()
-	c.now = t
-	c.mu.Unlock()
-}

@@ -80,10 +80,7 @@ func (h *hedger) delay() (Micros, bool) {
 	}
 	s := append([]Micros(nil), h.ring...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(h.spec.Quantile * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
+	idx := int(h.spec.Quantile * float64(len(s)-1)) // >= 0: enabled means Quantile > 0
 	if idx >= len(s) {
 		idx = len(s) - 1
 	}

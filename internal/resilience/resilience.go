@@ -2,14 +2,14 @@
 // the core.Optimizer service handle: per-tenant optimization budgets that
 // gate cold-path plan computation under overload, hedged re-optimization
 // for tail latency, circuit breakers that trip on drift churn (cache-miss
-// + rank-flip rate) and serve degraded-but-cheap plans while open, and a
-// timeline observer recording every attempt.
+// + rank-flip rate) and serve degraded-but-cheap plans while open.
 //
 // Latency here is *modeled*: an injected LatencySpec prices each served
-// path in virtual microseconds and an injected Clock supplies timestamps
-// (decision logic never reads the wall clock), so a same-seed fleet run
-// makes byte-identical decisions on any machine. The plans themselves are
-// real — every path serves an executable plan from the wrapped handle.
+// path in virtual microseconds, and every request carries its own
+// timestamp (Request.At; decision logic never reads the wall clock), so a
+// same-seed fleet run makes byte-identical decisions on any machine. The
+// plans themselves are real — every path serves an executable plan from
+// the wrapped handle.
 package resilience
 
 import (
@@ -35,20 +35,14 @@ type LatencySpec struct {
 	PerProbe     Micros
 	// Degraded is a modal-point LSC fallback plan.
 	Degraded Micros
-	// Observe is a feedback fold.
-	Observe Micros
 }
 
-// Config wires a Wrapper. Zero-valued specs disable their mechanism; a
-// nil Clock gets a fresh VirtualClock at 0; a nil Observer records
-// nothing.
+// Config wires a Wrapper. Zero-valued specs disable their mechanism.
 type Config struct {
-	Budget   BudgetSpec
-	Breaker  BreakerSpec
-	Hedge    HedgeSpec
-	Latency  LatencySpec
-	Clock    Clock
-	Observer Observer
+	Budget  BudgetSpec
+	Breaker BreakerSpec
+	Hedge   HedgeSpec
+	Latency LatencySpec
 }
 
 // Decision labels the policy that served a request.
@@ -84,11 +78,16 @@ var nearestMargins = []float64{0.25, 0.5, 1, 2}
 
 // Request is one tenant request through the wrapper.
 type Request struct {
-	// Tenant keys the budget, breaker, hedge and timeline state.
+	// Tenant keys the budget, breaker and hedge state.
 	Tenant string
-	// Query labels the request in rank-flip tracking and the timeline
-	// (typically the fleet's stable query ID).
+	// Query labels the request in rank-flip tracking (typically the
+	// fleet's stable query ID).
 	Query string
+	// At is the virtual time the wrapper takes the request: budget
+	// refill and breaker cooldowns run on it. Time may move backwards
+	// between requests (a fresh load level restarts at 0); the state
+	// machines treat a regression as a restart.
+	At Micros
 	// Core is the underlying optimization request.
 	Core core.Request
 	// PrimaryJitter and HedgeJitter scale the two attempts' modeled cold
@@ -133,20 +132,17 @@ type tenantState struct {
 
 // Wrapper applies the resilience policies around a core.Optimizer. It is
 // concurrency-safe; the optimizer calls themselves run outside the
-// wrapper's mutex, and the observer is invoked outside it too, so neither
-// cold optimizations nor slow observers serialize other tenants.
+// wrapper's mutex, so cold optimizations do not serialize other tenants.
 type Wrapper struct {
 	opt *core.Optimizer
 	cfg Config
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
-	seq     uint64
 
 	requests     int
 	errors       int
 	decisions    map[Decision]int
-	denials      int
 	hedgesFired  int
 	hedgeWins    int
 	hedgeLosses  int
@@ -156,9 +152,6 @@ type Wrapper struct {
 
 // New wraps opt with the configured policies.
 func New(opt *core.Optimizer, cfg Config) *Wrapper {
-	if cfg.Clock == nil {
-		cfg.Clock = NewVirtualClock(0)
-	}
 	return &Wrapper{
 		opt:       opt,
 		cfg:       cfg,
@@ -204,22 +197,21 @@ func (w *Wrapper) degraded(req Request) (core.Response, error) {
 }
 
 // Do serves one request under the tenant's budget, breaker and hedge
-// state, and returns the settled outcome. Every path yields a plan (or an
-// error in Outcome.Err); resilience means degraded service, not refusal.
+// state at time req.At, and returns the settled outcome. Every path
+// yields a plan (or an error in Outcome.Err); resilience means degraded
+// service, not refusal.
 func (w *Wrapper) Do(req Request) Outcome {
-	now := w.cfg.Clock.Now()
-
 	// Phase 1 — classify under the lock: breaker phase, budget admission,
 	// and the rank-flip baseline. No optimizer work happens here.
 	w.mu.Lock()
 	ts := w.tenant(req.Tenant)
 	ts.requests++
 	w.requests++
-	phase := ts.breaker.phase(now)
+	phase := ts.breaker.phase(req.At)
 	lastSig := ts.lastPlan[req.Query]
 	admitted := true
 	if phase == breakerClosed {
-		ts.budget.refill(now)
+		ts.budget.refill(req.At)
 		admitted = ts.budget.admit(w.cfg.Latency.ColdBase)
 	}
 	w.mu.Unlock()
@@ -301,7 +293,7 @@ func (w *Wrapper) Do(req Request) Outcome {
 
 	// Phase 3 — settle under the lock: hedge resolution (the delay
 	// quantile reads tenant state), budget charge, breaker bookkeeping,
-	// rank-flip baseline, counters, and the event sequence number.
+	// rank-flip baseline and counters.
 	w.mu.Lock()
 	if cold {
 		hr := ts.hedge.resolve(primaryDur, hedgeDur)
@@ -322,9 +314,9 @@ func (w *Wrapper) Do(req Request) Outcome {
 		}
 	}
 	if isTrial {
-		ts.breaker.trialResult(churn, now)
+		ts.breaker.trialResult(churn, req.At)
 	} else if recordChurn {
-		ts.breaker.record(churn, now)
+		ts.breaker.record(churn, req.At)
 	}
 	if churn && (recordChurn || isTrial) {
 		ts.churn++
@@ -336,7 +328,6 @@ func (w *Wrapper) Do(req Request) Outcome {
 	switch out.Decision {
 	case DecisionDeniedCache, DecisionDeniedDegraded:
 		ts.denials++
-		w.denials++
 	case DecisionBreakerCache, DecisionBreakerDegraded:
 		ts.openServed++
 	}
@@ -347,56 +338,20 @@ func (w *Wrapper) Do(req Request) Outcome {
 		w.errors++
 	}
 	w.decisions[out.Decision]++
-	w.seq++
-	seq := w.seq
-	tokens := ts.budget.tokens
 	w.mu.Unlock()
-
-	// Phase 4 — observe outside the lock: a slow observer delays only
-	// this caller.
-	if w.cfg.Observer != nil {
-		ev := Event{
-			Seq: seq, Kind: "optimize",
-			Tenant: req.Tenant, Query: req.Query,
-			Decision: out.Decision,
-			Start:    now, Duration: out.Served,
-			CacheHit: out.CacheHit, Degraded: out.Degraded,
-			Hedge: out.Hedge, Breaker: out.Breaker,
-			BudgetTokens: tokens,
-		}
-		if out.Err != nil {
-			ev.Err = out.Err.Error()
-		}
-		w.cfg.Observer.Record(ev)
-	}
 	return out
 }
 
-// Observe forwards executed-size feedback to the wrapped handle and
-// records the attempt on the timeline. It is priced by LatencySpec.Observe
-// but charged to no budget — feedback is how plans get *better*; taxing it
+// Observe forwards executed-size feedback to the wrapped handle. It is
+// charged to no budget — feedback is how plans get *better*; taxing it
 // under overload would be self-defeating.
-func (w *Wrapper) Observe(tenant, query string, fb core.Feedback) error {
-	now := w.cfg.Clock.Now()
+func (w *Wrapper) Observe(fb core.Feedback) error {
 	err := w.opt.Observe(fb)
 	w.mu.Lock()
 	w.observeCalls++
 	if err != nil {
 		w.errors++
 	}
-	w.seq++
-	seq := w.seq
 	w.mu.Unlock()
-	if w.cfg.Observer != nil {
-		ev := Event{
-			Seq: seq, Kind: "observe",
-			Tenant: tenant, Query: query,
-			Start: now, Duration: w.cfg.Latency.Observe,
-		}
-		if err != nil {
-			ev.Err = err.Error()
-		}
-		w.cfg.Observer.Record(ev)
-	}
 	return err
 }

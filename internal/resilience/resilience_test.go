@@ -3,7 +3,6 @@ package resilience
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"lecopt/internal/catalog"
@@ -48,15 +47,13 @@ const joinSQL = "SELECT * FROM t0, t1 WHERE t0.k = t1.k"
 
 // flatLatency prices every cold optimization at exactly ColdBase so the
 // accounting in the tests is arithmetic, not plan-space-dependent.
-var flatLatency = LatencySpec{Hit: 10, ColdBase: 1000, Degraded: 40, Observe: 5}
+var flatLatency = LatencySpec{Hit: 10, ColdBase: 1000, Degraded: 40}
 
 func TestBudgetDeniesColdPathAndStillServes(t *testing.T) {
 	cat := testCatalog(t, 2)
-	clock := NewVirtualClock(0)
 	w := New(core.NewOptimizer(nil, core.Config{}), Config{
 		Budget:  BudgetSpec{Capacity: 1000, RefillPerSec: 2000},
 		Latency: flatLatency,
-		Clock:   clock,
 	})
 
 	// r1: full bucket admits exactly one cold optimization and drains it.
@@ -84,8 +81,7 @@ func TestBudgetDeniesColdPathAndStillServes(t *testing.T) {
 
 	// One virtual second refills the bucket: the same far drift is now
 	// admitted to the cold path.
-	clock.Advance(1_000_000)
-	out = w.Do(Request{Tenant: "a", Query: "q", Core: coreReq(scaled(t, cat, 64), joinSQL)})
+	out = w.Do(Request{Tenant: "a", Query: "q", At: 1_000_000, Core: coreReq(scaled(t, cat, 64), joinSQL)})
 	if out.Decision != DecisionCold {
 		t.Fatalf("r4: refilled bucket should admit, got %s", out.Decision)
 	}
@@ -101,14 +97,13 @@ func TestBudgetDeniesColdPathAndStillServes(t *testing.T) {
 
 func TestBreakerTripsServesDegradedAndRecovers(t *testing.T) {
 	cat := testCatalog(t, 2)
-	clock := NewVirtualClock(0)
 	w := New(core.NewOptimizer(nil, core.Config{}), Config{
 		Breaker: BreakerSpec{Window: 4, Threshold: 0.5, MinSamples: 2, Cooldown: 1000},
 		Latency: flatLatency,
-		Clock:   clock,
 	})
+	var now Micros
 	do := func(c *catalog.Catalog) Outcome {
-		return w.Do(Request{Tenant: "a", Query: "q", Core: coreReq(c, joinSQL)})
+		return w.Do(Request{Tenant: "a", Query: "q", At: now, Core: coreReq(c, joinSQL)})
 	}
 
 	cat4, cat16 := scaled(t, cat, 4), scaled(t, cat, 16)
@@ -128,14 +123,14 @@ func TestBreakerTripsServesDegradedAndRecovers(t *testing.T) {
 	}
 	// Cooldown elapses → half-open trial. A trial on a never-cached band
 	// is a cold miss: the tenant is still churning, the breaker reopens.
-	clock.Advance(1000)
+	now += 1000
 	out = do(scaled(t, cat, 256))
 	if out.Decision != DecisionBreakerTrial || out.Breaker != "half-open" {
 		t.Fatalf("r4: want half-open trial, got %s/%s", out.Breaker, out.Decision)
 	}
 	// Another cooldown → trial on that now-cached band with an unchanged
 	// plan: clean recovery, the breaker closes.
-	clock.Advance(1000)
+	now += 1000
 	if out := do(scaled(t, cat, 256)); out.Decision != DecisionBreakerTrial || !out.CacheHit {
 		t.Fatalf("r5: want trial cache hit, got %s (hit=%v)", out.Decision, out.CacheHit)
 	}
@@ -160,7 +155,6 @@ func TestHedgeAccounting(t *testing.T) {
 	w := New(core.NewOptimizer(nil, core.Config{}), Config{
 		Hedge:   HedgeSpec{Quantile: 0.5, MinSamples: 3, Startup: 10},
 		Latency: flatLatency,
-		Clock:   NewVirtualClock(0),
 	})
 	pairs := [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}}
 	do := func(i int, pj, hj float64) Outcome {
@@ -205,91 +199,54 @@ func TestHedgeAccounting(t *testing.T) {
 	}
 }
 
-func TestTimelineRecordsEveryAttemptInOrder(t *testing.T) {
-	cat := testCatalog(t, 2)
-	tl := NewTimeline()
-	w := New(core.NewOptimizer(nil, core.Config{}), Config{
-		Latency: flatLatency, Clock: NewVirtualClock(7), Observer: tl,
-	})
-	req := Request{Tenant: "a", Query: "q", Core: coreReq(cat, joinSQL)}
-	w.Do(req)
-	w.Do(req)
-	if err := w.Observe("a", "q", core.Feedback{SQL: joinSQL, Cat: cat, Sizes: map[string]float64{"t0|t1": 50}}); err != nil {
-		t.Fatal(err)
-	}
-
-	evs := tl.Events()
-	if len(evs) != 3 || tl.Len() != 3 {
-		t.Fatalf("want 3 events, got %d", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("seq not dense: %+v", evs)
-		}
-		if ev.Start != 7 || ev.Tenant != "a" {
-			t.Fatalf("event %d: %+v", i, ev)
-		}
-	}
-	if evs[0].Decision != DecisionCold || evs[1].Decision != DecisionHit || evs[2].Kind != "observe" {
-		t.Fatalf("decisions wrong: %+v", evs)
-	}
-	if evs[1].Duration != flatLatency.Hit || evs[2].Duration != flatLatency.Observe {
-		t.Fatalf("durations wrong: %+v", evs)
-	}
-}
-
 // TestWrapperDeterminism: the same request sequence against two fresh
-// wrappers settles to identical stats and identical timelines.
+// wrappers settles to identical outcomes and identical stats.
 func TestWrapperDeterminism(t *testing.T) {
 	cat := testCatalog(t, 3)
-	run := func() (Stats, []Event) {
-		clock := NewVirtualClock(0)
-		tl := NewTimeline()
+	run := func() ([]Outcome, Stats) {
 		w := New(core.NewOptimizer(nil, core.Config{}), Config{
-			Budget:   BudgetSpec{Capacity: 2000, RefillPerSec: 500_000},
-			Breaker:  BreakerSpec{Window: 6, Threshold: 0.5, MinSamples: 4, Cooldown: 2000},
-			Hedge:    HedgeSpec{Quantile: 0.5, MinSamples: 2, Startup: 10},
-			Latency:  flatLatency,
-			Clock:    clock,
-			Observer: tl,
+			Budget:  BudgetSpec{Capacity: 2000, RefillPerSec: 500_000},
+			Breaker: BreakerSpec{Window: 6, Threshold: 0.5, MinSamples: 4, Cooldown: 2000},
+			Hedge:   HedgeSpec{Quantile: 0.5, MinSamples: 2, Startup: 10},
+			Latency: flatLatency,
 		})
 		factors := []float64{1, 4, 1, 16, 4, 64, 1, 256, 16, 1}
+		var outs []Outcome
 		for i, f := range factors {
-			clock.Set(Micros(i) * 500)
-			w.Do(Request{Tenant: "a", Query: "q", Core: coreReq(scaled(t, cat, f), joinSQL),
-				PrimaryJitter: 1 + float64(i%3), HedgeJitter: 1})
+			outs = append(outs, w.Do(Request{Tenant: "a", Query: "q", At: Micros(i) * 500,
+				Core:          coreReq(scaled(t, cat, f), joinSQL),
+				PrimaryJitter: 1 + float64(i%3), HedgeJitter: 1}))
 		}
-		return w.Stats(), tl.Events()
+		return outs, w.Stats()
 	}
-	s1, e1 := run()
-	s2, e2 := run()
+	o1, s1 := run()
+	o2, s2 := run()
+	if !reflect.DeepEqual(o1, o2) {
+		t.Fatalf("outcomes diverged:\n%+v\nvs\n%+v", o1, o2)
+	}
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("stats diverged:\n%+v\nvs\n%+v", s1, s2)
 	}
-	if !reflect.DeepEqual(e1, e2) {
-		t.Fatalf("timelines diverged")
-	}
 }
 
-// Advance moves the clock forward by d (negative d is ignored).
-func (c *VirtualClock) Advance(d Micros) {
-	if d <= 0 {
-		return
+// TestBudgetRefillExact: refill keeps the sub-token remainder across calls
+// and fills the bucket on a gap whose accrual would overflow.
+func TestBudgetRefillExact(t *testing.T) {
+	drained := func() *budget {
+		b := &budget{spec: BudgetSpec{Capacity: 10, RefillPerSec: 1000}}
+		b.refill(0)
+		b.charge(10)
+		return b
 	}
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
-}
-
-// Events returns every event merged across shards in Seq order.
-func (t *Timeline) Events() []Event {
-	var out []Event
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		out = append(out, s.events...)
-		s.mu.Unlock()
+	b := drained()
+	b.refill(500)
+	b.refill(1000)
+	if b.tokens != 1 {
+		t.Fatalf("two half-token refills left %d tokens, want 1", b.tokens)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	b = drained()
+	b.refill(1 << 62)
+	if b.tokens != 10 || b.carry != 0 {
+		t.Fatalf("long gap left %d tokens (carry %d), want a full bucket of 10", b.tokens, b.carry)
+	}
 }

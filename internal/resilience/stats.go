@@ -57,14 +57,13 @@ func (w *Wrapper) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	s := Stats{
-		Requests:      w.requests,
-		Errors:        w.errors,
-		ObserveCalls:  w.observeCalls,
-		BudgetDenials: w.denials,
-		HedgesFired:   w.hedgesFired,
-		HedgeWins:     w.hedgeWins,
-		HedgeLosses:   w.hedgeLosses,
-		HedgeCancels:  w.hedgeCancels,
+		Requests:     w.requests,
+		Errors:       w.errors,
+		ObserveCalls: w.observeCalls,
+		HedgesFired:  w.hedgesFired,
+		HedgeWins:    w.hedgeWins,
+		HedgeLosses:  w.hedgeLosses,
+		HedgeCancels: w.hedgeCancels,
 	}
 	for d, n := range w.decisions {
 		s.Decisions = append(s.Decisions, DecisionCount{Decision: d, Count: n})
@@ -77,6 +76,7 @@ func (w *Wrapper) Stats() Stats {
 	sort.Strings(names)
 	for _, name := range names {
 		ts := w.tenants[name]
+		s.BudgetDenials += ts.denials
 		s.BreakerTrips += ts.breaker.trips
 		s.BreakerReopens += ts.breaker.reopens
 		s.Tenants = append(s.Tenants, TenantStats{

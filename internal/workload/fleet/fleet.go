@@ -120,7 +120,7 @@ func DefaultSpec() (Spec, error) {
 		Hedge:           resilience.HedgeSpec{Quantile: 0.7, MinSamples: 6, WindowSize: 64, Startup: 200},
 		Latency: resilience.LatencySpec{
 			Hit: 150, ColdBase: 1500, PerCandidate: 40, PerProbe: 5,
-			Degraded: 400, Observe: 50,
+			Degraded: 400,
 		},
 	}, nil
 }

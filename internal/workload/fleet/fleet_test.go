@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -131,6 +132,9 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunReportShape checks each level's counters reconcile. The run
+// itself fails unless the per-tenant requests sum to the wrapper's total
+// and that total to the level's requests (LevelReport.finish).
 func TestRunReportShape(t *testing.T) {
 	spec := smallSpec(t)
 	f := newTestFleet(t, spec, 42)
@@ -151,14 +155,13 @@ func TestRunReportShape(t *testing.T) {
 		if lvl.Requests != 300 {
 			t.Fatalf("level %d requests %d", i, lvl.Requests)
 		}
-		// Every optimize attempt and every observe call is on the
-		// timeline.
-		if lvl.TimelineEvents != lvl.TimelineOptimize+lvl.TimelineObserve {
-			t.Fatalf("level %d timeline %d != %d+%d",
-				i, lvl.TimelineEvents, lvl.TimelineOptimize, lvl.TimelineObserve)
+		// Every request settles to exactly one decision.
+		decided := 0
+		for _, dc := range lvl.Decisions {
+			decided += dc.Count
 		}
-		if lvl.TimelineOptimize < lvl.Requests {
-			t.Fatalf("level %d optimize events %d < requests %d", i, lvl.TimelineOptimize, lvl.Requests)
+		if decided != lvl.Requests {
+			t.Fatalf("level %d decisions sum to %d, want %d requests", i, decided, lvl.Requests)
 		}
 		// Hedge accounting identity.
 		if lvl.HedgeWins+lvl.HedgeLosses+lvl.HedgeCancels != lvl.HedgesFired {
@@ -188,5 +191,31 @@ func TestRunReportShape(t *testing.T) {
 	low, high := rep.Levels[0], rep.Levels[1]
 	if high.BudgetDenials < low.BudgetDenials {
 		t.Fatalf("denials fell with load: %d -> %d", low.BudgetDenials, high.BudgetDenials)
+	}
+}
+
+func TestSummarize(t *testing.T) {
+	var desc []float64 // 100..1: the summary must not depend on order
+	for i := 100; i >= 1; i-- {
+		desc = append(desc, float64(i))
+	}
+	for _, tc := range []struct {
+		name string
+		vals []float64
+		want LatencySummary
+	}{
+		{"empty", nil, LatencySummary{}},
+		{"quantiles_and_buckets", desc, LatencySummary{
+			Count: 100, Mean: 50.5, P50: 50, P90: 90, P99: 99, Max: 100,
+			Buckets: []Bucket{{1, 1}, {2, 1}, {4, 2}, {8, 4}, {16, 8}, {32, 16}, {64, 32}, {128, 36}},
+		}},
+		{"negative_clamped", []float64{-5}, LatencySummary{Count: 1, Buckets: []Bucket{{1, 1}}}},
+		{"deterministic", []float64{7, 2, 3, 7, 1}, summarize([]float64{3, 1, 7, 7, 2})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := summarize(tc.vals); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("got %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }

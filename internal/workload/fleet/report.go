@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
+	"sort"
 
-	"lecopt/internal/histo"
+	"lecopt/internal/envsim"
 	"lecopt/internal/plancache"
 	"lecopt/internal/resilience"
 	"lecopt/internal/workload/serving"
@@ -50,10 +52,10 @@ type LevelReport struct {
 	RankAgreement  bool    `json:"rank_agreement"`
 
 	// Queueing over the wrapper's modeled service times.
-	OptimizeLatency histo.Summary `json:"optimize_latency_micros"`
-	MeanWaitMicros  float64       `json:"mean_wait_micros"`
-	MaxWaitMicros   int64         `json:"max_wait_micros"`
-	MakespanMicros  int64         `json:"makespan_micros"`
+	OptimizeLatency LatencySummary `json:"optimize_latency_micros"`
+	MeanWaitMicros  float64        `json:"mean_wait_micros"`
+	MaxWaitMicros   int64          `json:"max_wait_micros"`
+	MakespanMicros  int64          `json:"makespan_micros"`
 
 	// Resilience counters from the wrapper.
 	Decisions      []resilience.DecisionCount `json:"decisions"`
@@ -67,13 +69,17 @@ type LevelReport struct {
 	OpenServed     int                        `json:"open_served"`
 	DegradedServed int                        `json:"degraded_served"`
 
-	// Plan cache and timeline health.
+	// Plan-cache counters of the served handle. They count only the
+	// lookups of Optimize, which the wrapper calls after its fast path's
+	// Cached probe has missed; Cached probes are uncounted by design. So
+	// the hit rate is the share of fast-path misses that Optimize still
+	// served from cache, not the share of requests served from cache —
+	// that is the `hit` decision's count over Requests.
 	PlanCacheHits    uint64  `json:"plan_cache_hits"`
 	PlanCacheMisses  uint64  `json:"plan_cache_misses"`
 	PlanCacheHitRate float64 `json:"plan_cache_hit_rate"`
-	TimelineEvents   int     `json:"timeline_events"`
-	TimelineOptimize int     `json:"timeline_optimize"`
-	TimelineObserve  int     `json:"timeline_observe"`
+	// ObserveCalls is the feedback folds forwarded through the wrapper.
+	ObserveCalls int `json:"observe_calls"`
 
 	Archetypes []ArchetypeStats `json:"archetype_stats"`
 	// ChurnTenantStats carries the engineered high-churn tenants'
@@ -96,6 +102,61 @@ type ArchetypeStats struct {
 	RankAgreement  bool    `json:"rank_agreement"`
 }
 
+// LatencySummary is the JSON form of a latency sample: nearest-rank
+// quantiles (envsim.Quantile) plus power-of-two bucket counts. It is a
+// pure function of the sample multiset, so it is byte-identical across
+// runs of a deterministic workload.
+type LatencySummary struct {
+	Count   int      `json:"count"`
+	Mean    float64  `json:"mean"`
+	P50     float64  `json:"p50"`
+	P90     float64  `json:"p90"`
+	P99     float64  `json:"p99"`
+	Max     float64  `json:"max"`
+	Buckets []Bucket `json:"buckets,omitempty"`
+}
+
+// Bucket is one power-of-two latency bucket: Count values fell in
+// (previous Le, Le].
+type Bucket struct {
+	Le    float64 `json:"le"`
+	Count int     `json:"count"`
+}
+
+// summarize computes a sample's LatencySummary; an empty sample is the
+// zero summary. Negative values are clamped to zero so a degenerate
+// timing can never corrupt the bucket layout. The buckets are (-inf, 1],
+// then (1, 2], (2, 4], … up to the one covering the maximum: edges
+// independent of the sample keep rows comparable across artifacts.
+func summarize(vals []float64) LatencySummary {
+	if len(vals) == 0 {
+		return LatencySummary{}
+	}
+	s := make([]float64, len(vals))
+	for i, v := range vals {
+		s[i] = math.Max(v, 0)
+	}
+	sort.Float64s(s)
+	le, sum := 1.0, 0.0
+	for s[0] > le {
+		le *= 2
+	}
+	buckets := []Bucket{{Le: le}}
+	for _, v := range s {
+		sum += v
+		for v > le {
+			le *= 2
+			buckets = append(buckets, Bucket{Le: le})
+		}
+		buckets[len(buckets)-1].Count++
+	}
+	return LatencySummary{
+		Count: len(s), Mean: sum / float64(len(s)),
+		P50: envsim.Quantile(s, 0.50), P90: envsim.Quantile(s, 0.90), P99: envsim.Quantile(s, 0.99),
+		Max: s[len(s)-1], Buckets: buckets,
+	}
+}
+
 // archAgg accumulates one archetype during a level run.
 type archAgg struct {
 	requests         int
@@ -109,20 +170,21 @@ func round6(v float64) float64 {
 
 // finish folds the wrapper stats, cache stats and archetype aggregates
 // into the level report. Every slice it emits is deterministically
-// ordered: archetypes by spec order, churn tenants by (sorted) name.
-func (lvl *LevelReport) finish(f *fleet, hist histo.Histogram, waitSum float64, busy resilience.Micros,
-	stats resilience.Stats, cache plancache.Stats, timelineLen int, arch []archAgg) {
+// ordered: archetypes by spec order, churn tenants by (sorted) name. It
+// fails when the per-tenant request counts do not sum to the wrapper's
+// total, or the wrapper's total to the level's stream.
+func (lvl *LevelReport) finish(f *fleet, served []float64, waitSum float64, busy resilience.Micros,
+	stats resilience.Stats, cache plancache.Stats, arch []archAgg) error {
 
-	served := lvl.Requests - lvl.Errors
 	if lvl.LSCIO > 0 {
 		lvl.RealizedRatio = round6(float64(lvl.LECIO) / float64(lvl.LSCIO))
 	}
 	if lvl.predLSC > 0 {
 		lvl.PredictedRatio = round6(lvl.predLEC / lvl.predLSC)
 	}
-	lvl.OptimizeLatency = hist.Summary()
-	if served > 0 {
-		lvl.MeanWaitMicros = round6(waitSum / float64(served))
+	lvl.OptimizeLatency = summarize(served)
+	if len(served) > 0 {
+		lvl.MeanWaitMicros = round6(waitSum / float64(len(served)))
 	}
 	lvl.MakespanMicros = int64(busy)
 
@@ -134,9 +196,15 @@ func (lvl *LevelReport) finish(f *fleet, hist histo.Histogram, waitSum float64, 
 	lvl.HedgeCancels = stats.HedgeCancels
 	lvl.BreakerTrips = stats.BreakerTrips
 	lvl.BreakerReopens = stats.BreakerReopens
+	tenantRequests := 0
 	for _, ts := range stats.Tenants {
+		tenantRequests += ts.Requests
 		lvl.OpenServed += ts.OpenServed
 		lvl.DegradedServed += ts.Degraded
+	}
+	if tenantRequests != stats.Requests || stats.Requests != lvl.Requests {
+		return fmt.Errorf("fleet: level %g qps: tenants' requests sum to %d, wrapper counted %d of %d",
+			lvl.QPS, tenantRequests, stats.Requests, lvl.Requests)
 	}
 
 	lvl.PlanCacheHits = cache.Hits
@@ -144,9 +212,7 @@ func (lvl *LevelReport) finish(f *fleet, hist histo.Histogram, waitSum float64, 
 	if total := cache.Hits + cache.Misses; total > 0 {
 		lvl.PlanCacheHitRate = round6(float64(cache.Hits) / float64(total))
 	}
-	lvl.TimelineEvents = timelineLen
-	lvl.TimelineOptimize = stats.Requests
-	lvl.TimelineObserve = stats.ObserveCalls
+	lvl.ObserveCalls = stats.ObserveCalls
 
 	lvl.RankAgreement = true
 	for i, a := range arch {
@@ -176,6 +242,7 @@ func (lvl *LevelReport) finish(f *fleet, hist histo.Histogram, waitSum float64, 
 			lvl.ChurnTenantStats = append(lvl.ChurnTenantStats, ts)
 		}
 	}
+	return nil
 }
 
 // rankConsistent is serving.RankAgrees with a 1% deadband on the

@@ -8,7 +8,6 @@ import (
 	"lecopt/internal/catalog"
 	"lecopt/internal/core"
 	"lecopt/internal/dist"
-	"lecopt/internal/histo"
 	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
 	"lecopt/internal/resilience"
@@ -39,7 +38,7 @@ type RunConfig struct {
 	LSC, LEC core.Algorithm
 	LSCSet   bool
 	// ObserveEvery forwards every Nth request's executed sizes through
-	// the wrapper's Observe hook (0 means 16, negative disables).
+	// the wrapper's Observe call (0 means 16, negative disables).
 	ObserveEvery int
 }
 
@@ -297,9 +296,9 @@ func (f *fleet) execute(cache map[string]execResult, q *fleetQuery, p *plan.Node
 
 // runLevel replays the stream at one offered load: arrivals are
 // deadline-anchored (request i is due at i/qps seconds), service is a
-// single virtual queue over the wrapper's modeled latencies, and the
-// virtual clock is set to each request's start so budget refill, breaker
-// cooldowns and the timeline all run in offered-load time.
+// single virtual queue over the wrapper's modeled latencies, and each
+// request is stamped with its start time so budget refill and breaker
+// cooldowns run in offered-load time.
 func (f *fleet) runLevel(qps float64, stream []fleetRequest, keyIdx map[optKey]int, basePlans []*plan.Node,
 	driftCats map[driftCatKey]*catalog.Catalog, ecMemo map[string]float64, execCache map[string]execResult,
 	cfg RunConfig) (*LevelReport, error) {
@@ -307,16 +306,14 @@ func (f *fleet) runLevel(qps float64, stream []fleetRequest, keyIdx map[optKey]i
 	opt := core.NewOptimizer(nil, core.Config{
 		CacheSize: cfg.CacheSize, DriftBand: cfg.DriftBand, DisableFeedback: true,
 	})
-	clock := resilience.NewVirtualClock(0)
-	tl := resilience.NewTimeline()
 	w := resilience.New(opt, resilience.Config{
 		Budget: f.Spec.Budget, Breaker: f.Spec.Breaker, Hedge: f.Spec.Hedge,
-		Latency: f.Spec.Latency, Clock: clock, Observer: tl,
+		Latency: f.Spec.Latency,
 	})
 	planOpts := f.planOpts()
 
 	lvl := &LevelReport{QPS: qps, Requests: len(stream)}
-	var hist histo.Histogram
+	var served []float64
 	var busy resilience.Micros
 	var waitSum float64
 	arch := make([]archAgg, len(f.Spec.Archetypes))
@@ -333,11 +330,9 @@ func (f *fleet) runLevel(qps float64, stream []fleetRequest, keyIdx map[optKey]i
 		if busy > start {
 			start = busy
 		}
-		clock.Set(start)
 		wait := start - arrival
-		qid := fmt.Sprintf("q%03d", q.ID)
 		out := w.Do(resilience.Request{
-			Tenant: t.Name, Query: qid,
+			Tenant: t.Name, Query: fmt.Sprintf("q%03d", q.ID), At: start,
 			Core: core.Request{
 				Query: q.Block, Cat: cat,
 				Env: f.archetypeEnv(t), Alg: cfg.LEC, Opts: planOpts,
@@ -349,7 +344,7 @@ func (f *fleet) runLevel(qps float64, stream []fleetRequest, keyIdx map[optKey]i
 			continue
 		}
 		busy = start + out.Served
-		hist.Observe(float64(out.Served))
+		served = append(served, float64(out.Served))
 		waitSum += float64(wait)
 		if int64(wait) > lvl.MaxWaitMicros {
 			lvl.MaxWaitMicros = int64(wait)
@@ -388,8 +383,8 @@ func (f *fleet) runLevel(qps float64, stream []fleetRequest, keyIdx map[optKey]i
 
 		if cfg.ObserveEvery > 0 && i%cfg.ObserveEvery == 0 {
 			// The handle runs with feedback disabled, so this exercises
-			// the hook and the timeline, not the costing.
-			if err := w.Observe(t.Name, qid, core.Feedback{
+			// the call and its counter, not the costing.
+			if err := w.Observe(core.Feedback{
 				Query: q.Block, Cat: cat, Sizes: lec.sizes,
 			}); err != nil {
 				lvl.Errors++
@@ -397,6 +392,5 @@ func (f *fleet) runLevel(qps float64, stream []fleetRequest, keyIdx map[optKey]i
 		}
 	}
 
-	lvl.finish(f, hist, waitSum, busy, w.Stats(), opt.CacheStats(), tl.Len(), arch)
-	return lvl, nil
+	return lvl, lvl.finish(f, served, waitSum, busy, w.Stats(), opt.CacheStats(), arch)
 }

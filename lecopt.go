@@ -261,8 +261,8 @@ func DefaultFleetSpec() (FleetSpec, error) { return fleet.DefaultSpec() }
 // RunFleet generates a tenant fleet from spec (generation and the request
 // stream are both seeded by cfg.Seed) and replays one shared request
 // stream at each of the spec's offered load levels through the resilience
-// wrapper: per-tenant optimization budgets, hedged re-optimization,
-// drift-churn circuit breakers, and a per-request timeline — all in
-// deterministic virtual time, so the report is byte-identical run to run
-// and across worker counts.
+// wrapper: per-tenant optimization budgets, hedged re-optimization and
+// drift-churn circuit breakers, all deciding in virtual time stamped on
+// each request, so the report is byte-identical run to run and across
+// worker counts.
 func RunFleet(spec FleetSpec, cfg FleetRun) (*FleetReport, error) { return fleet.Run(spec, cfg) }
