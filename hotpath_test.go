@@ -45,7 +45,9 @@ func hotPathRequests(t testing.TB, n int) []Request {
 
 // TestWarmHitZeroAllocs pins the tentpole claim: a plan-cache hit performs
 // zero heap allocations — the key is built in a pooled buffer, hashed on
-// the stack, and looked up by raw bytes; the scenario itself is pooled.
+// the stack, and looked up by raw bytes; the request's call is pooled. It
+// holds for Optimize and for the cache-only Cached the resilience layer
+// serves from, since both go through the same lookup.
 func TestWarmHitZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -57,15 +59,23 @@ func TestWarmHitZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := opt.Optimize(reqs[i%len(reqs)]); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		hit  func(Request) bool
+	}{
+		{"Optimize", func(r Request) bool { resp, err := opt.Optimize(r); return err == nil && resp.CacheHit }},
+		{"Cached", func(r Request) bool { _, ok := opt.Cached(r); return ok }},
+	} {
+		i := 0
+		allocs := testing.AllocsPerRun(500, func() {
+			if !tc.hit(reqs[i%len(reqs)]) {
+				t.Fatalf("%s: warm request %d missed", tc.name, i%len(reqs))
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("warm %s hit allocates: %.2f allocs/op, want 0", tc.name, allocs)
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("warm cache hit allocates: %.2f allocs/op, want 0", allocs)
 	}
 }
 
@@ -221,12 +231,13 @@ func TestExecutePlanAllocBudget(t *testing.T) {
 	}
 }
 
-// TestConcurrentOptimizeObserve drives Optimize and Observe through one
-// handle from many goroutines — the serving pattern the sharded feedback
-// store exists for. Run under -race this proves the shard locking and the
-// lock-free observation counter; under the plain suite it still checks
-// that concurrent feedback never corrupts results (every response must
-// carry a plan).
+// TestConcurrentOptimizeObserve drives Optimize, Cached, OptimizeBatch and
+// Observe through one handle from many goroutines — the serving pattern the
+// sharded feedback store exists for. Run under -race this proves the shard
+// locking, the lock-free observation counter and the pooled per-request
+// state the three serving entry points share; under the plain suite it
+// still checks that concurrent feedback never corrupts results (every
+// optimized response must carry a plan, and a Cached hit must too).
 func TestConcurrentOptimizeObserve(t *testing.T) {
 	reqs := hotPathRequests(t, 32)
 	opt := New(nil, WithPlanCache(256))
@@ -239,7 +250,8 @@ func TestConcurrentOptimizeObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				r := reqs[(g*iters+i)%len(reqs)]
-				if g%2 == 0 {
+				switch g % 4 {
+				case 0:
 					resp, err := opt.Optimize(r)
 					if err != nil {
 						errs <- err
@@ -249,7 +261,19 @@ func TestConcurrentOptimizeObserve(t *testing.T) {
 						errs <- fmt.Errorf("goroutine %d iter %d: nil plan", g, i)
 						return
 					}
-				} else {
+				case 1:
+					if resp, ok := opt.Cached(r); resp.Err != nil || ok != (resp.Plan != nil) {
+						errs <- fmt.Errorf("goroutine %d iter %d: Cached ok=%v plan=%v err=%v", g, i, ok, resp.Plan != nil, resp.Err)
+						return
+					}
+				case 2:
+					for j, resp := range opt.OptimizeBatch([]Request{r, reqs[(g*iters+i+1)%len(reqs)], r}) {
+						if resp.Err != nil || resp.Plan == nil {
+							errs <- fmt.Errorf("goroutine %d iter %d: batch response %d: plan=%v err=%v", g, i, j, resp.Plan != nil, resp.Err)
+							return
+						}
+					}
+				default:
 					err := opt.Observe(Feedback{Cat: r.Cat, Query: r.Query, Sizes: map[string]float64{
 						feedback.SetKey(r.Query.Tables[0], r.Query.Tables[1]): float64(100 + i),
 					}})

@@ -24,7 +24,6 @@ import (
 var (
 	ErrNoCatalog  = errors.New("core: optimizer handle has no catalog (pass one to New, or set Request.Cat)")
 	ErrBadRequest = errors.New("core: request names no query (set SQL, Query or Prepared)")
-	ErrNoFeedback = errors.New("core: feedback must identify a query (set SQL, Query or Prepared)")
 )
 
 // Service defaults.
@@ -244,27 +243,31 @@ func (o *Optimizer) parse(cat *catalog.Catalog, sql string) (*query.Block, error
 	return blk, nil
 }
 
-// scenarioPool recycles the request-resolution Scenario structs of the
-// serving hot path: a warm Optimize resolves, serves from the cache and
-// releases without ever touching the heap.
-var scenarioPool = sync.Pool{New: func() any { return new(Scenario) }}
-
-// keyBufPool recycles plancache.KeyLen-capacity cache-key buffers for the
-// byte-keyed lookups (Cache.GetBytes/ProbeBytes).
-var keyBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, plancache.KeyLen)
-	return &b
-}}
-
-func releaseScenario(sc *Scenario) {
-	*sc = Scenario{}
-	scenarioPool.Put(sc)
+// call is one request in flight on the serving path: the resolved scenario,
+// the algorithm, and the buffers its plan-cache keys are built in. Calls
+// come from callPool, so a warm hit resolves, looks up and releases without
+// touching the heap; reports never reference the call.
+type call struct {
+	sc    Scenario
+	alg   Algorithm
+	key   []byte // primary plan-cache key; empty without a cache or unkeyed
+	probe []byte // the current band-edge probe key (probeKeys)
 }
 
-// scenarioFor resolves a request into the internal Scenario form, folding
-// in handle defaults and feedback hints. The scenario comes from
-// scenarioPool: the caller must releaseScenario once it has its answer.
-func (o *Optimizer) scenarioFor(req Request) (*Scenario, error) {
+var callPool = sync.Pool{New: func() any {
+	return &call{key: make([]byte, 0, plancache.KeyLen), probe: make([]byte, 0, plancache.KeyLen)}
+}}
+
+func release(c *call) {
+	*c = call{key: c.key[:0], probe: c.probe[:0]}
+	callPool.Put(c)
+}
+
+// begin resolves a request into a pooled call, folding in handle defaults
+// and feedback hints. A keyed call on a handle with a plan cache also
+// carries its primary key. The caller must release the call once it has its
+// answer.
+func (o *Optimizer) begin(req Request, keyed bool) (*call, error) {
 	cat, blk, err := o.resolveQuery(req.Cat, req.Prepared, req.Query, req.SQL)
 	if err != nil {
 		return nil, err
@@ -290,27 +293,34 @@ func (o *Optimizer) scenarioFor(req Request) (*Scenario, error) {
 			opts.SizeHints = hints
 		}
 	}
-	sc := scenarioPool.Get().(*Scenario)
-	*sc = Scenario{
+	c := callPool.Get().(*call)
+	c.sc = Scenario{
 		Cat: cat, Query: blk, Env: req.Env,
 		SelLaws: req.SelLaws, SizeLaws: req.SizeLaws,
 		Opts: opts, TopC: topC,
 	}
-	return sc, nil
+	c.alg = req.Alg
+	if keyed && o.cache != nil {
+		if c.key, err = c.sc.AppendCacheKey(c.key, c.alg, o.band, 0); err != nil {
+			release(c)
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // Optimize runs one request through the cache-then-optimize path.
 func (o *Optimizer) Optimize(req Request) (Response, error) {
-	sc, err := o.scenarioFor(req)
+	c, err := o.begin(req, true)
 	if err != nil {
 		return Response{Err: err}, err
 	}
-	rep, hit, err := o.runOne(sc, req.Alg)
-	releaseScenario(sc) // reports never reference the scenario
-	if err != nil {
-		return Response{Err: err}, err
+	defer release(c)
+	resp, ok := o.lookup(c, true, BandMargin)
+	if !ok {
+		resp = o.compute(c)
 	}
-	return Response{PlanReport: rep, CacheHit: hit}, nil
+	return resp, resp.Err
 }
 
 // Cached serves a request from the plan cache alone: no optimization is
@@ -329,27 +339,45 @@ func (o *Optimizer) Cached(req Request, margins ...float64) (Response, bool) {
 	if o.cache == nil {
 		return Response{}, false
 	}
-	sc, err := o.scenarioFor(req)
+	c, err := o.begin(req, true)
 	if err != nil {
 		return Response{Err: err}, false
 	}
-	defer releaseScenario(sc)
-	kb := keyBufPool.Get().(*[]byte)
-	defer keyBufPool.Put(kb)
-	key, err := sc.AppendCacheKey((*kb)[:0], req.Alg, o.band, 0)
-	*kb = key
-	if err != nil {
-		return Response{Err: err}, false
-	}
-	if rep, ok := o.cache.ProbeBytes(key); ok {
-		return Response{PlanReport: rep, CacheHit: true}, true
-	}
+	defer release(c)
 	if len(margins) == 0 {
 		margins = []float64{BandMargin}
 	}
+	return o.lookup(c, false, margins...)
+}
+
+// lookup answers a call from the plan cache: its primary key first, then
+// each margin's band-edge probes in order. A serving lookup counts the
+// primary lookup and re-caches a neighbor's report under the primary key,
+// so the new band serves itself from then on; a non-serving one (Cached)
+// counts nothing and writes nothing. The probes themselves are never
+// counted, so a sequential Optimize answered across a band edge counts one
+// miss. With no margins only the primary key is looked up: a batch
+// worker's probes already ran in the grouping pass.
+func (o *Optimizer) lookup(c *call, serving bool, margins ...float64) (Response, bool) {
+	if o.cache == nil {
+		return Response{}, false
+	}
+	var rep PlanReport
+	var ok bool
+	if serving {
+		rep, ok = o.cache.GetBytes(c.key)
+	} else {
+		rep, ok = o.cache.ProbeBytes(c.key)
+	}
+	if ok {
+		return Response{PlanReport: rep, CacheHit: true}, true
+	}
 	for _, m := range margins {
-		for probe := range o.probeKeys(sc, req.Alg, key, m) {
+		for probe := range o.probeKeys(c, m) {
 			if rep, ok := o.cache.ProbeBytes(probe); ok {
+				if serving {
+					o.cache.Put(string(c.key), rep)
+				}
 				return Response{PlanReport: rep, CacheHit: true}, true
 			}
 		}
@@ -357,80 +385,45 @@ func (o *Optimizer) Cached(req Request, margins ...float64) (Response, bool) {
 	return Response{}, false
 }
 
-// probeKeys yields the scenario's band-edge hysteresis probe keys at
-// margin m, −m before +m: a drift step that just crossed a floor(log_base)
-// band boundary keys, under the matching-signed margin, exactly as its
-// neighbor did under margin 0. A probe key equal to the primary (no
-// statistic within m of a band edge on that side) is skipped, and exact
-// keys (band <= 1) have no neighbors at all. The yielded slice is reused
-// by the next iteration.
-func (o *Optimizer) probeKeys(sc *Scenario, alg Algorithm, primary []byte, m float64) iter.Seq[[]byte] {
+// compute optimizes a call and caches the report under its primary key.
+func (o *Optimizer) compute(c *call) Response {
+	rep, err := c.sc.Optimize(c.alg)
+	if err != nil {
+		return Response{Err: err}
+	}
+	if o.cache != nil {
+		o.cache.Put(string(c.key), rep)
+	}
+	return Response{PlanReport: rep}
+}
+
+// probeKeys yields the call's band-edge hysteresis probe keys at margin m,
+// −m before +m, built in c.probe: a drift step that just crossed a
+// floor(log_base) band boundary keys, under the matching-signed margin,
+// exactly as its neighbor did under margin 0. A probe key equal to the
+// primary (no statistic within m of a band edge on that side) is skipped,
+// and exact keys (band <= 1) have no neighbors at all. The yielded slice is
+// reused by the next iteration.
+func (o *Optimizer) probeKeys(c *call, m float64) iter.Seq[[]byte] {
 	return func(yield func([]byte) bool) {
 		if o.band <= 1 {
 			return
 		}
-		pb := keyBufPool.Get().(*[]byte)
-		defer keyBufPool.Put(pb)
 		for _, margin := range [2]float64{-m, m} {
-			probe, err := sc.AppendCacheKey((*pb)[:0], alg, o.band, margin)
-			*pb = probe
-			if err == nil && !bytes.Equal(probe, primary) && !yield(probe) {
+			probe, err := c.sc.AppendCacheKey(c.probe[:0], c.alg, o.band, margin)
+			c.probe = probe
+			if err == nil && !bytes.Equal(probe, c.key) && !yield(probe) {
 				return
 			}
 		}
 	}
 }
 
-// runOne serves one scenario from the plan cache or optimizes and caches.
-// The cache key lives in a pooled buffer and the lookup is byte-keyed, so
-// a warm hit — the dominant serving outcome — allocates nothing; the key
-// string materializes only on the miss path's Put. After a counted miss on
-// a banded primary key the ±BandMargin neighbors are probed, and a found
-// report is re-cached under the primary key so the new band serves itself
-// from then on.
-func (o *Optimizer) runOne(sc *Scenario, alg Algorithm) (PlanReport, bool, error) {
-	if o.cache == nil {
-		rep, err := sc.Optimize(alg)
-		return rep, false, err
-	}
-	kb := keyBufPool.Get().(*[]byte)
-	defer keyBufPool.Put(kb)
-	key, err := sc.AppendCacheKey((*kb)[:0], alg, o.band, 0)
-	*kb = key
-	if err != nil {
-		return PlanReport{}, false, err
-	}
-	if rep, ok := o.cache.GetBytes(key); ok {
-		return rep, true, nil
-	}
-	for probe := range o.probeKeys(sc, alg, key, BandMargin) {
-		if rep, ok := o.cache.ProbeBytes(probe); ok {
-			o.cache.Put(string(key), rep)
-			return rep, true, nil
-		}
-	}
-	rep, err := sc.Optimize(alg)
-	if err != nil {
-		return PlanReport{}, false, err
-	}
-	o.cache.Put(string(key), rep)
-	return rep, false, nil
-}
-
 // batchGroup is the unit of batch work: one representative request that is
 // looked up or optimized once, and the later requests served its answer.
 type batchGroup struct {
 	rep  int
-	key  string // plan-cache key; "" on a handle without a plan cache
-	dups []batchDup
-}
-
-// batchDup is a request riding along with a group: key is its own
-// plan-cache key when it joined across a band edge, "" when it shares the
-// group's.
-type batchDup struct {
-	req int
-	key string
+	dups []int
 }
 
 // OptimizeBatch optimizes every request across the handle's worker pool
@@ -452,11 +445,11 @@ func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 	if len(reqs) == 0 {
 		return out
 	}
-	scs := make([]*Scenario, len(reqs))
+	calls := make([]*call, len(reqs))
 	defer func() {
-		for _, sc := range scs {
-			if sc != nil {
-				releaseScenario(sc)
+		for _, c := range calls {
+			if c != nil {
+				release(c)
 			}
 		}
 	}()
@@ -465,106 +458,84 @@ func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 	// workers — so which group a near-boundary request joins (and thus the
 	// whole batch outcome) is independent of worker scheduling.
 	var groups []batchGroup
-	byKey := make(map[string]int) // key → index into groups
-	kb := keyBufPool.Get().(*[]byte)
-	defer keyBufPool.Put(kb)
+	byKey := make(map[[plancache.KeyLen]byte]int) // key → index into groups
 requests:
 	for i := range reqs {
-		sc, err := o.scenarioFor(reqs[i])
+		c, err := o.begin(reqs[i], true)
 		if err != nil {
 			out[i] = Response{Err: err}
 			continue
 		}
-		scs[i] = sc
+		calls[i] = c
 		if o.cache == nil {
 			groups = append(groups, batchGroup{rep: i})
 			continue
 		}
-		k, err := sc.AppendCacheKey((*kb)[:0], reqs[i].Alg, o.band, 0)
-		*kb = k
-		if err != nil {
-			out[i] = Response{Err: err}
-			continue
-		}
-		if gi, ok := byKey[string(k)]; ok {
-			groups[gi].dups = append(groups[gi].dups, batchDup{req: i})
+		if gi, ok := byKey[[plancache.KeyLen]byte(c.key)]; ok {
+			groups[gi].dups = append(groups[gi].dups, i)
 			continue
 		}
 		// Hysteresis only applies on a primary-key miss — a request whose
 		// own band is already cached must get *that* plan (exactly what a
 		// sequential Optimize would return), never a neighbor's. The gate
-		// is an uncounted probe; the group's worker does the counted Get.
+		// is an uncounted probe; the group's worker does the counted lookup.
 		if o.band > 1 {
-			if _, cached := o.cache.ProbeBytes(k); !cached {
-				for probe := range o.probeKeys(sc, reqs[i].Alg, k, BandMargin) {
+			if _, cached := o.cache.ProbeBytes(c.key); !cached {
+				for probe := range o.probeKeys(c, BandMargin) {
 					// A same-batch group across the boundary: ride along as
 					// a cross-band dup (the answer is written through under
 					// this request's own key by the group's worker).
-					if gi, ok := byKey[string(probe)]; ok {
-						groups[gi].dups = append(groups[gi].dups, batchDup{req: i, key: string(k)})
+					if gi, ok := byKey[[plancache.KeyLen]byte(probe)]; ok {
+						groups[gi].dups = append(groups[gi].dups, i)
 						continue requests
 					}
 					// A prior-batch entry across the boundary: alias it to
 					// the primary key so this group's worker (and every
 					// future request in the new band) hits.
 					if rep, ok := o.cache.ProbeBytes(probe); ok {
-						o.cache.Put(string(k), rep)
+						o.cache.Put(string(c.key), rep)
 						break
 					}
 				}
 			}
 		}
-		byKey[string(k)] = len(groups)
-		groups = append(groups, batchGroup{rep: i, key: string(k)})
+		byKey[[plancache.KeyLen]byte(c.key)] = len(groups)
+		groups = append(groups, batchGroup{rep: i})
 	}
 	workers := pool.Workers(o.cfg.Workers, len(reqs))
 	pool.Run(len(groups), pool.Workers(workers, len(groups)), func(gi int) error {
 		g := &groups[gi]
-		sc := scs[g.rep]
-		if workers > 1 && sc.Opts.Workers == 0 {
+		c := calls[g.rep]
+		if workers > 1 && c.sc.Opts.Workers == 0 {
 			// The batch pool already saturates the machine; letting A/B's
 			// per-bucket fan-out also default to GOMAXPROCS would stack
 			// P×P CPU-bound goroutines for no added parallelism.
-			sc.Opts.Workers = 1
+			c.sc.Opts.Workers = 1
 		}
-		out[g.rep] = o.serveGroup(sc, reqs[g.rep].Alg, g.key)
+		resp, ok := o.lookup(c, true)
+		if !ok {
+			resp = o.compute(c)
+		}
+		out[g.rep] = resp
 		for _, d := range g.dups {
-			out[d.req] = out[g.rep]
-			if out[g.rep].Err != nil {
+			out[d] = resp
+			if resp.Err != nil {
 				continue
 			}
 			// Count the duplicate's lookup; if the entry was evicted under
 			// pressure mid-batch the representative's answer is reused.
-			if rep, ok := o.cache.GetBytes([]byte(g.key)); ok {
-				out[d.req] = Response{PlanReport: rep, CacheHit: true}
+			if hit, ok := o.lookup(c, true); ok {
+				out[d] = hit
 			}
 			// Cross-band alias: write the shared answer through under the
 			// dup's own key so its band serves itself from now on.
-			if d.key != "" {
-				o.cache.Put(d.key, out[d.req].PlanReport)
+			if own := calls[d].key; !bytes.Equal(own, c.key) {
+				o.cache.Put(string(own), out[d].PlanReport)
 			}
 		}
 		return nil
 	})
 	return out
-}
-
-// serveGroup answers a batch group's representative: a counted lookup
-// under the group's key, else an optimization that is cached under it.
-func (o *Optimizer) serveGroup(sc *Scenario, alg Algorithm, key string) Response {
-	if o.cache != nil {
-		if rep, ok := o.cache.GetBytes([]byte(key)); ok {
-			return Response{PlanReport: rep, CacheHit: true}
-		}
-	}
-	rep, err := sc.Optimize(alg)
-	if err != nil {
-		return Response{Err: err}
-	}
-	if o.cache != nil {
-		o.cache.Put(key, rep)
-	}
-	return Response{PlanReport: rep}
 }
 
 // Feedback carries one execution's observed intermediate-result sizes
@@ -585,16 +556,14 @@ type Feedback struct {
 // optimizations of the same query cost with the observed sizes instead of
 // selectivity-product estimates (and, because hints are hashed into cache
 // keys, stale cached plans miss cleanly). A handle configured with
-// DisableFeedback ignores observations.
+// DisableFeedback ignores observations. Feedback that names no query fails
+// with ErrBadRequest.
 func (o *Optimizer) Observe(fb Feedback) error {
 	if o.fb == nil || len(fb.Sizes) == 0 {
 		return nil
 	}
 	cat, blk, err := o.resolveQuery(fb.Cat, fb.Prepared, fb.Query, fb.SQL)
 	if err != nil {
-		if errors.Is(err, ErrBadRequest) {
-			return ErrNoFeedback
-		}
 		return err
 	}
 	o.fb.Observe(o.queryKey(cat, blk), fb.Sizes)
@@ -604,26 +573,31 @@ func (o *Optimizer) Observe(fb Feedback) error {
 // Simulate Monte-Carlo-executes a plan's cost model under the request's
 // environment (the request only needs a query and an environment).
 func (o *Optimizer) Simulate(req Request, p *plan.Node, runs int, seed int64) (envsim.RunStats, error) {
-	sc, err := o.scenarioFor(req)
+	c, err := o.begin(req, false)
 	if err != nil {
 		return envsim.RunStats{}, err
 	}
-	defer releaseScenario(sc)
-	return sc.Simulate(p, runs, seed)
+	defer release(c)
+	return c.sc.Simulate(p, runs, seed)
 }
 
 // Tournament runs a common-random-numbers realized-cost comparison of the
 // given reports' plans under the request's environment.
 func (o *Optimizer) Tournament(req Request, reports []PlanReport, runs int, seed int64) (envsim.TournamentResult, error) {
-	sc, err := o.scenarioFor(req)
+	c, err := o.begin(req, false)
 	if err != nil {
 		return envsim.TournamentResult{}, err
 	}
-	defer releaseScenario(sc)
-	return sc.Tournament(reports, runs, seed)
+	defer release(c)
+	return c.sc.Tournament(reports, runs, seed)
 }
 
-// CacheStats snapshots the handle's plan cache (zero when disabled).
+// CacheStats snapshots the handle's plan cache (zero when disabled). Each
+// Optimize and each batch request counts one lookup; band-edge probes and
+// Cached count none. So a sequential Optimize answered across a band edge
+// counts one miss (its primary key missed; the neighbor was found by an
+// uncounted probe) though it reports CacheHit, while a batch whose grouping
+// pass aliased the neighbor to the request's key counts one hit.
 func (o *Optimizer) CacheStats() plancache.Stats {
 	if o.cache == nil {
 		return plancache.Stats{}
@@ -708,9 +682,6 @@ func (p *Prepared) SQL() string { return p.sql }
 
 // Block returns the validated query block.
 func (p *Prepared) Block() *query.Block { return p.block }
-
-// Canonical returns the canonical query shape.
-func (p *Prepared) Canonical() string { return p.block.Canonical() }
 
 // Optimize runs a full (cached) optimization of the prepared query.
 func (p *Prepared) Optimize(env envsim.Env, alg Algorithm) (Response, error) {

@@ -42,6 +42,9 @@ func TestOptimizeRequiresAQuery(t *testing.T) {
 	if _, err := o.Prepare("SELECT * FROM a"); !errors.Is(err, ErrNoCatalog) {
 		t.Fatalf("Prepare without catalog: got %v", err)
 	}
+	if err := o.Observe(Feedback{Sizes: map[string]float64{feedback.SetKey("a", "b"): 10}}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Observe without a query: want ErrBadRequest, got %v", err)
+	}
 }
 
 // TestOptimizeSQLMatchesBlock: a request carrying SQL answers exactly like
