@@ -292,33 +292,6 @@ func TestConcurrentOptimizeObserve(t *testing.T) {
 	}
 }
 
-// TestCorpusWorkersByteIdentical runs the 200-scenario differential corpus
-// through the public surface at workers 1, 4 and 8 and requires identical
-// reports: Options.Workers must never change which plan is found, which is
-// also why it is excluded from plan-cache signatures. (The in-package
-// optimizer tests force the rank-parallel gate open on this corpus's
-// shapes; here the corpus pins the end-to-end wiring.)
-func TestCorpusWorkersByteIdentical(t *testing.T) {
-	for i, sc := range diffCorpus(t) {
-		sc.Opts.Workers = 1
-		base, err := sc.Optimize(AlgC)
-		if err != nil {
-			t.Fatalf("scenario %d: %v", i, err)
-		}
-		want := batchReportKey(base)
-		for _, w := range []int{4, 8} {
-			sc.Opts.Workers = w
-			rep, err := sc.Optimize(AlgC)
-			if err != nil {
-				t.Fatalf("scenario %d workers=%d: %v", i, w, err)
-			}
-			if got := batchReportKey(rep); got != want {
-				t.Fatalf("scenario %d: workers=%d diverged:\n got %s\nwant %s", i, w, got, want)
-			}
-		}
-	}
-}
-
 // BenchmarkOptimizeHit measures the warm plan-cache hit path; run with
 // -benchmem, the headline is 0 allocs/op.
 func BenchmarkOptimizeHit(b *testing.B) {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"lecopt/internal/catalog"
 	"lecopt/internal/dist"
@@ -15,7 +17,6 @@ import (
 	"lecopt/internal/parametric"
 	"lecopt/internal/plan"
 	"lecopt/internal/plancache"
-	"lecopt/internal/pool"
 	"lecopt/internal/query"
 	"lecopt/internal/sqlmini"
 )
@@ -50,7 +51,7 @@ const (
 // wraps it in functional options; zero values mean the documented
 // defaults.
 type Config struct {
-	// Workers bounds batch-optimization concurrency (0 = GOMAXPROCS).
+	// Workers bounds batch-optimization concurrency (≤ 0 = GOMAXPROCS).
 	Workers int
 	// CacheSize is the plan-cache capacity: 0 means DefaultCacheSize, a
 	// negative value disables the plan cache.
@@ -502,39 +503,49 @@ requests:
 		byKey[[plancache.KeyLen]byte(c.key)] = len(groups)
 		groups = append(groups, batchGroup{rep: i})
 	}
-	workers := pool.Workers(o.cfg.Workers, len(reqs))
-	pool.Run(len(groups), pool.Workers(workers, len(groups)), func(gi int) error {
-		g := &groups[gi]
-		c := calls[g.rep]
-		if workers > 1 && c.sc.Opts.Workers == 0 {
-			// The batch pool already saturates the machine; letting A/B's
-			// per-bucket fan-out also default to GOMAXPROCS would stack
-			// P×P CPU-bound goroutines for no added parallelism.
-			c.sc.Opts.Workers = 1
-		}
-		resp, ok := o.lookup(c, true)
-		if !ok {
-			resp = o.compute(c)
-		}
-		out[g.rep] = resp
-		for _, d := range g.dups {
-			out[d] = resp
-			if resp.Err != nil {
-				continue
+	// Each group runs on one worker, and each optimization runs serially:
+	// the batch's groups are the only parallelism (DESIGN.md, "One level
+	// of parallelism").
+	workers := o.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(groups)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for gi := int(next.Add(1)) - 1; gi < len(groups); gi = int(next.Add(1)) - 1 {
+				g := &groups[gi]
+				c := calls[g.rep]
+				resp, ok := o.lookup(c, true)
+				if !ok {
+					resp = o.compute(c)
+				}
+				out[g.rep] = resp
+				for _, d := range g.dups {
+					out[d] = resp
+					if resp.Err != nil {
+						continue
+					}
+					// Count the duplicate's lookup; if the entry was evicted
+					// under pressure mid-batch the representative's answer
+					// is reused.
+					if hit, ok := o.lookup(c, true); ok {
+						out[d] = hit
+					}
+					// Cross-band alias: write the shared answer through
+					// under the dup's own key so its band serves itself
+					// from now on.
+					if own := calls[d].key; !bytes.Equal(own, c.key) {
+						o.cache.Put(string(own), out[d].PlanReport)
+					}
+				}
 			}
-			// Count the duplicate's lookup; if the entry was evicted under
-			// pressure mid-batch the representative's answer is reused.
-			if hit, ok := o.lookup(c, true); ok {
-				out[d] = hit
-			}
-			// Cross-band alias: write the shared answer through under the
-			// dup's own key so its band serves itself from now on.
-			if own := calls[d].key; !bytes.Equal(own, c.key) {
-				o.cache.Put(string(own), out[d].PlanReport)
-			}
-		}
-		return nil
-	})
+		}()
+	}
+	wg.Wait()
 	return out
 }
 

@@ -375,7 +375,8 @@ func TestPrepareWithoutLawsFallsBack(t *testing.T) {
 }
 
 // TestBatchDeterministicAcrossWorkers: with drift-banded keys the batch
-// dedupe must make results independent of the worker count.
+// dedupe must make results independent of the worker count — GOMAXPROCS
+// (0 and −1) and more workers than groups (64) included.
 func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 	env := serviceEnv(t)
 	var reqs []Request
@@ -395,10 +396,13 @@ func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return keys
 	}
-	a, b := run(1), run(8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("request %d: worker count changed the plan: %s vs %s", i, a[i], b[i])
+	a := run(1)
+	for _, workers := range []int{8, 0, -1, 64} {
+		b := run(workers)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("request %d: workers %d changed the plan: %s vs %s", i, workers, a[i], b[i])
+			}
 		}
 	}
 }

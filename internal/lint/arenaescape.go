@@ -8,14 +8,14 @@ import (
 
 // ArenaEscapeAnalyzer guards the pooled-DP-scratch contract introduced by
 // the zero-alloc hot path: the optimizer's dynamic program builds its join
-// nodes in per-worker arenas that are rewound and reused when the scratch
+// nodes in the scratch's arena, which is rewound and reused when the scratch
 // returns to its sync.Pool, so a plan assigned into a Result must be
 // deep-copied first — a raw arena pointer in a Result is a use-after-reset
 // that manifests as a silently mutated plan on some later optimization.
 // Every subset DP — single-plan, top-c and distributional — runs on that
 // scratch, Algorithm B's top-c lists and Algorithm D's size laws included.
 // The check is deliberately narrow: only functions that touch the scratch
-// machinery (dpScratch, dpWorker, nodeArena, topList, lawSlab, getScratch)
+// machinery (dpScratch, nodeArena, topList, lawSlab, getScratch)
 // are held to it, so the heap-allocating passes (exhaustive
 // enumeration) stay free to share their nodes.
 var ArenaEscapeAnalyzer = &Analyzer{
@@ -28,7 +28,6 @@ var ArenaEscapeAnalyzer = &Analyzer{
 // function as arena-touching.
 var scratchTypeNames = map[string]bool{
 	"dpScratch": true,
-	"dpWorker":  true,
 	"nodeArena": true,
 	"topList":   true,
 	"lawSlab":   true,

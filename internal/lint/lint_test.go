@@ -180,7 +180,6 @@ func TestModuleCoverage(t *testing.T) {
 		"lecopt/internal/feedback",
 		"lecopt/internal/optimizer",
 		"lecopt/internal/plancache",
-		"lecopt/internal/pool",
 		"lecopt/internal/query",
 		"lecopt/internal/resilience",
 		"lecopt/internal/storage",

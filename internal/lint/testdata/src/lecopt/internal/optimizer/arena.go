@@ -62,14 +62,10 @@ func (s *lawSlab) point(v float64) Dist {
 
 type topList struct{ entries []entry }
 
-type dpWorker struct {
+type dpScratch struct {
+	ents  []entry
 	arena nodeArena
 	slab  lawSlab
-}
-
-type dpScratch struct {
-	ents    []entry
-	workers []dpWorker
 }
 
 func getScratch() *dpScratch { return new(dpScratch) }
@@ -86,9 +82,9 @@ func finishBad(sc *dpScratch) Result {
 	return Result{Plan: best.node, EC: best.score} // want `must never escape into a Result`
 }
 
-// drainBad builds a node from a worker's arena and returns it raw.
-func drainBad(w *dpWorker) Result {
-	n := w.arena.alloc()
+// drainBad builds a node from the scratch's arena and returns it raw.
+func drainBad(a *nodeArena) Result {
+	n := a.alloc()
 	return Result{Plan: n} // want `must never escape into a Result`
 }
 

@@ -8,6 +8,6 @@ import "lecopt/internal/cost"
 // Options mirrors the real planning options.
 type Options struct {
 	DisableIndexes bool
-	Workers        int
+	SizeBuckets    int
 	CostModel      cost.Model
 }

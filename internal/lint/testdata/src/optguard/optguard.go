@@ -12,7 +12,7 @@ func hardcoded() optimizer.Options {
 
 // hardcodedMultiField hides the literal among other fields.
 func hardcodedMultiField() optimizer.Options {
-	return optimizer.Options{Workers: 4, DisableIndexes: true} // want `hardcoded`
+	return optimizer.Options{SizeBuckets: 4, DisableIndexes: true} // want `hardcoded`
 }
 
 // specDriven threads the decision through configuration: the lawful
@@ -28,7 +28,7 @@ func explicitFalse() optimizer.Options {
 
 // unrelatedFields never mentions the flag. True negative.
 func unrelatedFields() optimizer.Options {
-	return optimizer.Options{Workers: 8}
+	return optimizer.Options{SizeBuckets: 8}
 }
 
 // waived carries a justified directive, the one lawful way to keep a

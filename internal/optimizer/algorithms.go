@@ -10,7 +10,6 @@ import (
 	"lecopt/internal/dist"
 	"lecopt/internal/expcost"
 	"lecopt/internal/plan"
-	"lecopt/internal/pool"
 	"lecopt/internal/query"
 )
 
@@ -23,7 +22,7 @@ func LSC(cat *catalog.Catalog, blk *query.Block, opts Options, mem float64) (Res
 		return Result{}, err
 	}
 	s := pointScorer(mem, c.opts.CostModel)
-	res, err := c.dpBest(s, c.opts.Workers)
+	res, err := c.dpBest(s)
 	if err != nil {
 		return Result{}, err
 	}
@@ -38,7 +37,7 @@ func AlgorithmC(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 		return Result{}, err
 	}
 	laws := staticLaws(mem, c.n)
-	res, err := c.dpBest(scorer{laws: laws, model: c.opts.CostModel}, c.opts.Workers)
+	res, err := c.dpBest(scorer{laws: laws, model: c.opts.CostModel})
 	if err != nil {
 		return Result{}, err
 	}
@@ -57,7 +56,7 @@ func AlgorithmCDynamic(cat *catalog.Catalog, blk *query.Block, opts Options, ini
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := c.dpBest(scorer{laws: laws, model: c.opts.CostModel}, c.opts.Workers)
+	res, err := c.dpBest(scorer{laws: laws, model: c.opts.CostModel})
 	if err != nil {
 		return Result{}, err
 	}
@@ -88,44 +87,26 @@ func AlgorithmA(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 		return Result{}, err
 	}
 	laws := staticLaws(mem, c.n)
-	// The per-bucket LSC runs are independent System R passes over the
-	// read-only prepared context, so they fan out across Options.Workers
-	// goroutines; merging in bucket order afterwards keeps the outcome
-	// identical to a serial run. A mean that is a bucket (every Point law)
-	// would rerun that bucket's pass for the same plan, which Candidates
-	// counts once anyway.
+	// A mean that is a bucket (every Point law) would rerun that bucket's
+	// pass for the same plan, which Candidates counts once anyway.
 	points := bucketPoints(mem)
 	if last := len(points) - 1; slices.Contains(points[:last], points[last]) {
 		points = points[:last]
 	}
 	runs := make([]planEC, len(points))
-	outer, inner := c.fanOut(len(points))
-	err = pool.Run(len(points), outer, func(i int) error {
-		r, err := c.dpBest(pointScorer(points[i], c.opts.CostModel), inner)
+	for i, pt := range points {
+		r, err := c.dpBest(pointScorer(pt, c.opts.CostModel))
 		if err != nil {
-			return err
+			return Result{}, err
 		}
 		ec, err := ExpectedCostModel(c.opts.CostModel, r.Plan, laws)
+		if err != nil {
+			return Result{}, err
+		}
 		runs[i] = planEC{r.Plan, ec}
-		return err
-	})
-	if err != nil {
-		return Result{}, err
 	}
 	best, distinct := leastExpected(runs)
 	return withPhaseEC(Result{Plan: best.plan, EC: best.ec, Candidates: distinct}, c.opts.CostModel, laws)
-}
-
-// fanOut splits Options.Workers between n independent per-bucket passes
-// (outer) and each pass's rank-parallel enumeration (inner): once the
-// buckets saturate the requested concurrency, nested rank-parallel passes
-// would only fight them for cores.
-func (c *ctx) fanOut(n int) (outer, inner int) {
-	outer, inner = c.opts.workers(n), c.opts.Workers
-	if outer > 1 {
-		inner = 1
-	}
-	return outer, inner
 }
 
 // planEC is a candidate plan and its expected cost under the full law.
@@ -163,50 +144,37 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 		return Result{}, err
 	}
 	laws := staticLaws(mem, cx.n)
-	// Like Algorithm A, the per-bucket top-c passes are independent and
-	// fan out across Options.Workers goroutines; the bucket-order merge
-	// below keeps candidate selection deterministic. Each pass's scratch
-	// is held until the winner is copied out of it.
+	// Every pass's scratch is held until the winner is copied out of it,
+	// then all are released together in bucket order (DESIGN.md, "One
+	// level of parallelism").
 	points := bucketPoints(mem)
-	scs := make([]*dpScratch, len(points))
+	scs := make([]*dpScratch, 0, len(points))
 	defer func() {
 		for _, sc := range scs {
-			if sc != nil {
-				sc.release()
-			}
+			sc.release()
 		}
 	}()
-	cands := make([]planEC, len(points)*c)
-	held := make([]int, len(points))
-	outer, inner := cx.fanOut(len(points))
-	err = pool.Run(len(points), outer, func(i int) error {
-		s := pointScorer(points[i], cx.opts.CostModel)
+	cands := make([]planEC, 0, len(points)*c)
+	probes := 0
+	for _, pt := range points {
+		s := pointScorer(pt, cx.opts.CostModel)
 		sc := getScratch(keepTopC, c, cx.n)
-		scs[i] = sc
-		cx.run(sc, s, inner, math.Inf(1))
+		scs = append(scs, sc)
+		cx.run(sc, s, math.Inf(1))
 		tops := cx.topRoots(sc, s, c)
 		if len(tops) == 0 {
-			return ErrNoPlan
+			return Result{}, ErrNoPlan
 		}
-		for k, e := range tops {
+		for _, e := range tops {
 			ec, err := ExpectedCostModel(cx.opts.CostModel, e.node, laws)
 			if err != nil {
-				return err
+				return Result{}, err
 			}
-			cands[i*c+k] = planEC{e.node, ec}
+			cands = append(cands, planEC{e.node, ec})
 		}
-		held[i] = len(tops)
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
+		probes += sc.probes
 	}
-	probes, n := 0, 0
-	for i, sc := range scs {
-		probes += sc.probes()
-		n += copy(cands[n:], cands[i*c:i*c+held[i]])
-	}
-	best, distinct := leastExpected(cands[:n])
+	best, distinct := leastExpected(cands)
 	return withPhaseEC(Result{Plan: best.plan.Clone(), EC: best.ec, Candidates: distinct, Probes: probes}, cx.opts.CostModel, laws)
 }
 
@@ -232,7 +200,7 @@ func AlgorithmD(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	if err := c.setSizeLaws(sizeLaws); err != nil {
 		return Result{}, err
 	}
-	res, err := c.dpLaws(mem, c.opts.Workers)
+	res, err := c.dpLaws(mem)
 	if err != nil {
 		return Result{}, err
 	}
@@ -243,14 +211,14 @@ func AlgorithmD(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 
 // dpLaws is Algorithm D's dynamic program: a single-entry pass over the
 // size table (lawScorer), bounded like every other (best).
-func (c *ctx) dpLaws(mem dist.Dist, workers int) (Result, error) {
+func (c *ctx) dpLaws(mem dist.Dist) (Result, error) {
 	sc := getScratch(keepBest, 1, c.n)
 	defer sc.release()
 	s, err := c.lawScorer(sc, mem)
 	if err != nil {
 		return Result{}, err
 	}
-	return c.best(sc, s, workers)
+	return c.best(sc, s)
 }
 
 // lawScorer builds Algorithm D's size table in sc — the size law of every

@@ -81,11 +81,11 @@ func dScorer(t testing.TB, c *ctx, mem dist.Dist) (namedScorer, *dpScratch) {
 
 // kernelWinner runs one single-entry pass under bound and returns its
 // cheapest complete plan, nil when the table holds none.
-func kernelWinner(t *testing.T, c *ctx, s scorer, workers int, bound float64) (sig string, score float64, ok bool) {
+func kernelWinner(t *testing.T, c *ctx, s scorer, bound float64) (sig string, score float64, ok bool) {
 	t.Helper()
 	sc := getScratch(keepBest, 1, c.n)
 	defer sc.release()
-	c.run(sc, s, workers, bound)
+	c.run(sc, s, bound)
 	best := c.bestRoot(sc, s)
 	if best == nil {
 		return "", 0, false
@@ -120,11 +120,11 @@ func greedyNode(c *ctx, g greedyPlan) *plan.Node {
 
 // checkBoundedKernel holds every bounded pass of one prepared query to its
 // unbounded twin: the same winner, to the signature and the last bit of its
-// score, at each worker count. The bound must be the score of the plan
+// score. The bound must be the score of the plan
 // greedy recorded — a plan in the searched space, so never below the
 // optimum; Algorithm D's priced over its size laws (dScore) — priced
 // without allocating, and absent under boundMinTables tables.
-func checkBoundedKernel(t *testing.T, c *ctx, scorers []namedScorer, workers []int) {
+func checkBoundedKernel(t *testing.T, c *ctx, scorers []namedScorer) {
 	t.Helper()
 	for _, ns := range scorers {
 		g := c.greedy(ns.s)
@@ -162,19 +162,17 @@ func checkBoundedKernel(t *testing.T, c *ctx, scorers []namedScorer, workers []i
 		if bounded {
 			checkSkippedMasks(t, c, ns, g.score)
 		}
-		for _, w := range workers {
-			wantSig, want, ok := kernelWinner(t, c, ns.s, w, math.Inf(1))
-			if !ok {
-				t.Fatalf("%s: unbounded pass found no plan", ns.alg)
-			}
-			if want > g.score {
-				t.Fatalf("%s: bound %v below the optimum %v", ns.alg, g.score, want)
-			}
-			gotSig, got, ok := kernelWinner(t, c, ns.s, w, g.score)
-			if !ok || gotSig != wantSig || math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s workers %d bound %v: bounded winner %s at %v, unbounded %s at %v",
-					ns.alg, w, g.score, gotSig, got, wantSig, want)
-			}
+		wantSig, want, ok := kernelWinner(t, c, ns.s, math.Inf(1))
+		if !ok {
+			t.Fatalf("%s: unbounded pass found no plan", ns.alg)
+		}
+		if want > g.score {
+			t.Fatalf("%s: bound %v below the optimum %v", ns.alg, g.score, want)
+		}
+		gotSig, got, ok := kernelWinner(t, c, ns.s, g.score)
+		if !ok || gotSig != wantSig || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s bound %v: bounded winner %s at %v, unbounded %s at %v",
+				ns.alg, g.score, gotSig, got, wantSig, want)
 		}
 	}
 }
@@ -188,7 +186,7 @@ func checkSkippedMasks(t *testing.T, c *ctx, ns namedScorer, bound float64) {
 	c.setBars(barred, ns.s, bound)
 	open := getScratch(keepBest, 1, c.n)
 	defer open.release()
-	c.run(open, ns.s, 1, math.Inf(1))
+	c.run(open, ns.s, math.Inf(1))
 	full := fullMask(c.n)
 	for mask := uint64(3); mask < full; mask++ {
 		if mask&(mask-1) == 0 || barred.bar[cell(mask, 0)] != -1 {
@@ -219,16 +217,12 @@ func edgeHint(rng *rand.Rand, blk *query.Block) map[string]float64 {
 
 // TestBoundedKernelExact holds the bounded kernel to the unbounded one on
 // 2–10-table chains, stars, cliques and random graphs, with no hints, one
-// hinted edge and random hinted subsets, under both cost models, serially
-// and with every rank split across workers: LSC, Algorithm A's point
-// passes, C and C-dynamic — and up to 9 tables Algorithm D, with
-// selectivity laws on edges and a table size law — must find the same plan
-// at the same bits. Below boundMinTables tables and on a disconnected join
+// hinted edge and random hinted subsets, under both cost models: LSC,
+// Algorithm A's point passes, C and C-dynamic — and up to 9 tables
+// Algorithm D, with selectivity laws on edges and a table size law — must
+// find the same plan at the same bits. Below boundMinTables tables and on a disconnected join
 // graph there is no bound.
 func TestBoundedKernelExact(t *testing.T) {
-	old := dpParallelMinMasks
-	dpParallelMinMasks = 2
-	defer func() { dpParallelMinMasks = old }()
 	envs, sticky := pinSticky(t)
 	shapes := []workload.Shape{workload.Chain, workload.Star, workload.Clique, workload.Random}
 	i := 0
@@ -248,13 +242,13 @@ func TestBoundedKernelExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkBoundedKernel(t, c, boundedScorers(t, c, mem, sticky.Env), []int{1, 4})
+					checkBoundedKernel(t, c, boundedScorers(t, c, mem, sticky.Env))
 					if n > 9 {
 						continue
 					}
 					withDLaws(t, c, rng)
 					d, scr := dScorer(t, c, mem)
-					checkBoundedKernel(t, c, []namedScorer{d}, []int{1, 4})
+					checkBoundedKernel(t, c, []namedScorer{d})
 					scr.release()
 				}
 			}
@@ -288,7 +282,7 @@ func TestBoundedKernelExact(t *testing.T) {
 			t.Fatalf("%s: disconnected query bounded at %v", ns.alg, g.score)
 		}
 	}
-	checkBoundedKernel(t, c, scorers, []int{1})
+	checkBoundedKernel(t, c, scorers)
 }
 
 // TestFloorPageCap holds the floor to the page cap on a 6-table chain whose
@@ -320,7 +314,7 @@ func TestFloorPageCap(t *testing.T) {
 		}
 		mem := envs[0].Env.Mem
 		d, scr := dScorer(t, c, mem)
-		checkBoundedKernel(t, c, append(boundedScorers(t, c, mem, sticky.Env), d), []int{1})
+		checkBoundedKernel(t, c, append(boundedScorers(t, c, mem, sticky.Env), d))
 		scr.release()
 	}
 }
@@ -355,20 +349,20 @@ func FuzzBoundedKernel(f *testing.F) {
 			t.Fatal(err)
 		}
 		mem := envs[int(law)%len(envs)].Env.Mem
-		checkBoundedKernel(t, c, boundedScorers(t, c, mem, sticky.Env), []int{1})
+		checkBoundedKernel(t, c, boundedScorers(t, c, mem, sticky.Env))
 		withDLaws(t, c, rng)
 		d, scr := dScorer(t, c, mem)
 		defer scr.release()
-		checkBoundedKernel(t, c, []namedScorer{d}, []int{1})
+		checkBoundedKernel(t, c, []namedScorer{d})
 	})
 }
 
-// BenchmarkKernel times, serially, LSC and Algorithm C on 4-, 6-, 8- and
+// BenchmarkKernel times LSC and Algorithm C on 4-, 6-, 8- and
 // 10-table queries of every shape, and Algorithm D (selectivity laws on
 // edges, a table size law) on 6 and 8: the pass dpBest or dpLaws runs —
 // D's size table and the greedy bound included — and the same pass with
-// every bar at +Inf (…/unbounded). Algorithms A and B are timed whole, at
-// one worker: A under the 4-bucket law and a 27-bucket one on 6 and 8
+// every bar at +Inf (…/unbounded). Algorithms A and B are timed whole: A
+// under the 4-bucket law and a 27-bucket one on 6 and 8
 // tables (…/b=4, …/b=27: a bounded point pass per bucket and the mean,
 // each winner priced under the law), B at c = 3 under the 4-bucket law on
 // 4, 6 and 8 tables (its unbounded top-c passes).
@@ -378,7 +372,6 @@ func BenchmarkKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	serial := Options{Workers: 1}
 	for _, n := range []int{4, 6, 8, 10} {
 		for si, shape := range []workload.Shape{workload.Chain, workload.Star, workload.Clique, workload.Random} {
 			sc := wideScenario(b, n, shape, int64(9600+10*n+si))
@@ -386,7 +379,7 @@ func BenchmarkKernel(b *testing.B) {
 				for _, law := range []dist.Dist{mem, fine} {
 					b.Run(fmt.Sprintf("A/t%d/%s/b=%d", n, shape, law.Len()), func(b *testing.B) {
 						for b.Loop() {
-							if _, err := AlgorithmA(sc.Cat, sc.Block, serial, law); err != nil {
+							if _, err := AlgorithmA(sc.Cat, sc.Block, Options{}, law); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -396,7 +389,7 @@ func BenchmarkKernel(b *testing.B) {
 			if n <= 8 {
 				b.Run(fmt.Sprintf("B/t%d/%s/c=3", n, shape), func(b *testing.B) {
 					for b.Loop() {
-						if _, err := AlgorithmB(sc.Cat, sc.Block, serial, mem, 3); err != nil {
+						if _, err := AlgorithmB(sc.Cat, sc.Block, Options{}, mem, 3); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -442,7 +435,7 @@ func BenchmarkKernel(b *testing.B) {
 							if bounded {
 								bound = c.greedy(s).score
 							}
-							c.run(scr, s, 1, bound)
+							c.run(scr, s, bound)
 							if c.bestRoot(scr, s) == nil {
 								b.Fatal(ErrNoPlan)
 							}

@@ -8,7 +8,6 @@ import (
 	"lecopt/internal/dist"
 	"lecopt/internal/expcost"
 	"lecopt/internal/plan"
-	"lecopt/internal/pool"
 )
 
 // scorer costs a join or sort in one execution phase: in expectation under
@@ -131,20 +130,18 @@ func (c *ctx) enforcerScore(s scorer, e entry) float64 {
 // dpBest runs the kernel keeping one entry per (subset, order slot) and
 // returns the cheapest complete plan: over a point law the System R dynamic
 // program's LSC left-deep plan (Theorem 2.1), over memory laws Algorithm
-// C's LEC left-deep plan (Theorems 3.3/3.4). workers bounds the
-// rank-parallel enumeration (Algorithm A passes 1 when its per-bucket
-// fan-out already saturates the requested concurrency).
-func (c *ctx) dpBest(s scorer, workers int) (Result, error) {
+// C's LEC left-deep plan (Theorems 3.3/3.4).
+func (c *ctx) dpBest(s scorer) (Result, error) {
 	sc := getScratch(keepBest, 1, c.n)
 	defer sc.release()
-	return c.best(sc, s, workers)
+	return c.best(sc, s)
 }
 
 // best runs a single-entry pass in sc, every cell barred by the score of
 // the greedy plan (greedy, setBars), and returns a deep copy of its
 // cheapest complete plan.
-func (c *ctx) best(sc *dpScratch, s scorer, workers int) (Result, error) {
-	c.run(sc, s, workers, c.greedy(s).score)
+func (c *ctx) best(sc *dpScratch, s scorer) (Result, error) {
+	c.run(sc, s, c.greedy(s).score)
 	best := c.bestRoot(sc, s)
 	if best == nil {
 		return Result{}, ErrNoPlan
@@ -173,25 +170,18 @@ func (c *ctx) bestRoot(sc *dpScratch, s scorer) *entry {
 // run is the subset DP of every algorithm: System R's bottom-up pass over
 // the table subsets in rank (popcount) order, keeping per (subset, order
 // slot) what sc's policy asks for — the best entry or the top depth
-// entries. All state lives in sc, which the caller releases once nothing it
-// needs points into it: the table holds entries by value, join nodes come
-// from per-worker arenas.
-//
-// Parallelism is by rank: every mask of popcount k depends only on masks
-// of strictly smaller popcount, so the masks of one rank can be expanded
-// concurrently — each expand call writes its own mask's cells alone and
-// reads only finalized smaller ranks. Workers take statically assigned
-// contiguous chunks, so the table is byte-identical to the serial pass for
-// every worker count.
+// entries. Every mask of a rank reads only finalized smaller ranks. All
+// state lives in sc, which the caller releases once nothing it needs
+// points into it: the table holds entries by value, join nodes come from
+// sc's arena.
 //
 // No cell admits an entry scoring above its bar, and setBars bars only
 // subplans that cannot lead to a plan within bound. So a bound that is the
 // score of a complete plan in the searched space leaves the winner as it
 // was (DESIGN.md, "Bounded kernel"); +Inf bars nothing.
-func (c *ctx) run(sc *dpScratch, s scorer, workers int, bound float64) {
+func (c *ctx) run(sc *dpScratch, s scorer, bound float64) {
 	full := fullMask(c.n)
 	c.setBars(sc, s, bound)
-	sc.ensureWorkers(1)
 	for j, ti := range c.tables {
 		bit := uint64(1) << uint(j)
 		for _, ac := range ti.accesses {
@@ -202,39 +192,15 @@ func (c *ctx) run(sc *dpScratch, s scorer, workers int, bound float64) {
 		}
 	}
 	for size := 2; size <= c.n; size++ {
-		// Gosper's hack: the masks of popcount size in ascending order.
-		ms := sc.masks[:0]
+		// Gosper's hack: the masks of popcount size in ascending order. A
+		// mask whose cells admit nothing is not expanded: no score is
+		// negative (setBars).
 		for m := uint64(1)<<uint(size) - 1; m <= full; {
-			ms = append(ms, m)
+			if k := cell(m, 0); !(sc.bar[k] < 0 && sc.bar[k|1] < 0) {
+				c.expand(sc, m, s)
+			}
 			r := m + m&-m
 			m = r | (m^r)>>2>>uint(bits.TrailingZeros64(m))
-		}
-		sc.masks = ms
-		// A mask whose cells admit nothing is not expanded, nor counted
-		// toward the parallel gate: no score is negative (setBars).
-		live := ms[:0]
-		for _, m := range ms {
-			if k := cell(m, 0); !(sc.bar[k] < 0 && sc.bar[k|1] < 0) {
-				live = append(live, m)
-			}
-		}
-		ms = live
-		w := pool.Workers(workers, len(ms))
-		if w > 1 && len(ms) >= dpParallelMinMasks {
-			chunk := (len(ms) + w - 1) / w
-			nchunks := (len(ms) + chunk - 1) / chunk
-			sc.ensureWorkers(nchunks)
-			_ = pool.Run(nchunks, nchunks, func(ci int) error { // expand cannot fail
-				wk := &sc.workers[ci]
-				for _, mask := range ms[ci*chunk : min((ci+1)*chunk, len(ms))] {
-					c.expand(sc, mask, s, wk)
-				}
-				return nil
-			})
-			continue
-		}
-		for _, mask := range ms {
-			c.expand(sc, mask, s, &sc.workers[0])
 		}
 	}
 }
@@ -248,13 +214,13 @@ var singlePair = []topPair{{}}
 // slots is one join input, and a join is priced by one card per j, on
 // first need. What the method cannot change (sort-merge order) is asked
 // once per (mask, j). A score is always (left.score + right.score) + price.
-func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) {
+func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer) {
 	phase := phaseOfMask(mask)
 	methods := c.opts.Methods
-	w.cands = c.candidatesInto(mask, w.cands[:0])
+	sc.cands = c.candidatesInto(mask, sc.cands[:0])
 	outPages := c.pages(s, mask)
 	kb := cell(mask, 0)
-	for _, j := range w.cands {
+	for _, j := range sc.cands {
 		bit := uint64(1) << uint(j)
 		rest := mask &^ bit
 		merges := c.mergeOrders(j, rest)
@@ -279,8 +245,8 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) {
 				pairs := singlePair
 				if sc.pol == keepTopC {
 					var probes int
-					w.pairs, probes = frontier(w.pairs[:0], left, right, sc.depth)
-					pairs, w.probes = w.pairs, w.probes+probes*len(methods)
+					sc.pairs, probes = frontier(sc.pairs[:0], left, right, sc.depth)
+					pairs, sc.probes = sc.pairs, sc.probes+probes*len(methods)
 				}
 				for _, p := range pairs {
 					le, re := &left[p.i], &right[p.k]
@@ -298,9 +264,9 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) {
 						if !sc.admits(k, score) {
 							continue // strictly worse: skip building the node
 						}
-						node := w.arena.newJoin(m, le.node, re.node, outPages, c.joinOrder(m, merges, le.node))
+						node := sc.arena.newJoin(m, le.node, re.node, outPages, c.joinOrder(m, merges, le.node))
 						if !sc.keep(k, entry{node: node, score: score}) {
-							w.arena.undo()
+							sc.arena.undo()
 						}
 					}
 				}
@@ -312,13 +278,12 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer, w *dpWorker) {
 // complete lists the plans for the whole query in sc.root: every entry of
 // the full subset, each under a root sort where it misses the ORDER BY.
 func (c *ctx) complete(sc *dpScratch, s scorer) {
-	arena := &sc.workers[0].arena
 	full := fullMask(c.n)
 	for slot := 0; slot < 2; slot++ {
 		for _, e := range sc.list(cell(full, slot)) {
 			if c.blk.OrderBy != nil && slot == 0 {
 				e.score += c.enforcerScore(s, e)
-				e.node = arena.newSort(e.node, c.required)
+				e.node = sc.arena.newSort(e.node, c.required)
 			}
 			sc.root = append(sc.root, e)
 		}

@@ -49,7 +49,7 @@ func TestPinnedCorpusExercisesFastPaths(t *testing.T) {
 		mem, selLaws, sizeLaws, hint := pinInputs(t, i, sc, envs)
 		for _, model := range []cost.Model{cost.ModelPaper, cost.ModelEngine} {
 			for _, hints := range []map[string]float64{nil, hint} {
-				c, err := prepare(sc.Cat, sc.Block, Options{CostModel: model, SizeHints: hints, Workers: 1})
+				c, err := prepare(sc.Cat, sc.Block, Options{CostModel: model, SizeHints: hints})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func TestPinnedCorpusExercisesFastPaths(t *testing.T) {
 							t.Fatalf("scenario %d %s: %v", i, alg, err)
 						}
 					}
-					c.run(scr, s, 1, math.Inf(1))
+					c.run(scr, s, math.Inf(1))
 					hits[alg].add(c, scr)
 				}
 				pass("LSC", pointScorer(mem.Mean(), model), keepBest, 1)

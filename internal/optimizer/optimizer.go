@@ -57,21 +57,6 @@ type Options struct {
 	// SizeBuckets caps the per-node result-size distribution in
 	// Algorithm D (Section 3.6.3 rebucketing); defaults to 27.
 	SizeBuckets int
-	// Workers bounds the concurrency of the per-bucket passes inside
-	// Algorithms A and B (one System R pass per memory bucket — the
-	// paper's "b standard optimizations", embarrassingly parallel) and
-	// of the rank-parallel subset enumeration inside the one dynamic
-	// program every algorithm runs — LSC, C, C-dynamic and D directly, A
-	// and B in their passes when the bucket fan-out leaves workers to
-	// spare — on wide queries: masks of one popcount rank depend only on
-	// smaller ranks, so a rank's masks split across workers in statically
-	// assigned chunks once the rank is wide enough to amortize the
-	// handoff. 0 uses GOMAXPROCS; 1 runs serially.
-	// Workers never changes which plan is found — per-bucket results
-	// merge in deterministic bucket order and every DP mask is expanded
-	// by exactly one worker against finalized smaller ranks — so it is
-	// excluded from plan-cache signatures.
-	Workers int
 	// SizeHints overrides estimated result sizes (in pages) with observed
 	// ones, keyed by feedback.SetKey over the joined tables' names; a
 	// single table name keys that table's filtered size. The hints come
@@ -86,8 +71,8 @@ type Options struct {
 	// realized size is a fact, not a distribution). Keys naming tables
 	// outside the query are ignored. At the leaves,
 	// Algorithm D's explicit per-table size laws take precedence over
-	// single-table hints. Unlike Workers, hints change which plan is
-	// found, so they are hashed into plan-cache signatures.
+	// single-table hints. Hints change which plan is found, so they
+	// are hashed into plan-cache signatures.
 	SizeHints map[string]float64
 	// CostModel selects which machine the join formulas describe
 	// (cost.ModelPaper or cost.ModelEngine). The zero value is ModelPaper

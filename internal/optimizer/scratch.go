@@ -9,7 +9,7 @@ import (
 )
 
 // The subset DP's scratch memory — the table, Algorithm D's law slab, the
-// per-worker candidate buffers and plan-node arenas — is reset, not freed,
+// candidate buffers and the plan-node arena — is reset, not freed,
 // between optimizations: every pass borrows a dpScratch from a sync.Pool
 // and releases it when its result no longer points into it, so a steady
 // stream of cache misses stops churning the allocator. Nothing allocated
@@ -29,12 +29,6 @@ const (
 	maxPooledSlots  = 1 << 17
 )
 
-// dpParallelMinMasks gates rank-parallel enumeration: a rank is split
-// across workers only when it has enough masks to amortize goroutine
-// handoff (the widest rank reaches it from n = 8 tables up). A var, not a
-// const, so tests can force the parallel path on small corpora.
-var dpParallelMinMasks = 64
-
 // policy is what the kernel keeps per (subset, order slot).
 type policy uint8
 
@@ -43,34 +37,27 @@ const (
 	keepTopC               // the top-c entries (Proposition 3.1): Algorithm B
 )
 
-// dpWorker is one enumeration worker's private scratch. Each parallel
-// chunk owns exactly one worker, so nothing in it is shared across
-// goroutines.
-type dpWorker struct {
-	arena  nodeArena
-	cands  []int     // candidatesInto buffer
-	pairs  []topPair // keepTopC: the frontier of one (left, right) list pair
-	probes int       // keepTopC: frontier pairs probed
-}
-
 // dpScratch is the pooled state of one kernel pass. The table is flat:
 // cell k = mask·2 + slot holds held[k] entries at ents[k·depth:], and bar[k]
 // is the score an entry must not exceed to enter it (setBars until the cell
 // is full: its last entry's score from then on). floor[mask] is the least a
 // join pays to read mask's result (floorPages). For Algorithm D, laws[mask]
-// is the size law of mask, built in slab before the pass (lawScorer).
+// is the size law of mask, built in slab before the pass (lawScorer). Join
+// and sort nodes come from arena.
 type dpScratch struct {
-	pol     policy
-	depth   int
-	ents    []entry
-	held    []int
-	bar     []float64
-	floor   []float64
-	laws    []dist.Dist
-	slab    lawSlab
-	root    []entry // the completed plans (complete)
-	masks   []uint64
-	workers []dpWorker
+	pol    policy
+	depth  int
+	ents   []entry
+	held   []int
+	bar    []float64
+	floor  []float64
+	laws   []dist.Dist
+	slab   lawSlab
+	root   []entry // the completed plans (complete)
+	arena  nodeArena
+	cands  []int     // candidatesInto buffer
+	pairs  []topPair // keepTopC: the frontier of one (left, right) list pair
+	probes int       // keepTopC: frontier pairs probed
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
@@ -131,25 +118,8 @@ func (s *dpScratch) keep(k int, e entry) bool {
 	return in
 }
 
-// probes totals the frontier pairs the workers probed (keepTopC).
-func (s *dpScratch) probes() int {
-	n := 0
-	for i := range s.workers {
-		n += s.workers[i].probes
-	}
-	return n
-}
-
-// ensureWorkers grows the worker set to n before a parallel section —
-// growing it mid-flight would move the backing array under live workers.
-func (s *dpScratch) ensureWorkers(n int) {
-	for len(s.workers) < n {
-		s.workers = append(s.workers, dpWorker{})
-	}
-}
-
 // release zeroes the table's links to plan nodes and laws, rewinds the
-// arenas and the slab, trims outsized buffers, and returns the scratch to
+// arena and the slab, trims outsized buffers, and returns the scratch to
 // the pool.
 func (s *dpScratch) release() {
 	clear(s.ents)
@@ -159,15 +129,9 @@ func (s *dpScratch) release() {
 	if cap(s.ents) > maxPooledSlots {
 		s.ents, s.held, s.bar, s.floor, s.laws = nil, nil, nil, nil, nil
 	}
-	if cap(s.masks) > maxPooledSlots {
-		s.masks = nil
-	}
 	s.slab.reset()
-	for i := range s.workers {
-		w := &s.workers[i]
-		w.arena.reset()
-		w.probes = 0
-	}
+	s.arena.reset()
+	s.probes = 0
 	scratchPool.Put(s)
 }
 

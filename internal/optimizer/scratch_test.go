@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -112,91 +111,6 @@ func wideScenario(t testing.TB, n int, shape workload.Shape, seed int64) workloa
 	return sc
 }
 
-func resultKey(r Result) string {
-	return fmt.Sprintf("%s|%v|%d|%d", r.Plan.Signature(), r.EC, r.Candidates, r.Probes)
-}
-
-// TestRankParallelDPMatchesSerial pins the tentpole determinism claim: the
-// rank-parallel subset enumeration is byte-identical to the serial pass at
-// every worker count, on queries wide enough (8-10 tables) for the widest
-// ranks to clear dpParallelMinMasks naturally — LSC, C, and D with
-// selectivity laws on edges and a table size law.
-func TestRankParallelDPMatchesSerial(t *testing.T) {
-	mem := dist.MustNew([]float64{64, 512, 4096}, []float64{1, 2, 1})
-	for i, tc := range []struct {
-		n     int
-		shape workload.Shape
-	}{
-		{8, workload.Chain}, {8, workload.Random}, {9, workload.Star},
-		{9, workload.Random}, {10, workload.Chain}, {10, workload.Random},
-	} {
-		sc := wideScenario(t, tc.n, tc.shape, int64(4000+i))
-		c, err := prepare(sc.Cat, sc.Block, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dc, err := prepare(sc.Cat, sc.Block, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		withDLaws(t, dc, rand.New(rand.NewSource(int64(4100+i))))
-		for si, pass := range []func(workers int) (Result, error){
-			func(workers int) (Result, error) { return c.dpBest(pointScorer(mem.Mean(), c.opts.CostModel), workers) },
-			func(workers int) (Result, error) {
-				return c.dpBest(scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}, workers)
-			},
-			func(workers int) (Result, error) { return dc.dpLaws(mem, workers) },
-		} {
-			serial, err := pass(1)
-			if err != nil {
-				t.Fatalf("case %d: serial: %v", i, err)
-			}
-			for _, workers := range []int{4, 8} {
-				par, err := pass(workers)
-				if err != nil {
-					t.Fatalf("case %d: workers=%d: %v", i, workers, err)
-				}
-				if resultKey(serial) != resultKey(par) {
-					t.Fatalf("case %d (scorer %d): workers=%d diverged:\n serial   %s\n parallel %s",
-						i, si, workers, resultKey(serial), resultKey(par))
-				}
-			}
-		}
-	}
-}
-
-// TestRankParallelForcedOnCorpus lowers the parallel gate to 2 masks so
-// the chunked path runs on every rank of every scenario, then replays the
-// differential corpus's 200 generation specs (seeds 7000+i, 2-4 tables,
-// cycling shapes — the same instances the root differential suite pins
-// against ground truth) through Algorithm C at workers {1,4,8}, requiring
-// identical results.
-func TestRankParallelForcedOnCorpus(t *testing.T) {
-	old := dpParallelMinMasks
-	dpParallelMinMasks = 2
-	defer func() { dpParallelMinMasks = old }()
-
-	mem := dist.MustNew([]float64{128, 1024, 8192}, []float64{2, 1, 1})
-	shapes := []workload.Shape{workload.Chain, workload.Star, workload.Clique, workload.Random}
-	for i := 0; i < 200; i++ {
-		sc := wideScenario(t, 2+i%3, shapes[i%len(shapes)], int64(7000+i))
-		base, err := AlgorithmC(sc.Cat, sc.Block, Options{Workers: 1}, mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{4, 8} {
-			got, err := AlgorithmC(sc.Cat, sc.Block, Options{Workers: workers}, mem)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resultKey(base) != resultKey(got) {
-				t.Fatalf("scenario %d: AlgorithmC workers=%d diverged:\n serial   %s\n parallel %s",
-					i, workers, resultKey(base), resultKey(got))
-			}
-		}
-	}
-}
-
 // TestResultSurvivesScratchReuse guards the arena-escape contract from the
 // behavioral side: a Result captured early must be unchanged — same
 // signature, every node intact — after many later optimizations have
@@ -223,7 +137,7 @@ func TestResultSurvivesScratchReuse(t *testing.T) {
 
 // TestResultOwnsNoArenaNodes checks the contract directly with the owns
 // hook: no node reachable from a returned Result points into the pooled
-// scratch arenas that produced it.
+// scratch arena that produced it.
 func TestResultOwnsNoArenaNodes(t *testing.T) {
 	mem := dist.MustNew([]float64{100, 2000}, []float64{1, 1})
 	sc := wideScenario(t, 6, workload.Random, 43)
@@ -231,7 +145,7 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.dpBest(scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}, 1)
+	res, err := c.dpBest(scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +153,12 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 	// released; the chunk check keeps the test honest if it ever does not.
 	used := getScratch(keepBest, 1, 0)
 	defer used.release()
-	if len(used.workers) == 0 || len(used.workers[0].arena.chunks) == 0 {
+	if len(used.arena.chunks) == 0 {
 		t.Skip("pool returned a scratch that ran no DP; ownership not checkable")
 	}
 	res.Plan.Walk(func(n *plan.Node) {
-		for i := range used.workers {
-			if used.workers[i].arena.owns(n) {
-				t.Fatalf("Result plan node %p lives in a pooled arena", n)
-			}
+		if used.arena.owns(n) {
+			t.Fatalf("Result plan node %p lives in a pooled arena", n)
 		}
 	})
 }
@@ -258,7 +170,7 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 func TestDistAllocsNearBest(t *testing.T) {
 	mem := dist.MustNew([]float64{64, 512, 4096}, []float64{1, 2, 1})
 	sc := wideScenario(t, 8, workload.Random, 4001)
-	c, err := prepare(sc.Cat, sc.Block, Options{Workers: 1})
+	c, err := prepare(sc.Cat, sc.Block, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +192,8 @@ func TestDistAllocsNearBest(t *testing.T) {
 			}
 		})
 	}
-	best := measure(func() (Result, error) { return c.dpBest(s, 1) })
-	law := measure(func() (Result, error) { return c.dpLaws(mem, 1) })
+	best := measure(func() (Result, error) { return c.dpBest(s) })
+	law := measure(func() (Result, error) { return c.dpLaws(mem) })
 	t.Logf("warm 8-table pass: C %.0f allocs, D %.0f", best, law)
 	if law > 2*best {
 		t.Fatalf("the D pass allocates %.0f, over twice C's %.0f", law, best)
@@ -289,8 +201,8 @@ func TestDistAllocsNearBest(t *testing.T) {
 }
 
 // TestReleaseTrimsWideMasks holds release to maxPooledSlots for every buffer
-// the table sizes: after a 20-table pass the widest rank's mask list holds
-// C(20,10) masks, and the pool must not keep it.
+// the table sizes: after a 20-table pass the entry table holds two cells
+// for each of its 2^20 masks, and the pool must not keep it.
 func TestReleaseTrimsWideMasks(t *testing.T) {
 	sc := wideScenario(t, 20, workload.Chain, 4100)
 	c, err := prepare(sc.Cat, sc.Block, Options{})
@@ -299,13 +211,13 @@ func TestReleaseTrimsWideMasks(t *testing.T) {
 	}
 	s := pointScorer(1000, c.opts.CostModel)
 	scr := getScratch(keepBest, 1, c.n)
-	c.run(scr, s, 1, c.greedy(s).score)
-	if cap(scr.masks) <= maxPooledSlots {
+	c.run(scr, s, c.greedy(s).score)
+	if cap(scr.ents) <= maxPooledSlots {
 		scr.release()
-		t.Fatalf("a 20-table pass kept %d masks, not over maxPooledSlots", cap(scr.masks))
+		t.Fatalf("a 20-table pass kept %d entries, not over maxPooledSlots", cap(scr.ents))
 	}
 	scr.release()
-	if scr.masks != nil || scr.ents != nil {
-		t.Fatalf("released scratch keeps %d masks and %d entries", cap(scr.masks), cap(scr.ents))
+	if scr.ents != nil || scr.held != nil || scr.bar != nil {
+		t.Fatalf("released scratch keeps %d entries, %d counts and %d bars", cap(scr.ents), cap(scr.held), cap(scr.bar))
 	}
 }

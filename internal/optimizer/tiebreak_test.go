@@ -345,10 +345,6 @@ func refDist(t *testing.T, c *ctx, mem dist.Dist) entry {
 }
 
 func TestTieHeavyPlansMatchStringReference(t *testing.T) {
-	old := dpParallelMinMasks
-	dpParallelMinMasks = 2 // every rank of every query takes the chunked path at workers > 1
-	defer func() { dpParallelMinMasks = old }()
-
 	// Memory above every input and every intermediate result.
 	mem := dist.MustNew([]float64{1e6, 4e6}, []float64{1, 3})
 	opts := Options{Methods: cost.Methods}
@@ -382,28 +378,24 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 				law := scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}
 				wantLSC, _ := refTopC(c, point, 1)
 				wantC, _ := refTopC(c, law, 1)
-				for _, workers := range []int{1, 4, 8} {
-					o := opts
-					o.Workers = workers
-					lsc, err := LSC(cat, blk, o, mem.Mean())
-					if err != nil {
-						t.Fatal(err)
-					}
-					same(fmt.Sprintf("LSC workers=%d", workers), entry{node: lsc.Plan, score: lsc.EC}, wantLSC[0])
-					ac, err := AlgorithmC(cat, blk, o, mem)
-					if err != nil {
-						t.Fatal(err)
-					}
-					same(fmt.Sprintf("C workers=%d", workers), entry{node: ac.Plan, score: ac.EC}, wantC[0])
+				lsc, err := LSC(cat, blk, opts, mem.Mean())
+				if err != nil {
+					t.Fatal(err)
 				}
+				same("LSC", entry{node: lsc.Plan, score: lsc.EC}, wantLSC[0])
+				ac, err := AlgorithmC(cat, blk, opts, mem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("C", entry{node: ac.Plan, score: ac.EC}, wantC[0])
 
 				if n > 6 {
 					continue // B's and D's references re-sort strings per add; keep them small
 				}
 				const topC = 3
 				scB := getScratch(keepTopC, topC, c.n)
-				c.run(scB, point, 1, math.Inf(1))
-				gotB, gotProbes := c.topRoots(scB, point, topC), scB.probes()
+				c.run(scB, point, math.Inf(1))
+				gotB, gotProbes := c.topRoots(scB, point, topC), scB.probes
 				wantB, wantProbes := refTopC(c, point, topC)
 				if len(gotB) != len(wantB) || gotProbes != wantProbes {
 					t.Fatalf("%s B: %d entries / %d probes, want %d / %d", name, len(gotB), gotProbes, len(wantB), wantProbes)
@@ -412,7 +404,7 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 					same(fmt.Sprintf("B[%d]", i), gotB[i], wantB[i])
 				}
 				scB.release()
-				gotD, err := c.dpLaws(mem, 1)
+				gotD, err := c.dpLaws(mem)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -176,10 +176,6 @@ func TestSignatureDeterministicAndDiscriminating(t *testing.T) {
 	if base == sig(sc, envsim.Env{Mem: mem, Chain: chain}, optimizer.Options{}, 3, algC) {
 		t.Fatal("markov chain not in signature")
 	}
-	// Workers is a how-fast knob, not a which-plan knob: same key.
-	if base != sig(sc, env, optimizer.Options{Workers: 8}, 3, algC) {
-		t.Fatal("worker count leaked into the signature")
-	}
 	// Zero-value options and explicitly spelled-out defaults run the same
 	// optimization, so they must share a key.
 	if base != sig(sc, env, optimizer.Options{}.Normalized(), 3, algC) {

@@ -36,9 +36,7 @@ const KeyLen = sha256.Size
 //     which change which plan is optimal — the algorithm's code alg and
 //     Algorithm B's top-c.
 //
-// Options.Workers is deliberately excluded: the worker count changes how
-// fast an answer is found, never which answer. With an exact fingerprint,
-// two scenarios that key equal are optimized identically, so memoized
+// With an exact fingerprint, two scenarios that key equal are optimized identically, so memoized
 // PlanReports can be shared; with a banded fingerprint they are optimized
 // *equivalently up to in-band drift* — the deliberate approximation that
 // lets drifting tenants share plans.

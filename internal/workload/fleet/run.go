@@ -32,11 +32,6 @@ type RunConfig struct {
 	CacheSize int
 	// DriftBand is the plan-cache key band base (0 = service default).
 	DriftBand float64
-	// LSC and LEC select the baseline and the served policy; zero values
-	// mean AlgLSCMode vs AlgC. LSCSet marks LSC as explicitly chosen even
-	// when it equals the zero value AlgLSCMean.
-	LSC, LEC core.Algorithm
-	LSCSet   bool
 	// ObserveEvery forwards every Nth request's executed sizes through
 	// the wrapper's Observe call (0 means 16, negative disables).
 	ObserveEvery int
@@ -45,12 +40,6 @@ type RunConfig struct {
 func (cfg RunConfig) withDefaults() RunConfig {
 	if cfg.CacheSize < 1 {
 		cfg.CacheSize = 4096
-	}
-	if cfg.LSC == 0 && !cfg.LSCSet {
-		cfg.LSC = core.AlgLSCMode
-	}
-	if cfg.LEC == 0 {
-		cfg.LEC = core.AlgC
 	}
 	if cfg.ObserveEvery == 0 {
 		cfg.ObserveEvery = 16
@@ -166,7 +155,7 @@ func (f *fleet) run(cfg RunConfig) (*Report, error) {
 		ChurnTenants: f.Spec.ChurnTenants, Seed: cfg.Seed,
 		RequestsPerLevel: cfg.Requests,
 		DriftBand:        core.ResolveDriftBand(cfg.DriftBand),
-		LSCAlgorithm:     cfg.LSC.String(), LECAlgorithm: cfg.LEC.String(),
+		LSCAlgorithm:     core.AlgLSCMode.String(), LECAlgorithm: core.AlgC.String(),
 		RankAgreement: true,
 	}
 	for _, a := range f.Spec.Archetypes {
@@ -239,14 +228,14 @@ func (f *fleet) baseline(keys []optKey, driftCats map[driftCatKey]*catalog.Catal
 		reqs[i] = core.Request{
 			Query: q.Block, Cat: cat,
 			Env: f.Spec.Archetypes[k.archetype].Env,
-			Alg: cfg.LSC, Opts: opts,
+			Alg: core.AlgLSCMode, Opts: opts,
 		}
 	}
 	results := opt.OptimizeBatch(reqs)
 	plans := make([]*plan.Node, len(keys))
 	for i, res := range results {
 		if res.Err != nil {
-			return nil, fmt.Errorf("fleet: baseline %s: %w", cfg.LSC, res.Err)
+			return nil, fmt.Errorf("fleet: baseline %s: %w", core.AlgLSCMode, res.Err)
 		}
 		plans[i] = res.Plan
 	}
@@ -335,7 +324,7 @@ func (f *fleet) runLevel(qps float64, stream []fleetRequest, keyIdx map[optKey]i
 			Tenant: t.Name, Query: fmt.Sprintf("q%03d", q.ID), At: start,
 			Core: core.Request{
 				Query: q.Block, Cat: cat,
-				Env: f.archetypeEnv(t), Alg: cfg.LEC, Opts: planOpts,
+				Env: f.archetypeEnv(t), Alg: core.AlgC, Opts: planOpts,
 			},
 			PrimaryJitter: r.pjit, HedgeJitter: r.hjit,
 		})

@@ -3,6 +3,7 @@ package serving
 import (
 	"sort"
 
+	"lecopt/internal/core"
 	"lecopt/internal/plan"
 )
 
@@ -277,8 +278,8 @@ func (a *aggregator) report() *Report {
 		Queries:           len(a.mix.Queries),
 		Tenants:           len(a.mix.Tenants),
 		Seed:              a.cfg.Seed,
-		LSCAlgorithm:      a.cfg.LSC.String(),
-		LECAlgorithm:      a.cfg.LEC.String(),
+		LSCAlgorithm:      core.AlgLSCMode.String(),
+		LECAlgorithm:      core.AlgC.String(),
 		TotalLSCIO:        a.totalLSC,
 		TotalLECIO:        a.totalLEC,
 		RealizedRatio:     ratioOf(a.totalLEC, a.totalLSC),

@@ -38,25 +38,11 @@ type RunConfig struct {
 	// <= 1 (e.g. -1) restores exact-fingerprint keys, which split every
 	// (query, tenant, drift factor) combination into its own entry.
 	DriftBand float64
-	// LSC and LEC select the two policies compared; zero values mean
-	// AlgLSCMode vs AlgC, the paper's classical-vs-least-expected-cost
-	// match-up. (AlgLSCMean is the Algorithm zero value, so an explicit
-	// lsc-mean baseline is still selectable via LSCSet.)
-	LSC, LEC core.Algorithm
-	// LSCSet marks LSC as explicitly chosen even when it equals the zero
-	// value AlgLSCMean.
-	LSCSet bool
 }
 
 func (cfg RunConfig) withDefaults() RunConfig {
 	if cfg.CacheSize < 1 {
 		cfg.CacheSize = 1024
-	}
-	if cfg.LSC == 0 && !cfg.LSCSet {
-		cfg.LSC = core.AlgLSCMode
-	}
-	if cfg.LEC == 0 {
-		cfg.LEC = core.AlgC
 	}
 	return cfg
 }
@@ -220,8 +206,8 @@ func (m *Mix) optimizeAll(keys []optKey, cfg RunConfig) ([]planPair, plancache.S
 		}
 		env := m.Tenants[k.tenant].Env
 		reqs = append(reqs,
-			core.Request{Query: q.Block, Cat: cat, Env: env, Alg: cfg.LSC, Opts: servingOpts},
-			core.Request{Query: q.Block, Cat: cat, Env: env, Alg: cfg.LEC, Opts: servingOpts},
+			core.Request{Query: q.Block, Cat: cat, Env: env, Alg: core.AlgLSCMode, Opts: servingOpts},
+			core.Request{Query: q.Block, Cat: cat, Env: env, Alg: core.AlgC, Opts: servingOpts},
 		)
 	}
 	results := opt.OptimizeBatch(reqs)
@@ -229,10 +215,10 @@ func (m *Mix) optimizeAll(keys []optKey, cfg RunConfig) ([]planPair, plancache.S
 	for i := range keys {
 		lsc, lec := results[2*i], results[2*i+1]
 		if lsc.Err != nil {
-			return nil, plancache.Stats{}, fmt.Errorf("workload: %s: %w", cfg.LSC, lsc.Err)
+			return nil, plancache.Stats{}, fmt.Errorf("workload: %s: %w", core.AlgLSCMode, lsc.Err)
 		}
 		if lec.Err != nil {
-			return nil, plancache.Stats{}, fmt.Errorf("workload: %s: %w", cfg.LEC, lec.Err)
+			return nil, plancache.Stats{}, fmt.Errorf("workload: %s: %w", core.AlgC, lec.Err)
 		}
 		pairs[i] = planPair{
 			lsc: lsc.Plan, lec: lec.Plan,

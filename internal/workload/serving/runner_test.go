@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"lecopt/internal/core"
 )
 
 func defaultMix(t *testing.T, seed int64) *Mix {
@@ -107,19 +105,6 @@ func TestRunConfigValidation(t *testing.T) {
 	m := defaultMix(t, 1)
 	if _, err := m.Run(RunConfig{Requests: 0}); !errors.Is(err, ErrBadRun) {
 		t.Fatal("zero requests must fail")
-	}
-}
-
-// TestRunExplicitAlgorithms: the policies are selectable; lsc-mean vs
-// algorithm-c must still run end to end.
-func TestRunExplicitAlgorithms(t *testing.T) {
-	m := defaultMix(t, 2)
-	rep, err := m.Run(RunConfig{Requests: 40, Seed: 4, LSC: core.AlgLSCMean, LSCSet: true, LEC: core.AlgC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LSCAlgorithm != "lsc-mean" || rep.LECAlgorithm != "algorithm-c" {
-		t.Fatalf("algorithm labels wrong: %+v", rep)
 	}
 }
 

@@ -56,8 +56,9 @@
 // of the worker count. Requests sharing a cache key are deduplicated
 // deterministically (first request in order computes, the rest hit).
 // Cached reports share plan trees; treat returned plans as immutable
-// (Clone before mutating). Inside Algorithms A and B the per-memory-bucket
-// LSC runs are themselves parallelized; tune with Options.Workers.
+// (Clone before mutating). The worker pool is the only parallelism: each
+// optimization, Algorithm A's and B's per-memory-bucket LSC runs included,
+// runs serially on one worker.
 //
 // # Drift-banded plan caching
 //
