@@ -122,8 +122,12 @@ func TestWarmSQLZeroAllocs(t *testing.T) {
 // algorithm. Unlike the hit gate this cannot be zero: the report and its
 // plan tree are real results. What it pins is that the DP's working state
 // stays pooled — tables, top-c lists, join nodes, Algorithm D's size laws,
-// candidate buffers, for every algorithm alike — and that no score
-// tie-break builds a signature string.
+// candidate buffers, for every algorithm alike — that prepare's per-request
+// context does too, that no score tie-break builds a signature string, and
+// that a winner is copied once (two blocks) and priced once. What is left
+// is the answer (the plan's two blocks, its PhaseEC) plus, where the report
+// prices the plan again (LSC, D, and A and B under a chain), that walk and
+// the chain's phase laws, and B's buffer for pricing its candidates.
 func TestMissPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -146,12 +150,12 @@ func TestMissPathAllocBudget(t *testing.T) {
 		budget float64 // ≈ 1.25 × measured; measured (and earlier figures, newest first) alongside
 		shape  func(*Request)
 	}{
-		{"LSC", 64, func(r *Request) { r.Alg = AlgLSCMode }},                     // 51 (61, 66, 292)
-		{"A", 111, func(r *Request) { r.Alg = AlgA }},                            // 89 (117, 117, 992)
-		{"B", 94, func(r *Request) { r.Alg = AlgB }},                             // 75 (82, 2 436, 2 444, 61 841)
-		{"C", 54, func(r *Request) { r.Alg = AlgC; r.Env.Chain = nil }},          // 43 (51, 56, 247)
-		{"C-dynamic", 96, func(r *Request) { r.Alg = AlgC; r.Env = markov.Env }}, // 77 (95, 100, 257)
-		{"D", 64, func(r *Request) { r.Alg = AlgD }},                             // 51 (59, 643, 1 297, 2 445)
+		{"LSC", 14, func(r *Request) { r.Alg = AlgLSCMode }},                     // 11 (49, 51, 61, 66, 292)
+		{"A", 13, func(r *Request) { r.Alg = AlgA }},                             // 10 (77, 89, 117, 117, 992)
+		{"B", 14, func(r *Request) { r.Alg = AlgB }},                             // 11 (65, 75, 82, 2 436, 2 444, 61 841)
+		{"C", 3, func(r *Request) { r.Alg = AlgC; r.Env.Chain = nil }},           // 2 (43, 43, 51, 56, 247)
+		{"C-dynamic", 25, func(r *Request) { r.Alg = AlgC; r.Env = markov.Env }}, // 20 (77, 77, 95, 100, 257)
+		{"D", 14, func(r *Request) { r.Alg = AlgD }},                             // 11 (51, 51, 59, 643, 1 297, 2 445)
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reqs := hotPathRequests(t, 64)

@@ -12,6 +12,8 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,7 +85,7 @@ type Index struct {
 type Catalog struct {
 	tables  map[string]*Table
 	indexes map[string]*Index
-	byTable map[string][]*Index
+	byTable map[string][]Index
 
 	// fpMemo memoizes the fingerprint digests between mutations as an
 	// immutable snapshot: concurrent optimizations sharing a read-only
@@ -99,7 +101,7 @@ func New() *Catalog {
 	return &Catalog{
 		tables:  make(map[string]*Table),
 		indexes: make(map[string]*Index),
-		byTable: make(map[string][]*Index),
+		byTable: make(map[string][]Index),
 	}
 }
 
@@ -109,8 +111,8 @@ func NewTable(name string, pages, rows float64, cols ...Column) (*Table, error) 
 	if name == "" {
 		return nil, fmt.Errorf("%w: empty table name", ErrBadStats)
 	}
-	if pages <= 0 || rows <= 0 {
-		return nil, fmt.Errorf("%w: table %s must have positive pages and rows", ErrBadStats, name)
+	if !(pages > 0 && rows > 0) || math.IsInf(pages, 1) || math.IsInf(rows, 1) {
+		return nil, fmt.Errorf("%w: table %s must have positive, finite pages and rows", ErrBadStats, name)
 	}
 	t := &Table{Name: name, Pages: pages, Rows: rows, byName: make(map[string]int)}
 	for _, c := range cols {
@@ -137,8 +139,11 @@ func (t *Table) addColumn(c Column) error {
 	if _, ok := t.byName[c.Name]; ok {
 		return fmt.Errorf("%w: %s.%s", ErrDupColumn, t.Name, c.Name)
 	}
-	if c.Distinct <= 0 {
-		return fmt.Errorf("%w: %s.%s distinct must be positive", ErrBadStats, t.Name, c.Name)
+	if !(c.Distinct > 0) || math.IsInf(c.Distinct, 1) {
+		return fmt.Errorf("%w: %s.%s distinct must be positive and finite", ErrBadStats, t.Name, c.Name)
+	}
+	if math.IsNaN(c.Min) || math.IsInf(c.Min, 0) || math.IsNaN(c.Max) || math.IsInf(c.Max, 0) {
+		return fmt.Errorf("%w: %s.%s min and max must be finite", ErrBadStats, t.Name, c.Name)
 	}
 	if c.Max < c.Min {
 		return fmt.Errorf("%w: %s.%s max < min", ErrBadStats, t.Name, c.Name)
@@ -220,7 +225,7 @@ func (c *Catalog) AddIndex(ix Index) error {
 	}
 	stored := ix
 	c.indexes[ix.Name] = &stored
-	c.byTable[ix.Table] = append(c.byTable[ix.Table], &stored)
+	c.byTable[ix.Table] = append(c.byTable[ix.Table], stored)
 	c.InvalidateFingerprint()
 	return nil
 }
@@ -235,20 +240,17 @@ func (c *Catalog) Index(name string) (Index, error) {
 }
 
 // IndexesOn returns the indexes declared on a table (order of creation).
+// The slice is the catalog's own, so listing them allocates nothing; the
+// caller must not modify it.
 func (c *Catalog) IndexesOn(table string) []Index {
-	ptrs := c.byTable[table]
-	out := make([]Index, len(ptrs))
-	for i, p := range ptrs {
-		out[i] = *p
-	}
-	return out
+	return slices.Clip(c.byTable[table])
 }
 
 // IndexOn returns the first index on the given table column, if any.
 func (c *Catalog) IndexOn(table, column string) (Index, bool) {
 	for _, p := range c.byTable[table] {
 		if p.Column == column {
-			return *p, true
+			return p, true
 		}
 	}
 	return Index{}, false

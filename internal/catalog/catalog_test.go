@@ -49,6 +49,40 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
+// TestNewTableRefusesNonFiniteStats: a NaN or infinite statistic in any
+// field is refused with ErrBadStats, one case per field and value. Distinct
+// above Rows stays legal (Example 1.1 has 1.33e10 distinct keys over 1e8
+// rows).
+func TestNewTableRefusesNonFiniteStats(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	type stats struct{ pages, rows, distinct, min, max float64 }
+	ok := stats{10, 100, 5, 0, 9}
+	for _, tc := range []struct {
+		name string
+		set  func(*stats)
+	}{
+		{"Pages NaN", func(s *stats) { s.pages = nan }},
+		{"Pages +Inf", func(s *stats) { s.pages = inf }},
+		{"Rows NaN", func(s *stats) { s.rows = nan }},
+		{"Rows +Inf", func(s *stats) { s.rows = inf }},
+		{"Distinct NaN", func(s *stats) { s.distinct = nan }},
+		{"Distinct +Inf", func(s *stats) { s.distinct = inf }},
+		{"Min NaN", func(s *stats) { s.min = nan }},
+		{"Min -Inf", func(s *stats) { s.min = -inf }},
+		{"Max NaN", func(s *stats) { s.max = nan }},
+		{"Max +Inf", func(s *stats) { s.max = inf }},
+	} {
+		s := ok
+		tc.set(&s)
+		if _, err := NewTable("t", s.pages, s.rows, col("a", s.distinct, s.min, s.max)); !errors.Is(err, ErrBadStats) {
+			t.Errorf("%s: err = %v, want ErrBadStats", tc.name, err)
+		}
+	}
+	if _, err := NewTable("t", ok.pages, ok.rows, col("a", 1.33e10, ok.min, ok.max)); err != nil {
+		t.Fatalf("Distinct > Rows: %v", err)
+	}
+}
+
 func TestCatalogTablesAndIndexes(t *testing.T) {
 	c := New()
 	a := MustTable("a", 100, 1000, col("x", 100, 0, 999))

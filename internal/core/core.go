@@ -163,13 +163,23 @@ func (s *Scenario) Optimize(alg Algorithm) (PlanReport, error) {
 	if err != nil {
 		return PlanReport{}, err
 	}
-	laws, err := s.phaseLaws()
-	if err != nil {
-		return PlanReport{}, err
+	// Where the algorithm priced its plan under the environment's own phase
+	// laws — C always, A and B when memory is static, since they price
+	// under Env.Mem — PhaseEC is already that walk, and EC is its sum in
+	// phase order, bit for bit. LSC (a point law), D (point sizes) and A
+	// and B under a chain price the plan again.
+	ec := 0.0
+	for _, p := range res.PhaseEC {
+		ec += p
 	}
-	ec, err := optimizer.ExpectedCostModel(s.Opts.CostModel, res.Plan, laws)
-	if err != nil {
-		return PlanReport{}, err
+	if alg != AlgC && (s.Env.Chain != nil || alg != AlgA && alg != AlgB) {
+		laws, err := s.phaseLaws()
+		if err != nil {
+			return PlanReport{}, err
+		}
+		if ec, err = optimizer.ExpectedCostModel(s.Opts.CostModel, res.Plan, laws); err != nil {
+			return PlanReport{}, err
+		}
 	}
 	return PlanReport{
 		Algorithm:  alg,

@@ -13,24 +13,26 @@ import (
 // deep-copied first — a raw arena pointer in a Result is a use-after-reset
 // that manifests as a silently mutated plan on some later optimization.
 // Every subset DP — single-plan, top-c and distributional — runs on that
-// scratch, Algorithm B's top-c lists and Algorithm D's size laws included.
-// The check is deliberately narrow: only functions that touch the scratch
-// machinery (dpScratch, nodeArena, topList, lawSlab, getScratch)
-// are held to it, so the heap-allocating passes (exhaustive
-// enumeration) stay free to share their nodes.
+// scratch, Algorithm B's top-c lists and Algorithm D's size laws included,
+// and every plan's scan leaves are the access nodes of the pooled per-request
+// context (ctx), which the next request refills. The check is deliberately
+// narrow: only functions that touch the pooled machinery (dpScratch,
+// nodeArena, topList, lawSlab, getScratch, ctx) are held to it, so
+// functions that build plans from nodes they own stay free to share them.
 var ArenaEscapeAnalyzer = &Analyzer{
 	Name: "arenaescape",
 	Doc:  "plans leaving DP-scratch-touching optimizer functions via Result must be Clone()d; arena nodes are recycled on release",
 	Run:  runArenaEscape,
 }
 
-// scratchTypeNames are the pooled-scratch types whose presence marks a
-// function as arena-touching.
+// scratchTypeNames are the pooled types whose presence marks a function as
+// arena-touching.
 var scratchTypeNames = map[string]bool{
 	"dpScratch": true,
 	"nodeArena": true,
 	"topList":   true,
 	"lawSlab":   true,
+	"ctx":       true,
 }
 
 func runArenaEscape(pass *Pass) {

@@ -4,9 +4,11 @@ package optimizer
 // finishGood, topGood and lawGood deep-copy the winner; finishBad,
 // drainBad, topBad and lawBad leak raw scratch pointers into Results and
 // are the seeded violations — the last two from a top-c list and from a
-// pass that builds its size laws in the law slab. finishHeap shares a node
-// without Clone but never touches the scratch machinery, so it must stay
-// silent — the heap-allocating passes own their nodes.
+// pass that builds its size laws in the law slab. accessGood and accessBad
+// return an access node of the pooled per-request context, copied and raw.
+// finishHeap shares a node without Clone but never touches the pooled
+// machinery, so it must stay silent — the heap-allocating passes own their
+// nodes.
 
 // Node stands in for plan.Node.
 type Node struct {
@@ -106,6 +108,22 @@ func lawGood(sl *lawSlab, e entry) Result {
 // lawBad prices an entry with a slab-built law and returns its plan raw.
 func lawBad(sl *lawSlab, e entry) Result {
 	return Result{Plan: e.node, EC: e.score + sl.point(1).Mean()} // want `must never escape into a Result`
+}
+
+// ctx stands in for the pooled per-request context whose scan nodes every
+// plan's leaves point to.
+type ctx struct {
+	scans []Node
+}
+
+// accessGood copies a single-table plan out of the context.
+func accessGood(c *ctx) Result {
+	return Result{Plan: c.scans[0].Clone()}
+}
+
+// accessBad hands the context's own access node to a Result.
+func accessBad(c *ctx) Result {
+	return Result{Plan: &c.scans[0]} // want `must never escape into a Result`
 }
 
 // errResult returns an empty Result from a scratch-touching function;

@@ -21,7 +21,8 @@ func LSC(cat *catalog.Catalog, blk *query.Block, opts Options, mem float64) (Res
 	if err != nil {
 		return Result{}, err
 	}
-	s := pointScorer(mem, c.opts.CostModel)
+	defer c.release()
+	s := c.pointScorer(mem)
 	res, err := c.dpBest(s)
 	if err != nil {
 		return Result{}, err
@@ -36,7 +37,8 @@ func AlgorithmC(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	if err != nil {
 		return Result{}, err
 	}
-	laws := staticLaws(mem, c.n)
+	defer c.release()
+	laws := c.staticLaws(mem)
 	res, err := c.dpBest(scorer{laws: laws, model: c.opts.CostModel})
 	if err != nil {
 		return Result{}, err
@@ -52,6 +54,7 @@ func AlgorithmCDynamic(cat *catalog.Catalog, blk *query.Block, opts Options, ini
 	if err != nil {
 		return Result{}, err
 	}
+	defer c.release()
 	laws, err := chain.PhaseLaws(init, lastPhase(c.n)+1)
 	if err != nil {
 		return Result{}, err
@@ -67,13 +70,14 @@ func AlgorithmCDynamic(cat *catalog.Catalog, blk *query.Block, opts Options, ini
 // pass: every bucket of the law plus its mean. The paper notes the
 // traditional expected value can be assumed to be among the candidates
 // "without loss of generality"; including it makes the dominance guarantee
-// versus mean-LSC hold by construction.
-func bucketPoints(mem dist.Dist) []float64 {
-	pts := make([]float64, 0, mem.Len()+1)
-	for i := 0; i < mem.Len(); i++ {
-		pts = append(pts, mem.Value(i))
+// versus mean-LSC hold by construction. The list lives in c until release.
+func (c *ctx) bucketPoints(mem dist.Dist) []float64 {
+	c.points = c.points[:0]
+	for i := range mem.Len() {
+		c.points = append(c.points, mem.Value(i))
 	}
-	return append(pts, mem.Mean())
+	c.points = append(c.points, mem.Mean())
+	return c.points
 }
 
 // AlgorithmA treats a standard optimizer as a black box (Section 3.2): run
@@ -86,49 +90,50 @@ func AlgorithmA(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	if err != nil {
 		return Result{}, err
 	}
-	laws := staticLaws(mem, c.n)
+	defer c.release()
+	laws := c.staticLaws(mem)
 	// A mean that is a bucket (every Point law) would rerun that bucket's
 	// pass for the same plan, which Candidates counts once anyway.
-	points := bucketPoints(mem)
+	points := c.bucketPoints(mem)
 	if last := len(points) - 1; slices.Contains(points[:last], points[last]) {
 		points = points[:last]
 	}
-	runs := make([]planEC, len(points))
-	for i, pt := range points {
-		r, err := c.dpBest(pointScorer(pt, c.opts.CostModel))
+	// A pass's winner is copied out of its scratch and priced only when no
+	// earlier pass found its signature: a repeat is the same plan at the
+	// same expected cost, and the first of equal signatures stands for the
+	// rest. Each scratch is released as soon as its pass is done.
+	var buf [8]Result
+	cands := buf[:0]
+	for _, pt := range points {
+		sc := getScratch(keepBest, 1, c.n)
+		e, err := c.winner(sc, c.pointScorer(pt))
+		if err == nil && !slices.ContainsFunc(cands, func(r Result) bool { return plan.CompareSignature(r.Plan, e.node) == 0 }) {
+			var r Result
+			r, err = c.copyPriced(e.node, laws)
+			cands = append(cands, r)
+		}
+		sc.release()
 		if err != nil {
 			return Result{}, err
 		}
-		ec, err := ExpectedCostModel(c.opts.CostModel, r.Plan, laws)
-		if err != nil {
-			return Result{}, err
-		}
-		runs[i] = planEC{r.Plan, ec}
 	}
-	best, distinct := leastExpected(runs)
-	return withPhaseEC(Result{Plan: best.plan, EC: best.ec, Candidates: distinct}, c.opts.CostModel, laws)
-}
-
-// planEC is a candidate plan and its expected cost under the full law.
-type planEC struct {
-	plan *plan.Node
-	ec   float64
-}
-
-// leastExpected returns the least-expected-cost candidate and the number
-// of distinct plans among cands, the first of equal signatures standing
-// for the rest.
-func leastExpected(cands []planEC) (best planEC, distinct int) {
-	for i, cd := range cands {
-		if slices.ContainsFunc(cands[:i], func(o planEC) bool { return plan.CompareSignature(o.plan, cd.plan) == 0 }) {
-			continue
-		}
-		distinct++
-		if best.plan == nil || better(cd.ec, cd.plan, best.ec, best.plan) {
-			best = cd
+	best := 0
+	for i := 1; i < len(cands); i++ {
+		if better(cands[i].EC, cands[i].Plan, cands[best].EC, cands[best].Plan) {
+			best = i
 		}
 	}
-	return best, distinct
+	res := cands[best]
+	res.Candidates = len(cands)
+	return res, nil
+}
+
+// copyPriced returns a deep copy of p with its phase breakdown under laws,
+// and EC their sum.
+func (c *ctx) copyPriced(p *plan.Node, laws []dist.Dist) (Result, error) {
+	r, err := withPhaseEC(Result{Plan: p.Clone()}, c.opts.CostModel, laws)
+	r.EC = sumPhases(r.PhaseEC)
+	return r, err
 }
 
 // AlgorithmB generalizes Algorithm A by generating the top-c plans per
@@ -143,21 +148,30 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	if err != nil {
 		return Result{}, err
 	}
-	laws := staticLaws(mem, cx.n)
+	defer cx.release()
+	laws := cx.staticLaws(mem)
 	// Every pass's scratch is held until the winner is copied out of it,
 	// then all are released together in bucket order (DESIGN.md, "One
 	// level of parallelism").
-	points := bucketPoints(mem)
-	scs := make([]*dpScratch, 0, len(points))
+	points := cx.bucketPoints(mem)
+	var scsBuf [32]*dpScratch
+	scs := scsBuf[:0]
 	defer func() {
 		for _, sc := range scs {
 			sc.release()
 		}
 	}()
-	cands := make([]planEC, 0, len(points)*c)
+	// Candidates are priced in the order the passes list them, each
+	// signature once; the least expected cost so far keeps its phase
+	// breakdown, which becomes the answer's PhaseEC.
+	var seenBuf [96]*plan.Node
+	seen := seenBuf[:0]
+	var best *plan.Node
+	var bestEC float64
+	var ph, bestPh []float64
 	probes := 0
 	for _, pt := range points {
-		s := pointScorer(pt, cx.opts.CostModel)
+		s := cx.pointScorer(pt)
 		sc := getScratch(keepTopC, c, cx.n)
 		scs = append(scs, sc)
 		cx.run(sc, s, math.Inf(1))
@@ -166,16 +180,24 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 			return Result{}, ErrNoPlan
 		}
 		for _, e := range tops {
-			ec, err := ExpectedCostModel(cx.opts.CostModel, e.node, laws)
-			if err != nil {
+			if slices.ContainsFunc(seen, func(p *plan.Node) bool { return plan.CompareSignature(p, e.node) == 0 }) {
+				continue
+			}
+			seen = append(seen, e.node)
+			if ph, err = expectedPhases(ph, cx.opts.CostModel, e.node, laws); err != nil {
 				return Result{}, err
 			}
-			cands = append(cands, planEC{e.node, ec})
+			if ec := sumPhases(ph); best == nil || better(ec, e.node, bestEC, best) {
+				best, bestEC = e.node, ec
+				ph, bestPh = bestPh, ph
+			}
 		}
 		probes += sc.probes
 	}
-	best, distinct := leastExpected(cands)
-	return withPhaseEC(Result{Plan: best.plan.Clone(), EC: best.ec, Candidates: distinct, Probes: probes}, cx.opts.CostModel, laws)
+	if err := checkFinite(bestEC); err != nil {
+		return Result{}, err
+	}
+	return Result{Plan: best.Clone(), EC: bestEC, PhaseEC: bestPh, Candidates: len(seen), Probes: probes}, nil
 }
 
 // AlgorithmD computes the LEC plan under joint uncertainty in memory,
@@ -194,6 +216,7 @@ func AlgorithmD(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	if err != nil {
 		return Result{}, err
 	}
+	defer c.release()
 	if err := c.setSelLaws(selLaws); err != nil {
 		return Result{}, err
 	}
@@ -206,7 +229,7 @@ func AlgorithmD(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	}
 	// D's PhaseEC is evaluated at the plan's annotated point sizes: the
 	// joint size laws don't decompose per phase, the memory law does.
-	return withPhaseEC(res, c.opts.CostModel, staticLaws(mem, c.n))
+	return withPhaseEC(res, c.opts.CostModel, c.staticLaws(mem))
 }
 
 // dpLaws is Algorithm D's dynamic program: a single-entry pass over the
@@ -229,7 +252,11 @@ func (c *ctx) lawScorer(sc *dpScratch, mem dist.Dist) (scorer, error) {
 	full := fullMask(c.n)
 	sc.laws = grow(sc.laws, int(full)+1)
 	for j, ti := range c.tables {
-		sc.laws[1<<uint(j)] = ti.sizeLaw
+		law := ti.sizeLaw
+		if law.IsZero() {
+			law = sc.slab.keep.Point(ti.pages)
+		}
+		sc.laws[1<<uint(j)] = law
 	}
 	for mask := uint64(3); mask <= full; mask++ {
 		if mask&(mask-1) == 0 {
@@ -241,7 +268,7 @@ func (c *ctx) lawScorer(sc *dpScratch, mem dist.Dist) (scorer, error) {
 		}
 		sc.laws[mask] = law
 	}
-	return scorer{laws: []dist.Dist{mem}, model: c.opts.CostModel, sizes: sc.laws}, nil
+	return scorer{laws: c.staticLaws(mem), model: c.opts.CostModel, sizes: sc.laws}, nil
 }
 
 // sizeLaw is Algorithm D's size table, one law per mask by the rule of
@@ -287,11 +314,16 @@ func ExpectedCostModel(model cost.Model, p *plan.Node, laws []dist.Dist) (float6
 	if err != nil {
 		return 0, err
 	}
+	return sumPhases(phases), nil
+}
+
+// sumPhases is EC from its phase breakdown: the sum in phase order.
+func sumPhases(phases []float64) float64 {
 	total := 0.0
 	for _, c := range phases {
 		total += c
 	}
-	return total, nil
+	return total
 }
 
 // ExpectedCostPhasesModel is the plan evaluator: it breaks EC(P) down by
@@ -318,6 +350,12 @@ func ExpectedCostModel(model cost.Model, p *plan.Node, laws []dist.Dist) (float6
 // bucket-order-preserving expectation of cost.JoinIOModel; sorts with
 // cost.ExpectSortIO.
 func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) ([]float64, error) {
+	return expectedPhases(nil, model, p, laws)
+}
+
+// expectedPhases is ExpectedCostPhasesModel writing the breakdown into buf,
+// reallocated only when too short.
+func expectedPhases(buf []float64, model cost.Model, p *plan.Node, laws []dist.Dist) ([]float64, error) {
 	if len(laws) == 0 {
 		return nil, ErrLawsShort
 	}
@@ -334,7 +372,8 @@ func ExpectedCostPhasesModel(model cost.Model, p *plan.Node, laws []dist.Dist) (
 		}
 		return &laws[phase]
 	}
-	out := make([]float64, phases)
+	out := grow(buf, phases)
+	clear(out)
 	var rec func(n *plan.Node) int
 	rec = func(n *plan.Node) int {
 		switch n.Kind {

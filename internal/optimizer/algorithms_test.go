@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -359,7 +360,7 @@ func TestPhaseLawsFor(t *testing.T) {
 		for _, tc := range []struct {
 			name      string
 			got, want []dist.Dist
-		}{{"static", static, staticLaws(dist.Point(100), n)}, {"dynamic", dynamic, want}} {
+		}{{"static", static, slices.Repeat([]dist.Dist{dist.Point(100)}, lastPhase(n)+1)}, {"dynamic", dynamic, want}} {
 			if len(tc.got) != len(tc.want) {
 				t.Fatalf("%d tables, %s: %d laws, want %d", n, tc.name, len(tc.got), len(tc.want))
 			}

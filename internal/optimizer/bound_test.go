@@ -28,15 +28,15 @@ type namedScorer struct {
 func boundedScorers(t *testing.T, c *ctx, mem dist.Dist, dyn envsim.Env) []namedScorer {
 	t.Helper()
 	model := c.opts.CostModel
-	out := []namedScorer{{"LSC", pointScorer(mem.Mean(), model)}}
-	for _, p := range bucketPoints(mem) {
-		out = append(out, namedScorer{"A", pointScorer(p, model)})
+	out := []namedScorer{{"LSC", c.pointScorer(mem.Mean())}}
+	for _, p := range c.bucketPoints(mem) {
+		out = append(out, namedScorer{"A", c.pointScorer(p)})
 	}
 	laws, err := dyn.Chain.PhaseLaws(dyn.Mem, lastPhase(c.n)+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(out, namedScorer{"C", scorer{laws: staticLaws(mem, c.n), model: model}}, namedScorer{"C-dynamic", scorer{laws: laws, model: model}})
+	return append(out, namedScorer{"C", scorer{laws: []dist.Dist{mem}, model: model}}, namedScorer{"C-dynamic", scorer{laws: laws, model: model}})
 }
 
 // withDLaws installs Algorithm D's extra laws on c: a three-point law
@@ -405,8 +405,8 @@ func BenchmarkKernel(b *testing.B) {
 				s   scorer
 			}
 			passes := []pass{
-				{"LSC", c, pointScorer(mem.Mean(), c.opts.CostModel)},
-				{"C", c, scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}},
+				{"LSC", c, c.pointScorer(mem.Mean())},
+				{"C", c, scorer{laws: []dist.Dist{mem}, model: c.opts.CostModel}},
 			}
 			if n == 6 || n == 8 {
 				cd, err := prepare(sc.Cat, sc.Block, Options{})

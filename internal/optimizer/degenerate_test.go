@@ -1,11 +1,14 @@
 package optimizer
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"lecopt/internal/catalog"
 	"lecopt/internal/dist"
+	"lecopt/internal/query"
 )
 
 // TestDegenerateChainExactness: with a Point memory law and the identity
@@ -71,6 +74,55 @@ func TestDegenerateChainExactness(t *testing.T) {
 		}
 		if !relClose(sum, c.EC) {
 			t.Fatalf("trial %d: phase charges sum %v != score %v", trial, sum, c.EC)
+		}
+	}
+}
+
+// TestNonFinitePagesRefused: NewTable refuses non-finite statistics, but a
+// caller can still write one into a table afterwards. A NaN or +Inf Pages
+// must then get ErrNoPlan from every memory-only algorithm, not a plan
+// with a NaN or infinite EC — Algorithm B's top-c path included.
+func TestNonFinitePagesRefused(t *testing.T) {
+	mem, err := dist.Bimodal(700, 2000, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pages := range []float64{math.NaN(), math.Inf(1)} {
+		cat := catalog.New()
+		for _, name := range []string{"A", "B"} {
+			tab, err := catalog.NewTable(name, 1000, 50_000,
+				catalog.Column{Name: "k", Type: catalog.TypeInt, Distinct: 5000, Min: 0, Max: 1e4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cat.AddTable(tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tab, err := cat.Table("A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab.Pages = pages
+		k := query.ColRef{Table: "A", Column: "k"}
+		blk := &query.Block{
+			Tables:  []string{"A", "B"},
+			Joins:   []query.Join{{Left: k, Right: query.ColRef{Table: "B", Column: "k"}}},
+			Filters: []query.Filter{{Col: k, Op: catalog.OpLt, Value: 50}},
+			OrderBy: &k,
+		}
+		for _, alg := range []struct {
+			name string
+			run  func() (Result, error)
+		}{
+			{"LSC", func() (Result, error) { return LSC(cat, blk, Options{}, mem.Mean()) }},
+			{"A", func() (Result, error) { return AlgorithmA(cat, blk, Options{}, mem) }},
+			{"B", func() (Result, error) { return AlgorithmB(cat, blk, Options{}, mem, 3) }},
+			{"C", func() (Result, error) { return AlgorithmC(cat, blk, Options{}, mem) }},
+		} {
+			if res, err := alg.run(); !errors.Is(err, ErrNoPlan) {
+				t.Errorf("Pages %v, %s: EC %v, err %v; want ErrNoPlan", pages, alg.name, res.EC, err)
+			}
 		}
 	}
 }

@@ -29,9 +29,11 @@ type scorer struct {
 	sizes []dist.Dist
 }
 
-// pointScorer costs at one fixed memory value.
-func pointScorer(mem float64, model cost.Model) scorer {
-	return scorer{laws: []dist.Dist{dist.Point(mem)}, model: model}
+// pointScorer costs at one fixed memory value. Its law lives in c until
+// release, so every pass of a request can hold its own.
+func (c *ctx) pointScorer(mem float64) scorer {
+	c.pts = append(c.pts, c.slab.Point(mem))
+	return scorer{laws: c.pts[len(c.pts)-1:], model: c.opts.CostModel}
 }
 
 func (s *scorer) law(phase int) *dist.Dist {
@@ -71,14 +73,12 @@ func (c *ctx) sortPrice(s scorer) float64 {
 	return cost.ExpectSortIO(c.size[full], s.law(lastPhase(c.n)))
 }
 
-// staticLaws replicates one law across all phases of an n-relation plan.
-func staticLaws(law dist.Dist, n int) []dist.Dist {
-	k := lastPhase(n) + 1
-	laws := make([]dist.Dist, k)
-	for i := range laws {
-		laws[i] = law
-	}
-	return laws
+// staticLaws returns the phase laws of a static environment: law alone,
+// which the scorer and the evaluator both repeat for every phase. It lives
+// in c until release.
+func (c *ctx) staticLaws(law dist.Dist) []dist.Dist {
+	c.law[0] = law
+	return c.law[:]
 }
 
 // entry is one retained subplan at a DP node. Its order property is
@@ -137,21 +137,31 @@ func (c *ctx) dpBest(s scorer) (Result, error) {
 	return c.best(sc, s)
 }
 
-// best runs a single-entry pass in sc, every cell barred by the score of
-// the greedy plan (greedy, setBars), and returns a deep copy of its
-// cheapest complete plan.
+// best is winner's plan deep-copied into a Result.
 func (c *ctx) best(sc *dpScratch, s scorer) (Result, error) {
+	e, err := c.winner(sc, s)
+	if err != nil {
+		return Result{}, err
+	}
+	// The winning tree references the scratch's arena join nodes and the
+	// context's scan nodes, both recycled on release; deep-copy it so the
+	// Result owns its plan.
+	return Result{Plan: e.node.Clone(), EC: e.score, Candidates: 1}, nil
+}
+
+// winner runs a single-entry pass in sc, every cell barred by the score of
+// the greedy plan (greedy, setBars), and returns its cheapest complete
+// plan, which lives in sc.
+func (c *ctx) winner(sc *dpScratch, s scorer) (*entry, error) {
 	c.run(sc, s, c.greedy(s).score)
 	best := c.bestRoot(sc, s)
 	if best == nil {
-		return Result{}, ErrNoPlan
+		return nil, ErrNoPlan
 	}
 	if err := checkFinite(best.score); err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	// The winning tree references arena-owned join nodes that are recycled
-	// when the scratch is released; deep-copy it so the Result owns its plan.
-	return Result{Plan: best.node.Clone(), EC: best.score, Candidates: 1}, nil
+	return best, nil
 }
 
 // bestRoot completes a single-entry pass and returns its cheapest complete

@@ -22,6 +22,7 @@ func ExhaustiveLEC(cat *catalog.Catalog, blk *query.Block, opts Options, laws []
 	if err != nil {
 		return Result{}, err
 	}
+	defer c.release()
 	res, err := c.exhaustive(func(p *plan.Node) (float64, error) {
 		return ExpectedCostModel(c.opts.CostModel, p, laws)
 	})
@@ -39,6 +40,7 @@ func ExhaustiveLSC(cat *catalog.Catalog, blk *query.Block, opts Options, mem flo
 	if err != nil {
 		return Result{}, err
 	}
+	defer c.release()
 	laws := []dist.Dist{dist.Point(mem)}
 	res, err := c.exhaustive(func(p *plan.Node) (float64, error) {
 		return ExpectedCostModel(c.opts.CostModel, p, laws)
@@ -50,13 +52,15 @@ func ExhaustiveLSC(cat *catalog.Catalog, blk *query.Block, opts Options, mem flo
 }
 
 // exhaustive enumerates all left-deep plans and keeps the minimum under
-// eval. Candidates counts complete plans evaluated.
+// eval, deep-copied out of c. Candidates counts complete plans evaluated.
+// The plans eval sees share c's access nodes.
 func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error) {
 	type partial struct {
 		node *plan.Node
 		mask uint64
 	}
-	var best *Result
+	var best *plan.Node
+	var bestScore float64
 	candidates := 0
 	full := fullMask(c.n)
 
@@ -70,8 +74,8 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 			return err
 		}
 		candidates++
-		if best == nil || better(score, node, best.EC, best.Plan) {
-			best = &Result{Plan: node, EC: score}
+		if best == nil || better(score, node, bestScore, best) {
+			best, bestScore = node, score
 		}
 		return nil
 	}
@@ -123,8 +127,7 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 	if best == nil {
 		return Result{}, ErrNoPlan
 	}
-	best.Candidates = candidates
-	return *best, nil
+	return Result{Plan: best.Clone(), EC: bestScore, Candidates: candidates}, nil
 }
 
 // AllLeftDeepPlans returns every complete left-deep plan for the block
@@ -136,9 +139,10 @@ func AllLeftDeepPlans(cat *catalog.Catalog, blk *query.Block, opts Options) ([]*
 	if err != nil {
 		return nil, err
 	}
+	defer c.release()
 	var out []*plan.Node
 	_, err = c.exhaustive(func(p *plan.Node) (float64, error) {
-		out = append(out, p)
+		out = append(out, p.Clone())
 		return 0, nil
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lecopt/internal/cost"
+	"lecopt/internal/dist"
 )
 
 // fastPathHits counts, over one finished kernel table, the cases the
@@ -66,12 +67,12 @@ func TestPinnedCorpusExercisesFastPaths(t *testing.T) {
 					c.run(scr, s, math.Inf(1))
 					hits[alg].add(c, scr)
 				}
-				pass("LSC", pointScorer(mem.Mean(), model), keepBest, 1)
-				for _, p := range bucketPoints(mem) {
-					pass("A", pointScorer(p, model), keepBest, 1)
-					pass("B", pointScorer(p, model), keepTopC, 3)
+				pass("LSC", c.pointScorer(mem.Mean()), keepBest, 1)
+				for _, p := range c.bucketPoints(mem) {
+					pass("A", c.pointScorer(p), keepBest, 1)
+					pass("B", c.pointScorer(p), keepTopC, 3)
 				}
-				pass("C", scorer{laws: staticLaws(mem, c.n), model: model}, keepBest, 1)
+				pass("C", scorer{laws: []dist.Dist{mem}, model: model}, keepBest, 1)
 				laws, err := sticky.Env.Chain.PhaseLaws(sticky.Env.Mem, lastPhase(c.n)+1)
 				if err != nil {
 					t.Fatal(err)

@@ -25,6 +25,7 @@
 package optimizer
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -32,6 +33,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"lecopt/internal/catalog"
 	"lecopt/internal/cost"
@@ -124,12 +126,17 @@ type Result struct {
 
 // EdgeKey canonically names a join edge for selectivity-law maps:
 // "a.x=b.y" with the lexicographically smaller side first.
-func EdgeKey(j query.Join) string {
-	l, r := j.Left.String(), j.Right.String()
-	if l > r {
+func EdgeKey(j query.Join) string { return string(appendEdgeKey(nil, j)) }
+
+// appendEdgeKey appends EdgeKey(j) to dst.
+func appendEdgeKey(dst []byte, j query.Join) []byte {
+	var lb, rb [64]byte
+	l := append(append(append(lb[:0], j.Left.Table...), '.'), j.Left.Column...)
+	r := append(append(append(rb[:0], j.Right.Table...), '.'), j.Right.Column...)
+	if bytes.Compare(l, r) > 0 {
 		l, r = r, l
 	}
-	return l + "=" + r
+	return append(append(append(dst, l...), '='), r...)
 }
 
 // --- prepared optimization context --------------------------------------
@@ -142,31 +149,64 @@ type accessCand struct {
 
 type tableInfo struct {
 	name     string
-	idx      int
 	sel      float64 // combined local-filter selectivity
 	pages    float64 // estimated pages after filters (point)
 	accesses []accessCand
-	sizeLaw  dist.Dist // law of filtered size; Point(pages) by default
+	// sizeLaw is the law of the filtered size setSizeLaws installed; zero
+	// means Point(pages), which Algorithm D builds for itself (lawScorer).
+	sizeLaw dist.Dist
 }
 
+// filterSel is one local filter of the table being prepared, with its
+// selectivity.
+type filterSel struct {
+	query.Filter
+	sel float64
+}
+
+// ctx is one request's prepared optimization state. It comes from ctxPool
+// with the storage of an earlier request — tables, access paths with their
+// scan nodes and predicates, pair statistics, the size table, the laws the
+// algorithm prices with — and prepare refills it in place, so a warm
+// prepare allocates nothing. The algorithm entry point that prepared it
+// releases it once its Result holds a copy (Clone) of the plan: every
+// plan the passes build points at the access nodes here, and a released
+// ctx is reused by the next request.
 type ctx struct {
 	cat       *catalog.Catalog
 	blk       *query.Block
 	opts      Options
 	n         int
-	tables    []*tableInfo
-	sigma     []float64           // pairwise page-selectivity product at i·n+j (1 if no edge)
-	adj       []uint64            // join graph: adj[j] has bit i set iff tables i and j share an edge
-	ordMask   []uint64            // ordMask[j] has bit i set iff an i–j edge carries an ORDER BY-equivalent column
-	sigmaD    []dist.Dist         // per-pair selectivity laws at i·n+j, nil until one is installed (zero Dist ⇒ Point(sigma))
-	orderCols map[plan.Order]bool // orders that satisfy the query's ORDER BY
-	required  plan.Order          // the ORDER BY as a plan.Order (zero if none)
-	hints     []sizeHint          // multi-table size hints, largest subset first, then lowest mask
+	tables    []tableInfo
+	sigma     []float64    // pairwise page-selectivity product at i·n+j (1 if no edge)
+	adj       []uint64     // join graph: adj[j] has bit i set iff tables i and j share an edge
+	ordMask   []uint64     // ordMask[j] has bit i set iff an i–j edge carries an ORDER BY-equivalent column
+	sigmaD    []dist.Dist  // per-pair selectivity laws at i·n+j, empty until one is installed (zero Dist ⇒ Point(sigma))
+	orderCols []plan.Order // orders that satisfy the query's ORDER BY
+	required  plan.Order   // the ORDER BY as a plan.Order (zero if none)
+	hints     []sizeHint   // multi-table size hints, largest subset first, then lowest mask
 	// size[mask] is the result pages of joining mask's tables: one size per
 	// subset, whatever order reaches it (sizeTable). Algorithm D sizes by
 	// its per-mask laws instead (sizeLaw).
 	size []float64
+
+	// What the tables point into: every access path in table order, its
+	// scan node at the same index, and at most one predicate per table;
+	// filters is prepareTable's scratch.
+	acc     []accessCand
+	scans   []plan.Node
+	preds   []plan.ScanPred
+	filters []filterSel
+	// The laws the algorithm prices with: a static law (staticLaws), the point
+	// laws of its LSC passes (pointScorer, built in slab), and the memory
+	// values those passes probe (bucketPoints).
+	law    [1]dist.Dist
+	pts    []dist.Dist
+	slab   dist.Slab
+	points []float64
 }
+
+var ctxPool = sync.Pool{New: func() any { return new(ctx) }}
 
 // sizeHint is an observed result size for a subset of the query's tables.
 type sizeHint struct {
@@ -175,7 +215,8 @@ type sizeHint struct {
 }
 
 // prepare validates the block and precomputes per-table and per-pair
-// statistics shared by every algorithm.
+// statistics shared by every algorithm, in a ctx from ctxPool that the
+// caller releases.
 func prepare(cat *catalog.Catalog, blk *query.Block, opts Options) (*ctx, error) {
 	opts = opts.withDefaults()
 	for _, m := range opts.Methods {
@@ -186,42 +227,77 @@ func prepare(cat *catalog.Catalog, blk *query.Block, opts Options) (*ctx, error)
 	if err := blk.Validate(cat); err != nil {
 		return nil, err
 	}
-	c := &ctx{
-		cat:  cat,
-		blk:  blk,
-		opts: opts,
-		n:    len(blk.Tables),
-	}
-	c.orderCols = map[plan.Order]bool{}
+	c := ctxPool.Get().(*ctx)
+	c.cat, c.blk, c.opts, c.n = cat, blk, opts, len(blk.Tables)
 	if blk.OrderBy != nil {
 		c.required = plan.Order{Table: blk.OrderBy.Table, Column: blk.OrderBy.Column}
-		c.orderCols[c.required] = true
+		c.orderCols = append(c.orderCols, c.required)
 		// Any column equi-joined (transitively, through the final plan)
 		// to the ORDER BY column is equivalent for ordering purposes; we
 		// credit direct join partners, which covers the common case of
 		// ordering by the join key.
 		for _, j := range blk.Joins {
 			if j.Left.Table == blk.OrderBy.Table && j.Left.Column == blk.OrderBy.Column {
-				c.orderCols[plan.Order{Table: j.Right.Table, Column: j.Right.Column}] = true
+				c.orderCols = append(c.orderCols, plan.Order{Table: j.Right.Table, Column: j.Right.Column})
 			}
 			if j.Right.Table == blk.OrderBy.Table && j.Right.Column == blk.OrderBy.Column {
-				c.orderCols[plan.Order{Table: j.Left.Table, Column: j.Left.Column}] = true
+				c.orderCols = append(c.orderCols, plan.Order{Table: j.Left.Table, Column: j.Left.Column})
 			}
 		}
 	}
+	// At most one predicate per table: with room for n, no append moves a
+	// predicate a scan node points to.
+	c.preds = slices.Grow(c.preds, c.n)
+	c.tables = grow(c.tables, c.n)
 	for i, name := range blk.Tables {
-		ti, err := c.prepareTable(name, i)
-		if err != nil {
+		if err := c.prepareTable(name, i); err != nil {
+			c.release()
 			return nil, err
 		}
-		c.tables = append(c.tables, ti)
+	}
+	// The scan nodes have stopped moving: link every access path to its
+	// node, and every table to its access paths.
+	for k := range c.acc {
+		c.acc[k].node = &c.scans[k]
+	}
+	lo := 0
+	for i := range c.tables {
+		hi := lo + len(c.tables[i].accesses)
+		c.tables[i].accesses = c.acc[lo:hi:hi]
+		lo = hi
 	}
 	if err := c.preparePairs(); err != nil {
+		c.release()
 		return nil, err
 	}
 	c.applySizeHints()
 	c.sizeTable()
 	return c, nil
+}
+
+// release drops the ctx's references to the request — catalog, query,
+// options, names, laws — keeps its storage, trimmed where one wide query
+// grew it, and returns it to ctxPool. Nothing built from it may be used
+// afterwards.
+func (c *ctx) release() {
+	clear(c.tables)
+	clear(c.scans)
+	clear(c.sigmaD)
+	clear(c.orderCols)
+	clear(c.filters)
+	clear(c.preds)
+	clear(c.pts)
+	*c = ctx{
+		tables: c.tables[:0], sigma: c.sigma[:0], adj: c.adj[:0], ordMask: c.ordMask[:0],
+		sigmaD: c.sigmaD[:0], orderCols: c.orderCols[:0], hints: c.hints[:0], size: c.size[:0],
+		acc: c.acc[:0], scans: c.scans[:0], preds: c.preds[:0], filters: c.filters[:0],
+		pts: c.pts[:0], slab: c.slab, points: c.points[:0],
+	}
+	if cap(c.size) > maxPooledSlots {
+		c.size = nil
+	}
+	c.slab.Reset()
+	ctxPool.Put(c)
 }
 
 // applySizeHints resolves Options.SizeHints onto the query: single-table
@@ -234,15 +310,14 @@ func (c *ctx) applySizeHints() {
 		if pages <= 0 || math.IsNaN(pages) || math.IsInf(pages, 0) {
 			continue
 		}
-		mask := uint64(0)
-		resolved := true
-		for _, name := range strings.Split(key, "+") {
+		mask, resolved := uint64(0), true
+		for rest, more := key, true; more && resolved; {
+			var name string
+			name, rest, more = strings.Cut(rest, "+")
 			i := c.blk.TableIndex(name)
-			if i < 0 {
-				resolved = false
-				break
+			if resolved = i >= 0; resolved {
+				mask |= 1 << uint(i)
 			}
-			mask |= 1 << uint(i)
 		}
 		if resolved && mask != 0 {
 			c.hints = append(c.hints, sizeHint{mask, clampPages(pages)})
@@ -258,8 +333,8 @@ func (c *ctx) applySizeHints() {
 	for len(c.hints) > 0 && bits.OnesCount64(c.hints[len(c.hints)-1].mask) == 1 {
 		h := c.hints[len(c.hints)-1]
 		c.hints = c.hints[:len(c.hints)-1]
-		ti := c.tables[bits.TrailingZeros64(h.mask)]
-		ti.pages, ti.sizeLaw = h.pages, dist.Point(h.pages)
+		ti := &c.tables[bits.TrailingZeros64(h.mask)]
+		ti.pages = h.pages
 		for _, ac := range ti.accesses {
 			ac.node.OutPages = h.pages
 		}
@@ -298,7 +373,8 @@ func (c *ctx) peel(mask uint64) (j, h int) {
 // (Theorems 2.1, 3.3 and 3.4) and agree with the exhaustive oracle.
 func (c *ctx) sizeTable() {
 	full := fullMask(c.n)
-	c.size = make([]float64, full+1)
+	c.size = grow(c.size, int(full)+1)
+	c.size[0] = 0
 	for mask := uint64(1); mask <= full; mask++ {
 		j, h := c.peel(mask)
 		bit := uint64(1) << uint(j)
@@ -314,73 +390,75 @@ func (c *ctx) sizeTable() {
 	}
 }
 
-func (c *ctx) prepareTable(name string, idx int) (*tableInfo, error) {
+// prepareTable fills c.tables[idx] with the table's filtered size and its
+// access paths: their candidates go to c.acc and their scan nodes to
+// c.scans, which prepare links once every table is in.
+func (c *ctx) prepareTable(name string, idx int) error {
 	t, err := c.cat.Table(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ti := &tableInfo{name: name, idx: idx, sel: 1}
-	for _, f := range c.blk.FiltersOn(name) {
+	ti := &c.tables[idx]
+	*ti = tableInfo{name: name, sel: 1}
+	c.filters = c.filters[:0]
+	for _, f := range c.blk.Filters {
+		if f.Col.Table != name {
+			continue
+		}
 		s, err := c.cat.FilterSelectivity(name, f.Col.Column, f.Op, f.Value)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ti.sel *= s
+		c.filters = append(c.filters, filterSel{f, s})
 	}
 	ti.pages = clampPages(ti.sel * t.Pages)
-	ti.sizeLaw = dist.Point(ti.pages)
-	pred := compilePred(c.blk.FiltersOn(name))
+	pred := c.compilePred()
+	first := len(c.acc)
 
 	// Heap scan: read every base page, filter on the fly.
-	heap := plan.NewScan(name, plan.AccessHeap, "", ti.sel, ti.pages)
-	heap.IO = cost.ScanIO(t.Pages)
-	heap.Pred = pred
-	ti.accesses = append(ti.accesses, accessCand{node: heap, io: heap.IO})
+	io := cost.ScanIO(t.Pages)
+	c.scans = append(c.scans, plan.Node{Kind: plan.KindScan, Table: name, Access: plan.AccessHeap,
+		Sel: ti.sel, Pred: pred, OutPages: ti.pages, IO: io})
+	c.acc = append(c.acc, accessCand{io: io})
 
-	if c.opts.DisableIndexes {
-		return ti, nil
-	}
-	for _, ix := range c.cat.IndexesOn(name) {
-		// Selectivity achieved through this index: the product of the
-		// filters on the indexed column.
-		ixSel := 1.0
-		matched := false
-		for _, f := range c.blk.FiltersOn(name) {
-			if f.Col.Column != ix.Column {
-				continue
+	if !c.opts.DisableIndexes {
+		for _, ix := range c.cat.IndexesOn(name) {
+			// Selectivity achieved through this index: the product of the
+			// filters on the indexed column.
+			ixSel := 1.0
+			matched := false
+			for _, f := range c.filters {
+				if f.Col.Column == ix.Column {
+					ixSel *= f.sel
+					matched = true
+				}
 			}
-			s, err := c.cat.FilterSelectivity(name, f.Col.Column, f.Op, f.Value)
-			if err != nil {
-				return nil, err
+			ord := plan.Order{Table: name, Column: ix.Column}
+			if !matched && !slices.Contains(c.orderCols, ord) {
+				continue // the index neither filters nor orders usefully
 			}
-			ixSel *= s
-			matched = true
+			io := cost.IndexScanIO(ix.Height, ixSel, t.Pages, t.Rows, ix.Clustered)
+			c.scans = append(c.scans, plan.Node{Kind: plan.KindScan, Table: name, Access: plan.AccessIndex,
+				Index: ix.Name, Sel: ti.sel, Pred: pred, OutPages: ti.pages, OutOrder: ord, IO: io})
+			c.acc = append(c.acc, accessCand{io: io})
 		}
-		ord := plan.Order{Table: name, Column: ix.Column}
-		interesting := c.orderCols[ord]
-		if !matched && !interesting {
-			continue // the index neither filters nor orders usefully
-		}
-		io := cost.IndexScanIO(ix.Height, ixSel, t.Pages, t.Rows, ix.Clustered)
-		node := plan.NewScan(name, plan.AccessIndex, ix.Name, ti.sel, ti.pages)
-		node.IO = io
-		node.Pred = pred
-		node.OutOrder = ord
-		ti.accesses = append(ti.accesses, accessCand{node: node, io: io})
 	}
-	return ti, nil
+	ti.accesses = c.acc[first:] // re-pointed by prepare once c.acc stops moving
+	return nil
 }
 
-// compilePred reduces a table's local filters to one executable
-// single-column range (plan.ScanPred). All filters must target the same
-// column and use range-expressible operators; anything else returns nil
-// and the scan stays estimation-only (the engine then executes the
-// unfiltered physical shape, the pre-access-path behavior).
-func compilePred(filters []query.Filter) *plan.ScanPred {
-	if len(filters) == 0 {
+// compilePred reduces the local filters of the table being prepared
+// (c.filters) to one executable single-column range (plan.ScanPred),
+// stored in c.preds. All filters must target the same column and use
+// range-expressible operators; anything else returns nil and the scan stays
+// estimation-only (the engine then executes the unfiltered physical shape,
+// the pre-access-path behavior).
+func (c *ctx) compilePred() *plan.ScanPred {
+	if len(c.filters) == 0 {
 		return nil
 	}
-	p := &plan.ScanPred{Column: filters[0].Col.Column}
+	p := plan.ScanPred{Column: c.filters[0].Col.Column}
 	setLo := func(v float64, open bool) {
 		if !p.HasLo || v > p.Lo || (v == p.Lo && open) {
 			p.Lo, p.LoOpen, p.HasLo = v, open, true
@@ -391,7 +469,7 @@ func compilePred(filters []query.Filter) *plan.ScanPred {
 			p.Hi, p.HiOpen, p.HasHi = v, open, true
 		}
 	}
-	for _, f := range filters {
+	for _, f := range c.filters {
 		if f.Col.Column != p.Column {
 			return nil
 		}
@@ -411,7 +489,8 @@ func compilePred(filters []query.Filter) *plan.ScanPred {
 			return nil
 		}
 	}
-	return p
+	c.preds = append(c.preds, p)
+	return &c.preds[len(c.preds)-1]
 }
 
 // preparePairs builds the per-pair statistics and the join graph as
@@ -419,12 +498,14 @@ func compilePred(filters []query.Filter) *plan.ScanPred {
 // order questions are one AND each.
 func (c *ctx) preparePairs() error {
 	n := c.n
-	c.sigma = make([]float64, n*n)
+	c.sigma = grow(c.sigma, n*n)
 	for i := range c.sigma {
 		c.sigma[i] = 1
 	}
-	c.adj = make([]uint64, n)
-	c.ordMask = make([]uint64, n)
+	c.adj = grow(c.adj, n)
+	clear(c.adj)
+	c.ordMask = grow(c.ordMask, n)
+	clear(c.ordMask)
 	for _, j := range c.blk.Joins {
 		li := c.blk.TableIndex(j.Left.Table)
 		ri := c.blk.TableIndex(j.Right.Table)
@@ -436,8 +517,8 @@ func (c *ctx) preparePairs() error {
 		c.sigma[ri*n+li] *= s
 		c.adj[li] |= 1 << uint(ri)
 		c.adj[ri] |= 1 << uint(li)
-		if c.orderCols[plan.Order{Table: j.Left.Table, Column: j.Left.Column}] ||
-			c.orderCols[plan.Order{Table: j.Right.Table, Column: j.Right.Column}] {
+		if slices.Contains(c.orderCols, plan.Order{Table: j.Left.Table, Column: j.Left.Column}) ||
+			slices.Contains(c.orderCols, plan.Order{Table: j.Right.Table, Column: j.Right.Column}) {
 			c.ordMask[li] |= 1 << uint(ri)
 			c.ordMask[ri] |= 1 << uint(li)
 		}
@@ -445,8 +526,8 @@ func (c *ctx) preparePairs() error {
 	return nil
 }
 
-// setSelLaws installs per-edge selectivity laws (Algorithm D), allocating
-// the table on the first. Keys are EdgeKey strings; missing edges keep
+// setSelLaws installs per-edge selectivity laws (Algorithm D), sizing the
+// table on the first. Keys are EdgeKey strings; missing edges keep
 // their point estimates. Two edges on one table pair multiply; a product
 // past float range is an error.
 func (c *ctx) setSelLaws(laws map[string]dist.Dist) error {
@@ -454,12 +535,13 @@ func (c *ctx) setSelLaws(laws map[string]dist.Dist) error {
 		return nil
 	}
 	for _, j := range c.blk.Joins {
-		law, ok := laws[EdgeKey(j)]
+		var key [128]byte
+		law, ok := laws[string(appendEdgeKey(key[:0], j))]
 		if !ok || law.IsZero() {
 			continue
 		}
-		if c.sigmaD == nil {
-			c.sigmaD = make([]dist.Dist, c.n*c.n)
+		if len(c.sigmaD) == 0 {
+			c.sigmaD = grow(c.sigmaD, c.n*c.n) // cleared by release
 		}
 		li := c.blk.TableIndex(j.Left.Table)
 		ri := c.blk.TableIndex(j.Right.Table)
@@ -477,7 +559,8 @@ func (c *ctx) setSelLaws(laws map[string]dist.Dist) error {
 
 // setSizeLaws installs per-table filtered-size laws (Algorithm D).
 func (c *ctx) setSizeLaws(laws map[string]dist.Dist) error {
-	for _, ti := range c.tables {
+	for i := range c.tables {
+		ti := &c.tables[i]
 		if law, ok := laws[ti.name]; ok && !law.IsZero() {
 			var err error
 			if ti.sizeLaw, err = law.Map(clampPages); err != nil {
@@ -533,7 +616,7 @@ func (c *ctx) sigmaLawBetween(sl *dist.Slab, j int, mask uint64) (dist.Dist, err
 	for m := mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		var pair dist.Dist
-		if c.sigmaD != nil {
+		if len(c.sigmaD) != 0 {
 			pair = c.sigmaD[i*c.n+j]
 		}
 		switch {
@@ -645,7 +728,7 @@ func (c *ctx) satisfiesOrderBy(o plan.Order) bool {
 	if o.IsNone() {
 		return false
 	}
-	return c.orderCols[o]
+	return slices.Contains(c.orderCols, o)
 }
 
 // phaseOfMask returns the execution phase of the join that completes mask.

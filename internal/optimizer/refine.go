@@ -49,6 +49,7 @@ func AlgorithmCRefined(cat *catalog.Catalog, blk *query.Block, opts Options, mem
 		return Result{}, RefineStats{}, err
 	}
 	cuts := refinementCuts(c, mem)
+	c.release()
 	const ecTol = 0.01
 	var stats RefineStats
 	var lastSig string
@@ -94,7 +95,7 @@ func AlgorithmCRefined(cat *catalog.Catalog, blk *query.Block, opts Options, mem
 		nCuts *= 2
 	}
 	// Exact score under the full law, regardless of which round won.
-	ec, err := ExpectedCostModel(c.opts.CostModel, res.Plan, staticLaws(mem, len(blk.Tables)))
+	ec, err := ExpectedCostModel(opts.CostModel, res.Plan, []dist.Dist{mem})
 	if err != nil {
 		return Result{}, stats, err
 	}

@@ -113,7 +113,7 @@ func TestRefinedStatsShape(t *testing.T) {
 			t.Fatal("bucket counts must not shrink")
 		}
 	}
-	ev, err := ExpectedCostModel(cost.ModelPaper, res.Plan, staticLaws(mem, len(sc.blk.Tables)))
+	ev, err := ExpectedCostModel(cost.ModelPaper, res.Plan, []dist.Dist{mem})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,12 +62,16 @@ type dpScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}
 
-// getScratch borrows a scratch set up for the table of an n-table query —
-// two cells per subset under pol, each holding up to depth entries. run
-// sets the bars.
+// getScratch borrows a scratch set up for an n-table query (setUp).
 func getScratch(pol policy, depth, n int) *dpScratch {
+	return scratchPool.Get().(*dpScratch).setUp(pol, depth, n)
+}
+
+// setUp sizes s for the table of an n-table query — two cells per subset
+// under pol, each holding up to depth entries — and returns it. run sets
+// the bars.
+func (s *dpScratch) setUp(pol policy, depth, n int) *dpScratch {
 	masks := int(fullMask(n)) + 1
-	s := scratchPool.Get().(*dpScratch)
 	s.pol, s.depth = pol, depth
 	s.ents = grow(s.ents, 2*masks*depth)
 	s.held = grow(s.held, 2*masks)
@@ -118,10 +122,15 @@ func (s *dpScratch) keep(k int, e entry) bool {
 	return in
 }
 
-// release zeroes the table's links to plan nodes and laws, rewinds the
-// arena and the slab, trims outsized buffers, and returns the scratch to
-// the pool.
+// release resets the scratch and returns it to the pool.
 func (s *dpScratch) release() {
+	s.reset()
+	scratchPool.Put(s)
+}
+
+// reset zeroes the table's links to plan nodes and laws, rewinds the arena
+// and the slab, and trims outsized buffers.
+func (s *dpScratch) reset() {
 	clear(s.ents)
 	clear(s.laws)
 	clear(s.root)
@@ -132,7 +141,6 @@ func (s *dpScratch) release() {
 	s.slab.reset()
 	s.arena.reset()
 	s.probes = 0
-	scratchPool.Put(s)
 }
 
 // nodeArena hands out plan.Node storage in fixed-size chunks. newJoin and

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -112,26 +113,65 @@ func wideScenario(t testing.TB, n int, shape workload.Shape, seed int64) workloa
 }
 
 // TestResultSurvivesScratchReuse guards the arena-escape contract from the
-// behavioral side: a Result captured early must be unchanged — same
-// signature, every node intact — after many later optimizations have
-// recycled the pooled scratches its DP used.
+// behavioral side: a Result captured early, from any algorithm, must be
+// unchanged — every node and scan predicate intact — after many later
+// optimizations have recycled the pooled scratches its DP used and the
+// pooled context whose scan nodes its leaves were copied from.
 func TestResultSurvivesScratchReuse(t *testing.T) {
 	mem := dist.MustNew([]float64{100, 2000}, []float64{1, 1})
-	sc := wideScenario(t, 6, workload.Random, 42)
-	first, err := AlgorithmC(sc.Cat, sc.Block, Options{}, mem)
-	if err != nil {
-		t.Fatal(err)
+	algs := map[string]func(workload.Scenario) (Result, error){
+		"LSC": func(sc workload.Scenario) (Result, error) { return LSC(sc.Cat, sc.Block, Options{}, mem.Mean()) },
+		"A":   func(sc workload.Scenario) (Result, error) { return AlgorithmA(sc.Cat, sc.Block, Options{}, mem) },
+		"B":   func(sc workload.Scenario) (Result, error) { return AlgorithmB(sc.Cat, sc.Block, Options{}, mem, 3) },
+		"C":   func(sc workload.Scenario) (Result, error) { return AlgorithmC(sc.Cat, sc.Block, Options{}, mem) },
+		"D": func(sc workload.Scenario) (Result, error) {
+			return AlgorithmD(sc.Cat, sc.Block, Options{}, mem, nil, nil)
+		},
 	}
-	sig := first.Plan.Signature()
-
-	for seed := int64(0); seed < 30; seed++ {
-		other := wideScenario(t, 3+int(seed%5), workload.Shape(seed%4), 6000+seed)
-		if _, err := AlgorithmC(other.Cat, other.Block, Options{}, mem); err != nil {
+	// A compiled predicate always names its column: a cleared one is a
+	// predicate the context recycled under the Result.
+	dump := func(name string, p *plan.Node) string {
+		out := p.String()
+		p.Walk(func(n *plan.Node) {
+			if n.Pred != nil {
+				if n.Pred.Column == "" {
+					t.Fatalf("%s: scan of %s carries a cleared predicate", name, n.Table)
+				}
+				out += fmt.Sprintf("\n%s %+v", n.Table, *n.Pred)
+			}
+		})
+		return out
+	}
+	sc := wideScenario(t, 6, workload.Random, 42)
+	first, want := map[string]Result{}, map[string]string{}
+	preds := 0
+	for name, run := range algs {
+		res, err := run(sc)
+		if err != nil {
 			t.Fatal(err)
 		}
+		first[name], want[name] = res, dump(name, res.Plan)
+		res.Plan.Walk(func(n *plan.Node) {
+			if n.Pred != nil {
+				preds++
+			}
+		})
 	}
-	if got := first.Plan.Signature(); got != sig {
-		t.Fatalf("captured plan mutated by scratch reuse:\n before %s\n after  %s", sig, got)
+	if preds == 0 {
+		t.Fatal("no plan carries a scan predicate: the scenario no longer exercises them")
+	}
+	for seed := int64(0); seed < 30; seed++ {
+		other := wideScenario(t, 3+int(seed%5), workload.Shape(seed%4), 6000+seed)
+		for _, run := range algs {
+			if _, err := run(other); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, res := range first {
+		if got := dump(name, res.Plan); got != want[name] {
+			t.Fatalf("%s: captured plan mutated by pool reuse:\n before %s\n after  %s", name, want[name], got)
+		}
 	}
 }
 
@@ -145,7 +185,7 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.dpBest(scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel})
+	res, err := c.dpBest(scorer{laws: []dist.Dist{mem}, model: c.opts.CostModel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +200,22 @@ func TestResultOwnsNoArenaNodes(t *testing.T) {
 		if used.arena.owns(n) {
 			t.Fatalf("Result plan node %p lives in a pooled arena", n)
 		}
+		for i := range c.scans {
+			if n == &c.scans[i] || n.Pred != nil && n.Pred == c.scans[i].Pred {
+				t.Fatalf("Result plan node %p or its predicate lives in the pooled context", n)
+			}
+		}
 	})
 }
 
 // TestDistAllocsNearBest holds Algorithm D to the pooled kernel: once the
 // scratch is warm, an 8-table D pass — size laws, σ-chains and all — may
-// allocate at most twice what Algorithm C's pass does on the same query.
-// Laws built on the heap again would put it orders of magnitude over.
+// allocate at most twice what Algorithm C's pass does on the same query,
+// each pass copying its winner out. Laws built on the heap again would put
+// it orders of magnitude over. Both passes run on a scratch the test holds
+// (setUp, reset), as dpBest and dpLaws run on a pooled one, so a pool that
+// drops what it is given (the race detector drops a quarter of all Puts)
+// cannot charge a rebuilt scratch to either.
 func TestDistAllocsNearBest(t *testing.T) {
 	mem := dist.MustNew([]float64{64, 512, 4096}, []float64{1, 2, 1})
 	sc := wideScenario(t, 8, workload.Random, 4001)
@@ -181,19 +230,27 @@ func TestDistAllocsNearBest(t *testing.T) {
 	if err := c.setSelLaws(sel); err != nil {
 		t.Fatal(err)
 	}
-	s := scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}
-	measure := func(run func() (Result, error)) float64 {
-		if _, err := run(); err != nil { // warm the scratch pool
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(20, func() {
-			if _, err := run(); err != nil {
+	s := scorer{laws: []dist.Dist{mem}, model: c.opts.CostModel}
+	scr := new(dpScratch)
+	measure := func(pass func() (Result, error)) float64 {
+		run := func() {
+			scr.setUp(keepBest, 1, c.n)
+			if _, err := pass(); err != nil {
 				t.Fatal(err)
 			}
-		})
+			scr.reset()
+		}
+		run() // warm the scratch
+		return testing.AllocsPerRun(20, run)
 	}
-	best := measure(func() (Result, error) { return c.dpBest(s) })
-	law := measure(func() (Result, error) { return c.dpLaws(mem) })
+	best := measure(func() (Result, error) { return c.best(scr, s) })
+	law := measure(func() (Result, error) {
+		s, err := c.lawScorer(scr, mem)
+		if err != nil {
+			return Result{}, err
+		}
+		return c.best(scr, s)
+	})
 	t.Logf("warm 8-table pass: C %.0f allocs, D %.0f", best, law)
 	if law > 2*best {
 		t.Fatalf("the D pass allocates %.0f, over twice C's %.0f", law, best)
@@ -209,7 +266,7 @@ func TestReleaseTrimsWideMasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := pointScorer(1000, c.opts.CostModel)
+	s := c.pointScorer(1000)
 	scr := getScratch(keepBest, 1, c.n)
 	c.run(scr, s, c.greedy(s).score)
 	if cap(scr.ents) <= maxPooledSlots {

@@ -29,7 +29,7 @@ func refSigmaLawBetween(c *ctx, j int, mask uint64) (dist.Dist, error) {
 			continue
 		}
 		var pair dist.Dist
-		if c.sigmaD != nil {
+		if len(c.sigmaD) != 0 {
 			pair = c.sigmaD[i*c.n+j]
 		}
 		if pair.IsZero() {

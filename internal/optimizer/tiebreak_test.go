@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -95,7 +96,7 @@ func refJoinOrder(c *ctx, m cost.JoinMethod, j int, leftMask uint64, leftOrder p
 				continue
 			}
 			for _, col := range []query.ColRef{e.Left, e.Right} {
-				if c.orderCols[plan.Order{Table: col.Table, Column: col.Column}] {
+				if slices.Contains(c.orderCols, plan.Order{Table: col.Table, Column: col.Column}) {
 					return plan.Order{Table: c.blk.OrderBy.Table, Column: c.blk.OrderBy.Column}
 				}
 			}
@@ -267,7 +268,9 @@ func refSizeLaws(t *testing.T, c *ctx) []dist.Dist {
 		j := bits.TrailingZeros64(mask &^ s)
 		bit := uint64(1) << uint(j)
 		if mask == bit {
-			laws[mask] = c.tables[j].sizeLaw
+			if laws[mask] = c.tables[j].sizeLaw; laws[mask].IsZero() {
+				laws[mask] = dist.Point(c.tables[j].pages)
+			}
 			continue
 		}
 		sigma, err := refSigmaLawBetween(c, j, mask&^bit)
@@ -349,7 +352,7 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 	mem := dist.MustNew([]float64{1e6, 4e6}, []float64{1, 3})
 	opts := Options{Methods: cost.Methods}
 	// The premise: with both inputs resident, three of the four methods tie.
-	for si, s := range []scorer{pointScorer(mem.Mean(), cost.ModelPaper), {laws: []dist.Dist{mem}, model: cost.ModelPaper}} {
+	for si, s := range []scorer{{laws: []dist.Dist{dist.Point(mem.Mean())}, model: cost.ModelPaper}, {laws: []dist.Dist{mem}, model: cost.ModelPaper}} {
 		var card [cost.BlockNL + 1]float64
 		cost.JoinCard(&card, s.model, cost.Methods, 1000, 1000, s.law(0))
 		for _, m := range []cost.JoinMethod{cost.GraceHash, cost.PageNL, cost.BlockNL} {
@@ -374,8 +377,8 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 					}
 				}
 
-				point := pointScorer(mem.Mean(), c.opts.CostModel)
-				law := scorer{laws: staticLaws(mem, c.n), model: c.opts.CostModel}
+				point := c.pointScorer(mem.Mean())
+				law := scorer{laws: []dist.Dist{mem}, model: c.opts.CostModel}
 				wantLSC, _ := refTopC(c, point, 1)
 				wantC, _ := refTopC(c, law, 1)
 				lsc, err := LSC(cat, blk, opts, mem.Mean())

@@ -386,18 +386,56 @@ func (n *Node) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. The copy's nodes share one block and its scan
+// predicates another, so copying a tree of any size costs two allocations
+// (one without predicates).
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	out := *n
-	if n.Pred != nil {
-		p := *n.Pred
-		out.Pred = &p
+	nodes, preds := n.count()
+	cl := cloner{nodes: make([]Node, 0, nodes)}
+	if preds > 0 {
+		cl.preds = make([]ScanPred, 0, preds)
 	}
-	out.Left = n.Left.Clone()
-	out.Right = n.Right.Clone()
-	out.Child = n.Child.Clone()
-	return &out
+	return cl.copy(n)
+}
+
+// count returns the nodes and the scan predicates of the tree under n; a
+// subtree reached twice counts twice, as Clone copies it twice.
+func (n *Node) count() (nodes, preds int) {
+	if n == nil {
+		return 0, 0
+	}
+	if n.Pred != nil {
+		preds = 1
+	}
+	for _, c := range [...]*Node{n.Left, n.Right, n.Child} {
+		cn, cp := c.count()
+		nodes, preds = nodes+cn, preds+cp
+	}
+	return nodes + 1, preds
+}
+
+// cloner fills Clone's blocks in pre-order. Both are sized up front, so no
+// append moves a node or a predicate already pointed to.
+type cloner struct {
+	nodes []Node
+	preds []ScanPred
+}
+
+func (cl *cloner) copy(n *Node) *Node {
+	if n == nil {
+		return nil
+	}
+	cl.nodes = append(cl.nodes, *n)
+	out := &cl.nodes[len(cl.nodes)-1]
+	if n.Pred != nil {
+		cl.preds = append(cl.preds, *n.Pred)
+		out.Pred = &cl.preds[len(cl.preds)-1]
+	}
+	out.Left = cl.copy(n.Left)
+	out.Right = cl.copy(n.Right)
+	out.Child = cl.copy(n.Child)
+	return out
 }

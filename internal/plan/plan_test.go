@@ -136,6 +136,46 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestCloneAllocs pins Clone's two blocks: a 10-table left-deep tree under
+// a root sort, every scan carrying a predicate, copies in at most two
+// allocations, and the copy is deep and equal to the original.
+func TestCloneAllocs(t *testing.T) {
+	pred := func(i int) *ScanPred {
+		return &ScanPred{Column: "k", Lo: float64(i), HasLo: true}
+	}
+	var tree *Node
+	for i := range 10 {
+		scan := NewScan(string(rune('a'+i)), AccessIndex, "ix", 0.5, float64(10+i))
+		scan.Pred = pred(i)
+		if tree == nil {
+			tree = scan
+			continue
+		}
+		tree = NewJoin(cost.GraceHash, tree, scan, float64(100+i), Order{})
+	}
+	tree = NewSort(tree, Order{Table: "a", Column: "k"})
+	if allocs := testing.AllocsPerRun(100, func() { _ = tree.Clone() }); allocs > 2 {
+		t.Fatalf("Clone of a 10-table tree allocates %.0f times, want at most 2", allocs)
+	}
+	c := tree.Clone()
+	if c.Signature() != tree.Signature() || c.String() != tree.String() {
+		t.Fatal("clone differs from the original")
+	}
+	for o, n := c, tree; n.Kind != KindScan; {
+		if o == n {
+			t.Fatal("clone shares a node with the original")
+		}
+		if n.Kind == KindSort {
+			o, n = o.Child, n.Child
+			continue
+		}
+		if o.Right.Pred == n.Right.Pred || *o.Right.Pred != *n.Right.Pred {
+			t.Fatal("clone shares or changes a scan predicate")
+		}
+		o, n = o.Left, n.Left
+	}
+}
+
 func TestKindAndAccessStrings(t *testing.T) {
 	if KindScan.String() != "scan" || KindJoin.String() != "join" || KindSort.String() != "sort" {
 		t.Fatal("kind strings")
