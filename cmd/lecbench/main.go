@@ -3,10 +3,9 @@
 // run annotated against the paper's claims. With -workload it instead runs
 // the engine-in-the-loop serving simulator — LSC and LEC plans optimized
 // per request and *executed* on the page-level engine under sampled memory
-// trajectories — writing the BENCH_workload.json realized-I/O artifact;
-// with -fleet, the tenant-fleet simulator behind the resilience layer,
-// writing BENCH_fleet.json. Throughput, latency and allocation figures are
-// the repo benchmark's (go run ./bench), not this command's.
+// trajectories — writing the BENCH_workload.json realized-I/O artifact.
+// Throughput, latency and allocation figures are the repo benchmark's
+// (go run ./bench), not this command's.
 //
 // Usage:
 //
@@ -15,7 +14,6 @@
 //	lecbench -list                   # list experiment IDs and titles
 //	lecbench -workload -json         # engine-in-the-loop workload mode
 //	lecbench -workload -requests=200 # quick smoke of the same
-//	lecbench -fleet -tenants=256     # fleet mode
 //	lecbench -workload -cpuprofile=cpu.prof   # any mode, CPU-profiled
 package main
 
@@ -37,10 +35,10 @@ func main() {
 	}
 }
 
-// simFlags are the flags only the -workload and -fleet modes read.
+// simFlags are the flags only the -workload mode reads.
 var simFlags = map[string]bool{
 	"workers": true, "requests": true, "seed": true, "cachesize": true,
-	"tenants": true, "queries": true, "zipf": true, "driftband": true,
+	"queries": true, "zipf": true, "driftband": true,
 	"nobands": true, "noindex": true, "out": true,
 }
 
@@ -51,25 +49,23 @@ func lecbench(args []string) error {
 		list    = fs.Bool("list", false, "list experiments and exit")
 
 		workloadM = fs.Bool("workload", false, "workload mode: engine-in-the-loop LSC-vs-LEC serving simulation")
-		fleetM    = fs.Bool("fleet", false, "fleet mode: Zipf tenant fleet through the resilience layer at each offered load level")
-		workers   = fs.Int("workers", 0, "workload/fleet mode: worker count (0 = GOMAXPROCS)")
-		requests  = fs.Int("requests", 2000, "workload/fleet mode: total requests")
-		cacheSize = fs.Int("cachesize", 4096, "workload/fleet mode: plan-cache capacity")
-		seed      = fs.Int64("seed", 1, "workload/fleet mode: workload seed")
-		driftBand = fs.Float64("driftband", 0, "workload/fleet mode: plan-cache drift band base (0 = service default, <=1 = exact keys)")
-		tenants   = fs.Int("tenants", 0, "fleet mode: tenant count (0 = spec default)")
+		workers   = fs.Int("workers", 0, "workload mode: worker count (0 = GOMAXPROCS)")
+		requests  = fs.Int("requests", 2000, "workload mode: total requests")
+		cacheSize = fs.Int("cachesize", 4096, "workload mode: plan-cache capacity")
+		seed      = fs.Int64("seed", 1, "workload mode: workload seed")
+		driftBand = fs.Float64("driftband", 0, "workload mode: plan-cache drift band base (0 = service default, <=1 = exact keys)")
 		queries   = fs.Int("queries", 0, "workload mode: distinct queries in the mix (0 = spec default)")
 		zipf      = fs.Float64("zipf", 0, "workload mode: popularity skew (0 = spec default)")
 		noBands   = fs.Bool("nobands", false, "workload mode: skip the model-agreement feedback band sweeps")
 		noIndex   = fs.Bool("noindex", false, "workload mode: heap-only mix (no physical indexes, no index plans) — reproduces the pre-access-path artifact")
 
 		emitJSON = fs.Bool("json", true, "write the mode's JSON artifact")
-		outPath  = fs.String("out", "", "artifact path (default BENCH_workload.json / BENCH_fleet.json by mode)")
+		outPath  = fs.String("out", "", "workload mode: artifact path (default BENCH_workload.json)")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
 	)
 	fs.Parse(args)
-	if !*workloadM && !*fleetM {
+	if !*workloadM {
 		var stray []string
 		fs.Visit(func(f *flag.Flag) {
 			if simFlags[f.Name] {
@@ -77,47 +73,33 @@ func lecbench(args []string) error {
 			}
 		})
 		if len(stray) > 0 {
-			return fmt.Errorf("%s given without -workload or -fleet", strings.Join(stray, ", "))
+			return fmt.Errorf("%s given without -workload", strings.Join(stray, ", "))
 		}
 	}
 	if *workers < 0 {
 		return errors.New("-workers must be >= 0 (0 = GOMAXPROCS)")
 	}
-	artifact := func(def string) string {
-		if !*emitJSON {
-			return ""
-		}
-		if *outPath != "" {
-			return *outPath
-		}
-		return def
-	}
 	return profiled(*cpuProfile, func() error {
-		switch {
-		case *fleetM:
-			if *runSpec != "" || *list || *workloadM {
-				return errors.New("-fleet cannot be combined with -run/-list/-workload")
-			}
-			cfg := fleetModeConfig{
-				Tenants: *tenants, Requests: *requests, Seed: *seed,
-				Workers: *workers, CacheSize: *cacheSize, DriftBand: *driftBand,
-			}
-			_, err := runFleetMode(cfg, artifact("BENCH_fleet.json"), os.Stdout)
-			return err
-		case *workloadM:
-			if *runSpec != "" || *list {
-				return errors.New("-run/-list select experiments and cannot be combined with -workload")
-			}
-			cfg := workloadModeConfig{
-				Requests: *requests, Queries: *queries, Zipf: *zipf,
-				Seed: *seed, Workers: *workers, CacheSize: *cacheSize,
-				DriftBand: *driftBand, NoBands: *noBands, NoIndex: *noIndex,
-			}
-			_, err := runWorkloadMode(cfg, artifact("BENCH_workload.json"), os.Stdout)
-			return err
-		default:
+		if !*workloadM {
 			return run(*runSpec, *list)
 		}
+		if *runSpec != "" || *list {
+			return errors.New("-run/-list select experiments and cannot be combined with -workload")
+		}
+		cfg := workloadModeConfig{
+			Requests: *requests, Queries: *queries, Zipf: *zipf,
+			Seed: *seed, Workers: *workers, CacheSize: *cacheSize,
+			DriftBand: *driftBand, NoBands: *noBands, NoIndex: *noIndex,
+		}
+		artifact := ""
+		if *emitJSON {
+			artifact = "BENCH_workload.json"
+			if *outPath != "" {
+				artifact = *outPath
+			}
+		}
+		_, err := runWorkloadMode(cfg, artifact, os.Stdout)
+		return err
 	})
 }
 

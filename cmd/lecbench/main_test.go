@@ -30,24 +30,22 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestModeFlagHygiene: a flag that only the -workload and -fleet modes
-// read is an error without one of them (it used to fall through and run
-// every experiment), and -workers is validated once for both modes. Every
-// case is refused before any mode runs.
+// TestModeFlagHygiene: a flag that only the -workload mode reads is an
+// error without it (it used to fall through and run every experiment), and
+// -workers is validated before the mode runs. Every case is refused before
+// any mode runs.
 func TestModeFlagHygiene(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-workers=8"}, "-workers given without -workload or -fleet"},
+		{[]string{"-workers=8"}, "-workers given without -workload"},
 		{[]string{"-requests=10", "-seed=3"}, "-requests, -seed given without"},
 		{[]string{"-run", "E5", "-cachesize=16"}, "-cachesize given without"},
 		{[]string{"-list", "-out", "x.json"}, "-out given without"},
-		{[]string{"-tenants=4", "-queries=3", "-zipf=1.2"}, "-queries, -tenants, -zipf given without"},
+		{[]string{"-queries=3", "-zipf=1.2"}, "-queries, -zipf given without"},
 		{[]string{"-driftband=-1", "-nobands", "-noindex"}, "-driftband, -nobands, -noindex given without"},
 		{[]string{"-workload", "-workers=-3"}, "-workers must be >= 0"},
-		{[]string{"-fleet", "-workers=-3"}, "-workers must be >= 0"},
-		{[]string{"-fleet", "-workload"}, "-fleet cannot be combined"},
 		{[]string{"-workload", "-list"}, "cannot be combined with -workload"},
 	} {
 		err := lecbench(tc.args)

@@ -149,3 +149,11 @@ func runWorkloadMode(cfg workloadModeConfig, jsonPath string, w io.Writer) (*lec
 	}
 	return rep, nil
 }
+
+// verdict renders a claim's outcome for the summary line.
+func verdict(holds bool) string {
+	if holds {
+		return "HOLDS"
+	}
+	return "VIOLATED"
+}

@@ -278,7 +278,7 @@ func (o *Optimizer) begin(req Request, keyed bool) (*call, error) {
 		opts = *req.Opts
 	}
 	topC := req.TopC
-	if topC == 0 {
+	if topC <= 0 {
 		topC = o.cfg.TopC
 	}
 	// Observations() is a lock-free atomic: until something has been

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lecopt/internal/catalog"
@@ -404,5 +405,35 @@ func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("request %d: workers %d changed the plan: %s vs %s", i, workers, a[i], b[i])
 			}
 		}
+	}
+}
+
+// TestNegativeTopCUsesHandleDepth: a request's TopC overrides the handle's
+// Algorithm B depth only when positive, so on a TopC-5 handle a request
+// with TopC -1 is the TopC 0 request — the same report, served from the
+// entry that request cached — not a depth-3 run under its own key.
+func TestNegativeTopCUsesHandleDepth(t *testing.T) {
+	sc := serviceScenario(t, 3)
+	env := serviceEnv(t)
+	o := NewOptimizer(sc.Cat, Config{TopC: 5})
+	byDefault, err := o.Optimize(Request{Query: sc.Block, Env: env, Alg: AlgB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byDefault.CacheHit {
+		t.Fatal("first request cannot hit")
+	}
+	negative, err := o.Optimize(Request{Query: sc.Block, Env: env, Alg: AlgB, TopC: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !negative.CacheHit {
+		t.Fatal("TopC -1 missed the entry TopC 0 cached on a TopC-5 handle")
+	}
+	if !reflect.DeepEqual(negative.PlanReport, byDefault.PlanReport) {
+		t.Fatalf("TopC -1 report %+v differs from TopC 0 report %+v", negative.PlanReport, byDefault.PlanReport)
+	}
+	if st := o.CacheStats(); st.Size != 1 {
+		t.Fatalf("want one cache entry, got %+v", st)
 	}
 }

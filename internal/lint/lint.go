@@ -4,13 +4,13 @@
 // every package, each emitting positioned diagnostics.
 //
 // The analyzers encode invariants the compiler cannot see but every
-// empirical claim in BENCH_workload.json / BENCH_fleet.json rests on:
-// seeded randomness only (batch==sequential byte-identity), immutable
-// dist.Dist/dist.Chain laws (memoized fingerprints assume laws never
-// mutate), pure fingerprint inputs (drift-banded cache keys), no hardcoded
-// DisableIndexes regressions (the serving plan space stays honest), and no
-// silently dropped errors on the I/O-charging paths. See DESIGN.md
-// "Static invariants" for the analyzer-to-claim map.
+// empirical claim in BENCH_workload.json rests on: seeded randomness only
+// (batch==sequential byte-identity), immutable dist.Dist/dist.Chain laws
+// (memoized fingerprints assume laws never mutate), pure fingerprint inputs
+// (drift-banded cache keys), no hardcoded DisableIndexes regressions (the
+// serving plan space stays honest), and no silently dropped errors on the
+// I/O-charging paths. See DESIGN.md "Static invariants" for the
+// analyzer-to-claim map.
 //
 // Suppressions are explicit and justified: a finding may be waived only by
 // a same-line or preceding-line directive

@@ -19,7 +19,7 @@ type breaker struct {
 }
 
 // newBreakerWallClock seeds the cooldown jitter from time.Now: the exact
-// violation that would make two same-seed fleet runs diverge.
+// violation that would make two runs of one request sequence diverge.
 func newBreakerWallClock(cooldown int64) *breaker {
 	return &breaker{
 		cooldown: cooldown,

@@ -54,8 +54,6 @@ type breaker struct {
 	churned  int
 	state    breakerState
 	openedAt Micros
-	trips    int // closed→open transitions
-	reopens  int // half-open→open transitions
 }
 
 func (b *breaker) minSamples() int {
@@ -107,7 +105,6 @@ func (b *breaker) record(churn bool, now Micros) {
 		float64(b.churned) >= b.spec.Threshold*float64(b.filled) {
 		b.state = breakerOpen
 		b.openedAt = now
-		b.trips++
 	}
 }
 
@@ -120,7 +117,6 @@ func (b *breaker) trialResult(churn bool, now Micros) {
 	if churn {
 		b.state = breakerOpen
 		b.openedAt = now
-		b.reopens++
 		return
 	}
 	b.state = breakerClosed

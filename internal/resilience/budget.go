@@ -5,7 +5,7 @@ package resilience
 // admitted only while the tenant holds at least a cold optimization's base
 // cost in tokens; over-budget tenants are served the nearest banded cached
 // plan (or a degraded plan) instead, so one drift-churning tenant cannot
-// starve the fleet's optimizer of compute. The zero value disables
+// starve the others of optimizer compute. The zero value disables
 // budgeting (every request admitted).
 type BudgetSpec struct {
 	// Capacity is the bucket size in Micros of modeled work. 0 disables.

@@ -9,7 +9,7 @@ import "sort"
 // the loser's work is accounted as waste and charged to the tenant's
 // budget. The zero value disables hedging.
 //
-// Identity the report asserts: wins + losses + cancels == hedges fired.
+// Every fired hedge settles to exactly one of win, loss or cancel.
 type HedgeSpec struct {
 	// Quantile of the recent cold-duration window that sets the hedge
 	// delay (e.g. 0.9: hedge fires when the primary outlives its p90).

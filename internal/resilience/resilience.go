@@ -1,13 +1,15 @@
-// Package resilience is the serving-policy layer between fleet traffic and
-// the core.Optimizer service handle: per-tenant optimization budgets that
-// gate cold-path plan computation under overload, hedged re-optimization
-// for tail latency, circuit breakers that trip on drift churn (cache-miss
-// + rank-flip rate) and serve degraded-but-cheap plans while open.
+// Package resilience is a serving-policy wrapper around the core.Optimizer
+// service handle: per-tenant optimization budgets that gate cold-path plan
+// computation under overload, hedged re-optimization for tail latency,
+// circuit breakers that trip on drift churn (cache-miss + rank-flip rate)
+// and serve degraded-but-cheap plans while open. Only bench/'s resilience
+// probe calls it; ROADMAP item 11(i) deletes the probe, and this package
+// with it.
 //
 // Latency here is *modeled*: an injected LatencySpec prices each served
 // path in virtual microseconds, and every request carries its own
-// timestamp (Request.At; decision logic never reads the wall clock), so a
-// same-seed fleet run makes byte-identical decisions on any machine. The
+// timestamp (Request.At; decision logic never reads the wall clock), so the
+// same request sequence settles to the same decisions on any machine. The
 // plans themselves are real — every path serves an executable plan from
 // the wrapped handle.
 package resilience
@@ -80,8 +82,8 @@ var nearestMargins = []float64{0.25, 0.5, 1, 2}
 type Request struct {
 	// Tenant keys the budget, breaker and hedge state.
 	Tenant string
-	// Query labels the request in rank-flip tracking (typically the
-	// fleet's stable query ID).
+	// Query labels the request in rank-flip tracking: requests that should
+	// serve the same plan share it.
 	Query string
 	// At is the virtual time the wrapper takes the request: budget
 	// refill and breaker cooldowns run on it. Time may move backwards
@@ -122,12 +124,6 @@ type tenantState struct {
 	breaker  breaker
 	hedge    hedger
 	lastPlan map[string]string // query -> last normally-served plan signature
-
-	requests   int
-	denials    int
-	openServed int
-	degraded   int
-	churn      int
 }
 
 // Wrapper applies the resilience policies around a core.Optimizer. It is
@@ -139,25 +135,11 @@ type Wrapper struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
-
-	requests     int
-	errors       int
-	decisions    map[Decision]int
-	hedgesFired  int
-	hedgeWins    int
-	hedgeLosses  int
-	hedgeCancels int
-	observeCalls int
 }
 
 // New wraps opt with the configured policies.
 func New(opt *core.Optimizer, cfg Config) *Wrapper {
-	return &Wrapper{
-		opt:       opt,
-		cfg:       cfg,
-		tenants:   make(map[string]*tenantState),
-		decisions: make(map[Decision]int),
-	}
+	return &Wrapper{opt: opt, cfg: cfg, tenants: make(map[string]*tenantState)}
 }
 
 func (w *Wrapper) tenant(name string) *tenantState {
@@ -205,8 +187,6 @@ func (w *Wrapper) Do(req Request) Outcome {
 	// and the rank-flip baseline. No optimizer work happens here.
 	w.mu.Lock()
 	ts := w.tenant(req.Tenant)
-	ts.requests++
-	w.requests++
 	phase := ts.breaker.phase(req.At)
 	lastSig := ts.lastPlan[req.Query]
 	admitted := true
@@ -292,8 +272,8 @@ func (w *Wrapper) Do(req Request) Outcome {
 	out.Breaker = phase.String()
 
 	// Phase 3 — settle under the lock: hedge resolution (the delay
-	// quantile reads tenant state), budget charge, breaker bookkeeping,
-	// rank-flip baseline and counters.
+	// quantile reads tenant state), budget charge, breaker bookkeeping and
+	// the rank-flip baseline.
 	w.mu.Lock()
 	if cold {
 		hr := ts.hedge.resolve(primaryDur, hedgeDur)
@@ -302,15 +282,6 @@ func (w *Wrapper) Do(req Request) Outcome {
 		out.Decision = DecisionCold
 		if hr.fired {
 			out.Decision = DecisionColdHedged
-			w.hedgesFired++
-			switch hr.outcome {
-			case HedgeWin:
-				w.hedgeWins++
-			case HedgeLoss:
-				w.hedgeLosses++
-			case HedgeCancel:
-				w.hedgeCancels++
-			}
 		}
 	}
 	if isTrial {
@@ -318,40 +289,10 @@ func (w *Wrapper) Do(req Request) Outcome {
 	} else if recordChurn {
 		ts.breaker.record(churn, req.At)
 	}
-	if churn && (recordChurn || isTrial) {
-		ts.churn++
-	}
 	ts.budget.charge(out.Charged)
 	if settlePlan && out.Plan != nil {
 		ts.lastPlan[req.Query] = out.Plan.Signature()
 	}
-	switch out.Decision {
-	case DecisionDeniedCache, DecisionDeniedDegraded:
-		ts.denials++
-	case DecisionBreakerCache, DecisionBreakerDegraded:
-		ts.openServed++
-	}
-	if out.Degraded {
-		ts.degraded++
-	}
-	if out.Err != nil {
-		w.errors++
-	}
-	w.decisions[out.Decision]++
 	w.mu.Unlock()
 	return out
-}
-
-// Observe forwards executed-size feedback to the wrapped handle. It is
-// charged to no budget — feedback is how plans get *better*; taxing it
-// under overload would be self-defeating.
-func (w *Wrapper) Observe(fb core.Feedback) error {
-	err := w.opt.Observe(fb)
-	w.mu.Lock()
-	w.observeCalls++
-	if err != nil {
-		w.errors++
-	}
-	w.mu.Unlock()
-	return err
 }

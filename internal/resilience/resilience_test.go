@@ -49,6 +49,40 @@ const joinSQL = "SELECT * FROM t0, t1 WHERE t0.k = t1.k"
 // accounting in the tests is arithmetic, not plan-space-dependent.
 var flatLatency = LatencySpec{Hit: 10, ColdBase: 1000, Degraded: 40}
 
+// decisions is every Decision a request can settle to.
+var decisions = []Decision{
+	DecisionHit, DecisionCold, DecisionColdHedged, DecisionDeniedCache,
+	DecisionDeniedDegraded, DecisionBreakerCache, DecisionBreakerDegraded,
+	DecisionBreakerTrial,
+}
+
+// tally counts settled outcomes by decision and by hedge outcome. It fails
+// the test when an outcome settles to no known decision, or when its hedge
+// outcome disagrees with its decision (a fired hedge is exactly a
+// cold-hedged decision), so wins + losses + cancels == fired holds by
+// construction of the checks below.
+func tally(t *testing.T, outs []Outcome) (map[Decision]int, map[HedgeOutcome]int) {
+	t.Helper()
+	byDecision, byHedge := map[Decision]int{}, map[HedgeOutcome]int{}
+	for i, out := range outs {
+		known := false
+		for _, d := range decisions {
+			known = known || out.Decision == d
+		}
+		if !known {
+			t.Errorf("request %d settled to no decision: %q", i, out.Decision)
+		}
+		if (out.Hedge != "") != (out.Decision == DecisionColdHedged) {
+			t.Errorf("request %d: hedge %q with decision %s", i, out.Hedge, out.Decision)
+		}
+		byDecision[out.Decision]++
+		if out.Hedge != "" {
+			byHedge[out.Hedge]++
+		}
+	}
+	return byDecision, byHedge
+}
+
 func TestBudgetDeniesColdPathAndStillServes(t *testing.T) {
 	cat := testCatalog(t, 2)
 	w := New(core.NewOptimizer(nil, core.Config{}), Config{
@@ -56,8 +90,15 @@ func TestBudgetDeniesColdPathAndStillServes(t *testing.T) {
 		Latency: flatLatency,
 	})
 
+	var outs []Outcome
+	do := func(req Request) Outcome {
+		out := w.Do(req)
+		outs = append(outs, out)
+		return out
+	}
+
 	// r1: full bucket admits exactly one cold optimization and drains it.
-	out := w.Do(Request{Tenant: "a", Query: "q", Core: coreReq(cat, joinSQL)})
+	out := do(Request{Tenant: "a", Query: "q", Core: coreReq(cat, joinSQL)})
 	if out.Decision != DecisionCold || out.Charged != 1000 {
 		t.Fatalf("r1: want cold charging 1000, got %s charging %d", out.Decision, out.Charged)
 	}
@@ -65,7 +106,7 @@ func TestBudgetDeniesColdPathAndStillServes(t *testing.T) {
 	// r2: a two-band drift at the same instant is a cold miss with an
 	// empty bucket — denied, but served the nearest banded cached plan
 	// (the widened band search reaches two bands away).
-	out = w.Do(Request{Tenant: "a", Query: "q", Core: coreReq(scaled(t, cat, 4), joinSQL)})
+	out = do(Request{Tenant: "a", Query: "q", Core: coreReq(scaled(t, cat, 4), joinSQL)})
 	if out.Decision != DecisionDeniedCache {
 		t.Fatalf("r2: want %s, got %s", DecisionDeniedCache, out.Decision)
 	}
@@ -74,24 +115,25 @@ func TestBudgetDeniesColdPathAndStillServes(t *testing.T) {
 	}
 
 	// r3: a four-band drift is beyond the widened search — degraded plan.
-	out = w.Do(Request{Tenant: "a", Query: "q", Core: coreReq(scaled(t, cat, 64), joinSQL)})
+	out = do(Request{Tenant: "a", Query: "q", Core: coreReq(scaled(t, cat, 64), joinSQL)})
 	if out.Decision != DecisionDeniedDegraded || !out.Degraded || out.Plan == nil {
 		t.Fatalf("r3: want served degraded plan, got %s (plan %v, err %v)", out.Decision, out.Plan, out.Err)
 	}
 
 	// One virtual second refills the bucket: the same far drift is now
 	// admitted to the cold path.
-	out = w.Do(Request{Tenant: "a", Query: "q", At: 1_000_000, Core: coreReq(scaled(t, cat, 64), joinSQL)})
+	out = do(Request{Tenant: "a", Query: "q", At: 1_000_000, Core: coreReq(scaled(t, cat, 64), joinSQL)})
 	if out.Decision != DecisionCold {
 		t.Fatalf("r4: refilled bucket should admit, got %s", out.Decision)
 	}
 
-	s := w.Stats()
-	if s.BudgetDenials != 2 || s.Requests != 4 {
-		t.Fatalf("stats: want 2 denials over 4 requests, got %+v", s)
+	byDecision, _ := tally(t, outs)
+	if denials := byDecision[DecisionDeniedCache] + byDecision[DecisionDeniedDegraded]; denials != 2 || len(outs) != 4 {
+		t.Fatalf("want 2 denials over 4 requests, got %v", byDecision)
 	}
-	if len(s.Tenants) != 1 || s.Tenants[0].Denials != 2 {
-		t.Fatalf("tenant breakdown wrong: %+v", s.Tenants)
+	// The refill filled the bucket and r4's cold optimization drained it.
+	if len(w.tenants) != 1 || w.tenants["a"].budget.tokens != 0 {
+		t.Fatalf("want one tenant with an empty bucket, got %d tenants (a: %+v)", len(w.tenants), w.tenants["a"].budget)
 	}
 }
 
@@ -102,8 +144,11 @@ func TestBreakerTripsServesDegradedAndRecovers(t *testing.T) {
 		Latency: flatLatency,
 	})
 	var now Micros
+	var outs []Outcome
 	do := func(c *catalog.Catalog) Outcome {
-		return w.Do(Request{Tenant: "a", Query: "q", At: now, Core: coreReq(c, joinSQL)})
+		out := w.Do(Request{Tenant: "a", Query: "q", At: now, Core: coreReq(c, joinSQL)})
+		outs = append(outs, out)
+		return out
 	}
 
 	cat4, cat16 := scaled(t, cat, 4), scaled(t, cat, 16)
@@ -128,6 +173,9 @@ func TestBreakerTripsServesDegradedAndRecovers(t *testing.T) {
 	if out.Decision != DecisionBreakerTrial || out.Breaker != "half-open" {
 		t.Fatalf("r4: want half-open trial, got %s/%s", out.Breaker, out.Decision)
 	}
+	if st := w.tenants["a"].breaker.state; st != breakerOpen {
+		t.Fatalf("r4: a churning trial must reopen the breaker, state %s", st)
+	}
 	// Another cooldown → trial on that now-cached band with an unchanged
 	// plan: clean recovery, the breaker closes.
 	now += 1000
@@ -138,12 +186,12 @@ func TestBreakerTripsServesDegradedAndRecovers(t *testing.T) {
 		t.Fatalf("r6: closed breaker should serve hits, got %s/%s", out.Decision, out.Breaker)
 	}
 
-	s := w.Stats()
-	if s.BreakerTrips != 1 || s.BreakerReopens != 1 {
-		t.Fatalf("want 1 trip + 1 reopen, got %+v", s)
+	byDecision, _ := tally(t, outs)
+	if open := byDecision[DecisionBreakerCache] + byDecision[DecisionBreakerDegraded]; open != 1 {
+		t.Fatalf("want 1 open-served request, got %v", byDecision)
 	}
-	if s.Tenants[0].OpenServed != 1 {
-		t.Fatalf("want 1 open-served request, got %+v", s.Tenants[0])
+	if byDecision[DecisionBreakerTrial] != 2 {
+		t.Fatalf("want 2 half-open trials (one reopen, one recovery), got %v", byDecision)
 	}
 }
 
@@ -157,11 +205,14 @@ func TestHedgeAccounting(t *testing.T) {
 		Latency: flatLatency,
 	})
 	pairs := [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}}
+	var outs []Outcome
 	do := func(i int, pj, hj float64) Outcome {
 		sql := fmt.Sprintf("SELECT * FROM t%d, t%d WHERE t%d.k = t%d.k",
 			pairs[i][0], pairs[i][1], pairs[i][0], pairs[i][1])
-		return w.Do(Request{Tenant: "a", Query: fmt.Sprintf("q%d", i),
+		out := w.Do(Request{Tenant: "a", Query: fmt.Sprintf("q%d", i),
 			Core: coreReq(cat, sql), PrimaryJitter: pj, HedgeJitter: hj})
+		outs = append(outs, out)
+		return out
 	}
 
 	// Three unhedged colds at jitter 1 arm the delay ring: p50 = 1000.
@@ -190,20 +241,21 @@ func TestHedgeAccounting(t *testing.T) {
 		t.Fatalf("loss: %+v", out)
 	}
 
-	s := w.Stats()
-	if s.HedgesFired != 3 || s.HedgeWins != 1 || s.HedgeLosses != 1 || s.HedgeCancels != 1 {
-		t.Fatalf("hedge counters: %+v", s)
+	byDecision, byHedge := tally(t, outs)
+	fired := byDecision[DecisionColdHedged]
+	if fired != 3 || byHedge[HedgeWin] != 1 || byHedge[HedgeLoss] != 1 || byHedge[HedgeCancel] != 1 {
+		t.Fatalf("hedge tallies: %d fired, %v", fired, byHedge)
 	}
-	if s.HedgeWins+s.HedgeLosses+s.HedgeCancels != s.HedgesFired {
-		t.Fatalf("accounting identity broken: %+v", s)
+	if byHedge[HedgeWin]+byHedge[HedgeLoss]+byHedge[HedgeCancel] != fired {
+		t.Fatalf("accounting identity broken: %d fired, %v", fired, byHedge)
 	}
 }
 
 // TestWrapperDeterminism: the same request sequence against two fresh
-// wrappers settles to identical outcomes and identical stats.
+// wrappers settles to identical outcomes and identical tenant state.
 func TestWrapperDeterminism(t *testing.T) {
 	cat := testCatalog(t, 3)
-	run := func() ([]Outcome, Stats) {
+	run := func() ([]Outcome, map[string]*tenantState) {
 		w := New(core.NewOptimizer(nil, core.Config{}), Config{
 			Budget:  BudgetSpec{Capacity: 2000, RefillPerSec: 500_000},
 			Breaker: BreakerSpec{Window: 6, Threshold: 0.5, MinSamples: 4, Cooldown: 2000},
@@ -217,7 +269,7 @@ func TestWrapperDeterminism(t *testing.T) {
 				Core:          coreReq(scaled(t, cat, f), joinSQL),
 				PrimaryJitter: 1 + float64(i%3), HedgeJitter: 1}))
 		}
-		return outs, w.Stats()
+		return outs, w.tenants
 	}
 	o1, s1 := run()
 	o2, s2 := run()
@@ -225,7 +277,7 @@ func TestWrapperDeterminism(t *testing.T) {
 		t.Fatalf("outcomes diverged:\n%+v\nvs\n%+v", o1, o2)
 	}
 	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("stats diverged:\n%+v\nvs\n%+v", s1, s2)
+		t.Fatalf("tenant state diverged:\n%+v\nvs\n%+v", s1, s2)
 	}
 }
 

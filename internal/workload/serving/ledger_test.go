@@ -79,8 +79,8 @@ func TestRankAgrees(t *testing.T) {
 		{1e-12, -50, true}, // sub-tolerance model delta counts as a tie
 	}
 	for _, c := range cases {
-		if got := RankAgrees(c.predDelta, 1000, c.ioDelta); got != c.want {
-			t.Errorf("RankAgrees(%v, 1000, %d) = %v, want %v", c.predDelta, c.ioDelta, got, c.want)
+		if got := rankAgrees(c.predDelta, 1000, c.ioDelta); got != c.want {
+			t.Errorf("rankAgrees(%v, 1000, %d) = %v, want %v", c.predDelta, c.ioDelta, got, c.want)
 		}
 	}
 }

@@ -50,8 +50,8 @@ type DriftSpec struct {
 	Stay    float64
 }
 
-// Gen is the engine-scale generator the serving mix and the fleet share:
-// the physical vocabulary of their tables and the shape of their queries.
+// Gen is the serving mix's engine-scale generator: the physical
+// vocabulary of its tables and the shape of its queries.
 // All sizes are engine-scale: relations are physically materialized and
 // every request's plans are actually executed, so page counts here are
 // 10²-10³, not the 10⁵ of the analytic workload.Spec.
@@ -192,7 +192,7 @@ func NewMix(spec MixSpec, rng *rand.Rand) (*Mix, error) {
 	if math.IsNaN(spec.ZipfS) || spec.ZipfS < 0 {
 		return nil, fmt.Errorf("%w: Zipf skew %v", ErrBadMix, spec.ZipfS)
 	}
-	if err := spec.Gen.Validate(); err != nil {
+	if err := spec.Gen.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMix, err)
 	}
 	if len(spec.Tenants) == 0 {
@@ -203,7 +203,7 @@ func NewMix(spec MixSpec, rng *rand.Rand) (*Mix, error) {
 			return nil, fmt.Errorf("%w: tenant %q: %v", ErrBadMix, tn.Name, err)
 		}
 	}
-	chain, err := spec.Drift.Chain()
+	chain, err := spec.Drift.chain()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMix, err)
 	}
@@ -240,11 +240,11 @@ func generateServingQuery(id int, g Gen, rng *rand.Rand) (*ServingQuery, error) 
 	names := make([]string, tables)
 	for i := range names {
 		names[i] = fmt.Sprintf("t%d", i)
-		if err := g.Table(names[i], cat, store, rng); err != nil {
+		if err := g.table(names[i], cat, store, rng); err != nil {
 			return nil, err
 		}
 	}
-	blk, err := g.Block(names, shape, cat, rng)
+	blk, err := g.block(names, shape, cat, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -258,9 +258,9 @@ func generateServingQuery(id int, g Gen, rng *rand.Rand) (*ServingQuery, error) 
 	}, nil
 }
 
-// Validate checks the generation fields. Its errors carry no sentinel:
-// each spec that embeds Gen wraps them in its own.
-func (g Gen) Validate() error {
+// validate checks the generation fields. Its errors carry no sentinel:
+// NewMix wraps them in its own.
+func (g Gen) validate() error {
 	if g.MinTables < 2 || g.MaxTables < g.MinTables || g.MaxTables > query.MaxTables {
 		return fmt.Errorf("tables range [%d, %d]", g.MinTables, g.MaxTables)
 	}
@@ -287,7 +287,7 @@ func (g Gen) Validate() error {
 	return nil
 }
 
-// Table materializes one relation into store and records it in cat with
+// table materializes one relation into store and records it in cat with
 // statistics that match the physical data exactly (pages, rows, key
 // range), so at drift factor 1 the optimizer's estimates are unbiased.
 // Unless DisableIndexes is set, the relation also gets a physical B-tree
@@ -295,7 +295,7 @@ func (g Gen) Validate() error {
 // probability ClusteredProb, unclustered otherwise — whose built height is
 // what the catalog records, so cost.IndexScanIO prices the very structure
 // the engine walks.
-func (g Gen) Table(name string, cat *catalog.Catalog, store *storage.Store, rng *rand.Rand) error {
+func (g Gen) table(name string, cat *catalog.Catalog, store *storage.Store, rng *rand.Rand) error {
 	pages := g.MinPages + rng.Intn(g.MaxPages-g.MinPages+1)
 	spec := storage.GenSpec{Name: name, Pages: pages, TuplesPerPage: g.TuplesPerPage, KeyRange: g.KeyRange}
 	clustered := !g.DisableIndexes && rng.Float64() < g.ClusteredProb
@@ -338,11 +338,11 @@ func (g Gen) Table(name string, cat *catalog.Catalog, store *storage.Store, rng 
 	})
 }
 
-// Block draws a query over the named tables of cat: the shape's joins, an
+// block draws a query over the named tables of cat: the shape's joins, an
 // ORDER BY on a join key with probability OrderByProb, and with
 // probability FilterProb one range filter "t.k <= v" — the
 // index-vs-heap-scan choice point of the paper's headline examples.
-func (g Gen) Block(names []string, shape workload.Shape, cat *catalog.Catalog, rng *rand.Rand) (*query.Block, error) {
+func (g Gen) block(names []string, shape workload.Shape, cat *catalog.Catalog, rng *rand.Rand) (*query.Block, error) {
 	joins, err := shape.Joins(names, rng)
 	if err != nil {
 		return nil, err
@@ -365,10 +365,9 @@ func (g Gen) Block(names []string, shape workload.Shape, cat *catalog.Catalog, r
 	return blk, nil
 }
 
-// Chain builds the drift walk, or nil when Factors is empty (no drift).
-// Its errors carry no sentinel: the spec that holds the DriftSpec wraps
-// them in its own.
-func (d DriftSpec) Chain() (*dist.Chain, error) {
+// chain builds the drift walk, or nil when Factors is empty (no drift).
+// Its errors carry no sentinel: NewMix wraps them in its own.
+func (d DriftSpec) chain() (*dist.Chain, error) {
 	if len(d.Factors) == 0 {
 		return nil, nil
 	}

@@ -141,11 +141,11 @@ type TenantStats struct {
 	predLSC, predLEC float64
 }
 
-// RankAgrees compares an analytic cost difference against a realized I/O
+// rankAgrees compares an analytic cost difference against a realized I/O
 // difference: only strictly opposite signs disagree. The analytic side
 // uses a relative tolerance so float noise around equal plans reads as a
 // tie.
-func RankAgrees(predDelta, scale float64, ioDelta int64) bool {
+func rankAgrees(predDelta, scale float64, ioDelta int64) bool {
 	tol := 1e-9 * scale
 	modelSign := 0
 	switch {
@@ -309,7 +309,7 @@ func (a *aggregator) report() *Report {
 		if t.predLSC > 0 {
 			t.PredictedRatio = t.predLEC / t.predLSC
 		}
-		t.RankAgreement = RankAgrees(t.predLEC-t.predLSC, t.predLSC+t.predLEC, t.LECIO-t.LSCIO)
+		t.RankAgreement = rankAgrees(t.predLEC-t.predLSC, t.predLSC+t.predLEC, t.LECIO-t.LSCIO)
 		if !t.RankAgreement {
 			rep.RankAgreement = false
 		}

@@ -17,7 +17,7 @@ import (
 
 // Runner errors.
 var (
-	ErrBadRun = errors.New("workload: invalid run config")
+	errBadRun = errors.New("workload: invalid run config")
 )
 
 // RunConfig tunes one engine-in-the-loop Monte-Carlo run over a Mix.
@@ -94,7 +94,7 @@ type execOutcome struct {
 func (m *Mix) Run(cfg RunConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Requests < 1 {
-		return nil, fmt.Errorf("%w: %d requests", ErrBadRun, cfg.Requests)
+		return nil, fmt.Errorf("%w: %d requests", errBadRun, cfg.Requests)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

@@ -103,7 +103,7 @@ func TestRunPointLawDegenerates(t *testing.T) {
 
 func TestRunConfigValidation(t *testing.T) {
 	m := defaultMix(t, 1)
-	if _, err := m.Run(RunConfig{Requests: 0}); !errors.Is(err, ErrBadRun) {
+	if _, err := m.Run(RunConfig{Requests: 0}); !errors.Is(err, errBadRun) {
 		t.Fatal("zero requests must fail")
 	}
 }

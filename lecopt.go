@@ -120,7 +120,6 @@ import (
 	"lecopt/internal/plancache"
 	"lecopt/internal/query"
 	"lecopt/internal/sqlmini"
-	"lecopt/internal/workload/fleet"
 	"lecopt/internal/workload/serving"
 )
 
@@ -165,15 +164,6 @@ type (
 	// WorkloadReport compares the realized I/O of the LSC and LEC
 	// policies over one simulated request stream.
 	WorkloadReport = serving.Report
-	// FleetSpec configures fleet-scale generation for RunFleet: Zipf
-	// tenant traffic shares, shared-catalog groups, engineered
-	// high-churn tenants and the resilience-layer policies.
-	FleetSpec = fleet.Spec
-	// FleetRun tunes one fleet run (stream length, seed, policies).
-	FleetRun = fleet.RunConfig
-	// FleetReport is the BENCH_fleet.json artifact: per-load-level
-	// realized I/O, optimize-latency histograms and resilience counters.
-	FleetReport = fleet.Report
 )
 
 // Algorithms.
@@ -251,19 +241,3 @@ func RunWorkload(spec WorkloadSpec, cfg WorkloadRun) (*WorkloadReport, error) {
 	}
 	return mix.Run(cfg)
 }
-
-// DefaultFleetSpec returns the canonical fleet: 512 tenants with Zipf-1.1
-// traffic shares over four shared-catalog groups, four engineered
-// high-churn tenants pinned to a band-crossing drift group, two offered
-// load levels, and the default resilience policies (budgets, breaker,
-// hedging).
-func DefaultFleetSpec() (FleetSpec, error) { return fleet.DefaultSpec() }
-
-// RunFleet generates a tenant fleet from spec (generation and the request
-// stream are both seeded by cfg.Seed) and replays one shared request
-// stream at each of the spec's offered load levels through the resilience
-// wrapper: per-tenant optimization budgets, hedged re-optimization and
-// drift-churn circuit breakers, all deciding in virtual time stamped on
-// each request, so the report is byte-identical run to run and across
-// worker counts.
-func RunFleet(spec FleetSpec, cfg FleetRun) (*FleetReport, error) { return fleet.Run(spec, cfg) }
