@@ -117,6 +117,57 @@ func TestWarmSQLZeroAllocs(t *testing.T) {
 	}
 }
 
+// observeAll feeds the handle one executed size per request, so every
+// request in reqs is costed with an observed hint from then on.
+func observeAll(t testing.TB, opt *Optimizer, reqs []Request) {
+	t.Helper()
+	for i, r := range reqs {
+		err := opt.Observe(Feedback{Cat: r.Cat, Query: r.Query, Sizes: map[string]float64{
+			feedback.SetKey(r.Query.Tables[0], r.Query.Tables[1]): float64(100 + 37*i),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWarmHitWithFeedbackZeroAllocs is TestWarmHitZeroAllocs on a handle
+// that has observed a size for every request, pre-parsed and as SQL text:
+// the feedback key is built in the pooled call and the store's immutable
+// hint snapshot is costed as is, so feedback adds no allocation to a hit.
+func TestWarmHitWithFeedbackZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	reqs := hotPathRequests(t, 64)
+	opt := New(nil)
+	observeAll(t, opt, reqs)
+	if q, _ := opt.FeedbackStats(); q != len(reqs) {
+		t.Fatalf("feedback store holds %d queries, want %d", q, len(reqs))
+	}
+	for _, tc := range []struct {
+		name string
+		reqs []Request
+	}{{"pre-parsed", reqs}, {"SQL", sqlForm(reqs)}} {
+		for _, r := range tc.reqs { // the SQL pass fills the statement memo
+			if _, err := opt.Optimize(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(500, func() {
+			resp, err := opt.Optimize(tc.reqs[i%len(tc.reqs)])
+			if err != nil || !resp.CacheHit {
+				t.Fatalf("%s: warm request %d: hit=%v err=%v", tc.name, i%len(tc.reqs), resp.CacheHit, err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("warm %s hit with feedback allocates: %.2f allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestMissPathAllocBudget bounds the full optimize path — request
 // resolution, cache key, the whole dynamic program, the report — for every
 // algorithm. Unlike the hit gate this cannot be zero: the report and its
@@ -238,15 +289,24 @@ func TestExecutePlanAllocBudget(t *testing.T) {
 // TestConcurrentOptimizeObserve drives Optimize, Cached, OptimizeBatch and
 // Observe through one handle from many goroutines — the serving pattern the
 // sharded feedback store exists for. Run under -race this proves the shard
-// locking, the lock-free observation counter and the pooled per-request
-// state the three serving entry points share; under the plain suite it
-// still checks that concurrent feedback never corrupts results (every
-// optimized response must carry a plan, and a Cached hit must too).
+// locking, the lock-free observation counter, the pooled per-request state
+// the three serving entry points share, and the hint snapshots Observe
+// republishes while batches resolve requests on their workers and overlay
+// explicit SizeHints on them; under the plain suite it still checks that
+// concurrent feedback never corrupts results (every optimized response
+// must carry a plan, and a Cached hit must too).
 func TestConcurrentOptimizeObserve(t *testing.T) {
 	reqs := hotPathRequests(t, 32)
+	explicit := make([]Request, len(reqs))
+	for i, r := range reqs {
+		explicit[i] = r
+		explicit[i].Opts = &Options{SizeHints: map[string]float64{
+			feedback.SetKey(r.Query.Tables[len(r.Query.Tables)-1]): float64(20 + i),
+		}}
+	}
 	opt := New(nil, WithPlanCache(256))
 	var wg sync.WaitGroup
-	const goroutines, iters = 8, 200
+	const goroutines, iters = 10, 200
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -254,7 +314,7 @@ func TestConcurrentOptimizeObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				r := reqs[(g*iters+i)%len(reqs)]
-				switch g % 4 {
+				switch g % 5 {
 				case 0:
 					resp, err := opt.Optimize(r)
 					if err != nil {
@@ -274,6 +334,15 @@ func TestConcurrentOptimizeObserve(t *testing.T) {
 					for j, resp := range opt.OptimizeBatch([]Request{r, reqs[(g*iters+i+1)%len(reqs)], r}) {
 						if resp.Err != nil || resp.Plan == nil {
 							errs <- fmt.Errorf("goroutine %d iter %d: batch response %d: plan=%v err=%v", g, i, j, resp.Plan != nil, resp.Err)
+							return
+						}
+					}
+				case 3:
+					j := (g*iters + i) % len(reqs)
+					batch := []Request{explicit[j], r, explicit[(j+1)%len(reqs)], explicit[j]}
+					for k, resp := range opt.OptimizeBatch(batch) {
+						if resp.Err != nil || resp.Plan == nil {
+							errs <- fmt.Errorf("goroutine %d iter %d: hinted batch response %d: plan=%v err=%v", g, i, k, resp.Plan != nil, resp.Err)
 							return
 						}
 					}
@@ -301,6 +370,27 @@ func TestConcurrentOptimizeObserve(t *testing.T) {
 func BenchmarkOptimizeHit(b *testing.B) {
 	reqs := hotPathRequests(b, 64)
 	opt := New(nil)
+	for _, r := range reqs {
+		if _, err := opt.Optimize(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opt.Optimize(reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimizeHitFeedback is BenchmarkOptimizeHit on a handle that has
+// observed a size for every request; the difference between the two is the
+// feedback key build and hint lookup. Headline: 0 allocs/op.
+func BenchmarkOptimizeHitFeedback(b *testing.B) {
+	reqs := hotPathRequests(b, 64)
+	opt := New(nil)
+	observeAll(b, opt, reqs)
 	for _, r := range reqs {
 		if _, err := opt.Optimize(r); err != nil {
 			b.Fatal(err)

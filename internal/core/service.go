@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -118,7 +119,7 @@ func NewOptimizer(cat *catalog.Catalog, cfg Config) *Optimizer {
 		o.stmts = plancache.New[*query.Block](size)
 	}
 	if !cfg.DisableFeedback {
-		o.fb = feedback.NewStore(feedback.DefaultAlpha)
+		o.fb = feedback.NewStore(0)
 	}
 	return o
 }
@@ -167,14 +168,16 @@ type Response struct {
 	Err error
 }
 
-// queryKey identifies a query for the feedback store: canonical query
-// shape plus the catalog fingerprint (drift-banded when banding is on, so
-// observations survive statistics drift exactly as cached plans do).
-func (o *Optimizer) queryKey(cat *catalog.Catalog, blk *query.Block) string {
+// appendQueryKey appends the feedback store's key for a query: canonical
+// query shape, "@", then the catalog fingerprint (drift-banded when banding
+// is on, so observations survive statistics drift exactly as cached plans
+// do). Both parts are memoized strings, so the build only copies bytes.
+func (o *Optimizer) appendQueryKey(dst []byte, cat *catalog.Catalog, blk *query.Block) []byte {
+	dst = append(append(dst, blk.Canonical()...), '@')
 	if o.band > 1 {
-		return blk.Canonical() + "@" + cat.BandedFingerprint(o.band)
+		return append(dst, cat.BandedFingerprint(o.band)...)
 	}
-	return blk.Canonical() + "@" + cat.Fingerprint()
+	return append(dst, cat.Fingerprint()...)
 }
 
 // resolveQuery maps the shared (Prepared | Query | SQL, Cat override)
@@ -245,22 +248,23 @@ func (o *Optimizer) parse(cat *catalog.Catalog, sql string) (*query.Block, error
 }
 
 // call is one request in flight on the serving path: the resolved scenario,
-// the algorithm, and the buffers its plan-cache keys are built in. Calls
-// come from callPool, so a warm hit resolves, looks up and releases without
-// touching the heap; reports never reference the call.
+// the algorithm, and the buffers its feedback and plan-cache keys are built
+// in. Calls come from callPool, so a warm hit resolves, looks up and
+// releases without touching the heap; reports never reference the call.
 type call struct {
 	sc    Scenario
 	alg   Algorithm
+	fbKey []byte // feedback-store key (appendQueryKey)
 	key   []byte // primary plan-cache key; empty without a cache or unkeyed
 	probe []byte // the current band-edge probe key (probeKeys)
 }
 
 var callPool = sync.Pool{New: func() any {
-	return &call{key: make([]byte, 0, plancache.KeyLen), probe: make([]byte, 0, plancache.KeyLen)}
+	return &call{fbKey: make([]byte, 0, 128), key: make([]byte, 0, plancache.KeyLen), probe: make([]byte, 0, plancache.KeyLen)}
 }}
 
 func release(c *call) {
-	*c = call{key: c.key[:0], probe: c.probe[:0]}
+	*c = call{fbKey: c.fbKey[:0], key: c.key[:0], probe: c.probe[:0]}
 	callPool.Put(c)
 }
 
@@ -273,6 +277,7 @@ func (o *Optimizer) begin(req Request, keyed bool) (*call, error) {
 	if err != nil {
 		return nil, err
 	}
+	c := callPool.Get().(*call)
 	opts := o.cfg.PlanSpace
 	if req.Opts != nil {
 		opts = *req.Opts
@@ -285,16 +290,18 @@ func (o *Optimizer) begin(req Request, keyed bool) (*call, error) {
 	// observed, requests skip building the feedback query key entirely
 	// (an empty store can have no hints for any key).
 	if o.fb != nil && o.fb.Observations() > 0 {
-		// Hints returns a map this request owns, so explicit hints overlay
-		// it in place.
-		if hints := o.fb.Hints(o.queryKey(cat, blk)); len(hints) > 0 {
-			for k, v := range opts.SizeHints { // explicit hints win
-				hints[k] = v
+		c.fbKey = o.appendQueryKey(c.fbKey[:0], cat, blk)
+		// The store's snapshot is shared and immutable: it is costed as
+		// is, and copied only to overlay explicit hints, which win.
+		if hints := o.fb.HintsBytes(c.fbKey); len(hints) > 0 {
+			if len(opts.SizeHints) > 0 {
+				merged := maps.Clone(hints)
+				maps.Copy(merged, opts.SizeHints)
+				hints = merged
 			}
 			opts.SizeHints = hints
 		}
 	}
-	c := callPool.Get().(*call)
 	c.sc = Scenario{
 		Cat: cat, Query: blk, Env: req.Env,
 		SelLaws: req.SelLaws, SizeLaws: req.SizeLaws,
@@ -454,6 +461,17 @@ func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 			}
 		}
 	}()
+	// Resolving a request (statement memo, feedback hints, primary key)
+	// reads shared state but writes none that grouping depends on, so the
+	// workers do it, each request whole.
+	o.parallel(len(reqs), func(i int) {
+		c, err := o.begin(reqs[i], true)
+		if err != nil {
+			out[i] = Response{Err: err}
+			return
+		}
+		calls[i] = c
+	})
 	// Group requests by cache key in first-appearance order. Band-edge
 	// hysteresis runs here, in this sequential pass — never in the
 	// workers — so which group a near-boundary request joins (and thus the
@@ -461,13 +479,10 @@ func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 	var groups []batchGroup
 	byKey := make(map[[plancache.KeyLen]byte]int) // key → index into groups
 requests:
-	for i := range reqs {
-		c, err := o.begin(reqs[i], true)
-		if err != nil {
-			out[i] = Response{Err: err}
+	for i, c := range calls {
+		if c == nil {
 			continue
 		}
-		calls[i] = c
 		if o.cache == nil {
 			groups = append(groups, batchGroup{rep: i})
 			continue
@@ -504,49 +519,65 @@ requests:
 		groups = append(groups, batchGroup{rep: i})
 	}
 	// Each group runs on one worker, and each optimization runs serially:
-	// the batch's groups are the only parallelism (DESIGN.md, "One level
-	// of parallelism").
+	// whole requests are the batch's only parallelism (DESIGN.md, "One
+	// level of parallelism").
+	o.parallel(len(groups), func(gi int) {
+		g := &groups[gi]
+		c := calls[g.rep]
+		resp, ok := o.lookup(c, true)
+		if !ok {
+			resp = o.compute(c)
+		}
+		out[g.rep] = resp
+		for _, d := range g.dups {
+			out[d] = resp
+			if resp.Err != nil {
+				continue
+			}
+			// Count the duplicate's lookup; if the entry was evicted
+			// under pressure mid-batch the representative's answer is
+			// reused.
+			if hit, ok := o.lookup(c, true); ok {
+				out[d] = hit
+			}
+			// Cross-band alias: write the shared answer through under
+			// the dup's own key so its band serves itself from now on.
+			if own := calls[d].key; !bytes.Equal(own, c.key) {
+				o.cache.Put(string(own), out[d].PlanReport)
+			}
+		}
+	})
+	return out
+}
+
+// parallel runs f(i) for every i in [0, n) on up to the handle's worker
+// count of goroutines, each claiming the next index from a shared atomic
+// cursor, and returns once every call has returned. One worker runs
+// inline.
+func (o *Optimizer) parallel(n int, f func(i int)) {
 	workers := o.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, n)
+	if workers == 1 {
+		for i := range n {
+			f(i)
+		}
+		return
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(workers, len(groups)) {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for gi := int(next.Add(1)) - 1; gi < len(groups); gi = int(next.Add(1)) - 1 {
-				g := &groups[gi]
-				c := calls[g.rep]
-				resp, ok := o.lookup(c, true)
-				if !ok {
-					resp = o.compute(c)
-				}
-				out[g.rep] = resp
-				for _, d := range g.dups {
-					out[d] = resp
-					if resp.Err != nil {
-						continue
-					}
-					// Count the duplicate's lookup; if the entry was evicted
-					// under pressure mid-batch the representative's answer
-					// is reused.
-					if hit, ok := o.lookup(c, true); ok {
-						out[d] = hit
-					}
-					// Cross-band alias: write the shared answer through
-					// under the dup's own key so its band serves itself
-					// from now on.
-					if own := calls[d].key; !bytes.Equal(own, c.key) {
-						o.cache.Put(string(own), out[d].PlanReport)
-					}
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // Feedback carries one execution's observed intermediate-result sizes
@@ -566,9 +597,12 @@ type Feedback struct {
 // Observe folds executed sizes into the feedback store; subsequent
 // optimizations of the same query cost with the observed sizes instead of
 // selectivity-product estimates (and, because hints are hashed into cache
-// keys, stale cached plans miss cleanly). A handle configured with
-// DisableFeedback ignores observations. Feedback that names no query fails
-// with ErrBadRequest.
+// keys, stale cached plans miss cleanly). Sizes are rounded here, once:
+// the query's hint snapshot is republished only when a rounded value
+// moves or a new table set is observed, so feedback that has converged
+// changes neither what requests read nor their cache keys. A handle
+// configured with DisableFeedback ignores observations. Feedback that
+// names no query fails with ErrBadRequest.
 func (o *Optimizer) Observe(fb Feedback) error {
 	if o.fb == nil || len(fb.Sizes) == 0 {
 		return nil
@@ -577,7 +611,8 @@ func (o *Optimizer) Observe(fb Feedback) error {
 	if err != nil {
 		return err
 	}
-	o.fb.Observe(o.queryKey(cat, blk), fb.Sizes)
+	var buf [256]byte
+	o.fb.Observe(string(o.appendQueryKey(buf[:0], cat, blk)), fb.Sizes)
 	return nil
 }
 

@@ -377,7 +377,10 @@ func TestPrepareWithoutLawsFallsBack(t *testing.T) {
 
 // TestBatchDeterministicAcrossWorkers: with drift-banded keys the batch
 // dedupe must make results independent of the worker count — GOMAXPROCS
-// (0 and −1) and more workers than groups (64) included.
+// (0 and −1) and more workers than groups (64) included. Requests are
+// resolved on the workers, so the second case gives the handle observed
+// hints and mixes requests that fail with ErrBadRequest into the batch: the
+// plans, which positions fail and the cache counters must not move either.
 func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 	env := serviceEnv(t)
 	var reqs []Request
@@ -385,26 +388,66 @@ func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 		sc := serviceScenario(t, 20+seed%4) // repeats share banded keys
 		reqs = append(reqs, Request{Query: sc.Block, Cat: sc.Cat, Env: env, Alg: AlgC})
 	}
-	run := func(workers int) []string {
-		o := NewOptimizer(nil, Config{Workers: workers})
-		out := o.OptimizeBatch(reqs)
-		keys := make([]string, len(out))
-		for i, r := range out {
-			if r.Err != nil {
-				t.Fatalf("request %d: %v", i, r.Err)
-			}
-			keys[i] = r.Plan.Signature()
+	var mixed []Request
+	for i, r := range reqs {
+		if i%3 == 1 {
+			mixed = append(mixed, Request{Env: env, Alg: AlgC}) // names no query
 		}
-		return keys
+		mixed = append(mixed, r)
 	}
-	a := run(1)
-	for _, workers := range []int{8, 0, -1, 64} {
-		b := run(workers)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("request %d: workers %d changed the plan: %s vs %s", i, workers, a[i], b[i])
+	type outcome struct {
+		results []string
+		stats   [4]uint64
+	}
+	run := func(workers int, batch []Request, observe bool) outcome {
+		o := NewOptimizer(nil, Config{Workers: workers})
+		if observe {
+			for i, r := range reqs[:3] {
+				blk := r.Query
+				if err := o.Observe(Feedback{Query: blk, Cat: r.Cat, Sizes: map[string]float64{
+					feedback.SetKey(blk.Tables[0], blk.Tables[1]): float64(40 + 30*i),
+				}}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		out := o.OptimizeBatch(batch)
+		res := make([]string, len(out))
+		for i, r := range out {
+			switch {
+			case errors.Is(r.Err, ErrBadRequest):
+				res[i] = "ErrBadRequest"
+			case r.Err != nil:
+				t.Fatalf("request %d: %v", i, r.Err)
+			default:
+				res[i] = r.Plan.Signature()
+			}
+		}
+		st := o.CacheStats()
+		return outcome{res, [4]uint64{st.Hits, st.Misses, uint64(st.Size), st.Evictions}}
+	}
+	for _, tc := range []struct {
+		name    string
+		batch   []Request
+		observe bool
+	}{
+		{"plain", reqs, false},
+		{"feedback and bad requests", mixed, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := run(1, tc.batch, tc.observe)
+			for _, workers := range []int{8, 0, -1, 64} {
+				b := run(workers, tc.batch, tc.observe)
+				for i := range a.results {
+					if a.results[i] != b.results[i] {
+						t.Fatalf("request %d: workers %d changed the result: %s vs %s", i, workers, a.results[i], b.results[i])
+					}
+				}
+				if a.stats != b.stats {
+					t.Fatalf("workers %d changed the cache counters (hits, misses, size, evictions): %v vs %v", workers, a.stats, b.stats)
+				}
+			}
+		})
 	}
 }
 

@@ -13,14 +13,19 @@
 // covers the same table set, and the optimizer scales the estimate of
 // every superset by it too (optimizer.Options.SizeHints).
 //
-// Observations are folded with an exponential moving average and exported
-// rounded to two significant figures: rounding makes a converged hint a
-// *stable* value, so plan-cache keys (which hash the hints) stop churning
-// once the store has settled. All methods are safe for concurrent use.
+// Observations are folded with an exponential moving average and rounded
+// to two significant figures at Observe time: rounding makes a converged
+// hint a *stable* value, so plan-cache keys (which hash the hints) stop
+// churning once the store has settled. Each query's rounded hints are
+// published as an immutable snapshot, rebuilt only when a rounded value
+// moves or a new set key arrives, so a read is one sharded map lookup and
+// a converged query republishes nothing. All methods are safe for
+// concurrent use.
 package feedback
 
 import (
 	"hash/maphash"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -28,8 +33,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultAlpha is the EWMA weight of a new observation.
-const DefaultAlpha = 0.5
+// defaultAlpha is the EWMA weight of a new observation.
+const defaultAlpha = 0.5
 
 // SetKey canonically names a set of joined tables: sorted names joined by
 // "+". A single name keys a base table's filtered size. It is the key
@@ -52,9 +57,13 @@ const shardCount = 16
 // The store is sharded by query-key hash: an Observe for one query only
 // contends with readers and writers of queries in the same shard, so the
 // engine-in-the-loop serving pattern — every executed request Observes
-// while every optimization reads Hints — no longer serializes on one
-// RWMutex. The observation count is a store-global atomic, which gives
-// the serving layer a lock-free "has anything been observed yet?" gate.
+// while every optimization reads hints — does not serialize on one
+// RWMutex. Each query keeps its running averages beside the rounded
+// snapshot readers get; Observe replaces the snapshot under the shard lock
+// when, and only when, a rounded value changes or a set key is added, and
+// never writes into a published one. The observation count is a
+// store-global atomic, which gives the serving layer a lock-free "has
+// anything been observed yet?" gate.
 type Store struct {
 	alpha  float64
 	seed   maphash.Seed
@@ -64,50 +73,68 @@ type Store struct {
 
 type storeShard struct {
 	mu      sync.RWMutex
-	queries map[string]map[string]float64 // query key -> set key -> ewma pages
+	queries map[string]*entry
+}
+
+// entry is one query's observations.
+type entry struct {
+	ewma map[string]float64 // set key -> ewma pages; guarded by the shard lock
+	// hints is ewma rounded by roundSig: published under the shard lock,
+	// never mutated after.
+	hints map[string]float64
 }
 
 // NewStore returns an empty store. alpha is the EWMA weight of each new
-// observation; 0 uses DefaultAlpha.
+// observation; 0 uses the default, 0.5.
 func NewStore(alpha float64) *Store {
 	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultAlpha
+		alpha = defaultAlpha
 	}
 	s := &Store{alpha: alpha, seed: maphash.MakeSeed()}
 	for i := range s.shards {
-		s.shards[i].queries = make(map[string]map[string]float64)
+		s.shards[i].queries = make(map[string]*entry)
 	}
 	return s
 }
 
-func (s *Store) shardOf(query string) *storeShard {
-	return &s.shards[maphash.String(s.seed, query)&(shardCount-1)]
-}
+// shard maps a query key's hash to its shard. maphash.Bytes and
+// maphash.String agree on equal bytes, so both key forms pick one shard.
+func (s *Store) shard(h uint64) *storeShard { return &s.shards[h&(shardCount-1)] }
 
 // Observe folds one execution's observed sizes (SetKey -> pages) into the
-// query's running averages. Non-positive and non-finite sizes are ignored.
+// query's running averages and republishes its hints if a rounded value
+// changed. Non-positive and non-finite sizes are ignored.
 func (s *Store) Observe(query string, sizes map[string]float64) {
 	if len(sizes) == 0 {
 		return
 	}
-	sh := s.shardOf(query)
+	sh := s.shard(maphash.String(s.seed, query))
 	folded := uint64(0)
+	moved := false
 	sh.mu.Lock()
-	m := sh.queries[query]
+	e := sh.queries[query]
 	for k, v := range sizes {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
-		if m == nil { // registered only once a size folds
-			m = make(map[string]float64, len(sizes))
-			sh.queries[query] = m
+		if e == nil { // registered only once a size folds
+			e = &entry{ewma: make(map[string]float64, len(sizes))}
+			sh.queries[query] = e
 		}
-		if old, ok := m[k]; ok {
-			m[k] = s.alpha*v + (1-s.alpha)*old
-		} else {
-			m[k] = v
+		old, ok := e.ewma[k]
+		if ok {
+			v = s.alpha*v + (1-s.alpha)*old
 		}
+		e.ewma[k] = v
+		moved = moved || !ok || roundSig(v) != roundSig(old)
 		folded++
+	}
+	if moved {
+		hints := make(map[string]float64, len(e.ewma))
+		for k, v := range e.ewma {
+			hints[k] = roundSig(v)
+		}
+		e.hints = hints
 	}
 	sh.mu.Unlock()
 	if folded > 0 {
@@ -115,23 +142,31 @@ func (s *Store) Observe(query string, sizes map[string]float64) {
 	}
 }
 
-// Hints returns the query's observed sizes rounded to two significant
-// figures (a fresh map; nil when nothing was observed). The rounding keeps
-// hints — and therefore plan-cache keys that hash them — stable once the
-// EWMA has converged.
-func (s *Store) Hints(query string) map[string]float64 {
-	sh := s.shardOf(query)
+// HintsBytes returns the query's observed sizes rounded to two significant
+// figures, or nil when nothing was observed. The map is the store's shared
+// snapshot: it must not be modified, and it stays valid (and unchanged)
+// after later observations publish a new one. The lookup allocates
+// nothing.
+func (s *Store) HintsBytes(query []byte) map[string]float64 {
+	sh := s.shard(maphash.Bytes(s.seed, query))
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	m := sh.queries[query]
-	if len(m) == 0 {
-		return nil
+	if e := sh.queries[string(query)]; e != nil {
+		return e.hints
 	}
-	out := make(map[string]float64, len(m))
-	for k, v := range m {
-		out[k] = RoundSig(v)
+	return nil
+}
+
+// Hints is HintsBytes for a string key, returning a fresh map the caller
+// owns (nil when nothing was observed).
+func (s *Store) Hints(query string) map[string]float64 {
+	sh := s.shard(maphash.String(s.seed, query))
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if e := sh.queries[query]; e != nil {
+		return maps.Clone(e.hints)
 	}
-	return out
+	return nil
 }
 
 // Queries returns the number of distinct queries with observations.
@@ -147,18 +182,18 @@ func (s *Store) Queries() int {
 }
 
 // Observations returns the total number of folded size observations. It is
-// lock-free, so hot paths can use it to skip per-request Hints lookups
+// lock-free, so hot paths can use it to skip per-request hint lookups
 // (and their query-key construction) until something has been observed.
 func (s *Store) Observations() uint64 {
 	return s.obs.Load()
 }
 
-// RoundSig rounds a positive value to two significant decimal figures
+// roundSig rounds a positive value to two significant decimal figures
 // (1234 -> 1200, 0.037 -> 0.037); non-positive values pass through, and so
 // do values at the ends of the float range, where the rounding scale would
 // be subnormal (values below 1e-306) or the rounded value would overflow:
 // a positive finite size never rounds to 0 or +Inf.
-func RoundSig(v float64) float64 {
+func roundSig(v float64) float64 {
 	if v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 		return v
 	}

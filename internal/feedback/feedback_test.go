@@ -3,6 +3,7 @@ package feedback
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -82,8 +83,8 @@ func TestHintsRounded(t *testing.T) {
 func TestRoundSig(t *testing.T) {
 	cases := map[float64]float64{1234: 1200, 96: 96, 0.0372: 0.037, 8: 8, 150: 150}
 	for in, want := range cases {
-		if got := RoundSig(in); got != want {
-			t.Errorf("RoundSig(%v) = %v, want %v", in, got, want)
+		if got := roundSig(in); got != want {
+			t.Errorf("roundSig(%v) = %v, want %v", in, got, want)
 		}
 	}
 }
@@ -107,14 +108,86 @@ func TestRoundSigFloatEdges(t *testing.T) {
 		{1.234e-300, 1.2e-300, false},
 		{1e-300, 1e-300, false},
 	} {
-		got := RoundSig(tc.in)
+		got := roundSig(tc.in)
 		ok := got == tc.want
 		if !tc.exact {
 			ok = math.Abs(got-tc.want) <= 1e-14*tc.want
 		}
 		if !ok || !(got > 0) || math.IsInf(got, 0) {
-			t.Errorf("RoundSig(%v) = %v, want %v", tc.in, got, tc.want)
+			t.Errorf("roundSig(%v) = %v, want %v", tc.in, got, tc.want)
 		}
+	}
+}
+
+// sameMap reports whether a and b are one map, not two equal ones.
+func sameMap(a, b map[string]float64) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// TestConvergedObserveRepublishesNothing: once a query's rounded hints stop
+// moving, Observe only folds the averages — no allocation, and readers keep
+// getting the snapshot they already had.
+func TestConvergedObserveRepublishesNothing(t *testing.T) {
+	s := NewStore(0)
+	sizes := map[string]float64{"a+b": 150, "a": 40}
+	for range 20 {
+		s.Observe("q", sizes)
+	}
+	snap := s.HintsBytes([]byte("q"))
+	if snap["a+b"] != 150 || snap["a"] != 40 {
+		t.Fatalf("converged hints: %v", snap)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Observe("q", sizes) }); allocs != 0 {
+		t.Fatalf("converged Observe allocates: %.2f allocs/op, want 0", allocs)
+	}
+	key := []byte("q")
+	if allocs := testing.AllocsPerRun(100, func() { s.HintsBytes(key) }); allocs != 0 {
+		t.Fatalf("HintsBytes allocates: %.2f allocs/op, want 0", allocs)
+	}
+	if !sameMap(s.HintsBytes(key), snap) {
+		t.Fatal("a converged query republished its hints")
+	}
+	// 152 rounds to 150: the average moves, the published value does not.
+	s.Observe("q", map[string]float64{"a+b": 154})
+	if !sameMap(s.HintsBytes(key), snap) {
+		t.Fatal("an observation that moved no rounded value republished the hints")
+	}
+}
+
+// TestHintsIsACopy: the map Hints returns is the caller's; writing into it
+// changes neither the store's snapshot nor a later Hints.
+func TestHintsIsACopy(t *testing.T) {
+	s := NewStore(0)
+	s.Observe("q", map[string]float64{"a+b": 100})
+	h := s.Hints("q")
+	h["a+b"] = 1
+	h["c"] = 2
+	for _, got := range []map[string]float64{s.Hints("q"), s.HintsBytes([]byte("q"))} {
+		if len(got) != 1 || got["a+b"] != 100 {
+			t.Fatalf("writing into Hints' map changed the store: %v", got)
+		}
+	}
+}
+
+// TestObservePublishesOnChange: a new set key or a moved rounded value
+// publishes a new snapshot, and the one readers already hold is unchanged.
+func TestObservePublishesOnChange(t *testing.T) {
+	s := NewStore(0.5)
+	key := []byte("q")
+	s.Observe("q", map[string]float64{"a+b": 100})
+	first := s.HintsBytes(key)
+	s.Observe("q", map[string]float64{"c": 7})
+	second := s.HintsBytes(key)
+	if sameMap(first, second) || len(second) != 2 || second["c"] != 7 || second["a+b"] != 100 {
+		t.Fatalf("a new set key: snapshot %v (republished %v)", second, !sameMap(first, second))
+	}
+	s.Observe("q", map[string]float64{"a+b": 300}) // ewma 200
+	third := s.HintsBytes(key)
+	if sameMap(second, third) || third["a+b"] != 200 || third["c"] != 7 {
+		t.Fatalf("a moved value: snapshot %v (republished %v)", third, !sameMap(second, third))
+	}
+	if len(first) != 1 || first["a+b"] != 100 || len(second) != 2 || second["a+b"] != 100 {
+		t.Fatalf("a published snapshot was modified: %v, %v", first, second)
 	}
 }
 
