@@ -168,6 +168,39 @@ func TestWarmHitWithFeedbackZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestConvergedObserveZeroAllocs: once a query's observed sizes have
+// converged, Observe republishes no hint snapshot, and the feedback key is
+// built on the stack and looked up by its bytes, so an observation
+// allocates nothing.
+func TestConvergedObserveZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	reqs := hotPathRequests(t, 16)
+	opt := New(nil)
+	fbs := make([]Feedback, len(reqs))
+	for i, r := range reqs {
+		fbs[i] = Feedback{Cat: r.Cat, Query: r.Query, Sizes: map[string]float64{
+			feedback.SetKey(r.Query.Tables[0], r.Query.Tables[1]): float64(100 + 37*i),
+		}}
+		for range 2 { // the second observation of a constant size moves nothing
+			if err := opt.Observe(fbs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := opt.Observe(fbs[i%len(fbs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("converged Observe allocates %.2f allocs/op, want 0", allocs)
+	}
+}
+
 // TestMissPathAllocBudget bounds the full optimize path — request
 // resolution, cache key, the whole dynamic program, the report — for every
 // algorithm. Unlike the hit gate this cannot be zero: the report and its

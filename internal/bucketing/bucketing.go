@@ -30,7 +30,7 @@ import (
 
 // Errors.
 var (
-	ErrBadBuckets = errors.New("bucketing: bucket count must be positive")
+	errBadBuckets = errors.New("bucketing: bucket count must be positive")
 )
 
 // Strategy names a bucketing approach.
@@ -63,7 +63,7 @@ func (s Strategy) String() string {
 // preserved too.
 func Coarsen(law dist.Dist, b int, strategy Strategy, boundaries []float64) (dist.Dist, error) {
 	if b <= 0 {
-		return dist.Dist{}, ErrBadBuckets
+		return dist.Dist{}, errBadBuckets
 	}
 	if law.Len() <= b {
 		return law, nil
@@ -77,7 +77,7 @@ func Coarsen(law dist.Dist, b int, strategy Strategy, boundaries []float64) (dis
 		cuts := selectCuts(boundaries, law.Min(), law.Max(), b-1)
 		return CoarsenByCuts(law, cuts)
 	default:
-		return dist.Dist{}, ErrBadBuckets
+		return dist.Dist{}, errBadBuckets
 	}
 }
 

@@ -30,10 +30,10 @@ func fineLaw(n int, lo, hi float64, seed int64) dist.Dist {
 
 func TestCoarsenValidation(t *testing.T) {
 	law := fineLaw(10, 0, 100, 1)
-	if _, err := Coarsen(law, 0, Uniform, nil); !errors.Is(err, ErrBadBuckets) {
+	if _, err := Coarsen(law, 0, Uniform, nil); !errors.Is(err, errBadBuckets) {
 		t.Fatal("zero buckets")
 	}
-	if _, err := Coarsen(law, 3, Strategy(99), nil); !errors.Is(err, ErrBadBuckets) {
+	if _, err := Coarsen(law, 3, Strategy(99), nil); !errors.Is(err, errBadBuckets) {
 		t.Fatal("unknown strategy")
 	}
 	small, err := Coarsen(law, 20, Uniform, nil)

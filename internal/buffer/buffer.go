@@ -13,7 +13,7 @@ import (
 
 // Errors.
 var (
-	ErrBadCapacity = errors.New("buffer: capacity must be positive")
+	errBadCapacity = errors.New("buffer: capacity must be positive")
 )
 
 // Stats aggregates physical I/O counters.
@@ -72,7 +72,7 @@ const none int32 = -1
 // NewPool builds a pool with the given page capacity.
 func NewPool(store *storage.Store, capacity int) (*Pool, error) {
 	if capacity <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadCapacity, capacity)
+		return nil, fmt.Errorf("%w: %d", errBadCapacity, capacity)
 	}
 	return &Pool{
 		store: store, capacity: capacity,

@@ -30,7 +30,7 @@ func setup(t *testing.T, pages, tpp int) (*storage.Store, *storage.Relation) {
 
 func TestNewPoolValidation(t *testing.T) {
 	s, _ := setup(t, 1, 1)
-	if _, err := NewPool(s, 0); !errors.Is(err, ErrBadCapacity) {
+	if _, err := NewPool(s, 0); !errors.Is(err, errBadCapacity) {
 		t.Fatal("zero capacity")
 	}
 }

@@ -21,12 +21,12 @@ import (
 
 // Errors returned by catalog operations.
 var (
-	ErrDupTable  = errors.New("catalog: duplicate table")
-	ErrDupColumn = errors.New("catalog: duplicate column")
-	ErrDupIndex  = errors.New("catalog: duplicate index")
+	errDupTable  = errors.New("catalog: duplicate table")
+	errDupColumn = errors.New("catalog: duplicate column")
+	errDupIndex  = errors.New("catalog: duplicate index")
 	ErrNoTable   = errors.New("catalog: no such table")
 	ErrNoColumn  = errors.New("catalog: no such column")
-	ErrNoIndex   = errors.New("catalog: no such index")
+	errNoIndex   = errors.New("catalog: no such index")
 	ErrBadStats  = errors.New("catalog: invalid statistics")
 )
 
@@ -137,7 +137,7 @@ func (t *Table) addColumn(c Column) error {
 		return fmt.Errorf("%w: empty column name on table %s", ErrBadStats, t.Name)
 	}
 	if _, ok := t.byName[c.Name]; ok {
-		return fmt.Errorf("%w: %s.%s", ErrDupColumn, t.Name, c.Name)
+		return fmt.Errorf("%w: %s.%s", errDupColumn, t.Name, c.Name)
 	}
 	if !(c.Distinct > 0) || math.IsInf(c.Distinct, 1) {
 		return fmt.Errorf("%w: %s.%s distinct must be positive and finite", ErrBadStats, t.Name, c.Name)
@@ -173,7 +173,7 @@ func (t *Table) TuplesPerPage() float64 { return t.Rows / t.Pages }
 // AddTable registers a table.
 func (c *Catalog) AddTable(t *Table) error {
 	if _, ok := c.tables[t.Name]; ok {
-		return fmt.Errorf("%w: %s", ErrDupTable, t.Name)
+		return fmt.Errorf("%w: %s", errDupTable, t.Name)
 	}
 	c.tables[t.Name] = t
 	c.InvalidateFingerprint()
@@ -211,7 +211,7 @@ func (c *Catalog) AddIndex(ix Index) error {
 		return fmt.Errorf("%w: empty index name", ErrBadStats)
 	}
 	if _, ok := c.indexes[ix.Name]; ok {
-		return fmt.Errorf("%w: %s", ErrDupIndex, ix.Name)
+		return fmt.Errorf("%w: %s", errDupIndex, ix.Name)
 	}
 	t, err := c.Table(ix.Table)
 	if err != nil {
@@ -234,7 +234,7 @@ func (c *Catalog) AddIndex(ix Index) error {
 func (c *Catalog) Index(name string) (Index, error) {
 	ix, ok := c.indexes[name]
 	if !ok {
-		return Index{}, fmt.Errorf("%w: %s", ErrNoIndex, name)
+		return Index{}, fmt.Errorf("%w: %s", errNoIndex, name)
 	}
 	return *ix, nil
 }

@@ -33,7 +33,7 @@ func TestNewTableValidation(t *testing.T) {
 	if _, err := NewTable("t", 10, 100, col("a", 5, 2, 1)); !errors.Is(err, ErrBadStats) {
 		t.Fatal("max<min should fail")
 	}
-	if _, err := NewTable("t", 10, 100, col("a", 5, 0, 9), col("a", 5, 0, 9)); !errors.Is(err, ErrDupColumn) {
+	if _, err := NewTable("t", 10, 100, col("a", 5, 0, 9), col("a", 5, 0, 9)); !errors.Is(err, errDupColumn) {
 		t.Fatal("dup column should fail")
 	}
 	tab, err := NewTable("t", 10, 100, col("a", 5, 0, 9))
@@ -89,7 +89,7 @@ func TestCatalogTablesAndIndexes(t *testing.T) {
 	if err := c.AddTable(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddTable(a); !errors.Is(err, ErrDupTable) {
+	if err := c.AddTable(a); !errors.Is(err, errDupTable) {
 		t.Fatal("dup table should fail")
 	}
 	if !c.HasTable("a") || c.HasTable("zz") {
@@ -102,7 +102,7 @@ func TestCatalogTablesAndIndexes(t *testing.T) {
 	if err := c.AddIndex(Index{Name: "ix_ax", Table: "a", Column: "x", Height: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddIndex(Index{Name: "ix_ax", Table: "a", Column: "x"}); !errors.Is(err, ErrDupIndex) {
+	if err := c.AddIndex(Index{Name: "ix_ax", Table: "a", Column: "x"}); !errors.Is(err, errDupIndex) {
 		t.Fatal("dup index should fail")
 	}
 	if err := c.AddIndex(Index{Name: "ix2", Table: "zz", Column: "x"}); !errors.Is(err, ErrNoTable) {
@@ -122,7 +122,7 @@ func TestCatalogTablesAndIndexes(t *testing.T) {
 	if err != nil || ix.Table != "a" {
 		t.Fatalf("Index lookup: %v %v", ix, err)
 	}
-	if _, err := c.Index("nope"); !errors.Is(err, ErrNoIndex) {
+	if _, err := c.Index("nope"); !errors.Is(err, errNoIndex) {
 		t.Fatal("missing index should fail")
 	}
 	if got := c.IndexesOn("a"); len(got) != 1 {
@@ -229,10 +229,10 @@ func TestJoinSelectivities(t *testing.T) {
 }
 
 func TestPageSelectivityEdgeCases(t *testing.T) {
-	if got := PageSelectivity(0.5, 10, 0, 10, 5); got != 0 {
+	if got := pageSelectivity(0.5, 10, 0, 10, 5); got != 0 {
 		t.Fatal("zero pages should yield 0")
 	}
-	if got := PageSelectivity(0, 100, 10, 100, 10); got != 0 {
+	if got := pageSelectivity(0, 100, 10, 100, 10); got != 0 {
 		t.Fatal("zero row sel should yield 0")
 	}
 }

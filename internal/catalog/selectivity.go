@@ -105,12 +105,12 @@ func (c *Catalog) JoinRowSelectivity(aTable, aCol, bTable, bCol string) (float64
 	return 1 / v, nil
 }
 
-// PageSelectivity converts a row selectivity for joining tables a and b
+// pageSelectivity converts a row selectivity for joining tables a and b
 // into the paper's page-scaled selectivity σ, defined so that the join
 // result occupies pagesOut = σ · pages(a) · pages(b) pages. The result
 // tuple density is approximated as the max of the input densities (wide
 // rows dominate page count).
-func PageSelectivity(rowSel, rowsA, pagesA, rowsB, pagesB float64) float64 {
+func pageSelectivity(rowSel, rowsA, pagesA, rowsB, pagesB float64) float64 {
 	if pagesA <= 0 || pagesB <= 0 {
 		return 0
 	}
@@ -127,7 +127,7 @@ func PageSelectivity(rowSel, rowsA, pagesA, rowsB, pagesB float64) float64 {
 }
 
 // JoinPageSelectivity is the catalog-level convenience composing
-// JoinRowSelectivity and PageSelectivity for a.x = b.y.
+// JoinRowSelectivity and pageSelectivity for a.x = b.y.
 func (c *Catalog) JoinPageSelectivity(aTable, aCol, bTable, bCol string) (float64, error) {
 	rowSel, err := c.JoinRowSelectivity(aTable, aCol, bTable, bCol)
 	if err != nil {
@@ -135,7 +135,7 @@ func (c *Catalog) JoinPageSelectivity(aTable, aCol, bTable, bCol string) (float6
 	}
 	at, _ := c.Table(aTable)
 	bt, _ := c.Table(bTable)
-	return PageSelectivity(rowSel, at.Rows, at.Pages, bt.Rows, bt.Pages), nil
+	return pageSelectivity(rowSel, at.Rows, at.Pages, bt.Rows, bt.Pages), nil
 }
 
 // SelectivityDist wraps a point selectivity estimate in an uncertainty

@@ -15,13 +15,10 @@ import (
 	"lecopt/internal/dist"
 )
 
-// Errors.
-var (
-	ErrBadEnvSpec = errors.New("catio: invalid environment spec")
-)
+var errBadEnvSpec = errors.New("catio: invalid environment spec")
 
-// ColumnJSON mirrors catalog.Column.
-type ColumnJSON struct {
+// columnJSON mirrors catalog.Column.
+type columnJSON struct {
 	Name     string  `json:"name"`
 	Type     string  `json:"type,omitempty"` // int | float | string
 	Distinct float64 `json:"distinct"`
@@ -29,16 +26,16 @@ type ColumnJSON struct {
 	Max      float64 `json:"max"`
 }
 
-// TableJSON mirrors catalog.Table.
-type TableJSON struct {
+// tableJSON mirrors catalog.Table.
+type tableJSON struct {
 	Name    string       `json:"name"`
 	Pages   float64      `json:"pages"`
 	Rows    float64      `json:"rows"`
-	Columns []ColumnJSON `json:"columns"`
+	Columns []columnJSON `json:"columns"`
 }
 
-// IndexJSON mirrors catalog.Index.
-type IndexJSON struct {
+// indexJSON mirrors catalog.Index.
+type indexJSON struct {
 	Name      string  `json:"name"`
 	Table     string  `json:"table"`
 	Column    string  `json:"column"`
@@ -46,25 +43,20 @@ type IndexJSON struct {
 	Height    float64 `json:"height"`
 }
 
-// CatalogJSON is the on-disk catalog document.
-type CatalogJSON struct {
-	Tables  []TableJSON `json:"tables"`
-	Indexes []IndexJSON `json:"indexes,omitempty"`
+// catalogJSON is the on-disk catalog document.
+type catalogJSON struct {
+	Tables  []tableJSON `json:"tables"`
+	Indexes []indexJSON `json:"indexes,omitempty"`
 }
 
 // Read decodes a catalog document.
 func Read(r io.Reader) (*catalog.Catalog, error) {
-	var doc CatalogJSON
+	var doc catalogJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("catio: %w", err)
 	}
-	return FromJSON(doc)
-}
-
-// FromJSON builds a catalog from the document.
-func FromJSON(doc CatalogJSON) (*catalog.Catalog, error) {
 	cat := catalog.New()
 	for _, tj := range doc.Tables {
 		cols := make([]catalog.Column, 0, len(tj.Columns))
@@ -97,25 +89,25 @@ func FromJSON(doc CatalogJSON) (*catalog.Catalog, error) {
 	return cat, nil
 }
 
-// Write encodes a catalog back to JSON (tables sorted by name).
+// write encodes a catalog back to JSON (tables sorted by name).
 //
 //leclint:allow reach -- test oracle: TestRoundTrip
-func Write(w io.Writer, cat *catalog.Catalog) error {
-	var doc CatalogJSON
+func write(w io.Writer, cat *catalog.Catalog) error {
+	var doc catalogJSON
 	for _, name := range cat.TableNames() {
 		t, err := cat.Table(name)
 		if err != nil {
 			return err
 		}
-		tj := TableJSON{Name: t.Name, Pages: t.Pages, Rows: t.Rows}
+		tj := tableJSON{Name: t.Name, Pages: t.Pages, Rows: t.Rows}
 		for _, c := range t.Columns() {
-			tj.Columns = append(tj.Columns, ColumnJSON{
+			tj.Columns = append(tj.Columns, columnJSON{
 				Name: c.Name, Type: c.Type.String(), Distinct: c.Distinct, Min: c.Min, Max: c.Max,
 			})
 		}
 		doc.Tables = append(doc.Tables, tj)
 		for _, ix := range cat.IndexesOn(name) {
-			doc.Indexes = append(doc.Indexes, IndexJSON{
+			doc.Indexes = append(doc.Indexes, indexJSON{
 				Name: ix.Name, Table: ix.Table, Column: ix.Column,
 				Clustered: ix.Clustered, Height: ix.Height,
 			})
@@ -146,7 +138,7 @@ func parseType(s string) (catalog.ColumnType, error) {
 func ParseMemLaw(spec string) (dist.Dist, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
-		return dist.Dist{}, fmt.Errorf("%w: empty law", ErrBadEnvSpec)
+		return dist.Dist{}, fmt.Errorf("%w: empty law", errBadEnvSpec)
 	}
 	var vals, probs []float64
 	for _, part := range strings.Split(spec, ",") {
@@ -155,22 +147,22 @@ func ParseMemLaw(spec string) (dist.Dist, error) {
 		switch n := strings.Count(part, ":"); n {
 		case 0:
 			if _, err := fmt.Sscanf(part, "%g", &v); err != nil {
-				return dist.Dist{}, fmt.Errorf("%w: %q", ErrBadEnvSpec, part)
+				return dist.Dist{}, fmt.Errorf("%w: %q", errBadEnvSpec, part)
 			}
 			p = 1
 		case 1:
 			if _, err := fmt.Sscanf(part, "%g:%g", &v, &p); err != nil {
-				return dist.Dist{}, fmt.Errorf("%w: %q", ErrBadEnvSpec, part)
+				return dist.Dist{}, fmt.Errorf("%w: %q", errBadEnvSpec, part)
 			}
 		default:
-			return dist.Dist{}, fmt.Errorf("%w: %q", ErrBadEnvSpec, part)
+			return dist.Dist{}, fmt.Errorf("%w: %q", errBadEnvSpec, part)
 		}
 		vals = append(vals, v)
 		probs = append(probs, p)
 	}
 	d, err := dist.New(vals, probs)
 	if err != nil {
-		return dist.Dist{}, fmt.Errorf("%w: %v", ErrBadEnvSpec, err)
+		return dist.Dist{}, fmt.Errorf("%w: %v", errBadEnvSpec, err)
 	}
 	return d, nil
 }

@@ -80,7 +80,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, cat); err != nil {
+	if err := write(&buf, cat); err != nil {
 		t.Fatal(err)
 	}
 	again, err := Read(bytes.NewReader(buf.Bytes()))
@@ -116,7 +116,7 @@ func TestParseMemLaw(t *testing.T) {
 		t.Fatalf("weights normalize: %v %v", weights, err)
 	}
 	for _, bad := range []string{"", "a:b", "1:2:3", "1:-1,2:0"} {
-		if _, err := ParseMemLaw(bad); !errors.Is(err, ErrBadEnvSpec) {
+		if _, err := ParseMemLaw(bad); !errors.Is(err, errBadEnvSpec) {
 			t.Fatalf("ParseMemLaw(%q) should fail, got %v", bad, err)
 		}
 	}

@@ -132,7 +132,7 @@ func TestOptimizeBatchPerJobErrors(t *testing.T) {
 		if !errors.Is(results[1].Err, ErrBadRequest) {
 			t.Fatalf("empty request error: %v", results[1].Err)
 		}
-		if !errors.Is(results[2].Err, ErrNoCatalog) {
+		if !errors.Is(results[2].Err, errNoCatalog) {
 			t.Fatalf("catalog-less request error: %v", results[2].Err)
 		}
 		if !errors.Is(results[3].Err, ErrUnknownAlg) {
@@ -149,7 +149,7 @@ func TestOptimizeBatchEmpty(t *testing.T) {
 
 func TestCacheKeyErrors(t *testing.T) {
 	sc := &Scenario{}
-	if _, err := sc.AppendCacheKey(nil, AlgC, 0, 0); !errors.Is(err, ErrNilScenario) {
+	if _, err := sc.AppendCacheKey(nil, AlgC, 0, 0); !errors.Is(err, errNilScenario) {
 		t.Fatalf("AppendCacheKey on empty scenario: %v", err)
 	}
 }

@@ -29,7 +29,7 @@ import (
 
 // Errors.
 var (
-	ErrNilScenario = errors.New("core: scenario is missing catalog or query")
+	errNilScenario = errors.New("core: scenario is missing catalog or query")
 	ErrUnknownAlg  = errors.New("core: unknown algorithm")
 )
 
@@ -107,7 +107,7 @@ type PlanReport struct {
 
 func (s *Scenario) check() error {
 	if s == nil || s.Cat == nil || s.Query == nil {
-		return ErrNilScenario
+		return errNilScenario
 	}
 	return s.Env.Validate()
 }

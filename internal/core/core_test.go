@@ -45,11 +45,11 @@ func paperScenario(t *testing.T) *Scenario {
 
 func TestScenarioChecks(t *testing.T) {
 	var nilSc *Scenario
-	if _, err := nilSc.Optimize(AlgC); !errors.Is(err, ErrNilScenario) {
+	if _, err := nilSc.Optimize(AlgC); !errors.Is(err, errNilScenario) {
 		t.Fatal("nil scenario")
 	}
 	sc := &Scenario{}
-	if _, err := sc.Optimize(AlgC); !errors.Is(err, ErrNilScenario) {
+	if _, err := sc.Optimize(AlgC); !errors.Is(err, errNilScenario) {
 		t.Fatal("empty scenario")
 	}
 	good := paperScenario(t)

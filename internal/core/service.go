@@ -24,7 +24,7 @@ import (
 
 // Service errors.
 var (
-	ErrNoCatalog  = errors.New("core: optimizer handle has no catalog (pass one to New, or set Request.Cat)")
+	errNoCatalog  = errors.New("core: optimizer handle has no catalog (pass one to New, or set Request.Cat)")
 	ErrBadRequest = errors.New("core: request names no query (set SQL, Query or Prepared)")
 )
 
@@ -33,8 +33,8 @@ const (
 	// DefaultDriftBand is the geometric band base for drift-banded plan
 	// cache keys: distinct counts within a factor-2 band hash equal.
 	DefaultDriftBand = 2
-	// DefaultCacheSize is the plan-cache capacity of a new handle.
-	DefaultCacheSize = 4096
+	// defaultCacheSize is the plan-cache capacity of a new handle.
+	defaultCacheSize = 4096
 	// BandMargin is the band-edge hysteresis width, in band units: after
 	// a counted miss on a banded key, the handle probes the two keys whose
 	// bands are offset by ±BandMargin before optimizing. A drift step of
@@ -54,7 +54,7 @@ const (
 type Config struct {
 	// Workers bounds batch-optimization concurrency (≤ 0 = GOMAXPROCS).
 	Workers int
-	// CacheSize is the plan-cache capacity: 0 means DefaultCacheSize, a
+	// CacheSize is the plan-cache capacity: 0 means defaultCacheSize, a
 	// negative value disables the plan cache.
 	CacheSize int
 	// DriftBand is the geometric band base for drift-banded cache keys:
@@ -93,30 +93,27 @@ type Optimizer struct {
 	band float64 // resolved drift band; 0 = exact keys
 
 	cache *plancache.Cache[PlanReport]
-	// stmts is the statement memo: schema digest + SQL text → the validated
-	// block, so a repeated text is a lookup, not a parse. Nil when the plan
-	// cache is disabled (see parse).
-	stmts *plancache.Cache[*query.Block]
+	// stmts is the statement memo: schema digest + SQL text → the prepared
+	// statement, so a repeated text is a lookup, not a parse. Nil when the
+	// plan cache is disabled (see parse).
+	stmts *plancache.Cache[*Prepared]
 	fb    *feedback.Store
-
-	mu       sync.Mutex
-	prepared map[string]*Prepared
 }
 
 // NewOptimizer builds a service handle over cat (which may be nil when
 // every request supplies its own catalog).
 func NewOptimizer(cat *catalog.Catalog, cfg Config) *Optimizer {
-	o := &Optimizer{cat: cat, cfg: cfg, prepared: make(map[string]*Prepared)}
+	o := &Optimizer{cat: cat, cfg: cfg}
 	o.band = ResolveDriftBand(cfg.DriftBand)
 	size := cfg.CacheSize
 	if size == 0 {
-		size = DefaultCacheSize
+		size = defaultCacheSize
 	}
 	// A statement with no cached plan is not worth remembering: the memo
 	// exists only beside a plan cache and holds as many entries.
 	if size > 0 {
 		o.cache = plancache.New[PlanReport](size)
-		o.stmts = plancache.New[*query.Block](size)
+		o.stmts = plancache.New[*Prepared](size)
 	}
 	if !cfg.DisableFeedback {
 		o.fb = feedback.NewStore(0)
@@ -196,16 +193,16 @@ func (o *Optimizer) resolveQuery(reqCat *catalog.Catalog, prep *Prepared, blk *q
 			return nil, nil, ErrBadRequest
 		}
 		if cat == nil {
-			return nil, nil, ErrNoCatalog
+			return nil, nil, errNoCatalog
 		}
-		parsed, err := o.parse(cat, sql)
+		parsed, err := o.parse(cat, sql, false)
 		if err != nil {
 			return nil, nil, err
 		}
-		blk = parsed
+		blk = parsed.block
 	}
 	if cat == nil {
-		return nil, nil, ErrNoCatalog
+		return nil, nil, errNoCatalog
 	}
 	return cat, blk, nil
 }
@@ -221,30 +218,47 @@ var stmtKeyPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// parse resolves SQL text to a validated block through the statement memo.
-// The key is the catalog's schema digest followed by the text: Validate
-// reads table and column names only, so its verdict holds for every catalog
-// with that digest, and statistics drift neither misses nor evicts. A
-// memoized block is shared by every request with its text and already
-// carries its canonical form. Errors are never memoized.
-func (o *Optimizer) parse(cat *catalog.Catalog, sql string) (*query.Block, error) {
-	if o.stmts == nil || len(sql) > maxMemoSQL {
-		return sqlmini.ParseAndValidate(sql, cat)
+// parse resolves SQL text to a prepared statement through the statement
+// memo. The key is the catalog's schema digest followed by the text:
+// Validate reads table and column names only, so its verdict holds for every
+// catalog with that digest, and statistics drift neither misses nor evicts.
+// A memoized statement is shared by every request with its text, and its
+// block already carries its canonical form. With plans set, a statement
+// without a parametric plan set gets one priced on cat, and the completed
+// copy replaces the entry: a shared statement is never mutated. Errors are
+// never memoized.
+func (o *Optimizer) parse(cat *catalog.Catalog, sql string, plans bool) (*Prepared, error) {
+	var key []byte
+	var blk *query.Block
+	var err error
+	if o.stmts != nil && len(sql) <= maxMemoSQL {
+		kb := stmtKeyPool.Get().(*[]byte)
+		defer stmtKeyPool.Put(kb)
+		key = append(cat.AppendSchemaDigest((*kb)[:0]), sql...)
+		*kb = key
+		if p, ok := o.stmts.GetBytes(key); ok {
+			if !plans || p.plans != nil {
+				return p, nil
+			}
+			blk = p.block
+		}
 	}
-	kb := stmtKeyPool.Get().(*[]byte)
-	defer stmtKeyPool.Put(kb)
-	key := append(cat.AppendSchemaDigest((*kb)[:0]), sql...)
-	*kb = key
-	if blk, ok := o.stmts.GetBytes(key); ok {
-		return blk, nil
+	if blk == nil {
+		if blk, err = sqlmini.ParseAndValidate(sql, cat); err != nil {
+			return nil, err
+		}
+		blk.Canonical() // memoized on the block before it is shared
 	}
-	blk, err := sqlmini.ParseAndValidate(sql, cat)
-	if err != nil {
-		return nil, err
+	p := &Prepared{opt: o, sql: sql, block: blk}
+	if plans {
+		if p.plans, err = parametric.Precompute(cat, blk, o.cfg.PlanSpace, o.cfg.AnticipatedLaws); err != nil {
+			return nil, fmt.Errorf("core: prepare: %w", err)
+		}
 	}
-	blk.Canonical() // memoized on the block before it is shared
-	o.stmts.Put(string(key), blk)
-	return blk, nil
+	if key != nil {
+		o.stmts.Put(string(key), p)
+	}
+	return p, nil
 }
 
 // call is one request in flight on the serving path: the resolved scenario,
@@ -612,7 +626,7 @@ func (o *Optimizer) Observe(fb Feedback) error {
 		return err
 	}
 	var buf [256]byte
-	o.fb.Observe(string(o.appendQueryKey(buf[:0], cat, blk)), fb.Sizes)
+	o.fb.ObserveBytes(o.appendQueryKey(buf[:0], cat, blk), fb.Sizes)
 	return nil
 }
 
@@ -690,37 +704,17 @@ type Prepared struct {
 }
 
 // Prepare parses, validates and canonicalizes sql against the handle's
-// catalog once, and — when the handle is configured with anticipated
-// memory laws — precomputes the parametric plan set. Prepared statements
-// are memoized by SQL text: preparing the same text twice returns the same
-// handle.
+// catalog through the statement memo, and — when the handle is configured
+// with anticipated memory laws — precomputes the parametric plan set once
+// per memo entry. Preparing the same text again returns the same handle
+// while its memo entry is resident. A handle without a plan cache has no
+// memo and memoizes nothing, nor does any handle for a text longer than the
+// memo's limit: each Prepare then parses (and precomputes) afresh.
 func (o *Optimizer) Prepare(sql string) (*Prepared, error) {
 	if o.cat == nil {
-		return nil, ErrNoCatalog
+		return nil, errNoCatalog
 	}
-	o.mu.Lock()
-	if p, ok := o.prepared[sql]; ok {
-		o.mu.Unlock()
-		return p, nil
-	}
-	o.mu.Unlock()
-	blk, err := o.parse(o.cat, sql)
-	if err != nil {
-		return nil, err
-	}
-	p := &Prepared{opt: o, sql: sql, block: blk}
-	if len(o.cfg.AnticipatedLaws) > 0 {
-		if p.plans, err = parametric.Precompute(o.cat, blk, o.cfg.PlanSpace, o.cfg.AnticipatedLaws); err != nil {
-			return nil, fmt.Errorf("core: prepare: %w", err)
-		}
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if exist, ok := o.prepared[sql]; ok { // lost a concurrent Prepare race
-		return exist, nil
-	}
-	o.prepared[sql] = p
-	return p, nil
+	return o.parse(o.cat, sql, len(o.cfg.AnticipatedLaws) > 0)
 }
 
 // SQL returns the prepared statement's text.

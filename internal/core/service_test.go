@@ -37,10 +37,10 @@ func TestOptimizeRequiresAQuery(t *testing.T) {
 	if _, err := o.Optimize(Request{Env: serviceEnv(t)}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("want ErrBadRequest, got %v", err)
 	}
-	if _, err := o.Optimize(Request{SQL: "SELECT * FROM a"}); !errors.Is(err, ErrNoCatalog) {
-		t.Fatalf("want ErrNoCatalog, got %v", err)
+	if _, err := o.Optimize(Request{SQL: "SELECT * FROM a"}); !errors.Is(err, errNoCatalog) {
+		t.Fatalf("want errNoCatalog, got %v", err)
 	}
-	if _, err := o.Prepare("SELECT * FROM a"); !errors.Is(err, ErrNoCatalog) {
+	if _, err := o.Prepare("SELECT * FROM a"); !errors.Is(err, errNoCatalog) {
 		t.Fatalf("Prepare without catalog: got %v", err)
 	}
 	if err := o.Observe(Feedback{Sizes: map[string]float64{feedback.SetKey("a", "b"): 10}}); !errors.Is(err, ErrBadRequest) {

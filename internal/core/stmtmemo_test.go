@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lecopt/internal/catalog"
+	"lecopt/internal/dist"
 	"lecopt/internal/feedback"
 	"lecopt/internal/query"
 	"lecopt/internal/sqlmini"
@@ -90,26 +91,26 @@ func TestStmtMemoFollowsCatalogMutation(t *testing.T) {
 		t.Fatalf("want ErrNoTable before t1 exists, got %v", err)
 	}
 	memoAddTable(t, cat, "t1:k")
-	before, err := o.parse(cat, memoJoin)
+	before, err := o.parse(cat, memoJoin, false)
 	if err != nil {
 		t.Fatalf("after AddTable(t1): %v", err)
 	}
 	if err := cat.AddIndex(catalog.Index{Name: "ix", Table: "t1", Column: "k", Height: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if again, err := o.parse(cat, memoJoin); err != nil || again != before {
+	if again, err := o.parse(cat, memoJoin, false); err != nil || again != before {
 		t.Fatalf("AddIndex leaves the schema alone: want the memoized block, got %p vs %p (err %v)", again, before, err)
 	}
 	memoAddTable(t, cat, "t2:k")
-	after, err := o.parse(cat, memoJoin)
+	after, err := o.parse(cat, memoJoin, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after == before {
 		t.Fatal("AddTable changed the schema but the text was not validated again")
 	}
-	if after.Canonical() != before.Canonical() {
-		t.Fatalf("revalidation changed the query: %q vs %q", after.Canonical(), before.Canonical())
+	if after.block.Canonical() != before.block.Canonical() {
+		t.Fatalf("revalidation changed the query: %q vs %q", after.block.Canonical(), before.block.Canonical())
 	}
 }
 
@@ -118,7 +119,7 @@ func TestStmtMemoFollowsCatalogMutation(t *testing.T) {
 func TestStmtMemoSurvivesStatisticsDrift(t *testing.T) {
 	cat := memoCat(t, "t0:k", "t1:k")
 	o := NewOptimizer(cat, Config{})
-	base, err := o.parse(cat, memoJoin)
+	base, err := o.parse(cat, memoJoin, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestStmtMemoSurvivesStatisticsDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if blk, err := o.parse(drifted, memoJoin); err != nil || blk != base {
+		if blk, err := o.parse(drifted, memoJoin, false); err != nil || blk != base {
 			t.Fatalf("drift %v: want the memoized block, got %p vs %p (err %v)", f, blk, base, err)
 		}
 		if _, err := memoOptimize(t, o, drifted, memoJoin); err != nil {
@@ -182,7 +183,7 @@ func TestStmtMemoBounded(t *testing.T) {
 	o := NewOptimizer(cat, Config{CacheSize: capacity})
 	text := func(i int) string { return fmt.Sprintf("SELECT * FROM t0 WHERE t0.k < %d", i) }
 	for i := 0; i <= capacity; i++ {
-		if _, err := o.parse(cat, text(i)); err != nil {
+		if _, err := o.parse(cat, text(i), false); err != nil {
 			t.Fatal(err)
 		}
 		if n := o.stmts.Stats().Size; n > capacity {
@@ -193,10 +194,46 @@ func TestStmtMemoBounded(t *testing.T) {
 		t.Fatalf("%d distinct texts through a %d-entry memo evicted nothing", capacity+1, capacity)
 	}
 	for i := 0; i <= capacity; i++ { // evicted or resident, a text still resolves
-		blk, err := o.parse(cat, text(i))
-		if err != nil || blk.Filters[0].Value != float64(i) {
+		blk, err := o.parse(cat, text(i), false)
+		if err != nil || blk.block.Filters[0].Value != float64(i) {
 			t.Fatalf("text %d after eviction pressure: %v, %v", i, blk, err)
 		}
+	}
+}
+
+// TestPrepareBounded: prepared statements live in the statement memo, so
+// preparing more distinct texts than the handle's capacity never holds more
+// than capacity statements. Four goroutines prepare overlapping texts on a
+// handle with an anticipated law, so under -race this also covers Prepare
+// completing a memo entry with its plan set while others read it.
+func TestPrepareBounded(t *testing.T) {
+	const capacity = 64
+	law, err := dist.Bimodal(64, 4096, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewOptimizer(memoCat(t, "t0:k"), Config{CacheSize: capacity, AnticipatedLaws: []dist.Dist{law}})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < capacity; i++ {
+				p, err := o.Prepare(fmt.Sprintf("SELECT * FROM t0 WHERE t0.k < %d", g*capacity/2+i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n := len(p.Entries()); n != 1 {
+					t.Errorf("prepared statement has %d plan-set entries, want 1", n)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := o.stmts.Stats().Size; n > capacity {
+		t.Fatalf("memo holds %d statements after %d texts, capacity %d", n, 5*capacity/2, capacity)
 	}
 }
 
@@ -206,11 +243,11 @@ func TestStmtMemoBypass(t *testing.T) {
 	cat := memoCat(t, "t0:k", "t1:k")
 	o := NewOptimizer(cat, Config{})
 	long := memoJoin + strings.Repeat(" ", maxMemoSQL)
-	first, err := o.parse(cat, long)
+	first, err := o.parse(cat, long, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := o.parse(cat, long)
+	second, err := o.parse(cat, long, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"sort"
 )
 
-// ErrBadChain reports invalid Markov-chain inputs.
-var ErrBadChain = errors.New("dist: invalid markov chain")
+// errBadChain reports invalid Markov-chain inputs.
+var errBadChain = errors.New("dist: invalid markov chain")
 
 // Chain is a row-stochastic Markov chain over ascending memory levels —
 // the Section 3.5 model of memory that drifts between join phases as
@@ -24,16 +24,16 @@ type Chain struct {
 // and allocates zeroed rows for the constructors to fill.
 func newChain(states []float64) (*Chain, error) {
 	if len(states) == 0 {
-		return nil, fmt.Errorf("%w: no states", ErrBadChain)
+		return nil, fmt.Errorf("%w: no states", errBadChain)
 	}
 	s := append([]float64(nil), states...)
 	sort.Float64s(s)
 	for i, v := range s {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("%w: non-finite state %v", ErrBadChain, v)
+			return nil, fmt.Errorf("%w: non-finite state %v", errBadChain, v)
 		}
 		if i > 0 && s[i-1] == v {
-			return nil, fmt.Errorf("%w: duplicate state %v", ErrBadChain, v)
+			return nil, fmt.Errorf("%w: duplicate state %v", errBadChain, v)
 		}
 	}
 	rows := make([][]float64, len(s))
@@ -49,7 +49,7 @@ func newChain(states []float64) (*Chain, error) {
 // all to their single neighbour). A one-state chain always stays.
 func Sticky(levels []float64, stay float64) (*Chain, error) {
 	if math.IsNaN(stay) || stay < 0 || stay > 1 {
-		return nil, fmt.Errorf("%w: stay probability %v", ErrBadChain, stay)
+		return nil, fmt.Errorf("%w: stay probability %v", errBadChain, stay)
 	}
 	c, err := newChain(levels)
 	if err != nil {
@@ -81,7 +81,7 @@ func Sticky(levels []float64, stay float64) (*Chain, error) {
 // boundaries. pUp + pDown must not exceed 1.
 func RandomWalk(states []float64, pUp, pDown float64) (*Chain, error) {
 	if math.IsNaN(pUp) || math.IsNaN(pDown) || pUp < 0 || pDown < 0 || pUp+pDown > 1 {
-		return nil, fmt.Errorf("%w: pUp %v, pDown %v", ErrBadChain, pUp, pDown)
+		return nil, fmt.Errorf("%w: pUp %v, pDown %v", errBadChain, pUp, pDown)
 	}
 	c, err := newChain(states)
 	if err != nil {
@@ -137,13 +137,13 @@ func (c *Chain) index(v float64) (int, bool) {
 // chain's states, failing if the law puts mass outside them.
 func (c *Chain) initVector(init Dist) ([]float64, error) {
 	if init.IsZero() {
-		return nil, fmt.Errorf("%w: empty initial law", ErrBadChain)
+		return nil, fmt.Errorf("%w: empty initial law", errBadChain)
 	}
 	vec := make([]float64, len(c.states))
 	for i := 0; i < init.Len(); i++ {
 		j, ok := c.index(init.Value(i))
 		if !ok {
-			return nil, fmt.Errorf("%w: initial law value %v is not a chain state", ErrBadChain, init.Value(i))
+			return nil, fmt.Errorf("%w: initial law value %v is not a chain state", errBadChain, init.Value(i))
 		}
 		vec[j] += init.Prob(i)
 	}

@@ -58,14 +58,14 @@ func TestStickySingleStateAndValidation(t *testing.T) {
 	}
 	approx(t, c.rows[0][0], 1, 0, "one-state chain always stays")
 	for _, bad := range []float64{-0.1, 1.5, math.NaN()} {
-		if _, err := Sticky([]float64{1, 2}, bad); !errors.Is(err, ErrBadChain) {
+		if _, err := Sticky([]float64{1, 2}, bad); !errors.Is(err, errBadChain) {
 			t.Fatalf("stay=%v should fail", bad)
 		}
 	}
-	if _, err := Sticky(nil, 0.5); !errors.Is(err, ErrBadChain) {
+	if _, err := Sticky(nil, 0.5); !errors.Is(err, errBadChain) {
 		t.Fatal("no states should fail")
 	}
-	if _, err := Sticky([]float64{5, 5}, 0.5); !errors.Is(err, ErrBadChain) {
+	if _, err := Sticky([]float64{5, 5}, 0.5); !errors.Is(err, errBadChain) {
 		t.Fatal("duplicate states should fail")
 	}
 }
@@ -84,7 +84,7 @@ func TestRandomWalkTransitions(t *testing.T) {
 	approx(t, c.rows[0][0], 0.8, 1e-12, "bottom stay")
 	approx(t, c.rows[2][2], 0.7, 1e-12, "top stay")
 	for _, bad := range [][2]float64{{-0.1, 0.1}, {0.1, -0.1}, {0.7, 0.7}, {math.NaN(), 0}} {
-		if _, err := RandomWalk([]float64{1, 2}, bad[0], bad[1]); !errors.Is(err, ErrBadChain) {
+		if _, err := RandomWalk([]float64{1, 2}, bad[0], bad[1]); !errors.Is(err, errBadChain) {
 			t.Fatalf("RandomWalk(%v) should fail", bad)
 		}
 	}
@@ -153,10 +153,10 @@ func TestPhaseLawsEvolution(t *testing.T) {
 		t.Fatal("clamp")
 	}
 	// Off-state mass is rejected.
-	if _, err := c.PhaseLaws(Point(15), 2); !errors.Is(err, ErrBadChain) {
+	if _, err := c.PhaseLaws(Point(15), 2); !errors.Is(err, errBadChain) {
 		t.Fatal("off-state init should fail")
 	}
-	if _, err := c.PhaseLaws(Dist{}, 2); !errors.Is(err, ErrBadChain) {
+	if _, err := c.PhaseLaws(Dist{}, 2); !errors.Is(err, errBadChain) {
 		t.Fatal("zero init should fail")
 	}
 }
@@ -250,7 +250,7 @@ func TestSampleSeqFollowsChain(t *testing.T) {
 		}
 	}
 	approx(t, float64(stays)/float64(steps), 0.75, 0.02, "empirical stay rate")
-	if _, err := c.SampleSeq(rng, Point(99), 3); !errors.Is(err, ErrBadChain) {
+	if _, err := c.SampleSeq(rng, Point(99), 3); !errors.Is(err, errBadChain) {
 		t.Fatal("off-state init should fail")
 	}
 	// n clamps to 1.
@@ -297,7 +297,7 @@ func TestAllSeqsEnumeratesExactly(t *testing.T) {
 		approx(t, pLow, laws[phase].PrAtMost(10), 1e-12, "sequence marginal matches phase law")
 	}
 
-	if _, _, err := c.AllSeqs(Point(42), 2); !errors.Is(err, ErrBadChain) {
+	if _, _, err := c.AllSeqs(Point(42), 2); !errors.Is(err, errBadChain) {
 		t.Fatal("off-state init should fail")
 	}
 }

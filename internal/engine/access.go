@@ -36,7 +36,7 @@ import (
 // Access-path errors.
 var (
 	errStaleIndex = errors.New("engine: index is stale for its relation")
-	ErrPredColumn = errors.New("engine: predicate column not in relation")
+	errPredColumn = errors.New("engine: predicate column not in relation")
 )
 
 // scanFrames is the streaming pool capacity of an access path: one frame
@@ -150,7 +150,7 @@ func matcher(rel *storage.Relation, pred *plan.ScanPred) (func(storage.Tuple) bo
 	}
 	ci, err := rel.ColIndex(pred.Column)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s.%s", ErrPredColumn, rel.Name, pred.Column)
+		return nil, fmt.Errorf("%w: %s.%s", errPredColumn, rel.Name, pred.Column)
 	}
 	return func(t storage.Tuple) bool { return pred.Match(float64(t[ci])) }, nil
 }

@@ -24,8 +24,8 @@ import (
 
 // Errors.
 var (
-	ErrBadMemory = errors.New("engine: memory budget too small")
-	ErrBadSpec   = errors.New("engine: invalid spec")
+	errBadMemory = errors.New("engine: memory budget too small")
+	errBadSpec   = errors.New("engine: invalid spec")
 )
 
 // Engine executes operators against one store. Like its store, it serves
@@ -76,10 +76,10 @@ func (e *Engine) Join(spec JoinSpec, mem int) (*storage.Relation, buffer.Stats, 
 func (e *Engine) JoinDetailed(spec JoinSpec, mem int) (*storage.Relation, buffer.Stats, JoinDetail, error) {
 	var det JoinDetail
 	if mem < 3 {
-		return nil, buffer.Stats{}, det, fmt.Errorf("%w: %d pages", ErrBadMemory, mem)
+		return nil, buffer.Stats{}, det, fmt.Errorf("%w: %d pages", errBadMemory, mem)
 	}
 	if !slices.Contains(cost.Methods, spec.Method) {
-		return nil, buffer.Stats{}, det, fmt.Errorf("%w: method %v", ErrBadSpec, spec.Method)
+		return nil, buffer.Stats{}, det, fmt.Errorf("%w: method %v", errBadSpec, spec.Method)
 	}
 	outer, err := e.store.Get(spec.Outer)
 	if err != nil {
@@ -590,7 +590,7 @@ func (e *Engine) mergeInto(pool *buffer.Pool, runs []*storage.Relation, col int,
 // uncharged — pipelined) and the I/O incurred.
 func (e *Engine) SortRelation(name, col string, mem int) (*storage.Relation, buffer.Stats, error) {
 	if mem < 3 {
-		return nil, buffer.Stats{}, fmt.Errorf("%w: %d pages", ErrBadMemory, mem)
+		return nil, buffer.Stats{}, fmt.Errorf("%w: %d pages", errBadMemory, mem)
 	}
 	rel, err := e.store.Get(name)
 	if err != nil {

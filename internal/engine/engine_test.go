@@ -116,7 +116,7 @@ func TestJoinManyToMany(t *testing.T) {
 func TestJoinValidation(t *testing.T) {
 	e := loadPair(t, 1, 2, 2, 4, 10)
 	spec := JoinSpec{Method: cost.SortMerge, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}
-	if _, _, err := e.Join(spec, 2); !errors.Is(err, ErrBadMemory) {
+	if _, _, err := e.Join(spec, 2); !errors.Is(err, errBadMemory) {
 		t.Fatal("tiny memory should fail")
 	}
 	bad := spec
@@ -131,7 +131,7 @@ func TestJoinValidation(t *testing.T) {
 	}
 	bad = spec
 	bad.Method = cost.JoinMethod(99)
-	if _, _, err := e.Join(bad, 10); !errors.Is(err, ErrBadSpec) {
+	if _, _, err := e.Join(bad, 10); !errors.Is(err, errBadSpec) {
 		t.Fatal("unknown method")
 	}
 }
@@ -283,7 +283,7 @@ func TestSortRelationCorrectAndCharged(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := e.SortRelation("R", "k", 2); !errors.Is(err, ErrBadMemory) {
+	if _, _, err := e.SortRelation("R", "k", 2); !errors.Is(err, errBadMemory) {
 		t.Fatal("tiny memory")
 	}
 	if _, _, err := e.SortRelation("zz", "k", 5); err == nil {
@@ -433,8 +433,8 @@ func TestErrorPathsLeaveNoTemps(t *testing.T) {
 	names := func() int { return len(e.store.Names()) }
 	base := names()
 	spec := JoinSpec{Method: cost.JoinMethod(99), Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}
-	if _, _, _, err := e.JoinDetailed(spec, 8); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("unknown method: err = %v, want ErrBadSpec", err)
+	if _, _, _, err := e.JoinDetailed(spec, 8); !errors.Is(err, errBadSpec) {
+		t.Fatalf("unknown method: err = %v, want errBadSpec", err)
 	}
 	if names() != base {
 		t.Fatalf("unknown method leaked: %v", e.store.Names())

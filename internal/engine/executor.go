@@ -14,9 +14,8 @@ import (
 
 // Executor errors.
 var (
-	ErrNotLeftDeep = errors.New("engine: executor requires a left-deep plan")
-	ErrNoRelation2 = errors.New("engine: plan references a relation not in the store")
-	ErrShortMems   = errors.New("engine: memory sequence shorter than plan phases")
+	errNotLeftDeep = errors.New("engine: executor requires a left-deep plan")
+	errShortMems   = errors.New("engine: memory sequence shorter than plan phases")
 )
 
 // ExecResult is the outcome of executing a whole plan.
@@ -72,11 +71,11 @@ func (e *Engine) ExecutePlan(p *plan.Node, memSeq []float64) (ExecResult, error)
 		return ExecResult{}, err
 	}
 	if !p.IsLeftDeep() {
-		return ExecResult{}, ErrNotLeftDeep
+		return ExecResult{}, errNotLeftDeep
 	}
 	phases := p.Phases()
 	if len(memSeq) < phases {
-		return ExecResult{}, fmt.Errorf("%w: %d < %d", ErrShortMems, len(memSeq), phases)
+		return ExecResult{}, fmt.Errorf("%w: %d < %d", errShortMems, len(memSeq), phases)
 	}
 	// One conversion for every operator of the plan, done before any temp
 	// exists: a NaN budget is the caller's bug, not a 3-page run.
@@ -84,7 +83,7 @@ func (e *Engine) ExecutePlan(p *plan.Node, memSeq []float64) (ExecResult, error)
 	phaseMem := make([]float64, phases)
 	for i, m := range memSeq[:phases] {
 		if math.IsNaN(m) {
-			return ExecResult{}, fmt.Errorf("%w: phase %d is NaN", ErrBadMemory, i)
+			return ExecResult{}, fmt.Errorf("%w: phase %d is NaN", errBadMemory, i)
 		}
 		mem[i] = cost.MemPages(m)
 		phaseMem[i] = float64(mem[i])
@@ -151,7 +150,7 @@ func (ex *executor) eval(n *plan.Node) (*storage.Relation, []string, error) {
 	case plan.KindScan:
 		rel, err := ex.eng.store.Get(n.Table)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %s", ErrNoRelation2, n.Table)
+			return nil, nil, err
 		}
 		switch {
 		case n.Access == plan.AccessIndex:

@@ -161,12 +161,12 @@ func TestExecutePlanNoTempLeak(t *testing.T) {
 func TestExecutePlanErrors(t *testing.T) {
 	e := loadTriple(t, 11, 4, 4, 4, 10)
 	p := triplePlan(cost.SortMerge, cost.SortMerge, false)
-	if _, err := e.ExecutePlan(p, []float64{10}); !errors.Is(err, ErrShortMems) {
+	if _, err := e.ExecutePlan(p, []float64{10}); !errors.Is(err, errShortMems) {
 		t.Fatal("short memory sequence")
 	}
 	bad := triplePlan(cost.SortMerge, cost.SortMerge, false)
 	bad.Left.Left.Table = "missing"
-	if _, err := e.ExecutePlan(bad, []float64{10, 10}); !errors.Is(err, ErrNoRelation2) {
+	if _, err := e.ExecutePlan(bad, []float64{10, 10}); !errors.Is(err, storage.ErrNoRelation) {
 		t.Fatal("missing relation")
 	}
 	bushy := plan.NewJoin(cost.PageNL,
@@ -175,7 +175,7 @@ func TestExecutePlanErrors(t *testing.T) {
 			plan.NewScan("B", plan.AccessHeap, "", 1, 4),
 			plan.NewScan("C", plan.AccessHeap, "", 1, 4), 4, plan.Order{}),
 		4, plan.Order{})
-	if _, err := e.ExecutePlan(bushy, []float64{10, 10}); !errors.Is(err, ErrNotLeftDeep) {
+	if _, err := e.ExecutePlan(bushy, []float64{10, 10}); !errors.Is(err, errNotLeftDeep) {
 		t.Fatal("bushy plan")
 	}
 	var nilPlan *plan.Node
@@ -293,8 +293,8 @@ func TestExecutePlanNaNMemory(t *testing.T) {
 	e := loadTriple(t, 22, 12, 8, 6, 25)
 	before := e.store.Names()
 	for _, mem := range [][]float64{{math.NaN(), 10}, {10, math.NaN()}} {
-		if _, err := e.ExecutePlan(triplePlan(cost.SortMerge, cost.PageNL, true), mem); !errors.Is(err, ErrBadMemory) {
-			t.Fatalf("mem %v: err = %v, want ErrBadMemory", mem, err)
+		if _, err := e.ExecutePlan(triplePlan(cost.SortMerge, cost.PageNL, true), mem); !errors.Is(err, errBadMemory) {
+			t.Fatalf("mem %v: err = %v, want errBadMemory", mem, err)
 		}
 		if after := e.store.Names(); len(after) != len(before) {
 			t.Fatalf("mem %v: temps created before the check: %v", mem, after)

@@ -19,8 +19,8 @@ import (
 
 // Errors.
 var (
-	ErrNoEnv   = errors.New("envsim: environment needs a memory law")
-	ErrNoPlans = errors.New("envsim: nothing to simulate")
+	errNoEnv   = errors.New("envsim: environment needs a memory law")
+	errNoPlans = errors.New("envsim: nothing to simulate")
 )
 
 // Env describes an execution environment: the initial memory law and,
@@ -34,7 +34,7 @@ type Env struct {
 // Validate checks the environment is usable.
 func (e Env) Validate() error {
 	if e.Mem.IsZero() {
-		return ErrNoEnv
+		return errNoEnv
 	}
 	if e.Chain != nil {
 		// Every support value must be a chain state. Both sequences are
@@ -114,7 +114,7 @@ type RunStats struct {
 // because optimizer's tests reach envsim through package workload.
 func Simulate(p *plan.Node, env Env, runs int, rng *rand.Rand, price func(*plan.Node, []dist.Dist) (float64, error)) (RunStats, error) {
 	if p == nil || runs <= 0 {
-		return RunStats{}, ErrNoPlans
+		return RunStats{}, errNoPlans
 	}
 	phases := p.Phases()
 	costs := make([]float64, 0, runs)
@@ -208,7 +208,7 @@ type TournamentResult struct {
 // trajectory, as long as the deepest plan's phase count.
 func (t *Tournament) Run(env Env, runs int, rng *rand.Rand, price func(*plan.Node, []dist.Dist) (float64, error)) (TournamentResult, error) {
 	if len(t.Plans) == 0 || len(t.Plans) != len(t.Names) {
-		return TournamentResult{}, ErrNoPlans
+		return TournamentResult{}, errNoPlans
 	}
 	maxPhases := 1
 	for _, p := range t.Plans {

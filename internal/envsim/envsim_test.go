@@ -38,7 +38,7 @@ func twoJoinPlan() *plan.Node {
 }
 
 func TestEnvValidate(t *testing.T) {
-	if err := (Env{}).Validate(); !errors.Is(err, ErrNoEnv) {
+	if err := (Env{}).Validate(); !errors.Is(err, errNoEnv) {
 		t.Fatal("empty env")
 	}
 	chain, err := dist.Sticky([]float64{10, 20}, 0.5)
@@ -164,11 +164,11 @@ func TestSimulateConvergesToExpectedCost(t *testing.T) {
 }
 
 func TestSimulateErrors(t *testing.T) {
-	if _, err := Simulate(nil, Env{Mem: dist.Point(1)}, 10, rand.New(rand.NewSource(1)), paperCost); !errors.Is(err, ErrNoPlans) {
+	if _, err := Simulate(nil, Env{Mem: dist.Point(1)}, 10, rand.New(rand.NewSource(1)), paperCost); !errors.Is(err, errNoPlans) {
 		t.Fatal("nil plan")
 	}
 	p := twoJoinPlan()
-	if _, err := Simulate(p, Env{Mem: dist.Point(1)}, 0, rand.New(rand.NewSource(1)), paperCost); !errors.Is(err, ErrNoPlans) {
+	if _, err := Simulate(p, Env{Mem: dist.Point(1)}, 0, rand.New(rand.NewSource(1)), paperCost); !errors.Is(err, errNoPlans) {
 		t.Fatal("zero runs")
 	}
 	if _, err := Simulate(p, Env{}, 5, rand.New(rand.NewSource(1)), paperCost); err == nil {
@@ -207,7 +207,7 @@ func TestTournamentExample11(t *testing.T) {
 
 func TestTournamentValidation(t *testing.T) {
 	tr := &Tournament{Names: []string{"x"}, Plans: nil}
-	if _, err := tr.Run(Env{Mem: dist.Point(5)}, 5, rand.New(rand.NewSource(1)), paperCost); !errors.Is(err, ErrNoPlans) {
+	if _, err := tr.Run(Env{Mem: dist.Point(5)}, 5, rand.New(rand.NewSource(1)), paperCost); !errors.Is(err, errNoPlans) {
 		t.Fatal("mismatched tournament")
 	}
 }

@@ -13,10 +13,10 @@ import (
 	"lecopt/internal/workload"
 )
 
-// E1MotivatingExample reproduces Example 1.1 exactly: the classical
+// e1MotivatingExample reproduces Example 1.1 exactly: the classical
 // optimizer (mean or modal memory) selects the sort-merge plan; the LEC
 // algorithms select grace-hash + sort, whose expected cost is lower.
-func E1MotivatingExample() (Table, error) {
+func e1MotivatingExample() (Table, error) {
 	cat, blk, err := Example11()
 	if err != nil {
 		return Table{}, err
@@ -81,14 +81,14 @@ func E1MotivatingExample() (Table, error) {
 	return t, nil
 }
 
-// E2VarianceSweep increases the run-time variability of memory — the
+// e2VarianceSweep increases the run-time variability of memory — the
 // probability of landing in Example 1.1's contended 700-page state — and
 // tracks the LSC plan's expected-cost penalty relative to the LEC plan.
 // The law's variance is 1300²·p(1-p), strictly increasing over p ∈ [0, ½],
 // so this is exactly the paper's "the greater the run-time variation in
 // the values of parameters ... the greater the cost advantage of the LEC
 // plan is likely to be".
-func E2VarianceSweep() (Table, error) {
+func e2VarianceSweep() (Table, error) {
 	cat, blk, err := Example11()
 	if err != nil {
 		return Table{}, err
@@ -145,9 +145,9 @@ func E2VarianceSweep() (Table, error) {
 	return t, nil
 }
 
-// E3SystemRBaseline verifies Theorem 2.1 on random scenarios: the DP's
+// e3SystemRBaseline verifies Theorem 2.1 on random scenarios: the DP's
 // plan cost equals the exhaustive left-deep minimum at a fixed point.
-func E3SystemRBaseline() (Table, error) {
+func e3SystemRBaseline() (Table, error) {
 	t := Table{
 		ID:      "E3",
 		Title:   "System R DP vs exhaustive left-deep search (fixed memory)",
@@ -185,10 +185,10 @@ func E3SystemRBaseline() (Table, error) {
 	return t, nil
 }
 
-// E4AlgorithmA measures the black-box algorithm across the standard
+// e4AlgorithmA measures the black-box algorithm across the standard
 // environments: its plan never loses to the mean- or mode-LSC plan, at the
 // cost of b optimizer invocations.
-func E4AlgorithmA() (Table, error) {
+func e4AlgorithmA() (Table, error) {
 	t := Table{
 		ID:      "E4",
 		Title:   "Algorithm A vs classical LSC across environments (20 random queries each)",
@@ -244,9 +244,9 @@ func E4AlgorithmA() (Table, error) {
 	return t, nil
 }
 
-// E5TopCFrontier checks Proposition 3.1: probing only the (i+1)(k+1) ≤ c
+// e5TopCFrontier checks Proposition 3.1: probing only the (i+1)(k+1) ≤ c
 // frontier returns the exact top-c combinations within c + c·ln c probes.
-func E5TopCFrontier() (Table, error) {
+func e5TopCFrontier() (Table, error) {
 	t := Table{
 		ID:      "E5",
 		Title:   "Proposition 3.1 frontier: probes vs bound vs full c² scan",
@@ -304,9 +304,9 @@ func bruteTopC(left, right []float64, c int) []float64 {
 	return all
 }
 
-// E6AlgorithmB sweeps the candidate-list depth c: more candidates can only
+// e6AlgorithmB sweeps the candidate-list depth c: more candidates can only
 // improve the selected plan, approaching Algorithm C's LEC optimum.
-func E6AlgorithmB() (Table, error) {
+func e6AlgorithmB() (Table, error) {
 	t := Table{
 		ID:      "E6",
 		Title:   "Algorithm B: plan quality and frontier probes vs c (15 random queries)",
@@ -367,9 +367,9 @@ func E6AlgorithmB() (Table, error) {
 	return t, nil
 }
 
-// E7AlgorithmC verifies Theorem 3.3 on random scenarios and the
+// e7AlgorithmC verifies Theorem 3.3 on random scenarios and the
 // EC(C) ≤ EC(B) ≤ EC(A) ≤ EC(LSC) hierarchy.
-func E7AlgorithmC() (Table, error) {
+func e7AlgorithmC() (Table, error) {
 	t := Table{
 		ID:      "E7",
 		Title:   "Theorem 3.3: Algorithm C equals exhaustive LEC; algorithm hierarchy",
@@ -434,10 +434,10 @@ func E7AlgorithmC() (Table, error) {
 	return t, nil
 }
 
-// E8AlgCScaling measures Algorithm C's optimization time as the memory
+// e8AlgCScaling measures Algorithm C's optimization time as the memory
 // law's bucket count grows: the paper's claim is "b times the cost of the
 // standard computation", i.e. linear in b.
-func E8AlgCScaling() (Table, error) {
+func e8AlgCScaling() (Table, error) {
 	t := Table{
 		ID:      "E8",
 		Title:   "Algorithm C optimization time vs memory buckets (6-table chain)",

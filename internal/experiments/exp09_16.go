@@ -21,12 +21,12 @@ import (
 	"lecopt/internal/workload"
 )
 
-// E9DynamicMemory exercises Theorem 3.4: with memory evolving between
+// e9DynamicMemory exercises Theorem 3.4: with memory evolving between
 // phases as a Markov chain, dynamic Algorithm C (phase-law costing) finds
 // the plan of least expected cost; plans chosen by static-law or
 // point-estimate optimization can only tie or lose under the true phase
 // laws.
-func E9DynamicMemory() (Table, error) {
+func e9DynamicMemory() (Table, error) {
 	t := Table{
 		ID:      "E9",
 		Title:   "Dynamic memory (Markov phases): EC under true phase laws",
@@ -98,10 +98,10 @@ func E9DynamicMemory() (Table, error) {
 	return t, nil
 }
 
-// E10AlgorithmD optimizes under joint memory/size/selectivity uncertainty
+// e10AlgorithmD optimizes under joint memory/size/selectivity uncertainty
 // and scores every algorithm's plan with the exact joint-enumeration
 // evaluator (independent of the DP's propagation).
-func E10AlgorithmD() (Table, error) {
+func e10AlgorithmD() (Table, error) {
 	cat := catalog.New()
 	if err := cat.AddTable(catalog.MustTable("a", 40_000, 4_000_000,
 		catalog.Column{Name: "k", Type: catalog.TypeInt, Distinct: 4_000_000, Min: 0, Max: 1e9})); err != nil {
@@ -150,9 +150,9 @@ func E10AlgorithmD() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	dEC := je.EC(resD.Plan)
-	cEC := je.EC(resC.Plan)
-	lscEC := je.EC(lsc.Plan)
+	dEC := je.ec(resD.Plan)
+	cEC := je.ec(resC.Plan)
+	lscEC := je.ec(lsc.Plan)
 	t.Rows = append(t.Rows,
 		[]string{"algorithm-d", fmtF(resD.EC), fmtF(dEC), resD.Plan.Method.String()},
 		[]string{"algorithm-c (point sizes)", fmtF(resC.EC), fmtF(cEC), resC.Plan.Method.String()},
@@ -176,14 +176,14 @@ func cloneLaws(in map[string]dist.Dist) map[string]dist.Dist {
 	return out
 }
 
-// E11SortMergeLinear times the O(b_M·b_A·b_B) triple loop against the
+// e11SortMergeLinear times the O(b_M·b_A·b_B) triple loop against the
 // O(b_M+b_A+b_B) algorithm of Section 3.6.1 and checks equality.
-func E11SortMergeLinear() (Table, error) {
+func e11SortMergeLinear() (Table, error) {
 	return linearVsNaive("E11", "§3.6.1 sort-merge expected cost: naive vs linear", cost.SortMerge)
 }
 
-// E12NestedLoopLinear is the Section 3.6.2 analogue for page nested-loop.
-func E12NestedLoopLinear() (Table, error) {
+// e12NestedLoopLinear is the Section 3.6.2 analogue for page nested-loop.
+func e12NestedLoopLinear() (Table, error) {
 	return linearVsNaive("E12", "§3.6.2 nested-loop expected cost: naive vs linear", cost.PageNL)
 }
 
@@ -245,10 +245,10 @@ func timeIt(reps int, f func()) time.Duration {
 	return time.Since(start) / time.Duration(reps)
 }
 
-// E13Rebucketing measures Section 3.6.3: computing the result-size law
+// e13Rebucketing measures Section 3.6.3: computing the result-size law
 // with inputs rebucketed to ∛b buckets costs O(b) instead of O(b³) and
 // keeps the law's mean exact.
-func E13Rebucketing() (Table, error) {
+func e13Rebucketing() (Table, error) {
 	t := Table{
 		ID:      "E13",
 		Title:   "Result-size distribution: exact O(b³) vs rebucketed O(b)",
@@ -290,10 +290,10 @@ func E13Rebucketing() (Table, error) {
 	return t, nil
 }
 
-// E14Bucketing compares bucketing strategies (§3.7): with buckets aligned
+// e14Bucketing compares bucketing strategies (§3.7): with buckets aligned
 // to the cost formulas' level sets, very few buckets already make the
 // expected-cost estimates exact; uniform bucketing needs many more.
-func E14Bucketing() (Table, error) {
+func e14Bucketing() (Table, error) {
 	cat, blk, err := Example11()
 	if err != nil {
 		return Table{}, err
@@ -392,10 +392,10 @@ func maxEstimateError(cat *catalog.Catalog, blk *query.Block, opts optimizer.Opt
 	return worst
 }
 
-// E15EngineValidation sweeps memory and compares the analytic formulas
+// e15EngineValidation sweeps memory and compares the analytic formulas
 // against the mini engine's measured I/O: same plateaus, same thresholds,
 // same winner — the "shape" claim of DESIGN.md.
-func E15EngineValidation() (Table, error) {
+func e15EngineValidation() (Table, error) {
 	rng := rand.New(rand.NewSource(15))
 	store := storage.NewStore()
 	a, err := storage.Generate(storage.GenSpec{Name: "A", Pages: 64, TuplesPerPage: 8, KeyRange: 50_000}, rng)
@@ -477,11 +477,11 @@ func E15EngineValidation() (Table, error) {
 	return t, nil
 }
 
-// E16Fleet simulates the paper's "optimize once, execute repeatedly"
+// e16Fleet simulates the paper's "optimize once, execute repeatedly"
 // setting: the warehouse query fleet is planned once per strategy, then
 // run thousands of times under a volatile environment; total realized I/O
 // is compared.
-func E16Fleet() (Table, error) {
+func e16Fleet() (Table, error) {
 	cat, queries, err := workload.Warehouse()
 	if err != nil {
 		return Table{}, err

@@ -16,14 +16,14 @@ import (
 	"lecopt/internal/storage"
 )
 
-// E17EndToEnd plans a three-table chain with the optimizer, then EXECUTES
+// e17EndToEnd plans a three-table chain with the optimizer, then EXECUTES
 // the chosen plans on the mini engine (real sort-merge / grace-hash /
 // nested-loop implementations over synthetic pages, per-phase memory,
 // enforcer sort included) and compares whole-plan measured I/O against the
 // analytic C(P, m). Claims: measured cost is non-increasing in memory for
 // every plan (same threshold structure) and the measured/model ratio stays
 // within a small constant band.
-func E17EndToEnd() (Table, error) {
+func e17EndToEnd() (Table, error) {
 	// Sizes scaled so Example 1.1's tension appears at engine scale: with
 	// memory arms {7, 40}, sort-merge (pivot √L = 8) loses a level at the
 	// low arm while grace hash (pivot √S ≈ 6.93) does not.
@@ -146,11 +146,11 @@ func E17EndToEnd() (Table, error) {
 	return t, nil
 }
 
-// E18Parametric exercises the paper's proposed combination with parametric
+// e18Parametric exercises the paper's proposed combination with parametric
 // query optimization [INSS92]: precompute LEC plans for a coverage grid of
 // anticipated laws, then at "start-up time" face laws on and off the grid
 // and compare the cached selection against full re-optimization.
-func E18Parametric() (Table, error) {
+func e18Parametric() (Table, error) {
 	cat, blk, err := Example11()
 	if err != nil {
 		return Table{}, err
@@ -221,11 +221,11 @@ func E18Parametric() (Table, error) {
 	return t, nil
 }
 
-// E19LevelSetEC checks the closing idea of Section 3.7: computing EC(P)
+// e19LevelSetEC checks the closing idea of Section 3.7: computing EC(P)
 // with one cost evaluation per level set. The level-set evaluation must
 // equal the dense per-bucket expectation while its evaluation count stays
 // bounded by the plan's level-set count, independent of the law's b.
-func E19LevelSetEC() (Table, error) {
+func e19LevelSetEC() (Table, error) {
 	a := plan.NewScan("a", plan.AccessHeap, "", 1, 10_000)
 	b := plan.NewScan("b", plan.AccessHeap, "", 1, 4_000)
 	j1 := plan.NewJoin(cost.SortMerge, a, b, 2_000, plan.Order{})

@@ -9,13 +9,13 @@ import (
 	"lecopt/internal/workload"
 )
 
-// E20Refinement exercises §3.7's coarse-then-refine strategy: start from a
+// e20Refinement exercises §3.7's coarse-then-refine strategy: start from a
 // handful of level-set cuts (nested-loop cliffs first), double the cut
 // budget until the chosen plan and its EC estimate stabilize, fall back to
 // the full law otherwise. Claims: the refined plan's exact EC never beats
 // and rarely trails full Algorithm C (≤ 5% regret on every trial here),
 // while the total buckets optimized over stay well below always-full.
-func E20Refinement() (Table, error) {
+func e20Refinement() (Table, error) {
 	t := Table{
 		ID:      "E20",
 		Title:   "§3.7 coarse-then-refine: regret and work vs always-full optimization",

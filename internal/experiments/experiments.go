@@ -23,7 +23,7 @@ import (
 
 // Errors.
 var (
-	ErrUnknownExperiment = errors.New("experiments: unknown experiment")
+	errUnknownExperiment = errors.New("experiments: unknown experiment")
 )
 
 // Table is one experiment's result.
@@ -102,26 +102,26 @@ type Experiment struct {
 // All returns every experiment in ID order.
 func All() []Experiment {
 	exps := []Experiment{
-		{"E1", "Example 1.1: LSC picks Plan 1, LEC picks Plan 2", E1MotivatingExample},
-		{"E2", "LEC advantage grows with run-time variance", E2VarianceSweep},
-		{"E3", "Theorem 2.1: System R DP equals exhaustive LSC", E3SystemRBaseline},
-		{"E4", "Algorithm A never loses to mean/mode LSC", E4AlgorithmA},
-		{"E5", "Proposition 3.1: top-c frontier probe bound", E5TopCFrontier},
-		{"E6", "Algorithm B: candidate quality vs c", E6AlgorithmB},
-		{"E7", "Theorem 3.3: Algorithm C is exactly LEC; hierarchy", E7AlgorithmC},
-		{"E8", "Algorithm C cost scales linearly in buckets", E8AlgCScaling},
-		{"E9", "Theorem 3.4: dynamic memory (Markov phases)", E9DynamicMemory},
-		{"E10", "Algorithm D: joint memory/size/selectivity laws", E10AlgorithmD},
-		{"E11", "§3.6.1 linear-time sort-merge expected cost", E11SortMergeLinear},
-		{"E12", "§3.6.2 linear-time nested-loop expected cost", E12NestedLoopLinear},
-		{"E13", "§3.6.3 result-size rebucketing", E13Rebucketing},
-		{"E14", "§3.7 bucketing strategies", E14Bucketing},
-		{"E15", "Cost-model shape vs measured engine I/O", E15EngineValidation},
-		{"E16", "Fleet: optimize once, run many", E16Fleet},
-		{"E17", "Whole-plan execution on the mini engine", E17EndToEnd},
-		{"E18", "Parametric LEC plan cache [INSS92]", E18Parametric},
-		{"E19", "§3.7 level-set expected-cost evaluation", E19LevelSetEC},
-		{"E20", "§3.7 coarse-then-refine optimization", E20Refinement},
+		{"E1", "Example 1.1: LSC picks Plan 1, LEC picks Plan 2", e1MotivatingExample},
+		{"E2", "LEC advantage grows with run-time variance", e2VarianceSweep},
+		{"E3", "Theorem 2.1: System R DP equals exhaustive LSC", e3SystemRBaseline},
+		{"E4", "Algorithm A never loses to mean/mode LSC", e4AlgorithmA},
+		{"E5", "Proposition 3.1: top-c frontier probe bound", e5TopCFrontier},
+		{"E6", "Algorithm B: candidate quality vs c", e6AlgorithmB},
+		{"E7", "Theorem 3.3: Algorithm C is exactly LEC; hierarchy", e7AlgorithmC},
+		{"E8", "Algorithm C cost scales linearly in buckets", e8AlgCScaling},
+		{"E9", "Theorem 3.4: dynamic memory (Markov phases)", e9DynamicMemory},
+		{"E10", "Algorithm D: joint memory/size/selectivity laws", e10AlgorithmD},
+		{"E11", "§3.6.1 linear-time sort-merge expected cost", e11SortMergeLinear},
+		{"E12", "§3.6.2 linear-time nested-loop expected cost", e12NestedLoopLinear},
+		{"E13", "§3.6.3 result-size rebucketing", e13Rebucketing},
+		{"E14", "§3.7 bucketing strategies", e14Bucketing},
+		{"E15", "Cost-model shape vs measured engine I/O", e15EngineValidation},
+		{"E16", "Fleet: optimize once, run many", e16Fleet},
+		{"E17", "Whole-plan execution on the mini engine", e17EndToEnd},
+		{"E18", "Parametric LEC plan cache [INSS92]", e18Parametric},
+		{"E19", "§3.7 level-set expected-cost evaluation", e19LevelSetEC},
+		{"E20", "§3.7 coarse-then-refine optimization", e20Refinement},
 	}
 	sort.SliceStable(exps, func(i, j int) bool {
 		return numOf(exps[i].ID) < numOf(exps[j].ID)
@@ -142,7 +142,7 @@ func ByID(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	return Experiment{}, fmt.Errorf("%w: %s", ErrUnknownExperiment, id)
+	return Experiment{}, fmt.Errorf("%w: %s", errUnknownExperiment, id)
 }
 
 // paperCost is the evaluator under the paper's cost model, the one every

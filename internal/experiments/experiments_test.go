@@ -61,7 +61,7 @@ func TestByID(t *testing.T) {
 	if err != nil || e.ID != "E5" {
 		t.Fatalf("ByID: %v %v", e, err)
 	}
-	if _, err := ByID("E99"); !errors.Is(err, ErrUnknownExperiment) {
+	if _, err := ByID("E99"); !errors.Is(err, errUnknownExperiment) {
 		t.Fatal("unknown experiment")
 	}
 }
@@ -132,7 +132,7 @@ func TestJointEvalMatchesAnalytic(t *testing.T) {
 		selLaws:  map[string]dist.Dist{optimizer.EdgeKey(blk.Joins[0]): dist.Point(3000.0 / (1_000_000 * 400_000))},
 		mem:      mem,
 	}
-	got := je.EC(res.Plan)
+	got := je.ec(res.Plan)
 	want, err := paperCost(res.Plan, []dist.Dist{mem})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestJointEvalSizeUncertainty(t *testing.T) {
 			selLaws:  map[string]dist.Dist{edge: dist.Point(1e-6)},
 			mem:      mem,
 		}
-		return je.EC(res.Plan)
+		return je.ec(res.Plan)
 	}
 	mixed := mk(sizeLaw)
 	lo := mk(dist.Point(600))

@@ -24,8 +24,8 @@ type jointEval struct {
 	mem      dist.Dist
 }
 
-// EC evaluates the plan.
-func (je *jointEval) EC(p *plan.Node) float64 {
+// ec evaluates the plan.
+func (je *jointEval) ec(p *plan.Node) float64 {
 	tables, edges := je.variables(p)
 	total := 0.0
 	var rec func(i int, prob float64, sizes map[string]float64, sels map[string]float64)

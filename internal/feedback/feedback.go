@@ -101,25 +101,37 @@ func NewStore(alpha float64) *Store {
 // maphash.String agree on equal bytes, so both key forms pick one shard.
 func (s *Store) shard(h uint64) *storeShard { return &s.shards[h&(shardCount-1)] }
 
-// Observe folds one execution's observed sizes (SetKey -> pages) into the
-// query's running averages and republishes its hints if a rounded value
-// changed. Non-positive and non-finite sizes are ignored.
+// ObserveBytes folds one execution's observed sizes (SetKey -> pages) into
+// the query's running averages and republishes its hints if a rounded value
+// changed. Non-positive and non-finite sizes are ignored. The key is copied
+// only when the query is registered, so observing a known query allocates
+// nothing unless its hints move.
+func (s *Store) ObserveBytes(query []byte, sizes map[string]float64) {
+	observe(s, maphash.Bytes(s.seed, query), query, sizes)
+}
+
+// Observe is ObserveBytes for a string key.
 func (s *Store) Observe(query string, sizes map[string]float64) {
+	observe(s, maphash.String(s.seed, query), query, sizes)
+}
+
+// observe is the body of Observe and ObserveBytes; h is the key's hash.
+func observe[K string | []byte](s *Store, h uint64, query K, sizes map[string]float64) {
 	if len(sizes) == 0 {
 		return
 	}
-	sh := s.shard(maphash.String(s.seed, query))
+	sh := s.shard(h)
 	folded := uint64(0)
 	moved := false
 	sh.mu.Lock()
-	e := sh.queries[query]
+	e := sh.queries[string(query)]
 	for k, v := range sizes {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
 		if e == nil { // registered only once a size folds
 			e = &entry{ewma: make(map[string]float64, len(sizes))}
-			sh.queries[query] = e
+			sh.queries[string(query)] = e
 		}
 		old, ok := e.ewma[k]
 		if ok {

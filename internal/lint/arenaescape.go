@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// ArenaEscapeAnalyzer guards the pooled-DP-scratch contract introduced by
+// arenaEscapeAnalyzer guards the pooled-DP-scratch contract introduced by
 // the zero-alloc hot path: the optimizer's dynamic program builds its join
 // nodes in the scratch's arena, which is rewound and reused when the scratch
 // returns to its sync.Pool, so a plan assigned into a Result must be
@@ -19,7 +19,7 @@ import (
 // narrow: only functions that touch the pooled machinery (dpScratch,
 // nodeArena, topList, lawSlab, getScratch, ctx) are held to it, so
 // functions that build plans from nodes they own stay free to share them.
-var ArenaEscapeAnalyzer = &Analyzer{
+var arenaEscapeAnalyzer = &Analyzer{
 	Name: "arenaescape",
 	Doc:  "plans leaving DP-scratch-touching optimizer functions via Result must be Clone()d; arena nodes are recycled on release",
 	Run:  runArenaEscape,
@@ -60,7 +60,7 @@ func runArenaEscape(pass *Pass) {
 						continue
 					}
 					if !isClonedPlan(kv.Value) {
-						pass.Reportf(kv.Pos(),
+						pass.reportf(kv.Pos(),
 							"Result.Plan set without Clone() in a function that touches the pooled DP scratch — arena nodes are recycled on release and must never escape into a Result")
 					}
 				}

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// DeterminismAnalyzer pins the repo-wide reproducibility contract that the
+// determinismAnalyzer pins the repo-wide reproducibility contract that the
 // differential corpus, the golden E1–E20 tables and the batch==sequential
 // byte-identity proof all assume:
 //
@@ -23,7 +23,7 @@ import (
 // This analyzer subsumes the old regex-based TestNoUnseededRand scan and
 // is type-resolved: rng.Intn on a *rand.Rand value is fine, rand.Intn on
 // the global source is not, and aliased or dot imports cannot hide a call.
-var DeterminismAnalyzer = &Analyzer{
+var determinismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc:  "seeded randomness only: no global math/rand source, no wall-clock seeds, no unsorted map-order emission",
 	Run:  runDeterminism,
@@ -57,7 +57,7 @@ func runDeterminism(pass *Pass) {
 				return true // method on an explicit *rand.Rand / Source value
 			}
 			if !seededConstructors[fn.Name()] {
-				pass.Reportf(call.Pos(),
+				pass.reportf(call.Pos(),
 					"%s.%s draws from the process-global source; use an explicitly seeded rand.New(rand.NewSource(seed))",
 					path, fn.Name())
 				return true
@@ -65,7 +65,7 @@ func runDeterminism(pass *Pass) {
 			// Rule 2: a seeded constructor fed from the wall clock.
 			for _, arg := range call.Args {
 				if now := findTimeNow(info, arg); now != nil {
-					pass.Reportf(now.Pos(),
+					pass.reportf(now.Pos(),
 						"wall-clock seed: %s.%s derives its seed from time.Now, which destroys run-to-run reproducibility",
 						path, fn.Name())
 				}
@@ -160,7 +160,7 @@ func checkMapOrderEmission(pass *Pass, f *ast.File) {
 				return true // `for range m`: order cannot escape
 			}
 			if pos, what := findOrderEmission(info, rng.Body, loopVars); pos.IsValid() {
-				pass.Reportf(pos,
+				pass.reportf(pos,
 					"%s inside a map range emits iteration-order-dependent data and the enclosing function never sorts; sort the emitted slice (or iterate over sorted keys)",
 					what)
 				return false

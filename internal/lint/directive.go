@@ -121,7 +121,7 @@ func namesTest(m *Module, justification string) bool {
 		return false
 	}
 	for _, u := range m.Units {
-		if fn, ok := u.Pkg.Scope().Lookup(name).(*types.Func); ok && m.TestFile(fn.Pos()) {
+		if fn, ok := u.Pkg.Scope().Lookup(name).(*types.Func); ok && m.testFile(fn.Pos()) {
 			return true
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// DistImmutAnalyzer enforces the dist.Dist / dist.Chain immutability law.
+// distImmutAnalyzer enforces the dist.Dist / dist.Chain immutability law.
 // Memoized catalog fingerprints, the plan cache's env-law digests and the
 // batch dedup keys all assume a law never changes after construction; a
 // single in-place mutation silently poisons every cache keyed on it.
@@ -26,7 +26,7 @@ import (
 //
 // Everything else — new dist code, test setup, any other package that
 // somehow obtains access — must build a new law instead.
-var DistImmutAnalyzer = &Analyzer{
+var distImmutAnalyzer = &Analyzer{
 	Name: "distimmut",
 	Doc:  "dist.Dist/dist.Chain laws are immutable after construction; only the blessed constructors may write their fields",
 	Run:  runDistImmut,
@@ -81,7 +81,7 @@ func checkLawWrite(pass *Pass, info *types.Info, lhs ast.Expr) {
 		case *ast.SelectorExpr:
 			sel, ok := info.Selections[e]
 			if ok && sel.Kind() == types.FieldVal && isLawType(sel.Recv()) {
-				pass.Reportf(e.Pos(),
+				pass.reportf(e.Pos(),
 					"write to %s field %s outside a dist constructor — laws are immutable, build a fresh Dist/Chain instead",
 					lawTypeName(sel.Recv()), e.Sel.Name)
 				return

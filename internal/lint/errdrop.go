@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// ErrDropAnalyzer bans discarded error returns in the packages that charge
+// errDropAnalyzer bans discarded error returns in the packages that charge
 // I/O: internal/engine, internal/storage and internal/buffer. Both BENCH
 // artifacts report PhaseIO totals measured by these packages; an error
 // silently dropped on a read/walk/fetch path means the corresponding I/O
@@ -21,7 +21,7 @@ import (
 //	go f(...)     // spawned call whose error vanishes
 //
 // Intentional drops must carry //leclint:allow errdrop -- <why>.
-var ErrDropAnalyzer = &Analyzer{
+var errDropAnalyzer = &Analyzer{
 	Name: "errdrop",
 	Doc:  "no discarded error returns in internal/engine, internal/storage, internal/buffer (the I/O-charging paths)",
 	Run:  runErrDrop,
@@ -46,7 +46,7 @@ func runErrDrop(pass *Pass) {
 	}
 	info := pass.Unit.Info
 	for _, f := range pass.Unit.Files {
-		if pass.Module.TestFile(f.Pos()) {
+		if pass.Module.testFile(f.Pos()) {
 			continue // test files assert through t.Fatal; production paths only
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -70,7 +70,7 @@ func runErrDrop(pass *Pass) {
 // checkDroppedCall reports call if its result set includes an error.
 func checkDroppedCall(pass *Pass, info *types.Info, call *ast.CallExpr, label string) {
 	if i := errResultIndex(info, call); i >= 0 {
-		pass.Reportf(call.Pos(), "%s: %s returns an error that is never checked — on the I/O-charging paths a dropped error miscounts the work the BENCH artifacts report",
+		pass.reportf(call.Pos(), "%s: %s returns an error that is never checked — on the I/O-charging paths a dropped error miscounts the work the BENCH artifacts report",
 			label, callName(call))
 	}
 }
@@ -90,7 +90,7 @@ func checkBlankError(pass *Pass, info *types.Info, st *ast.AssignStmt) {
 		return
 	}
 	if id, ok := st.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-		pass.Reportf(id.Pos(), "error result of %s assigned to _ — handle it or justify with an allow directive",
+		pass.reportf(id.Pos(), "error result of %s assigned to _ — handle it or justify with an allow directive",
 			callName(call))
 	}
 }

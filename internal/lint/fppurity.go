@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// FingerprintPurityAnalyzer protects the cache-key integrity claim: the
+// fingerprintPurityAnalyzer protects the cache-key integrity claim: the
 // drift-banded plan cache, the batch dedup pass and the prepared-statement
 // reuse all key on catalog.Fingerprint / BandedFingerprint and
 // query Block.Canonical, and the statement memo keys on
@@ -31,7 +31,7 @@ import (
 //
 // The graph follows static calls and function and method values; a call
 // through an interface reaches every method of that name on a reached type.
-var FingerprintPurityAnalyzer = &Analyzer{
+var fingerprintPurityAnalyzer = &Analyzer{
 	Name: "fppurity",
 	Doc:  "functions reachable from catalog.Fingerprint/BandedFingerprint and Block.Canonical must be pure",
 	Run:  runFingerprintPurity,
@@ -49,7 +49,7 @@ var fpEntries = []objKey{
 // fpReached computes the declarations reachable from the fingerprint
 // entry points on the module's reference graph, memoized on the module.
 func fpReached(m *Module) map[objKey]bool {
-	return m.Cached("fppurity.reached", func() any { return moduleGraph(m).reach(fpEntries) }).(map[objKey]bool)
+	return m.cached("fppurity.reached", func() any { return moduleGraph(m).reach(fpEntries) }).(map[objKey]bool)
 }
 
 func runFingerprintPurity(pass *Pass) {
@@ -91,7 +91,7 @@ func checkPurity(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 			if isErrorType(obj.Type()) {
 				return true // write-once sentinel errors
 			}
-			pass.Reportf(e.Pos(),
+			pass.reportf(e.Pos(),
 				"%s is reachable from a fingerprint entry point but touches package-level mutable state %s.%s — digests must be pure functions of their inputs",
 				where, obj.Pkg().Name(), obj.Name())
 		case *ast.CallExpr:
@@ -101,7 +101,7 @@ func checkPurity(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 			}
 			banned, ok := impureCallers[fn.Pkg().Path()]
 			if ok && (banned == "" || banned == fn.Name()) {
-				pass.Reportf(e.Pos(),
+				pass.reportf(e.Pos(),
 					"%s is reachable from a fingerprint entry point but calls %s.%s — digests must not depend on clock, environment or global RNG",
 					where, fn.Pkg().Name(), fn.Name())
 			}
@@ -132,7 +132,7 @@ func checkPurity(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 			return true
 		}
 		if pos, what := findOrderEmission(info, rng.Body, loopVars); pos.IsValid() {
-			pass.Reportf(pos,
+			pass.reportf(pos,
 				"%s is reachable from a fingerprint entry point and %s emits map-iteration-order-dependent bytes without sorting",
 				where, what)
 			return false

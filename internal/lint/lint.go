@@ -9,8 +9,8 @@
 // (memoized fingerprints assume laws never mutate), pure fingerprint inputs
 // (drift-banded cache keys), no hardcoded DisableIndexes regressions (the
 // serving plan space stays honest), and no silently dropped errors on the
-// I/O-charging paths. See DESIGN.md "Static invariants" for the
-// analyzer-to-claim map.
+// I/O-charging paths; reach and exportuse bar code only tests reach and
+// exports no other package names (DESIGN.md "Static invariants").
 //
 // Suppressions are explicit and justified: a finding may be waived only by
 // a same-line or preceding-line directive
@@ -48,8 +48,8 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding at pos.
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Module.Fset.Position(pos),
@@ -77,14 +77,15 @@ func (d Diagnostic) String() string {
 // the CI leclint lane.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DeterminismAnalyzer,
-		DistImmutAnalyzer,
-		OptGuardAnalyzer,
-		FingerprintPurityAnalyzer,
-		ErrDropAnalyzer,
-		PaperModelAnalyzer,
-		ArenaEscapeAnalyzer,
-		ReachAnalyzer,
+		determinismAnalyzer,
+		distImmutAnalyzer,
+		optGuardAnalyzer,
+		fingerprintPurityAnalyzer,
+		errDropAnalyzer,
+		paperModelAnalyzer,
+		arenaEscapeAnalyzer,
+		reachAnalyzer,
+		exportUseAnalyzer,
 	}
 }
 

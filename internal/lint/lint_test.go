@@ -80,7 +80,22 @@ func TestReachFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, problem := range CheckFixture(m, []*Analyzer{ReachAnalyzer}) {
+	for _, problem := range CheckFixture(m, []*Analyzer{reachAnalyzer}) {
+		t.Error(problem)
+	}
+}
+
+// TestExportUseFixture seeds unused exports of each kind beside the true
+// negatives: an export the root package names, one only another package's
+// test names, a type named only in a used function's signature and one
+// named only by its exported field, an interface method, a String method,
+// an exported method of a root-aliased type, and an allowed finding.
+func TestExportUseFixture(t *testing.T) {
+	m, err := LoadFixture("testdata", "exportmod", "exportmod/internal/lib", "exportmod/internal/other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, problem := range CheckFixture(m, []*Analyzer{exportUseAnalyzer}) {
 		t.Error(problem)
 	}
 }
@@ -196,7 +211,7 @@ func TestModuleCoverage(t *testing.T) {
 // TestRegistry pins the analyzer roster: the suite's invariants must all
 // stay registered, and names must be unique (directives key on them).
 func TestRegistry(t *testing.T) {
-	want := []string{"determinism", "distimmut", "optguard", "fppurity", "errdrop", "papermodel", "arenaescape", "reach"}
+	want := []string{"determinism", "distimmut", "optguard", "fppurity", "errdrop", "papermodel", "arenaescape", "reach", "exportuse"}
 	got := map[string]bool{}
 	for _, a := range Analyzers() {
 		if got[a.Name] {

@@ -44,9 +44,9 @@ type Module struct {
 	cache sync.Map // analyzer-private memoized indexes, keyed by string
 }
 
-// Cached memoizes a module-wide index under key: the first caller's build
+// cached memoizes a module-wide index under key: the first caller's build
 // result is stored and every later caller receives it.
-func (m *Module) Cached(key string, build func() any) any {
+func (m *Module) cached(key string, build func() any) any {
 	if v, ok := m.cache.Load(key); ok {
 		return v
 	}
@@ -55,8 +55,8 @@ func (m *Module) Cached(key string, build func() any) any {
 	return actual
 }
 
-// TestFile reports whether pos lies in a _test.go file.
-func (m *Module) TestFile(pos token.Pos) bool {
+// testFile reports whether pos lies in a _test.go file.
+func (m *Module) testFile(pos token.Pos) bool {
 	return strings.HasSuffix(m.Fset.Position(pos).Filename, "_test.go")
 }
 

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// OptGuardAnalyzer generalizes the old internal/workload AST guard to the
+// optGuardAnalyzer generalizes the old internal/workload AST guard to the
 // whole module: since PR 5 the executor has a real index access path, so
 // no optimizer.Options composite literal may hardcode DisableIndexes: true
 // and quietly shrink the plan space again. Heap-only runs are a *spec*
@@ -15,7 +15,7 @@ import (
 // threaded through Mix.planOpts, never a literal. The lawful exceptions
 // (explicit heap-only comparison arms in tests, whose point is the
 // contrast itself) carry a justified //leclint:allow optguard directive.
-var OptGuardAnalyzer = &Analyzer{
+var optGuardAnalyzer = &Analyzer{
 	Name: "optguard",
 	Doc:  "no hardcoded optimizer.Options{DisableIndexes: true}; heap-only runs are spec decisions",
 	Run:  runOptGuard,
@@ -40,7 +40,7 @@ func runOptGuard(pass *Pass) {
 				}
 				if tv, ok := info.Types[kv.Value]; ok && tv.Value != nil &&
 					tv.Value.Kind() == constant.Bool && constant.BoolVal(tv.Value) {
-					pass.Reportf(kv.Pos(),
+					pass.reportf(kv.Pos(),
 						"hardcoded optimizer.Options{DisableIndexes: true} — route heap-only runs through the workload spec (MixSpec.DisableIndexes / -noindex), not a literal")
 				}
 			}

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// PaperModelAnalyzer guards the golden tables' cost machine: since the
+// paperModelAnalyzer guards the golden tables' cost machine: since the
 // engine-exact grace-hash model (cost.ModelEngine) exists, the serving
 // path opts into it, but internal/experiments must keep costing with the
 // paper's formulas — the E1–E20 tables are *defined* by them, and
@@ -16,7 +16,7 @@ import (
 // contract, an explicit key invites the wrong edit). Both are findings
 // inside any package whose import path ends in internal/experiments,
 // including its test files.
-var PaperModelAnalyzer = &Analyzer{
+var paperModelAnalyzer = &Analyzer{
 	Name: "papermodel",
 	Doc:  "internal/experiments costs with the paper model: no cost.ModelEngine, no CostModel key",
 	Run:  runPaperModel,
@@ -36,7 +36,7 @@ func runPaperModel(pass *Pass) {
 					return true
 				}
 				if obj.Name() == "ModelEngine" && strings.HasSuffix(obj.Pkg().Path(), "internal/cost") {
-					pass.Reportf(n.Pos(),
+					pass.reportf(n.Pos(),
 						"cost.ModelEngine referenced in internal/experiments — the published E1–E20 tables are defined by the paper formulas; engine-exact charging belongs to the serving path")
 				}
 			case *ast.CompositeLit:
@@ -49,7 +49,7 @@ func runPaperModel(pass *Pass) {
 						continue
 					}
 					if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "CostModel" {
-						pass.Reportf(kv.Pos(),
+						pass.reportf(kv.Pos(),
 							"optimizer.Options.CostModel set in internal/experiments — experiments rely on the zero value (cost.ModelPaper) to keep the golden tables byte-identical")
 					}
 				}

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// ReachAnalyzer keeps the library to what serves: every top-level non-test
+// reachAnalyzer keeps the library to what serves: every top-level non-test
 // declaration outside bench/ — func, method, type, var or const, exported
 // or not — must be reachable in the module's reference graph from a root.
 // The roots are every main (the commands, the examples and bench/), every
@@ -19,7 +19,7 @@ import (
 //	//leclint:allow reach -- test oracle: TestName
 //
 // where TestName is a test that uses the declaration to check reached code.
-var ReachAnalyzer = &Analyzer{
+var reachAnalyzer = &Analyzer{
 	Name: "reach",
 	Doc:  "every non-test declaration outside bench/ is reachable from a main, an init, or the root package's API",
 	Run:  runReach,
@@ -61,7 +61,7 @@ var stdlibIfaces = [][]string{
 
 // moduleGraph builds the reference graph once per module.
 func moduleGraph(m *Module) *declGraph {
-	return m.Cached("reach.graph", func() any { return buildGraph(m) }).(*declGraph)
+	return m.cached("reach.graph", func() any { return buildGraph(m) }).(*declGraph)
 }
 
 func buildGraph(m *Module) *declGraph {
@@ -81,7 +81,7 @@ func buildGraph(m *Module) *declGraph {
 		api := u.Path == m.Path // the root package's exports are roots
 		initKey := objKey{pkg: u.Path, name: "init"}
 		for _, f := range u.Files {
-			if m.TestFile(f.Pos()) {
+			if m.testFile(f.Pos()) {
 				continue
 			}
 			for _, decl := range f.Decls {
@@ -151,26 +151,46 @@ func (g *declGraph) link(info *types.Info, k objKey, n ast.Node) {
 			return true
 		}
 		obj := info.Uses[id]
-		if obj == nil || obj.Pkg() == nil {
-			return true
-		}
-		if fn, ok := obj.(*types.Func); ok {
-			fn = fn.Origin()
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-				if types.IsInterface(recv.Type()) {
-					g.iface[k] = append(g.iface[k], fn.Name())
-				} else if named := namedOf(recv.Type()); named != nil {
-					g.refs[k] = append(g.refs[k], objKey{pkg: fn.Pkg().Path(), recv: named.Obj().Name(), name: fn.Name()})
-				}
+		if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				g.iface[k] = append(g.iface[k], fn.Name())
 				return true
 			}
-			obj = fn
 		}
-		if obj.Parent() == obj.Pkg().Scope() {
-			g.refs[k] = append(g.refs[k], objKey{pkg: obj.Pkg().Path(), name: obj.Name()})
+		if key, ok := declKey(obj); ok {
+			g.refs[k] = append(g.refs[k], key)
 		}
 		return true
 	})
+}
+
+// declKey keys a module object the way the graph keys declarations: a
+// package-level object by name, a method by receiver type and name. Fields,
+// locals and universe objects have no key.
+func declKey(obj types.Object) (objKey, bool) {
+	if obj == nil || obj.Pkg() == nil {
+		return objKey{}, false
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		fn = fn.Origin()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			named := namedOf(recv.Type())
+			if named == nil {
+				return objKey{}, false
+			}
+			return objKey{pkg: fn.Pkg().Path(), recv: named.Obj().Name(), name: fn.Name()}, true
+		}
+		obj = fn
+	}
+	return objKey{pkg: obj.Pkg().Path(), name: obj.Name()}, obj.Parent() == obj.Pkg().Scope()
+}
+
+// describe names a declaration in findings.
+func (k objKey) describe() string {
+	if k.recv == "" {
+		return k.name
+	}
+	return "method " + k.recv + "." + k.name
 }
 
 // namedOf returns the named type behind t, through one pointer.
@@ -219,6 +239,23 @@ func recvTypeName(e ast.Expr) string {
 	return ""
 }
 
+// stdlibKept returns the names among a type's methods ms that complete one
+// of the standard library's interfaces.
+func stdlibKept(ms []objKey) map[string]bool {
+	has, keep := map[string]bool{}, map[string]bool{}
+	for _, meth := range ms {
+		has[meth.name] = true
+	}
+	for _, set := range stdlibIfaces {
+		if !slices.ContainsFunc(set, func(name string) bool { return !has[name] }) {
+			for _, name := range set {
+				keep[name] = true
+			}
+		}
+	}
+	return keep
+}
+
 // reach returns every declaration reachable from roots.
 func (g *declGraph) reach(roots []objKey) map[objKey]bool {
 	seen := map[objKey]bool{}
@@ -242,17 +279,7 @@ func (g *declGraph) reach(roots []objKey) map[objKey]bool {
 		}
 		if ms, ok := g.methods[k]; ok {
 			owners = append(owners, k)
-			has, keep := map[string]bool{}, map[string]bool{}
-			for _, meth := range ms {
-				has[meth.name] = true
-			}
-			for _, set := range stdlibIfaces {
-				if !slices.ContainsFunc(set, func(name string) bool { return !has[name] }) {
-					for _, name := range set {
-						keep[name] = true
-					}
-				}
-			}
+			keep := stdlibKept(ms)
 			for _, meth := range ms {
 				if called[meth.name] || keep[meth.name] {
 					mark(meth)
@@ -282,15 +309,11 @@ func runReach(pass *Pass) {
 		return
 	}
 	g := moduleGraph(m)
-	reached := m.Cached("reach.reached", func() any { return g.reach(g.roots) }).(map[objKey]bool)
+	reached := m.cached("reach.reached", func() any { return g.reach(g.roots) }).(map[objKey]bool)
 	for k, pos := range g.decls {
 		if k.pkg != pass.Unit.Path || reached[k] {
 			continue
 		}
-		what := k.name
-		if k.recv != "" {
-			what = "method " + k.recv + "." + k.name
-		}
-		pass.Reportf(pos, "%s is reached by no main, init or root-package API — delete it, or allow it as a test oracle", what)
+		pass.reportf(pos, "%s is reached by no main, init or root-package API — delete it, or allow it as a test oracle", k.describe())
 	}
 }

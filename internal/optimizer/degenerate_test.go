@@ -78,16 +78,17 @@ func TestDegenerateChainExactness(t *testing.T) {
 	}
 }
 
-// TestNonFinitePagesRefused: NewTable refuses non-finite statistics, but a
-// caller can still write one into a table afterwards. A NaN or +Inf Pages
-// must then get ErrNoPlan from every memory-only algorithm, not a plan
-// with a NaN or infinite EC — Algorithm B's top-c path included.
+// TestNonFinitePagesRefused: NewTable refuses non-finite and non-positive
+// statistics, but a caller can still write one into a table afterwards. A
+// NaN, +Inf, zero or negative Pages must then get ErrNoPlan from every
+// algorithm, not a plan with a NaN, infinite or empty-input EC — Algorithm
+// B's top-c path and Algorithm D included.
 func TestNonFinitePagesRefused(t *testing.T) {
 	mem, err := dist.Bimodal(700, 2000, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pages := range []float64{math.NaN(), math.Inf(1)} {
+	for _, pages := range []float64{math.NaN(), math.Inf(1), 0, -5} {
 		cat := catalog.New()
 		for _, name := range []string{"A", "B"} {
 			tab, err := catalog.NewTable(name, 1000, 50_000,
@@ -119,6 +120,7 @@ func TestNonFinitePagesRefused(t *testing.T) {
 			{"A", func() (Result, error) { return AlgorithmA(cat, blk, Options{}, mem) }},
 			{"B", func() (Result, error) { return AlgorithmB(cat, blk, Options{}, mem, 3) }},
 			{"C", func() (Result, error) { return AlgorithmC(cat, blk, Options{}, mem) }},
+			{"D", func() (Result, error) { return AlgorithmD(cat, blk, Options{}, mem, nil, nil) }},
 		} {
 			if res, err := alg.run(); !errors.Is(err, ErrNoPlan) {
 				t.Errorf("Pages %v, %s: EC %v, err %v; want ErrNoPlan", pages, alg.name, res.EC, err)

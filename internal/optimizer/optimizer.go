@@ -398,6 +398,11 @@ func (c *ctx) prepareTable(name string, idx int) error {
 	if err != nil {
 		return err
 	}
+	// Table's fields stay writable after NewTable, and the cost formulas
+	// price a size that is not positive, NaN included, as empty.
+	if p, r := t.Pages, t.Rows; !(p > 0 && r > 0) || math.IsInf(p, 0) || math.IsInf(r, 0) {
+		return fmt.Errorf("%w: table %s needs positive, finite pages and rows", ErrNoPlan, name)
+	}
 	ti := &c.tables[idx]
 	*ti = tableInfo{name: name, sel: 1}
 	c.filters = c.filters[:0]

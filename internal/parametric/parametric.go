@@ -33,7 +33,7 @@ import (
 
 // Errors.
 var (
-	ErrEmptyCache = errors.New("parametric: no laws to precompute")
+	errEmptyCache = errors.New("parametric: no laws to precompute")
 	ErrNoEntry    = errors.New("parametric: empty cache lookup")
 )
 
@@ -63,7 +63,7 @@ func (c *Cache) Model() cost.Model { return c.model }
 // common case) are stored once in the candidate set.
 func Precompute(cat *catalog.Catalog, blk *query.Block, opts optimizer.Options, laws []dist.Dist) (*Cache, error) {
 	if len(laws) == 0 {
-		return nil, ErrEmptyCache
+		return nil, errEmptyCache
 	}
 	c := &Cache{model: opts.CostModel}
 	seen := map[string]bool{}
@@ -147,7 +147,7 @@ func CoverageGrid(lo, hi float64, pLows []float64) ([]dist.Dist, error) {
 		out = append(out, d)
 	}
 	if len(out) == 0 {
-		return nil, ErrEmptyCache
+		return nil, errEmptyCache
 	}
 	return out, nil
 }

@@ -22,7 +22,7 @@ func testScenario(t *testing.T, seed int64, n int) workload.Scenario {
 
 func TestPrecomputeValidation(t *testing.T) {
 	sc := testScenario(t, 1, 3)
-	if _, err := Precompute(sc.Cat, sc.Block, optimizer.Options{}, nil); !errors.Is(err, ErrEmptyCache) {
+	if _, err := Precompute(sc.Cat, sc.Block, optimizer.Options{}, nil); !errors.Is(err, errEmptyCache) {
 		t.Fatal("empty laws")
 	}
 	empty := &Cache{}
@@ -162,7 +162,7 @@ func TestNearestDegradesGracefully(t *testing.T) {
 }
 
 func TestCoverageGridValidation(t *testing.T) {
-	if _, err := CoverageGrid(1, 2, nil); !errors.Is(err, ErrEmptyCache) {
+	if _, err := CoverageGrid(1, 2, nil); !errors.Is(err, errEmptyCache) {
 		t.Fatal("empty grid")
 	}
 	if _, err := CoverageGrid(1, 2, []float64{2}); err == nil {

@@ -17,11 +17,11 @@ import (
 
 // Validation errors.
 var (
-	ErrNoTables     = errors.New("query: block references no tables")
+	errNoTables     = errors.New("query: block references no tables")
 	ErrDupTable     = errors.New("query: duplicate table in FROM")
 	ErrUnknownTable = errors.New("query: table not in FROM list")
-	ErrSelfJoin     = errors.New("query: join predicate must span two distinct tables")
-	ErrTooMany      = errors.New("query: too many tables for the optimizer's bitmask")
+	errSelfJoin     = errors.New("query: join predicate must span two distinct tables")
+	errTooMany      = errors.New("query: too many tables for the optimizer's bitmask")
 )
 
 // MaxTables bounds the number of relations in one block; the optimizer's
@@ -84,10 +84,10 @@ type Block struct {
 // (catalog.AppendSchemaDigest).
 func (b *Block) Validate(cat *catalog.Catalog) error {
 	if len(b.Tables) == 0 {
-		return ErrNoTables
+		return errNoTables
 	}
 	if len(b.Tables) > MaxTables {
-		return fmt.Errorf("%w: %d > %d", ErrTooMany, len(b.Tables), MaxTables)
+		return fmt.Errorf("%w: %d > %d", errTooMany, len(b.Tables), MaxTables)
 	}
 	// At most MaxTables names: a scan of the FROM list beats a map, and the
 	// resolved tables are kept so a column reference costs one lookup.
@@ -104,7 +104,7 @@ func (b *Block) Validate(cat *catalog.Catalog) error {
 	}
 	for _, j := range b.Joins {
 		if j.Left.Table == j.Right.Table {
-			return fmt.Errorf("%w: %s", ErrSelfJoin, j)
+			return fmt.Errorf("%w: %s", errSelfJoin, j)
 		}
 		if err := b.checkCol(&resolved, j.Left); err != nil {
 			return err

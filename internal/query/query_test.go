@@ -53,12 +53,12 @@ func TestValidateErrors(t *testing.T) {
 		mut  func(*Block)
 		want error
 	}{
-		{"no tables", func(b *Block) { b.Tables = nil }, ErrNoTables},
+		{"no tables", func(b *Block) { b.Tables = nil }, errNoTables},
 		{"dup table", func(b *Block) { b.Tables = append(b.Tables, "a") }, ErrDupTable},
 		{"unknown table", func(b *Block) { b.Tables[0] = "zz" }, catalog.ErrNoTable},
 		{"self join", func(b *Block) {
 			b.Joins[0] = Join{Left: ColRef{"a", "id"}, Right: ColRef{"a", "x"}}
-		}, ErrSelfJoin},
+		}, errSelfJoin},
 		{"join foreign table", func(b *Block) {
 			b.Joins[0] = Join{Left: ColRef{"zz", "id"}, Right: ColRef{"b", "aid"}}
 		}, ErrUnknownTable},
@@ -101,7 +101,7 @@ func TestValidateErrorOrder(t *testing.T) {
 		}, catalog.ErrNoTable},
 		{"self join before its bad column", func(b *Block) {
 			b.Joins[0] = Join{Left: ColRef{"a", "nope"}, Right: ColRef{"a", "x"}}
-		}, ErrSelfJoin},
+		}, errSelfJoin},
 		{"join left side before right side", func(b *Block) {
 			b.Joins[0] = Join{Left: ColRef{"a", "nope"}, Right: ColRef{"zz", "aid"}}
 		}, catalog.ErrNoColumn},
@@ -159,8 +159,8 @@ func TestValidateTooMany(t *testing.T) {
 		}
 		b.Tables = append(b.Tables, name)
 	}
-	if err := b.Validate(cat); !errors.Is(err, ErrTooMany) {
-		t.Fatalf("err = %v, want ErrTooMany", err)
+	if err := b.Validate(cat); !errors.Is(err, errTooMany) {
+		t.Fatalf("err = %v, want errTooMany", err)
 	}
 }
 

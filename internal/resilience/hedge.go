@@ -39,15 +39,15 @@ func (s HedgeSpec) window() int {
 type HedgeOutcome string
 
 const (
-	// HedgeCancel: the primary finished within Startup of the hedge
+	// hedgeCancel: the primary finished within Startup of the hedge
 	// launch; the hedge was cancelled before doing real work.
-	HedgeCancel HedgeOutcome = "cancel"
-	// HedgeWin: the hedge finished first; its result was served and the
+	hedgeCancel HedgeOutcome = "cancel"
+	// hedgeWin: the hedge finished first; its result was served and the
 	// primary's remaining work was abandoned.
-	HedgeWin HedgeOutcome = "win"
-	// HedgeLoss: the primary finished first; the hedge's partial work was
+	hedgeWin HedgeOutcome = "win"
+	// hedgeLoss: the primary finished first; the hedge's partial work was
 	// wasted.
-	HedgeLoss HedgeOutcome = "loss"
+	hedgeLoss HedgeOutcome = "loss"
 )
 
 // hedger is one tenant's hedge state: a ring of recent cold primary
@@ -116,19 +116,19 @@ func (h *hedger) resolve(primary, hedge Micros) hedgeResult {
 	switch {
 	case primary <= d+start:
 		return hedgeResult{
-			outcome: HedgeCancel, fired: true,
+			outcome: hedgeCancel, fired: true,
 			served: primary, charged: primary + start, wasted: start,
 		}
 	case d+hedge < primary:
 		served := d + hedge
 		return hedgeResult{
-			outcome: HedgeWin, fired: true,
+			outcome: hedgeWin, fired: true,
 			served: served, charged: hedge + served, wasted: served,
 		}
 	default:
 		wasted := primary - d
 		return hedgeResult{
-			outcome: HedgeLoss, fired: true,
+			outcome: hedgeLoss, fired: true,
 			served: primary, charged: primary + wasted, wasted: wasted,
 		}
 	}

@@ -75,7 +75,7 @@ func TestConcurrentDoAndObserve(t *testing.T) {
 		t.Fatalf("lost requests: %d of %d", len(all), goroutines*perG)
 	}
 	byDecision, byHedge := tally(t, all)
-	if fired := byDecision[DecisionColdHedged]; byHedge[HedgeWin]+byHedge[HedgeLoss]+byHedge[HedgeCancel] != fired {
+	if fired := byDecision[decisionColdHedged]; byHedge[hedgeWin]+byHedge[hedgeLoss]+byHedge[hedgeCancel] != fired {
 		t.Fatalf("hedge identity broken under concurrency: %d fired, %v", fired, byHedge)
 	}
 }

@@ -51,25 +51,25 @@ type Config struct {
 type Decision string
 
 const (
-	// DecisionHit: served from the drift-banded plan cache on the fast
+	// decisionHit: served from the drift-banded plan cache on the fast
 	// path (no budget or breaker involvement).
-	DecisionHit Decision = "hit"
-	// DecisionCold: admitted cold optimization, no hedge fired.
-	DecisionCold Decision = "cold"
-	// DecisionColdHedged: admitted cold optimization with a hedge fired.
-	DecisionColdHedged Decision = "cold-hedged"
-	// DecisionDeniedCache: over budget, served the nearest banded cached
+	decisionHit Decision = "hit"
+	// decisionCold: admitted cold optimization, no hedge fired.
+	decisionCold Decision = "cold"
+	// decisionColdHedged: admitted cold optimization with a hedge fired.
+	decisionColdHedged Decision = "cold-hedged"
+	// decisionDeniedCache: over budget, served the nearest banded cached
 	// plan from a widened band search.
-	DecisionDeniedCache Decision = "denied-cache"
-	// DecisionDeniedDegraded: over budget and nothing cached nearby,
+	decisionDeniedCache Decision = "denied-cache"
+	// decisionDeniedDegraded: over budget and nothing cached nearby,
 	// served a degraded modal-point plan.
-	DecisionDeniedDegraded Decision = "denied-degraded"
-	// DecisionBreakerCache: breaker open, served a nearest cached plan.
-	DecisionBreakerCache Decision = "breaker-cache"
-	// DecisionBreakerDegraded: breaker open, served a degraded plan.
-	DecisionBreakerDegraded Decision = "breaker-degraded"
-	// DecisionBreakerTrial: half-open trial re-optimization.
-	DecisionBreakerTrial Decision = "breaker-trial"
+	decisionDeniedDegraded Decision = "denied-degraded"
+	// decisionBreakerCache: breaker open, served a nearest cached plan.
+	decisionBreakerCache Decision = "breaker-cache"
+	// decisionBreakerDegraded: breaker open, served a degraded plan.
+	decisionBreakerDegraded Decision = "breaker-degraded"
+	// decisionBreakerTrial: half-open trial re-optimization.
+	decisionBreakerTrial Decision = "breaker-trial"
 )
 
 // nearestMargins is the widened band search (in band units, nearest
@@ -205,14 +205,14 @@ func (w *Wrapper) Do(req Request) Outcome {
 	switch phase {
 	case breakerOpen:
 		if resp, ok := w.opt.Cached(req.Core, nearestMargins...); ok {
-			out = Outcome{Response: resp, Decision: DecisionBreakerCache, Served: w.cfg.Latency.Hit}
+			out = Outcome{Response: resp, Decision: decisionBreakerCache, Served: w.cfg.Latency.Hit}
 		} else {
 			resp, err := w.degraded(req)
-			out = Outcome{Response: resp, Decision: DecisionBreakerDegraded, Served: w.cfg.Latency.Degraded, Degraded: err == nil}
+			out = Outcome{Response: resp, Decision: decisionBreakerDegraded, Served: w.cfg.Latency.Degraded, Degraded: err == nil}
 		}
 	case breakerHalfOpen:
 		isTrial = true
-		out.Decision = DecisionBreakerTrial
+		out.Decision = decisionBreakerTrial
 		resp, err := w.opt.Optimize(req.Core)
 		out.Response = resp
 		if err != nil {
@@ -231,7 +231,7 @@ func (w *Wrapper) Do(req Request) Outcome {
 		}
 	default: // closed
 		if resp, ok := w.opt.Cached(req.Core); ok {
-			out = Outcome{Response: resp, Decision: DecisionHit, Served: w.cfg.Latency.Hit}
+			out = Outcome{Response: resp, Decision: decisionHit, Served: w.cfg.Latency.Hit}
 			churn = lastSig != "" && lastSig != resp.Plan.Signature()
 			recordChurn, settlePlan = true, true
 		} else if !admitted {
@@ -241,11 +241,11 @@ func (w *Wrapper) Do(req Request) Outcome {
 			// of denying cold work forever.
 			churn, recordChurn = true, true
 			if resp, ok := w.opt.Cached(req.Core, nearestMargins...); ok {
-				out = Outcome{Response: resp, Decision: DecisionDeniedCache, Served: w.cfg.Latency.Hit}
+				out = Outcome{Response: resp, Decision: decisionDeniedCache, Served: w.cfg.Latency.Hit}
 				settlePlan = true
 			} else {
 				resp, err := w.degraded(req)
-				out = Outcome{Response: resp, Decision: DecisionDeniedDegraded, Served: w.cfg.Latency.Degraded, Degraded: err == nil}
+				out = Outcome{Response: resp, Decision: decisionDeniedDegraded, Served: w.cfg.Latency.Degraded, Degraded: err == nil}
 			}
 		} else {
 			resp, err := w.opt.Optimize(req.Core)
@@ -255,7 +255,7 @@ func (w *Wrapper) Do(req Request) Outcome {
 				if resp.CacheHit {
 					// The margin-probe hysteresis (or a concurrent fill)
 					// landed a hit the fast path missed: a hit is a hit.
-					out.Decision = DecisionHit
+					out.Decision = decisionHit
 					out.Served = w.cfg.Latency.Hit
 					churn = lastSig != "" && lastSig != resp.Plan.Signature()
 					recordChurn = true
@@ -265,7 +265,7 @@ func (w *Wrapper) Do(req Request) Outcome {
 					hedgeDur = jittered(w.coldCost(resp), req.HedgeJitter)
 				}
 			} else {
-				out.Decision = DecisionCold
+				out.Decision = decisionCold
 			}
 		}
 	}
@@ -279,9 +279,9 @@ func (w *Wrapper) Do(req Request) Outcome {
 		hr := ts.hedge.resolve(primaryDur, hedgeDur)
 		ts.hedge.record(primaryDur)
 		out.Served, out.Charged, out.Wasted, out.Hedge = hr.served, hr.charged, hr.wasted, hr.outcome
-		out.Decision = DecisionCold
+		out.Decision = decisionCold
 		if hr.fired {
-			out.Decision = DecisionColdHedged
+			out.Decision = decisionColdHedged
 		}
 	}
 	if isTrial {

@@ -51,9 +51,9 @@ var flatLatency = LatencySpec{Hit: 10, ColdBase: 1000, Degraded: 40}
 
 // decisions is every Decision a request can settle to.
 var decisions = []Decision{
-	DecisionHit, DecisionCold, DecisionColdHedged, DecisionDeniedCache,
-	DecisionDeniedDegraded, DecisionBreakerCache, DecisionBreakerDegraded,
-	DecisionBreakerTrial,
+	decisionHit, decisionCold, decisionColdHedged, decisionDeniedCache,
+	decisionDeniedDegraded, decisionBreakerCache, decisionBreakerDegraded,
+	decisionBreakerTrial,
 }
 
 // tally counts settled outcomes by decision and by hedge outcome. It fails
@@ -72,7 +72,7 @@ func tally(t *testing.T, outs []Outcome) (map[Decision]int, map[HedgeOutcome]int
 		if !known {
 			t.Errorf("request %d settled to no decision: %q", i, out.Decision)
 		}
-		if (out.Hedge != "") != (out.Decision == DecisionColdHedged) {
+		if (out.Hedge != "") != (out.Decision == decisionColdHedged) {
 			t.Errorf("request %d: hedge %q with decision %s", i, out.Hedge, out.Decision)
 		}
 		byDecision[out.Decision]++
@@ -99,7 +99,7 @@ func TestBudgetDeniesColdPathAndStillServes(t *testing.T) {
 
 	// r1: full bucket admits exactly one cold optimization and drains it.
 	out := do(Request{Tenant: "a", Query: "q", Core: coreReq(cat, joinSQL)})
-	if out.Decision != DecisionCold || out.Charged != 1000 {
+	if out.Decision != decisionCold || out.Charged != 1000 {
 		t.Fatalf("r1: want cold charging 1000, got %s charging %d", out.Decision, out.Charged)
 	}
 
@@ -107,8 +107,8 @@ func TestBudgetDeniesColdPathAndStillServes(t *testing.T) {
 	// empty bucket — denied, but served the nearest banded cached plan
 	// (the widened band search reaches two bands away).
 	out = do(Request{Tenant: "a", Query: "q", Core: coreReq(scaled(t, cat, 4), joinSQL)})
-	if out.Decision != DecisionDeniedCache {
-		t.Fatalf("r2: want %s, got %s", DecisionDeniedCache, out.Decision)
+	if out.Decision != decisionDeniedCache {
+		t.Fatalf("r2: want %s, got %s", decisionDeniedCache, out.Decision)
 	}
 	if out.Plan == nil || out.Err != nil {
 		t.Fatalf("r2: denied request must still be served a plan (err %v)", out.Err)
@@ -116,19 +116,19 @@ func TestBudgetDeniesColdPathAndStillServes(t *testing.T) {
 
 	// r3: a four-band drift is beyond the widened search — degraded plan.
 	out = do(Request{Tenant: "a", Query: "q", Core: coreReq(scaled(t, cat, 64), joinSQL)})
-	if out.Decision != DecisionDeniedDegraded || !out.Degraded || out.Plan == nil {
+	if out.Decision != decisionDeniedDegraded || !out.Degraded || out.Plan == nil {
 		t.Fatalf("r3: want served degraded plan, got %s (plan %v, err %v)", out.Decision, out.Plan, out.Err)
 	}
 
 	// One virtual second refills the bucket: the same far drift is now
 	// admitted to the cold path.
 	out = do(Request{Tenant: "a", Query: "q", At: 1_000_000, Core: coreReq(scaled(t, cat, 64), joinSQL)})
-	if out.Decision != DecisionCold {
+	if out.Decision != decisionCold {
 		t.Fatalf("r4: refilled bucket should admit, got %s", out.Decision)
 	}
 
 	byDecision, _ := tally(t, outs)
-	if denials := byDecision[DecisionDeniedCache] + byDecision[DecisionDeniedDegraded]; denials != 2 || len(outs) != 4 {
+	if denials := byDecision[decisionDeniedCache] + byDecision[decisionDeniedDegraded]; denials != 2 || len(outs) != 4 {
 		t.Fatalf("want 2 denials over 4 requests, got %v", byDecision)
 	}
 	// The refill filled the bucket and r4's cold optimization drained it.
@@ -153,24 +153,24 @@ func TestBreakerTripsServesDegradedAndRecovers(t *testing.T) {
 
 	cat4, cat16 := scaled(t, cat, 4), scaled(t, cat, 16)
 	// Two band-crossing cold misses in a row: churn 2/2 trips the breaker.
-	if out := do(cat); out.Decision != DecisionCold {
+	if out := do(cat); out.Decision != decisionCold {
 		t.Fatalf("r1: %s", out.Decision)
 	}
-	if out := do(cat4); out.Decision != DecisionCold {
+	if out := do(cat4); out.Decision != decisionCold {
 		t.Fatalf("r2: %s", out.Decision)
 	}
 	// Open: served without touching the cold path. cat16's band was never
 	// optimized, and the widened cache search (±2 bands around cat16)
 	// reaches cat4's band — degraded-but-cached service while open.
 	out := do(cat16)
-	if out.Breaker != "open" || out.Decision != DecisionBreakerCache {
+	if out.Breaker != "open" || out.Decision != decisionBreakerCache {
 		t.Fatalf("r3: want open/breaker-cache, got %s/%s", out.Breaker, out.Decision)
 	}
 	// Cooldown elapses → half-open trial. A trial on a never-cached band
 	// is a cold miss: the tenant is still churning, the breaker reopens.
 	now += 1000
 	out = do(scaled(t, cat, 256))
-	if out.Decision != DecisionBreakerTrial || out.Breaker != "half-open" {
+	if out.Decision != decisionBreakerTrial || out.Breaker != "half-open" {
 		t.Fatalf("r4: want half-open trial, got %s/%s", out.Breaker, out.Decision)
 	}
 	if st := w.tenants["a"].breaker.state; st != breakerOpen {
@@ -179,18 +179,18 @@ func TestBreakerTripsServesDegradedAndRecovers(t *testing.T) {
 	// Another cooldown → trial on that now-cached band with an unchanged
 	// plan: clean recovery, the breaker closes.
 	now += 1000
-	if out := do(scaled(t, cat, 256)); out.Decision != DecisionBreakerTrial || !out.CacheHit {
+	if out := do(scaled(t, cat, 256)); out.Decision != decisionBreakerTrial || !out.CacheHit {
 		t.Fatalf("r5: want trial cache hit, got %s (hit=%v)", out.Decision, out.CacheHit)
 	}
-	if out := do(scaled(t, cat, 256)); out.Decision != DecisionHit || out.Breaker != "closed" {
+	if out := do(scaled(t, cat, 256)); out.Decision != decisionHit || out.Breaker != "closed" {
 		t.Fatalf("r6: closed breaker should serve hits, got %s/%s", out.Decision, out.Breaker)
 	}
 
 	byDecision, _ := tally(t, outs)
-	if open := byDecision[DecisionBreakerCache] + byDecision[DecisionBreakerDegraded]; open != 1 {
+	if open := byDecision[decisionBreakerCache] + byDecision[decisionBreakerDegraded]; open != 1 {
 		t.Fatalf("want 1 open-served request, got %v", byDecision)
 	}
-	if byDecision[DecisionBreakerTrial] != 2 {
+	if byDecision[decisionBreakerTrial] != 2 {
 		t.Fatalf("want 2 half-open trials (one reopen, one recovery), got %v", byDecision)
 	}
 }
@@ -224,29 +224,29 @@ func TestHedgeAccounting(t *testing.T) {
 	// Win: primary 2000 outlives the 1000 delay; hedge finishes at
 	// 1000+400=1400. Served 1400; the primary's 1400µs of work is waste.
 	out := do(3, 2, 0.4)
-	if out.Hedge != HedgeWin || out.Served != 1400 || out.Wasted != 1400 || out.Charged != 1800 {
+	if out.Hedge != hedgeWin || out.Served != 1400 || out.Wasted != 1400 || out.Charged != 1800 {
 		t.Fatalf("win: %+v", out)
 	}
 	// Cancel: primary 1004 (1000 × 1.005, truncated to whole µs) beats the
 	// hedge's 10µs startup window (ring now holds a 2000; p50 of
 	// [1000,1000,1000,2000] is still 1000).
 	out = do(4, 1.005, 1)
-	if out.Hedge != HedgeCancel || out.Served != 1004 || out.Wasted != 10 || out.Charged != 1014 {
+	if out.Hedge != hedgeCancel || out.Served != 1004 || out.Wasted != 10 || out.Charged != 1014 {
 		t.Fatalf("cancel: %+v", out)
 	}
 	// Loss: hedge would finish at 1000+2000=3000, after the primary's
 	// 2000. Served 2000; the hedge's 1000µs beyond its launch is waste.
 	out = do(5, 2, 2)
-	if out.Hedge != HedgeLoss || out.Served != 2000 || out.Wasted != 1000 || out.Charged != 3000 {
+	if out.Hedge != hedgeLoss || out.Served != 2000 || out.Wasted != 1000 || out.Charged != 3000 {
 		t.Fatalf("loss: %+v", out)
 	}
 
 	byDecision, byHedge := tally(t, outs)
-	fired := byDecision[DecisionColdHedged]
-	if fired != 3 || byHedge[HedgeWin] != 1 || byHedge[HedgeLoss] != 1 || byHedge[HedgeCancel] != 1 {
+	fired := byDecision[decisionColdHedged]
+	if fired != 3 || byHedge[hedgeWin] != 1 || byHedge[hedgeLoss] != 1 || byHedge[hedgeCancel] != 1 {
 		t.Fatalf("hedge tallies: %d fired, %v", fired, byHedge)
 	}
-	if byHedge[HedgeWin]+byHedge[HedgeLoss]+byHedge[HedgeCancel] != fired {
+	if byHedge[hedgeWin]+byHedge[hedgeLoss]+byHedge[hedgeCancel] != fired {
 		t.Fatalf("accounting identity broken: %d fired, %v", fired, byHedge)
 	}
 }

@@ -8,10 +8,10 @@ import (
 
 // Index errors.
 var (
-	ErrDupIndex  = errors.New("storage: duplicate index")
-	ErrNoIndex   = errors.New("storage: no such index")
-	ErrBadIndex  = errors.New("storage: invalid index spec")
-	ErrNotSorted = errors.New("storage: clustered index requires a relation sorted on the key")
+	errDupIndex  = errors.New("storage: duplicate index")
+	errNoIndex   = errors.New("storage: no such index")
+	errBadIndex  = errors.New("storage: invalid index spec")
+	errNotSorted = errors.New("storage: clustered index requires a relation sorted on the key")
 )
 
 // Index is a B+-tree-shaped secondary index over one integer column of a
@@ -69,10 +69,10 @@ type indexEntry struct {
 // collide with data.
 func BuildIndex(s *Store, name, table, column string, clustered bool, fanout int) (*Index, error) {
 	if name == "" || fanout < 2 {
-		return nil, fmt.Errorf("%w: name %q fanout %d", ErrBadIndex, name, fanout)
+		return nil, fmt.Errorf("%w: name %q fanout %d", errBadIndex, name, fanout)
 	}
 	if _, ok := s.indexes[name]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrDupIndex, name)
+		return nil, fmt.Errorf("%w: %s", errDupIndex, name)
 	}
 	rel, err := s.Get(table)
 	if err != nil {
@@ -103,7 +103,7 @@ func BuildIndex(s *Store, name, table, column string, clustered bool, fanout int
 		}
 	}
 	if clustered && !sorted {
-		return nil, fmt.Errorf("%w: %s.%s", ErrNotSorted, table, column)
+		return nil, fmt.Errorf("%w: %s.%s", errNotSorted, table, column)
 	}
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 
@@ -195,11 +195,7 @@ func BuildIndex(s *Store, name, table, column string, clustered bool, fanout int
 		s.Drop(leaves.Name)
 		return nil, err
 	}
-	if err := s.AddIndex(ix); err != nil {
-		s.Drop(leaves.Name)
-		s.Drop(nodes.Name)
-		return nil, err
-	}
+	s.indexes[ix.Name] = ix
 	return ix, nil
 }
 
@@ -272,24 +268,11 @@ func (ix *Index) Fresh(s *Store) bool {
 	return err == nil && rel.NumPages() == ix.dataPages
 }
 
-// AddIndex registers a pre-built index (BuildIndex calls this; exposed for
-// stores assembled from parts).
-func (s *Store) AddIndex(ix *Index) error {
-	if _, ok := s.indexes[ix.Name]; ok {
-		return fmt.Errorf("%w: %s", ErrDupIndex, ix.Name)
-	}
-	if s.indexes == nil {
-		s.indexes = make(map[string]*Index)
-	}
-	s.indexes[ix.Name] = ix
-	return nil
-}
-
 // Index returns the named index.
 func (s *Store) Index(name string) (*Index, error) {
 	ix, ok := s.indexes[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoIndex, name)
+		return nil, fmt.Errorf("%w: %s", errNoIndex, name)
 	}
 	return ix, nil
 }

@@ -197,22 +197,22 @@ func TestBuildIndexTallTree(t *testing.T) {
 // names and bad specs all fail cleanly.
 func TestBuildIndexValidation(t *testing.T) {
 	s := buildStore(t, 5, 10, 6, 50, false)
-	if _, err := BuildIndex(s, "ix", "T", "k", true, 8); !errors.Is(err, ErrNotSorted) {
+	if _, err := BuildIndex(s, "ix", "T", "k", true, 8); !errors.Is(err, errNotSorted) {
 		t.Fatalf("clustered over unsorted data: %v", err)
 	}
 	if _, err := BuildIndex(s, "ix", "T", "k", false, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildIndex(s, "ix", "T", "k", false, 8); !errors.Is(err, ErrDupIndex) {
+	if _, err := BuildIndex(s, "ix", "T", "k", false, 8); !errors.Is(err, errDupIndex) {
 		t.Fatalf("duplicate index: %v", err)
 	}
 	if _, err := BuildIndex(s, "ix2", "T", "zz", false, 8); err == nil {
 		t.Fatal("missing column must fail")
 	}
-	if _, err := BuildIndex(s, "ix3", "T", "k", false, 1); !errors.Is(err, ErrBadIndex) {
+	if _, err := BuildIndex(s, "ix3", "T", "k", false, 1); !errors.Is(err, errBadIndex) {
 		t.Fatal("fanout 1 must fail")
 	}
-	if _, err := s.Index("nope"); !errors.Is(err, ErrNoIndex) {
+	if _, err := s.Index("nope"); !errors.Is(err, errNoIndex) {
 		t.Fatal("missing index lookup must fail")
 	}
 }

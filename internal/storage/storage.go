@@ -16,10 +16,10 @@ import (
 
 // Errors.
 var (
-	ErrDupRelation = errors.New("storage: duplicate relation")
+	errDupRelation = errors.New("storage: duplicate relation")
 	ErrNoRelation  = errors.New("storage: no such relation")
-	ErrNoColumn    = errors.New("storage: no such column")
-	ErrBadPage     = errors.New("storage: page index out of range")
+	errNoColumn    = errors.New("storage: no such column")
+	errBadPage     = errors.New("storage: page index out of range")
 	ErrBadSchema   = errors.New("storage: invalid schema")
 )
 
@@ -61,7 +61,7 @@ func (r *Relation) ColIndex(name string) (int, error) {
 			return i, nil
 		}
 	}
-	return 0, fmt.Errorf("%w: %s.%s", ErrNoColumn, r.Name, name)
+	return 0, fmt.Errorf("%w: %s.%s", errNoColumn, r.Name, name)
 }
 
 // NumPages returns the page count.
@@ -80,7 +80,7 @@ func (r *Relation) NumTuples() int {
 // accounted path).
 func (r *Relation) Page(i int) ([]Tuple, error) {
 	if i < 0 || i >= len(r.pages) {
-		return nil, fmt.Errorf("%w: %s[%d] of %d", ErrBadPage, r.Name, i, len(r.pages))
+		return nil, fmt.Errorf("%w: %s[%d] of %d", errBadPage, r.Name, i, len(r.pages))
 	}
 	return r.pages[i], nil
 }
@@ -197,7 +197,7 @@ func NewStore() *Store {
 // Add registers a relation.
 func (s *Store) Add(r *Relation) error {
 	if _, ok := s.rels[r.Name]; ok {
-		return fmt.Errorf("%w: %s", ErrDupRelation, r.Name)
+		return fmt.Errorf("%w: %s", errDupRelation, r.Name)
 	}
 	s.rels[r.Name] = r
 	return nil

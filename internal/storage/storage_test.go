@@ -41,10 +41,10 @@ func TestAppendAndPaging(t *testing.T) {
 	if err != nil || len(p) != 1 {
 		t.Fatalf("last page: %v %v", p, err)
 	}
-	if _, err := r.Page(4); !errors.Is(err, ErrBadPage) {
+	if _, err := r.Page(4); !errors.Is(err, errBadPage) {
 		t.Fatal("out of range")
 	}
-	if _, err := r.Page(-1); !errors.Is(err, ErrBadPage) {
+	if _, err := r.Page(-1); !errors.Is(err, errBadPage) {
 		t.Fatal("negative index")
 	}
 	if err := r.Append(Tuple{1}); !errors.Is(err, ErrBadSchema) {
@@ -54,7 +54,7 @@ func TestAppendAndPaging(t *testing.T) {
 	if err != nil || ci != 1 {
 		t.Fatalf("ColIndex: %d %v", ci, err)
 	}
-	if _, err := r.ColIndex("zz"); !errors.Is(err, ErrNoColumn) {
+	if _, err := r.ColIndex("zz"); !errors.Is(err, errNoColumn) {
 		t.Fatal("missing column")
 	}
 }
@@ -129,7 +129,7 @@ func TestStore(t *testing.T) {
 	if err := s.Add(r); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(r); !errors.Is(err, ErrDupRelation) {
+	if err := s.Add(r); !errors.Is(err, errDupRelation) {
 		t.Fatal("dup add")
 	}
 	got, err := s.Get("r")

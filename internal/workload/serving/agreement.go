@@ -15,8 +15,8 @@ import (
 	"lecopt/internal/plan"
 )
 
-// ErrBadAgreement reports an invalid agreement-sweep configuration.
-var ErrBadAgreement = errors.New("serving: invalid agreement config")
+// errBadAgreement reports an invalid agreement-sweep configuration.
+var errBadAgreement = errors.New("serving: invalid agreement config")
 
 // AgreementConfig tunes one engine-vs-model agreement sweep: a corpus of
 // seeded random plans (mixed join-method subsets, random optimization
@@ -106,7 +106,7 @@ func (m *Mix) MeasureModelAgreement(cfg AgreementConfig) (*AgreementReport, erro
 		trials = 60
 	}
 	if trials < 0 {
-		return nil, fmt.Errorf("%w: %d trials", ErrBadAgreement, trials)
+		return nil, fmt.Errorf("%w: %d trials", errBadAgreement, trials)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := core.NewOptimizer(nil, core.Config{

@@ -27,8 +27,8 @@ import (
 	"lecopt/internal/workload"
 )
 
-// ErrBadMix reports an invalid mix specification.
-var ErrBadMix = errors.New("serving: invalid mix spec")
+// errBadMix reports an invalid mix specification.
+var errBadMix = errors.New("serving: invalid mix spec")
 
 // Tenant is one memory regime of a multi-tenant serving host: a name plus
 // the environment (initial law and optional Markov chain) its queries run
@@ -98,10 +98,10 @@ type MixSpec struct {
 }
 
 // DefaultMixSpec returns the canonical Zipf+Markov serving mix: 12 distinct
-// queries with skew 1.1, four tenants from DefaultTenants, and a ±2x sticky
+// queries with skew 1.1, four tenants from defaultTenants, and a ±2x sticky
 // statistics drift.
 func DefaultMixSpec() (MixSpec, error) {
-	tenants, err := DefaultTenants()
+	tenants, err := defaultTenants()
 	if err != nil {
 		return MixSpec{}, err
 	}
@@ -128,12 +128,12 @@ func DefaultMixSpec() (MixSpec, error) {
 	}, nil
 }
 
-// DefaultTenants returns the canonical multi-tenant memory regimes, from a
+// defaultTenants returns the canonical multi-tenant memory regimes, from a
 // zero-variance batch tier (where LEC ≡ LSC) through static bimodal
 // pressure to sticky and volatile Markov memory. Levels are engine-scale
 // pages, chosen to straddle the sort-merge/grace-hash thresholds of tables
 // in the DefaultMixSpec size range.
-func DefaultTenants() ([]Tenant, error) {
+func defaultTenants() ([]Tenant, error) {
 	levels := []float64{5, 9, 17, 40}
 	bimodal, err := dist.Bimodal(7, 40, 0.35)
 	if err != nil {
@@ -187,25 +187,25 @@ type Mix struct {
 // randomness (same seed ⇒ same mix, including the physical tuples).
 func NewMix(spec MixSpec, rng *rand.Rand) (*Mix, error) {
 	if spec.Queries < 1 {
-		return nil, fmt.Errorf("%w: %d queries", ErrBadMix, spec.Queries)
+		return nil, fmt.Errorf("%w: %d queries", errBadMix, spec.Queries)
 	}
 	if math.IsNaN(spec.ZipfS) || spec.ZipfS < 0 {
-		return nil, fmt.Errorf("%w: Zipf skew %v", ErrBadMix, spec.ZipfS)
+		return nil, fmt.Errorf("%w: Zipf skew %v", errBadMix, spec.ZipfS)
 	}
 	if err := spec.Gen.validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMix, err)
+		return nil, fmt.Errorf("%w: %v", errBadMix, err)
 	}
 	if len(spec.Tenants) == 0 {
-		return nil, fmt.Errorf("%w: no tenants", ErrBadMix)
+		return nil, fmt.Errorf("%w: no tenants", errBadMix)
 	}
 	for _, tn := range spec.Tenants {
 		if err := tn.Env.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: tenant %q: %v", ErrBadMix, tn.Name, err)
+			return nil, fmt.Errorf("%w: tenant %q: %v", errBadMix, tn.Name, err)
 		}
 	}
 	chain, err := spec.Drift.chain()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMix, err)
+		return nil, fmt.Errorf("%w: %v", errBadMix, err)
 	}
 	m := &Mix{Spec: spec, Tenants: spec.Tenants, driftChain: chain}
 	ids := make([]float64, spec.Queries)

@@ -33,8 +33,8 @@ func TestNewMixValidation(t *testing.T) {
 	for _, tc := range cases {
 		spec := base
 		tc.mut(&spec)
-		if _, err := NewMix(spec, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBadMix) {
-			t.Errorf("%s: want ErrBadMix, got %v", tc.name, err)
+		if _, err := NewMix(spec, rand.New(rand.NewSource(1))); !errors.Is(err, errBadMix) {
+			t.Errorf("%s: want errBadMix, got %v", tc.name, err)
 		}
 	}
 }

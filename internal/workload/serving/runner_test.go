@@ -79,7 +79,7 @@ func TestRunPointLawDegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tenants, err := DefaultTenants()
+	tenants, err := defaultTenants()
 	if err != nil {
 		t.Fatal(err)
 	}

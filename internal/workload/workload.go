@@ -19,7 +19,7 @@ import (
 
 // Errors.
 var (
-	ErrBadSpec = errors.New("workload: invalid spec")
+	errBadSpec = errors.New("workload: invalid spec")
 )
 
 // Shape selects the join-graph topology.
@@ -73,7 +73,7 @@ func (s Shape) Joins(names []string, rng *rand.Rand) ([]query.Join, error) {
 			joins = append(joins, keyJoin(names[rng.Intn(i)], names[i]))
 		}
 	default:
-		return nil, fmt.Errorf("%w: shape %d", ErrBadSpec, s)
+		return nil, fmt.Errorf("%w: shape %d", errBadSpec, s)
 	}
 	return joins, nil
 }
@@ -121,10 +121,10 @@ type Scenario struct {
 // (same seed ⇒ same scenario).
 func Generate(spec Spec, rng *rand.Rand) (Scenario, error) {
 	if spec.Tables < 1 || spec.Tables > query.MaxTables {
-		return Scenario{}, fmt.Errorf("%w: %d tables", ErrBadSpec, spec.Tables)
+		return Scenario{}, fmt.Errorf("%w: %d tables", errBadSpec, spec.Tables)
 	}
 	if spec.MinPages <= 0 || spec.MaxPages < spec.MinPages || spec.TuplesPerPage <= 0 {
-		return Scenario{}, fmt.Errorf("%w: page configuration", ErrBadSpec)
+		return Scenario{}, fmt.Errorf("%w: page configuration", errBadSpec)
 	}
 	cat := catalog.New()
 	names := make([]string, spec.Tables)

@@ -11,19 +11,19 @@ import (
 
 func TestGenerateValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Generate(Spec{Tables: 0}, rng); !errors.Is(err, ErrBadSpec) {
+	if _, err := Generate(Spec{Tables: 0}, rng); !errors.Is(err, errBadSpec) {
 		t.Fatal("zero tables")
 	}
-	if _, err := Generate(Spec{Tables: query.MaxTables + 1}, rng); !errors.Is(err, ErrBadSpec) {
+	if _, err := Generate(Spec{Tables: query.MaxTables + 1}, rng); !errors.Is(err, errBadSpec) {
 		t.Fatal("too many tables")
 	}
 	spec := DefaultSpec(3, Chain)
 	spec.MinPages = 0
-	if _, err := Generate(spec, rng); !errors.Is(err, ErrBadSpec) {
+	if _, err := Generate(spec, rng); !errors.Is(err, errBadSpec) {
 		t.Fatal("bad pages")
 	}
 	spec = DefaultSpec(3, Shape(99))
-	if _, err := Generate(spec, rng); !errors.Is(err, ErrBadSpec) {
+	if _, err := Generate(spec, rng); !errors.Is(err, errBadSpec) {
 		t.Fatal("bad shape")
 	}
 }

@@ -166,6 +166,14 @@ type (
 	WorkloadReport = serving.Report
 )
 
+// Errors a caller can match with errors.Is: invalid statistics (NewTable),
+// a Request or Feedback that names no query, and no plan of finite cost.
+var (
+	ErrBadStats   = catalog.ErrBadStats
+	ErrBadRequest = core.ErrBadRequest
+	ErrNoPlan     = optimizer.ErrNoPlan
+)
+
 // Algorithms.
 const (
 	AlgLSCMean = core.AlgLSCMean // classical plan at the mean memory

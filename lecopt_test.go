@@ -3,6 +3,7 @@ package lecopt
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -172,5 +173,51 @@ func TestUnknownJoinMethodIsATypedError(t *testing.T) {
 	ok.Opts = &Options{}
 	if _, err := opt.Optimize(ok); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestErrBadStatsIsRootAPI: NewTable's refusal of a NaN statistic matches
+// the root package's ErrBadStats.
+func TestErrBadStatsIsRootAPI(t *testing.T) {
+	if _, err := NewTable("a", math.NaN(), 100); !errors.Is(err, ErrBadStats) {
+		t.Fatalf("NewTable with NaN pages: err = %v, want ErrBadStats", err)
+	}
+}
+
+// TestErrBadRequestIsRootAPI: a request that names no query matches the
+// root package's ErrBadRequest.
+func TestErrBadRequestIsRootAPI(t *testing.T) {
+	if _, err := New(nil).Optimize(Request{}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Optimize(Request{}): err = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestErrNoPlanIsRootAPI: NewTable admits only finite statistics, but a
+// caller can write NaN pages into a table afterwards; Algorithm C then
+// finds no plan of finite cost and says so with the root package's
+// ErrNoPlan.
+func TestErrNoPlanIsRootAPI(t *testing.T) {
+	cat := NewCatalog()
+	for _, name := range []string{"a", "b"} {
+		tab, err := NewTable(name, 1000, 50_000, Column{Name: "k", Distinct: 5000, Min: 0, Max: 1e4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, err := cat.Table("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Pages = math.NaN()
+	mem, err := Bimodal(700, 2000, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{SQL: "SELECT * FROM a, b WHERE a.k = b.k", Env: Env{Mem: mem}, Alg: AlgC}
+	if _, err := New(cat).Optimize(req); !errors.Is(err, ErrNoPlan) {
+		t.Fatalf("AlgC over NaN pages: err = %v, want ErrNoPlan", err)
 	}
 }

@@ -51,8 +51,8 @@ func WithWorkers(n int) Option {
 	return func(c *core.Config) { c.Workers = n }
 }
 
-// WithPlanCache sets the handle's plan-cache capacity (the default is
-// core.DefaultCacheSize entries).
+// WithPlanCache sets the handle's plan-cache capacity (the default is 4096
+// entries).
 func WithPlanCache(capacity int) Option {
 	return func(c *core.Config) { c.CacheSize = capacity }
 }
