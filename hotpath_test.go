@@ -46,8 +46,8 @@ func hotPathRequests(t testing.TB, n int) []Request {
 // TestWarmHitZeroAllocs pins the tentpole claim: a plan-cache hit performs
 // zero heap allocations — the key is built in a pooled buffer, hashed on
 // the stack, and looked up by raw bytes; the request's call is pooled. It
-// holds for Optimize and for the cache-only Cached the resilience layer
-// serves from, since both go through the same lookup.
+// holds for Optimize and for the cache-only Cached, since both go through
+// the same lookup.
 func TestWarmHitZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

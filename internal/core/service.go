@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"maps"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -346,17 +347,16 @@ func (o *Optimizer) Optimize(req Request) (Response, error) {
 }
 
 // Cached serves a request from the plan cache alone: no optimization is
-// ever started, so the call is safe on any hot path that must not pay
-// cold-plan compute — the resilience layer's budget-denied and
-// breaker-open serving. The primary banded key is probed first, then each
-// margin is probed with both signs in band units (nearest first), so a
-// caller can widen the search to neighboring drift bands and serve the
-// *nearest* cached plan for a tenant whose statistics have walked away.
-// With no margins given, the band-edge hysteresis margin is probed, which
-// makes a Cached hit equivalent to "Optimize would have hit". All probes
-// are uncounted (plancache.ProbeBytes): a denied request must not distort
-// the hit-rate trajectory the cache stats track. Nothing is re-cached — a
-// far-band plan served under pressure must not poison the primary band.
+// ever started, so the call never pays cold-plan compute. The primary
+// banded key is probed first, then each margin is probed with both signs
+// in band units (nearest first), so a caller can widen the search to
+// neighboring drift bands and serve the *nearest* cached plan for a
+// request whose statistics have walked away. With no margins given, the
+// band-edge hysteresis margin is probed, which makes a Cached hit
+// equivalent to "Optimize would have hit". All probes are uncounted
+// (plancache.ProbeBytes): a cache-only look must not distort the hit-rate
+// trajectory the cache stats track. Nothing is re-cached — a far-band plan
+// must not poison the primary band.
 func (o *Optimizer) Cached(req Request, margins ...float64) (Response, bool) {
 	if o.cache == nil {
 		return Response{}, false
@@ -614,10 +614,18 @@ type Feedback struct {
 // keys, stale cached plans miss cleanly). Sizes are rounded here, once:
 // the query's hint snapshot is republished only when a rounded value
 // moves or a new table set is observed, so feedback that has converged
-// changes neither what requests read nor their cache keys. A handle
-// configured with DisableFeedback ignores observations. Feedback that
-// names no query fails with ErrBadRequest.
+// changes neither what requests read nor their cache keys. A negative,
+// NaN or infinite size refuses the whole observation with
+// catalog.ErrBadStats and nothing folds, on every handle; a size of 0 (an
+// empty intermediate) is skipped. A handle configured with DisableFeedback
+// otherwise ignores observations. Feedback that names no query fails with
+// ErrBadRequest.
 func (o *Optimizer) Observe(fb Feedback) error {
+	for _, v := range fb.Sizes {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: observed sizes must be finite and non-negative", catalog.ErrBadStats)
+		}
+	}
 	if o.fb == nil || len(fb.Sizes) == 0 {
 		return nil
 	}

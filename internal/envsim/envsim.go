@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"lecopt/internal/dist"
 	"lecopt/internal/plan"
@@ -151,7 +152,7 @@ func summarize(costs []float64, total float64) RunStats {
 	}
 	variance /= float64(n)
 	sorted := append([]float64(nil), costs...)
-	insertionSort(sorted)
+	slices.Sort(sorted)
 	return RunStats{
 		Runs:   n,
 		Mean:   mean,
@@ -161,15 +162,6 @@ func summarize(costs []float64, total float64) RunStats {
 		P95:    quantile(sorted, 0.95),
 		Median: quantile(sorted, 0.5),
 		Total:  total,
-	}
-}
-
-func insertionSort(a []float64) {
-	// Avoid pulling sort just for this; n is test-scale.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
 	}
 }
 

@@ -33,13 +33,6 @@ func TestDeterminismFixture(t *testing.T) {
 	fixture(t, "determinism", "determinism")
 }
 
-// TestResilienceFixture seeds the violation the resilience layer is most
-// at risk of: breaker logic reaching for the wall clock instead of the
-// injected virtual clock.
-func TestResilienceFixture(t *testing.T) {
-	fixture(t, "lecopt/internal/resilience", "determinism")
-}
-
 func TestDistImmutFixture(t *testing.T) {
 	fixture(t, "lecopt/internal/dist", "distimmut")
 }

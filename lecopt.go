@@ -166,8 +166,9 @@ type (
 	WorkloadReport = serving.Report
 )
 
-// Errors a caller can match with errors.Is: invalid statistics (NewTable),
-// a Request or Feedback that names no query, and no plan of finite cost.
+// Errors a caller can match with errors.Is: invalid statistics (NewTable,
+// or a negative, NaN or infinite size given to Observe), a Request or
+// Feedback that names no query, and no plan of finite cost.
 var (
 	ErrBadStats   = catalog.ErrBadStats
 	ErrBadRequest = core.ErrBadRequest

@@ -221,3 +221,81 @@ func TestErrNoPlanIsRootAPI(t *testing.T) {
 		t.Fatalf("AlgC over NaN pages: err = %v, want ErrNoPlan", err)
 	}
 }
+
+// TestObserveRefusesHostileSizes: a negative, NaN or infinite size, alone
+// or beside valid ones, refuses the whole observation with ErrBadStats,
+// with feedback on or off. Nothing folds, so FeedbackStats and the next
+// Optimize's plan and cache hit are as before. Valid sizes still fold,
+// and a size of 0 (an empty intermediate) is a skipped no-op.
+func TestObserveRefusesHostileSizes(t *testing.T) {
+	cat := NewCatalog()
+	for _, name := range []string{"a", "b"} {
+		tab, err := NewTable(name, 1000, 50_000, Column{Name: "k", Distinct: 5000, Min: 0, Max: 1e4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem, err := Bimodal(700, 2000, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{SQL: "SELECT * FROM a, b WHERE a.k = b.k", Env: Env{Mem: mem}, Alg: AlgC}
+	ab := SizeKey("a", "b")
+	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64}
+	for _, h := range []struct {
+		name string
+		opts []Option
+	}{{"feedback on", nil}, {"feedback off", []Option{WithoutFeedback()}}} {
+		opt := New(cat, h.opts...)
+		first, err := opt.Optimize(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unchanged := func(what string, q0 int, n0 uint64) {
+			t.Helper()
+			if q, n := opt.FeedbackStats(); q != q0 || n != n0 {
+				t.Errorf("%s, %s: FeedbackStats %d queries, %d observations; want %d, %d", h.name, what, q, n, q0, n0)
+			}
+			resp, err := opt.Optimize(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resp.CacheHit || resp.Plan.Signature() != first.Plan.Signature() {
+				t.Errorf("%s, %s: next Optimize CacheHit %v plan %s; want a hit on %s",
+					h.name, what, resp.CacheHit, resp.Plan.Signature(), first.Plan.Signature())
+			}
+		}
+		for _, v := range hostile {
+			for _, sizes := range []map[string]float64{
+				{ab: v},
+				{ab: v, "a": 40},
+				{ab: 12_000, "a": v},
+			} {
+				what := fmt.Sprintf("Observe(%v)", sizes)
+				if err := opt.Observe(Feedback{SQL: req.SQL, Sizes: sizes}); !errors.Is(err, ErrBadStats) {
+					t.Errorf("%s, %s = %v, want ErrBadStats", h.name, what, err)
+				}
+				unchanged(what, 0, 0)
+			}
+		}
+		if err := opt.Observe(Feedback{SQL: req.SQL, Sizes: map[string]float64{ab: 0}}); err != nil {
+			t.Errorf("%s, a size of 0: %v, want nil", h.name, err)
+		}
+		unchanged("a size of 0", 0, 0)
+		if err := opt.Observe(Feedback{SQL: req.SQL, Sizes: map[string]float64{ab: 12_000, "a": 40}}); err != nil {
+			t.Errorf("%s, valid sizes: %v, want nil", h.name, err)
+		}
+		if h.opts != nil {
+			continue
+		}
+		if q, n := opt.FeedbackStats(); q != 1 || n != 2 {
+			t.Errorf("valid sizes: FeedbackStats %d queries, %d observations; want 1, 2", q, n)
+		}
+		if resp, err := opt.Optimize(req); err != nil || resp.CacheHit {
+			t.Errorf("after valid sizes folded: CacheHit %v, err %v; want a miss under the new hints", resp.CacheHit, err)
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 // exportedCeiling caps the library's exported surface: ROADMAP aim 2's
 // second figure. Lower it when a change removes exports; raising it needs
 // the new names to pay for themselves.
-const exportedCeiling = 479
+const exportedCeiling = 472
 
 // TestExportedSurface counts the exported identifiers of the library — top-level
 // funcs and methods, types, vars and consts, not struct fields — over every
