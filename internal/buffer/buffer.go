@@ -7,6 +7,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lecopt/internal/storage"
 )
@@ -36,16 +37,28 @@ func (s Stats) IO() int64 { return s.Reads + s.Writes }
 // found through a per-relation page table — a slice of frame indices — so
 // a read is a slice lookup and caching or evicting a page is a slice store;
 // the only map is keyed by the relation's pointer and is consulted when the
-// relation changes from one call to the next. Pointer identity is unique
-// among live relations and a table keeps its relation reachable, so a page
-// can never be mistaken for another's. Everything grows on demand — an
-// "unbounded" budget is a capacity of MaxInt32 that must cost nothing
+// relation changes from one call to the next. Everything grows on demand —
+// an "unbounded" budget is a capacity of MaxInt32 that must cost nothing
 // until pages arrive.
+//
+// Pointer identity is unique among live relations, but a store recycles a
+// dropped temp's Relation for a later temp, so a pointer names one relation
+// only between its NewTemp and its Drop. A page is never mistaken for
+// another's because no table outlives its relation: a temp's frames are
+// invalidated before it is dropped, and Reset, which every operator calls
+// before it reads a page, forgets every table. A pool that is reused
+// without Reset must invalidate each temp it touched before dropping it.
+//
+// Reset makes one pool serve operator after operator: it keeps the frame
+// slice and the page tables' frame slices, so a warmed pool caches and
+// evicts without allocating.
 type Pool struct {
 	store    *storage.Store
 	capacity int
 	tables   map[*storage.Relation]*pageTable
-	last     *pageTable // table of the relation touched last
+	live     []*pageTable // the tables of p.tables, in creation order
+	spare    []*pageTable // forgotten tables, frame slices kept for reuse
+	last     *pageTable   // table of the relation touched last
 	frames   []frame
 	head     int32 // most recently used, none when the pool is empty
 	tail     int32 // least recently used
@@ -79,6 +92,35 @@ func NewPool(store *storage.Store, capacity int) (*Pool, error) {
 		tables: make(map[*storage.Relation]*pageTable),
 		head:   none, tail: none, free: none,
 	}, nil
+}
+
+// Reset empties the pool and gives it a new capacity, leaving exactly the
+// state NewPool(store, capacity) leaves — no resident frame, no page table,
+// zeroed Stats — and the same error for a capacity that is not positive
+// (the pool is then unchanged). It keeps the memory of the frames and page
+// tables for the pages to come.
+func (p *Pool) Reset(capacity int) error {
+	if capacity <= 0 {
+		return fmt.Errorf("%w: %d", errBadCapacity, capacity)
+	}
+	for _, t := range p.live {
+		p.recycle(t)
+	}
+	p.live = p.live[:0]
+	clear(p.tables)
+	clear(p.frames)
+	p.frames = p.frames[:0]
+	p.capacity, p.last = capacity, nil
+	p.head, p.tail, p.free = none, none, none
+	p.resident, p.stats = 0, Stats{}
+	return nil
+}
+
+// recycle forgets a page table's relation and keeps its frame slice for the
+// next relation the pool touches.
+func (p *Pool) recycle(t *pageTable) {
+	t.rel, t.frame = nil, t.frame[:0]
+	p.spare = append(p.spare, t)
 }
 
 // Capacity returns the pool's page capacity.
@@ -163,6 +205,10 @@ func (p *Pool) Invalidate(r *storage.Relation) {
 		}
 	}
 	delete(p.tables, t.rel)
+	if i := slices.Index(p.live, t); i >= 0 {
+		p.live = slices.Delete(p.live, i, i+1)
+	}
+	p.recycle(t)
 	if p.last == t {
 		p.last = nil
 	}
@@ -175,8 +221,14 @@ func (p *Pool) table(r *storage.Relation) *pageTable {
 	}
 	t := p.tables[r]
 	if t == nil {
-		t = &pageTable{rel: r}
+		if n := len(p.spare); n > 0 {
+			t, p.spare = p.spare[n-1], p.spare[:n-1]
+			t.rel = r
+		} else {
+			t = &pageTable{rel: r}
+		}
 		p.tables[r] = t
+		p.live = append(p.live, t)
 	}
 	p.last = t
 	return t

@@ -407,6 +407,90 @@ func TestUnboundedCapacityCostsNothingUpFront(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNewPool: a pool driven through reads, appends and
+// Invalidate at one capacity and then Reset to another behaves exactly as a
+// new pool of that capacity: one fixed access sequence gives the same hits
+// and misses in the same order, and the same Stats. The sequence makes a
+// temp each time, and the store hands the dirty pool's dropped temp back,
+// so a table that outlived Reset would be found under the recycled
+// pointer.
+func TestResetMatchesNewPool(t *testing.T) {
+	s, r := setup(t, 8, 2)
+	replay := func(p *Pool) ([]bool, Stats) {
+		tmp, err := s.NewTemp("replay", []string{"k"}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Drop(tmp.Name)
+		var log []bool
+		read := func(rel *storage.Relation, i int) {
+			hits := p.Stats().Hits
+			if _, err := p.ReadRel(rel, i); err != nil {
+				t.Fatal(err)
+			}
+			log = append(log, p.Stats().Hits > hits)
+		}
+		for _, i := range []int{0, 1, 2, 0, 3, 1, 4, 5, 0, 6, 7, 2, 2, 1} {
+			read(r, i)
+		}
+		for i := int64(0); i < 4; i++ {
+			if err := p.AppendRel(tmp, []storage.Tuple{{i}, {-i}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, i := range []int{0, 3, 1, 2} {
+			read(tmp, i)
+			read(r, i)
+		}
+		p.Invalidate(tmp)
+		for _, i := range []int{3, 2, 1, 0} {
+			read(tmp, i)
+			read(r, 7-i)
+		}
+		return log, p.Stats()
+	}
+	used, err := NewPool(s, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay(used)
+	other, err := s.NewTemp("other", []string{"k"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := used.AppendRel(other, []storage.Tuple{{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := used.Reset(3); err != nil {
+		t.Fatal(err)
+	}
+	if used.Capacity() != 3 || used.Stats() != (Stats{}) || used.resident != 0 || len(used.tables) != 0 ||
+		len(used.live) != 0 || used.last != nil || used.head != none || used.tail != none || used.free != none {
+		t.Fatalf("Reset left state behind: capacity %d stats %+v resident %d tables %d", used.Capacity(), used.Stats(), used.resident, len(used.tables))
+	}
+	fresh, err := NewPool(s, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLog, gotSt := replay(used)
+	wantLog, wantSt := replay(fresh)
+	if gotSt != wantSt {
+		t.Fatalf("reset pool stats %+v, new pool %+v", gotSt, wantSt)
+	}
+	for i := range wantLog {
+		if gotLog[i] != wantLog[i] {
+			t.Fatalf("read %d: reset pool hit=%v, new pool hit=%v", i, gotLog[i], wantLog[i])
+		}
+	}
+	_, want := NewPool(s, 0)
+	if err := used.Reset(0); err == nil || err.Error() != want.Error() || !errors.Is(err, errBadCapacity) {
+		t.Fatalf("Reset(0) = %v, NewPool(0) = %v", err, want)
+	}
+	if used.Capacity() != 3 {
+		t.Fatal("a refused Reset changed the pool")
+	}
+}
+
 // Cached reports whether a page is currently resident.
 func (p *Pool) Cached(rel string, idx int) bool {
 	r, err := p.store.Get(rel)

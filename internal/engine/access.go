@@ -51,11 +51,11 @@ func (e *Engine) HeapScanFiltered(table string, pred *plan.ScanPred) (*storage.R
 	if err != nil {
 		return nil, buffer.Stats{}, err
 	}
-	match, err := matcher(rel, pred)
+	m, err := newMatcher(rel, pred)
 	if err != nil {
 		return nil, buffer.Stats{}, err
 	}
-	pool, err := buffer.NewPool(e.store, scanFrames)
+	pool, err := e.resetPool(scanFrames)
 	if err != nil {
 		return nil, buffer.Stats{}, err
 	}
@@ -70,7 +70,7 @@ func (e *Engine) HeapScanFiltered(table string, pred *plan.ScanPred) (*storage.R
 			return nil, pool.Stats(), err
 		}
 		for _, t := range page {
-			if match(t) {
+			if m.match(t) {
 				if err := out.Append(t); err != nil {
 					e.store.Drop(out.Name)
 					return nil, pool.Stats(), err
@@ -103,7 +103,7 @@ func (e *Engine) IndexScan(name string, pred *plan.ScanPred) (*storage.Relation,
 	if !ix.Fresh(e.store) {
 		return nil, buffer.Stats{}, fmt.Errorf("%w: %s over %s", errStaleIndex, name, ix.Table)
 	}
-	match, err := matcher(rel, pred)
+	m, err := newMatcher(rel, pred)
 	if err != nil {
 		return nil, buffer.Stats{}, err
 	}
@@ -111,7 +111,7 @@ func (e *Engine) IndexScan(name string, pred *plan.ScanPred) (*storage.Relation,
 	if pred != nil && pred.Column == ix.Column {
 		lo, hi = pred.KeyRange()
 	}
-	pool, err := buffer.NewPool(e.store, scanFrames)
+	pool, err := e.resetPool(scanFrames)
 	if err != nil {
 		return nil, buffer.Stats{}, err
 	}
@@ -125,7 +125,7 @@ func (e *Engine) IndexScan(name string, pred *plan.ScanPred) (*storage.Relation,
 			return err
 		}
 		t := data[slot]
-		if match(t) {
+		if m.match(t) {
 			return out.Append(t)
 		}
 		return nil
@@ -143,14 +143,24 @@ const (
 	maxKey = 1 << 62
 )
 
-// matcher compiles a predicate against a relation's schema.
-func matcher(rel *storage.Relation, pred *plan.ScanPred) (func(storage.Tuple) bool, error) {
+// matcher is a predicate compiled against a relation's schema; a nil pred
+// matches every tuple.
+type matcher struct {
+	pred *plan.ScanPred
+	col  int
+}
+
+func newMatcher(rel *storage.Relation, pred *plan.ScanPred) (matcher, error) {
 	if pred == nil {
-		return func(storage.Tuple) bool { return true }, nil
+		return matcher{}, nil
 	}
 	ci, err := rel.ColIndex(pred.Column)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s.%s", errPredColumn, rel.Name, pred.Column)
+		return matcher{}, fmt.Errorf("%w: %s.%s", errPredColumn, rel.Name, pred.Column)
 	}
-	return func(t storage.Tuple) bool { return pred.Match(float64(t[ci])) }, nil
+	return matcher{pred: pred, col: ci}, nil
+}
+
+func (m matcher) match(t storage.Tuple) bool {
+	return m.pred == nil || m.pred.Match(float64(t[m.col]))
 }

@@ -40,7 +40,7 @@ func BenchmarkOperators(b *testing.B) {
 	var ops []op
 	for _, m := range cost.Methods {
 		ops = append(ops, op{m.String(), func(mem int) (*storage.Relation, buffer.Stats, error) {
-			return e.Join(JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, mem)
+			return e.join(JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, mem)
 		}})
 	}
 	ops = append(ops, op{"sort", func(mem int) (*storage.Relation, buffer.Stats, error) { return e.SortRelation("B", "k", mem) }})
@@ -61,4 +61,19 @@ func BenchmarkOperators(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkExecutePlan times whole-plan execution over the exec_loop-shaped
+// plan set of TestExecutePlanAllocs, on one warmed engine, reporting ns per
+// page of physical I/O beside the per-op time and allocations.
+func BenchmarkExecutePlan(b *testing.B) {
+	set := newExecSet(b)
+	set.run(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pages int64
+	for i := 0; i < b.N; i++ {
+		pages += set.run(b)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
 }

@@ -29,15 +29,38 @@ var (
 )
 
 // Engine executes operators against one store. Like its store, it serves
-// one goroutine at a time: every sort reuses its run-formation scratch.
+// one goroutine at a time: its operators share one buffer pool, reset to
+// each operator's memory budget, and reuse the engine's scratch — the run
+// being formed, the sorter, the hash tables, the merge cursors and the
+// partition writers — from call to call.
 type Engine struct {
 	store  *storage.Store
-	batch  []storage.Tuple // the tuples of the run being formed
+	pool   *buffer.Pool    // built on first use; see resetPool
+	exec   executor        // ExecutePlan's state
+	batch  []storage.Tuple // a run being formed, a join's block or build side
 	sorter runSorter
+	keys   keyIndex          // the in-memory hash table of a join
+	match  [][]storage.Tuple // nlJoinBlock's matches per block tuple
+	merge  mergeHeap         // mergeInto's heap
+	groups [2]groupCursor    // sortMergeJoin's outer and inner cursors
+	// runs keeps the arrays of a sort's runs: [0] a SortRelation's or a
+	// sort-merge join's outer's, [1] the join's inner's.
+	runs [2][]*storage.Relation
+	// parts is the stack of live grace partitions: each recursion level
+	// pushes its outer's and inner's partitions and pops them when done.
+	parts   []*storage.Relation
+	writers []pageWriter    // the partition writers of one partition call
+	pageBuf []storage.Tuple // their page buffers, and a merge's
+	cols    []string        // a join result's columns, being built
+	// qual interns the qualified column names of join results ("o."+c,
+	// "i."+c), so a result's columns cost no concatenation.
+	qual map[[2]string]string
 }
 
 // New builds an engine over a store.
-func New(store *storage.Store) *Engine { return &Engine{store: store} }
+func New(store *storage.Store) *Engine {
+	return &Engine{store: store, qual: make(map[[2]string]string)}
+}
 
 // JoinSpec names an equi-join to execute.
 type JoinSpec struct {
@@ -63,16 +86,26 @@ type JoinDetail struct {
 	GraceFallbackIO int64
 }
 
-// Join executes the spec with a fresh pool of mem pages, returning the
-// materialized result and the physical I/O incurred. The result relation
-// has the outer's columns followed by the inner's.
-func (e *Engine) Join(spec JoinSpec, mem int) (*storage.Relation, buffer.Stats, error) {
-	rel, st, _, err := e.JoinDetailed(spec, mem)
-	return rel, st, err
+// resetPool returns the engine's buffer pool, emptied and sized to an
+// operator's memory budget of mem pages: the state a new pool of mem pages
+// has. Every operator entry point calls it before it reads a page.
+func (e *Engine) resetPool(mem int) (*buffer.Pool, error) {
+	if e.pool == nil {
+		p, err := buffer.NewPool(e.store, mem)
+		if err != nil {
+			return nil, err
+		}
+		e.pool = p
+		return p, nil
+	}
+	return e.pool, e.pool.Reset(mem)
 }
 
-// JoinDetailed is Join plus the execution-shape detail (grace-hash
-// recursion depth and level-cap fallbacks).
+// JoinDetailed executes the spec with the engine's pool reset to mem
+// pages, returning the materialized result, the physical I/O incurred and
+// the execution-shape detail (grace-hash recursion depth and level-cap
+// fallbacks). The result relation has the outer's columns followed by the
+// inner's.
 func (e *Engine) JoinDetailed(spec JoinSpec, mem int) (*storage.Relation, buffer.Stats, JoinDetail, error) {
 	var det JoinDetail
 	if mem < 3 {
@@ -97,7 +130,7 @@ func (e *Engine) JoinDetailed(spec JoinSpec, mem int) (*storage.Relation, buffer
 	if err != nil {
 		return nil, buffer.Stats{}, det, err
 	}
-	pool, err := buffer.NewPool(e.store, mem)
+	pool, err := e.resetPool(mem)
 	if err != nil {
 		return nil, buffer.Stats{}, det, err
 	}
@@ -105,6 +138,7 @@ func (e *Engine) JoinDetailed(spec JoinSpec, mem int) (*storage.Relation, buffer
 	if err != nil {
 		return nil, buffer.Stats{}, det, err
 	}
+	defer e.release()
 	switch spec.Method {
 	case cost.SortMerge:
 		err = e.sortMergeJoin(pool, outer, inner, oc, ic, result)
@@ -125,18 +159,25 @@ func (e *Engine) JoinDetailed(spec JoinSpec, mem int) (*storage.Relation, buffer
 // newResultRel creates the output temp relation (outer cols ++ inner cols,
 // disambiguated).
 func (e *Engine) newResultRel(outer, inner *storage.Relation) (*storage.Relation, error) {
-	cols := make([]string, 0, len(outer.Cols)+len(inner.Cols))
+	e.cols = e.cols[:0]
 	for _, c := range outer.Cols {
-		cols = append(cols, "o."+c)
+		e.cols = append(e.cols, e.qualified("o.", c))
 	}
 	for _, c := range inner.Cols {
-		cols = append(cols, "i."+c)
+		e.cols = append(e.cols, e.qualified("i.", c))
 	}
-	tpp := outer.TuplesPerPage
-	if inner.TuplesPerPage < tpp {
-		tpp = inner.TuplesPerPage
+	return e.store.NewTemp("join", e.cols, min(outer.TuplesPerPage, inner.TuplesPerPage))
+}
+
+// qualified returns side+col, interned.
+func (e *Engine) qualified(side, col string) string {
+	k := [2]string{side, col}
+	q, ok := e.qual[k]
+	if !ok {
+		q = side + col
+		e.qual[k] = q
 	}
-	return e.store.NewTemp("join", cols, tpp)
+	return q
 }
 
 // emit appends the output row o ++ i. Results bypass the pool: pipelined to
@@ -197,24 +238,28 @@ func (e *Engine) nlJoinBlocks(pool *buffer.Pool, outer, inner *storage.Relation,
 // tuple — emitting per inner page would interleave the block's tuples and
 // lose the outer's row order.
 func (e *Engine) nlJoinBlock(pool *buffer.Pool, outer *storage.Relation, start, end int, inner *storage.Relation, oc, ic int, result *storage.Relation) error {
-	blockTuples, err := readTuples(pool, outer, start, end, nil)
-	if err != nil {
+	var err error
+	if e.batch, err = readTuples(pool, outer, start, end, e.batch[:0]); err != nil {
 		return err
 	}
-	byKey := indexByKey(blockTuples, oc)
-	matches := make([][]storage.Tuple, len(blockTuples))
+	byKey := e.keys.build(e.batch, oc)
+	matches := slices.Grow(e.match[:0], len(e.batch))[:len(e.batch)]
+	for i := range matches {
+		matches[i] = matches[i][:0]
+	}
+	e.match = matches
 	for ip := 0; ip < inner.NumPages(); ip++ {
 		ipage, err := pool.ReadRel(inner, ip)
 		if err != nil {
 			return err
 		}
 		for _, it := range ipage {
-			for p := byKey.first[it[ic]]; p != 0; p = byKey.next[p-1] {
+			for p := byKey.head(it[ic]); p != 0; p = byKey.next[p-1] {
 				matches[p-1] = append(matches[p-1], it)
 			}
 		}
 	}
-	for pos, ot := range blockTuples {
+	for pos, ot := range e.batch {
 		for _, it := range matches[pos] {
 			if err := emit(result, ot, it); err != nil {
 				return err
@@ -242,30 +287,64 @@ func readTuples(pool *buffer.Pool, rel *storage.Relation, start, end int, buf []
 // holding one key are chained in ascending order. Positions are stored
 // plus one, so a missing key reads as the end of a chain:
 //
-//	for p := ix.first[k]; p != 0; p = ix.next[p-1] { t := tuples[p-1] … }
+//	for p := ix.head(k); p != 0; p = ix.next[p-1] { t := tuples[p-1] … }
+//
+// The table is open-addressed with linear probing over a power-of-two slot
+// array at least twice the tuple count, and build reuses its arrays, so a
+// warmed index hashes without allocating.
 type keyIndex struct {
-	first map[int64]int32
+	slots []keySlot
 	next  []int32
+	shift uint8 // 64 - log2(len(slots))
 }
 
-func indexByKey(tuples []storage.Tuple, col int) keyIndex {
-	ix := keyIndex{first: make(map[int64]int32, len(tuples)), next: make([]int32, len(tuples))}
+// keySlot is one key's chain head (0: the slot is empty).
+type keySlot struct {
+	key  int64
+	head int32
+}
+
+// build indexes tuples on col, replacing what the index held.
+func (ix *keyIndex) build(tuples []storage.Tuple, col int) *keyIndex {
+	bits := 3
+	for 1<<bits < 2*len(tuples) {
+		bits++
+	}
+	n := 1 << bits
+	ix.slots = slices.Grow(ix.slots[:0], n)[:n]
+	clear(ix.slots)
+	ix.shift = uint8(64 - bits)
+	ix.next = slices.Grow(ix.next[:0], len(tuples))[:len(tuples)]
 	for i := len(tuples) - 1; i >= 0; i-- {
-		k := tuples[i][col]
-		ix.next[i] = ix.first[k]
-		ix.first[k] = int32(i + 1)
+		s := &ix.slots[ix.slot(tuples[i][col])]
+		s.key = tuples[i][col]
+		ix.next[i] = s.head
+		s.head = int32(i + 1)
 	}
 	return ix
 }
 
+// slot returns the slot holding k, or the empty slot where k belongs.
+func (ix *keyIndex) slot(k int64) uint64 {
+	mask := uint64(len(ix.slots) - 1)
+	for i := (uint64(k) * 0x9e3779b97f4a7c15) >> ix.shift; ; i = (i + 1) & mask {
+		if s := &ix.slots[i]; s.head == 0 || s.key == k {
+			return i
+		}
+	}
+}
+
+// head returns the first position holding k plus one, or 0 when none does.
+func (ix *keyIndex) head(k int64) int32 { return ix.slots[ix.slot(k)].head }
+
 // --- external sort --------------------------------------------------------
 
 // makeRuns splits rel into sorted runs of up to mem pages, written through
-// the pool (charged). Returns the run relations — on error too, for the
-// caller's cleanup. The engine's batch buffer and sorter serve every run.
-func (e *Engine) makeRuns(pool *buffer.Pool, rel *storage.Relation, col int) ([]*storage.Relation, error) {
+// the pool (charged), and appends them to runs. Returns the run relations —
+// on error too, for the caller's cleanup. The engine's batch buffer and
+// sorter serve every run.
+func (e *Engine) makeRuns(pool *buffer.Pool, rel *storage.Relation, col int, runs []*storage.Relation) ([]*storage.Relation, error) {
 	defer e.release()
-	var runs []*storage.Relation
 	capPages := pool.Capacity()
 	for start := 0; start < rel.NumPages(); start += capPages {
 		var err error
@@ -294,10 +373,18 @@ func (e *Engine) dropRuns(pool *buffer.Pool, runs []*storage.Relation) {
 	}
 }
 
+// keepRuns drops runs and returns their slice emptied, for the engine to
+// keep for its next sort.
+func (e *Engine) keepRuns(pool *buffer.Pool, runs []*storage.Relation) []*storage.Relation {
+	e.dropRuns(pool, runs)
+	clear(runs)
+	return runs[:0]
+}
+
 // release clears the engine's buffers of tuple headers once a sort has
-// written its pages, so an engine that outlives the sort does not keep
-// the sorted relation's rows reachable. The sorter's key buffers hold no
-// pointers and stay.
+// written its pages or a join has read its blocks and build side, so an
+// engine that outlives the operator does not keep its input's rows
+// reachable. The sorter's key buffers hold no pointers and stay.
 func (e *Engine) release() {
 	clear(e.batch[:cap(e.batch)])
 	clear(e.sorter.out[:cap(e.sorter.out)])
@@ -424,17 +511,20 @@ func (a heapItem) less(b heapItem) bool {
 	return a.key < b.key || a.key == b.key && a.run < b.run
 }
 
-func newMergeHeap(pool *buffer.Pool, runs []*storage.Relation, col int) mergeHeap {
-	cursors := make([]runCursor, len(runs))
+// reset points the heap at runs, reusing its arrays; open starts the
+// merge.
+func (h *mergeHeap) reset(pool *buffer.Pool, runs []*storage.Relation, col int) {
+	h.col = col
+	h.runs = slices.Grow(h.runs[:0], len(runs))[:len(runs)]
 	for i, r := range runs {
-		cursors[i] = runCursor{pool: pool, rel: r}
+		h.runs[i] = runCursor{pool: pool, rel: r}
 	}
-	return mergeHeap{col: col, runs: cursors}
+	h.heap = h.heap[:0]
 }
 
 // open peeks every run in run order and heapifies their heads.
 func (h *mergeHeap) open() error {
-	h.heap = make([]heapItem, 0, len(h.runs))
+	h.heap = h.heap[:0]
 	for i := range h.runs {
 		t, err := h.runs[i].peek()
 		if err != nil {
@@ -513,7 +603,8 @@ func (e *Engine) mergeRuns(pool *buffer.Pool, runs []*storage.Relation, col int,
 			tuples += r.NumTuples()
 		}
 		storage.Reserve(tuples, merged)
-		w := &pageWriter{pool: pool, rel: merged, buf: make([]storage.Tuple, 0, merged.TuplesPerPage)}
+		e.pageBuf = slices.Grow(e.pageBuf[:0], merged.TuplesPerPage)
+		w := &pageWriter{pool: pool, rel: merged, buf: e.pageBuf}
 		err = e.mergeInto(pool, group, col, w.add)
 		if err == nil {
 			err = w.flush()
@@ -522,7 +613,7 @@ func (e *Engine) mergeRuns(pool *buffer.Pool, runs []*storage.Relation, col int,
 			return append(runs, merged), err
 		}
 		e.dropRuns(pool, group)
-		runs = append(runs[k:], merged)
+		runs = append(runs[:copy(runs, runs[k:])], merged)
 	}
 	return runs, nil
 }
@@ -565,7 +656,8 @@ func (w *pageWriter) flush() error {
 // mergeInto k-way merges the runs on col, invoking out per tuple in order:
 // each tuple is consumed and handed to out before its run reads on.
 func (e *Engine) mergeInto(pool *buffer.Pool, runs []*storage.Relation, col int, out func(storage.Tuple) error) error {
-	h := newMergeHeap(pool, runs, col)
+	h := &e.merge
+	h.reset(pool, runs, col)
 	if err := h.open(); err != nil {
 		return err
 	}
@@ -600,7 +692,7 @@ func (e *Engine) SortRelation(name, col string, mem int) (*storage.Relation, buf
 	if err != nil {
 		return nil, buffer.Stats{}, err
 	}
-	pool, err := buffer.NewPool(e.store, mem)
+	pool, err := e.resetPool(mem)
 	if err != nil {
 		return nil, buffer.Stats{}, err
 	}
@@ -618,11 +710,11 @@ func (e *Engine) SortRelation(name, col string, mem int) (*storage.Relation, buf
 // sortInto runs the external sort of rel on column ci into out, dropping
 // every run it spilled whether or not it succeeds.
 func (e *Engine) sortInto(pool *buffer.Pool, rel *storage.Relation, ci int, out *storage.Relation) error {
-	var runs []*storage.Relation
-	defer func() { e.dropRuns(pool, runs) }()
+	runs := e.runs[0]
+	defer func() { e.runs[0] = e.keepRuns(pool, runs) }()
 	storage.Reserve(rel.NumTuples(), out)
 	var err error
-	if runs, err = e.makeRuns(pool, rel, ci); err != nil {
+	if runs, err = e.makeRuns(pool, rel, ci, runs); err != nil {
 		return err
 	}
 	if runs, err = e.mergeRuns(pool, runs, ci, max(2, pool.Capacity()-1)); err != nil {

@@ -80,7 +80,7 @@ func TestJoinCorrectnessAllMethods(t *testing.T) {
 		e := loadPair(t, 42, 12, 7, 8, 60)
 		want := refJoin(t, e)
 		for _, m := range cost.Methods {
-			res, _, err := e.Join(JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, mem)
+			res, _, err := e.join(JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, mem)
 			if err != nil {
 				t.Fatalf("mem=%d %v: %v", mem, m, err)
 			}
@@ -102,7 +102,7 @@ func TestJoinManyToMany(t *testing.T) {
 		t.Fatalf("test needs many matches, got %d", len(want))
 	}
 	for _, m := range cost.Methods {
-		res, _, err := e.Join(JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 4)
+		res, _, err := e.join(JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 4)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -116,22 +116,22 @@ func TestJoinManyToMany(t *testing.T) {
 func TestJoinValidation(t *testing.T) {
 	e := loadPair(t, 1, 2, 2, 4, 10)
 	spec := JoinSpec{Method: cost.SortMerge, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}
-	if _, _, err := e.Join(spec, 2); !errors.Is(err, errBadMemory) {
+	if _, _, err := e.join(spec, 2); !errors.Is(err, errBadMemory) {
 		t.Fatal("tiny memory should fail")
 	}
 	bad := spec
 	bad.Outer = "zz"
-	if _, _, err := e.Join(bad, 10); err == nil {
+	if _, _, err := e.join(bad, 10); err == nil {
 		t.Fatal("missing outer")
 	}
 	bad = spec
 	bad.InnerCol = "zz"
-	if _, _, err := e.Join(bad, 10); err == nil {
+	if _, _, err := e.join(bad, 10); err == nil {
 		t.Fatal("missing column")
 	}
 	bad = spec
 	bad.Method = cost.JoinMethod(99)
-	if _, _, err := e.Join(bad, 10); !errors.Is(err, errBadSpec) {
+	if _, _, err := e.join(bad, 10); !errors.Is(err, errBadSpec) {
 		t.Fatal("unknown method")
 	}
 }
@@ -142,14 +142,14 @@ func TestPageNLIOShape(t *testing.T) {
 	e := loadPair(t, 11, 20, 6, 4, 1000)
 	spec := JoinSpec{Method: cost.PageNL, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}
 
-	_, fits, err := e.Join(spec, 10) // inner 6 pages + outer frame + slack
+	_, fits, err := e.join(spec, 10) // inner 6 pages + outer frame + slack
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := fits.IO(); got != 20+6 {
 		t.Fatalf("fitting inner: IO=%d want 26", got)
 	}
-	_, thrash, err := e.Join(spec, 3)
+	_, thrash, err := e.join(spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestBlockNLIOShape(t *testing.T) {
 	e := loadPair(t, 13, 20, 8, 4, 1000)
 	spec := JoinSpec{Method: cost.BlockNL, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}
 	for _, mem := range []int{4, 6, 12, 22} {
-		_, st, err := e.Join(spec, mem)
+		_, st, err := e.join(spec, mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestSortMergeIOMonotoneSteps(t *testing.T) {
 	prev := int64(1 << 60)
 	ios := map[int]int64{}
 	for _, mem := range mems {
-		_, st, err := e.Join(spec, mem)
+		_, st, err := e.join(spec, mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,14 +212,14 @@ func TestGraceHashIOKeyedToSmaller(t *testing.T) {
 	e := loadPair(t, 19, 64, 9, 8, 5000)
 	spec := JoinSpec{Method: cost.GraceHash, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}
 
-	_, direct, err := e.Join(spec, 12) // B fits: in-memory hash join
+	_, direct, err := e.join(spec, 12) // B fits: in-memory hash join
 	if err != nil {
 		t.Fatal(err)
 	}
 	if direct.IO() != 64+9 {
 		t.Fatalf("build-side fits: IO=%d want 73", direct.IO())
 	}
-	_, onePass, err := e.Join(spec, 6) // partition once: 3(|A|+|B|)
+	_, onePass, err := e.join(spec, 6) // partition once: 3(|A|+|B|)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestGraceHashIOKeyedToSmaller(t *testing.T) {
 	// Compare with sort-merge at the same memory: SM is keyed to the
 	// LARGER input (64 pages, √L = 8 > 6), so it needs extra merge passes
 	// and must cost strictly more.
-	_, sm, err := e.Join(JoinSpec{Method: cost.SortMerge, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 6)
+	_, sm, err := e.join(JoinSpec{Method: cost.SortMerge, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestTempCleanup(t *testing.T) {
 	e := loadPair(t, 31, 16, 8, 4, 500)
 	before := len(e.store.Names())
 	for _, m := range []cost.JoinMethod{cost.SortMerge, cost.GraceHash} {
-		res, _, err := e.Join(JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 4)
+		res, _, err := e.join(JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestGraceHashDegenerateKeys(t *testing.T) {
 	if len(want) != 10*6*8*6 {
 		t.Fatalf("expected full cross product, got %d", len(want))
 	}
-	res, st, err := e.Join(JoinSpec{Method: cost.GraceHash, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 4)
+	res, st, err := e.join(JoinSpec{Method: cost.GraceHash, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestGraceHashDegenerateKeys(t *testing.T) {
 func TestSortMergeSkewedRunCounts(t *testing.T) {
 	e := loadPair(t, 41, 60, 2, 4, 300)
 	want := refJoin(t, e)
-	res, _, err := e.Join(JoinSpec{Method: cost.SortMerge, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 3)
+	res, _, err := e.join(JoinSpec{Method: cost.SortMerge, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestJoinEmptyMatchSet(t *testing.T) {
 	}
 	e := New(s)
 	for _, m := range cost.Methods {
-		res, _, err := e.Join(JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 5)
+		res, _, err := e.join(JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 5)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -405,7 +405,7 @@ func TestGraceHashRecursiveSplit(t *testing.T) {
 	// (fan-out is 4 — the pathological power of two).
 	e := loadPair(t, 23, 200, 20, 10, 97)
 	want := refJoin(t, e)
-	res, st, err := e.Join(JoinSpec{Method: cost.GraceHash, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 5)
+	res, st, err := e.join(JoinSpec{Method: cost.GraceHash, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,20 +79,21 @@ func (e *Engine) ExecutePlan(p *plan.Node, memSeq []float64) (ExecResult, error)
 	}
 	// One conversion for every operator of the plan, done before any temp
 	// exists: a NaN budget is the caller's bug, not a 3-page run.
-	mem := make([]int, phases)
 	phaseMem := make([]float64, phases)
 	for i, m := range memSeq[:phases] {
 		if math.IsNaN(m) {
 			return ExecResult{}, fmt.Errorf("%w: phase %d is NaN", errBadMemory, i)
 		}
-		mem[i] = cost.MemPages(m)
-		phaseMem[i] = float64(mem[i])
+		phaseMem[i] = float64(cost.MemPages(m))
 	}
-	ex := &executor{
-		eng: e, mem: mem,
+	ex := &e.exec
+	*ex = executor{
+		eng: e, mem: phaseMem,
 		phaseIO: make([]int64, phases), joinSizes: make(map[string]float64),
+		temps: ex.temps[:0], tables: ex.tables[:0],
 	}
 	rel, err := ex.run(p)
+	clear(ex.tables)
 	if err != nil {
 		return ExecResult{}, err
 	}
@@ -108,14 +109,20 @@ func (e *Engine) ExecutePlan(p *plan.Node, memSeq []float64) (ExecResult, error)
 // storage generators' convention; richer schemas use ExecuteSpec).
 const joinCol = "k"
 
+// executor is one ExecutePlan's state. The engine keeps it, so the temps
+// and tables stacks keep their arrays from plan to plan.
 type executor struct {
 	eng       *Engine
-	mem       []int // pool capacity per phase
+	mem       []float64 // pool capacity per phase, whole pages
 	total     buffer.Stats
 	phaseIO   []int64
 	joinSizes map[string]float64
 	temps     []string
-	detail    JoinDetail
+	// tables is the stack of the leaf tables of the subtrees being
+	// evaluated: a subtree's tables are the top of the stack from the
+	// position eval returns, the outer's before the inner's.
+	tables []string
+	detail JoinDetail
 }
 
 // run evaluates a subtree and returns its materialized relation. The leaf
@@ -134,7 +141,8 @@ func (ex *executor) run(n *plan.Node) (*storage.Relation, error) {
 			ex.eng.store.Drop(t)
 		}
 	}
-	ex.temps = nil
+	clear(ex.temps)
+	ex.temps = ex.temps[:0]
 	return rel, nil
 }
 
@@ -142,15 +150,18 @@ func (ex *executor) cleanup() {
 	for _, t := range ex.temps {
 		ex.eng.store.Drop(t)
 	}
-	ex.temps = nil
+	clear(ex.temps)
+	ex.temps = ex.temps[:0]
 }
 
-func (ex *executor) eval(n *plan.Node) (*storage.Relation, []string, error) {
+// eval evaluates a subtree to its materialized relation and pushes the
+// subtree's leaf tables, returning where they start on ex.tables.
+func (ex *executor) eval(n *plan.Node) (*storage.Relation, int, error) {
 	switch n.Kind {
 	case plan.KindScan:
 		rel, err := ex.eng.store.Get(n.Table)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		switch {
 		case n.Access == plan.AccessIndex:
@@ -159,7 +170,7 @@ func (ex *executor) eval(n *plan.Node) (*storage.Relation, []string, error) {
 			// (uncharged) for the consuming operator to read.
 			out, st, err := ex.eng.IndexScan(n.Index, n.Pred)
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 			return ex.finishScan(n, out, st)
 		case n.Pred != nil:
@@ -167,62 +178,63 @@ func (ex *executor) eval(n *plan.Node) (*storage.Relation, []string, error) {
 			// qualifying tuples materialized.
 			out, st, err := ex.eng.HeapScanFiltered(n.Table, n.Pred)
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 			return ex.finishScan(n, out, st)
 		}
 		// Unfiltered heap scan: hand the base relation to the consumer,
 		// which pays the read — the model's ScanIO charge shows up as the
 		// consuming operator's input pass.
-		return rel, []string{n.Table}, nil
+		ex.tables = append(ex.tables, n.Table)
+		return rel, len(ex.tables) - 1, nil
 	case plan.KindSort:
-		child, tables, err := ex.eval(n.Child)
+		child, start, err := ex.eval(n.Child)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		phase := 0
-		if k := len(tables); k >= 2 {
+		if k := len(ex.tables) - start; k >= 2 {
 			phase = k - 2
 		}
-		mem := ex.mem[phase]
+		mem := int(ex.mem[phase])
 		// In-memory sorts are free in the model; still read the input if
 		// it's an unmaterialized base table (materialized inputs — join
 		// outputs and filtered/index scan temps — were already charged).
 		if child.NumPages() <= mem && (n.Child.Kind != plan.KindScan || child.Name != n.Child.Table) {
 			sorted, err := ex.materializeSorted(child)
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
-			return sorted, tables, nil
+			return sorted, start, nil
 		}
 		out, st, err := ex.eng.SortRelation(child.Name, ex.colFor(child), mem)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		ex.charge(phase, st)
 		ex.temps = append(ex.temps, out.Name)
-		return out, tables, nil
+		return out, start, nil
 	case plan.KindJoin:
-		left, lt, err := ex.eval(n.Left)
+		left, start, err := ex.eval(n.Left)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
-		right, rt, err := ex.eval(n.Right)
+		right, _, err := ex.eval(n.Right)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
-		tables := append(append([]string(nil), lt...), rt...)
+		tables := ex.tables[start:]
 		phase := len(tables) - 2
-		out, st, err := ex.joinRels(n.Method, left, right, ex.mem[phase])
+		out, st, err := ex.joinRels(n.Method, left, right, int(ex.mem[phase]))
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		ex.charge(phase, st)
 		ex.joinSizes[feedback.SetKey(tables...)] = float64(out.NumPages())
 		ex.temps = append(ex.temps, out.Name)
-		return out, tables, nil
+		return out, start, nil
 	default:
-		return nil, nil, fmt.Errorf("engine: unknown plan node kind %v", n.Kind)
+		return nil, 0, fmt.Errorf("engine: unknown plan node kind %v", n.Kind)
 	}
 }
 
@@ -231,11 +243,12 @@ func (ex *executor) eval(n *plan.Node) (*storage.Relation, []string, error) {
 // charges carry no phase attribution, only the total must agree), its
 // observed post-filter size feeds the executed-size loop under the
 // single-table feedback key, and the temp is tracked for cleanup.
-func (ex *executor) finishScan(n *plan.Node, out *storage.Relation, st buffer.Stats) (*storage.Relation, []string, error) {
+func (ex *executor) finishScan(n *plan.Node, out *storage.Relation, st buffer.Stats) (*storage.Relation, int, error) {
 	ex.charge(0, st)
 	ex.joinSizes[feedback.SetKey(n.Table)] = float64(out.NumPages())
 	ex.temps = append(ex.temps, out.Name)
-	return out, []string{n.Table}, nil
+	ex.tables = append(ex.tables, n.Table)
+	return out, len(ex.tables) - 1, nil
 }
 
 func (ex *executor) charge(phase int, st buffer.Stats) {
@@ -309,9 +322,17 @@ func (ex *executor) materializeSorted(rel *storage.Relation) (*storage.Relation,
 	if err != nil {
 		return nil, err
 	}
-	all := rel.AllTuples()
-	storage.Reserve(len(all), out)
-	err = out.Append(ex.eng.sorter.sort(all, ci)...)
+	batch := ex.eng.batch[:0]
+	for p := 0; p < rel.NumPages(); p++ {
+		page, err := rel.Page(p)
+		if err != nil {
+			return nil, err
+		}
+		batch = append(batch, page...)
+	}
+	ex.eng.batch = batch
+	storage.Reserve(len(batch), out)
+	err = out.Append(ex.eng.sorter.sort(batch, ci)...)
 	ex.eng.release()
 	if err != nil {
 		return nil, err

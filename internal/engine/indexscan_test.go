@@ -178,7 +178,7 @@ func TestPageNLResidencyPinsSmallerSide(t *testing.T) {
 	spec := JoinSpec{Method: cost.PageNL, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}
 
 	// M = 10 ∈ [outer+2, inner+2) = [8, 22): small outer must go resident.
-	_, st, err := e.Join(spec, 10)
+	_, st, err := e.join(spec, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPageNLResidencyPinsSmallerSide(t *testing.T) {
 
 	// Below the window nothing fits: the plan's outer drives and the
 	// expensive case realizes the formula exactly.
-	_, st, err = e.Join(spec, 3)
+	_, st, err = e.join(spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestNestedLoopPreservesOuterOrder(t *testing.T) {
 	e := New(s)
 	for _, method := range []cost.JoinMethod{cost.PageNL, cost.BlockNL} {
 		for _, mem := range []int{10, 4} { // pinned window and tight memory
-			res, st, err := e.Join(JoinSpec{
+			res, st, err := e.join(JoinSpec{
 				Method: method, Outer: "O", Inner: "I", OuterCol: "k", InnerCol: "k",
 			}, mem)
 			if err != nil {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"lecopt/internal/buffer"
 	"lecopt/internal/cost"
 	"lecopt/internal/storage"
@@ -12,16 +14,16 @@ import (
 // fits; otherwise pre-merge the larger side first. Equal-key groups are
 // buffered in memory to produce the full many-to-many cross product.
 func (e *Engine) sortMergeJoin(pool *buffer.Pool, outer, inner *storage.Relation, oc, ic int, result *storage.Relation) error {
-	var oRuns, iRuns []*storage.Relation
+	oRuns, iRuns := e.runs[0], e.runs[1]
 	defer func() {
-		e.dropRuns(pool, oRuns)
-		e.dropRuns(pool, iRuns)
+		e.runs[0] = e.keepRuns(pool, oRuns)
+		e.runs[1] = e.keepRuns(pool, iRuns)
 	}()
 	var err error
-	if oRuns, err = e.makeRuns(pool, outer, oc); err != nil {
+	if oRuns, err = e.makeRuns(pool, outer, oc, oRuns); err != nil {
 		return err
 	}
-	if iRuns, err = e.makeRuns(pool, inner, ic); err != nil {
+	if iRuns, err = e.makeRuns(pool, inner, ic, iRuns); err != nil {
 		return err
 	}
 	// Pre-merge until both run sets fit the merge fan-in together.
@@ -39,8 +41,9 @@ func (e *Engine) sortMergeJoin(pool *buffer.Pool, outer, inner *storage.Relation
 			return err
 		}
 	}
-	og := newGroupCursor(pool, oRuns, oc)
-	ig := newGroupCursor(pool, iRuns, ic)
+	og, ig := &e.groups[0], &e.groups[1]
+	og.reset(pool, oRuns, oc)
+	ig.reset(pool, iRuns, ic)
 	oKey, oGroup, err := og.nextGroup()
 	if err != nil {
 		return err
@@ -77,7 +80,7 @@ func (e *Engine) sortMergeJoin(pool *buffer.Pool, outer, inner *storage.Relation
 }
 
 // groupCursor yields runs of equal keys from a k-way merge over sorted
-// runs. It opens on its first nextGroup, not when built, so the outer's
+// runs. It opens on its first nextGroup, not when reset, so the outer's
 // and the inner's first pages are read in the order the join asks for
 // their first groups.
 type groupCursor struct {
@@ -86,8 +89,11 @@ type groupCursor struct {
 	group  []storage.Tuple // reused from one nextGroup call to the next
 }
 
-func newGroupCursor(pool *buffer.Pool, runs []*storage.Relation, col int) *groupCursor {
-	return &groupCursor{merge: newMergeHeap(pool, runs, col)}
+// reset points the cursor at runs, reusing its arrays.
+func (g *groupCursor) reset(pool *buffer.Pool, runs []*storage.Relation, col int) {
+	g.merge.reset(pool, runs, col)
+	g.opened = false
+	g.group = g.group[:0]
 }
 
 // nextGroup returns the smallest remaining key and every tuple carrying
@@ -159,16 +165,21 @@ func (e *Engine) graceHashJoin(pool *buffer.Pool, outer, inner *storage.Relation
 	if level+1 > det.GraceLevels {
 		det.GraceLevels = level + 1
 	}
-	var oParts, iParts []*storage.Relation
+	// This level's partitions sit on the engine's stack above mark, the
+	// outer's then the inner's; the deeper levels pop theirs before
+	// returning.
+	mark := len(e.parts)
 	defer func() {
-		e.dropRuns(pool, oParts)
-		e.dropRuns(pool, iParts)
+		e.dropRuns(pool, e.parts[mark:])
+		clear(e.parts[mark:])
+		e.parts = e.parts[:mark]
 	}()
-	var err error
-	if oParts, err = e.partition(pool, outer, oc, fanOut, level); err != nil {
+	oParts, err := e.partition(pool, outer, oc, fanOut, level)
+	if err != nil {
 		return err
 	}
-	if iParts, err = e.partition(pool, inner, ic, fanOut, level); err != nil {
+	iParts, err := e.partition(pool, inner, ic, fanOut, level)
+	if err != nil {
 		return err
 	}
 	for i := range oParts {
@@ -192,18 +203,19 @@ func (e *Engine) inMemHashJoin(pool *buffer.Pool, outer, inner *storage.Relation
 		build, probe = inner, outer
 		bc, pc = ic, oc
 	}
-	buildTuples, err := readTuples(pool, build, 0, build.NumPages(), nil)
-	if err != nil {
+	var err error
+	if e.batch, err = readTuples(pool, build, 0, build.NumPages(), e.batch[:0]); err != nil {
 		return err
 	}
-	table := indexByKey(buildTuples, bc)
+	buildTuples := e.batch
+	table := e.keys.build(buildTuples, bc)
 	for p := 0; p < probe.NumPages(); p++ {
 		page, err := pool.ReadRel(probe, p)
 		if err != nil {
 			return err
 		}
 		for _, pt := range page {
-			for b := table.first[pt[pc]]; b != 0; b = table.next[b-1] {
+			for b := table.head(pt[pc]); b != 0; b = table.next[b-1] {
 				bt := buildTuples[b-1]
 				var err error
 				if buildOuter {
@@ -222,21 +234,24 @@ func (e *Engine) inMemHashJoin(pool *buffer.Pool, outer, inner *storage.Relation
 
 // partition hashes rel into fanOut temp partitions (salted by level so
 // recursive levels re-split), writing partition pages through the pool.
-// The partitions created so far are returned on error too, for the
-// caller's cleanup.
+// The partitions are pushed on the engine's partition stack, where the
+// caller's cleanup finds them, on error too.
 func (e *Engine) partition(pool *buffer.Pool, rel *storage.Relation, col, fanOut, level int) ([]*storage.Relation, error) {
-	parts := make([]*storage.Relation, 0, fanOut)
-	writers := make([]pageWriter, fanOut)
+	start := len(e.parts)
 	tpp := rel.TuplesPerPage
-	bufs := make([]storage.Tuple, fanOut*tpp) // one page buffer per writer
+	writers := slices.Grow(e.writers[:0], fanOut)[:fanOut]
+	e.writers = writers
+	bufs := slices.Grow(e.pageBuf[:0], fanOut*tpp)[:fanOut*tpp] // one page buffer per writer
+	e.pageBuf = bufs
 	for i := range writers {
 		p, err := e.store.NewTemp("part", rel.Cols, tpp)
 		if err != nil {
-			return parts, err
+			return nil, err
 		}
-		parts = append(parts, p)
+		e.parts = append(e.parts, p)
 		writers[i] = pageWriter{pool: pool, rel: p, buf: bufs[i*tpp : i*tpp : (i+1)*tpp]}
 	}
+	parts := e.parts[start:len(e.parts):len(e.parts)]
 	storage.Reserve(rel.NumTuples(), parts...)
 	for pg := 0; pg < rel.NumPages(); pg++ {
 		page, err := pool.ReadRel(rel, pg)

@@ -76,6 +76,20 @@ func FuzzRunSorter(f *testing.F) {
 	})
 }
 
+// newMergeHeap is a merge heap of its own over runs.
+func newMergeHeap(pool *buffer.Pool, runs []*storage.Relation, col int) mergeHeap {
+	var h mergeHeap
+	h.reset(pool, runs, col)
+	return h
+}
+
+// newGroupCursor is a group cursor of its own over runs.
+func newGroupCursor(pool *buffer.Pool, runs []*storage.Relation, col int) *groupCursor {
+	g := new(groupCursor)
+	g.reset(pool, runs, col)
+	return g
+}
+
 // linearMergeInto is the k-way merge the heap replaced, kept as its
 // reference: per tuple, one scan over every cursor for the smallest head,
 // the first run winning a tie; the tuple is consumed and handed to out, and

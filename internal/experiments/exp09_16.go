@@ -432,7 +432,7 @@ func e15EngineValidation() (Table, error) {
 		measured := map[cost.JoinMethod]int64{}
 		model := map[cost.JoinMethod]float64{}
 		for _, m := range []cost.JoinMethod{cost.SortMerge, cost.GraceHash, cost.PageNL} {
-			_, st, err := e.Join(engine.JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, mem)
+			_, st, _, err := e.JoinDetailed(engine.JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, mem)
 			if err != nil {
 				return Table{}, err
 			}

@@ -3,15 +3,22 @@
 // integer tuples, plus deterministic data generators with controllable
 // join selectivity. The engine layers a buffer pool (internal/buffer) on
 // top and counts page I/Os against it; storage itself is the "disk".
+//
+// A Store recycles the temporaries it makes (NewTemp): dropping one hands
+// its Relation and its page headers back for later temps, so a dropped
+// temp must not be read again. Rows are never recycled; a tuple read from
+// a temp stays valid after the temp is dropped.
 package storage
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Errors.
@@ -32,26 +39,49 @@ type Relation struct {
 	Cols          []string
 	TuplesPerPage int
 	pages         [][]Tuple
-	// store, when Reserve set one, backs the pages (see Reserve).
-	store *pageStore
-	// slab backs the rows AppendConcat builds: one allocation per page of
-	// rows. It is only ever extended or replaced, never rewritten, so rows
-	// already handed out stay valid for as long as anything references
-	// them.
-	slab []int64
+	// owner is the store that made the relation with NewTemp (nil for any
+	// other relation): its page headers are cut from that store's slabs and
+	// go back to it when the temp is dropped.
+	owner *Store
+	// hdr is the slab pages are being cut from; slabs is every slab the
+	// relation holds pages in, released when it is dropped. grow is the
+	// size of the next slab an unreserved temp draws.
+	hdr   *slab
+	slabs []*slab
+	grow  int
+	// rows backs the rows AppendConcat builds. It is only ever extended or
+	// replaced — by a slab twice the size, up to maxRowSlabPages pages of
+	// rows — never rewritten and never recycled, so rows already handed out
+	// stay valid for as long as anything references them, the relation's
+	// drop included.
+	rows []int64
 }
+
+// maxRowSlabPages bounds the geometric growth of a relation's row slabs
+// and of an unreserved temp's header slabs.
+const maxRowSlabPages = 64
 
 // NewRelation builds an empty relation.
 func NewRelation(name string, cols []string, tuplesPerPage int) (*Relation, error) {
-	if name == "" || len(cols) == 0 || tuplesPerPage <= 0 {
+	if name == "" {
 		return nil, ErrBadSchema
+	}
+	if err := checkSchema(cols, tuplesPerPage); err != nil {
+		return nil, err
+	}
+	return &Relation{Name: name, Cols: append([]string(nil), cols...), TuplesPerPage: tuplesPerPage}, nil
+}
+
+func checkSchema(cols []string, tuplesPerPage int) error {
+	if len(cols) == 0 || tuplesPerPage <= 0 {
+		return ErrBadSchema
 	}
 	for i, c := range cols {
 		if c == "" || slices.Contains(cols[:i], c) {
-			return nil, fmt.Errorf("%w: bad column %q", ErrBadSchema, c)
+			return fmt.Errorf("%w: bad column %q", ErrBadSchema, c)
 		}
 	}
-	return &Relation{Name: name, Cols: append([]string(nil), cols...), TuplesPerPage: tuplesPerPage}, nil
+	return nil
 }
 
 // ColIndex returns the position of a column.
@@ -97,20 +127,21 @@ func (r *Relation) Append(tuples ...Tuple) error {
 }
 
 // AppendConcat appends the row o ++ i — a join's output row — building it
-// in the relation's slab instead of a fresh allocation per row. Each row is
-// a full-slice expression of the slab, so appending to one can never write
-// into its neighbour.
+// in the relation's row slab instead of a fresh allocation per row. Each
+// row is a full-slice expression of the slab, so appending to one can never
+// write into its neighbour.
 func (r *Relation) AppendConcat(o, i Tuple) error {
 	w := len(o) + len(i)
 	if w != len(r.Cols) {
 		return fmt.Errorf("%w: tuple width %d vs %d columns", ErrBadSchema, w, len(r.Cols))
 	}
-	if len(r.slab)+w > cap(r.slab) {
-		r.slab = make([]int64, 0, w*r.TuplesPerPage)
+	if len(r.rows)+w > cap(r.rows) {
+		page := w * r.TuplesPerPage
+		r.rows = make([]int64, 0, min(max(page, 2*cap(r.rows)), maxRowSlabPages*page))
 	}
-	n := len(r.slab)
-	r.slab = append(append(r.slab, o...), i...)
-	r.appendRow(r.slab[n : n+w : n+w])
+	n := len(r.rows)
+	r.rows = append(append(r.rows, o...), i...)
+	r.appendRow(r.rows[n : n+w : n+w])
 	return nil
 }
 
@@ -124,36 +155,67 @@ func (r *Relation) appendRow(t Tuple) {
 	r.pages[last] = append(r.pages[last], t)
 }
 
-// pageStore is page storage one or more relations cut their pages from.
-type pageStore struct{ free []Tuple }
+// slab is page-header storage — the Tuple slots pages are cut from — that
+// one or more relations share.
+type slab struct {
+	buf  []Tuple // the whole storage
+	free []Tuple // the part not yet cut
+	// refs counts the relations that cut pages from the slab; a temp's
+	// slab goes back to its store when the last of them is dropped.
+	refs int
+	// reserved marks a Reserve slab, whose last slots make a short tail
+	// page; an unreserved temp moves on to a fresh slab instead.
+	reserved bool
+}
 
-// Reserve gives rels one shared page storage of exactly tuples slots, in
-// one allocation, and sizes each relation's page list for an even share.
-// It is for writers that know how many tuples they will write in all: a
-// sorted run (its batch), a merged run (the sum of its inputs), the hash
-// partitions of one input (that input). Pages are cut from the storage as
-// they are appended, each a full-slice expression, so appending to a page
-// can never write into another, and the storage is only ever cut, never
-// rewritten. A relation that outgrows its reservation, or never had one,
-// allocates page by page.
+// Reserve gives rels one shared page storage of exactly tuples slots and
+// sizes each relation's page list for an even share. It is for writers
+// that know how many tuples they will write in all: a sorted run (its
+// batch), a merged run (the sum of its inputs), the hash partitions of one
+// input (that input). Pages are cut from the storage as they are appended,
+// each a full-slice expression, so appending to a page can never write
+// into another, and the storage is only ever cut, never rewritten while a
+// relation holds pages in it. Temps of one store (NewTemp) draw the storage
+// from that store's recycled slabs, and it goes back, cleared, when the
+// last of rels is dropped — none of them may be read after its drop; any
+// other relation gets a new allocation that is never recycled. A relation
+// that outgrows its reservation goes on as an unreserved one (see take).
 func Reserve(tuples int, rels ...*Relation) {
-	store := &pageStore{free: make([]Tuple, tuples)}
+	var h *slab
+	if s := rels[0].owner; s != nil {
+		h = s.draw(tuples)
+	} else {
+		h = &slab{buf: make([]Tuple, tuples)}
+	}
+	h.free, h.refs, h.reserved = h.buf[:tuples], len(rels), true
 	for _, r := range rels {
-		r.store = store
+		r.hdr = h
+		r.slabs = append(r.slabs, h)
 		r.pages = slices.Grow(r.pages, (tuples/len(rels)+r.TuplesPerPage-1)/r.TuplesPerPage)
 	}
 }
 
-// take returns an empty page of capacity n, cut from the reserved storage
-// while it lasts. Fewer than n slots left make the tail page: it gets them
-// all, and an append past them reallocates.
+// take returns an empty page of capacity n, cut from the relation's slab
+// while it lasts. From a reserved slab, fewer than n slots left make the
+// tail page: it gets them all, and an append past them reallocates. An
+// unreserved temp then draws a fresh slab from its store, each twice the
+// last up to maxRowSlabPages pages; any other relation allocates page by
+// page.
 func (r *Relation) take(n int) []Tuple {
-	if r.store == nil || len(r.store.free) == 0 {
-		return make([]Tuple, 0, n)
+	h := r.hdr
+	if h == nil || len(h.free) == 0 || len(h.free) < n && !h.reserved {
+		if r.owner == nil {
+			return make([]Tuple, 0, n)
+		}
+		h = r.owner.draw(max(n, r.grow))
+		h.free, h.refs = h.buf, 1
+		r.grow = min(2*len(h.buf), maxRowSlabPages*r.TuplesPerPage)
+		r.hdr = h
+		r.slabs = append(r.slabs, h)
 	}
-	n = min(n, len(r.store.free))
-	page := r.store.free[:0:n]
-	r.store.free = r.store.free[n:]
+	n = min(n, len(h.free))
+	page := h.free[:0:n]
+	h.free = h.free[n:]
 	return page
 }
 
@@ -183,15 +245,31 @@ func (r *Relation) AllTuples() []Tuple {
 
 // Store is a named collection of relations — the "disk" — plus the
 // registry of indexes built over them (see index.go).
+//
+// A store recycles its temps: Drop hands a temp's Relation and its page
+// header slabs back to the store, and later NewTemp, Reserve and page
+// appends draw from them. A dropped temp must not be read again: its pages
+// read as cleared, and its Relation may already be another temp's. Rows
+// are never recycled, so a tuple read from a temp stays valid after the
+// drop.
 type Store struct {
 	rels    map[string]*Relation
 	indexes map[string]*Index
 	tempSeq int
+	// spare holds dropped temps' Relations by name prefix, each keeping
+	// its name: a recycled temp needs no new name.
+	spare map[string][]*Relation
+	// free holds released header slabs by size class: class c holds slabs
+	// of 1<<c slots. A slab is allocated only when its class has none
+	// free, so a store never keeps more slabs of a class than its live
+	// temps once held at the same time: the free list is bounded by the
+	// largest working set of temps, not by how many temps were made.
+	free [][]*slab
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{rels: make(map[string]*Relation), indexes: make(map[string]*Index)}
+	return &Store{rels: make(map[string]*Relation), indexes: make(map[string]*Index), spare: make(map[string][]*Relation)}
 }
 
 // Add registers a relation.
@@ -212,24 +290,82 @@ func (s *Store) Get(name string) (*Relation, error) {
 	return r, nil
 }
 
-// Drop removes a relation (no-op if absent).
+// Drop removes a relation (no-op if absent). Dropping a temp of this store
+// recycles it: its page headers are cleared and go back to the store, and
+// its Relation, name included, may be handed out by a later NewTemp. The
+// caller must hold nothing of a dropped temp but rows read from it.
 func (s *Store) Drop(name string) {
+	r, ok := s.rels[name]
+	if !ok {
+		return
+	}
 	delete(s.rels, name)
+	if r.owner != s {
+		return
+	}
+	for _, h := range r.slabs {
+		if h.refs--; h.refs == 0 {
+			s.release(h)
+		}
+	}
+	clear(r.slabs)
+	clear(r.pages)
+	r.slabs, r.pages, r.hdr, r.grow, r.rows = r.slabs[:0], r.pages[:0], nil, 0, nil
+	prefix := r.Name[:strings.LastIndexByte(r.Name, '#')]
+	s.spare[prefix] = append(s.spare[prefix], r)
 }
 
 // NewTemp creates a uniquely named temporary relation (spill runs, hash
-// partitions, intermediate results).
+// partitions, intermediate results), recycling a dropped temp of the same
+// prefix when there is one. Its name is unique among the store's live
+// relations; like the Relation itself, it may name a later temp once this
+// one is dropped, so a dropped temp must not be read again, by pointer or
+// by name.
 func (s *Store) NewTemp(prefix string, cols []string, tuplesPerPage int) (*Relation, error) {
-	s.tempSeq++
-	name := prefix + "#" + strconv.Itoa(s.tempSeq)
-	r, err := NewRelation(name, cols, tuplesPerPage)
-	if err != nil {
-		return nil, err
+	var r *Relation
+	if spare := s.spare[prefix]; len(spare) > 0 {
+		if err := checkSchema(cols, tuplesPerPage); err != nil {
+			return nil, err
+		}
+		r = spare[len(spare)-1]
+		spare[len(spare)-1] = nil
+		s.spare[prefix] = spare[:len(spare)-1]
+		r.Cols, r.TuplesPerPage = append(r.Cols[:0], cols...), tuplesPerPage
+	} else {
+		s.tempSeq++
+		var err error
+		if r, err = NewRelation(prefix+"#"+strconv.Itoa(s.tempSeq), cols, tuplesPerPage); err != nil {
+			return nil, err
+		}
+		r.owner = s
 	}
 	if err := s.Add(r); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// draw returns a cleared header slab of at least n slots: a released one of
+// n's size class, or a new one.
+func (s *Store) draw(n int) *slab {
+	c := bits.Len(uint(max(n, 1) - 1))
+	if c < len(s.free) && len(s.free[c]) > 0 {
+		list := s.free[c]
+		s.free[c] = list[:len(list)-1]
+		return list[len(list)-1]
+	}
+	return &slab{buf: make([]Tuple, 1<<c)}
+}
+
+// release clears a slab no relation holds pages in and keeps it for reuse.
+func (s *Store) release(h *slab) {
+	clear(h.buf)
+	h.free, h.reserved = nil, false
+	c := bits.Len(uint(len(h.buf) - 1))
+	for len(s.free) <= c {
+		s.free = append(s.free, nil)
+	}
+	s.free[c] = append(s.free[c], h)
 }
 
 // Names returns all relation names, sorted (diagnostics).

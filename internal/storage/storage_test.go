@@ -101,7 +101,7 @@ func TestReserve(t *testing.T) {
 	if a0[0][0] != 1 || a0[1][0] != 2 || b0[0][0] != 3 || a1[0][0] != 3 {
 		t.Fatalf("pages %v %v %v do not hold what was appended", a0, b0, a1)
 	}
-	if a.store != b.store || len(a.store.free) != 1 || cap(a0) != 2 || cap(b0) != 2 || cap(a1) != 1 {
+	if a.hdr != b.hdr || len(a.hdr.free) != 1 || cap(a0) != 2 || cap(b0) != 2 || cap(a1) != 1 {
 		t.Fatal("reserved pages are not cut back to back from one storage")
 	}
 	if grown := append(a0, Tuple{9}); &grown[0] == &a0[0] || b0[0][0] != 3 {
@@ -110,7 +110,7 @@ func TestReserve(t *testing.T) {
 	if err := b.Append(Tuple{5}); err != nil { // 1 slot left: the tail page
 		t.Fatal(err)
 	}
-	if b1, _ := b.Page(1); len(b1) != 1 || cap(b1) != 1 || len(a.store.free) != 0 {
+	if b1, _ := b.Page(1); len(b1) != 1 || cap(b1) != 1 || len(a.hdr.free) != 0 {
 		t.Fatalf("tail page %v (cap %d) not cut from the last slot", b1, cap(b1))
 	}
 	if err := b.Append(Tuple{6}, Tuple{7}); err != nil { // past the reservation
@@ -244,5 +244,133 @@ func TestAppendConcat(t *testing.T) {
 		if len(got[i]) != 3 || got[i][0] != want[i][0] || got[i][1] != want[i][1] || got[i][2] != want[i][2] {
 			t.Fatalf("row %d = %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// fill appends n one-column tuples to r.
+func fill(t *testing.T, r *Relation, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := r.Append(Tuple{int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDroppedTempSlabBacksNextReserve: a dropped temp's header slab goes
+// back to its store, and the store's next Reserve cuts its pages from it;
+// the recycled Relation keeps its name and takes the new columns.
+func TestDroppedTempSlabBacksNextReserve(t *testing.T) {
+	s := NewStore()
+	a, err := s.NewTemp("run", []string{"k"}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Reserve(10, a)
+	fill(t, a, 10)
+	h, name := a.hdr, a.Name
+	s.Drop(a.Name)
+	b, err := s.NewTemp("run", []string{"x"}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != a || b.Name != name || b.Cols[0] != "x" || b.NumPages() != 0 {
+		t.Fatalf("NewTemp made %q %v with %d pages, not the dropped %q", b.Name, b.Cols, b.NumPages(), name)
+	}
+	Reserve(9, b)
+	if b.hdr != h {
+		t.Fatal("Reserve drew a new slab while a dropped temp's was free")
+	}
+	fill(t, b, 9)
+	p0, _ := b.Page(0)
+	if &p0[:1][0] != &h.buf[0] || p0[0][0] != 0 || len(h.free) != 0 {
+		t.Fatal("the next temp's pages are not cut from the recycled slab")
+	}
+}
+
+// TestSharedSlabReturnsAfterLastDrop: the hash partitions of one input
+// share one Reserve; their slab goes back only when the last is dropped.
+func TestSharedSlabReturnsAfterLastDrop(t *testing.T) {
+	s := NewStore()
+	var parts []*Relation
+	for range 3 {
+		p, err := s.NewTemp("part", []string{"k"}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, p)
+	}
+	Reserve(12, parts...)
+	for _, p := range parts {
+		fill(t, p, 4)
+	}
+	h := parts[0].hdr
+	free := func() int {
+		n := 0
+		for _, class := range s.free {
+			n += len(class)
+		}
+		return n
+	}
+	for i, p := range parts {
+		if free() != 0 {
+			t.Fatalf("slab back after %d of 3 drops", i)
+		}
+		if last, _ := parts[2].Page(1); last[1][0] != 3 {
+			t.Fatalf("a live partition's page was cleared after %d drops", i)
+		}
+		s.Drop(p.Name)
+	}
+	if free() != 1 || h.refs != 0 {
+		t.Fatalf("%d slabs free after the last drop, refs %d", free(), h.refs)
+	}
+}
+
+// TestBaseDropRecyclesNothing: relations a store did not make as temps —
+// added, generated, index pages — keep their storage when dropped.
+func TestBaseDropRecyclesNothing(t *testing.T) {
+	s := NewStore()
+	r, _ := NewRelation("r", []string{"k"}, 2)
+	Reserve(4, r)
+	fill(t, r, 4)
+	if err := s.Add(r); err != nil {
+		t.Fatal(err)
+	}
+	s.Drop(r.Name)
+	p1, _ := r.Page(1)
+	if len(s.free) != 0 || len(s.spare) != 0 || r.NumPages() != 2 || p1[1][0] != 3 {
+		t.Fatal("dropping a base relation recycled its storage")
+	}
+	tmp, err := s.NewTemp("r", []string{"k"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tmp == r {
+		t.Fatal("NewTemp handed out a dropped base relation")
+	}
+}
+
+// TestDroppedTempReadsCleared: a dropped temp holds no pages, and a page
+// slice kept from before the drop reads as cleared, not as stale tuples a
+// later temp could be mistaken for; the rows themselves stay valid.
+func TestDroppedTempReadsCleared(t *testing.T) {
+	s := NewStore()
+	a, err := s.NewTemp("join", []string{"o.k", "i.k"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 5; i++ {
+		if err := a.AppendConcat(Tuple{i}, Tuple{-i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page, _ := a.Page(1)
+	row := page[0]
+	s.Drop(a.Name)
+	if a.NumPages() != 0 || page[0] != nil || page[1] != nil {
+		t.Fatalf("dropped temp reads %d pages, kept page %v", a.NumPages(), page)
+	}
+	if row[0] != 2 || row[1] != -2 {
+		t.Fatalf("a row read before the drop changed: %v", row)
 	}
 }
