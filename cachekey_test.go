@@ -95,7 +95,7 @@ func textPreimage(s *Scenario, alg Algorithm, driftBand, margin float64) string 
 		}
 		b = append(b, m.String()...)
 	}
-	b = append(b, " noidx="+strconv.FormatBool(opts.DisableIndexes)+" sizebuckets="+strconv.Itoa(opts.SizeBuckets)+" costmodel="+opts.CostModel.String()+"\n"...)
+	b = append(b, " sizebuckets="+strconv.Itoa(opts.SizeBuckets)+" costmodel="+opts.CostModel.String()+"\n"...)
 	return string(b)
 }
 

@@ -36,11 +36,7 @@ func main() {
 }
 
 // simFlags are the flags only the -workload mode reads.
-var simFlags = map[string]bool{
-	"workers": true, "requests": true, "seed": true, "cachesize": true,
-	"queries": true, "zipf": true, "driftband": true,
-	"nobands": true, "noindex": true, "out": true,
-}
+var simFlags = map[string]bool{"requests": true, "driftband": true, "noindex": true, "out": true}
 
 func lecbench(args []string) error {
 	fs := flag.NewFlagSet("lecbench", flag.ExitOnError)
@@ -49,15 +45,9 @@ func lecbench(args []string) error {
 		list    = fs.Bool("list", false, "list experiments and exit")
 
 		workloadM = fs.Bool("workload", false, "workload mode: engine-in-the-loop LSC-vs-LEC serving simulation")
-		workers   = fs.Int("workers", 0, "workload mode: worker count (0 = GOMAXPROCS)")
 		requests  = fs.Int("requests", 2000, "workload mode: total requests")
-		cacheSize = fs.Int("cachesize", 4096, "workload mode: plan-cache capacity")
-		seed      = fs.Int64("seed", 1, "workload mode: workload seed")
 		driftBand = fs.Float64("driftband", 0, "workload mode: plan-cache drift band base (0 = service default, <=1 = exact keys)")
-		queries   = fs.Int("queries", 0, "workload mode: distinct queries in the mix (0 = spec default)")
-		zipf      = fs.Float64("zipf", 0, "workload mode: popularity skew (0 = spec default)")
-		noBands   = fs.Bool("nobands", false, "workload mode: skip the model-agreement feedback band sweeps")
-		noIndex   = fs.Bool("noindex", false, "workload mode: heap-only mix (no physical indexes, no index plans) — reproduces the pre-access-path artifact")
+		noIndex   = fs.Bool("noindex", false, "workload mode: heap-only mix (no physical indexes, so no index plans) — reproduces the pre-access-path artifact")
 
 		emitJSON = fs.Bool("json", true, "write the mode's JSON artifact")
 		outPath  = fs.String("out", "", "workload mode: artifact path (default BENCH_workload.json)")
@@ -76,9 +66,6 @@ func lecbench(args []string) error {
 			return fmt.Errorf("%s given without -workload", strings.Join(stray, ", "))
 		}
 	}
-	if *workers < 0 {
-		return errors.New("-workers must be >= 0 (0 = GOMAXPROCS)")
-	}
 	return profiled(*cpuProfile, func() error {
 		if !*workloadM {
 			return run(*runSpec, *list)
@@ -86,11 +73,7 @@ func lecbench(args []string) error {
 		if *runSpec != "" || *list {
 			return errors.New("-run/-list select experiments and cannot be combined with -workload")
 		}
-		cfg := workloadModeConfig{
-			Requests: *requests, Queries: *queries, Zipf: *zipf,
-			Seed: *seed, Workers: *workers, CacheSize: *cacheSize,
-			DriftBand: *driftBand, NoBands: *noBands, NoIndex: *noIndex,
-		}
+		cfg := workloadModeConfig{Requests: *requests, DriftBand: *driftBand, NoIndex: *noIndex}
 		artifact := ""
 		if *emitJSON {
 			artifact = "BENCH_workload.json"

@@ -11,17 +11,19 @@ import (
 )
 
 // workloadModeConfig parameterizes one engine-in-the-loop serving run.
+// Everything else is fixed: the default mix at workloadSeed, a
+// workloadCacheSize-entry plan cache, GOMAXPROCS workers and both
+// model-agreement band sweeps.
 type workloadModeConfig struct {
 	Requests  int
-	Queries   int     // 0: spec default
-	Zipf      float64 // 0: spec default
-	Seed      int64
-	Workers   int
-	CacheSize int
 	DriftBand float64 // 0: service default (banded); <= 1: exact keys
-	NoBands   bool    // skip the model-agreement band sweeps
-	NoIndex   bool    // heap-only mix: no physical indexes, no index plans
+	NoIndex   bool    // heap-only mix: no physical indexes, so no index plans
 }
+
+const (
+	workloadSeed      = 1    // the seed BENCH_workload.json is generated at
+	workloadCacheSize = 4096 // plan-cache entries
+)
 
 // workloadArtifact is the BENCH_workload.json payload: the serving report
 // plus the model-agreement band sweeps with the feedback loop off and on,
@@ -29,34 +31,26 @@ type workloadModeConfig struct {
 // the realized-I/O trajectory.
 type workloadArtifact struct {
 	lecopt.WorkloadReport
-	ModelAgreementNoFeedback *lecopt.AgreementReport `json:"model_agreement_no_feedback,omitempty"`
-	ModelAgreementFeedback   *lecopt.AgreementReport `json:"model_agreement_feedback,omitempty"`
+	ModelAgreementNoFeedback *lecopt.AgreementReport `json:"model_agreement_no_feedback"`
+	ModelAgreementFeedback   *lecopt.AgreementReport `json:"model_agreement_feedback"`
 }
 
 // runWorkloadMode drives the serving simulator over the default Zipf+Markov
-// mix (optionally resized/reskewed), prints a realized-I/O summary and
-// writes the BENCH_workload.json artifact — the empirical LSC-vs-LEC
-// ground truth future optimizer PRs are compared against.
+// mix, prints a realized-I/O summary and writes the BENCH_workload.json
+// artifact — the empirical LSC-vs-LEC ground truth future optimizer PRs
+// are compared against.
 func runWorkloadMode(cfg workloadModeConfig, jsonPath string, w io.Writer) (*lecopt.WorkloadReport, error) {
 	spec, err := lecopt.DefaultWorkloadSpec()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Queries > 0 {
-		spec.Queries = cfg.Queries
-	}
-	if cfg.Zipf > 0 {
-		spec.ZipfS = cfg.Zipf
-	}
-	// -noindex reproduces the historical heap-only artifact: the mix
-	// builds no physical indexes and the optimizer's plan space drops
-	// index access paths — a spec decision, not a hardcoded option.
+	// -noindex reproduces the historical heap-only artifact: the mix builds
+	// no physical indexes, so its catalog offers the optimizer none.
 	spec.DisableIndexes = cfg.NoIndex
 	rep, err := lecopt.RunWorkload(spec, lecopt.WorkloadRun{
 		Requests:  cfg.Requests,
-		Seed:      cfg.Seed,
-		Workers:   cfg.Workers,
-		CacheSize: cfg.CacheSize,
+		Seed:      workloadSeed,
+		CacheSize: workloadCacheSize,
 		DriftBand: cfg.DriftBand,
 	})
 	if err != nil {
@@ -99,26 +93,22 @@ func runWorkloadMode(cfg workloadModeConfig, jsonPath string, w io.Writer) (*lec
 	fmt.Fprintf(w, "  claim (aggregate realized LEC <= LSC): %s\n", verdict(rep.TotalLECIO <= rep.TotalLSCIO))
 	fmt.Fprintf(w, "  claim (per-tenant analytic ranking matches realized ranking): %s\n", verdict(rep.RankAgreement))
 
-	artifact := workloadArtifact{WorkloadReport: *rep}
-	if !cfg.NoBands {
-		// Model-agreement band sweep under the mix's drift axis, feedback
-		// off then on: the before/after effect of the executed-size loop.
-		agreeCfg := lecopt.AgreementConfig{Seed: cfg.Seed, DriftFactors: spec.Drift.Factors}
-		before, err := lecopt.MeasureModelAgreement(spec, agreeCfg)
-		if err != nil {
-			return rep, err
-		}
-		agreeCfg.Feedback = true
-		after, err := lecopt.MeasureModelAgreement(spec, agreeCfg)
-		if err != nil {
-			return rep, err
-		}
-		artifact.ModelAgreementNoFeedback = before
-		artifact.ModelAgreementFeedback = after
-		fmt.Fprintf(w, "  model agreement (NL): worst band %.2fx -> %.2fx, mean |log ratio| %.3f -> %.3f with feedback (%d observations)\n",
-			before.BandNL, after.BandNL, before.MeanAbsLogNL, after.MeanAbsLogNL,
-			after.FeedbackObservations)
+	// Model-agreement band sweep under the mix's drift axis, feedback off
+	// then on: the before/after effect of the executed-size loop.
+	agreeCfg := lecopt.AgreementConfig{Seed: workloadSeed, DriftFactors: spec.Drift.Factors}
+	before, err := lecopt.MeasureModelAgreement(spec, agreeCfg)
+	if err != nil {
+		return rep, err
 	}
+	agreeCfg.Feedback = true
+	after, err := lecopt.MeasureModelAgreement(spec, agreeCfg)
+	if err != nil {
+		return rep, err
+	}
+	artifact := workloadArtifact{WorkloadReport: *rep, ModelAgreementNoFeedback: before, ModelAgreementFeedback: after}
+	fmt.Fprintf(w, "  model agreement (NL): worst band %.2fx -> %.2fx, mean |log ratio| %.3f -> %.3f with feedback (%d observations)\n",
+		before.BandNL, after.BandNL, before.MeanAbsLogNL, after.MeanAbsLogNL,
+		after.FeedbackObservations)
 
 	if jsonPath != "" {
 		buf, err := json.MarshalIndent(artifact, "", "  ")

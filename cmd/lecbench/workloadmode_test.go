@@ -18,7 +18,7 @@ import (
 func TestWorkloadModeEmitsArtifact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_workload.json")
 	var out strings.Builder
-	rep, err := runWorkloadMode(workloadModeConfig{Requests: 200, Seed: 1}, path, &out)
+	rep, err := runWorkloadMode(workloadModeConfig{Requests: 200}, path, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestWorkloadModeEmitsArtifact(t *testing.T) {
 func TestWorkloadModeNoIndex(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_workload.json")
 	var out strings.Builder
-	rep, err := runWorkloadMode(workloadModeConfig{Requests: 120, Seed: 1, NoIndex: true, NoBands: true}, path, &out)
+	rep, err := runWorkloadMode(workloadModeConfig{Requests: 120, NoIndex: true}, path, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,18 +91,27 @@ func TestWorkloadModeNoIndex(t *testing.T) {
 	}
 }
 
+// TestWorkloadModeOverrides: -requests and -driftband reach the run.
+// -driftband=-1 restores exact keys, which split the drifting statistics
+// into at least as many distinct optimizations as the default bands.
 func TestWorkloadModeOverrides(t *testing.T) {
-	rep, err := runWorkloadMode(workloadModeConfig{Requests: 60, Seed: 3, Queries: 5, Zipf: 2}, "", io.Discard)
+	banded, err := runWorkloadMode(workloadModeConfig{Requests: 60}, "", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Queries != 5 {
-		t.Fatalf("query override ignored: %d", rep.Queries)
+	exact, err := runWorkloadMode(workloadModeConfig{Requests: 60, DriftBand: -1}, "", io.Discard)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Skew 2 concentrates ~70%+ of requests on the hottest few queries, so
-	// the exec cache must be warm.
-	if rep.ExecCacheHitRate <= 0 {
-		t.Fatalf("no exec-cache reuse on a skewed stream: %+v", rep)
+	if banded.Requests != 60 || exact.Requests != 60 {
+		t.Fatalf("request override ignored: %d, %d", banded.Requests, exact.Requests)
+	}
+	if banded.DriftBand <= 1 || exact.DriftBand != 0 {
+		t.Fatalf("drift band override ignored: default %g, -1 gave %g", banded.DriftBand, exact.DriftBand)
+	}
+	if exact.DistinctOptimizations < banded.DistinctOptimizations {
+		t.Fatalf("exact keys optimized less than banded ones: %d < %d",
+			exact.DistinctOptimizations, banded.DistinctOptimizations)
 	}
 }
 

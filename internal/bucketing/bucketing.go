@@ -123,13 +123,9 @@ func CoarsenByCuts(law dist.Dist, cuts []float64) (dist.Dist, error) {
 	moment := make([]float64, nCells)
 	for i := 0; i < law.Len(); i++ {
 		v, p := law.Value(i), law.Prob(i)
+		// SearchFloat64s returns the first cut ≥ v, so a v equal to a cut
+		// lands in the lower cell (boundaries are "(lo, hi]").
 		cell := sort.SearchFloat64s(cuts, v)
-		// SearchFloat64s returns the first cut ≥ v; v == cut belongs to
-		// the lower cell (boundaries are "(lo, hi]").
-		if cell < len(cuts) && v == cuts[cell] {
-			// belongs to cell `cell` (lower side) — already correct.
-			_ = cell
-		}
 		mass[cell] += p
 		moment[cell] += v * p
 	}

@@ -1,8 +1,8 @@
 // Access paths: the physical operators that read base tables. Until this
 // layer existed the executor had exactly one access path — hand the base
 // relation to the consuming join — so index plans could not execute and
-// the serving loop had to optimize with DisableIndexes. Now the engine and
-// the cost model describe the same machine:
+// the serving loop had to keep them out of its plan space. Now the engine
+// and the cost model describe the same machine:
 //
 //	cost.ScanIO(pages)                 <-> heapScan: every base page read
 //	cost.IndexScanIO(h, sel, P, R, cl) <-> indexScan: h root-to-leaf node

@@ -65,7 +65,8 @@ type ExecResult struct {
 // sort — which is what the optimizer chose and what the I/O comparison
 // needs). Join columns are resolved by the plan's join edges: each join
 // node must carry left/right tables joined on a column named "k", the
-// convention of the storage generators; richer schemas use ExecuteSpec.
+// convention of the storage generators; a join on other columns is one
+// JoinDetailed call whose JoinSpec names them.
 func (e *Engine) ExecutePlan(p *plan.Node, memSeq []float64) (ExecResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExecResult{}, err
@@ -106,7 +107,7 @@ func (e *Engine) ExecutePlan(p *plan.Node, memSeq []float64) (ExecResult, error)
 }
 
 // joinCol is the join column every relation of an executed plan shares (the
-// storage generators' convention; richer schemas use ExecuteSpec).
+// storage generators' convention; JoinDetailed takes any other).
 const joinCol = "k"
 
 // executor is one ExecutePlan's state. The engine keeps it, so the temps

@@ -7,10 +7,11 @@
 // empirical claim in BENCH_workload.json rests on: seeded randomness only
 // (batch==sequential byte-identity), immutable dist.Dist/dist.Chain laws
 // (memoized fingerprints assume laws never mutate), pure fingerprint inputs
-// (drift-banded cache keys), no hardcoded DisableIndexes regressions (the
-// serving plan space stays honest), and no silently dropped errors on the
-// I/O-charging paths; reach and exportuse bar code only tests reach and
-// exports no other package names (DESIGN.md "Static invariants").
+// (drift-banded cache keys), experiments costed by the paper's formulas,
+// pooled scratch that does not escape its reset, and no silently dropped
+// errors on the I/O-charging paths; reach and exportuse bar code only tests
+// reach and exports no other package names (DESIGN.md "Static
+// invariants").
 //
 // Suppressions are explicit and justified: a finding may be waived only by
 // a same-line or preceding-line directive
@@ -79,7 +80,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		determinismAnalyzer,
 		distImmutAnalyzer,
-		optGuardAnalyzer,
 		fingerprintPurityAnalyzer,
 		errDropAnalyzer,
 		paperModelAnalyzer,

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/ast"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -35,10 +37,6 @@ func TestDeterminismFixture(t *testing.T) {
 
 func TestDistImmutFixture(t *testing.T) {
 	fixture(t, "lecopt/internal/dist", "distimmut")
-}
-
-func TestOptGuardFixture(t *testing.T) {
-	fixture(t, "optguard", "optguard")
 }
 
 func TestFingerprintPurityCatalogFixture(t *testing.T) {
@@ -143,8 +141,7 @@ var moduleOnce = sync.OnceValues(func() (*Module, error) {
 })
 
 // RepoModule returns the loaded real module for tests (here and in the
-// thin shims that other packages keep: determinism_test.go at the root,
-// optsguard_test.go under internal/workload).
+// thin shim determinism_test.go keeps at the root).
 func RepoModule(t *testing.T) *Module {
 	t.Helper()
 	m, err := moduleOnce()
@@ -204,7 +201,7 @@ func TestModuleCoverage(t *testing.T) {
 // TestRegistry pins the analyzer roster: the suite's invariants must all
 // stay registered, and names must be unique (directives key on them).
 func TestRegistry(t *testing.T) {
-	want := []string{"determinism", "distimmut", "optguard", "fppurity", "errdrop", "papermodel", "arenaescape", "reach", "exportuse"}
+	want := []string{"determinism", "distimmut", "fppurity", "errdrop", "papermodel", "arenaescape", "reach", "exportuse"}
 	got := map[string]bool{}
 	for _, a := range Analyzers() {
 		if got[a.Name] {
@@ -223,27 +220,43 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestDirectiveValidation pins the no-silent-suppressions rule end to
-// end on the optguard fixture, which seeds both a justified (waiving)
+// end on the determinism fixture, which seeds both a justified (waiving)
 // and an unjustified (non-waiving, self-reported) directive.
 func TestDirectiveValidation(t *testing.T) {
-	m, err := LoadFixture("testdata", "optguard")
+	m, err := LoadFixture("testdata", "determinism")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(m, []*Analyzer{ByName("optguard")})
-	var sawUnjustified, sawSurvivor bool
-	for _, d := range diags {
-		if d.Analyzer == "leclint" && strings.Contains(d.Message, "no justification") {
-			sawUnjustified = true
+	src, err := os.ReadFile(filepath.Join("testdata", "src", "determinism", "determinism.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineOf := func(directive string) int {
+		for i, l := range strings.Split(string(src), "\n") {
+			if strings.TrimSpace(l) == directive || strings.HasPrefix(strings.TrimSpace(l), directive+" ") {
+				return i + 1
+			}
 		}
-		if d.Analyzer == "optguard" {
+		t.Fatalf("fixture has no %q line", directive)
+		return 0
+	}
+	justified := lineOf("//leclint:allow determinism --")
+	bare := lineOf("//leclint:allow determinism //")
+	var sawUnjustified, sawSurvivor bool
+	for _, d := range Run(m, []*Analyzer{ByName("determinism")}) {
+		switch {
+		case d.Analyzer == "leclint" && d.Line == bare && strings.Contains(d.Message, "no justification"):
+			sawUnjustified = true
+		case d.Analyzer == "determinism" && d.Line == bare+1:
 			sawSurvivor = true
+		case d.Line == justified || d.Line == justified+1:
+			t.Errorf("justified directive did not waive: %s", d)
 		}
 	}
 	if !sawUnjustified {
 		t.Error("unjustified allow directive was not itself reported")
 	}
 	if !sawSurvivor {
-		t.Error("optguard findings should survive an unjustified directive")
+		t.Error("the finding an unjustified directive tried to waive should survive")
 	}
 }

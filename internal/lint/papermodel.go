@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -57,4 +58,20 @@ func runPaperModel(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// isOptimizerOptions reports whether the composite literal's type is the
+// optimizer package's Options struct (resolved through the type-checker,
+// so aliases and dot imports cannot hide it).
+func isOptimizerOptions(info *types.Info, lit *ast.CompositeLit) bool {
+	tv, ok := info.Types[lit]
+	if !ok {
+		return false
+	}
+	named, ok := tv.Type.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	return named.Obj().Name() == "Options" &&
+		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/optimizer")
 }

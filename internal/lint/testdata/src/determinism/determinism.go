@@ -79,3 +79,16 @@ func mapCounted(m map[string]int) int {
 	}
 	return n
 }
+
+// waived carries a justified directive: its finding is waived.
+func waived() int {
+	//leclint:allow determinism -- fixture: justified waiver stays silent
+	return rand.Intn(6)
+}
+
+// unjustified carries a bare directive: the directive is itself a finding,
+// and the finding it tried to waive survives.
+func unjustified() int {
+	//leclint:allow determinism // want `no justification`
+	return rand.Intn(6) // want `process-global source`
+}

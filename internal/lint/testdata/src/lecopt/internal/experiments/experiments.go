@@ -39,8 +39,8 @@ func paperOutsideOptions() cost.Model {
 }
 
 // otherFields sets unrelated Options fields. True negative.
-func otherFields(heapOnly bool) optimizer.Options {
-	return optimizer.Options{DisableIndexes: heapOnly}
+func otherFields(buckets int) optimizer.Options {
+	return optimizer.Options{SizeBuckets: buckets}
 }
 
 // waived carries a justified directive — e.g. a test that pins the two

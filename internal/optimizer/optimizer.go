@@ -54,8 +54,6 @@ type Options struct {
 	// Methods are the join algorithms considered; defaults to
 	// cost.PaperMethods (sort-merge, grace hash, page nested-loop).
 	Methods []cost.JoinMethod
-	// DisableIndexes drops index access paths (heap scans only).
-	DisableIndexes bool
 	// SizeBuckets caps the per-node result-size distribution in
 	// Algorithm D (Section 3.6.3 rebucketing); defaults to 27.
 	SizeBuckets int
@@ -427,27 +425,25 @@ func (c *ctx) prepareTable(name string, idx int) error {
 		Sel: ti.sel, Pred: pred, OutPages: ti.pages, IO: io})
 	c.acc = append(c.acc, accessCand{io: io})
 
-	if !c.opts.DisableIndexes {
-		for _, ix := range c.cat.IndexesOn(name) {
-			// Selectivity achieved through this index: the product of the
-			// filters on the indexed column.
-			ixSel := 1.0
-			matched := false
-			for _, f := range c.filters {
-				if f.Col.Column == ix.Column {
-					ixSel *= f.sel
-					matched = true
-				}
+	for _, ix := range c.cat.IndexesOn(name) {
+		// Selectivity achieved through this index: the product of the
+		// filters on the indexed column.
+		ixSel := 1.0
+		matched := false
+		for _, f := range c.filters {
+			if f.Col.Column == ix.Column {
+				ixSel *= f.sel
+				matched = true
 			}
-			ord := plan.Order{Table: name, Column: ix.Column}
-			if !matched && !slices.Contains(c.orderCols, ord) {
-				continue // the index neither filters nor orders usefully
-			}
-			io := cost.IndexScanIO(ix.Height, ixSel, t.Pages, t.Rows, ix.Clustered)
-			c.scans = append(c.scans, plan.Node{Kind: plan.KindScan, Table: name, Access: plan.AccessIndex,
-				Index: ix.Name, Sel: ti.sel, Pred: pred, OutPages: ti.pages, OutOrder: ord, IO: io})
-			c.acc = append(c.acc, accessCand{io: io})
 		}
+		ord := plan.Order{Table: name, Column: ix.Column}
+		if !matched && !slices.Contains(c.orderCols, ord) {
+			continue // the index neither filters nor orders usefully
+		}
+		io := cost.IndexScanIO(ix.Height, ixSel, t.Pages, t.Rows, ix.Clustered)
+		c.scans = append(c.scans, plan.Node{Kind: plan.KindScan, Table: name, Access: plan.AccessIndex,
+			Index: ix.Name, Sel: ti.sel, Pred: pred, OutPages: ti.pages, OutOrder: ord, IO: io})
+		c.acc = append(c.acc, accessCand{io: io})
 	}
 	ti.accesses = c.acc[first:] // re-pointed by prepare once c.acc stops moving
 	return nil

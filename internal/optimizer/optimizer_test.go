@@ -428,6 +428,11 @@ func TestIndexAccessPathChosenForSelectiveFilter(t *testing.T) {
 	if err := cat.AddTable(tab); err != nil {
 		t.Fatal(err)
 	}
+	// heapCat declares the same table without ix_v: the heap-only arm.
+	heapCat := catalog.New()
+	if err := heapCat.AddTable(tab); err != nil {
+		t.Fatal(err)
+	}
 	if err := cat.AddIndex(catalog.Index{Name: "ix_v", Table: "t", Column: "v", Clustered: true, Height: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -445,14 +450,13 @@ func TestIndexAccessPathChosenForSelectiveFilter(t *testing.T) {
 	// sel = 1/1000 → ceil(10000/1000)=10 pages + height 3.
 	approx(t, r.EC, 13, 1e-9, "index scan cost")
 
-	// DisableIndexes forces the heap scan.
-	//leclint:allow optguard -- this test asserts DisableIndexes itself forces the heap path
-	r2, err := LSC(cat, blk, Options{DisableIndexes: true}, 100)
+	// A catalog that declares no index leaves only the heap scan.
+	r2, err := LSC(heapCat, blk, Options{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2.Plan.Access != plan.AccessHeap {
-		t.Fatal("DisableIndexes must force heap scan")
+		t.Fatal("an index-free catalog must give the heap scan")
 	}
 	approx(t, r2.EC, 10000, 1e-9, "heap scan cost")
 }

@@ -151,8 +151,7 @@ func TestSignatureDeterministicAndDiscriminating(t *testing.T) {
 	if base == sig(sc, env, optimizer.Options{}, 3, algA) {
 		t.Fatal("algorithm not in signature")
 	}
-	//leclint:allow optguard -- asserts the options (incl. DisableIndexes) are part of the cache signature
-	if base == sig(sc, env, optimizer.Options{DisableIndexes: true}, 3, algC) {
+	if base == sig(sc, env, optimizer.Options{SizeBuckets: 9}, 3, algC) {
 		t.Fatal("options not in signature")
 	}
 	if base == sig(sc, env, optimizer.Options{}, 4, algC) {

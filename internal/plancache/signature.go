@@ -114,11 +114,6 @@ func appendPreimage(b []byte, cat *catalog.Catalog, blk *query.Block, env envsim
 	for _, m := range opts.Methods {
 		b = append(b, byte(m))
 	}
-	noIdx := byte(0)
-	if opts.DisableIndexes {
-		noIdx = 1
-	}
-	b = append(b, noIdx)
 	b = binary.AppendUvarint(b, uint64(opts.SizeBuckets))
 	return append(b, byte(opts.CostModel))
 }

@@ -128,7 +128,7 @@ func (m *Mix) MeasureModelAgreement(cfg AgreementConfig) (*AgreementReport, erro
 		if err != nil {
 			return nil, err
 		}
-		opts := m.planOpts()
+		opts := planOpts()
 		opts.Methods = methodSets[trial%len(methodSets)]
 		// A random optimization memory decouples the plan's choice point
 		// from the executed trajectory, exactly like a serving mix under

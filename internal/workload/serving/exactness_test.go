@@ -57,8 +57,7 @@ func TestPointLawPhaseECExactness(t *testing.T) {
 		for _, methods := range methodSets {
 			for _, mem := range levels {
 				// spec.DisableIndexes keeps the catalog heap-only, so the
-				// optimizer has no index paths to consider (optguard: the
-				// Options literal must not disable them redundantly).
+				// optimizer has no index paths to consider.
 				res, err := optimizer.AlgorithmC(q.Cat, q.Block,
 					optimizer.Options{Methods: methods}, dist.Point(mem))
 				if err != nil {

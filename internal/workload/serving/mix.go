@@ -71,12 +71,13 @@ type Gen struct {
 	FilterProb                 float64
 	MinFilterSel, MaxFilterSel float64
 
-	// DisableIndexes makes the workload heap-only: no physical indexes
-	// are built and the optimizer's plan space drops index access paths —
-	// the pre-access-path behavior (`lecbench -workload -noindex`). The
-	// default (false) builds an index on every table's join key (clustered
-	// on sorted tables, unclustered otherwise; see IndexFanout) and lets
-	// both policies plan real index scans the engine executes.
+	// DisableIndexes makes the workload heap-only: the mix builds no
+	// indexes, so the catalog offers none and the optimizer has no index
+	// access path to consider — the pre-access-path behavior (`lecbench
+	// -workload -noindex`). The default (false) builds an index on every
+	// table's join key (clustered on sorted tables, unclustered otherwise;
+	// see IndexFanout) and lets both policies plan real index scans the
+	// engine executes.
 	DisableIndexes bool
 	// ClusteredProb is the probability a table is stored in key order and
 	// gets a clustered index (otherwise unclustered). Ignored when
@@ -398,13 +399,10 @@ func (d DriftSpec) chain() (*dist.Chain, error) {
 // goldens pinned to the published three-case formulas.
 const servingCostModel = cost.ModelEngine
 
-// planOpts returns the optimizer plan-space options a mix's requests run
-// under — the one place the spec's index switch and the serving cost
-// model feed the optimizer, so a heap-only mix ("-noindex") and an
-// index-enabled mix differ by exactly the index field.
-func (m *Mix) planOpts() *optimizer.Options {
-	return &optimizer.Options{
-		DisableIndexes: m.Spec.DisableIndexes,
-		CostModel:      servingCostModel,
-	}
+// planOpts returns the optimizer plan-space options every serving request
+// runs under: the serving cost model, and nothing that narrows the plan
+// space. Which access paths exist is the catalog's to say — a heap-only mix
+// registers no index, so it gets no index plans.
+func planOpts() *optimizer.Options {
+	return &optimizer.Options{CostModel: servingCostModel}
 }

@@ -193,10 +193,9 @@ func (m *Mix) optimizeAll(keys []optKey, cfg RunConfig) ([]planPair, plancache.S
 		DisableFeedback: true,
 	})
 	driftCats := map[driftCatKey]*catalog.Catalog{}
-	// The plan space follows the mix: index access paths are in unless the
-	// spec generated a heap-only mix (the executor runs real index walks,
-	// so there is nothing left to gate here).
-	servingOpts := m.planOpts()
+	// The plan space follows the mix's catalog: a heap-only mix declares
+	// no index, so it gets no index plans.
+	servingOpts := planOpts()
 	reqs := make([]core.Request, 0, 2*len(keys))
 	for _, k := range keys {
 		q := m.Queries[k.query]
