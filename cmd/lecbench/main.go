@@ -3,7 +3,8 @@
 // run annotated against the paper's claims. With -workload it instead runs
 // the engine-in-the-loop serving simulator — LSC and LEC plans optimized
 // per request and *executed* on the page-level engine under sampled memory
-// trajectories — writing the BENCH_workload.json realized-I/O artifact.
+// trajectories — and with -out writes the report as the realized-I/O
+// artifact (BENCH_workload.json). Without -out no mode writes a file.
 // Throughput, latency and allocation figures are the repo benchmark's
 // (go run ./bench), not this command's.
 //
@@ -12,7 +13,8 @@
 //	lecbench                         # run every experiment
 //	lecbench -run E1,E5              # selected experiments
 //	lecbench -list                   # list experiment IDs and titles
-//	lecbench -workload -json         # engine-in-the-loop workload mode
+//	lecbench -workload               # engine-in-the-loop workload mode
+//	lecbench -workload -out BENCH_workload.json   # ... writing the artifact
 //	lecbench -workload -requests=200 # quick smoke of the same
 //	lecbench -workload -cpuprofile=cpu.prof   # any mode, CPU-profiled
 package main
@@ -48,9 +50,7 @@ func lecbench(args []string) error {
 		requests  = fs.Int("requests", 2000, "workload mode: total requests")
 		driftBand = fs.Float64("driftband", 0, "workload mode: plan-cache drift band base (0 = service default, <=1 = exact keys)")
 		noIndex   = fs.Bool("noindex", false, "workload mode: heap-only mix (no physical indexes, so no index plans) — reproduces the pre-access-path artifact")
-
-		emitJSON = fs.Bool("json", true, "write the mode's JSON artifact")
-		outPath  = fs.String("out", "", "workload mode: artifact path (default BENCH_workload.json)")
+		outPath   = fs.String("out", "", "workload mode: write the JSON artifact to this path (default: write no file)")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
 	)
@@ -74,14 +74,7 @@ func lecbench(args []string) error {
 			return errors.New("-run/-list select experiments and cannot be combined with -workload")
 		}
 		cfg := workloadModeConfig{Requests: *requests, DriftBand: *driftBand, NoIndex: *noIndex}
-		artifact := ""
-		if *emitJSON {
-			artifact = "BENCH_workload.json"
-			if *outPath != "" {
-				artifact = *outPath
-			}
-		}
-		_, err := runWorkloadMode(cfg, artifact, os.Stdout)
+		_, err := runWorkloadMode(cfg, *outPath, os.Stdout)
 		return err
 	})
 }

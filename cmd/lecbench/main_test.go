@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -51,7 +55,22 @@ func TestModeFlagHygiene(t *testing.T) {
 		}
 	}
 	// Flags every mode reads stay accepted without a mode.
-	if err := lecbench([]string{"-list", "-json=false"}); err != nil {
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	if err := lecbench([]string{"-list", "-cpuprofile=" + prof}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWorkloadWritesNoFileWithoutOut: the workload mode writes its artifact
+// only where -out names one. Run without it from a directory, it leaves no
+// BENCH_workload.json there (it used to overwrite the committed artifact).
+func TestWorkloadWritesNoFileWithoutOut(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	if err := lecbench([]string{"-workload", "-requests=60"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "BENCH_workload.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("lecbench -workload without -out wrote BENCH_workload.json (stat: %v)", err)
 	}
 }

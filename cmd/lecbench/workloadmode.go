@@ -4,55 +4,54 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"strings"
 
-	"lecopt"
+	"lecopt/internal/workload/serving"
 )
 
 // workloadModeConfig parameterizes one engine-in-the-loop serving run.
-// Everything else is fixed: the default mix at workloadSeed, a
-// workloadCacheSize-entry plan cache, GOMAXPROCS workers and both
-// model-agreement band sweeps.
+// Everything else is fixed: the default mix at workloadSeed, the service
+// handle's default plan cache (4096 entries) and workers (GOMAXPROCS), and
+// both model-agreement band sweeps.
 type workloadModeConfig struct {
 	Requests  int
 	DriftBand float64 // 0: service default (banded); <= 1: exact keys
 	NoIndex   bool    // heap-only mix: no physical indexes, so no index plans
 }
 
-const (
-	workloadSeed      = 1    // the seed BENCH_workload.json is generated at
-	workloadCacheSize = 4096 // plan-cache entries
-)
+// workloadSeed is the seed BENCH_workload.json is generated at: it seeds
+// the mix, the run and both agreement sweeps.
+const workloadSeed = 1
 
 // workloadArtifact is the BENCH_workload.json payload: the serving report
 // plus the model-agreement band sweeps with the feedback loop off and on,
 // so the executed-size feedback effect is tracked across PRs alongside
 // the realized-I/O trajectory.
 type workloadArtifact struct {
-	lecopt.WorkloadReport
-	ModelAgreementNoFeedback *lecopt.AgreementReport `json:"model_agreement_no_feedback"`
-	ModelAgreementFeedback   *lecopt.AgreementReport `json:"model_agreement_feedback"`
+	serving.Report
+	ModelAgreementNoFeedback *serving.AgreementReport `json:"model_agreement_no_feedback"`
+	ModelAgreementFeedback   *serving.AgreementReport `json:"model_agreement_feedback"`
 }
 
 // runWorkloadMode drives the serving simulator over the default Zipf+Markov
 // mix, prints a realized-I/O summary and writes the BENCH_workload.json
-// artifact — the empirical LSC-vs-LEC ground truth future optimizer PRs
-// are compared against.
-func runWorkloadMode(cfg workloadModeConfig, jsonPath string, w io.Writer) (*lecopt.WorkloadReport, error) {
-	spec, err := lecopt.DefaultWorkloadSpec()
+// artifact to jsonPath when it is set — the empirical LSC-vs-LEC ground
+// truth future optimizer changes are compared against.
+func runWorkloadMode(cfg workloadModeConfig, jsonPath string, w io.Writer) (*serving.Report, error) {
+	spec, err := serving.DefaultMixSpec()
 	if err != nil {
 		return nil, err
 	}
 	// -noindex reproduces the historical heap-only artifact: the mix builds
 	// no physical indexes, so its catalog offers the optimizer none.
 	spec.DisableIndexes = cfg.NoIndex
-	rep, err := lecopt.RunWorkload(spec, lecopt.WorkloadRun{
-		Requests:  cfg.Requests,
-		Seed:      workloadSeed,
-		CacheSize: workloadCacheSize,
-		DriftBand: cfg.DriftBand,
-	})
+	mix, err := serving.NewMix(spec, rand.New(rand.NewSource(workloadSeed)))
+	if err != nil {
+		return nil, err
+	}
+	rep, err := mix.Run(serving.RunConfig{Requests: cfg.Requests, Seed: workloadSeed, DriftBand: cfg.DriftBand})
 	if err != nil {
 		return nil, err
 	}
@@ -95,17 +94,15 @@ func runWorkloadMode(cfg workloadModeConfig, jsonPath string, w io.Writer) (*lec
 
 	// Model-agreement band sweep under the mix's drift axis, feedback off
 	// then on: the before/after effect of the executed-size loop.
-	agreeCfg := lecopt.AgreementConfig{Seed: workloadSeed, DriftFactors: spec.Drift.Factors}
-	before, err := lecopt.MeasureModelAgreement(spec, agreeCfg)
+	before, err := mix.MeasureModelAgreement(workloadSeed, false)
 	if err != nil {
 		return rep, err
 	}
-	agreeCfg.Feedback = true
-	after, err := lecopt.MeasureModelAgreement(spec, agreeCfg)
+	after, err := mix.MeasureModelAgreement(workloadSeed, true)
 	if err != nil {
 		return rep, err
 	}
-	artifact := workloadArtifact{WorkloadReport: *rep, ModelAgreementNoFeedback: before, ModelAgreementFeedback: after}
+	artifact := workloadArtifact{Report: *rep, ModelAgreementNoFeedback: before, ModelAgreementFeedback: after}
 	fmt.Fprintf(w, "  model agreement (NL): worst band %.2fx -> %.2fx, mean |log ratio| %.3f -> %.3f with feedback (%d observations)\n",
 		before.BandNL, after.BandNL, before.MeanAbsLogNL, after.MeanAbsLogNL,
 		after.FeedbackObservations)

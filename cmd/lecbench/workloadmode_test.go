@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"lecopt"
+	"lecopt/internal/workload/serving"
 )
 
 // TestWorkloadModeEmitsArtifact: the workload mode must write a parseable
@@ -32,7 +32,7 @@ func TestWorkloadModeEmitsArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var onDisk lecopt.WorkloadReport
+	var onDisk serving.Report
 	if err := json.Unmarshal(buf, &onDisk); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,31 +13,6 @@ import (
 	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
 )
-
-// errBadAgreement reports an invalid agreement-sweep configuration.
-var errBadAgreement = errors.New("serving: invalid agreement config")
-
-// AgreementConfig tunes one engine-vs-model agreement sweep: a corpus of
-// seeded random plans (mixed join-method subsets, random optimization
-// memory, random executed trajectories) whose measured physical I/O is
-// compared against the analytic cost model's prediction.
-type AgreementConfig struct {
-	// Trials is the corpus size (0 uses 60, the documented sweep).
-	Trials int
-	// Seed drives all sweep randomness.
-	Seed int64
-	// Feedback routes each execution's observed intermediate-result
-	// sizes back through an Optimizer handle (Observe) and re-optimizes
-	// until the plan choice is stable, so the model side costs with
-	// executed sizes instead of selectivity-product estimates.
-	Feedback bool
-	// DriftFactors cycles statistics drift through the trials: trial i
-	// optimizes against the catalog with distinct counts scaled by
-	// DriftFactors[i%len] while executing the true data — the serving
-	// mix's stale-statistics setting, which is what inflates the
-	// nested-loop band. Empty means no drift (factor 1).
-	DriftFactors []float64
-}
 
 // AgreementReport pins the measured/model agreement of one sweep. Bands
 // are worst-case symmetric ratios max(measured/model, model/measured):
@@ -91,38 +65,43 @@ func agreementMethodSets() [][]cost.JoinMethod {
 	}
 }
 
-// MeasureModelAgreement sweeps a corpus of random plans over the mix's
-// queries and reports the worst measured/model bands, optionally closing
-// the executed-size feedback loop between executions. With feedback on,
-// each trial executes its plan, Observes the materialized intermediate
-// sizes into the handle, and re-optimizes until the choice is stable (at
-// most four rounds — observations are deterministic, so a plan whose own
-// prefixes have been observed is a fixpoint); the band is then measured
-// on the stable, hint-costed plan. Later trials of the same query reuse
-// earlier observations, exactly like a serving fleet.
-func (m *Mix) MeasureModelAgreement(cfg AgreementConfig) (*AgreementReport, error) {
-	trials := cfg.Trials
-	if trials == 0 {
-		trials = 60
-	}
-	if trials < 0 {
-		return nil, fmt.Errorf("%w: %d trials", errBadAgreement, trials)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// agreementTrials is the size of the agreement sweep's plan corpus.
+const agreementTrials = 60
+
+// MeasureModelAgreement sweeps a corpus of agreementTrials seeded random
+// plans (mixed join-method subsets, random optimization memory, random
+// executed trajectories) over the mix's queries, compares each plan's
+// measured physical I/O against the analytic cost model's prediction, and
+// reports the worst measured/model bands. seed drives all sweep
+// randomness. Statistics drift cycles through the trials: trial i
+// optimizes against the catalog with distinct counts scaled by the mix's
+// drift factor i%len while executing the true data — the serving mix's
+// stale-statistics setting, which is what inflates the nested-loop band
+// (a mix without drift uses factor 1).
+//
+// feedback closes the executed-size loop between executions: each trial
+// executes its plan, Observes the materialized intermediate sizes into
+// the handle, and re-optimizes until the choice is stable (at most four
+// rounds — observations are deterministic, so a plan whose own prefixes
+// have been observed is a fixpoint); the band is then measured on the
+// stable, hint-costed plan. Later trials of the same query reuse earlier
+// observations, exactly like a serving fleet.
+func (m *Mix) MeasureModelAgreement(seed int64, feedback bool) (*AgreementReport, error) {
+	rng := rand.New(rand.NewSource(seed))
 	opt := core.NewOptimizer(nil, core.Config{
 		Workers:         1,
-		DisableFeedback: !cfg.Feedback,
+		DisableFeedback: !feedback,
 	})
 	methodSets := agreementMethodSets()
 	levels := []float64{4, 6, 9, 14, 20, 40, 80}
-	factors := cfg.DriftFactors
+	factors := m.Spec.Drift.Factors
 	if len(factors) == 0 {
 		factors = []float64{1}
 	}
 	driftCats := map[driftCatKey]*catalog.Catalog{}
-	rep := &AgreementReport{Trials: trials, Feedback: cfg.Feedback, BandSMGH: 1, BandNL: 1, BandIX: 1}
+	rep := &AgreementReport{Trials: agreementTrials, Feedback: feedback, BandSMGH: 1, BandNL: 1, BandIX: 1}
 
-	for trial := 0; trial < trials; trial++ {
+	for trial := 0; trial < agreementTrials; trial++ {
 		q := m.Queries[trial%len(m.Queries)]
 		cat, err := m.catalogAt(driftCats, q.ID, factors[trial%len(factors)])
 		if err != nil {
@@ -153,7 +132,7 @@ func (m *Mix) MeasureModelAgreement(cfg AgreementConfig) (*AgreementReport, erro
 		if err != nil {
 			return nil, fmt.Errorf("serving: agreement trial %d: %w", trial, err)
 		}
-		if cfg.Feedback {
+		if feedback {
 			for iter := 0; iter < 4; iter++ {
 				if err := opt.Observe(core.Feedback{Query: q.Block, Cat: cat, Sizes: exec.joinSizes}); err != nil {
 					return nil, err

@@ -192,12 +192,13 @@ func TestEngineModelAgreementFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drift := []float64{0.5, 1, 2} // the default mix's stale-statistics axis
-	before, err := m.MeasureModelAgreement(AgreementConfig{Trials: 60, Seed: 7, DriftFactors: drift})
+	// The sweep cycles the mix's own drift factors: the default mix's
+	// {0.5, 1, 2} stale-statistics axis.
+	before, err := m.MeasureModelAgreement(7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := m.MeasureModelAgreement(AgreementConfig{Trials: 60, Seed: 7, Feedback: true, DriftFactors: drift})
+	after, err := m.MeasureModelAgreement(7, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,31 +20,22 @@ var (
 	errBadRun = errors.New("workload: invalid run config")
 )
 
-// RunConfig tunes one engine-in-the-loop Monte-Carlo run over a Mix.
+// RunConfig tunes one engine-in-the-loop Monte-Carlo run over a Mix. The
+// run optimizes through a handle with the service defaults: a 4096-entry
+// plan cache and GOMAXPROCS workers (the worker count never changes
+// results).
 type RunConfig struct {
 	// Requests is the number of serving requests to simulate.
 	Requests int
 	// Seed drives all run-time randomness (request stream, memory
 	// trajectories, drift walk). Same mix + same config ⇒ same report.
 	Seed int64
-	// Workers bounds optimization concurrency (0 = GOMAXPROCS). Plan
-	// execution is sequential either way; workers never change results.
-	Workers int
-	// CacheSize is the plan-cache capacity (default 1024).
-	CacheSize int
 	// DriftBand is the plan-cache key band base: 0 uses the service
 	// default (geometric factor-2 bands over distinct counts, so the
 	// default ±2x statistics drift keeps hitting the cache), any value
 	// <= 1 (e.g. -1) restores exact-fingerprint keys, which split every
 	// (query, tenant, drift factor) combination into its own entry.
 	DriftBand float64
-}
-
-func (cfg RunConfig) withDefaults() RunConfig {
-	if cfg.CacheSize < 1 {
-		cfg.CacheSize = 1024
-	}
-	return cfg
 }
 
 // request is one simulated serving request.
@@ -92,7 +83,6 @@ type execOutcome struct {
 // trajectories repeat heavily under Zipf popularity and few memory levels,
 // and re-executing an identical deterministic run would only burn time.
 func (m *Mix) Run(cfg RunConfig) (*Report, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Requests < 1 {
 		return nil, fmt.Errorf("%w: %d requests", errBadRun, cfg.Requests)
 	}
@@ -187,8 +177,6 @@ func (m *Mix) Run(cfg RunConfig) (*Report, error) {
 // stream upfront; MeasureModelAgreement exercises the feedback loop.
 func (m *Mix) optimizeAll(keys []optKey, cfg RunConfig) ([]planPair, plancache.Stats, error) {
 	opt := core.NewOptimizer(nil, core.Config{
-		Workers:         cfg.Workers,
-		CacheSize:       cfg.CacheSize,
 		DriftBand:       cfg.DriftBand,
 		DisableFeedback: true,
 	})

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -22,42 +23,66 @@ func defaultMix(t *testing.T, seed int64) *Mix {
 	return m
 }
 
-// TestRunLECBeatsLSC is the ISSUE acceptance check: on the default
-// Zipf+Markov mix, the LEC policy's aggregate realized I/O — measured by
-// actually executing both policies' plans on the page-level engine under
-// shared sampled memory trajectories — must not exceed the LSC policy's.
+// TestRunLECBeatsLSC is the acceptance check: on the default Zipf+Markov
+// mix, and on an 8-query mix generated and run at another seed, the LEC
+// policy's aggregate realized I/O — measured by actually executing both
+// policies' plans on the page-level engine under shared sampled memory
+// trajectories — must not exceed the LSC policy's.
 func TestRunLECBeatsLSC(t *testing.T) {
-	m := defaultMix(t, 1)
-	rep, err := m.Run(RunConfig{Requests: 300, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("realized: LSC=%d LEC=%d ratio=%.4f (predicted %.4f)",
-		rep.TotalLSCIO, rep.TotalLECIO, rep.RealizedRatio, rep.PredictedRatio)
-	t.Logf("wins=%d ties=%d losses=%d agree=%.2f", rep.Wins, rep.Ties, rep.Losses, rep.PlanAgreementRate)
-	t.Logf("regret LEC p50/p90/p99 = %.0f/%.0f/%.0f, LSC = %.0f/%.0f/%.0f",
-		rep.LECRegretP50, rep.LECRegretP90, rep.LECRegretP99,
-		rep.LSCRegretP50, rep.LSCRegretP90, rep.LSCRegretP99)
-	t.Logf("opt=%d plan-cache=%.2f exec-cache=%.2f",
-		rep.DistinctOptimizations, rep.PlanCacheHitRate, rep.ExecCacheHitRate)
-	for _, ts := range rep.PerTenant {
-		t.Logf("tenant %-16s req=%3d lsc=%7d lec=%7d ratio=%.4f w/t/l=%d/%d/%d",
-			ts.Name, ts.Requests, ts.LSCIO, ts.LECIO, ts.Ratio, ts.Wins, ts.Ties, ts.Losses)
-	}
-	if rep.TotalLECIO > rep.TotalLSCIO {
-		t.Fatalf("LEC realized more I/O than LSC: %d > %d", rep.TotalLECIO, rep.TotalLSCIO)
-	}
-	if rep.Requests != 300 || rep.Wins+rep.Ties+rep.Losses != 300 {
-		t.Fatalf("request accounting broken: %+v", rep)
+	for _, tc := range []struct {
+		queries  int // 0 keeps the default mix's 12
+		seed     int64
+		requests int
+	}{
+		{0, 1, 300},
+		{8, 11, 150},
+	} {
+		spec, err := DefaultMixSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.queries > 0 {
+			spec.Queries = tc.queries
+		}
+		m, err := NewMix(spec, rand.New(rand.NewSource(tc.seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := m.Run(RunConfig{Requests: tc.requests, Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d queries, seed %d: realized LSC=%d LEC=%d ratio=%.4f (predicted %.4f)",
+			spec.Queries, tc.seed, rep.TotalLSCIO, rep.TotalLECIO, rep.RealizedRatio, rep.PredictedRatio)
+		t.Logf("wins=%d ties=%d losses=%d agree=%.2f", rep.Wins, rep.Ties, rep.Losses, rep.PlanAgreementRate)
+		t.Logf("regret LEC p50/p90/p99 = %.0f/%.0f/%.0f, LSC = %.0f/%.0f/%.0f",
+			rep.LECRegretP50, rep.LECRegretP90, rep.LECRegretP99,
+			rep.LSCRegretP50, rep.LSCRegretP90, rep.LSCRegretP99)
+		t.Logf("opt=%d plan-cache=%.2f exec-cache=%.2f",
+			rep.DistinctOptimizations, rep.PlanCacheHitRate, rep.ExecCacheHitRate)
+		for _, ts := range rep.PerTenant {
+			t.Logf("tenant %-16s req=%3d lsc=%7d lec=%7d ratio=%.4f w/t/l=%d/%d/%d",
+				ts.Name, ts.Requests, ts.LSCIO, ts.LECIO, ts.Ratio, ts.Wins, ts.Ties, ts.Losses)
+		}
+		if rep.TotalLSCIO <= 0 || rep.TotalLECIO > rep.TotalLSCIO {
+			t.Fatalf("%d queries, seed %d: realized LEC %d, LSC %d pages; want 0 < LSC and LEC <= LSC",
+				spec.Queries, tc.seed, rep.TotalLECIO, rep.TotalLSCIO)
+		}
+		if rep.Requests != tc.requests || rep.Wins+rep.Ties+rep.Losses != tc.requests {
+			t.Fatalf("request accounting broken: %+v", rep)
+		}
 	}
 }
 
 // TestRunDeterministic: same mix seed + same run seed ⇒ byte-identical
 // reports, regardless of worker count (optimization fan-out never changes
-// results).
+// results). The run's handle takes GOMAXPROCS workers, so the two arms set
+// it.
 func TestRunDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	run := func(workers int) []byte {
-		rep, err := defaultMix(t, 7).Run(RunConfig{Requests: 80, Seed: 3, Workers: workers})
+		runtime.GOMAXPROCS(workers)
+		rep, err := defaultMix(t, 7).Run(RunConfig{Requests: 80, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,10 @@
 // algorithms (A, B, C, D), the dynamic-memory Markov extension, the
 // linear-time expected-cost formulas of Section 3.6, the bucketing
 // strategies of Section 3.7, plus every substrate they need: a statistics
-// catalog, a mini SQL parser, the System R baseline, an analytic cost
-// model, and a page-level execution engine with a buffer pool that
-// validates the model's shape.
+// catalog, a mini SQL parser, the System R baseline and an analytic cost
+// model. The repository's page-level execution engine, which checks the
+// model's shape, is a reproduction tool and is not linked into the library
+// (see "Empirical validation").
 //
 // # The Optimizer service handle
 //
@@ -75,32 +76,26 @@
 // # Executed-size feedback
 //
 // The cost model's weakest input is the estimated intermediate-result
-// size (nested-loop joins square the error). The engine reports every
-// join's materialized output pages (ExecResult.JoinSizes); feed them back
-// with Observe and subsequent optimizations of the same query cost with
-// the observed sizes:
+// size (nested-loop joins square the error). A caller that executes the
+// chosen plan can report each join's materialized output pages, keyed by
+// SizeKey over the joined tables; feed them back with Observe and
+// subsequent optimizations of the same query cost with the observed sizes:
 //
-//	res, _ := eng.ExecutePlan(resp.Plan, memSeq)
-//	opt.Observe(lecopt.Feedback{Prepared: prep, Sizes: res.JoinSizes})
+//	sizes := map[string]float64{lecopt.SizeKey("A", "B"): 1800} // from your executor
+//	opt.Observe(lecopt.Feedback{Prepared: prep, Sizes: sizes})
 //
 // # Empirical validation
 //
 // Analytic expected-cost comparisons are only as good as the cost model,
-// so the library ships an engine-in-the-loop workload simulator: it
+// so the repository checks them against execution: `lecbench -workload`
 // generates a serving mix (Zipf query popularity, multi-tenant Markov
 // memory regimes, correlated statistics drift), optimizes every request
 // with both the classical LSC policy and an LEC algorithm, then actually
-// executes both plans on the page-level engine under shared sampled memory
-// trajectories and compares *measured* physical I/O:
-//
-//	spec, _ := lecopt.DefaultWorkloadSpec()
-//	rep, _ := lecopt.RunWorkload(spec, lecopt.WorkloadRun{Requests: 1000, Seed: 1})
-//	fmt.Println(rep.RealizedRatio <= 1) // LEC realized no more I/O than LSC
-//
-// The same report is produced by `lecbench -workload` as the
-// BENCH_workload.json artifact (including the model-agreement bands with
-// feedback off and on); see the README's "Empirical validation" section
-// for how to read it.
+// executes both plans on a page-level engine under shared sampled memory
+// trajectories and compares *measured* physical I/O. With `-out` it writes
+// the report (including the model-agreement bands with feedback off and
+// on) as the BENCH_workload.json artifact; see the README's "Empirical
+// validation" section for how to read it.
 //
 // See the examples/ directory for runnable programs, DESIGN.md for the
 // architecture and plan-space conventions, and EXPERIMENTS.md for the
@@ -108,8 +103,6 @@
 package lecopt
 
 import (
-	"math/rand"
-
 	"lecopt/internal/catalog"
 	"lecopt/internal/core"
 	"lecopt/internal/cost"
@@ -120,7 +113,6 @@ import (
 	"lecopt/internal/plancache"
 	"lecopt/internal/query"
 	"lecopt/internal/sqlmini"
-	"lecopt/internal/workload/serving"
 )
 
 // Re-exported core types. The aliases give external importers a stable
@@ -155,15 +147,6 @@ type (
 	Options = optimizer.Options
 	// CacheStats snapshots a handle's plan-cache hit/miss counters.
 	CacheStats = plancache.Stats
-	// WorkloadSpec configures serving-mix generation for RunWorkload.
-	WorkloadSpec = serving.MixSpec
-	// WorkloadTenant is one memory regime of a serving mix.
-	WorkloadTenant = serving.Tenant
-	// WorkloadRun tunes one engine-in-the-loop Monte-Carlo run.
-	WorkloadRun = serving.RunConfig
-	// WorkloadReport compares the realized I/O of the LSC and LEC
-	// policies over one simulated request stream.
-	WorkloadReport = serving.Report
 )
 
 // Errors a caller can match with errors.Is: invalid statistics (NewTable,
@@ -229,24 +212,3 @@ func ExpectedCost(p *Plan, laws []Dist) (float64, error) {
 
 // EdgeKey canonically names a join edge for Scenario.SelLaws.
 func EdgeKey(j query.Join) string { return optimizer.EdgeKey(j) }
-
-// DefaultWorkloadSpec returns the canonical Zipf+Markov serving mix: 12
-// distinct queries with skew 1.1, four tenant memory regimes (batch,
-// interactive, sticky-Markov, volatile-Markov) and a ±2x sticky drift of
-// the optimizer's statistics.
-func DefaultWorkloadSpec() (WorkloadSpec, error) { return serving.DefaultMixSpec() }
-
-// RunWorkload generates a serving mix from spec (mix generation and the
-// run stream are both seeded by cfg.Seed, so a report is reproducible from
-// its spec+config) and Monte-Carlo-runs it engine-in-the-loop: every
-// request is optimized with both policies through the batch pipeline, both
-// plans are executed on the page-level engine under one shared sampled
-// memory trajectory, and the realized physical I/O is aggregated into the
-// report; see the package section "Empirical validation".
-func RunWorkload(spec WorkloadSpec, cfg WorkloadRun) (*WorkloadReport, error) {
-	mix, err := serving.NewMix(spec, rand.New(rand.NewSource(cfg.Seed)))
-	if err != nil {
-		return nil, err
-	}
-	return mix.Run(cfg)
-}

@@ -114,38 +114,6 @@ func TestPublicDistHelpers(t *testing.T) {
 	}
 }
 
-// TestPublicRunWorkload drives the engine-in-the-loop serving simulator
-// through the public façade and re-asserts the acceptance claim on a small
-// fixed-seed workload: aggregate realized LEC I/O never exceeds LSC's.
-func TestPublicRunWorkload(t *testing.T) {
-	spec, err := DefaultWorkloadSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Queries = 8
-	rep, err := RunWorkload(spec, WorkloadRun{Requests: 150, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 150 || rep.TotalLSCIO <= 0 {
-		t.Fatalf("implausible report: %+v", rep)
-	}
-	if rep.TotalLECIO > rep.TotalLSCIO {
-		t.Fatalf("realized LEC %d > LSC %d", rep.TotalLECIO, rep.TotalLSCIO)
-	}
-	if rep.RealizedRatio > 1 || rep.RealizedRatio <= 0 {
-		t.Fatalf("ratio %v out of range", rep.RealizedRatio)
-	}
-	// Reproducibility through the public surface.
-	again, err := RunWorkload(spec, WorkloadRun{Requests: 150, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.TotalLSCIO != rep.TotalLSCIO || again.TotalLECIO != rep.TotalLECIO {
-		t.Fatalf("same spec+seed must reproduce: %+v vs %+v", again, rep)
-	}
-}
-
 // TestUnknownJoinMethodIsATypedError: Options.Methods is caller input, and
 // a method the cost formulas do not define used to reach
 // cost.JoinIOModel's panic. The handle now answers every algorithm — one

@@ -1,14 +1,11 @@
 package lecopt
 
 import (
-	"math/rand"
-
 	"lecopt/internal/core"
 	"lecopt/internal/dist"
 	"lecopt/internal/envsim"
 	"lecopt/internal/feedback"
 	"lecopt/internal/parametric"
-	"lecopt/internal/workload/serving"
 )
 
 // Service types: the stateful Optimizer handle and its request surface.
@@ -27,7 +24,7 @@ type (
 	// laws.
 	Prepared = core.Prepared
 	// Feedback carries executed intermediate-result sizes back to an
-	// Optimizer (engine ExecResult.JoinSizes keyed by SizeKey).
+	// Optimizer (materialized join output pages keyed by SizeKey).
 	Feedback = core.Feedback
 	// ParametricEntry is one precomputed (anticipated law, plan) pair of
 	// a Prepared statement's plan set.
@@ -37,10 +34,6 @@ type (
 	TournamentResult = envsim.TournamentResult
 	// RunStats summarizes one plan's simulated realized costs.
 	RunStats = envsim.RunStats
-	// AgreementConfig tunes one engine-vs-model agreement sweep.
-	AgreementConfig = serving.AgreementConfig
-	// AgreementReport pins the measured/model bands of one sweep.
-	AgreementReport = serving.AgreementReport
 )
 
 // Option configures an Optimizer handle built by New.
@@ -108,23 +101,9 @@ func New(cat *Catalog, opts ...Option) *Optimizer {
 }
 
 // SizeKey canonically names a set of joined tables for Feedback.Sizes and
-// Options.SizeHints — the engine's ExecResult.JoinSizes uses the same
-// vocabulary, so observed sizes can be fed back verbatim.
+// Options.SizeHints: an executor that reports its join output sizes under
+// these keys can feed them back verbatim.
 func SizeKey(tables ...string) string { return feedback.SetKey(tables...) }
-
-// MeasureModelAgreement generates the serving mix from spec (seeded by
-// cfg.Seed, like RunWorkload) and sweeps the engine-vs-model agreement
-// corpus over it, optionally closing the executed-size feedback loop; see
-// the serving report's band semantics. Running it twice — feedback off,
-// then on — quantifies how much observed intermediate sizes tighten the
-// cost model's nested-loop band.
-func MeasureModelAgreement(spec WorkloadSpec, cfg AgreementConfig) (*AgreementReport, error) {
-	mix, err := serving.NewMix(spec, rand.New(rand.NewSource(cfg.Seed)))
-	if err != nil {
-		return nil, err
-	}
-	return mix.MeasureModelAgreement(cfg)
-}
 
 // CoverageGrid builds a family of anticipated bimodal memory laws spanning
 // low-memory probabilities pLows at the given arms — the "good coverage"
