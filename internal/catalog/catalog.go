@@ -90,8 +90,8 @@ type Catalog struct {
 	// fpMemo memoizes the fingerprint digests between mutations as an
 	// immutable snapshot: concurrent optimizations sharing a read-only
 	// catalog find their digest with one atomic load. fpMu serializes the
-	// writers only — a first computation, which publishes an extended
-	// copy, and invalidation, which publishes nil.
+	// writers only — a first computation, which publishes the snapshot
+	// extended by one entry, and invalidation, which publishes nil.
 	fpMu   sync.Mutex
 	fpMemo atomic.Pointer[[]fpDigest]
 }

@@ -3,10 +3,10 @@ package catalog
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Fingerprint returns a stable hex digest of the catalog's full statistical
@@ -107,7 +107,8 @@ func (c *Catalog) memoized(base, margin float64) *fpDigest {
 	}
 	var next []fpDigest
 	if old != nil {
-		next = append(next, *old...)
+		next = make([]fpDigest, len(*old), len(*old)+1)
+		copy(next, *old)
 	}
 	next = append(next, c.computeDigest(base, margin))
 	c.fpMemo.Store(&next)
@@ -128,6 +129,95 @@ func findDigest(memo *[]fpDigest, base, margin float64) *fpDigest {
 	return nil
 }
 
+// InvalidateFingerprint drops the memoized digests. AddTable/AddIndex call
+// it automatically; it is exported for callers that mutate registered table
+// statistics in place, which the memo cannot observe.
+func (c *Catalog) InvalidateFingerprint() {
+	// Under fpMu so the nil lands after any in-flight first computation has
+	// published, never before it.
+	c.fpMu.Lock()
+	c.fpMemo.Store(nil)
+	c.fpMu.Unlock()
+}
+
+// computeDigest hashes the catalog for one memo entry: names and types only
+// for schemaBase, the full statistical content otherwise.
+func (c *Catalog) computeDigest(base, margin float64) fpDigest {
+	var stack [2048]byte // the preimage of a catalog of a few dozen columns
+	var pre []byte
+	if base == schemaBase {
+		pre = c.appendSchema(stack[:0])
+	} else {
+		pre = c.appendStats(stack[:0], base, margin)
+	}
+	d := fpDigest{base: base, margin: margin, sum: sha256.Sum256(pre)}
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], d.sum[:])
+	d.hex = string(hx[:])
+	return d
+}
+
+// appendStats appends the fingerprint preimage: for each table
+// "table NAME pages=P rows=R\n" and per column "col NAME type=T D min=MIN
+// max=MAX\n", then per index "index NAME on=TABLE.COLUMN clustered=B
+// height=H\n", all in name order. D is "distinct=N" exact (base 0), or
+// "dband=N" quantized into geometric bands of the given base, offset by
+// margin band units (hysteresis probes). Floats render as %v does
+// (shortest 'g'), integers as %d.
+func (c *Catalog) appendStats(b []byte, base, margin float64) []byte {
+	var tstack [16]*Table
+	var cstack [64]*Column
+	tables, cols := c.sortedTables(tstack[:0], cstack[:0])
+	for _, t := range tables {
+		b = append(b, "table "...)
+		b = append(b, t.Name...)
+		b = append(b, " pages="...)
+		b = strconv.AppendFloat(b, t.Pages, 'g', -1, 64)
+		b = append(b, " rows="...)
+		b = strconv.AppendFloat(b, t.Rows, 'g', -1, 64)
+		b = append(b, '\n')
+		for _, col := range cols[:len(t.columns)] {
+			b = append(b, "col "...)
+			b = append(b, col.Name...)
+			b = append(b, " type="...)
+			b = strconv.AppendInt(b, int64(col.Type), 10)
+			if base > 1 {
+				b = append(b, " dband="...)
+				b = strconv.AppendInt(b, int64(distinctBand(col.Distinct, t.Rows, base, margin)), 10)
+			} else {
+				b = append(b, " distinct="...)
+				b = strconv.AppendFloat(b, col.Distinct, 'g', -1, 64)
+			}
+			b = append(b, " min="...)
+			b = strconv.AppendFloat(b, col.Min, 'g', -1, 64)
+			b = append(b, " max="...)
+			b = strconv.AppendFloat(b, col.Max, 'g', -1, 64)
+			b = append(b, '\n')
+		}
+		cols = cols[len(t.columns):]
+	}
+	var istack [16]*Index
+	ixs := istack[:0]
+	for _, ix := range c.indexes {
+		ixs = append(ixs, ix)
+	}
+	slices.SortFunc(ixs, func(a, b *Index) int { return strings.Compare(a.Name, b.Name) })
+	for _, ix := range ixs {
+		b = append(b, "index "...)
+		b = append(b, ix.Name...)
+		b = append(b, " on="...)
+		b = append(b, ix.Table...)
+		b = append(b, '.')
+		b = append(b, ix.Column...)
+		b = append(b, " clustered="...)
+		b = strconv.AppendBool(b, ix.Clustered)
+		b = append(b, " height="...)
+		b = strconv.AppendFloat(b, ix.Height, 'g', -1, 64)
+		b = append(b, '\n')
+	}
+	return b
+}
+
 // distinctBand quantizes a distinct count: the effective value is clamped
 // to [1, rows] (a distinct count beyond the row count is statistically
 // meaningless and is exactly what multiplicative drift produces), then
@@ -144,72 +234,42 @@ func distinctBand(distinct, rows, base, margin float64) int {
 	return int(math.Floor(math.Log(eff)/math.Log(base) + margin))
 }
 
-// InvalidateFingerprint drops the memoized digests. AddTable/AddIndex call
-// it automatically; it is exported for callers that mutate registered table
-// statistics in place, which the memo cannot observe.
-func (c *Catalog) InvalidateFingerprint() {
-	// Under fpMu so the nil lands after any in-flight first computation has
-	// published, never before it.
-	c.fpMu.Lock()
-	c.fpMemo.Store(nil)
-	c.fpMu.Unlock()
-}
-
-// computeDigest hashes the catalog for one memo entry: names and types only
-// for schemaBase, the full statistical content otherwise.
-func (c *Catalog) computeDigest(base, margin float64) fpDigest {
-	h := sha256.New()
-	if base == schemaBase {
-		c.hashSchema(h)
-	} else {
-		c.hashStats(h, base, margin)
-	}
-	d := fpDigest{base: base, margin: margin}
-	h.Sum(d.sum[:0])
-	d.hex = hex.EncodeToString(d.sum[:])
-	return d
-}
-
-// hashStats writes the fingerprint preimage, with distinct counts either
-// exact (base 0) or quantized into geometric bands of the given base,
-// offset by margin band units (hysteresis probes).
-func (c *Catalog) hashStats(h io.Writer, base, margin float64) {
-	for _, name := range c.TableNames() { // sorted
-		t := c.tables[name]
-		fmt.Fprintf(h, "table %s pages=%v rows=%v\n", t.Name, t.Pages, t.Rows)
-		cols := append([]Column(nil), t.columns...)
-		sort.Slice(cols, func(i, j int) bool { return cols[i].Name < cols[j].Name })
-		for _, col := range cols {
-			if base > 1 {
-				fmt.Fprintf(h, "col %s type=%d dband=%d min=%v max=%v\n",
-					col.Name, col.Type, distinctBand(col.Distinct, t.Rows, base, margin), col.Min, col.Max)
-			} else {
-				fmt.Fprintf(h, "col %s type=%d distinct=%v min=%v max=%v\n",
-					col.Name, col.Type, col.Distinct, col.Min, col.Max)
-			}
+// appendSchema appends the schema digest's preimage: "table NAME\n" per
+// table and "col NAME type=T\n" per column, in name order. Names are
+// quoted so no choice of names can make two schemas render alike.
+func (c *Catalog) appendSchema(b []byte) []byte {
+	var tstack [16]*Table
+	var cstack [64]*Column
+	tables, cols := c.sortedTables(tstack[:0], cstack[:0])
+	for _, t := range tables {
+		b = append(b, "table "...)
+		b = strconv.AppendQuote(b, t.Name)
+		b = append(b, '\n')
+		for _, col := range cols[:len(t.columns)] {
+			b = append(b, "col "...)
+			b = strconv.AppendQuote(b, col.Name)
+			b = append(b, " type="...)
+			b = strconv.AppendInt(b, int64(col.Type), 10)
+			b = append(b, '\n')
 		}
+		cols = cols[len(t.columns):]
 	}
-	ixNames := make([]string, 0, len(c.indexes))
-	for name := range c.indexes {
-		ixNames = append(ixNames, name)
-	}
-	sort.Strings(ixNames)
-	for _, name := range ixNames {
-		ix := c.indexes[name]
-		fmt.Fprintf(h, "index %s on=%s.%s clustered=%v height=%v\n",
-			ix.Name, ix.Table, ix.Column, ix.Clustered, ix.Height)
-	}
+	return b
 }
 
-// hashSchema writes the schema digest's preimage. Names are quoted so no
-// choice of names can make two schemas render alike.
-func (c *Catalog) hashSchema(w io.Writer) {
-	for _, name := range c.TableNames() { // sorted
-		fmt.Fprintf(w, "table %q\n", name)
-		cols := append([]Column(nil), c.tables[name].columns...)
-		sort.Slice(cols, func(i, j int) bool { return cols[i].Name < cols[j].Name })
-		for _, col := range cols {
-			fmt.Fprintf(w, "col %q type=%d\n", col.Name, col.Type)
-		}
+// sortedTables appends the catalog's tables in name order to tables, and
+// their columns to cols: each table's in name order, table after table.
+func (c *Catalog) sortedTables(tables []*Table, cols []*Column) ([]*Table, []*Column) {
+	for _, t := range c.tables {
+		tables = append(tables, t)
 	}
+	slices.SortFunc(tables, func(a, b *Table) int { return strings.Compare(a.Name, b.Name) })
+	for _, t := range tables {
+		start := len(cols)
+		for i := range t.columns {
+			cols = append(cols, &t.columns[i])
+		}
+		slices.SortFunc(cols[start:], func(a, b *Column) int { return strings.Compare(a.Name, b.Name) })
+	}
+	return tables, cols
 }

@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"lecopt/internal/catalog"
@@ -180,6 +181,12 @@ func (s *Scenario) Optimize(alg Algorithm) (PlanReport, error) {
 		if ec, err = optimizer.ExpectedCostModel(s.Opts.CostModel, res.Plan, laws); err != nil {
 			return PlanReport{}, err
 		}
+	}
+	// A plan whose expected cost overflows is no plan: every algorithm
+	// refuses it alike, whether its own score overflowed (the LEC family)
+	// or only the re-pricing did (LSC picks at one memory value).
+	if math.IsInf(ec, 0) || math.IsNaN(ec) {
+		return PlanReport{}, fmt.Errorf("%w: %s: non-finite expected cost", optimizer.ErrNoPlan, alg)
 	}
 	return PlanReport{
 		Algorithm:  alg,

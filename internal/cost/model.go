@@ -55,7 +55,7 @@ const graceLevelCap = 8
 // at 2. This is the single source of truth — engine.graceHashJoin calls
 // it for the realized fan-out and engineGraceIO charges with it, so the
 // two cannot silently diverge.
-func GraceFanOut(small, mem int) int {
+func GraceFanOut(small, mem int64) int64 {
 	if mem < 3 {
 		mem = 3
 	}
@@ -83,7 +83,7 @@ func GraceFanOut(small, mem int) int {
 //leclint:allow reach -- test oracle: TestGracePassesGridMatchesEngine
 func GracePasses(s, m float64) (levels int, fallback bool) {
 	sp := pagesOf(s)
-	mem := MemPages(m)
+	mem := int64(MemPages(m))
 	for level := 0; ; level++ {
 		if level > graceLevelCap {
 			return levels, true
@@ -112,7 +112,7 @@ func JoinIOModel(model Model, method JoinMethod, outer, inner, mem float64) floa
 		return passMultiplier(math.Max(outer, inner), mem) * (outer + inner)
 	case GraceHash:
 		if model == ModelEngine {
-			return engineGraceIO(pagesOf(outer), pagesOf(inner), MemPages(mem), 0)
+			return engineGraceIO(pagesOf(outer), pagesOf(inner), int64(MemPages(mem)), 0)
 		}
 		// Build side fits (S pages + 2 streaming frames): one-pass
 		// in-memory hash join, each side read exactly once. Without this
@@ -150,9 +150,9 @@ func JoinIOModel(model Model, method JoinMethod, outer, inner, mem float64) floa
 // multiplies by the fan-out. The recursion terminates at the in-memory
 // boundary (build side + 2 streaming frames fit) or at the level cap,
 // where the engine degenerates to block nested loop over the stuck
-// partition pair. Counts are at most maxPages, so every int sum here is
-// far inside int64; the one product of two counts is formed in float64.
-func engineGraceIO(a, b, m, level int) float64 {
+// partition pair. Counts are at most maxPages, so every sum here is far
+// inside int64; the one product of two counts is formed in float64.
+func engineGraceIO(a, b, m int64, level int) float64 {
 	if a <= 0 || b <= 0 {
 		// The engine skips empty partition pairs without touching a page.
 		return 0
@@ -185,24 +185,25 @@ func engineGraceIO(a, b, m, level int) float64 {
 }
 
 // maxPages is the one cap on the page counts the grace model carries in
-// int: 2⁵² pages (4.5e15 — no catalog comes near it). Below it a count is
-// exact and every sum engineGraceIO forms stays inside int64 with room to
-// spare; a larger size, +Inf included, is charged as maxPages pages.
-// Uncapped, int(math.Ceil(v)) of a size past 2⁶³ reads as MinInt64 on amd64
-// — an empty, free join — and sums past 2⁶³ wrap negative.
+// int64, on 32-bit platforms too: 2⁵² pages (4.5e15 — no catalog comes
+// near it). Below it a count is exact and every sum engineGraceIO forms
+// stays inside int64 with room to spare; a larger size, +Inf included, is
+// charged as maxPages pages. Uncapped, int64(math.Ceil(v)) of a size past
+// 2⁶³ reads as MinInt64 on amd64 — an empty, free join — and sums past 2⁶³
+// wrap negative.
 const maxPages = 1 << 52
 
 // pagesOf converts an estimated size to a whole page count (a fraction
 // of a page still occupies one page), 0 for a size that is not positive
 // and at most maxPages.
-func pagesOf(v float64) int {
+func pagesOf(v float64) int64 {
 	switch {
 	case !(v > 0):
 		return 0
 	case v >= maxPages:
 		return maxPages
 	}
-	return int(math.Ceil(v))
+	return int64(math.Ceil(v))
 }
 
 // MemPages converts a memory value to the engine's buffer-pool capacity:
@@ -221,4 +222,4 @@ func MemPages(m float64) int {
 	return mp
 }
 
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
+func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

@@ -196,8 +196,8 @@ func TestGracePassesMonotoneInMemory(t *testing.T) {
 // yields an average build partition that fits in memory whenever the cap
 // doesn't bind.
 func TestGraceFanOutBounds(t *testing.T) {
-	for s := 1; s <= 2048; s++ {
-		for _, m := range []int{0, 1, 2, 3, 4, 5, 8, 9, 16, 100} {
+	for s := int64(1); s <= 2048; s++ {
+		for _, m := range []int64{0, 1, 2, 3, 4, 5, 8, 9, 16, 100} {
 			f := GraceFanOut(s, m)
 			em := m
 			if em < 3 {

@@ -92,13 +92,14 @@ func (set *execSet) run(tb testing.TB) int64 {
 	return pages
 }
 
-// execSetAllocs is TestExecutePlanAllocs' ceiling: 157–166 measured, with
-// and without -race, about 27 per plan. What is left is each result's own
-// PhaseIO, PhaseMem and JoinSizes, the JoinSizes keys, and the join
-// outputs' row slabs, which are never recycled. An engine that builds a
+// execSetAllocs is TestExecutePlanAllocs' ceiling: 127 measured without
+// -race and 130 with it, about 21 per plan. What is left is each result's
+// own PhaseIO, PhaseMem and JoinSizes, the JoinSizes keys of joins (a
+// scan's key is its table name), and the join outputs' row slabs, which
+// are never recycled. An engine that builds a
 // pool per operator, or temps that allocate their pages again, reads in
 // the thousands.
-const execSetAllocs = 180
+const execSetAllocs = 130
 
 // TestExecutePlanAllocs gates the engine's allocations on a warmed engine
 // over the exec_loop-shaped plan set.

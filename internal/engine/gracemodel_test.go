@@ -19,7 +19,7 @@ import (
 // partition size (pages) the final level hands to the in-memory join.
 func modelFinalPartition(s, m, levels int) int {
 	for l := 0; l < levels; l++ {
-		f := cost.GraceFanOut(s, m)
+		f := int(cost.GraceFanOut(int64(s), int64(m)))
 		s = (s + f - 1) / f
 	}
 	return s
@@ -132,7 +132,7 @@ func TestGracePartitionTailPagesExact(t *testing.T) {
 		mem       = 9
 	)
 	S := (5*perTuples + tpp - 1) / tpp // 23 pages per side
-	fanOut := cost.GraceFanOut(S, mem)
+	fanOut := int(cost.GraceFanOut(int64(S), mem))
 	if fanOut != 5 {
 		t.Fatalf("fan-out %d, test geometry wants 5", fanOut)
 	}
@@ -197,8 +197,8 @@ func mustPages(t *testing.T, e *Engine, name string) int {
 // simulation terminate for every (S, M) in the supported range — i.e. the
 // fan-out always strictly shrinks an over-memory build side.
 func TestGraceFanOutSharedWithEngine(t *testing.T) {
-	for s := 1; s <= 4096; s *= 2 {
-		for m := 3; m <= 128; m++ {
+	for s := int64(1); s <= 4096; s *= 2 {
+		for m := int64(3); m <= 128; m++ {
 			if s+2 <= m {
 				continue
 			}
@@ -213,7 +213,7 @@ func TestGraceFanOutSharedWithEngine(t *testing.T) {
 		}
 	}
 	// Spot-check the documented arithmetic at a few anchors.
-	for _, c := range []struct{ s, m, want int }{
+	for _, c := range []struct{ s, m, want int64 }{
 		{200, 5, 4}, // capped at m-1
 		{20, 8, 5},  // (20+5)/6+1
 		{23, 9, 5},  // the tail-page test geometry

@@ -161,7 +161,7 @@ func (e *Engine) graceHashJoin(pool *buffer.Pool, outer, inner *storage.Relation
 	// Partition count comes from the cost model's shared GraceFanOut —
 	// the same function ModelEngine charges with, so the realized fan-out
 	// and the charged fan-out cannot silently diverge.
-	fanOut := cost.GraceFanOut(small.NumPages(), pool.Capacity())
+	fanOut := int(cost.GraceFanOut(int64(small.NumPages()), int64(pool.Capacity())))
 	if level+1 > det.GraceLevels {
 		det.GraceLevels = level + 1
 	}

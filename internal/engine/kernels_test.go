@@ -30,7 +30,7 @@ func FuzzRunSorter(f *testing.F) {
 	f.Add([]byte{7, 7, 7, 7}, uint8(0), uint8(15))
 	f.Add([]byte{0x80, 0x7f, 0xff, 0, 1, 0xfe, 3}, uint8(15), uint8(0)) // sort column 1 of 3
 	for _, n := range []int{1, 2, 33} {
-		f.Add([]byte(fmt.Sprintf("%0*d", n, 31415926535)), uint8(0), uint8(0))
+		f.Add([]byte(fmt.Sprintf("%0*d", n, int64(31415926535))), uint8(0), uint8(0))
 	}
 	spread := make([]byte, 0, 2*64)
 	for i := range 64 {

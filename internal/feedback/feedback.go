@@ -27,7 +27,7 @@ import (
 	"hash/maphash"
 	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,10 +41,15 @@ const defaultAlpha = 0.5
 // vocabulary shared by the engine's observed sizes (engine.ExecResult) and
 // the optimizer's size hints (optimizer.Options.SizeHints).
 func SetKey(tables ...string) string {
-	s := append([]string(nil), tables...)
-	sort.Strings(s)
+	var stack [setKeyStack]string
+	s := append(stack[:0], tables...)
+	slices.Sort(s)
 	return strings.Join(s, "+")
 }
+
+// setKeyStack is how many names SetKey sorts without a heap copy: as many
+// as a query may join (query.MaxTables).
+const setKeyStack = 24
 
 // shardCount must be a power of two; shards are selected by the low bits
 // of the query key's hash, the same layout as the sharded plan cache.

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -289,10 +290,15 @@ func (c *ctx) sizeLaw(sl *lawSlab, laws []dist.Dist, mask uint64) (dist.Dist, er
 	}
 	sl.tmp.Reset()
 	law, err := expcost.ResultSizeDistIn(&sl.tmp, laws[mask&^bit], laws[bit], sigma, c.opts.SizeBuckets)
-	if err != nil {
-		return dist.Dist{}, err
+	if err == nil {
+		law, err = sl.keep.Map(law, clampPages)
 	}
-	return sl.keep.Map(law, clampPages)
+	if errors.Is(err, dist.ErrBadDist) {
+		// A size law over non-finite sizes: the statistics overflow, and
+		// no plan over them has a finite cost.
+		return dist.Dist{}, fmt.Errorf("%w: %w", ErrNoPlan, err)
+	}
+	return law, err
 }
 
 // withPhaseEC annotates a finished result with its per-phase analytic

@@ -5,9 +5,10 @@
 package query
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -36,13 +37,38 @@ type ColRef struct {
 
 func (c ColRef) String() string { return c.Table + "." + c.Column }
 
+// appendTo appends String's rendering.
+func (c ColRef) appendTo(b []byte) []byte {
+	b = append(b, c.Table...)
+	b = append(b, '.')
+	return append(b, c.Column...)
+}
+
 // Join is an equi-join predicate Left = Right between two tables.
 type Join struct {
 	Left  ColRef
 	Right ColRef
 }
 
-func (j Join) String() string { return j.Left.String() + " = " + j.Right.String() }
+func (j Join) String() string {
+	return j.Left.Table + "." + j.Left.Column + " = " + j.Right.Table + "." + j.Right.Column
+}
+
+// appendCanonical appends the join's canonical term: its two columns in
+// byte order around "=", so the predicate and its mirror read alike.
+func (j Join) appendCanonical(b []byte) []byte {
+	var stack [64]byte
+	lr := j.Left.appendTo(stack[:0])
+	n := len(lr)
+	lr = j.Right.appendTo(lr)
+	l, r := lr[:n], lr[n:]
+	if bytes.Compare(l, r) > 0 {
+		l, r = r, l
+	}
+	b = append(b, l...)
+	b = append(b, '=')
+	return append(b, r...)
+}
 
 // Filter is a local predicate "Col op Value" on a single table.
 type Filter struct {
@@ -52,12 +78,22 @@ type Filter struct {
 }
 
 func (f Filter) String() string {
-	// Decimal (never exponent) notation keeps the rendering inside the
-	// sqlmini grammar, so String() output re-parses for any value the
-	// parser itself can produce (non-negative finite) — a round-trip the
-	// FuzzParse harness checks. Negative values, only constructible
-	// programmatically, still render but are outside that grammar.
-	return fmt.Sprintf("%s %s %s", f.Col, f.Op, strconv.FormatFloat(f.Value, 'f', -1, 64))
+	var stack [64]byte
+	return string(f.appendTo(stack[:0]))
+}
+
+// appendTo appends String's rendering "TABLE.COLUMN OP VALUE". Decimal
+// (never exponent) notation keeps the rendering inside the sqlmini
+// grammar, so String() output re-parses for any value the parser itself
+// can produce (non-negative finite) — a round-trip the FuzzParse harness
+// checks. Negative values, only constructible programmatically, still
+// render but are outside that grammar.
+func (f Filter) appendTo(b []byte) []byte {
+	b = f.Col.appendTo(b)
+	b = append(b, ' ')
+	b = append(b, f.Op.String()...)
+	b = append(b, ' ')
+	return strconv.AppendFloat(b, f.Value, 'f', -1, 64)
 }
 
 // Block is one SPJ query block. Blocks are treated as immutable once
@@ -237,26 +273,61 @@ func (b *Block) Canonical() string {
 	return sig
 }
 
+// canonical renders the signature "TABLES|JOINS|FILTERS[|order=COLUMN]":
+// the FROM tables in byte order joined by ",", the join terms
+// (appendCanonical) and the filters (Filter.String) each in byte order
+// joined by "&". It is built in one buffer, without a string per term.
 func (b *Block) canonical() string {
-	tables := append([]string(nil), b.Tables...)
-	sort.Strings(tables)
-	joins := make([]string, len(b.Joins))
-	for i, j := range b.Joins {
-		l, r := j.Left.String(), j.Right.String()
-		if l > r {
-			l, r = r, l
+	var bufStack, termStack [512]byte
+	var tableStack [MaxTables]string
+	var spanStack [2 * MaxTables]termSpan
+	sig := bufStack[:0]
+	tables := append(tableStack[:0], b.Tables...)
+	slices.Sort(tables)
+	for i, t := range tables {
+		if i > 0 {
+			sig = append(sig, ',')
 		}
-		joins[i] = l + "=" + r
+		sig = append(sig, t...)
 	}
-	sort.Strings(joins)
-	filters := make([]string, len(b.Filters))
-	for i, f := range b.Filters {
-		filters[i] = f.String()
+	sig = append(sig, '|')
+	terms, spans := termStack[:0], spanStack[:0]
+	for _, j := range b.Joins {
+		start := len(terms)
+		terms = j.appendCanonical(terms)
+		spans = append(spans, termSpan{start, len(terms)})
 	}
-	sort.Strings(filters)
-	sig := strings.Join(tables, ",") + "|" + strings.Join(joins, "&") + "|" + strings.Join(filters, "&")
+	sig = appendSorted(sig, terms, spans)
+	sig = append(sig, '|')
+	terms, spans = terms[:0], spans[:0]
+	for _, f := range b.Filters {
+		start := len(terms)
+		terms = f.appendTo(terms)
+		spans = append(spans, termSpan{start, len(terms)})
+	}
+	sig = appendSorted(sig, terms, spans)
 	if b.OrderBy != nil {
-		sig += "|order=" + b.OrderBy.String()
+		sig = append(sig, "|order="...)
+		sig = b.OrderBy.appendTo(sig)
 	}
-	return sig
+	return string(sig)
+}
+
+// termSpan is one rendered term's [start, end) in a term buffer.
+type termSpan struct{ start, end int }
+
+// appendSorted appends the terms spans cut out of text in byte order,
+// joined by "&": what sorting the terms as strings and joining them
+// writes.
+func appendSorted(b, text []byte, spans []termSpan) []byte {
+	slices.SortFunc(spans, func(x, y termSpan) int {
+		return bytes.Compare(text[x.start:x.end], text[y.start:y.end])
+	})
+	for i, s := range spans {
+		if i > 0 {
+			b = append(b, '&')
+		}
+		b = append(b, text[s.start:s.end]...)
+	}
+	return b
 }

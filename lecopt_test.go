@@ -190,6 +190,42 @@ func TestErrNoPlanIsRootAPI(t *testing.T) {
 	}
 }
 
+// TestOverflowingStatisticsRefusedByEveryAlgorithm: statistics that are
+// finite one by one but overflow once multiplied (a table of 1.7e308 pages
+// and rows joined on a one-value key) give every algorithm the same
+// verdict, ErrNoPlan — never a plan whose expected cost is +Inf, and never
+// an untyped error from building a law over non-finite sizes.
+func TestOverflowingStatisticsRefusedByEveryAlgorithm(t *testing.T) {
+	cat := NewCatalog()
+	for _, tc := range []struct {
+		name        string
+		pages, rows float64
+	}{{"a", 1.7e308, 1.7e308}, {"b", 1000, 50_000}, {"c", 1000, 50_000}} {
+		tab, err := NewTable(tc.name, tc.pages, tc.rows, Column{Name: "k", Distinct: 1, Min: 0, Max: 1e4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blk, err := ParseSQL("SELECT * FROM a, b, c WHERE a.k = b.k AND b.k = c.k", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := Bimodal(700, 2000, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &Scenario{Cat: cat, Query: blk, Env: Env{Mem: mem}}
+	for _, alg := range Algorithms() {
+		rep, err := sc.Optimize(alg)
+		if !errors.Is(err, ErrNoPlan) {
+			t.Errorf("%s: EC %v, err = %v, want ErrNoPlan", alg, rep.EC, err)
+		}
+	}
+}
+
 // TestObserveRefusesHostileSizes: a negative, NaN or infinite size, alone
 // or beside valid ones, refuses the whole observation with ErrBadStats,
 // with feedback on or off. Nothing folds, so FeedbackStats and the next
