@@ -9,15 +9,18 @@ package lecopt
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"lecopt/internal/catalog"
 	"lecopt/internal/core"
 	"lecopt/internal/cost"
 	"lecopt/internal/engine"
 	"lecopt/internal/feedback"
 	"lecopt/internal/plan"
 	"lecopt/internal/plancache"
+	"lecopt/internal/query"
 	"lecopt/internal/storage"
 	"lecopt/internal/workload"
 )
@@ -263,6 +266,84 @@ func TestMissPathAllocBudget(t *testing.T) {
 				t.Fatalf("cache-miss Optimize (%s) allocates %.1f allocs/op, budget %.0f", tc.name, allocs, tc.budget)
 			}
 		})
+	}
+}
+
+// wideRequest is the wide-request probe: n tables t0…t(n−1), table t_i
+// with pages 100 + 37i, rows 5 000 + 1 000i and one column k of 500 + 13i
+// distinct values, no index, joined on k as a chain, a star or a clique,
+// for one AlgC optimization under Bimodal(700, 2000, 0.2).
+func wideRequest(t testing.TB, n int, shape workload.Shape) Request {
+	t.Helper()
+	cat := NewCatalog()
+	blk := &query.Block{}
+	for i := range n {
+		name := fmt.Sprintf("t%d", i)
+		tab, err := NewTable(name, float64(100+37*i), float64(5_000+1_000*i),
+			Column{Name: "k", Type: catalog.TypeInt, Distinct: float64(500 + 13*i), Min: 0, Max: 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+		blk.Tables = append(blk.Tables, name)
+	}
+	edge := func(a, b int) {
+		blk.Joins = append(blk.Joins, query.Join{Left: query.ColRef{Table: blk.Tables[a], Column: "k"}, Right: query.ColRef{Table: blk.Tables[b], Column: "k"}})
+	}
+	for i := 1; i < n; i++ {
+		switch shape {
+		case workload.Chain:
+			edge(i-1, i)
+		case workload.Star:
+			edge(0, i)
+		default:
+			for j := range i {
+				edge(j, i)
+			}
+		}
+	}
+	mem, err := Bimodal(700, 2000, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Request{Cat: cat, Query: blk, Env: Env{Mem: mem}, Alg: AlgC}
+}
+
+// TestWideRequestFootprint pins what one wide AlgC Optimize allocates on a
+// new handle: the DP table holds 16-byte prices and back-pointers, not
+// plans, so a 16-table chain's pass is its table — two cells per mask —
+// and not the join nodes its kept entries used to build (55.2 MiB). The
+// clique keeps the least per mask and may not rise above its 9.5 MiB.
+func TestWideRequestFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		shape  workload.Shape
+		budget float64 // MiB of TotalAlloc per Optimize
+	}{
+		{workload.Chain, 13.8},
+		{workload.Clique, 9.5},
+	} {
+		req := wideRequest(t, 16, tc.shape)
+		opt := New(nil)
+		// Two collections empty every sync.Pool, so the pass pays for its
+		// table as a first wide request does.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := opt.Optimize(req); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		t.Logf("16-table %v: %.2f MiB per Optimize", tc.shape, got)
+		if got > tc.budget {
+			t.Errorf("16-table %v allocates %.2f MiB per Optimize, budget %.1f", tc.shape, got, tc.budget)
+		}
 	}
 }
 

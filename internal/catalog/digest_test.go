@@ -41,7 +41,8 @@ func refStats(c *Catalog, h io.Writer, base, margin float64) {
 	}
 }
 
-// refBand is the distinct band the reference preimage renders.
+// refBand is the distinct band the reference preimage renders, clamped
+// to ±2³⁰ (NaN to −2³⁰) before it becomes an int.
 func refBand(distinct, rows, base, margin float64) int {
 	eff := distinct
 	if rows > 0 && eff > rows {
@@ -50,7 +51,11 @@ func refBand(distinct, rows, base, margin float64) int {
 	if eff < 1 {
 		eff = 1
 	}
-	return int(math.Floor(math.Log(eff)/math.Log(base) + margin))
+	band := math.Floor(math.Log(eff)/math.Log(base) + margin)
+	if math.IsNaN(band) {
+		return -1 << 30
+	}
+	return int(math.Max(-1<<30, math.Min(band, 1<<30)))
 }
 
 // refSchema is the schema digest's preimage as fmt renders it.

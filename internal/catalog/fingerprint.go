@@ -223,6 +223,10 @@ func (c *Catalog) appendStats(b []byte, base, margin float64) []byte {
 // meaningless and is exactly what multiplicative drift produces), then
 // bucketed geometrically, with the band index offset by margin before
 // flooring (0 for the canonical band; ± a fraction for hysteresis probes).
+// The floored band is clamped to ±maxBand, NaN to −maxBand, before it
+// becomes an int: Go leaves the conversion of an out-of-range float
+// implementation-defined, and a base just above 1 or a huge margin reaches
+// it.
 func distinctBand(distinct, rows, base, margin float64) int {
 	eff := distinct
 	if rows > 0 && eff > rows {
@@ -231,8 +235,19 @@ func distinctBand(distinct, rows, base, margin float64) int {
 	if eff < 1 {
 		eff = 1
 	}
-	return int(math.Floor(math.Log(eff)/math.Log(base) + margin))
+	band := math.Floor(math.Log(eff)/math.Log(base) + margin)
+	switch {
+	case band > maxBand:
+		band = maxBand
+	case !(band >= -maxBand):
+		band = -maxBand
+	}
+	return int(band)
 }
+
+// maxBand bounds a distinct band's magnitude: 2³⁰ fits an int on every
+// target, 32-bit ones included.
+const maxBand = 1 << 30
 
 // appendSchema appends the schema digest's preimage: "table NAME\n" per
 // table and "col NAME type=T\n" per column, in name order. Names are

@@ -182,3 +182,32 @@ func TestFingerprintMemoConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestDistinctBandClamped pins the band of the extreme cases: a band
+// past ±2³⁰ — a base just above 1, a huge margin — and a NaN band clamp
+// before they become an int, where Go leaves an out-of-range conversion
+// to the target (amd64, arm64 and 386 each give a different int).
+func TestDistinctBandClamped(t *testing.T) {
+	const lim = 1 << 30
+	for _, tc := range []struct {
+		distinct, rows, base, margin float64
+		want                         int
+	}{
+		{1000, 1e6, 2, 0, 9},                // an ordinary band is unchanged
+		{1000, 1e6, 2, -0.25, 9},            // a probe margin still floors
+		{1e6, 1e9, 1.0000001, 0, 138155112}, // fine bands stay under the clamp
+		{1e6, 1e9, 1.0000001, 1e300, lim},   // the margin overflows int
+		{1e6, 1e9, 1.0000001, -1e300, -lim}, // and underflows it
+		{1e6, 1e9, 1 + 0x1p-52, 0, lim},     // the base alone overflows
+		{math.NaN(), 1e9, 2, 0, -lim},       // NaN has no band
+		{1e6, 1e9, 2, math.MaxFloat64, lim}, // the largest finite margin
+		{1, 1e9, 1.0000001, -math.MaxFloat64, -lim},
+	} {
+		if got := distinctBand(tc.distinct, tc.rows, tc.base, tc.margin); got != tc.want {
+			t.Errorf("distinctBand(%v, %v, %v, %v) = %d, want %d", tc.distinct, tc.rows, tc.base, tc.margin, got, tc.want)
+		}
+		if got := refBand(tc.distinct, tc.rows, tc.base, tc.margin); got != tc.want {
+			t.Errorf("refBand(%v, %v, %v, %v) = %d, want %d", tc.distinct, tc.rows, tc.base, tc.margin, got, tc.want)
+		}
+	}
+}

@@ -491,7 +491,7 @@ func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 	// workers — so which group a near-boundary request joins (and thus the
 	// whole batch outcome) is independent of worker scheduling.
 	var groups []batchGroup
-	byKey := make(map[[plancache.KeyLen]byte]int) // key → index into groups
+	byKey := make(map[[plancache.KeyLen]byte]int, len(reqs)) // key → index into groups
 requests:
 	for i, c := range calls {
 		if c == nil {
@@ -566,31 +566,30 @@ requests:
 
 // parallel runs f(i) for every i in [0, n) on up to the handle's worker
 // count of goroutines, each claiming the next index from a shared atomic
-// cursor, and returns once every call has returned. One worker runs
-// inline.
+// cursor, and returns once every call has returned. The calling goroutine
+// is one of the workers, so one worker runs inline and w workers start
+// w − 1 goroutines.
 func (o *Optimizer) parallel(n int, f func(i int)) {
 	workers := o.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
-	if workers == 1 {
-		for i := range n {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			f(i)
 		}
-		return
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range workers {
+	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				f(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 

@@ -589,3 +589,48 @@ func TotalVariation(a, b Dist) float64 {
 	}
 	return sum / 2
 }
+
+// TestZipfBitsPinned pins every Zipf probability to the bit, for the two
+// laws the repo builds — StandardEnvs' zipf-levels (s = 1.2) and the
+// serving mix's query popularity (12 queries, s = 1.1) — and one
+// fractional exponent. Zipf's weights go through math.Pow, which reaches
+// math.Exp, and amd64 builds math.Exp from assembly: math.Pow(2, 1.2)
+// differs in its last bit between amd64 and 386, so this pin fails under
+// GOARCH=386 (2 of its 19 probabilities) until the weights are computed
+// without math.Pow (ROADMAP 16(c)). A platform that rounds one weight
+// differently fails here, where the law is made, rather than deep inside
+// an artifact built on it.
+func TestZipfBitsPinned(t *testing.T) {
+	ids := make([]float64, 12)
+	for i := range ids {
+		ids[i] = float64(i)
+	}
+	for _, tc := range []struct {
+		levels []float64
+		s      float64
+		bits   []uint64
+	}{
+		{[]float64{64, 256, 1024, 4096}, 1.2, []uint64{
+			0x3fe0e913a15e2ded, 0x3fcd715c3bbb7a2f, 0x3fc21981a15344ba, 0x3fb9a1a73af112c2}},
+		{ids, 1.1, []uint64{
+			0x3fd6b8c6fcd7b5d4, 0x3fc5333ec0432b49, 0x3fbb24c9ab3fc2f6, 0x3fb3c7cc7af5e3e6,
+			0x3faef3499e47b5c4, 0x3fa95372bfda6b78, 0x3fa5603ba4cf1dac, 0x3fa274b0f8ddc8b4,
+			0x3fa0368cd4fe75bf, 0x3f9ce0b04f01f886, 0x3f9a00e03fb682c5, 0x3f97a145674136ad}},
+		{[]float64{700, 2000, 5000}, 0.5, []uint64{
+			0x3fdc03f1e255d74c, 0x3fd3cf54b23cf5c4, 0x3fd02cb96b6d32f1}},
+	} {
+		d, err := Zipf(tc.levels, tc.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Len() != len(tc.bits) {
+			t.Fatalf("Zipf(%v, %v) has %d levels, want %d", tc.levels, tc.s, d.Len(), len(tc.bits))
+		}
+		for i, want := range tc.bits {
+			if _, p := d.At(i); math.Float64bits(p) != want {
+				t.Errorf("Zipf(%v, %v) level %d: p = %v (%#016x), want %v (%#016x)",
+					tc.levels, tc.s, i, p, math.Float64bits(p), math.Float64frombits(want), want)
+			}
+		}
+	}
+}

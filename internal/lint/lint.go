@@ -83,7 +83,6 @@ func Analyzers() []*Analyzer {
 		fingerprintPurityAnalyzer,
 		errDropAnalyzer,
 		paperModelAnalyzer,
-		arenaEscapeAnalyzer,
 		reachAnalyzer,
 		exportUseAnalyzer,
 	}

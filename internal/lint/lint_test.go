@@ -55,12 +55,6 @@ func TestPaperModelFixture(t *testing.T) {
 	fixture(t, "lecopt/internal/experiments", "papermodel")
 }
 
-// TestArenaEscapeFixture seeds the use-after-reset the pooled DP scratch
-// makes possible: a raw arena node leaking into a Result.
-func TestArenaEscapeFixture(t *testing.T) {
-	fixture(t, "lecopt/internal/optimizer", "arenaescape")
-}
-
 // TestReachFixture seeds one dead declaration of each kind beside the
 // true negatives a name-based reference graph must keep: a method reached
 // through an interface call, a function passed as a value, an init, a var
@@ -201,7 +195,7 @@ func TestModuleCoverage(t *testing.T) {
 // TestRegistry pins the analyzer roster: the suite's invariants must all
 // stay registered, and names must be unique (directives key on them).
 func TestRegistry(t *testing.T) {
-	want := []string{"determinism", "distimmut", "fppurity", "errdrop", "papermodel", "arenaescape", "reach", "exportuse"}
+	want := []string{"determinism", "distimmut", "fppurity", "errdrop", "papermodel", "reach", "exportuse"}
 	got := map[string]bool{}
 	for _, a := range Analyzers() {
 		if got[a.Name] {

@@ -99,19 +99,23 @@ func AlgorithmA(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	if last := len(points) - 1; slices.Contains(points[:last], points[last]) {
 		points = points[:last]
 	}
-	// A pass's winner is copied out of its scratch and priced only when no
-	// earlier pass found its signature: a repeat is the same plan at the
-	// same expected cost, and the first of equal signatures stands for the
-	// rest. Each scratch is released as soon as its pass is done.
+	// A pass's winner is built in its scratch (tree), and copied out and
+	// priced only when no earlier pass found its signature: a repeat is the
+	// same plan at the same expected cost, and the first of equal
+	// signatures stands for the rest. Each scratch is released as soon as
+	// its pass is done.
 	var buf [8]Result
 	cands := buf[:0]
 	for _, pt := range points {
 		sc := getScratch(keepBest, 1, c.n)
-		e, err := c.winner(sc, c.pointScorer(pt))
-		if err == nil && !slices.ContainsFunc(cands, func(r Result) bool { return plan.CompareSignature(r.Plan, e.node) == 0 }) {
-			var r Result
-			r, err = c.copyPriced(e.node, laws)
-			cands = append(cands, r)
+		s := c.pointScorer(pt)
+		e, err := c.winner(sc, s)
+		if err == nil {
+			if p := c.tree(sc, s, e); !slices.ContainsFunc(cands, func(r Result) bool { return compareTrees(r.Plan, p) == 0 }) {
+				var r Result
+				r, err = c.copyPriced(p, laws)
+				cands = append(cands, r)
+			}
 		}
 		sc.release()
 		if err != nil {
@@ -151,9 +155,10 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	}
 	defer cx.release()
 	laws := cx.staticLaws(mem)
-	// Every pass's scratch is held until the winner is copied out of it,
-	// then all are released together in bucket order (DESIGN.md, "One
-	// level of parallelism").
+	// Every pass builds its top plans in its scratch (tree), and every
+	// scratch is held until the winner is copied out of it, then all are
+	// released together in bucket order (DESIGN.md, "One level of
+	// parallelism").
 	points := cx.bucketPoints(mem)
 	var scsBuf [32]*dpScratch
 	scs := scsBuf[:0]
@@ -180,16 +185,17 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 		if len(tops) == 0 {
 			return Result{}, ErrNoPlan
 		}
-		for _, e := range tops {
-			if slices.ContainsFunc(seen, func(p *plan.Node) bool { return plan.CompareSignature(p, e.node) == 0 }) {
+		for i := range tops {
+			node := cx.tree(sc, s, &tops[i])
+			if slices.ContainsFunc(seen, func(p *plan.Node) bool { return compareTrees(p, node) == 0 }) {
 				continue
 			}
-			seen = append(seen, e.node)
-			if ph, err = expectedPhases(ph, cx.opts.CostModel, e.node, laws); err != nil {
+			seen = append(seen, node)
+			if ph, err = expectedPhases(ph, cx.opts.CostModel, node, laws); err != nil {
 				return Result{}, err
 			}
-			if ec := sumPhases(ph); best == nil || better(ec, e.node, bestEC, best) {
-				best, bestEC = e.node, ec
+			if ec := sumPhases(ph); best == nil || better(ec, node, bestEC, best) {
+				best, bestEC = node, ec
 				ph, bestPh = bestPh, ph
 			}
 		}

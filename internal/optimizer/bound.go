@@ -69,7 +69,7 @@ func (c *ctx) greedy(s scorer) greedyPlan {
 	cur := [2]float64{inf, inf} // per slot: the prefix's score, +Inf where no plan lands
 	for ai, ac := range c.tables[t0].accesses {
 		slot := c.slotOf(ac.node.OutOrder)
-		if score := leafEntry(ac).score; score < cur[slot] {
+		if score := leafScore(ac); score < cur[slot] {
 			cur[slot], g.steps[0].access[slot] = score, ai
 		}
 	}
@@ -79,9 +79,9 @@ func (c *ctx) greedy(s scorer) greedyPlan {
 		for m := reach &^ prefix; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
 			bit := uint64(1) << uint(j)
-			ra, right := 0, leafEntry(c.tables[j].accesses[0]).score
+			ra, right := 0, leafScore(c.tables[j].accesses[0])
 			for ai, ac := range c.tables[j].accesses[1:] {
-				if score := leafEntry(ac).score; score < right {
+				if score := leafScore(ac); score < right {
 					ra, right = ai+1, score
 				}
 			}

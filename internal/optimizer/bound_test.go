@@ -90,7 +90,7 @@ func kernelWinner(t *testing.T, c *ctx, s scorer, bound float64) (sig string, sc
 	if best == nil {
 		return "", 0, false
 	}
-	return best.node.Signature(), best.score, true
+	return c.tree(sc, s, best).Signature(), best.score, true
 }
 
 // greedyNode builds the plan greedy recorded, walking its steps back from
@@ -110,7 +110,7 @@ func greedyNode(c *ctx, g greedyPlan) *plan.Node {
 		merges := c.mergeOrders(st.table, prefix)
 		prefix |= 1 << uint(st.table)
 		right := c.tables[st.table].accesses[st.access[0]].node
-		node = plan.NewJoin(m, node, right, c.size[prefix], c.joinOrder(m, merges, node))
+		node = plan.NewJoin(m, node, right, c.size[prefix], c.joinOrder(m, merges, node.OutOrder))
 	}
 	if c.blk.OrderBy != nil && g.slot == 0 {
 		node = plan.NewSort(node, c.required)
@@ -202,7 +202,7 @@ func checkSkippedMasks(t *testing.T, c *ctx, ns namedScorer, bound float64) {
 		for slot := range 2 {
 			for _, e := range open.list(cell(mask, slot)) {
 				if !(e.score > bar) {
-					t.Fatalf("%s: mask %b skipped, but holds %s at %v within its bar %v", ns.alg, mask, e.node.Signature(), e.score, bar)
+					t.Fatalf("%s: mask %b skipped, but holds %+v within its bar %v", ns.alg, mask, e, bar)
 				}
 			}
 		}

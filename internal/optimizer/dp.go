@@ -8,6 +8,7 @@ import (
 	"lecopt/internal/dist"
 	"lecopt/internal/expcost"
 	"lecopt/internal/plan"
+	"lecopt/internal/query"
 )
 
 // scorer costs a join or sort in one execution phase: in expectation under
@@ -81,13 +82,44 @@ func (c *ctx) staticLaws(law dist.Dist) []dist.Dist {
 	return c.law[:]
 }
 
-// entry is one retained subplan at a DP node. Its order property is
-// node.OutOrder: the access path's order at a leaf, the join's output order
-// above it, the required order on a root sort.
+// entry is one retained subplan of a DP cell, in 16 bytes: its score and
+// how it was made. Every entry reads one access path last: a leaf its own,
+// a join its right input, one of table's access candidates. A join names
+// its left input by table index — cell·depth + position in that cell — and
+// its method; its left input covers the entry's subset less table. A root
+// entry (complete) may carry the ORDER BY sort. A plan is built only for
+// the entries a pass returns (tree), and ties between entries are broken
+// on their signatures without building either (sigOrder). An entry's order
+// property is its cell's slot; the output orders a built plan carries are
+// the ones its chain of methods gives (buildInto).
 type entry struct {
-	node  *plan.Node
-	score float64
+	score  float64
+	left   uint32  // join: the left input's index in the table
+	access uint16  // the access candidate of table the entry reads last
+	table  uint8   // that table's position in the FROM list
+	op     entryOp // leaf or join and its method, under the root sort or not
 }
+
+// entryOp says what an entry is: a leaf, or a join by a method, and whether
+// it sits under the root sort.
+type entryOp uint8
+
+const (
+	opMethod entryOp = 3      // a join's method, in the low bits
+	opJoin   entryOp = 1 << 2 // a join; a leaf without it
+	opSort   entryOp = 1 << 3 // a root entry under the ORDER BY sort
+)
+
+// Every join method fits opMethod's bits.
+const _ = uint(opMethod - entryOp(cost.BlockNL))
+
+func (op entryOp) join() bool              { return op&opJoin != 0 }
+func (op entryOp) sorted() bool            { return op&opSort != 0 }
+func (op entryOp) method() cost.JoinMethod { return cost.JoinMethod(op & opMethod) }
+
+// scan is the access path entry e reads last: a leaf's own, or a join's
+// right input.
+func (c *ctx) scan(e *entry) *plan.Node { return c.tables[e.table].accesses[e.access].node }
 
 // slotOf maps an order property to a DP slot: 1 when it satisfies the
 // query's ORDER BY, 0 otherwise. Keeping the best plan per slot is the
@@ -101,30 +133,29 @@ func (c *ctx) slotOf(o plan.Order) int {
 	return 0
 }
 
-// leafEntry builds the access-path entry for one access path of a table.
-// Materialized access paths (index scans, filtered heap scans) score their
-// access cost; an unfiltered heap scan scores 0 — its base read is part of
-// the consuming join's formula (see plan.Node.Materialized). Every access
-// path of a table has the table's size, as every plan of a subset has the
-// subset's (ctx.size).
-func leafEntry(ac accessCand) entry {
-	score := ac.io
+// leafScore is the score of one access path of a table. Materialized
+// access paths (index scans, filtered heap scans) score their access cost;
+// an unfiltered heap scan scores 0 — its base read is part of the consuming
+// join's formula (see plan.Node.Materialized). Every access path of a table
+// has the table's size, as every plan of a subset has the subset's
+// (ctx.size).
+func leafScore(ac accessCand) float64 {
 	if !ac.node.Materialized() {
-		score = 0
+		return 0
 	}
-	return entry{node: ac.node, score: score}
+	return ac.io
 }
 
-// enforcerScore is the cost of the root ORDER BY enforcer over a plan for
+// enforcerScore is the cost of the root ORDER BY enforcer over entry e of
 // the whole query: the sort of the query's result size, plus the base read
 // when the sort consumes an unmaterialized heap scan directly (single-table
 // plans — no join ever paid for it).
-func (c *ctx) enforcerScore(s scorer, e entry) float64 {
-	sc := c.sortPrice(s)
-	if e.node.Kind == plan.KindScan && !e.node.Materialized() {
-		sc += e.node.AccessIO()
+func (c *ctx) enforcerScore(s scorer, e *entry) float64 {
+	price := c.sortPrice(s)
+	if ac := c.scan(e); !e.op.join() && !ac.Materialized() {
+		price += ac.AccessIO()
 	}
-	return sc
+	return price
 }
 
 // dpBest runs the kernel keeping one entry per (subset, order slot) and
@@ -137,16 +168,13 @@ func (c *ctx) dpBest(s scorer) (Result, error) {
 	return c.best(sc, s)
 }
 
-// best is winner's plan deep-copied into a Result.
+// best is winner's plan, built into a Result that owns it.
 func (c *ctx) best(sc *dpScratch, s scorer) (Result, error) {
 	e, err := c.winner(sc, s)
 	if err != nil {
 		return Result{}, err
 	}
-	// The winning tree references the scratch's arena join nodes and the
-	// context's scan nodes, both recycled on release; deep-copy it so the
-	// Result owns its plan.
-	return Result{Plan: e.node.Clone(), EC: e.score, Candidates: 1}, nil
+	return Result{Plan: c.tree(sc, s, e).Clone(), EC: e.score, Candidates: 1}, nil
 }
 
 // winner runs a single-entry pass in sc, every cell barred by the score of
@@ -168,9 +196,10 @@ func (c *ctx) winner(sc *dpScratch, s scorer) (*entry, error) {
 // plan, nil when the table holds none.
 func (c *ctx) bestRoot(sc *dpScratch, s scorer) *entry {
 	c.complete(sc, s)
+	by := sigOrder{c, sc}
 	var best *entry
 	for i := range sc.root {
-		if e := &sc.root[i]; best == nil || better(e.score, e.node, best.score, best.node) {
+		if e := &sc.root[i]; best == nil || by.better(e, best) {
 			best = e
 		}
 	}
@@ -182,8 +211,7 @@ func (c *ctx) bestRoot(sc *dpScratch, s scorer) *entry {
 // slot) what sc's policy asks for — the best entry or the top depth
 // entries. Every mask of a rank reads only finalized smaller ranks. All
 // state lives in sc, which the caller releases once nothing it needs
-// points into it: the table holds entries by value, join nodes come from
-// sc's arena.
+// points into it.
 //
 // No cell admits an entry scoring above its bar, and setBars bars only
 // subplans that cannot lead to a plan within bound. So a bound that is the
@@ -194,10 +222,10 @@ func (c *ctx) run(sc *dpScratch, s scorer, bound float64) {
 	c.setBars(sc, s, bound)
 	for j, ti := range c.tables {
 		bit := uint64(1) << uint(j)
-		for _, ac := range ti.accesses {
-			e := leafEntry(ac)
+		for ai, ac := range ti.accesses {
+			e := entry{score: leafScore(ac), access: uint16(ai), table: uint8(j)}
 			if k := cell(bit, c.slotOf(ac.node.OutOrder)); sc.admits(k, e.score) {
-				sc.keep(k, e)
+				c.keep(sc, k, e)
 			}
 		}
 	}
@@ -228,7 +256,6 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer) {
 	phase := phaseOfMask(mask)
 	methods := c.opts.Methods
 	sc.cands = c.candidatesInto(mask, sc.cands[:0])
-	outPages := c.pages(s, mask)
 	kb := cell(mask, 0)
 	for _, j := range sc.cands {
 		bit := uint64(1) << uint(j)
@@ -240,7 +267,8 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer) {
 		var card [cost.BlockNL + 1]float64
 		priced := false
 		for ls := 0; ls < 2; ls++ {
-			left := sc.list(cell(rest, ls))
+			lk := cell(rest, ls)
+			left := sc.list(lk)
 			if len(left) == 0 {
 				continue
 			}
@@ -272,12 +300,10 @@ func (c *ctx) expand(sc *dpScratch, mask uint64, s scorer) {
 						}
 						score := base + card[m]
 						if !sc.admits(k, score) {
-							continue // strictly worse: skip building the node
+							continue // strictly worse
 						}
-						node := sc.arena.newJoin(m, le.node, re.node, outPages, c.joinOrder(m, merges, le.node))
-						if !sc.keep(k, entry{node: node, score: score}) {
-							sc.arena.undo()
-						}
+						c.keep(sc, k, entry{score: score, left: uint32(lk*sc.depth + p.i),
+							access: re.access, table: uint8(j), op: opJoin | entryOp(m)})
 					}
 				}
 			}
@@ -292,8 +318,8 @@ func (c *ctx) complete(sc *dpScratch, s scorer) {
 	for slot := 0; slot < 2; slot++ {
 		for _, e := range sc.list(cell(full, slot)) {
 			if c.blk.OrderBy != nil && slot == 0 {
-				e.score += c.enforcerScore(s, e)
-				e.node = sc.arena.newSort(e.node, c.required)
+				e.score += c.enforcerScore(s, &e)
+				e.op |= opSort
 			}
 			sc.root = append(sc.root, e)
 		}
@@ -307,14 +333,65 @@ func (c *ctx) topRoots(sc *dpScratch, s scorer, topC int) []entry {
 	// better is a strict total order on completed plans (a list holds no
 	// two equal signatures, and a root sort sets the slots apart), so any
 	// sort leaves the same list.
+	by := sigOrder{c, sc}
 	slices.SortFunc(sc.root, func(a, b entry) int {
 		switch {
-		case better(a.score, a.node, b.score, b.node):
+		case by.better(&a, &b):
 			return -1
-		case better(b.score, b.node, a.score, a.node):
+		case by.better(&b, &a):
 			return 1
 		}
 		return 0
 	})
 	return sc.root[:min(len(sc.root), topC)]
+}
+
+// nodes is the size of root entry e's plan: its joins, its leaves, and the
+// root sort it may carry.
+func (c *ctx) nodes(e *entry) int {
+	if e.op.sorted() {
+		return 2 * c.n
+	}
+	return 2*c.n - 1
+}
+
+// tree builds root entry e's plan into sc.trees, where it lives until sc is
+// released, its leaves sharing the context's scan nodes' predicates: every
+// plan a pass returns is built so, and cloned before it leaves in a Result.
+func (c *ctx) tree(sc *dpScratch, s scorer, e *entry) *plan.Node {
+	size := c.nodes(e)
+	return c.buildInto(sc.block(size, sc.depth*size), sc, s, e)
+}
+
+// buildInto builds root entry e's plan into nodes, which must hold exactly
+// its nodes; the leaves are copies of the context's. The joins lie top down after the root sort, then the leftmost
+// leaf, then each join's right leaf in the same order. Output orders are
+// set bottom up once every input is in place (joinOrder): a nested-loop
+// join carries the order of the nearest order-imposing join below it, or
+// else of the leftmost access path.
+func (c *ctx) buildInto(nodes []plan.Node, sc *dpScratch, s scorer, e *entry) *plan.Node {
+	top := 0
+	if e.op.sorted() {
+		top = 1
+	}
+	joins := c.n - 1
+	var merges [query.MaxTables]bool
+	mask := fullMask(c.n)
+	for i := range joins {
+		nodes[top+joins+1+i] = *c.scan(e)
+		nodes[top+i] = plan.Node{Kind: plan.KindJoin, Method: e.op.method(), Left: &nodes[top+i+1],
+			Right: &nodes[top+joins+1+i], OutPages: c.pages(s, mask)}
+		mask &^= 1 << e.table
+		merges[i] = c.mergeOrders(int(e.table), mask)
+		e = &sc.ents[e.left]
+	}
+	nodes[top+joins] = *c.scan(e)
+	for i := joins - 1; i >= 0; i-- {
+		n := &nodes[top+i]
+		n.OutOrder = c.joinOrder(n.Method, merges[i], n.Left.OutOrder)
+	}
+	if top == 1 {
+		nodes[0] = plan.Node{Kind: plan.KindSort, Child: &nodes[1], OutPages: nodes[1].OutPages, OutOrder: c.required}
+	}
+	return &nodes[0]
 }

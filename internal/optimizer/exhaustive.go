@@ -99,7 +99,7 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 			merges := c.mergeOrders(j, p.mask)
 			for _, ac := range c.tables[j].accesses {
 				for _, m := range c.opts.Methods {
-					order := c.joinOrder(m, merges, p.node)
+					order := c.joinOrder(m, merges, p.node.OutOrder)
 					node := plan.NewJoin(m, p.node, ac.node, c.size[p.mask|bit], order)
 					if err := extend(partial{node: node, mask: p.mask | bit}); err != nil {
 						return err

@@ -445,6 +445,10 @@ func (c *ctx) prepareTable(name string, idx int) error {
 			Index: ix.Name, Sel: ti.sel, Pred: pred, OutPages: ti.pages, OutOrder: ord, IO: io})
 		c.acc = append(c.acc, accessCand{io: io})
 	}
+	if len(c.acc)-first > math.MaxUint16+1 {
+		// A DP entry names its access path in 16 bits (entry.access).
+		return fmt.Errorf("%w: table %s has more than %d access paths", ErrNoPlan, name, math.MaxUint16+1)
+	}
 	ti.accesses = c.acc[first:] // re-pointed by prepare once c.acc stops moving
 	return nil
 }
@@ -707,13 +711,11 @@ func joinSlot(m cost.JoinMethod, merges bool, leftSlot int) int {
 }
 
 // joinOrder returns the order property of that output: the left input's
-// order, the ORDER BY, or none, by joinSlot's cases. Only nested-loop
-// variants read the left node, which the DP defers until a candidate
-// survives its score check.
-func (c *ctx) joinOrder(m cost.JoinMethod, merges bool, left *plan.Node) plan.Order {
+// order left, the ORDER BY, or none, by joinSlot's cases.
+func (c *ctx) joinOrder(m cost.JoinMethod, merges bool, left plan.Order) plan.Order {
 	switch {
 	case m == cost.PageNL || m == cost.BlockNL:
-		return left.OutOrder
+		return left
 	case merges && m.OrdersOutput():
 		return c.required
 	}
@@ -756,12 +758,19 @@ func fullMask(n int) uint64 { return (1 << uint(n)) - 1 }
 // lower score wins, exact ties break on signature order so optimizer output
 // is reproducible. Ties are common — whenever both inputs fit in memory
 // every join method costs outer+inner — so the order is decided
-// structurally (plan.CompareSignature), and only on a tie.
+// structurally (compareTrees), and only on a tie.
 func better(score float64, node *plan.Node, bestScore float64, best *plan.Node) bool {
 	if score != bestScore {
 		return score < bestScore
 	}
-	return plan.CompareSignature(node, best) < 0
+	return compareTrees(node, best) < 0
+}
+
+// compareTrees is strings.Compare of two plans' signatures, building
+// neither: plan.CompareLeftDeep on the plans given whole.
+func compareTrees(a, b *plan.Node) int {
+	c, _ := plan.CompareLeftDeep(nil, nil, a, b, nil, nil, nil, nil)
+	return c
 }
 
 func checkFinite(v float64) error {

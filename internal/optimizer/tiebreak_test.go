@@ -17,6 +17,7 @@ import (
 	"lecopt/internal/expcost"
 	"lecopt/internal/plan"
 	"lecopt/internal/query"
+	"lecopt/internal/workload"
 )
 
 // The tie-heavy identity suite. Score ties are the common case under the
@@ -132,11 +133,20 @@ func refCandidates(c *ctx, mask uint64) []int {
 	return out
 }
 
+// refEntry is a retained subplan as the references keep it: the built
+// plan and its score. ent is the kernel entry it was built from, where
+// there is one.
+type refEntry struct {
+	node  *plan.Node
+	score float64
+	ent   entry
+}
+
 // refList is the top-c list as it was: append, merge duplicates by
 // signature string, re-sort everything, truncate.
-type refList struct{ entries []entry }
+type refList struct{ entries []refEntry }
 
-func (l *refList) add(e entry, topC int) {
+func (l *refList) add(e refEntry, topC int) {
 	sig := e.node.Signature()
 	for i, cur := range l.entries {
 		if cur.node.Signature() == sig {
@@ -172,7 +182,7 @@ func (l *refList) scores() []float64 {
 // refTopC is the string-tie-break top-c System R pass. With topC = 1 it is
 // the single-plan DP (LSC over a point law, Algorithm C over memory
 // laws); with topC > 1 it is Algorithm B's inner pass.
-func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
+func refTopC(c *ctx, s scorer, topC int) ([]refEntry, int) {
 	full := fullMask(c.n)
 	dp := make([][2]refList, full+1)
 	for j := 0; j < c.n; j++ {
@@ -204,19 +214,19 @@ func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 							le, re := left.entries[p[0]], right.entries[p[1]]
 							order := refJoinOrder(c, m, j, rest, le.node.OutOrder)
 							node := plan.NewJoin(m, le.node, re.node, c.size[mask], order)
-							dp[mask][c.slotOf(order)].add(entry{node: node, score: le.score + re.score + jc}, topC)
+							dp[mask][c.slotOf(order)].add(refEntry{node: node, score: le.score + re.score + jc}, topC)
 						}
 					}
 				}
 			}
 		}
 	}
-	var out []entry
+	var out []refEntry
 	for sl := 0; sl < 2; sl++ {
 		for _, e := range dp[full][sl].entries {
 			cand := e
 			if c.blk.OrderBy != nil && sl == 0 {
-				cand.score += c.enforcerScore(s, e)
+				cand.score += refEnforcerScore(c, s, e)
 				cand.node = plan.NewSort(e.node, c.required)
 			}
 			out = append(out, cand)
@@ -232,12 +242,23 @@ func refTopC(c *ctx, s scorer, topC int) ([]entry, int) {
 }
 
 // refLeaves lists a table's access-path entries.
-func refLeaves(c *ctx, j int) []entry {
-	var out []entry
+func refLeaves(c *ctx, j int) []refEntry {
+	var out []refEntry
 	for _, ac := range c.tables[j].accesses {
-		out = append(out, leafEntry(ac))
+		out = append(out, refEntry{node: ac.node, score: leafScore(ac)})
 	}
 	return out
+}
+
+// refEnforcerScore is the root sort's price over e: the sort of the
+// query's result, plus the base read of an unmaterialized heap scan it
+// consumes directly.
+func refEnforcerScore(c *ctx, s scorer, e refEntry) float64 {
+	price := c.sortPrice(s)
+	if e.node.Kind == plan.KindScan && !e.node.Materialized() {
+		price += e.node.AccessIO()
+	}
+	return price
 }
 
 // refSizeLaws builds Algorithm D's per-mask size laws on the heap by the
@@ -290,12 +311,12 @@ func refSizeLaws(t *testing.T, c *ctx) []dist.Dist {
 
 // refDist is Algorithm D's dynamic program with string tie-breaks, every
 // law built on the heap.
-func refDist(t *testing.T, c *ctx, mem dist.Dist) entry {
+func refDist(t *testing.T, c *ctx, mem dist.Dist) refEntry {
 	t.Helper()
 	laws := refSizeLaws(t, c)
 	full := fullMask(c.n)
-	dp := make([][2]*entry, full+1)
-	keep := func(mask uint64, e entry) {
+	dp := make([][2]*refEntry, full+1)
+	keep := func(mask uint64, e refEntry) {
 		sl := c.slotOf(e.node.OutOrder)
 		cur := dp[mask][sl]
 		if cur == nil || refBetter(e.score, e.node.Signature(), cur.score, cur.node.Signature()) {
@@ -323,13 +344,13 @@ func refDist(t *testing.T, c *ctx, mem dist.Dist) entry {
 						jc := expcost.JoinECModel(c.opts.CostModel, m, laws[rest], laws[bit], mem)
 						order := refJoinOrder(c, m, j, rest, left.node.OutOrder)
 						node := plan.NewJoin(m, left.node, right.node, laws[mask].Mean(), order)
-						keep(mask, entry{node: node, score: left.score + right.score + jc})
+						keep(mask, refEntry{node: node, score: left.score + right.score + jc})
 					}
 				}
 			}
 		}
 	}
-	var best entry
+	var best refEntry
 	bestSig := ""
 	for sl, e := range dp[full] {
 		if e == nil {
@@ -370,7 +391,7 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				same := func(alg string, got, want entry) {
+				same := func(alg string, got, want refEntry) {
 					t.Helper()
 					if got.node.Signature() != want.node.Signature() || got.score != want.score {
 						t.Fatalf("%s %s:\n got  %v %s\n want %v %s", name, alg, got.score, got.node.Signature(), want.score, want.node.Signature())
@@ -385,12 +406,12 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				same("LSC", entry{node: lsc.Plan, score: lsc.EC}, wantLSC[0])
+				same("LSC", refEntry{node: lsc.Plan, score: lsc.EC}, wantLSC[0])
 				ac, err := AlgorithmC(cat, blk, opts, mem)
 				if err != nil {
 					t.Fatal(err)
 				}
-				same("C", entry{node: ac.Plan, score: ac.EC}, wantC[0])
+				same("C", refEntry{node: ac.Plan, score: ac.EC}, wantC[0])
 
 				if n > 6 {
 					continue // B's and D's references re-sort strings per add; keep them small
@@ -404,14 +425,14 @@ func TestTieHeavyPlansMatchStringReference(t *testing.T) {
 					t.Fatalf("%s B: %d entries / %d probes, want %d / %d", name, len(gotB), gotProbes, len(wantB), wantProbes)
 				}
 				for i := range gotB {
-					same(fmt.Sprintf("B[%d]", i), gotB[i], wantB[i])
+					same(fmt.Sprintf("B[%d]", i), refEntry{node: c.tree(scB, point, &gotB[i]), score: gotB[i].score}, wantB[i])
 				}
 				scB.release()
 				gotD, err := c.dpLaws(mem)
 				if err != nil {
 					t.Fatal(err)
 				}
-				same("D", entry{node: gotD.Plan, score: gotD.EC}, refDist(t, c, mem))
+				same("D", refEntry{node: gotD.Plan, score: gotD.EC}, refDist(t, c, mem))
 			}
 		}
 	}
@@ -476,30 +497,49 @@ func TestUnknownJoinMethodRejected(t *testing.T) {
 }
 
 // TestTopListMatchesResort drives the sorted-insertion list and the
-// append-and-re-sort list it replaced with the same random entries —
-// score ties, duplicate signatures at equal, cheaper and dearer scores —
-// and requires identical contents after every add.
+// append-and-re-sort list it replaced with the same random entries of one
+// cell — score ties, duplicate signatures at equal, cheaper and dearer
+// scores — and requires identical contents after every add. The entries
+// join a random table's access paths, by two methods, onto random entries
+// of a filled top-c table; the reference holds their built plans.
 func TestTopListMatchesResort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	scans := make([]*plan.Node, 5)
-	for i := range scans {
-		scans[i] = plan.NewScan(fmt.Sprintf("t%d", i), plan.AccessHeap, "", 1, 1)
+	cat, blk := tieScenario(t, 4, true, true)
+	c, err := prepare(cat, blk, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.release()
+	s := c.pointScorer(1e6)
+	sc := getScratch(keepTopC, 5, c.n)
+	defer sc.release()
+	c.run(sc, s, math.Inf(1))
+	full := fullMask(c.n)
+	by := sigOrder{c, sc}
+	random := func() entry {
+		for {
+			j := rng.Intn(c.n)
+			lk := cell(full&^(1<<uint(j)), rng.Intn(2))
+			if held := sc.held[lk]; held > 0 {
+				return entry{score: float64(rng.Intn(4)), left: uint32(lk*sc.depth + rng.Intn(held)),
+					access: uint16(rng.Intn(len(c.tables[j].accesses))), table: uint8(j), op: opJoin | entryOp(cost.Methods[rng.Intn(2)])}
+			}
+		}
 	}
 	for trial := 0; trial < 300; trial++ {
 		topC := 1 + rng.Intn(5)
 		got, want := &topList{}, &refList{}
 		for step := 0; step < 40; step++ {
-			node := plan.NewJoin(cost.Methods[rng.Intn(2)], scans[rng.Intn(len(scans))], scans[rng.Intn(2)], 1, plan.Order{})
-			e := entry{node: node, score: float64(rng.Intn(4))}
-			got.add(e, topC)
-			want.add(e, topC)
+			e := random()
+			got.add(e, topC, by)
+			want.add(refEntry{node: c.tree(sc, s, &e), score: e.score, ent: e}, topC)
 			if len(got.entries) != len(want.entries) {
 				t.Fatalf("trial %d step %d: %d entries, want %d", trial, step, len(got.entries), len(want.entries))
 			}
 			for i := range got.entries {
-				if got.entries[i].node != want.entries[i].node || got.entries[i].score != want.entries[i].score {
+				if got.entries[i] != want.entries[i].ent {
 					t.Fatalf("trial %d step %d: entry %d is %v %s, want %v %s", trial, step, i,
-						got.entries[i].score, got.entries[i].node.Signature(), want.entries[i].score, want.entries[i].node.Signature())
+						got.entries[i].score, c.tree(sc, s, &got.entries[i]).Signature(), want.entries[i].score, want.entries[i].node.Signature())
 				}
 			}
 		}
@@ -516,4 +556,135 @@ func joinOther(j query.Join, table string) (query.ColRef, bool) {
 		return j.Left, true
 	}
 	return query.ColRef{}, false
+}
+
+// entryTree is entry e's plan built by plan's constructors from the table
+// it lives in: the reference the comparator is held to. Output orders are
+// left out; no signature renders them below the root sort.
+func entryTree(c *ctx, sc *dpScratch, e *entry) *plan.Node {
+	n := c.scan(e)
+	if e.op.join() {
+		n = plan.NewJoin(e.op.method(), entryTree(c, sc, &sc.ents[e.left]), n, 1, plan.Order{})
+	}
+	if e.op.sorted() {
+		n = plan.NewSort(n, c.required)
+	}
+	return n
+}
+
+// hostileNames renames sc's tables and indexes to names that are prefixes
+// of one another and hold the bytes a signature delimits with, so that two
+// renderings can end early on the very byte the other goes on with.
+func hostileNames(t *testing.T, sc workload.Scenario, rng *rand.Rand) workload.Scenario {
+	t.Helper()
+	tables := []string{"a", "a ", "a(", "a)", "a[", "a[ix:", "ab", "sort<", "sort<a.k>(", "("}
+	indexes := []string{"i", "i]", "i)", "i ", "i]]", "j", "ix", "i("}
+	rng.Shuffle(len(tables), func(i, j int) { tables[i], tables[j] = tables[j], tables[i] })
+	rng.Shuffle(len(indexes), func(i, j int) { indexes[i], indexes[j] = indexes[j], indexes[i] })
+	name := map[string]string{}
+	cat := catalog.New()
+	for i, old := range sc.Block.Tables {
+		name[old] = tables[i]
+		tab, err := sc.Cat.Table(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AddTable(catalog.MustTable(tables[i], tab.Pages, tab.Rows, tab.Columns()...)); err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range sc.Cat.IndexesOn(old) {
+			ix.Name, ix.Table = indexes[i], tables[i]
+			if err := cat.AddIndex(ix); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ref := func(r query.ColRef) query.ColRef { return query.ColRef{Table: name[r.Table], Column: r.Column} }
+	blk := &query.Block{}
+	for _, old := range sc.Block.Tables {
+		blk.Tables = append(blk.Tables, name[old])
+	}
+	for _, j := range sc.Block.Joins {
+		blk.Joins = append(blk.Joins, query.Join{Left: ref(j.Left), Right: ref(j.Right)})
+	}
+	for _, f := range sc.Block.Filters {
+		f.Col = ref(f.Col)
+		blk.Filters = append(blk.Filters, f)
+	}
+	if sc.Block.OrderBy != nil {
+		o := ref(*sc.Block.OrderBy)
+		blk.OrderBy = &o
+	}
+	return workload.Scenario{Cat: cat, Block: blk}
+}
+
+// FuzzEntryOrder holds the tie-break comparator to the signature strings:
+// a top-c pass over 2–8 tables of any shape, with or without an ORDER BY,
+// random size hints and, on demand, table and index names built to end
+// renderings early; then for every pair of entries in one cell, and every
+// pair in the completed root list, the comparator's sign must be that of
+// strings.Compare over the signatures of the two plans built by plan's
+// constructors. A root entry's built plan must render as that reference
+// does.
+func FuzzEntryOrder(f *testing.F) {
+	for i := 0; i < 8; i++ {
+		f.Add(int64(i), uint8(i), i%2 == 0, i%3 == 0, i%4 == 1)
+	}
+	shapes := []workload.Shape{workload.Chain, workload.Star, workload.Clique, workload.Random}
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, orderBy, hinted, hostile bool) {
+		rng := rand.New(rand.NewSource(seed))
+		spec := workload.DefaultSpec(2+int(size)%7, shapes[int(size/7)%len(shapes)])
+		spec.OrderByProb, spec.IndexProb = 0, 0.5
+		if orderBy {
+			spec.OrderByProb = 1
+		}
+		sc, err := workload.Generate(spec, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hostile {
+			sc = hostileNames(t, sc, rng)
+		}
+		opts := Options{Methods: cost.Methods}
+		if hinted {
+			opts.SizeHints = randomHints(rng, sc.Block.Tables)
+		}
+		c, err := prepare(sc.Cat, sc.Block, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.release()
+		s := c.pointScorer(float64(int(16) << rng.Intn(12)))
+		scr := getScratch(keepTopC, 1+rng.Intn(6), c.n)
+		defer scr.release()
+		c.run(scr, s, math.Inf(1))
+		by := sigOrder{c, scr}
+		check := func(where string, list []entry) {
+			t.Helper()
+			sigs := make([]string, len(list))
+			for i := range list {
+				sigs[i] = entryTree(c, scr, &list[i]).Signature()
+			}
+			for i := range list {
+				for j := range list {
+					got, want := by.compare(&list[i], &list[j]), strings.Compare(sigs[i], sigs[j])
+					if (got > 0) != (want > 0) || (got < 0) != (want < 0) {
+						t.Fatalf("%s: compare(%s, %s) = %d, strings.Compare %d", where, sigs[i], sigs[j], got, want)
+					}
+				}
+			}
+		}
+		for mask := uint64(1); mask <= fullMask(c.n); mask++ {
+			for slot := range 2 {
+				check(fmt.Sprintf("cell %b/%d", mask, slot), scr.list(cell(mask, slot)))
+			}
+		}
+		c.complete(scr, s)
+		check("root", scr.root)
+		for i := range scr.root {
+			if got, want := c.tree(scr, s, &scr.root[i]).Signature(), entryTree(c, scr, &scr.root[i]).Signature(); got != want {
+				t.Fatalf("root %d builds %s, want %s", i, got, want)
+			}
+		}
+	})
 }

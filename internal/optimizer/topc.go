@@ -72,27 +72,27 @@ func frontier(buf []topPair, left, right []entry, c int) ([]topPair, int) {
 type topList struct{ entries []entry }
 
 // add inserts e keeping the list sorted ascending by score (signature
-// tie-break) and bounded at c, and reports whether e entered. Duplicate
-// signatures keep the cheaper; a full list turns away anything strictly
-// worse than its last entry, duplicate or not. With duplicates merged the order is a
-// strict total order, so inserting at the sorted position yields exactly
-// the list a full re-sort would.
-func (l *topList) add(e entry, c int) bool {
+// tie-break, by) and bounded at c. Duplicate signatures keep the cheaper; a
+// full list turns away anything strictly worse than its last entry,
+// duplicate or not. With duplicates merged the order is a strict total
+// order, so inserting at the sorted position yields exactly the list a
+// full re-sort would.
+func (l *topList) add(e entry, c int, by sigOrder) {
 	n := len(l.entries)
 	pos := n // first entry e sorts before
 	for i := range l.entries {
 		cur := &l.entries[i]
-		cmp := plan.CompareSignature(e.node, cur.node)
+		cmp := by.compare(&e, cur)
 		if cmp == 0 {
 			if !(e.score < cur.score) {
-				return false
+				return
 			}
 			// The cheaper duplicate takes over: cur leaves, e enters at
 			// pos (≤ i, since e already sorts before cur).
 			pos = min(pos, i)
 			copy(l.entries[pos+1:i+1], l.entries[pos:i])
 			l.entries[pos] = e
-			return true
+			return
 		}
 		if pos == n && (e.score < cur.score || e.score == cur.score && cmp < 0) {
 			pos = i
@@ -101,9 +101,91 @@ func (l *topList) add(e entry, c int) bool {
 	if n < c {
 		l.entries = append(l.entries, entry{})
 	} else if pos == n {
-		return false
+		return
 	}
 	copy(l.entries[pos+1:], l.entries[pos:])
 	l.entries[pos] = e
-	return true
+}
+
+// sigOrder breaks score ties between the entries of one pass: compare is
+// compareTrees of the two entries' plans, and better the order of the
+// package's better, without building either plan. The table holds the
+// entries' left inputs.
+type sigOrder struct {
+	c  *ctx
+	sc *dpScratch
+}
+
+// better reports whether a beats b: a strictly lower score, or on a tie
+// the lower signature.
+func (o sigOrder) better(a, b *entry) bool {
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	return o.compare(a, b) < 0
+}
+
+// compare returns compareTrees of a's and b's plans. It walks the two
+// chains of left inputs in lock-step, down to a left input both share or
+// to their leaves, and hands plan the joins met on the way
+// (plan.CompareLeftDeep); a pair that plan cannot settle so is laid out as
+// two trees (layOut).
+func (o sigOrder) compare(a, b *entry) int {
+	sc := o.sc
+	x, y, k := a, b, 0
+	for x.op.join() && y.op.join() {
+		sc.methods[0][k], sc.rights[0][k] = x.op.method(), o.c.scan(x)
+		sc.methods[1][k], sc.rights[1][k] = y.op.method(), o.c.scan(y)
+		k++
+		if x.left == y.left {
+			break
+		}
+		x, y = &sc.ents[x.left], &sc.ents[y.left]
+	}
+	var la, lb *plan.Node // nil below a left input both chains share
+	if !x.op.join() && !y.op.join() {
+		la, lb = o.c.scan(x), o.c.scan(y)
+	}
+	if x.op.join() == y.op.join() {
+		if c, ok := plan.CompareLeftDeep(o.sortOf(a), o.sortOf(b), la, lb,
+			sc.methods[0][:k], sc.methods[1][:k], sc.rights[0][:k], sc.rights[1][:k]); ok {
+			return c
+		}
+	}
+	return compareTrees(o.layOut(a), o.layOut(b))
+}
+
+// sortOf is the order of the root sort e carries, nil for none.
+func (o sigOrder) sortOf(e *entry) *plan.Order {
+	if e.op.sorted() {
+		return &o.c.required
+	}
+	return nil
+}
+
+// layOut lays e's plan out in the scratch's trees as its signature reads
+// it — the root sort where e carries one, then its joins top down, each
+// join's right input and the leftmost leaf the context's access paths —
+// and returns its root.
+func (o sigOrder) layOut(e *entry) *plan.Node {
+	size := 0
+	if e.op.sorted() {
+		size++
+	}
+	for x := e; x.op.join(); x = &o.sc.ents[x.left] {
+		size++
+	}
+	nodes := o.sc.block(size, 2*size)
+	var root *plan.Node
+	link := &root
+	if e.op.sorted() {
+		nodes[0] = plan.Node{Kind: plan.KindSort, OutOrder: o.c.required}
+		*link, link, nodes = &nodes[0], &nodes[0].Child, nodes[1:]
+	}
+	for i := 0; e.op.join(); i, e = i+1, &o.sc.ents[e.left] {
+		nodes[i] = plan.Node{Kind: plan.KindJoin, Method: e.op.method(), Right: o.c.scan(e)}
+		*link, link = &nodes[i], &nodes[i].Left
+	}
+	*link = o.c.scan(e)
+	return root
 }

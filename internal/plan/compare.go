@@ -1,6 +1,10 @@
 package plan
 
-import "strings"
+import (
+	"strings"
+
+	"lecopt/internal/cost"
+)
 
 // sigMaxDepth bounds the comparator's explicit stack. A left-deep plan over
 // query.MaxTables (24) relations under a root sort nests 25 deep; anything
@@ -108,7 +112,7 @@ func (w *sigWalk) atSubtree() *Node {
 	return w.stack[w.sp-1].n
 }
 
-// CompareSignature returns strings.Compare(a.Signature(), b.Signature())
+// compareSignature returns strings.Compare(a.Signature(), b.Signature())
 // without building either string. It allocates nothing. It first compares
 // the trees structurally (cmpTree), which settles every pair whose
 // signatures first differ inside a name both trees render at the same
@@ -117,7 +121,7 @@ func (w *sigWalk) atSubtree() *Node {
 // cannot settle is walked token by token in lock-step to the first
 // differing byte. Like Signature it requires well-formed trees (no nil
 // children).
-func CompareSignature(a, b *Node) int {
+func compareSignature(a, b *Node) int {
 	if c, ok := cmpTree(a, b, endOfSig); ok {
 		return c
 	}
@@ -158,6 +162,53 @@ func CompareSignature(a, b *Node) int {
 		}
 		ta, tb = ta[k:], tb[k:]
 	}
+}
+
+// CompareLeftDeep returns strings.Compare of the signatures of two plans
+// given by their parts, and whether it could tell, building neither
+// rendering. Each plan is a root sort by *sa (*sb) — none where that is
+// nil — over joins listed top down: the i-th join from the top joins right
+// input ra[i] (rb[i]) by method ma[i] (mb[i]) onto the plan below it, and
+// below the lowest listed join lies the tree la (lb). Plans given whole —
+// no root sort and no join listed — are always told: la and lb are
+// compared as trees, walked to the first differing byte where their
+// structure cannot settle it. Otherwise la and lb may be one node, or both
+// nil, for one subplan both plans share, which is skipped; and it reports
+// false where the plans differ in their root sort or in how many joins are
+// listed, or where they first differ past a rendering that ends early
+// (cmpTree), and the caller then compares the plans whole. It allocates
+// nothing.
+func CompareLeftDeep(sa, sb *Order, la, lb *Node, ma, mb []cost.JoinMethod, ra, rb []*Node) (int, bool) {
+	if sa == nil && sb == nil && len(ma) == 0 && len(mb) == 0 {
+		return compareSignature(la, lb), true
+	}
+	if (sa == nil) != (sb == nil) || len(ma) != len(mb) || len(ra) != len(ma) || len(rb) != len(mb) {
+		return 0, false
+	}
+	next := endOfSig
+	if sa != nil {
+		// "sort<" order ">(" plan ")"
+		if c, ok := cmpParts(orderParts(*sa), orderParts(*sb), '>'); !ok || c != 0 {
+			return c, ok
+		}
+		next = ')'
+	}
+	// "(" per join, the leaf, then bottom up " " method " " right ")".
+	if len(ma) > 0 {
+		next = ' '
+	}
+	if c, ok := cmpTree(la, lb, next); !ok || c != 0 {
+		return c, ok
+	}
+	for i := len(ma) - 1; i >= 0; i-- {
+		if ma[i] != mb[i] {
+			return strings.Compare(ma[i].String(), mb[i].String()), true
+		}
+		if c, ok := cmpTree(ra[i], rb[i], ')'); !ok || c != 0 {
+			return c, ok
+		}
+	}
+	return 0, true
 }
 
 // endOfSig is cmpTree's next byte for a whole signature: nothing follows.

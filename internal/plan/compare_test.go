@@ -50,11 +50,7 @@ func genSigTree(p picker, depth int, pool *[]*Node) *Node {
 	var n *Node
 	switch kind {
 	case 0, 1:
-		if p.pick(3) == 2 {
-			n = NewScan(sigNames[p.pick(len(sigNames))], AccessIndex, sigNames[p.pick(len(sigNames))], 1, 1)
-		} else {
-			n = NewScan(sigNames[p.pick(len(sigNames))], AccessHeap, "", 1, 1)
-		}
+		n = genScan(p)
 	case 2:
 		l := genSigTree(p, depth-1, pool)
 		r := genSigTree(p, depth-1, pool)
@@ -70,12 +66,20 @@ func genSigTree(p picker, depth int, pool *[]*Node) *Node {
 	return n
 }
 
+// genScan builds a heap or index scan over colliding names.
+func genScan(p picker) *Node {
+	if p.pick(3) == 2 {
+		return NewScan(sigNames[p.pick(len(sigNames))], AccessIndex, sigNames[p.pick(len(sigNames))], 1, 1)
+	}
+	return NewScan(sigNames[p.pick(len(sigNames))], AccessHeap, "", 1, 1)
+}
+
 // sigMethods are the four join methods plus three out-of-range ones whose
 // names ("JoinMethod(10)", "JoinMethod(100)") nearly prefix one another.
 var sigMethods = append(append([]cost.JoinMethod(nil), cost.Methods...), 1+cost.BlockNL, 10, 100)
 
 // joinPair builds two joins with random methods that share both children
-// (CompareSignature's fast path: only the methods can differ), the left
+// (compareSignature's fast path: only the methods can differ), the left
 // child only (the DP's other case), the right child only, or neither —
 // all of which must fall through the fast path to the walk.
 func joinPair(p picker, pool *[]*Node) (a, b *Node) {
@@ -107,8 +111,8 @@ func sign(c int) int {
 func checkCompare(t testing.TB, a, b *Node) {
 	t.Helper()
 	want := strings.Compare(a.Signature(), b.Signature())
-	if got := CompareSignature(a, b); got != want {
-		t.Fatalf("CompareSignature = %d, strings.Compare = %d\n a: %q\n b: %q", got, want, a.Signature(), b.Signature())
+	if got := compareSignature(a, b); got != want {
+		t.Fatalf("compareSignature = %d, strings.Compare = %d\n a: %q\n b: %q", got, want, a.Signature(), b.Signature())
 	}
 }
 
@@ -153,16 +157,16 @@ func TestCompareSignatureOrderLaws(t *testing.T) {
 		nodes[i] = genSigTree(rng, 1+rng.pick(4), &pool)
 	}
 	for _, a := range nodes {
-		if CompareSignature(a, a.Clone()) != 0 {
+		if compareSignature(a, a.Clone()) != 0 {
 			t.Fatalf("a clone compares unequal: %q", a.Signature())
 		}
 		for _, b := range nodes {
-			ab := CompareSignature(a, b)
-			if ba := CompareSignature(b, a); sign(ab) != -sign(ba) {
+			ab := compareSignature(a, b)
+			if ba := compareSignature(b, a); sign(ab) != -sign(ba) {
 				t.Fatalf("not antisymmetric: %d vs %d for %q, %q", ab, ba, a.Signature(), b.Signature())
 			}
 			for _, c := range nodes {
-				if ab <= 0 && CompareSignature(b, c) <= 0 && CompareSignature(a, c) > 0 {
+				if ab <= 0 && compareSignature(b, c) <= 0 && compareSignature(a, c) > 0 {
 					t.Fatalf("not transitive: %q ≤ %q ≤ %q", a.Signature(), b.Signature(), c.Signature())
 				}
 			}
@@ -198,7 +202,7 @@ func TestCompareSignatureDeepestPlan(t *testing.T) {
 	}
 	twin := leftDeep(24, cost.SortMerge, "z")
 	allocs := testing.AllocsPerRun(100, func() {
-		if CompareSignature(a, twin) != 0 {
+		if compareSignature(a, twin) != 0 {
 			t.Fatal("equal 24-table plans compare unequal")
 		}
 	})
@@ -222,11 +226,11 @@ func TestCompareSignatureZeroAllocs(t *testing.T) {
 	sink := 0
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, p := range pairs {
-			sink += CompareSignature(p[0], p[1])
+			sink += compareSignature(p[0], p[1])
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("CompareSignature allocates %.2f per 200 comparisons, want 0 (sink %d)", allocs, sink)
+		t.Fatalf("compareSignature allocates %.2f per 200 comparisons, want 0 (sink %d)", allocs, sink)
 	}
 }
 
@@ -253,13 +257,96 @@ func FuzzCompareSignature(f *testing.F) {
 	})
 }
 
+// genChain builds a left-deep plan of joins joins over random scans, on
+// top of below where that is non-nil, else of one more scan.
+func genChain(p picker, joins int, below *Node) *Node {
+	n := below
+	if n == nil {
+		n = genScan(p)
+	}
+	for range joins {
+		n = NewJoin(sigMethods[p.pick(len(sigMethods))], n, genScan(p), 1, Order{})
+	}
+	return n
+}
+
+// leftDeepParts lists a's and b's joins top down in lock-step, down to a
+// left input both share or to where either has no join left, as the
+// optimizer hands its entries to CompareLeftDeep.
+func leftDeepParts(a, b *Node) (la, lb *Node, ma, mb []cost.JoinMethod, ra, rb []*Node) {
+	for a.Kind == KindJoin && b.Kind == KindJoin {
+		ma, ra = append(ma, a.Method), append(ra, a.Right)
+		mb, rb = append(mb, b.Method), append(rb, b.Right)
+		if a.Left == b.Left {
+			return nil, nil, ma, mb, ra, rb
+		}
+		a, b = a.Left, b.Left
+	}
+	return a, b, ma, mb, ra, rb
+}
+
+// TestCompareLeftDeepOracle pins CompareLeftDeep against the strings on
+// random pairs of left-deep plans over colliding names, some sharing the
+// plan below their joins, mostly of as many joins under one root sort or
+// none: given by parts, what it tells must be the strings' order, and most
+// pairs must be told; given whole, every pair is.
+func TestCompareLeftDeepOracle(t *testing.T) {
+	pairs := 100000
+	if testing.Short() {
+		pairs = 10000
+	}
+	rng := randPicker{rand.New(rand.NewSource(5))}
+	orders := []Order{{}, {Table: "t", Column: "a.b"}, {Table: "t", Column: "a"}}
+	sortOf := func() *Order {
+		if i := rng.pick(len(orders) + 1); i < len(orders) {
+			return &orders[i]
+		}
+		return nil
+	}
+	told := 0
+	for range pairs {
+		var below *Node
+		if rng.pick(2) == 0 {
+			below = genChain(rng, rng.pick(3), nil)
+		}
+		// Mostly as in one DP cell: as many joins, and one root sort or none.
+		ja, jb := rng.pick(4), rng.pick(4)
+		sa, sb := sortOf(), sortOf()
+		if rng.pick(4) > 0 {
+			jb, sb = ja, sa
+		}
+		a, b := genChain(rng, ja, below), genChain(rng, jb, below)
+		wa, wb := a, b
+		if sa != nil {
+			wa = NewSort(a, *sa)
+		}
+		if sb != nil {
+			wb = NewSort(b, *sb)
+		}
+		want := strings.Compare(wa.Signature(), wb.Signature())
+		la, lb, ma, mb, ra, rb := leftDeepParts(a, b)
+		if got, ok := CompareLeftDeep(sa, sb, la, lb, ma, mb, ra, rb); ok {
+			told++
+			if got != want {
+				t.Fatalf("by parts: %d, strings.Compare %d\n a: %q\n b: %q", got, want, wa.Signature(), wb.Signature())
+			}
+		}
+		if got, ok := CompareLeftDeep(nil, nil, wa, wb, nil, nil, nil, nil); !ok || got != want {
+			t.Fatalf("whole: %d (%v), strings.Compare %d\n a: %q\n b: %q", got, ok, want, wa.Signature(), wb.Signature())
+		}
+	}
+	if told < pairs/2 {
+		t.Fatalf("only %d of %d pairs told by parts", told, pairs)
+	}
+}
+
 func BenchmarkCompareSignature(b *testing.B) {
 	left := leftDeep(8, cost.SortMerge, "z").Child
 	x := NewJoin(cost.PageNL, left, NewScan("u", AccessHeap, "", 1, 1), 1, Order{})
 	y := NewJoin(cost.PageNL, left, NewScan("v", AccessHeap, "", 1, 1), 1, Order{})
 	b.Run("structural", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			CompareSignature(x, y)
+			compareSignature(x, y)
 		}
 	})
 	b.Run("strings", func(b *testing.B) {
