@@ -19,6 +19,8 @@ import (
 
 	"lecopt/internal/buffer"
 	"lecopt/internal/cost"
+	"lecopt/internal/feedback"
+	"lecopt/internal/plan"
 	"lecopt/internal/storage"
 )
 
@@ -55,11 +57,14 @@ type Engine struct {
 	// qual interns the qualified column names of join results ("o."+c,
 	// "i."+c), so a result's columns cost no concatenation.
 	qual map[[2]string]string
+	// setKeys memoizes the feedback key of each executed join node (see
+	// setKey), so a cached plan run again builds none.
+	setKeys map[*plan.Node]nodeKey
 }
 
 // New builds an engine over a store.
 func New(store *storage.Store) *Engine {
-	return &Engine{store: store, qual: make(map[[2]string]string)}
+	return &Engine{store: store, qual: make(map[[2]string]string), setKeys: make(map[*plan.Node]nodeKey)}
 }
 
 // JoinSpec names an equi-join to execute.
@@ -105,8 +110,16 @@ func (e *Engine) resetPool(mem int) (*buffer.Pool, error) {
 // pages, returning the materialized result, the physical I/O incurred and
 // the execution-shape detail (grace-hash recursion depth and level-cap
 // fallbacks). The result relation has the outer's columns followed by the
-// inner's.
+// inner's. The call is its own unit of row storage (storage.Store.Settle):
+// the result's rows go back to the store when it is dropped.
 func (e *Engine) JoinDetailed(spec JoinSpec, mem int) (*storage.Relation, buffer.Stats, JoinDetail, error) {
+	out, st, det, err := e.joinDetailed(spec, mem)
+	e.store.Settle(out)
+	return out, st, det, err
+}
+
+// joinDetailed is JoinDetailed inside a unit the caller settles.
+func (e *Engine) joinDetailed(spec JoinSpec, mem int) (*storage.Relation, buffer.Stats, JoinDetail, error) {
 	var det JoinDetail
 	if mem < 3 {
 		return nil, buffer.Stats{}, det, fmt.Errorf("%w: %d pages", errBadMemory, mem)
@@ -178,6 +191,33 @@ func (e *Engine) qualified(side, col string) string {
 		e.qual[k] = q
 	}
 	return q
+}
+
+// maxSetKeys bounds the setKey memo: past it the memo starts over, so an
+// engine that runs ever new plans holds at most this many keys and nodes.
+const maxSetKeys = 1024
+
+// nodeKey is a memoized feedback key and the leaf tables it was built from.
+type nodeKey struct {
+	tables []string
+	key    string
+}
+
+// setKey returns feedback.SetKey(tables...) for the join node n, whose leaf
+// tables are tables. Plans are immutable, shared trees — a cached plan is
+// executed again as the same nodes — so the key is built once per node; the
+// tables are compared on each use, so a node changed in place gets its key
+// rebuilt rather than a stale one.
+func (e *Engine) setKey(n *plan.Node, tables []string) string {
+	if k, ok := e.setKeys[n]; ok && slices.Equal(k.tables, tables) {
+		return k.key
+	}
+	if len(e.setKeys) >= maxSetKeys {
+		clear(e.setKeys)
+	}
+	k := nodeKey{tables: slices.Clone(tables), key: feedback.SetKey(tables...)}
+	e.setKeys[n] = k
+	return k.key
 }
 
 // emit appends the output row o ++ i. Results bypass the pool: pipelined to
@@ -679,8 +719,17 @@ func (e *Engine) mergeInto(pool *buffer.Pool, runs []*storage.Relation, col int,
 
 // SortRelation externally sorts a stored relation on col with a fresh pool
 // of mem pages, returning the materialized sorted relation (final output
-// uncharged — pipelined) and the I/O incurred.
+// uncharged — pipelined) and the I/O incurred. The sorted tuples are the
+// input's own rows, so they stay valid while the input's do. The call is
+// its own unit of row storage (storage.Store.Settle).
 func (e *Engine) SortRelation(name, col string, mem int) (*storage.Relation, buffer.Stats, error) {
+	out, st, err := e.sortRelation(name, col, mem)
+	e.store.Settle(out)
+	return out, st, err
+}
+
+// sortRelation is SortRelation inside a unit the caller settles.
+func (e *Engine) sortRelation(name, col string, mem int) (*storage.Relation, buffer.Stats, error) {
 	if mem < 3 {
 		return nil, buffer.Stats{}, fmt.Errorf("%w: %d pages", errBadMemory, mem)
 	}

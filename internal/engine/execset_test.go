@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -27,7 +28,9 @@ type execSet struct {
 	rows  []int // output rows per plan, from the first run
 }
 
-func newExecSet(tb testing.TB) *execSet {
+// newExecStore builds the plan set's store: the same four relations and
+// indexes on every call.
+func newExecStore(tb testing.TB) *storage.Store {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
 	s := storage.NewStore()
@@ -49,6 +52,12 @@ func newExecSet(tb testing.TB) *execSet {
 			tb.Fatal(err)
 		}
 	}
+	return s
+}
+
+func newExecSet(tb testing.TB) *execSet {
+	tb.Helper()
+	s := newExecStore(tb)
 	set := &execSet{store: s, eng: New(s)}
 	for _, m := range []cost.JoinMethod{cost.SortMerge, cost.GraceHash, cost.BlockNL} {
 		for _, mem := range []float64{6, 96} {
@@ -92,17 +101,24 @@ func (set *execSet) run(tb testing.TB) int64 {
 	return pages
 }
 
-// execSetAllocs is TestExecutePlanAllocs' ceiling: 127 measured without
-// -race and 130 with it, about 21 per plan. What is left is each result's
-// own PhaseIO, PhaseMem and JoinSizes, the JoinSizes keys of joins (a
-// scan's key is its table name), and the join outputs' row slabs, which
-// are never recycled. An engine that builds a
-// pool per operator, or temps that allocate their pages again, reads in
-// the thousands.
-const execSetAllocs = 130
+// execSetAllocs and execSetBytes are TestExecutePlanAllocs' ceilings per
+// plan set: 31 allocations measured without -race and 34 with it, and
+// about 2 000 bytes. In steady state an execution allocates only its
+// result — PhaseIO, PhaseMem and the JoinSizes map, 4 per plan — and the
+// first measured round still grows the store's free lists. A join's key
+// is built once per plan node and its output's row slabs go back to the
+// store when the output is dropped, so a row slab drawn fresh per
+// execution reads in the tens of kilobytes, and keys built per execution
+// at 3 more allocations per plan. An engine that builds a pool per
+// operator, or temps that allocate their pages again, reads in the
+// thousands.
+const (
+	execSetAllocs = 36
+	execSetBytes  = 4 << 10
+)
 
-// TestExecutePlanAllocs gates the engine's allocations on a warmed engine
-// over the exec_loop-shaped plan set.
+// TestExecutePlanAllocs gates the engine's allocations and bytes on a
+// warmed engine over the exec_loop-shaped plan set.
 func TestExecutePlanAllocs(t *testing.T) {
 	set := newExecSet(t)
 	set.run(t)
@@ -110,6 +126,18 @@ func TestExecutePlanAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per plan set of %d", allocs, len(set.plans))
 	if allocs > execSetAllocs {
 		t.Fatalf("%.0f allocations per plan set, ceiling %d", allocs, execSetAllocs)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		set.run(t)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per plan set", bytes)
+	if bytes > execSetBytes {
+		t.Fatalf("%d bytes per plan set, ceiling %d", bytes, execSetBytes)
 	}
 }
 

@@ -20,6 +20,9 @@ var (
 
 // ExecResult is the outcome of executing a whole plan.
 type ExecResult struct {
+	// Output is the materialized result, a temp of the engine's store
+	// (or, for a plan that is one unfiltered scan, the base table). Its
+	// tuples are valid until the caller drops it.
 	Output *storage.Relation
 	Stats  buffer.Stats
 	// PhaseIO breaks the physical I/O down by execution phase.
@@ -67,6 +70,12 @@ type ExecResult struct {
 // node must carry left/right tables joined on a column named "k", the
 // convention of the storage generators; a join on other columns is one
 // JoinDetailed call whose JoinSpec names them.
+//
+// The execution is one unit of row storage (storage.Store.Settle): the
+// rows its joins build, the output's and the dropped intermediates' its
+// tuples may point into, stay valid until the caller drops the output,
+// and then go back to the store for later executions to build rows in. A
+// failed execution drops its temps and gives their rows back at once.
 func (e *Engine) ExecutePlan(p *plan.Node, memSeq []float64) (ExecResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExecResult{}, err
@@ -95,6 +104,7 @@ func (e *Engine) ExecutePlan(p *plan.Node, memSeq []float64) (ExecResult, error)
 	}
 	rel, err := ex.run(p)
 	clear(ex.tables)
+	e.store.Settle(rel)
 	if err != nil {
 		return ExecResult{}, err
 	}
@@ -208,7 +218,7 @@ func (ex *executor) eval(n *plan.Node) (*storage.Relation, int, error) {
 			}
 			return sorted, start, nil
 		}
-		out, st, err := ex.eng.SortRelation(child.Name, ex.colFor(child), mem)
+		out, st, err := ex.eng.sortRelation(child.Name, ex.colFor(child), mem)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -231,7 +241,7 @@ func (ex *executor) eval(n *plan.Node) (*storage.Relation, int, error) {
 			return nil, 0, err
 		}
 		ex.charge(phase, st)
-		ex.joinSizes[feedback.SetKey(tables...)] = float64(out.NumPages())
+		ex.joinSizes[ex.eng.setKey(n, tables)] = float64(out.NumPages())
 		ex.temps = append(ex.temps, out.Name)
 		return out, start, nil
 	default:
@@ -296,7 +306,7 @@ func (ex *executor) colFor(rel *storage.Relation) string {
 // configured key column, folding the join's execution-shape detail into
 // the plan-level counters.
 func (ex *executor) joinRels(method cost.JoinMethod, outer, inner *storage.Relation, mem int) (*storage.Relation, buffer.Stats, error) {
-	out, st, det, err := ex.eng.JoinDetailed(JoinSpec{
+	out, st, det, err := ex.eng.joinDetailed(JoinSpec{
 		Method:   method,
 		Outer:    outer.Name,
 		Inner:    inner.Name,

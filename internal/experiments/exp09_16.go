@@ -432,10 +432,11 @@ func e15EngineValidation() (Table, error) {
 		measured := map[cost.JoinMethod]int64{}
 		model := map[cost.JoinMethod]float64{}
 		for _, m := range []cost.JoinMethod{cost.SortMerge, cost.GraceHash, cost.PageNL} {
-			_, st, _, err := e.JoinDetailed(engine.JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, mem)
+			out, st, _, err := e.JoinDetailed(engine.JoinSpec{Method: m, Outer: "A", Inner: "B", OuterCol: "k", InnerCol: "k"}, mem)
 			if err != nil {
 				return Table{}, err
 			}
+			store.Drop(out.Name)
 			measured[m] = st.IO()
 			model[m] = cost.JoinIOModel(cost.ModelPaper, m, 64, 9, float64(mem))
 			// Near-monotone: allow ≤ max(2 pages, 1%) wiggle — higher hash

@@ -204,16 +204,16 @@ func BuildIndex(s *Store, name, table, column string, clustered bool, fanout int
 // so the analytic cost model describes this structure.
 func (ix *Index) Height() int { return ix.height }
 
-// PageReader fetches one page of a named relation — the hook through which
+// pageReader fetches one page of a named relation — the hook through which
 // index walks charge their I/O (the engine passes buffer.Pool.Read; tests
 // may pass Store-direct reads for uncharged inspection).
-type PageReader func(rel string, page int) ([]Tuple, error)
+type pageReader func(rel string, page int) ([]Tuple, error)
 
 // WalkRange visits, in key order, every leaf entry with key in [lo, hi],
 // reading the root-to-leaf path and each touched leaf page through read.
 // emit receives (key, dataPage, slot) per entry. The walk reads height
 // internal pages plus the contiguous run of leaf pages covering the range.
-func (ix *Index) WalkRange(read PageReader, lo, hi int64, emit func(key int64, page, slot int) error) error {
+func (ix *Index) WalkRange(read pageReader, lo, hi int64, emit func(key int64, page, slot int) error) error {
 	if hi < lo || ix.leaves.NumPages() == 0 {
 		return nil
 	}

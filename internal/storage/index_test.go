@@ -29,7 +29,7 @@ func buildStore(t *testing.T, seed int64, pages, tpp int, keyRange int64, sorted
 }
 
 // directReader reads index pages straight from the store (uncharged).
-func directReader(s *Store) PageReader {
+func directReader(s *Store) pageReader {
 	return func(rel string, page int) ([]Tuple, error) {
 		r, err := s.Get(rel)
 		if err != nil {

@@ -6,8 +6,10 @@
 //
 // A Store recycles the temporaries it makes (NewTemp): dropping one hands
 // its Relation and its page headers back for later temps, so a dropped
-// temp must not be read again. Rows are never recycled; a tuple read from
-// a temp stays valid after the temp is dropped.
+// temp must not be read again. The rows a temp builds (AppendConcat) are
+// recycled by unit: the rows of the temps dropped during one execution go
+// back with the execution's output (Settle), so a tuple read from a temp
+// stays valid until the output of its execution is dropped.
 package storage
 
 import (
@@ -51,10 +53,14 @@ type Relation struct {
 	grow  int
 	// rows backs the rows AppendConcat builds. It is only ever extended or
 	// replaced — by a slab twice the size, up to maxRowSlabPages pages of
-	// rows — never rewritten and never recycled, so rows already handed out
-	// stay valid for as long as anything references them, the relation's
-	// drop included.
-	rows []int64
+	// rows — and never rewritten while the relation or its unit's output
+	// is live, so rows already handed out stay valid until then. A temp
+	// draws its row slabs from its store and lists them in rowSlabs; a
+	// settled output (see Store.Settle) also lists there the slabs of the
+	// temps its execution dropped, and they all go back with it.
+	rows     []int64
+	rowSlabs [][]int64
+	settled  bool
 }
 
 // maxRowSlabPages bounds the geometric growth of a relation's row slabs
@@ -137,7 +143,13 @@ func (r *Relation) AppendConcat(o, i Tuple) error {
 	}
 	if len(r.rows)+w > cap(r.rows) {
 		page := w * r.TuplesPerPage
-		r.rows = make([]int64, 0, min(max(page, 2*cap(r.rows)), maxRowSlabPages*page))
+		n := min(max(page, 2*cap(r.rows)), maxRowSlabPages*page)
+		if r.owner == nil {
+			r.rows = make([]int64, 0, n)
+		} else {
+			r.rows = r.owner.drawRows(n)
+			r.rowSlabs = append(r.rowSlabs, r.rows)
+		}
 	}
 	n := len(r.rows)
 	r.rows = append(append(r.rows, o...), i...)
@@ -250,8 +262,11 @@ func (r *Relation) AllTuples() []Tuple {
 // header slabs back to the store, and later NewTemp, Reserve and page
 // appends draw from them. A dropped temp must not be read again: its pages
 // read as cleared, and its Relation may already be another temp's. Rows
-// are never recycled, so a tuple read from a temp stays valid after the
-// drop.
+// go back by unit, not by temp: a sorted output's tuples point into the
+// rows of the join temp under it, which its execution drops first. So the
+// row slabs of a dropped temp wait until the unit is settled (Settle) and
+// go back with that unit's output, and a tuple read from a temp stays
+// valid until the output of its execution is dropped.
 type Store struct {
 	rels    map[string]*Relation
 	indexes map[string]*Index
@@ -265,6 +280,11 @@ type Store struct {
 	// temps once held at the same time: the free list is bounded by the
 	// largest working set of temps, not by how many temps were made.
 	free [][]*slab
+	// rowFree holds released row slabs the same way: class c holds slabs
+	// of 1<<c values. dropped holds the row slabs of the temps dropped
+	// since the last Settle, which that Settle hands on.
+	rowFree [][][]int64
+	dropped [][]int64
 }
 
 // NewStore returns an empty store.
@@ -292,8 +312,10 @@ func (s *Store) Get(name string) (*Relation, error) {
 
 // Drop removes a relation (no-op if absent). Dropping a temp of this store
 // recycles it: its page headers are cleared and go back to the store, and
-// its Relation, name included, may be handed out by a later NewTemp. The
-// caller must hold nothing of a dropped temp but rows read from it.
+// its Relation, name included, may be handed out by a later NewTemp. Its
+// rows go back too if it is a settled output; any other temp's wait for
+// the next Settle. The caller must hold nothing of a dropped temp but rows
+// read from it, and those only until its unit's output is dropped.
 func (s *Store) Drop(name string) {
 	r, ok := s.rels[name]
 	if !ok {
@@ -308,9 +330,16 @@ func (s *Store) Drop(name string) {
 			s.release(h)
 		}
 	}
+	if r.settled {
+		s.releaseRows(r.rowSlabs)
+	} else {
+		s.dropped = append(s.dropped, r.rowSlabs...)
+	}
 	clear(r.slabs)
 	clear(r.pages)
-	r.slabs, r.pages, r.hdr, r.grow, r.rows = r.slabs[:0], r.pages[:0], nil, 0, nil
+	clear(r.rowSlabs)
+	r.slabs, r.pages, r.hdr, r.grow = r.slabs[:0], r.pages[:0], nil, 0
+	r.rows, r.rowSlabs, r.settled = nil, r.rowSlabs[:0], false
 	prefix := r.Name[:strings.LastIndexByte(r.Name, '#')]
 	s.spare[prefix] = append(s.spare[prefix], r)
 }
@@ -366,6 +395,45 @@ func (s *Store) release(h *slab) {
 		s.free = append(s.free, nil)
 	}
 	s.free[c] = append(s.free[c], h)
+}
+
+// Settle closes a unit of row storage — one execution, or one direct
+// operator call — whose output is out: the row slabs of the temps dropped
+// since the last Settle, which out's tuples may point into, go back to the
+// store with out's own when out is dropped. If out is nil (the execution
+// failed and dropped its temps) or not a live temp of s, they go back now.
+func (s *Store) Settle(out *Relation) {
+	if out != nil && out.owner == s && s.rels[out.Name] == out {
+		out.rowSlabs = append(out.rowSlabs, s.dropped...)
+		out.settled = true
+	} else {
+		s.releaseRows(s.dropped)
+	}
+	clear(s.dropped)
+	s.dropped = s.dropped[:0]
+}
+
+// drawRows returns an empty row slab of capacity at least n: a released
+// one of n's size class, or a new one.
+func (s *Store) drawRows(n int) []int64 {
+	c := bits.Len(uint(max(n, 1) - 1))
+	if c < len(s.rowFree) && len(s.rowFree[c]) > 0 {
+		list := s.rowFree[c]
+		s.rowFree[c] = list[:len(list)-1]
+		return list[len(list)-1]
+	}
+	return make([]int64, 0, 1<<c)
+}
+
+// releaseRows keeps row slabs no live relation reads for reuse.
+func (s *Store) releaseRows(slabs [][]int64) {
+	for _, rows := range slabs {
+		c := bits.Len(uint(cap(rows) - 1))
+		for len(s.rowFree) <= c {
+			s.rowFree = append(s.rowFree, nil)
+		}
+		s.rowFree[c] = append(s.rowFree[c], rows[:0])
+	}
 }
 
 // Names returns all relation names, sorted (diagnostics).

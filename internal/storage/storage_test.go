@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -372,5 +373,97 @@ func TestDroppedTempReadsCleared(t *testing.T) {
 	}
 	if row[0] != 2 || row[1] != -2 {
 		t.Fatalf("a row read before the drop changed: %v", row)
+	}
+}
+
+// joinTemp makes a temp of two columns holding rows (i, -i) for i < n,
+// built by AppendConcat in row slabs drawn from s.
+func joinTemp(t *testing.T, s *Store, n int) *Relation {
+	t.Helper()
+	r, err := s.NewTemp("join", []string{"o.k", "i.k"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < int64(n); i++ {
+		if err := r.AppendConcat(Tuple{i}, Tuple{-i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// freeRows counts the released row slabs a store holds.
+func freeRows(s *Store) int {
+	n := 0
+	for _, class := range s.rowFree {
+		n += len(class)
+	}
+	return n
+}
+
+// TestSettledOutputHoldsDroppedRows: the rows of a temp dropped inside a
+// unit stay with the unit's output — here a sorted copy whose tuples point
+// into them — while later units draw other slabs, and go back to the store
+// when the output is dropped, to back the next temp's rows.
+func TestSettledOutputHoldsDroppedRows(t *testing.T) {
+	s := NewStore()
+	j := joinTemp(t, s, 5)
+	slabs := slices.Clone(j.rowSlabs)
+	out, err := s.NewTemp("sorted", j.Cols, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := j.AllTuples()
+	slices.Reverse(rows)
+	if err := out.Append(rows...); err != nil {
+		t.Fatal(err)
+	}
+	s.Drop(j.Name)
+	s.Settle(out)
+	if freeRows(s) != 0 || len(out.rowSlabs) != len(slabs) {
+		t.Fatalf("settled output holds %d row slabs of %d, %d free", len(out.rowSlabs), len(slabs), freeRows(s))
+	}
+	k := joinTemp(t, s, 5) // a later unit, while out is live
+	if &k.rowSlabs[0][:1][0] == &slabs[0][:1][0] {
+		t.Fatal("a later temp drew the rows a live output points into")
+	}
+	s.Drop(k.Name)
+	s.Settle(nil)
+	if first, _ := out.Page(0); first[0][0] != 4 || first[0][1] != -4 {
+		t.Fatalf("a live output's row changed: %v", first[0])
+	}
+	free := freeRows(s)
+	s.Drop(out.Name)
+	if freeRows(s) != free+len(slabs) {
+		t.Fatalf("%d row slabs free after the output's drop, want %d", freeRows(s), free+len(slabs))
+	}
+	next := joinTemp(t, s, 5)
+	if &next.rowSlabs[0][:1][0] != &slabs[0][:1][0] {
+		t.Fatal("the next temp's rows are not built in the dropped output's slab")
+	}
+}
+
+// TestSettleWithoutOutputReturnsRows: a unit that ends without an output —
+// a failed execution, nil — or with a relation the store did not make as a
+// temp returns its dropped temps' rows at once; a temp still live keeps
+// its own.
+func TestSettleWithoutOutputReturnsRows(t *testing.T) {
+	s := NewStore()
+	live := joinTemp(t, s, 3)
+	for _, out := range []*Relation{nil, {Name: "base"}} {
+		j := joinTemp(t, s, 4)
+		n := len(j.rowSlabs)
+		free := freeRows(s)
+		s.Drop(j.Name)
+		s.Settle(out)
+		if freeRows(s) != free+n || len(s.dropped) != 0 {
+			t.Fatalf("Settle(%v): %d row slabs free, want %d", out, freeRows(s), free+n)
+		}
+	}
+	if len(live.rowSlabs) == 0 || live.settled {
+		t.Fatal("Settle took the rows of a live temp")
+	}
+	if row, _ := live.Page(1); row[0][0] != 2 || row[0][1] != -2 {
+		t.Fatalf("a live temp's row changed: %v", row[0])
 	}
 }
