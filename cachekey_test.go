@@ -1,5 +1,5 @@
-// Partition equivalence of plan-cache keys. The keys are digests of a
-// binary preimage; what has to hold is that they split scenarios into
+// Partition equivalence of plan-cache keys. The keys are a binary encoding
+// of their inputs; what has to hold is that they split scenarios into
 // exactly the classes the original text preimage did — a coarser split
 // would serve one scenario another's plan, a finer one would cost hits.
 // textPreimage keeps that text form as the oracle.

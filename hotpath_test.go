@@ -47,8 +47,8 @@ func hotPathRequests(t testing.TB, n int) []Request {
 }
 
 // TestWarmHitZeroAllocs pins the tentpole claim: a plan-cache hit performs
-// zero heap allocations — the key is built in a pooled buffer, hashed on
-// the stack, and looked up by raw bytes; the request's call is pooled. It
+// zero heap allocations — the key is built in a pooled buffer and looked
+// up by raw bytes; the request's call is pooled. It
 // holds for Optimize and for the cache-only Cached, since both go through
 // the same lookup.
 func TestWarmHitZeroAllocs(t *testing.T) {

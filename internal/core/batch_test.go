@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lecopt/internal/catalog"
@@ -220,5 +222,47 @@ func TestBatchOverflowingSelLawsFailsOneRequest(t *testing.T) {
 	}
 	if !errors.Is(resps[1].Err, dist.ErrBadDist) {
 		t.Fatalf("overflowing request: err = %v, want a dist.ErrBadDist error", resps[1].Err)
+	}
+}
+
+// TestBatchGroupingIgnoresHash: OptimizeBatch's key index groups requests
+// by their key bytes, whatever their grouping hashes. With every key forced
+// onto one hash, with some forced together, and under fresh maphash seeds,
+// equal keys share a group, unequal ones never do, and groups and their
+// duplicates keep request order.
+func TestBatchGroupingIgnoresHash(t *testing.T) {
+	keys := []string{"a", "b", "a", "ab", "b", "", "a", "", "ba"}
+	wantReps := []int{0, 1, 3, 5, 8}
+	wantDups := [][]int{{2, 6}, {4}, nil, {7}, nil}
+	hashes := map[string]func([]byte) uint64{
+		"one hash":  func([]byte) uint64 { return 0 },
+		"by length": func(k []byte) uint64 { return uint64(len(k)) },
+	}
+	for i := range 4 {
+		seed := maphash.MakeSeed()
+		hashes[fmt.Sprintf("seed %d", i)] = func(k []byte) uint64 { return maphash.Bytes(seed, k) }
+	}
+	for name, hash := range hashes {
+		b := &batch{index: map[uint64]int{}, next: make([]int, len(keys))}
+		for i, k := range keys {
+			b.calls = append(b.calls, &call{key: []byte(k)})
+			if gi := b.find(b.calls[i].key, hash(b.calls[i].key)); gi >= 0 {
+				b.join(gi, i)
+			} else {
+				b.open(i, hash(b.calls[i].key))
+			}
+		}
+		if len(b.groups) != len(wantReps) {
+			t.Fatalf("%s: %d groups, want %d", name, len(b.groups), len(wantReps))
+		}
+		for gi, g := range b.groups {
+			var dups []int
+			for d := g.first; d >= 0; d = b.next[d] {
+				dups = append(dups, d)
+			}
+			if g.rep != wantReps[gi] || !slices.Equal(dups, wantDups[gi]) {
+				t.Fatalf("%s: group %d is %d with %v, want %d with %v", name, gi, g.rep, dups, wantReps[gi], wantDups[gi])
+			}
+		}
 	}
 }

@@ -199,26 +199,28 @@ func (s *Scenario) Optimize(alg Algorithm) (PlanReport, error) {
 	}, nil
 }
 
-// AppendCacheKey appends to dst the plancache.KeyLen-byte plan-cache key of
-// optimizing this scenario with alg — an opaque binary digest, built
-// without allocating for hot paths that keep a reusable buffer and look
-// plans up with Cache.GetBytes/ProbeBytes. With driftBand <= 1 the key is
+// AppendCacheKey appends to dst the plan-cache key of optimizing this
+// scenario with alg — the exact binary encoding of everything the
+// optimization reads (plancache.AppendKey), a few hundred opaque bytes,
+// built without allocating for hot paths that keep a reusable buffer of
+// plancache.KeyLen capacity and look plans up with
+// Cache.GetBytes/ProbeBytes. With driftBand <= 1 the key is
 // statistics-exact: scenarios whose keys are equal are optimized
 // identically, so their PlanReports may be shared, and any change to the
 // catalog statistics, query, environment laws or options yields a new key
 // (stale entries age out of the LRU — there is no explicit invalidation).
 // With driftBand > 1 distinct counts are bucketed into geometric bands of
-// that base before hashing (catalog.BandedFingerprint), so statistics drift
-// *within* a band maps to the same key and a drifting tenant keeps hitting
-// the cached plan. margin offsets those bands by that many band units — the
-// band-edge hysteresis probe key: statistics within |margin| of a band
-// boundary key, under the matching-signed margin, exactly as their
-// across-the-boundary neighbor does under margin 0.
+// that base before the catalog is digested (catalog.BandedFingerprint), so
+// statistics drift *within* a band maps to the same key and a drifting
+// tenant keeps hitting the cached plan. margin offsets those bands by that
+// many band units — the band-edge hysteresis probe key: statistics within
+// |margin| of a band boundary key, under the matching-signed margin,
+// exactly as their across-the-boundary neighbor does under margin 0.
 func (s *Scenario) AppendCacheKey(dst []byte, alg Algorithm, driftBand, margin float64) ([]byte, error) {
 	if err := s.check(); err != nil {
 		return dst, err
 	}
-	// Hash only the inputs this algorithm reads: TopC steers Algorithm B
+	// Key only the inputs this algorithm reads: TopC steers Algorithm B
 	// alone and the selectivity/size laws Algorithm D alone, so folding
 	// them into every key would split otherwise-identical AlgC jobs into
 	// spurious cache misses.

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"iter"
 	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -213,9 +215,10 @@ func (o *Optimizer) resolveQuery(reqCat *catalog.Catalog, prep *Prepared, blk *q
 // call.
 const maxMemoSQL = 4096
 
-// stmtKeyPool recycles statement-memo key buffers (schema digest + text).
+// stmtKeyPool recycles statement-memo key buffers: a 32-byte schema digest
+// and the text, 512 bytes of which fit without growth.
 var stmtKeyPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, plancache.KeyLen+512)
+	b := make([]byte, 0, 32+512)
 	return &b
 }}
 
@@ -444,8 +447,81 @@ func (o *Optimizer) probeKeys(c *call, m float64) iter.Seq[[]byte] {
 // batchGroup is the unit of batch work: one representative request that is
 // looked up or optimized once, and the later requests served its answer.
 type batchGroup struct {
-	rep  int
-	dups []int
+	rep int
+	// first and last delimit the group's duplicates, in request order,
+	// chained through batch.next; both are -1 while it has none.
+	first, last int
+	// sameHash is the previous group whose key has the same grouping hash,
+	// or -1: the chain a lookup walks when two keys collide.
+	sameHash int
+}
+
+// batch is one OptimizeBatch call's scratch: the requests' calls, their
+// groups, and the index that finds a group by its key. Batches come from
+// batchPool, so a batch allocates only its answer.
+type batch struct {
+	calls  []*call
+	groups []batchGroup
+	next   []int          // next[i]: the duplicate after request i in its group, or -1
+	index  map[uint64]int // grouping hash → the latest group with that hash
+	seed   maphash.Seed
+}
+
+var batchPool = sync.Pool{New: func() any {
+	return &batch{index: make(map[uint64]int), seed: maphash.MakeSeed()}
+}}
+
+// find returns the group whose representative's key is key, or -1; h is
+// key's grouping hash. Groups are told apart by their key bytes, so keys
+// that collide in h never share a group.
+func (b *batch) find(key []byte, h uint64) int {
+	gi, ok := b.index[h]
+	if !ok {
+		return -1
+	}
+	for ; gi >= 0; gi = b.groups[gi].sameHash {
+		if bytes.Equal(b.calls[b.groups[gi].rep].key, key) {
+			return gi
+		}
+	}
+	return -1
+}
+
+// open starts a group represented by request i, whose key's grouping hash
+// is h.
+func (b *batch) open(i int, h uint64) {
+	prev, ok := b.index[h]
+	if !ok {
+		prev = -1
+	}
+	b.index[h] = len(b.groups)
+	b.groups = append(b.groups, batchGroup{rep: i, first: -1, last: -1, sameHash: prev})
+}
+
+// join appends request i to group gi's duplicates.
+func (b *batch) join(gi, i int) {
+	g := &b.groups[gi]
+	if g.last < 0 {
+		g.first = i
+	} else {
+		b.next[g.last] = i
+	}
+	g.last = i
+	b.next[i] = -1
+}
+
+// release returns the batch's calls to their pool and the emptied batch to
+// batchPool.
+func (b *batch) release() {
+	for _, c := range b.calls {
+		if c != nil {
+			release(c)
+		}
+	}
+	clear(b.calls)
+	clear(b.index)
+	b.calls, b.groups, b.next = b.calls[:0], b.groups[:0], b.next[:0]
+	batchPool.Put(b)
 }
 
 // OptimizeBatch optimizes every request across the handle's worker pool
@@ -467,14 +543,10 @@ func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 	if len(reqs) == 0 {
 		return out
 	}
-	calls := make([]*call, len(reqs))
-	defer func() {
-		for _, c := range calls {
-			if c != nil {
-				release(c)
-			}
-		}
-	}()
+	b := batchPool.Get().(*batch)
+	defer b.release()
+	b.calls = slices.Grow(b.calls, len(reqs))[:len(reqs)]
+	b.next = slices.Grow(b.next, len(reqs))[:len(reqs)]
 	// Resolving a request (statement memo, feedback hints, primary key)
 	// reads shared state but writes none that grouping depends on, so the
 	// workers do it, each request whole.
@@ -484,25 +556,24 @@ func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 			out[i] = Response{Err: err}
 			return
 		}
-		calls[i] = c
+		b.calls[i] = c
 	})
 	// Group requests by cache key in first-appearance order. Band-edge
 	// hysteresis runs here, in this sequential pass — never in the
 	// workers — so which group a near-boundary request joins (and thus the
 	// whole batch outcome) is independent of worker scheduling.
-	var groups []batchGroup
-	byKey := make(map[[plancache.KeyLen]byte]int, len(reqs)) // key → index into groups
 requests:
-	for i, c := range calls {
+	for i, c := range b.calls {
 		if c == nil {
 			continue
 		}
 		if o.cache == nil {
-			groups = append(groups, batchGroup{rep: i})
+			b.groups = append(b.groups, batchGroup{rep: i, first: -1, last: -1, sameHash: -1})
 			continue
 		}
-		if gi, ok := byKey[[plancache.KeyLen]byte(c.key)]; ok {
-			groups[gi].dups = append(groups[gi].dups, i)
+		h := maphash.Bytes(b.seed, c.key)
+		if gi := b.find(c.key, h); gi >= 0 {
+			b.join(gi, i)
 			continue
 		}
 		// Hysteresis only applies on a primary-key miss — a request whose
@@ -515,8 +586,8 @@ requests:
 					// A same-batch group across the boundary: ride along as
 					// a cross-band dup (the answer is written through under
 					// this request's own key by the group's worker).
-					if gi, ok := byKey[[plancache.KeyLen]byte(probe)]; ok {
-						groups[gi].dups = append(groups[gi].dups, i)
+					if gi := b.find(probe, maphash.Bytes(b.seed, probe)); gi >= 0 {
+						b.join(gi, i)
 						continue requests
 					}
 					// A prior-batch entry across the boundary: alias it to
@@ -529,21 +600,20 @@ requests:
 				}
 			}
 		}
-		byKey[[plancache.KeyLen]byte(c.key)] = len(groups)
-		groups = append(groups, batchGroup{rep: i})
+		b.open(i, h)
 	}
 	// Each group runs on one worker, and each optimization runs serially:
 	// whole requests are the batch's only parallelism (DESIGN.md, "One
 	// level of parallelism").
-	o.parallel(len(groups), func(gi int) {
-		g := &groups[gi]
-		c := calls[g.rep]
+	o.parallel(len(b.groups), func(gi int) {
+		g := &b.groups[gi]
+		c := b.calls[g.rep]
 		resp, ok := o.lookup(c, true)
 		if !ok {
 			resp = o.compute(c)
 		}
 		out[g.rep] = resp
-		for _, d := range g.dups {
+		for d := g.first; d >= 0; d = b.next[d] {
 			out[d] = resp
 			if resp.Err != nil {
 				continue
@@ -556,7 +626,7 @@ requests:
 			}
 			// Cross-band alias: write the shared answer through under
 			// the dup's own key so its band serves itself from now on.
-			if own := calls[d].key; !bytes.Equal(own, c.key) {
+			if own := b.calls[d].key; !bytes.Equal(own, c.key) {
 				o.cache.Put(string(own), out[d].PlanReport)
 			}
 		}
@@ -609,7 +679,7 @@ type Feedback struct {
 
 // Observe folds executed sizes into the feedback store; subsequent
 // optimizations of the same query cost with the observed sizes instead of
-// selectivity-product estimates (and, because hints are hashed into cache
+// selectivity-product estimates (and, because hints are encoded into cache
 // keys, stale cached plans miss cleanly). Sizes are rounded here, once:
 // the query's hint snapshot is republished only when a rounded value
 // moves or a new table set is observed, so feedback that has converged

@@ -20,9 +20,10 @@ var (
 
 // ExecResult is the outcome of executing a whole plan.
 type ExecResult struct {
-	// Output is the materialized result, a temp of the engine's store
-	// (or, for a plan that is one unfiltered scan, the base table). Its
-	// tuples are valid until the caller drops it.
+	// Output is the materialized result, always a temp of the engine's
+	// store (a plan that is one unfiltered scan gets an uncharged copy of
+	// its table), so dropping it never drops a table. Its tuples are valid
+	// until the caller drops it.
 	Output *storage.Relation
 	Stats  buffer.Stats
 	// PhaseIO breaks the physical I/O down by execution phase.
@@ -142,6 +143,9 @@ type executor struct {
 // join-output sizes.
 func (ex *executor) run(n *plan.Node) (*storage.Relation, error) {
 	rel, _, err := ex.eval(n)
+	if err == nil && n.Kind == plan.KindScan && rel.Name == n.Table {
+		rel, err = ex.copyBase(rel)
+	}
 	if err != nil {
 		ex.cleanup()
 		return nil, err
@@ -155,6 +159,30 @@ func (ex *executor) run(n *plan.Node) (*storage.Relation, error) {
 	clear(ex.temps)
 	ex.temps = ex.temps[:0]
 	return rel, nil
+}
+
+// copyBase gives a plan that is one unfiltered heap scan — which evaluates
+// to the base table itself — a temp for its output, so that the caller
+// drops a copy, never the table. The copy is uncharged, as the base table
+// handed to a consumer is: the scan's read is the caller's. Its tuples are
+// the table's rows, which are never recycled.
+func (ex *executor) copyBase(rel *storage.Relation) (*storage.Relation, error) {
+	out, err := ex.eng.store.NewTemp("scan", rel.Cols, rel.TuplesPerPage)
+	if err != nil {
+		return nil, err
+	}
+	ex.temps = append(ex.temps, out.Name)
+	storage.Reserve(rel.NumTuples(), out)
+	for p := 0; p < rel.NumPages(); p++ {
+		page, err := rel.Page(p)
+		if err != nil {
+			return nil, err
+		}
+		if err := out.Append(page...); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func (ex *executor) cleanup() {

@@ -336,3 +336,47 @@ func fuzzReference(t *testing.T, store *storage.Store, names []string, order []i
 	}
 	return m
 }
+
+// TestOneScanOutputDropKeepsTable: a plan that is one unfiltered heap scan
+// evaluates to its base table, and its output is still a temp, so a caller
+// that drops the output the way every serving loop does leaves the table
+// in the store. The output reads the table's tuples in order, charges no
+// I/O, and the next plan over the table runs.
+func TestOneScanOutputDropKeepsTable(t *testing.T) {
+	set := newExecSet(t)
+	table, err := set.store.Get("t2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := table.AllTuples()
+	names := len(set.store.Names())
+	for range 3 {
+		res, err := set.eng.ExecutePlan(plan.NewScan("t2", plan.AccessHeap, "", 1, 128), []float64{6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Output == table {
+			t.Fatal("the output is the base table")
+		}
+		if res.Stats.IO() != 0 {
+			t.Fatalf("the lone scan charged %d I/Os, want 0", res.Stats.IO())
+		}
+		got := res.Output.AllTuples()
+		if len(got) != len(want) || res.Output.NumPages() != table.NumPages() {
+			t.Fatalf("output has %d tuples on %d pages, table %d on %d", len(got), res.Output.NumPages(), len(want), table.NumPages())
+		}
+		for i := range got {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("output tuple %d is %v, table's %v", i, got[i], want[i])
+			}
+		}
+		set.store.Drop(res.Output.Name)
+		if _, err := set.store.Get("t2"); err != nil {
+			t.Fatalf("dropping the output dropped the table: %v", err)
+		}
+		if n := len(set.store.Names()); n != names {
+			t.Fatalf("store holds %d relations after the drop, %d before", n, names)
+		}
+	}
+	set.run(t)
+}

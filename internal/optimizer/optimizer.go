@@ -72,7 +72,7 @@ type Options struct {
 	// outside the query are ignored. At the leaves,
 	// Algorithm D's explicit per-table size laws take precedence over
 	// single-table hints. Hints change which plan is found, so they
-	// are hashed into plan-cache signatures.
+	// are encoded into plan-cache keys.
 	SizeHints map[string]float64
 	// CostModel selects which machine the join formulas describe
 	// (cost.ModelPaper or cost.ModelEngine). The zero value is ModelPaper
@@ -80,7 +80,7 @@ type Options struct {
 	// experiment and every golden table keep their published numbers; the
 	// serving path opts into ModelEngine, which charges grace hash with
 	// the engine's exact partitioning recursion. The model changes which
-	// plan is found, so it is hashed into plan-cache signatures.
+	// plan is found, so it is encoded into plan-cache keys.
 	CostModel cost.Model
 }
 
@@ -95,7 +95,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Normalized returns the options with defaults applied — the form every
-// algorithm actually runs with. Cache-key builders hash the normalized
+// algorithm actually runs with. Cache-key builders encode the normalized
 // form so zero-value options and explicitly spelled-out defaults produce
 // the same key.
 func (o Options) Normalized() Options { return o.withDefaults() }

@@ -6,11 +6,12 @@
 // The cache is a sharded, mutex-protected LRU keyed by an opaque string; use
 // AppendKey to build keys that cover everything the optimizer's answer
 // depends on (catalog fingerprint, canonical query shape, environment laws,
-// plan-space options and algorithm). Those keys are KeyLen raw digest bytes
-// — binary, not text: compare and store them, never print or parse them.
-// Because statistics are hashed into the key, there is no explicit
-// invalidation: updating the catalog changes the key and stale entries
-// simply age out of the LRU.
+// plan-space options and algorithm). A key is the exact binary encoding of
+// those inputs, a few hundred bytes (KeyLen is a buffer capacity that fits
+// typical keys), not a digest of it, so equal keys mean equal inputs:
+// compare and store keys, never print or parse them. Because statistics
+// are encoded into the key, there is no explicit invalidation: updating
+// the catalog changes the key and stale entries simply age out of the LRU.
 //
 // All methods are safe for concurrent use.
 package plancache

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -248,9 +249,11 @@ func TestSignatureDriftBand(t *testing.T) {
 	}
 }
 
-// TestKeyFraming: the preimage is binary, so only its length prefixes and
+// TestKeyFraming: the key is binary, so only its length prefixes and
 // counts keep adjacent fields apart. Each pair below moves bytes across a
-// field boundary or a value between fields; the keys must differ.
+// field boundary or a value between fields; the keys must differ, and no
+// key may be a proper prefix of another (every field is self-delimiting,
+// so the whole key is). AppendKey must also leave dst's bytes as they are.
 func TestKeyFraming(t *testing.T) {
 	sc := testScenario(t, 5)
 	point := envsim.Env{Mem: dist.Point(1000)}
@@ -290,8 +293,21 @@ func TestKeyFraming(t *testing.T) {
 	if withChain == longLaw || withChain == testKey(sc.Cat, sc.Block, point, nil, nil, optimizer.Options{}, 0, algC, 0, 0) {
 		t.Fatal("a chain is not delimited from the memory law")
 	}
-	if len(withChain) != KeyLen {
-		t.Fatalf("key is %d bytes, want KeyLen = %d", len(withChain), KeyLen)
+	keys := []string{
+		hinted(map[string]float64{"a": lowB, "bc": 7}), hinted(map[string]float64{"ab": highB, "c": 7}),
+		hinted(map[string]float64{"a": 1, "b": 2}), hinted(map[string]float64{"a": 2, "b": 1}),
+		hinted(nil), asSel, asSize, withChain, longLaw,
+	}
+	for i, a := range keys {
+		for _, b := range keys[i+1:] {
+			if len(a) != len(b) && (strings.HasPrefix(a, b) || strings.HasPrefix(b, a)) {
+				t.Fatalf("key of %d bytes is a prefix of one of %d bytes", min(len(a), len(b)), max(len(a), len(b)))
+			}
+		}
+	}
+	dst := []byte("prefix")
+	if got := AppendKey(dst, sc.Cat, sc.Block, point, nil, nil, optimizer.Options{}, 0, algC, 0, 0); string(got) != "prefix"+hinted(nil) {
+		t.Fatal("AppendKey did not append the key to dst")
 	}
 }
 

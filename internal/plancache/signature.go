@@ -1,11 +1,9 @@
 package plancache
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"slices"
-	"sync"
 
 	"lecopt/internal/catalog"
 	"lecopt/internal/dist"
@@ -14,13 +12,15 @@ import (
 	"lecopt/internal/query"
 )
 
-// KeyLen is the byte length of every cache key: a raw SHA-256 digest.
-// Keys are opaque binary strings — not printable, not hex. Callers that
-// look keys up with Cache.GetBytes/ProbeBytes can keep a reusable
-// KeyLen-capacity buffer and avoid allocating per lookup.
-const KeyLen = sha256.Size
+// KeyLen is a key-buffer capacity that fits typical cache keys: a 2–5
+// table query under a point or few-bucket memory law keys in 100–500
+// bytes. Keys have no fixed length — a key is its preimage (AppendKey) —
+// so a longer one grows its buffer, and a caller that keeps the grown
+// buffer for the next key (as Cache.GetBytes/ProbeBytes callers do)
+// allocates only until it has seen its longest key.
+const KeyLen = 512
 
-// AppendKey appends to dst the KeyLen-byte cache key covering everything an
+// AppendKey appends to dst the cache key covering everything an
 // optimization's outcome depends on, and returns the extended slice:
 //
 //   - the catalog fingerprint — exact when driftBand <= 1, or the
@@ -36,86 +36,68 @@ const KeyLen = sha256.Size
 //     which change which plan is optimal — the algorithm's code alg and
 //     Algorithm B's top-c.
 //
-// With an exact fingerprint, two scenarios that key equal are optimized identically, so memoized
-// PlanReports can be shared; with a banded fingerprint they are optimized
-// *equivalently up to in-band drift* — the deliberate approximation that
-// lets drifting tenants share plans.
+// The key is those inputs' encoding itself, not a digest of it: two
+// scenarios share a key exactly when their normalized inputs are equal, so
+// a cache keyed on it can never serve one scenario another's plan. With an
+// exact fingerprint, two scenarios that key equal are optimized
+// identically, so memoized PlanReports can be shared; with a banded
+// fingerprint they are optimized *equivalently up to in-band drift* — the
+// deliberate approximation that lets drifting tenants share plans.
 //
 // margin offsets the catalog's distinct-count bands by that many band units
 // (catalog.AppendFingerprint) — the band-edge hysteresis probe key.
-// Everything outside the catalog digest hashes identically to margin 0, so
-// a statistics state sitting within |margin| of a band boundary produces,
-// under the matching-signed margin, the very key its across-the-boundary
-// neighbor was cached under. Margin only applies to banded keys
-// (driftBand > 1); with exact keys it is ignored.
+// Everything outside the catalog digest encodes identically to margin 0,
+// so a statistics state sitting within |margin| of a band boundary
+// produces, under the matching-signed margin, the very key its
+// across-the-boundary neighbor was cached under. Margin only applies to
+// banded keys (driftBand > 1); with exact keys it is ignored.
 //
-// When dst has KeyLen spare capacity the call performs zero heap
-// allocations (up to 16 hints or Algorithm D laws per map): the binary
-// preimage is built in a pooled buffer, hashed with sha256.Sum256 on the
-// stack, and the digest appended to dst as is.
+// The encoding is binary, with no text formatting on the path. Fields come
+// in a fixed order; floats are their 8 IEEE-754 bytes, counts and small
+// codes are uvarints, strings carry a length prefix, and every
+// variable-length sequence (law, chain, law map, hints, methods) opens with
+// its element count — so distinct scenarios never encode to the same bytes,
+// whatever their strings contain, and no key is a proper prefix of
+// another. The catalog enters as its memoized 32-byte digest, hashed once
+// per catalog version, and the query as its memoized canonical shape. When
+// dst has room for the key the call performs zero heap allocations (up to
+// 16 hints or Algorithm D laws per map).
 func AppendKey(dst []byte, cat *catalog.Catalog, blk *query.Block, env envsim.Env,
 	selLaws, sizeLaws map[string]dist.Dist, opts optimizer.Options, topC int,
 	alg uint8, driftBand, margin float64) []byte {
-	bp := preimagePool.Get().(*[]byte)
-	pre := appendPreimage((*bp)[:0], cat, blk, env, selLaws, sizeLaws, opts, topC, alg, driftBand, margin)
-	sum := sha256.Sum256(pre)
-	*bp = pre
-	preimagePool.Put(bp)
-	return append(dst, sum[:]...)
-}
-
-// preimagePool recycles the digest preimage buffers; 1 KB covers a
-// typical query + env description without growth.
-var preimagePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
-}}
-
-// appendPreimage writes the key's preimage: a self-delimiting binary
-// encoding with no text formatting on the path. Fields come in a fixed
-// order; floats are their 8 IEEE-754 bytes, counts and small codes are
-// uvarints, strings carry a length prefix, and every variable-length
-// sequence (law, chain, law map, hints, methods) opens with its element
-// count — so distinct scenarios never encode to the same bytes, whatever
-// their strings contain. The memoized per-catalog digest and per-block
-// canonical shape stand in for the two largest inputs: they are hashed once
-// per catalog version / per block, not per request.
-func appendPreimage(b []byte, cat *catalog.Catalog, blk *query.Block, env envsim.Env,
-	selLaws, sizeLaws map[string]dist.Dist, opts optimizer.Options, topC int,
-	alg uint8, driftBand, margin float64) []byte {
-	opts = opts.Normalized() // zero-value and explicit defaults hash equal
+	opts = opts.Normalized() // zero-value and explicit defaults key equal
 	if !(driftBand > 1) {
-		driftBand = 0 // every exact-key spelling hashes equal
+		driftBand = 0 // every exact-key spelling keys equal
 	}
-	b = append(b, alg)
-	b = binary.AppendUvarint(b, uint64(topC))
-	b = cat.AppendFingerprint(b, driftBand, margin)
-	b = appendFloat(b, driftBand)
-	b = appendString(b, blk.Canonical())
-	b = appendDist(b, env.Mem)
+	dst = append(dst, alg)
+	dst = binary.AppendUvarint(dst, uint64(topC))
+	dst = cat.AppendFingerprint(dst, driftBand, margin)
+	dst = appendFloat(dst, driftBand)
+	dst = appendString(dst, blk.Canonical())
+	dst = appendDist(dst, env.Mem)
 	if env.Chain == nil {
-		b = append(b, 0)
+		dst = append(dst, 0)
 	} else {
 		n := env.Chain.Len()
-		b = binary.AppendUvarint(b, uint64(n))
+		dst = binary.AppendUvarint(dst, uint64(n))
 		for i := 0; i < n; i++ {
-			b = appendFloat(b, env.Chain.State(i))
+			dst = appendFloat(dst, env.Chain.State(i))
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				b = appendFloat(b, env.Chain.Prob(i, j))
+				dst = appendFloat(dst, env.Chain.Prob(i, j))
 			}
 		}
 	}
-	b = appendLawMap(b, selLaws)
-	b = appendLawMap(b, sizeLaws)
-	b = appendHints(b, opts.SizeHints)
-	b = binary.AppendUvarint(b, uint64(len(opts.Methods)))
+	dst = appendLawMap(dst, selLaws)
+	dst = appendLawMap(dst, sizeLaws)
+	dst = appendHints(dst, opts.SizeHints)
+	dst = binary.AppendUvarint(dst, uint64(len(opts.Methods)))
 	for _, m := range opts.Methods {
-		b = append(b, byte(m))
+		dst = append(dst, byte(m))
 	}
-	b = binary.AppendUvarint(b, uint64(opts.SizeBuckets))
-	return append(b, byte(opts.CostModel))
+	dst = binary.AppendUvarint(dst, uint64(opts.SizeBuckets))
+	return append(dst, byte(opts.CostModel))
 }
 
 // appendFloat appends v's IEEE-754 bits. Every NaN encodes alike, as every
