@@ -13,8 +13,8 @@ import (
 
 // workloadModeConfig parameterizes one engine-in-the-loop serving run.
 // Everything else is fixed: the default mix at workloadSeed, the service
-// handle's default plan cache (4096 entries) and workers (GOMAXPROCS), and
-// both model-agreement band sweeps.
+// handle's default plan cache (4096 entries), and both model-agreement band
+// sweeps.
 type workloadModeConfig struct {
 	Requests  int
 	DriftBand float64 // 0: service default (banded); <= 1: exact keys

@@ -250,7 +250,7 @@ func batchReportKey(r PlanReport) string {
 }
 
 // TestDifferentialBatchMatchesSequential runs the whole corpus through
-// OptimizeBatch with 8 workers on handles with exact keys and no feedback —
+// OptimizeBatch on handles with exact keys and no feedback —
 // without a plan cache, then cache-cold and cache-warm on one handle — and
 // requires byte-identical reports to the sequential path each time.
 func TestDifferentialBatchMatchesSequential(t *testing.T) {
@@ -276,7 +276,7 @@ func TestDifferentialBatchMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	exact := []Option{WithWorkers(8), WithExactCacheKeys(), WithoutFeedback()}
+	exact := []Option{WithExactCacheKeys(), WithoutFeedback()}
 	check("no-cache", New(nil, append(exact, WithoutPlanCache())...).OptimizeBatch(reqs))
 	opt := New(nil, append(exact, WithPlanCache(1024))...)
 	check("cache-cold", opt.OptimizeBatch(reqs))

@@ -75,7 +75,7 @@ func TestEquivalenceOptimizeBatch(t *testing.T) {
 			}
 		}
 	}
-	opt := New(nil, WithWorkers(8))
+	opt := New(nil)
 	check("cold", opt.OptimizeBatch(reqs))
 	warm := opt.OptimizeBatch(reqs)
 	check("warm", warm)

@@ -405,7 +405,7 @@ func TestExecutePlanAllocBudget(t *testing.T) {
 // sharded feedback store exists for. Run under -race this proves the shard
 // locking, the lock-free observation counter, the pooled per-request state
 // the three serving entry points share, and the hint snapshots Observe
-// republishes while batches resolve requests on their workers and overlay
+// republishes while concurrent batches resolve requests and overlay
 // explicit SizeHints on them; under the plain suite it still checks that
 // concurrent feedback never corrupts results (every optimized response
 // must carry a plan, and a Cached hit must too).
@@ -598,6 +598,33 @@ func BenchmarkOptimizeMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := opt.Optimize(reqs[i%len(reqs)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimizeBatch measures a warm batch in drift_feedback's shape:
+// 64 requests, 19 of them (about 30 %) duplicates of earlier ones, on a
+// handle that has observed a size for every distinct request. One op is
+// one batch; with -benchmem the headline is 1 allocs/op, the []Response.
+func BenchmarkOptimizeBatch(b *testing.B) {
+	reqs := hotPathRequests(b, 45)
+	opt := New(nil)
+	observeAll(b, opt, reqs)
+	for i := 0; len(reqs) < 64; i += 2 {
+		reqs = append(reqs, reqs[i])
+	}
+	for i, r := range opt.OptimizeBatch(reqs) {
+		if r.Err != nil {
+			b.Fatalf("cold request %d: %v", i, r.Err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, r := range opt.OptimizeBatch(reqs) {
+			if !r.CacheHit {
+				b.Fatalf("warm request %d missed: %v", j, r.Err)
+			}
 		}
 	}
 }

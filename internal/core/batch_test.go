@@ -11,6 +11,7 @@ import (
 	"lecopt/internal/catalog"
 	"lecopt/internal/dist"
 	"lecopt/internal/envsim"
+	"lecopt/internal/feedback"
 	"lecopt/internal/workload"
 )
 
@@ -44,10 +45,8 @@ func reportKey(r PlanReport) string {
 // exactHandle is the batch tests' handle: exact cache keys and no feedback,
 // so a batch is memoization only and must equal sequential optimization.
 // cacheSize < 0 disables the plan cache.
-func exactHandle(workers, cacheSize int) *Optimizer {
-	return NewOptimizer(nil, Config{
-		Workers: workers, CacheSize: cacheSize, DriftBand: -1, DisableFeedback: true,
-	})
+func exactHandle(cacheSize int) *Optimizer {
+	return NewOptimizer(nil, Config{CacheSize: cacheSize, DriftBand: -1, DisableFeedback: true})
 }
 
 func scenarioRequest(sc *Scenario, alg Algorithm) Request {
@@ -69,15 +68,52 @@ func TestOptimizeBatchMatchesSequential(t *testing.T) {
 			want = append(want, reportKey(rep))
 		}
 	}
-	for _, workers := range []int{1, 8} {
-		for i, r := range exactHandle(workers, -1).OptimizeBatch(reqs) {
-			if r.Err != nil {
-				t.Fatalf("workers=%d request %d: %v", workers, i, r.Err)
-			}
-			if got := reportKey(r.PlanReport); got != want[i] {
-				t.Fatalf("workers=%d request %d:\n got %s\nwant %s", workers, i, got, want[i])
+	for i, r := range exactHandle(-1).OptimizeBatch(reqs) {
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+		if got := reportKey(r.PlanReport); got != want[i] {
+			t.Fatalf("request %d:\n got %s\nwant %s", i, got, want[i])
+		}
+	}
+}
+
+// TestWarmBatchAllocs: a warm 64-request batch — 45 distinct requests and 19
+// duplicates, on a handle that has observed a size for each — is answered
+// on the caller's goroutine from pooled calls and a pooled batch scratch,
+// so its one allocation is the []Response it returns.
+func TestWarmBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	scs := batchScenarios(t, 45)
+	o := NewOptimizer(nil, Config{})
+	var reqs []Request
+	for i, sc := range scs {
+		reqs = append(reqs, scenarioRequest(sc, AlgC))
+		if err := o.Observe(Feedback{Query: sc.Query, Cat: sc.Cat, Sizes: map[string]float64{
+			feedback.SetKey(sc.Query.Tables[0], sc.Query.Tables[1]): float64(100 + 37*i),
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; len(reqs) < 64; i += 2 {
+		reqs = append(reqs, reqs[i])
+	}
+	for i, r := range o.OptimizeBatch(reqs) {
+		if r.Err != nil {
+			t.Fatalf("cold request %d: %v", i, r.Err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i, r := range o.OptimizeBatch(reqs) {
+			if r.Err != nil || !r.CacheHit {
+				t.Fatalf("warm request %d: hit=%v err=%v", i, r.CacheHit, r.Err)
 			}
 		}
+	})
+	if allocs != 1 {
+		t.Fatalf("warm 64-request batch allocates %.2f times, want 1 (its []Response)", allocs)
 	}
 }
 
@@ -89,7 +125,7 @@ func TestOptimizeBatchCache(t *testing.T) {
 			reqs = append(reqs, scenarioRequest(sc, AlgC))
 		}
 	}
-	o := exactHandle(4, 256)
+	o := exactHandle(256)
 	cold := o.OptimizeBatch(reqs[:len(scs)])
 	for i, r := range cold {
 		if r.Err != nil || r.CacheHit {
@@ -127,7 +163,7 @@ func TestOptimizeBatchPerJobErrors(t *testing.T) {
 		scenarioRequest(scs[1], AlgC),
 	}
 	for _, cacheSize := range []int{-1, 64} {
-		results := exactHandle(3, cacheSize).OptimizeBatch(reqs)
+		results := exactHandle(cacheSize).OptimizeBatch(reqs)
 		if results[0].Err != nil || results[4].Err != nil {
 			t.Fatalf("good requests failed: %v, %v", results[0].Err, results[4].Err)
 		}
@@ -144,7 +180,7 @@ func TestOptimizeBatchPerJobErrors(t *testing.T) {
 }
 
 func TestOptimizeBatchEmpty(t *testing.T) {
-	if got := exactHandle(0, 0).OptimizeBatch(nil); len(got) != 0 {
+	if got := exactHandle(0).OptimizeBatch(nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }
@@ -209,7 +245,7 @@ func TestBatchOverflowingSelLawsFailsOneRequest(t *testing.T) {
 	huge := dist.MustNew([]float64{1e200, 2e200}, []float64{1, 1})
 	laws := map[string]dist.Dist{"a.x=b.x": huge, "a.y=b.y": huge}
 	env := envsim.Env{Mem: dist.Point(100)}
-	o := NewOptimizer(cat, Config{Workers: 4})
+	o := NewOptimizer(cat, Config{})
 	resps := o.OptimizeBatch([]Request{
 		{SQL: sql, Env: env, Alg: AlgD},
 		{SQL: sql, Env: env, Alg: AlgD, SelLaws: laws},

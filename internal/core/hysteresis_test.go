@@ -52,7 +52,7 @@ func edgeReq(cat *catalog.Catalog) Request {
 // served from the neighbor band's entry (CacheHit) and the alias is
 // re-cached under the new band's own key.
 func TestHysteresisBridgesBandEdge(t *testing.T) {
-	o := NewOptimizer(nil, Config{Workers: 1})
+	o := NewOptimizer(nil, Config{})
 
 	first, err := o.Optimize(edgeReq(edgeCat(t, 1)))
 	if err != nil {
@@ -85,7 +85,7 @@ func TestHysteresisBridgesBandEdge(t *testing.T) {
 // TestHysteresisRespectsRealDrift: a full-band step (2x) is genuine
 // statistics change and must still miss.
 func TestHysteresisRespectsRealDrift(t *testing.T) {
-	o := NewOptimizer(nil, Config{Workers: 1})
+	o := NewOptimizer(nil, Config{})
 	if _, err := o.Optimize(edgeReq(edgeCat(t, 1))); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestHysteresisRespectsRealDrift(t *testing.T) {
 // so a warm near-boundary request rode along with its neighbor's group
 // and its cache entry was clobbered.)
 func TestHysteresisBatchPrefersOwnBand(t *testing.T) {
-	o := NewOptimizer(nil, Config{Workers: 1})
+	o := NewOptimizer(nil, Config{})
 	// Warm the stepped band's own entry sequentially.
 	warm, err := o.Optimize(edgeReq(edgeCat(t, 1.1)))
 	if err != nil {
@@ -141,27 +141,18 @@ func TestHysteresisBatchPrefersOwnBand(t *testing.T) {
 }
 
 // TestHysteresisBatchDeterministic: batches containing band-edge neighbors
-// resolve them at group-formation time — the outcome is identical across
-// worker counts.
+// resolve them at group-formation time — the neighbor rides along with the
+// representative's group.
 func TestHysteresisBatchDeterministic(t *testing.T) {
-	run := func(workers int) []Response {
-		o := NewOptimizer(nil, Config{Workers: workers})
-		reqs := []Request{
-			edgeReq(edgeCat(t, 1)),
-			edgeReq(edgeCat(t, 1.1)), // crosses the boundary: alias of the first
-			edgeReq(edgeCat(t, 1)),
-			edgeReq(edgeCat(t, 1.1)),
-		}
-		return o.OptimizeBatch(reqs)
-	}
-	a := run(1)
-	b := run(8)
+	a := NewOptimizer(nil, Config{}).OptimizeBatch([]Request{
+		edgeReq(edgeCat(t, 1)),
+		edgeReq(edgeCat(t, 1.1)), // crosses the boundary: alias of the first
+		edgeReq(edgeCat(t, 1)),
+		edgeReq(edgeCat(t, 1.1)),
+	})
 	for i := range a {
-		if a[i].Err != nil || b[i].Err != nil {
-			t.Fatalf("request %d failed: %v / %v", i, a[i].Err, b[i].Err)
-		}
-		if a[i].Plan.Signature() != b[i].Plan.Signature() || a[i].EC != b[i].EC {
-			t.Fatalf("worker count changed batch outcome at %d", i)
+		if a[i].Err != nil {
+			t.Fatalf("request %d failed: %v", i, a[i].Err)
 		}
 	}
 	// The band-edge neighbor rode along with the representative's group.

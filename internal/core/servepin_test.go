@@ -129,7 +129,7 @@ func TestServePathPinned(t *testing.T) {
 	}
 
 	// Sequential: Optimize and Cached on one banded handle.
-	o := NewOptimizer(nil, Config{Workers: 1})
+	o := NewOptimizer(nil, Config{})
 	rlo := optimize(o, "seq/optimize-lo", req(lo))
 	rhi := optimize(o, "seq/optimize-hi", req(hi))
 	if rlo.EC == rhi.EC {
@@ -151,7 +151,7 @@ func TestServePathPinned(t *testing.T) {
 	optimize(o, "seq/optimize-bad", Request{})
 
 	// Exact keys: no band, no probes.
-	o = NewOptimizer(nil, Config{Workers: 1, DriftBand: -1})
+	o = NewOptimizer(nil, Config{DriftBand: -1})
 	optimize(o, "exact/optimize-lo", req(lo))
 	cached(o, "exact/cached-mid", req(mid))
 	cached(o, "exact/cached-mid-wide", req(mid), BandMargin, 1)
@@ -159,7 +159,7 @@ func TestServePathPinned(t *testing.T) {
 	record(o, "exact/batch", o.OptimizeBatch([]Request{req(lo), req(hi), req(mid), req(hi)})...)
 
 	// No cache.
-	o = NewOptimizer(nil, Config{Workers: 1, CacheSize: -1})
+	o = NewOptimizer(nil, Config{CacheSize: -1})
 	optimize(o, "nocache/optimize-lo", req(lo))
 	optimize(o, "nocache/optimize-lo-again", req(lo))
 	cached(o, "nocache/cached-lo", req(lo))
@@ -169,7 +169,7 @@ func TestServePathPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o = NewOptimizer(mid, Config{Workers: 1, AnticipatedLaws: laws})
+	o = NewOptimizer(mid, Config{AnticipatedLaws: laws})
 	prep, err := o.Prepare(pinSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -179,33 +179,32 @@ func TestServePathPinned(t *testing.T) {
 	full, _ := prep.Optimize(env, AlgC)
 	record(o, "prepared/optimize", full)
 
-	// Batches: every worker count, with and without a plan cache, on fresh
-	// handles. The cold batch forms a same-batch cross-band group (mid rides
-	// with lo and is written through under its own key), keeps hi apart,
-	// and isolates two failing requests; the warm batch must then hit every
-	// primary key; the last handle aliases a prior batch's entry.
+	// Batches: with and without a plan cache, on fresh handles (the step
+	// names keep their "w1" so the golden's lines stay as recorded). The
+	// cold batch forms a same-batch cross-band group (mid rides with lo and
+	// is written through under its own key), keeps hi apart, and isolates
+	// two failing requests; the warm batch must then hit every primary key;
+	// the last handle aliases a prior batch's entry.
 	cold := []Request{
 		req(lo), req(mid), req(hi), req(mid), req(in1), req(in2), req(lo),
 		{}, {Query: blk, Cat: lo, Env: env, Alg: Algorithm(99)},
 	}
 	warm := []Request{req(mid), req(hi), req(lo), req(in2), req(mid)}
-	for _, workers := range []int{1, 4, 8} {
-		for _, size := range []int{0, -1} {
-			name := fmt.Sprintf("batch/w%d/cache", workers)
-			if size < 0 {
-				name = fmt.Sprintf("batch/w%d/nocache", workers)
-			}
-			o := NewOptimizer(nil, Config{Workers: workers, CacheSize: size})
-			record(o, name+"/cold", o.OptimizeBatch(cold)...)
-			record(o, name+"/warm", o.OptimizeBatch(warm)...)
-			optimize(o, name+"/optimize-mid", req(mid))
-			record(o, name+"/empty", o.OptimizeBatch(nil)...)
-
-			o = NewOptimizer(nil, Config{Workers: workers, CacheSize: size})
-			record(o, name+"/prior-lo", o.OptimizeBatch([]Request{req(lo)})...)
-			record(o, name+"/prior-alias-mid", o.OptimizeBatch([]Request{req(mid), req(mid)})...)
-			record(o, name+"/prior-own-mid", o.OptimizeBatch([]Request{req(mid), req(hi)})...)
+	for _, size := range []int{0, -1} {
+		name := "batch/w1/cache"
+		if size < 0 {
+			name = "batch/w1/nocache"
 		}
+		o := NewOptimizer(nil, Config{CacheSize: size})
+		record(o, name+"/cold", o.OptimizeBatch(cold)...)
+		record(o, name+"/warm", o.OptimizeBatch(warm)...)
+		optimize(o, name+"/optimize-mid", req(mid))
+		record(o, name+"/empty", o.OptimizeBatch(nil)...)
+
+		o = NewOptimizer(nil, Config{CacheSize: size})
+		record(o, name+"/prior-lo", o.OptimizeBatch([]Request{req(lo)})...)
+		record(o, name+"/prior-alias-mid", o.OptimizeBatch([]Request{req(mid), req(mid)})...)
+		record(o, name+"/prior-own-mid", o.OptimizeBatch([]Request{req(mid), req(hi)})...)
 	}
 
 	path := filepath.Join("testdata", "serve_path.golden")

@@ -8,10 +8,8 @@ import (
 	"iter"
 	"maps"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"lecopt/internal/catalog"
 	"lecopt/internal/dist"
@@ -55,8 +53,6 @@ const (
 // wraps it in functional options; zero values mean the documented
 // defaults.
 type Config struct {
-	// Workers bounds batch-optimization concurrency (≤ 0 = GOMAXPROCS).
-	Workers int
 	// CacheSize is the plan-cache capacity: 0 means defaultCacheSize, a
 	// negative value disables the plan cache.
 	CacheSize int
@@ -80,11 +76,11 @@ type Config struct {
 }
 
 // Optimizer is a concurrency-safe, long-lived optimization service: it
-// owns the plan cache, the worker pool, the prepared statements with
-// their parametric plan sets, and the executed-size feedback store. It is
-// the stateful counterpart of the one-shot Scenario API — the place where
-// cross-request state (cached plans, observed intermediate sizes,
-// precomputed plan sets) lives in a serving fleet.
+// owns the plan cache, the prepared statements with their parametric plan
+// sets, and the executed-size feedback store. It is the stateful
+// counterpart of the one-shot Scenario API — the place where cross-request
+// state (cached plans, observed intermediate sizes, precomputed plan sets)
+// lives in a serving fleet.
 //
 // The handle may be bound to a catalog at construction (required for
 // Prepare and SQL-carrying requests); requests may override the catalog
@@ -382,7 +378,7 @@ func (o *Optimizer) Cached(req Request, margins ...float64) (Response, bool) {
 // counts nothing and writes nothing. The probes themselves are never
 // counted, so a sequential Optimize answered across a band edge counts one
 // miss. With no margins only the primary key is looked up: a batch
-// worker's probes already ran in the grouping pass.
+// group's probes already ran in the grouping pass.
 func (o *Optimizer) lookup(c *call, serving bool, margins ...float64) (Response, bool) {
 	if o.cache == nil {
 		return Response{}, false
@@ -524,20 +520,20 @@ func (b *batch) release() {
 	batchPool.Put(b)
 }
 
-// OptimizeBatch optimizes every request across the handle's worker pool
-// and returns responses in request order; per-request failures land in
-// Response.Err and never abort the batch.
+// OptimizeBatch optimizes every request on the caller's goroutine and
+// returns responses in request order; per-request failures land in
+// Response.Err and never abort the batch. A caller that wants several cores
+// calls Optimize or OptimizeBatch from several goroutines: the handle starts
+// none of its own (DESIGN.md, "No goroutines inside the handle").
 //
 // Requests that share a plan-cache key are deduplicated deterministically:
 // the first request in order is the representative, is optimized once, and
 // every duplicate is served its report as a cache hit. With exact keys
 // this is pure memoization (equal keys imply equal reports); with
-// drift-banded keys it is what makes the batch *deterministic* — which
-// request of a band computes the shared plan no longer depends on worker
-// scheduling. Results are byte-identical to sequential Optimize calls
-// under exact keys, and independent of Workers under either key scheme.
-// A handle without a plan cache has no keys: every request is its own
-// group.
+// drift-banded keys it fixes which request of a band computes the shared
+// plan. Results are byte-identical to sequential Optimize calls under
+// exact keys. A handle without a plan cache has no keys: every request is
+// its own group.
 func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 	out := make([]Response, len(reqs))
 	if len(reqs) == 0 {
@@ -547,26 +543,18 @@ func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 	defer b.release()
 	b.calls = slices.Grow(b.calls, len(reqs))[:len(reqs)]
 	b.next = slices.Grow(b.next, len(reqs))[:len(reqs)]
-	// Resolving a request (statement memo, feedback hints, primary key)
-	// reads shared state but writes none that grouping depends on, so the
-	// workers do it, each request whole.
-	o.parallel(len(reqs), func(i int) {
+	// Resolve each request and group it by cache key in first-appearance
+	// order. Resolving (statement memo, feedback hints, primary key) reads
+	// no plan-cache state, so the aliases this pass writes change no later
+	// request's resolution.
+requests:
+	for i := range reqs {
 		c, err := o.begin(reqs[i], true)
 		if err != nil {
 			out[i] = Response{Err: err}
-			return
-		}
-		b.calls[i] = c
-	})
-	// Group requests by cache key in first-appearance order. Band-edge
-	// hysteresis runs here, in this sequential pass — never in the
-	// workers — so which group a near-boundary request joins (and thus the
-	// whole batch outcome) is independent of worker scheduling.
-requests:
-	for i, c := range b.calls {
-		if c == nil {
 			continue
 		}
+		b.calls[i] = c
 		if o.cache == nil {
 			b.groups = append(b.groups, batchGroup{rep: i, first: -1, last: -1, sameHash: -1})
 			continue
@@ -579,20 +567,20 @@ requests:
 		// Hysteresis only applies on a primary-key miss — a request whose
 		// own band is already cached must get *that* plan (exactly what a
 		// sequential Optimize would return), never a neighbor's. The gate
-		// is an uncounted probe; the group's worker does the counted lookup.
+		// is an uncounted probe; serving the group does the counted lookup.
 		if o.band > 1 {
 			if _, cached := o.cache.ProbeBytes(c.key); !cached {
 				for probe := range o.probeKeys(c, BandMargin) {
 					// A same-batch group across the boundary: ride along as
 					// a cross-band dup (the answer is written through under
-					// this request's own key by the group's worker).
+					// this request's own key when the group is served).
 					if gi := b.find(probe, maphash.Bytes(b.seed, probe)); gi >= 0 {
 						b.join(gi, i)
 						continue requests
 					}
 					// A prior-batch entry across the boundary: alias it to
-					// the primary key so this group's worker (and every
-					// future request in the new band) hits.
+					// the primary key so this group (and every future
+					// request in the new band) hits.
 					if rep, ok := o.cache.ProbeBytes(probe); ok {
 						o.cache.Put(string(c.key), rep)
 						break
@@ -602,10 +590,10 @@ requests:
 		}
 		b.open(i, h)
 	}
-	// Each group runs on one worker, and each optimization runs serially:
-	// whole requests are the batch's only parallelism (DESIGN.md, "One
-	// level of parallelism").
-	o.parallel(len(b.groups), func(gi int) {
+	// Serve the groups only once all are formed: a compute's Put could
+	// otherwise evict, under cache pressure, an entry a later request's
+	// probe would have found.
+	for gi := range b.groups {
 		g := &b.groups[gi]
 		c := b.calls[g.rep]
 		resp, ok := o.lookup(c, true)
@@ -630,37 +618,8 @@ requests:
 				o.cache.Put(string(own), out[d].PlanReport)
 			}
 		}
-	})
+	}
 	return out
-}
-
-// parallel runs f(i) for every i in [0, n) on up to the handle's worker
-// count of goroutines, each claiming the next index from a shared atomic
-// cursor, and returns once every call has returned. The calling goroutine
-// is one of the workers, so one worker runs inline and w workers start
-// w − 1 goroutines.
-func (o *Optimizer) parallel(n int, f func(i int)) {
-	workers := o.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, n)
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			f(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for range workers - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // Feedback carries one execution's observed intermediate-result sizes

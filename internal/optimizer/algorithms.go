@@ -157,8 +157,8 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	laws := cx.staticLaws(mem)
 	// Every pass builds its top plans in its scratch (tree), and every
 	// scratch is held until the winner is copied out of it, then all are
-	// released together in bucket order (DESIGN.md, "One level of
-	// parallelism").
+	// released together in bucket order (DESIGN.md, "No goroutines inside
+	// the handle").
 	points := cx.bucketPoints(mem)
 	var scsBuf [32]*dpScratch
 	scs := scsBuf[:0]

@@ -88,10 +88,7 @@ const agreementTrials = 60
 // observations, exactly like a serving fleet.
 func (m *Mix) MeasureModelAgreement(seed int64, feedback bool) (*AgreementReport, error) {
 	rng := rand.New(rand.NewSource(seed))
-	opt := core.NewOptimizer(nil, core.Config{
-		Workers:         1,
-		DisableFeedback: !feedback,
-	})
+	opt := core.NewOptimizer(nil, core.Config{DisableFeedback: !feedback})
 	methodSets := agreementMethodSets()
 	levels := []float64{4, 6, 9, 14, 20, 40, 80}
 	factors := m.Spec.Drift.Factors

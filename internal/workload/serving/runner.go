@@ -22,8 +22,7 @@ var (
 
 // RunConfig tunes one engine-in-the-loop Monte-Carlo run over a Mix. The
 // run optimizes through a handle with the service defaults: a 4096-entry
-// plan cache and GOMAXPROCS workers (the worker count never changes
-// results).
+// plan cache.
 type RunConfig struct {
 	// Requests is the number of serving requests to simulate.
 	Requests int

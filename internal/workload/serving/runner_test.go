@@ -75,13 +75,11 @@ func TestRunLECBeatsLSC(t *testing.T) {
 }
 
 // TestRunDeterministic: same mix seed + same run seed ⇒ byte-identical
-// reports, regardless of worker count (optimization fan-out never changes
-// results). The run's handle takes GOMAXPROCS workers, so the two arms set
-// it.
+// reports, regardless of GOMAXPROCS, which the two arms set.
 func TestRunDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	run := func(workers int) []byte {
-		runtime.GOMAXPROCS(workers)
+	run := func(procs int) []byte {
+		runtime.GOMAXPROCS(procs)
 		rep, err := defaultMix(t, 7).Run(RunConfig{Requests: 80, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +91,7 @@ func TestRunDeterministic(t *testing.T) {
 		return buf
 	}
 	if a, b := run(1), run(8); !bytes.Equal(a, b) {
-		t.Fatalf("worker count changed the report:\n%s\nvs\n%s", a, b)
+		t.Fatalf("GOMAXPROCS changed the report:\n%s\nvs\n%s", a, b)
 	}
 }
 

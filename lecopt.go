@@ -20,9 +20,9 @@
 //
 // The primary API is a long-lived, concurrency-safe service handle built
 // with New. The handle owns everything a serving fleet needs to keep
-// *across* requests: the plan cache, the worker pool, prepared statements
-// with their [INSS92]-style parametric plan sets, and the executed-size
-// feedback store. Quick start (the paper's Example 1.1):
+// *across* requests: the plan cache, prepared statements with their
+// [INSS92]-style parametric plan sets, and the executed-size feedback
+// store. Quick start (the paper's Example 1.1):
 //
 //	opt := lecopt.New(cat)
 //	prep, _ := opt.Prepare("SELECT * FROM A, B WHERE A.k = B.k ORDER BY A.k")
@@ -40,11 +40,11 @@
 //
 // # Batch & concurrent use
 //
-// Heavy workloads go through Optimizer.OptimizeBatch, which fans the
-// handle's worker pool across many requests and serves repeats from the
-// plan cache:
+// Heavy workloads go through Optimizer.OptimizeBatch, which answers many
+// requests in one pass on the caller's goroutine and serves repeats from
+// the plan cache:
 //
-//	opt := lecopt.New(nil, lecopt.WithWorkers(8))
+//	opt := lecopt.New(nil)
 //	resps := opt.OptimizeBatch(reqs) // resps[i] answers reqs[i]
 //	for _, r := range resps {
 //		if r.Err == nil {
@@ -53,13 +53,15 @@
 //	}
 //	fmt.Println(opt.CacheStats().HitRate())
 //
-// Results are byte-identical to sequential Optimize calls and independent
-// of the worker count. Requests sharing a cache key are deduplicated
+// Results are byte-identical to sequential Optimize calls. Requests
+// sharing a cache key are deduplicated
 // deterministically (first request in order computes, the rest hit).
 // Cached reports share plan trees; treat returned plans as immutable
-// (Clone before mutating). The worker pool is the only parallelism: each
+// (Clone before mutating). The handle starts no goroutines: each
 // optimization, Algorithm A's and B's per-memory-bucket LSC runs included,
-// runs serially on one worker.
+// runs serially on its caller's goroutine. The handle is safe for
+// concurrent use, so a server gets its parallelism by calling Optimize or
+// OptimizeBatch from several goroutines.
 //
 // # Drift-banded plan caching
 //

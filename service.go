@@ -11,9 +11,9 @@ import (
 // Service types: the stateful Optimizer handle and its request surface.
 type (
 	// Optimizer is a concurrency-safe, long-lived optimization service:
-	// it owns the plan cache, the worker pool, the prepared statements
-	// with their parametric plan sets, and the executed-size feedback
-	// store. Build one with New; it is the primary public API.
+	// it owns the plan cache, the prepared statements with their
+	// parametric plan sets, and the executed-size feedback store. Build
+	// one with New; it is the primary public API.
 	Optimizer = core.Optimizer
 	// Request is one optimization request against an Optimizer.
 	Request = core.Request
@@ -39,9 +39,13 @@ type (
 // Option configures an Optimizer handle built by New.
 type Option func(*core.Config)
 
-// WithWorkers bounds batch-optimization concurrency (0 = GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(c *core.Config) { c.Workers = n }
+// WithWorkers configures nothing: OptimizeBatch answers a batch on its
+// caller's goroutine.
+//
+// Deprecated: call Optimize or OptimizeBatch from several goroutines to
+// use several cores.
+func WithWorkers(int) Option {
+	return func(*core.Config) {}
 }
 
 // WithPlanCache sets the handle's plan-cache capacity (the default is 4096
