@@ -6,9 +6,8 @@
 //     just the hand-picked paper examples);
 //  2. the LEC plan is never worse in expectation than either classical
 //     LSC baseline (the paper's core utility claim);
-//  3. the concurrent batch pipeline returns byte-identical PlanReports to
-//     the sequential path, with and without the plan cache (concurrency
-//     correctness is proven, not asserted);
+//  3. OptimizeBatch returns byte-identical PlanReports to the sequential
+//     path, with and without the plan cache;
 //  4. a request that arrives as SQL text — resolved through the handle's
 //     statement memo — answers byte-identically to the same request
 //     carrying the pre-built block.
@@ -242,8 +241,8 @@ func TestDifferentialLECNeverWorseThanLSC(t *testing.T) {
 	}
 }
 
-// batchReportKey renders every PlanReport field, so equal keys mean the
-// batch pipeline reproduced the sequential answer exactly.
+// batchReportKey renders every PlanReport field, so equal keys mean a
+// batch reproduced the sequential answer exactly.
 func batchReportKey(r PlanReport) string {
 	return fmt.Sprintf("%s|%s|%v|%v|%d|%d",
 		r.Algorithm, r.Plan.Signature(), r.Score, r.EC, r.Candidates, r.Probes)

@@ -604,7 +604,8 @@ func BenchmarkOptimizeMiss(b *testing.B) {
 
 // BenchmarkOptimizeBatch measures a warm batch in drift_feedback's shape:
 // 64 requests, 19 of them (about 30 %) duplicates of earlier ones, on a
-// handle that has observed a size for every distinct request. One op is
+// handle that has observed a size for every distinct request. A batch is
+// Optimize in a loop, so a duplicate is one more exact-key hit. One op is
 // one batch; with -benchmem the headline is 1 allocs/op, the []Response.
 func BenchmarkOptimizeBatch(b *testing.B) {
 	reqs := hotPathRequests(b, 45)

@@ -3,9 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math/rand"
-	"slices"
+	"reflect"
 	"testing"
 
 	"lecopt/internal/catalog"
@@ -53,35 +52,97 @@ func scenarioRequest(sc *Scenario, alg Algorithm) Request {
 	return Request{Query: sc.Query, Cat: sc.Cat, Env: sc.Env, Alg: alg}
 }
 
+// TestOptimizeBatchMatchesSequential: a batch answers what Optimize answers
+// request by request. On exact keys without a cache that is each scenario's
+// own optimization. On drift-banded keys with feedback on, the serve pin's
+// band-edge catalogs go through cold, warm and prior-batch batches (errors
+// included), and after each one every Response field and the cache counters
+// equal those of a twin handle that calls Optimize in order.
 func TestOptimizeBatchMatchesSequential(t *testing.T) {
-	scs := batchScenarios(t, 24)
-	algs := []Algorithm{AlgLSCMean, AlgLSCMode, AlgA, AlgB, AlgC}
-	var reqs []Request
-	var want []string
-	for _, sc := range scs {
-		for _, alg := range algs {
-			rep, err := sc.Optimize(alg)
-			if err != nil {
-				t.Fatalf("sequential request %d: %v", len(reqs), err)
+	t.Run("exact", func(t *testing.T) {
+		scs := batchScenarios(t, 24)
+		algs := []Algorithm{AlgLSCMean, AlgLSCMode, AlgA, AlgB, AlgC}
+		var reqs []Request
+		var want []string
+		for _, sc := range scs {
+			for _, alg := range algs {
+				rep, err := sc.Optimize(alg)
+				if err != nil {
+					t.Fatalf("sequential request %d: %v", len(reqs), err)
+				}
+				reqs = append(reqs, scenarioRequest(sc, alg))
+				want = append(want, reportKey(rep))
 			}
-			reqs = append(reqs, scenarioRequest(sc, alg))
-			want = append(want, reportKey(rep))
 		}
-	}
-	for i, r := range exactHandle(-1).OptimizeBatch(reqs) {
-		if r.Err != nil {
-			t.Fatalf("request %d: %v", i, r.Err)
+		for i, r := range exactHandle(-1).OptimizeBatch(reqs) {
+			if r.Err != nil {
+				t.Fatalf("request %d: %v", i, r.Err)
+			}
+			if got := reportKey(r.PlanReport); got != want[i] {
+				t.Fatalf("request %d:\n got %s\nwant %s", i, got, want[i])
+			}
 		}
-		if got := reportKey(r.PlanReport); got != want[i] {
-			t.Fatalf("request %d:\n got %s\nwant %s", i, got, want[i])
+	})
+	t.Run("banded", func(t *testing.T) {
+		mem, err := dist.Bimodal(12, 90, 0.4)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		env := envsim.Env{Mem: mem}
+		blk := pinBlock()
+		lo, mid, hi := pinCat(t, 1000, 1500), pinCat(t, 1060, 2000), pinCat(t, 1300, 2100)
+		in1, in2 := pinCat(t, 2600, 1500), pinCat(t, 3000, 1500)
+		req := func(cat *catalog.Catalog) Request { return Request{Query: blk, Cat: cat, Env: env, Alg: AlgC} }
+		var batched, sequential *Optimizer
+		fresh := func() {
+			batched, sequential = NewOptimizer(nil, Config{}), NewOptimizer(nil, Config{})
+		}
+		observe := func(cat *catalog.Catalog, pages float64) {
+			for _, o := range []*Optimizer{batched, sequential} {
+				if err := o.Observe(Feedback{Query: blk, Cat: cat, Sizes: map[string]float64{
+					feedback.SetKey("a", "b"): pages,
+				}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check := func(step string, reqs []Request) {
+			got := batched.OptimizeBatch(reqs)
+			for i, r := range reqs {
+				want, _ := sequential.Optimize(r)
+				if !reflect.DeepEqual(got[i], want) {
+					t.Errorf("%s request %d:\n batch %s\n  seq %s", step, i, pinResponse(got[i]), pinResponse(want))
+				}
+			}
+			// Shard occupancy follows each cache's own hash seed, so only
+			// the counters are compared.
+			counters := func(o *Optimizer) [4]uint64 {
+				st := o.CacheStats()
+				return [4]uint64{st.Hits, st.Misses, st.Evictions, uint64(st.Size)}
+			}
+			if g, w := counters(batched), counters(sequential); g != w {
+				t.Errorf("%s: batch hits/misses/evictions/size %v, sequential %v", step, g, w)
+			}
+		}
+		fresh()
+		check("cold", []Request{
+			req(lo), req(mid), req(hi), req(mid), req(in1), req(in2), req(lo),
+			{}, {Query: blk, Cat: lo, Env: env, Alg: Algorithm(99)},
+		})
+		check("warm", []Request{req(mid), req(hi), req(lo), req(in2), req(mid)})
+		observe(mid, 900)
+		check("observed", []Request{req(hi), req(mid), req(lo), req(mid), req(in1)})
+		fresh()
+		check("prior-lo", []Request{req(lo)})
+		check("prior-alias-mid", []Request{req(mid), req(mid)})
+		check("prior-own-mid", []Request{req(mid), req(hi)})
+	})
 }
 
 // TestWarmBatchAllocs: a warm 64-request batch — 45 distinct requests and 19
 // duplicates, on a handle that has observed a size for each — is answered
-// on the caller's goroutine from pooled calls and a pooled batch scratch,
-// so its one allocation is the []Response it returns.
+// by Optimize in a loop on the caller's goroutine, each request from a
+// pooled call, so its one allocation is the []Response it returns.
 func TestWarmBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -258,47 +319,5 @@ func TestBatchOverflowingSelLawsFailsOneRequest(t *testing.T) {
 	}
 	if !errors.Is(resps[1].Err, dist.ErrBadDist) {
 		t.Fatalf("overflowing request: err = %v, want a dist.ErrBadDist error", resps[1].Err)
-	}
-}
-
-// TestBatchGroupingIgnoresHash: OptimizeBatch's key index groups requests
-// by their key bytes, whatever their grouping hashes. With every key forced
-// onto one hash, with some forced together, and under fresh maphash seeds,
-// equal keys share a group, unequal ones never do, and groups and their
-// duplicates keep request order.
-func TestBatchGroupingIgnoresHash(t *testing.T) {
-	keys := []string{"a", "b", "a", "ab", "b", "", "a", "", "ba"}
-	wantReps := []int{0, 1, 3, 5, 8}
-	wantDups := [][]int{{2, 6}, {4}, nil, {7}, nil}
-	hashes := map[string]func([]byte) uint64{
-		"one hash":  func([]byte) uint64 { return 0 },
-		"by length": func(k []byte) uint64 { return uint64(len(k)) },
-	}
-	for i := range 4 {
-		seed := maphash.MakeSeed()
-		hashes[fmt.Sprintf("seed %d", i)] = func(k []byte) uint64 { return maphash.Bytes(seed, k) }
-	}
-	for name, hash := range hashes {
-		b := &batch{index: map[uint64]int{}, next: make([]int, len(keys))}
-		for i, k := range keys {
-			b.calls = append(b.calls, &call{key: []byte(k)})
-			if gi := b.find(b.calls[i].key, hash(b.calls[i].key)); gi >= 0 {
-				b.join(gi, i)
-			} else {
-				b.open(i, hash(b.calls[i].key))
-			}
-		}
-		if len(b.groups) != len(wantReps) {
-			t.Fatalf("%s: %d groups, want %d", name, len(b.groups), len(wantReps))
-		}
-		for gi, g := range b.groups {
-			var dups []int
-			for d := g.first; d >= 0; d = b.next[d] {
-				dups = append(dups, d)
-			}
-			if g.rep != wantReps[gi] || !slices.Equal(dups, wantDups[gi]) {
-				t.Fatalf("%s: group %d is %d with %v, want %d with %v", name, gi, g.rep, dups, wantReps[gi], wantDups[gi])
-			}
-		}
 	}
 }

@@ -100,10 +100,9 @@ func TestHysteresisRespectsRealDrift(t *testing.T) {
 
 // TestHysteresisBatchPrefersOwnBand: a batched request whose own band is
 // already cached must be served that entry — never a same-batch
-// neighbor's — matching what a sequential Optimize returns. (Regression:
-// the formation-time probe originally ran before the primary-key check,
-// so a warm near-boundary request rode along with its neighbor's group
-// and its cache entry was clobbered.)
+// neighbor's — matching what a sequential Optimize returns: the band-edge
+// probes run only after the primary key misses, so a warm near-boundary
+// request keeps its entry.
 func TestHysteresisBatchPrefersOwnBand(t *testing.T) {
 	o := NewOptimizer(nil, Config{})
 	// Warm the stepped band's own entry sequentially.
@@ -132,17 +131,16 @@ func TestHysteresisBatchPrefersOwnBand(t *testing.T) {
 	if !again.CacheHit || again.Plan.Signature() != warm.Plan.Signature() {
 		t.Fatal("warm band's cache entry was clobbered by the batch")
 	}
-	// The other side computed its own plan (it was cold and could not be
-	// aliased onto the warm entry's group, but may alias via prior-batch
-	// probe — either way it must be a valid report).
+	// The other side was cold: it is served the warm neighbor's plan by
+	// the +margin probe or computes its own; either way it has a report.
 	if resps[0].Plan == nil {
 		t.Fatal("cold request got no plan")
 	}
 }
 
-// TestHysteresisBatchDeterministic: batches containing band-edge neighbors
-// resolve them at group-formation time — the neighbor rides along with the
-// representative's group.
+// TestHysteresisBatchDeterministic: in a batch holding band-edge
+// neighbors, the stepped request is served the first request's plan across
+// the edge, as a sequential Optimize would serve it.
 func TestHysteresisBatchDeterministic(t *testing.T) {
 	a := NewOptimizer(nil, Config{}).OptimizeBatch([]Request{
 		edgeReq(edgeCat(t, 1)),
@@ -155,11 +153,11 @@ func TestHysteresisBatchDeterministic(t *testing.T) {
 			t.Fatalf("request %d failed: %v", i, a[i].Err)
 		}
 	}
-	// The band-edge neighbor rode along with the representative's group.
+	// The band-edge neighbor was served the first request's plan.
 	if !a[1].CacheHit || !a[3].CacheHit {
-		t.Fatalf("cross-band dups not served from the shared computation: %+v %+v", a[1].CacheHit, a[3].CacheHit)
+		t.Fatalf("band-edge neighbors not served the cached plan: %+v %+v", a[1].CacheHit, a[3].CacheHit)
 	}
 	if a[1].Plan.Signature() != a[0].Plan.Signature() {
-		t.Fatal("cross-band dup got a different plan")
+		t.Fatal("band-edge neighbor got a different plan")
 	}
 }

@@ -23,11 +23,10 @@ import (
 // edges is rendered one line per step — every response's plan, every bit of
 // its EC, CacheHit, Parametric and Err, then the plan cache's
 // hits/misses/evictions/size — and compared with testdata/serve_path.golden.
-// The golden was recorded on the commit before the margin probes and the
-// batch worker of service.go were each written once (ISSUE 24), so it is the
-// parent's output, not this tree's. `-update-serve-pin` re-records it and is
-// only legitimate for a change that means to alter what the serving path
-// answers or counts.
+// Every batch line is also checked against a twin handle that runs the same
+// requests through Optimize in order. `-update-serve-pin` re-records the
+// golden and is only legitimate for a change that means to alter what the
+// serving path answers or counts.
 //
 // The three edge catalogs differ in the distinct counts of a.k and b.k only
 // (floor(log2) bands in brackets; ±BandMargin moves a count across an edge
@@ -106,14 +105,17 @@ func TestServePathPinned(t *testing.T) {
 	req := func(cat *catalog.Catalog) Request { return Request{Query: blk, Cat: cat, Env: env, Alg: AlgC} }
 
 	var lines []string
-	record := func(o *Optimizer, step string, resps ...Response) {
+	line := func(o *Optimizer, step string, resps ...Response) string {
 		parts := make([]string, len(resps))
 		for i, r := range resps {
 			parts[i] = pinResponse(r)
 		}
 		st := o.CacheStats()
-		lines = append(lines, fmt.Sprintf("%s: %s | %d/%d/%d/%d", step, strings.Join(parts, " "),
-			st.Hits, st.Misses, st.Evictions, st.Size))
+		return fmt.Sprintf("%s: %s | %d/%d/%d/%d", step, strings.Join(parts, " "),
+			st.Hits, st.Misses, st.Evictions, st.Size)
+	}
+	record := func(o *Optimizer, step string, resps ...Response) {
+		lines = append(lines, line(o, step, resps...))
 	}
 	optimize := func(o *Optimizer, step string, r Request) Response {
 		resp, _ := o.Optimize(r)
@@ -180,11 +182,23 @@ func TestServePathPinned(t *testing.T) {
 	record(o, "prepared/optimize", full)
 
 	// Batches: with and without a plan cache, on fresh handles (the step
-	// names keep their "w1" so the golden's lines stay as recorded). The
-	// cold batch forms a same-batch cross-band group (mid rides with lo and
-	// is written through under its own key), keeps hi apart, and isolates
-	// two failing requests; the warm batch must then hit every primary key;
+	// names keep their "w1" so the golden's lines stay as recorded). Each
+	// batch line must equal the line of a twin handle that runs the same
+	// requests through Optimize in order. In the cold batch mid is served
+	// lo's plan across the lower edge and written through under its own
+	// key, so hi is then served that plan through mid's alias; two failing
+	// requests fail alone. The warm batch must then hit every primary key;
 	// the last handle aliases a prior batch's entry.
+	batch := func(o, twin *Optimizer, step string, reqs []Request) {
+		record(o, step, o.OptimizeBatch(reqs)...)
+		seq := make([]Response, len(reqs))
+		for i, r := range reqs {
+			seq[i], _ = twin.Optimize(r)
+		}
+		if want := line(twin, step, seq...); lines[len(lines)-1] != want {
+			t.Errorf("%s differs from sequential Optimize:\n batch %s\n   seq %s", step, lines[len(lines)-1], want)
+		}
+	}
 	cold := []Request{
 		req(lo), req(mid), req(hi), req(mid), req(in1), req(in2), req(lo),
 		{}, {Query: blk, Cat: lo, Env: env, Alg: Algorithm(99)},
@@ -195,16 +209,17 @@ func TestServePathPinned(t *testing.T) {
 		if size < 0 {
 			name = "batch/w1/nocache"
 		}
-		o := NewOptimizer(nil, Config{CacheSize: size})
-		record(o, name+"/cold", o.OptimizeBatch(cold)...)
-		record(o, name+"/warm", o.OptimizeBatch(warm)...)
+		o, twin := NewOptimizer(nil, Config{CacheSize: size}), NewOptimizer(nil, Config{CacheSize: size})
+		batch(o, twin, name+"/cold", cold)
+		batch(o, twin, name+"/warm", warm)
 		optimize(o, name+"/optimize-mid", req(mid))
-		record(o, name+"/empty", o.OptimizeBatch(nil)...)
+		twin.Optimize(req(mid))
+		batch(o, twin, name+"/empty", nil)
 
-		o = NewOptimizer(nil, Config{CacheSize: size})
-		record(o, name+"/prior-lo", o.OptimizeBatch([]Request{req(lo)})...)
-		record(o, name+"/prior-alias-mid", o.OptimizeBatch([]Request{req(mid), req(mid)})...)
-		record(o, name+"/prior-own-mid", o.OptimizeBatch([]Request{req(mid), req(hi)})...)
+		o, twin = NewOptimizer(nil, Config{CacheSize: size}), NewOptimizer(nil, Config{CacheSize: size})
+		batch(o, twin, name+"/prior-lo", []Request{req(lo)})
+		batch(o, twin, name+"/prior-alias-mid", []Request{req(mid), req(mid)})
+		batch(o, twin, name+"/prior-own-mid", []Request{req(mid), req(hi)})
 	}
 
 	path := filepath.Join("testdata", "serve_path.golden")

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"iter"
 	"maps"
 	"math"
-	"slices"
 	"sync"
 
 	"lecopt/internal/catalog"
@@ -160,7 +158,8 @@ type Response struct {
 	// Parametric reports the plan came from a prepared statement's
 	// precomputed plan set rather than a full optimization.
 	Parametric bool
-	// Err is the per-request failure in batch responses (nil on success).
+	// Err is the request's failure (nil on success): the error Optimize
+	// also returns, and the only report of it in an OptimizeBatch answer.
 	Err error
 }
 
@@ -178,13 +177,14 @@ func (o *Optimizer) appendQueryKey(dst []byte, cat *catalog.Catalog, blk *query.
 
 // resolveQuery maps the shared (Prepared | Query | SQL, Cat override)
 // request vocabulary — used identically by Optimize and Observe — to a
-// concrete catalog and validated block.
+// concrete catalog and validated block. Prepared wins over Query, and Query
+// over SQL.
 func (o *Optimizer) resolveQuery(reqCat *catalog.Catalog, prep *Prepared, blk *query.Block, sql string) (*catalog.Catalog, *query.Block, error) {
 	cat := reqCat
 	if cat == nil {
 		cat = o.cat
 	}
-	if prep != nil && blk == nil {
+	if prep != nil {
 		blk = prep.block
 	}
 	if blk == nil {
@@ -376,9 +376,7 @@ func (o *Optimizer) Cached(req Request, margins ...float64) (Response, bool) {
 // primary lookup and re-caches a neighbor's report under the primary key,
 // so the new band serves itself from then on; a non-serving one (Cached)
 // counts nothing and writes nothing. The probes themselves are never
-// counted, so a sequential Optimize answered across a band edge counts one
-// miss. With no margins only the primary key is looked up: a batch
-// group's probes already ran in the grouping pass.
+// counted, so an Optimize answered across a band edge counts one miss.
 func (o *Optimizer) lookup(c *call, serving bool, margins ...float64) (Response, bool) {
 	if o.cache == nil {
 		return Response{}, false
@@ -440,184 +438,18 @@ func (o *Optimizer) probeKeys(c *call, m float64) iter.Seq[[]byte] {
 	}
 }
 
-// batchGroup is the unit of batch work: one representative request that is
-// looked up or optimized once, and the later requests served its answer.
-type batchGroup struct {
-	rep int
-	// first and last delimit the group's duplicates, in request order,
-	// chained through batch.next; both are -1 while it has none.
-	first, last int
-	// sameHash is the previous group whose key has the same grouping hash,
-	// or -1: the chain a lookup walks when two keys collide.
-	sameHash int
-}
-
-// batch is one OptimizeBatch call's scratch: the requests' calls, their
-// groups, and the index that finds a group by its key. Batches come from
-// batchPool, so a batch allocates only its answer.
-type batch struct {
-	calls  []*call
-	groups []batchGroup
-	next   []int          // next[i]: the duplicate after request i in its group, or -1
-	index  map[uint64]int // grouping hash → the latest group with that hash
-	seed   maphash.Seed
-}
-
-var batchPool = sync.Pool{New: func() any {
-	return &batch{index: make(map[uint64]int), seed: maphash.MakeSeed()}
-}}
-
-// find returns the group whose representative's key is key, or -1; h is
-// key's grouping hash. Groups are told apart by their key bytes, so keys
-// that collide in h never share a group.
-func (b *batch) find(key []byte, h uint64) int {
-	gi, ok := b.index[h]
-	if !ok {
-		return -1
-	}
-	for ; gi >= 0; gi = b.groups[gi].sameHash {
-		if bytes.Equal(b.calls[b.groups[gi].rep].key, key) {
-			return gi
-		}
-	}
-	return -1
-}
-
-// open starts a group represented by request i, whose key's grouping hash
-// is h.
-func (b *batch) open(i int, h uint64) {
-	prev, ok := b.index[h]
-	if !ok {
-		prev = -1
-	}
-	b.index[h] = len(b.groups)
-	b.groups = append(b.groups, batchGroup{rep: i, first: -1, last: -1, sameHash: prev})
-}
-
-// join appends request i to group gi's duplicates.
-func (b *batch) join(gi, i int) {
-	g := &b.groups[gi]
-	if g.last < 0 {
-		g.first = i
-	} else {
-		b.next[g.last] = i
-	}
-	g.last = i
-	b.next[i] = -1
-}
-
-// release returns the batch's calls to their pool and the emptied batch to
-// batchPool.
-func (b *batch) release() {
-	for _, c := range b.calls {
-		if c != nil {
-			release(c)
-		}
-	}
-	clear(b.calls)
-	clear(b.index)
-	b.calls, b.groups, b.next = b.calls[:0], b.groups[:0], b.next[:0]
-	batchPool.Put(b)
-}
-
-// OptimizeBatch optimizes every request on the caller's goroutine and
-// returns responses in request order; per-request failures land in
-// Response.Err and never abort the batch. A caller that wants several cores
-// calls Optimize or OptimizeBatch from several goroutines: the handle starts
-// none of its own (DESIGN.md, "No goroutines inside the handle").
-//
-// Requests that share a plan-cache key are deduplicated deterministically:
-// the first request in order is the representative, is optimized once, and
-// every duplicate is served its report as a cache hit. With exact keys
-// this is pure memoization (equal keys imply equal reports); with
-// drift-banded keys it fixes which request of a band computes the shared
-// plan. Results are byte-identical to sequential Optimize calls under
-// exact keys. A handle without a plan cache has no keys: every request is
-// its own group.
+// OptimizeBatch answers every request in order on the caller's goroutine:
+// OptimizeBatch(reqs)[i] is what Optimize(reqs[i]) returns when the calls
+// run in order on the same handle, and the cache counters move as they
+// would. A failure lands in that request's Response.Err and never aborts
+// the batch. A duplicate request is an exact-key hit on the plan its first
+// occurrence cached. A caller that wants several cores calls Optimize or
+// OptimizeBatch from several goroutines: the handle starts none of its own
+// (DESIGN.md, "No goroutines inside the handle").
 func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 	out := make([]Response, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	b := batchPool.Get().(*batch)
-	defer b.release()
-	b.calls = slices.Grow(b.calls, len(reqs))[:len(reqs)]
-	b.next = slices.Grow(b.next, len(reqs))[:len(reqs)]
-	// Resolve each request and group it by cache key in first-appearance
-	// order. Resolving (statement memo, feedback hints, primary key) reads
-	// no plan-cache state, so the aliases this pass writes change no later
-	// request's resolution.
-requests:
 	for i := range reqs {
-		c, err := o.begin(reqs[i], true)
-		if err != nil {
-			out[i] = Response{Err: err}
-			continue
-		}
-		b.calls[i] = c
-		if o.cache == nil {
-			b.groups = append(b.groups, batchGroup{rep: i, first: -1, last: -1, sameHash: -1})
-			continue
-		}
-		h := maphash.Bytes(b.seed, c.key)
-		if gi := b.find(c.key, h); gi >= 0 {
-			b.join(gi, i)
-			continue
-		}
-		// Hysteresis only applies on a primary-key miss — a request whose
-		// own band is already cached must get *that* plan (exactly what a
-		// sequential Optimize would return), never a neighbor's. The gate
-		// is an uncounted probe; serving the group does the counted lookup.
-		if o.band > 1 {
-			if _, cached := o.cache.ProbeBytes(c.key); !cached {
-				for probe := range o.probeKeys(c, BandMargin) {
-					// A same-batch group across the boundary: ride along as
-					// a cross-band dup (the answer is written through under
-					// this request's own key when the group is served).
-					if gi := b.find(probe, maphash.Bytes(b.seed, probe)); gi >= 0 {
-						b.join(gi, i)
-						continue requests
-					}
-					// A prior-batch entry across the boundary: alias it to
-					// the primary key so this group (and every future
-					// request in the new band) hits.
-					if rep, ok := o.cache.ProbeBytes(probe); ok {
-						o.cache.Put(string(c.key), rep)
-						break
-					}
-				}
-			}
-		}
-		b.open(i, h)
-	}
-	// Serve the groups only once all are formed: a compute's Put could
-	// otherwise evict, under cache pressure, an entry a later request's
-	// probe would have found.
-	for gi := range b.groups {
-		g := &b.groups[gi]
-		c := b.calls[g.rep]
-		resp, ok := o.lookup(c, true)
-		if !ok {
-			resp = o.compute(c)
-		}
-		out[g.rep] = resp
-		for d := g.first; d >= 0; d = b.next[d] {
-			out[d] = resp
-			if resp.Err != nil {
-				continue
-			}
-			// Count the duplicate's lookup; if the entry was evicted
-			// under pressure mid-batch the representative's answer is
-			// reused.
-			if hit, ok := o.lookup(c, true); ok {
-				out[d] = hit
-			}
-			// Cross-band alias: write the shared answer through under
-			// the dup's own key so its band serves itself from now on.
-			if own := b.calls[d].key; !bytes.Equal(own, c.key) {
-				o.cache.Put(string(own), out[d].PlanReport)
-			}
-		}
+		out[i], _ = o.Optimize(reqs[i])
 	}
 	return out
 }
@@ -688,12 +520,12 @@ func (o *Optimizer) Tournament(req Request, reports []PlanReport, runs int, seed
 	return c.sc.Tournament(reports, runs, seed)
 }
 
-// CacheStats snapshots the handle's plan cache (zero when disabled). Each
-// Optimize and each batch request counts one lookup; band-edge probes and
-// Cached count none. So a sequential Optimize answered across a band edge
-// counts one miss (its primary key missed; the neighbor was found by an
-// uncounted probe) though it reports CacheHit, while a batch whose grouping
-// pass aliased the neighbor to the request's key counts one hit.
+// CacheStats snapshots the handle's plan cache (zero when disabled). The
+// counting rule: every request, alone or in a batch, counts one lookup of
+// its primary key, and probes count none (nor does Cached, nor a request
+// that fails before its key is built). So an Optimize answered across a
+// band edge counts one miss (its primary key missed; the neighbor was found
+// by an uncounted probe) though it reports CacheHit.
 func (o *Optimizer) CacheStats() plancache.Stats {
 	if o.cache == nil {
 		return plancache.Stats{}

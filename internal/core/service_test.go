@@ -376,9 +376,8 @@ func TestPrepareWithoutLawsFallsBack(t *testing.T) {
 }
 
 // TestBatchDeterministicAcrossWorkers: with drift-banded keys a batch's
-// results do not depend on the pooled batch scratch it borrows: a second
-// fresh handle, whose batch may reuse the first one's scratch, answers
-// alike. The second case gives the handle observed hints and mixes
+// results do not depend on the pooled calls it borrows: a second fresh
+// handle, whose requests may reuse the first one's calls, answers alike. The second case gives the handle observed hints and mixes
 // requests that fail with ErrBadRequest into the batch: the plans, which
 // positions fail and the cache counters must not move either.
 func TestBatchDeterministicAcrossWorkers(t *testing.T) {
@@ -475,5 +474,37 @@ func TestNegativeTopCUsesHandleDepth(t *testing.T) {
 	}
 	if st := o.CacheStats(); st.Size != 1 {
 		t.Fatalf("want one cache entry, got %+v", st)
+	}
+}
+
+// TestPreparedWinsOverQuery: a request or feedback that sets both Prepared
+// and Query is about the prepared statement. A two-table statement beside
+// a three-table block is optimized as two tables, and its observed sizes
+// fold under the statement's key, not the block's.
+func TestPreparedWinsOverQuery(t *testing.T) {
+	cat := pinCat(t, 1000, 1500)
+	o := NewOptimizer(cat, Config{})
+	prep, err := o.Prepare("SELECT * FROM a, b WHERE a.k = b.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	three := pinBlock()
+	resp, err := o.Optimize(Request{Prepared: prep, Query: three, Env: envsim.Env{Mem: dist.Point(40)}, Alg: AlgC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Plan.Relations(); len(got) != 2 {
+		t.Fatalf("optimized %v, want the prepared statement's two tables", got)
+	}
+	if err := o.Observe(Feedback{Prepared: prep, Query: three, Sizes: map[string]float64{
+		feedback.SetKey("a", "b"): 77,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(o.fb.HintsBytes(o.appendQueryKey(nil, cat, prep.Block()))) == 0 {
+		t.Fatal("observation did not fold under the prepared statement's key")
+	}
+	if len(o.fb.HintsBytes(o.appendQueryKey(nil, cat, three))) != 0 {
+		t.Fatal("observation folded under the block's key")
 	}
 }

@@ -8,8 +8,9 @@ import (
 
 // distImmutAnalyzer enforces the dist.Dist / dist.Chain immutability law.
 // Memoized catalog fingerprints, the plan cache's env-law digests and the
-// batch dedup keys all assume a law never changes after construction; a
-// single in-place mutation silently poisons every cache keyed on it.
+// cache keys that dedupe repeated requests all assume a law never changes
+// after construction; a single in-place mutation silently poisons every
+// cache keyed on it.
 //
 // The compiler already stops other packages from touching the unexported
 // fields, but it cannot stop code *inside* internal/dist — and because

@@ -74,8 +74,8 @@ type execOutcome struct {
 
 // Run simulates cfg.Requests serving requests against the mix: each
 // request samples a query by popularity, a tenant, and the current drift
-// factor; both policies' plans are optimized through the concurrent batch
-// pipeline (memoized in a plan cache); then both plans are *executed* on
+// factor; both policies' plans are optimized through one OptimizeBatch call
+// (Optimize in a loop, memoized in a plan cache); then both plans are *executed* on
 // the mini engine under one shared sampled memory trajectory (common
 // random numbers) and their realized physical I/O is accumulated into the
 // report. Executions are memoized by (query, plan, trajectory) — plans and

@@ -40,9 +40,8 @@
 //
 // # Batch & concurrent use
 //
-// Heavy workloads go through Optimizer.OptimizeBatch, which answers many
-// requests in one pass on the caller's goroutine and serves repeats from
-// the plan cache:
+// Optimizer.OptimizeBatch answers many requests in one call, in order on
+// the caller's goroutine; repeats are served from the plan cache:
 //
 //	opt := lecopt.New(nil)
 //	resps := opt.OptimizeBatch(reqs) // resps[i] answers reqs[i]
@@ -53,9 +52,9 @@
 //	}
 //	fmt.Println(opt.CacheStats().HitRate())
 //
-// Results are byte-identical to sequential Optimize calls. Requests
-// sharing a cache key are deduplicated
-// deterministically (first request in order computes, the rest hit).
+// resps[i] is what Optimize(reqs[i]) returns when the calls run in order
+// on the same handle, with the same cache counters: the first request with
+// a cache key computes, and its repeats hit.
 // Cached reports share plan trees; treat returned plans as immutable
 // (Clone before mutating). The handle starts no goroutines: each
 // optimization, Algorithm A's and B's per-memory-bucket LSC runs included,
